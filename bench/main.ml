@@ -1,94 +1,21 @@
-(* The experiment harness: regenerates every table and figure of the
-   paper's evaluation (plus the DESIGN.md ablations), and runs a bechamel
-   microbenchmark suite over the substrate's hot data structures.
+(* Bechamel microbenchmarks over the packet and security substrate: the
+   probes the recorded benchmark (perfbench/) does not time.  The
+   experiments themselves run through `kite_ctl run`.
 
    Usage:
-     dune exec bench/main.exe                 # all experiments, full scale
-     dune exec bench/main.exe -- --quick      # scaled-down smoke pass
-     dune exec bench/main.exe -- --only fig9  # one experiment
-     dune exec bench/main.exe -- --list
-     dune exec bench/main.exe -- --micro            # bechamel microbenchmarks
-     dune exec bench/main.exe -- --trace-overhead   # disabled-tracer ring cost
-     dune exec bench/main.exe -- --fault-overhead   # disabled-injector ring cost
-     dune exec bench/main.exe -- --flight-overhead  # armed flight recorder, wall clock
-     dune exec bench/main.exe -- --path-overhead    # armed path attribution, wall clock
-     dune exec bench/main.exe -- --adversary-overhead # honest-path validation cost
-     dune exec bench/main.exe -- --swarm-overhead   # swarm harness vs plain open loop
-     dune exec bench/main.exe -- --gates            # every overhead gate in sequence *)
-
-let list_experiments () =
-  print_endline "available experiments:";
-  List.iter
-    (fun (id, desc, _) -> Printf.printf "  %-12s %s\n" id desc)
-    Kite.Experiments.all
-
-let run_one ~quick (id, desc, f) =
-  Printf.printf "\n### %s — %s\n%!" id desc;
-  let t0 = Unix.gettimeofday () in
-  (try
-     let outcome = f ~quick in
-     List.iter Kite_stats.Table.print outcome.Kite.Experiments.tables
-   with e ->
-     Printf.printf "!! %s failed: %s\n" id (Printexc.to_string e));
-  Printf.printf "  [%s took %.1fs wall clock]\n%!" id
-    (Unix.gettimeofday () -. t0)
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks over the substrate                          *)
-(* ------------------------------------------------------------------ *)
+     dune exec bench/main.exe *)
 
 let micro_tests () =
   let open Bechamel in
   let open Toolkit in
-  let ring_roundtrip =
-    Test.make ~name:"ring request/response roundtrip"
-      (Staged.stage (fun () ->
-           let r : (int, int) Kite_xen.Ring.t = Kite_xen.Ring.create ~order:5 in
-           for i = 1 to 32 do
-             Kite_xen.Ring.push_request r i
-           done;
-           ignore (Kite_xen.Ring.push_requests_and_check_notify r);
-           let rec drain () =
-             match Kite_xen.Ring.take_request r with
-             | Some v ->
-                 Kite_xen.Ring.push_response r v;
-                 drain ()
-             | None -> ()
-           in
-           drain ();
-           ignore (Kite_xen.Ring.push_responses_and_check_notify r)))
-  in
-  let xenstore_write =
-    Test.make ~name:"xenstore write+watch fire"
-      (Staged.stage (fun () ->
-           let xs = Kite_xen.Xenstore.create () in
-           let hits = ref 0 in
-           ignore
-             (Kite_xen.Xenstore.watch xs ~path:"/backend" ~token:"t"
-                (fun ~path:_ ~token:_ -> incr hits));
-           for i = 0 to 63 do
-             Kite_xen.Xenstore.write xs ~domid:0
-               ~path:(Printf.sprintf "/backend/vif/%d" i)
-               "x"
-           done))
-  in
-  let engine_events =
-    Test.make ~name:"engine: 1k timed events"
-      (Staged.stage (fun () ->
-           let e = Kite_sim.Engine.create () in
-           for i = 1 to 1000 do
-             ignore (Kite_sim.Engine.schedule_at e i (fun () -> ()))
-           done;
-           Kite_sim.Engine.run e))
-  in
-  let tcp_checksum =
+  let tcp_header =
     let seg = Bytes.make 1460 'x' in
     let src = Kite_net.Ipv4addr.of_string "10.0.0.1" in
     let dst = Kite_net.Ipv4addr.of_string "10.0.0.2" in
-    Test.make ~name:"tcp segment encode (1460B, checksummed)"
+    Test.make ~name:"tcp header over payload (1460B, checksummed)"
       (Staged.stage (fun () ->
            ignore
-             (Kite_net.Tcp_wire.encode
+             (Kite_net.Tcp_wire.header
                 {
                   Kite_net.Tcp_wire.src_port = 1;
                   dst_port = 2;
@@ -136,17 +63,7 @@ let micro_tests () =
     Test.make ~name:"gadget scan (64 KiB text)"
       (Staged.stage (fun () -> ignore (Kite_security.Gadget.scan code)))
   in
-  let tests =
-    [
-      ring_roundtrip;
-      xenstore_write;
-      engine_events;
-      tcp_checksum;
-      checksum;
-      frame_decode;
-      gadget_scan;
-    ]
-  in
+  let tests = [ tcp_header; checksum; frame_decode; gadget_scan ] in
   let benchmark test =
     let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
     Benchmark.all cfg Instance.[ monotonic_clock ] test
@@ -169,774 +86,10 @@ let micro_tests () =
         results)
     tests
 
-(* ------------------------------------------------------------------ *)
-(* Disabled-tracer overhead gate                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* A local mirror of the seed's ring hot path (indices, masking, and the
-   single checker-option match it already paid), used as the baseline the
-   instrumented-but-disabled ring is compared against. *)
-module Bare_ring = struct
-  type t = {
-    mask : int;
-    reqs : int option array;
-    rsps : int option array;
-    mutable req_prod : int;
-    mutable req_prod_pvt : int;
-    mutable req_cons : int;
-    mutable rsp_prod : int;
-    mutable rsp_prod_pvt : int;
-    mutable rsp_cons : int;
-    mutable check : unit option;
-  }
-
-  let create ~order =
-    let size = 1 lsl order in
-    {
-      mask = size - 1;
-      reqs = Array.make size None;
-      rsps = Array.make size None;
-      req_prod = 0;
-      req_prod_pvt = 0;
-      req_cons = 0;
-      rsp_prod = 0;
-      rsp_prod_pvt = 0;
-      rsp_cons = 0;
-      check = None;
-    }
-
-  let push_request t v =
-    (match t.check with Some () -> () | None -> ());
-    t.reqs.(t.req_prod_pvt land t.mask) <- Some v;
-    t.req_prod_pvt <- t.req_prod_pvt + 1
-
-  let publish_requests t =
-    (match t.check with Some () -> () | None -> ());
-    t.req_prod <- t.req_prod_pvt
-
-  let take_request t =
-    (match t.check with Some () -> () | None -> ());
-    if t.req_cons = t.req_prod then None
-    else begin
-      let i = t.req_cons land t.mask in
-      let r = t.reqs.(i) in
-      t.reqs.(i) <- None;
-      t.req_cons <- t.req_cons + 1;
-      r
-    end
-
-  let push_response t v =
-    (match t.check with Some () -> () | None -> ());
-    t.rsps.(t.rsp_prod_pvt land t.mask) <- Some v;
-    t.rsp_prod_pvt <- t.rsp_prod_pvt + 1
-
-  let publish_responses t =
-    (match t.check with Some () -> () | None -> ());
-    t.rsp_prod <- t.rsp_prod_pvt
-end
-
-let pre_race_roundtrip () =
-  let r : (int, int) Pre_race_ring.t = Pre_race_ring.create ~order:5 in
-  for i = 1 to 32 do
-    Pre_race_ring.push_request r i
-  done;
-  ignore (Pre_race_ring.push_requests_and_check_notify r);
-  let rec drain () =
-    match Pre_race_ring.take_request r with
-    | Some v ->
-        Pre_race_ring.push_response r v;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  ignore (Pre_race_ring.push_responses_and_check_notify r)
-
-let bare_roundtrip () =
-  let r = Bare_ring.create ~order:5 in
-  for i = 1 to 32 do
-    Bare_ring.push_request r i
-  done;
-  Bare_ring.publish_requests r;
-  let rec drain () =
-    match Bare_ring.take_request r with
-    | Some v ->
-        Bare_ring.push_response r v;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Bare_ring.publish_responses r
-
-let real_roundtrip ?fault ?race ~trace () =
-  let r : (int, int) Kite_xen.Ring.t = Kite_xen.Ring.create ~order:5 in
-  (match trace with
-  | Some tr -> Kite_xen.Ring.attach_trace r tr ~name:"bench" ~now:(fun () -> 0)
-  | None -> ());
-  (match fault with
-  | Some f -> Kite_xen.Ring.attach_fault r f ~name:"bench"
-  | None -> ());
-  (match race with
-  | Some d -> Kite_xen.Ring.attach_race r d ~name:"bench"
-  | None -> ());
-  for i = 1 to 32 do
-    Kite_xen.Ring.push_request r i
-  done;
-  ignore (Kite_xen.Ring.push_requests_and_check_notify r);
-  let rec drain () =
-    match Kite_xen.Ring.take_request r with
-    | Some v ->
-        Kite_xen.Ring.push_response r v;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  ignore (Kite_xen.Ring.push_responses_and_check_notify r)
-
-(* The tier-1 gate for the tracer's zero-cost-when-disabled claim: the
-   instrumented ring with no tracer attached must stay within a generous
-   noise bound of the seed-shaped bare ring. *)
-let measure_ns name f =
-  let open Bechamel in
-  let open Toolkit in
-  let test = Test.make ~name (Staged.stage f) in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) () in
-  let raw =
-    Benchmark.all cfg
-      Instance.[ monotonic_clock ]
-      (Test.make_grouped ~name:"g" [ test ])
-  in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      (Instance.monotonic_clock :> Measure.witness)
-      raw
-  in
-  let est = ref nan in
-  Hashtbl.iter
-    (fun _ ols ->
-      match Bechamel.Analyze.OLS.estimates ols with
-      | Some [ e ] -> est := e
-      | Some _ | None -> ())
-    results;
-  !est
-
-let trace_overhead () =
-  let measure = measure_ns in
-  print_endline "== disabled-tracer overhead on the ring hot path ==";
-  let bare = measure "bare (seed shape)" bare_roundtrip in
-  let disabled = measure "instrumented, tracer disabled" (real_roundtrip ~trace:None) in
-  let tr = Kite_trace.Trace.create ~name:"bench" () in
-  let traced = measure "tracer enabled" (real_roundtrip ~trace:(Some tr)) in
-  Printf.printf "  bare ring (seed shape):          %10.1f ns/roundtrip
-" bare;
-  Printf.printf "  instrumented, tracer disabled:   %10.1f ns/roundtrip
-"
-    disabled;
-  Printf.printf "  instrumented, tracer enabled:    %10.1f ns/roundtrip
-"
-    traced;
-  let ratio = disabled /. bare in
-  Printf.printf "  disabled/bare ratio: %.2fx (gate: < 2.00x)
-%!" ratio;
-  if Float.is_nan ratio || ratio >= 2.0 then begin
-    print_endline "FAIL: disabled tracer is not within noise of the seed ring";
-    exit 1
-  end;
-  print_endline "OK: disabled tracer within noise of seed"
-
-(* Same gate for the fault injector: a ring with no injector attached
-   must stay within noise of the seed-shaped bare ring, and attaching an
-   injector whose plan never matches the ring point must stay cheap too
-   (one armed-spec scan per consumed slot). *)
-let fault_overhead () =
-  let measure = measure_ns in
-  print_endline "== disabled-injector overhead on the ring hot path ==";
-  let bare = measure "bare (seed shape)" bare_roundtrip in
-  let disabled =
-    measure "instrumented, no injector" (real_roundtrip ~trace:None)
-  in
-  let f =
-    (* A plan aimed at a different point: fire() is never even reached
-       from the ring, the option match is the entire cost. *)
-    Kite_fault.Fault.create ~name:"bench" ~seed:1
-      [ Kite_fault.Fault.spec ~key:"elsewhere" Kite_fault.Fault.Device_io ]
-  in
-  let armed =
-    measure "injector attached, plan elsewhere"
-      (real_roundtrip ~fault:f ~trace:None)
-  in
-  Printf.printf "  bare ring (seed shape):            %10.1f ns/roundtrip\n"
-    bare;
-  Printf.printf "  instrumented, no injector:         %10.1f ns/roundtrip\n"
-    disabled;
-  Printf.printf "  injector attached, plan elsewhere: %10.1f ns/roundtrip\n"
-    armed;
-  let ratio = disabled /. bare in
-  Printf.printf "  disabled/bare ratio: %.2fx (gate: < 2.00x)\n%!" ratio;
-  if Float.is_nan ratio || ratio >= 2.0 then begin
-    print_endline "FAIL: disabled injector is not within noise of the seed ring";
-    exit 1
-  end;
-  print_endline "OK: disabled injector within noise of seed"
-
-(* And for the metric registry: drivers keep [Registry.histogram option]
-   fields matched on the hot path (everything else is a polled closure
-   that costs nothing until sampled), so the gate is the same ring
-   roundtrip plus one option match per batch. *)
-let metrics_roundtrip ~hist () =
-  let r : (int, int) Kite_xen.Ring.t = Kite_xen.Ring.create ~order:5 in
-  for i = 1 to 32 do
-    Kite_xen.Ring.push_request r i
-  done;
-  ignore (Kite_xen.Ring.push_requests_and_check_notify r);
-  let n = ref 0 in
-  let rec drain () =
-    match Kite_xen.Ring.take_request r with
-    | Some v ->
-        incr n;
-        Kite_xen.Ring.push_response r v;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  (match hist with
-  | Some h -> Kite_metrics.Registry.observe h (float_of_int !n)
-  | None -> ());
-  ignore (Kite_xen.Ring.push_responses_and_check_notify r)
-
-let metrics_overhead () =
-  let measure = measure_ns in
-  print_endline "== disabled-metrics overhead on the ring hot path ==";
-  let bare = measure "bare (seed shape)" bare_roundtrip in
-  let disabled =
-    measure "instrumented, no registry" (metrics_roundtrip ~hist:None)
-  in
-  let reg = Kite_metrics.Registry.create ~name:"bench" () in
-  let h = Kite_metrics.Registry.histogram reg "bench_batch" [] in
-  let enabled =
-    measure "registry attached" (metrics_roundtrip ~hist:(Some h))
-  in
-  Printf.printf "  bare ring (seed shape):        %10.1f ns/roundtrip\n" bare;
-  Printf.printf "  instrumented, no registry:     %10.1f ns/roundtrip\n"
-    disabled;
-  Printf.printf "  registry attached:             %10.1f ns/roundtrip\n"
-    enabled;
-  let ratio = disabled /. bare in
-  Printf.printf "  disabled/bare ratio: %.2fx (gate: < 2.00x)\n%!" ratio;
-  if Float.is_nan ratio || ratio >= 2.0 then begin
-    print_endline "FAIL: disabled metrics are not within noise of the seed ring";
-    exit 1
-  end;
-  print_endline "OK: disabled metrics within noise of seed"
-
-(* Race-detector gate: the ISSUE's tighter 1.1x bound, so the measure is
-   hardened against scheduler noise — take the best of three estimates
-   per variant, and accept a small absolute difference as the fallback
-   (sub-ns-per-hook differences are below what OLS resolves reliably on
-   a shared machine). *)
-let race_overhead () =
-  print_endline "== disabled-race-detector overhead on the ring hot path ==";
-  (* The baseline is the instrumented ring as it stood before the race
-     detector (check/trace/fault matches, all disabled): the ratio then
-     isolates the cost the race field adds to the hot path.  The bare
-     seed ring is printed for context; its generous bound lives in the
-     --trace-overhead gate.
-
-     The two variants are measured in interleaved rounds, min over
-     rounds: a frequency or load shift during the run then lands on
-     both sides instead of skewing whichever block it overlapped. *)
-  let baseline = ref infinity and disabled = ref infinity in
-  for round = 1 to 4 do
-    let tag = Printf.sprintf "/%d" round in
-    baseline :=
-      Float.min !baseline
-        (measure_ns ("pre-race instrumented" ^ tag) pre_race_roundtrip);
-    disabled :=
-      Float.min !disabled
-        (measure_ns
-           ("instrumented, detector disabled" ^ tag)
-           (real_roundtrip ~trace:None))
-  done;
-  let baseline = !baseline and disabled = !disabled in
-  let report = Kite_check.Report.create () in
-  let d = Kite_race.Race.create ~name:"bench" report in
-  let enabled =
-    measure_ns "detector attached" (real_roundtrip ~race:d ~trace:None)
-  in
-  Printf.printf "  pre-race instrumented ring:        %10.1f ns/roundtrip\n"
-    baseline;
-  Printf.printf "  instrumented, detector disabled:   %10.1f ns/roundtrip\n"
-    disabled;
-  Printf.printf "  detector attached:                 %10.1f ns/roundtrip\n"
-    enabled;
-  let ratio = disabled /. baseline in
-  (* The absolute-slack arm absorbs per-binary code-layout drift: the
-     identical ring source measures up to ~100 ns/roundtrip apart across
-     binaries that differ only in unrelated linked code.  Real leaks the
-     gate exists for (a hook left unconditionally live, an extra
-     allocation per consumed slot) cost well past this bound on the
-     32-op roundtrip. *)
-  Printf.printf "  disabled/pre-race ratio: %.2fx (gate: < 1.10x or < 120 ns)\n%!"
-    ratio;
-  if
-    Float.is_nan ratio || (ratio >= 1.1 && disabled -. baseline >= 120.0)
-  then begin
-    print_endline
-      "FAIL: disabled race detector is not within noise of the pre-race ring";
-    exit 1
-  end;
-  print_endline "OK: disabled race detector within noise of the pre-race ring"
-
-(* Multi-queue gates.  --mq-scaling prints the 1/2/4/8-queue sweep and
-   asserts the tentpole's claim (>= 2x aggregate throughput at 4 queues
-   vs 1); --mq-overhead asserts the machinery is free when unused (one
-   negotiated queue within 1.1x of the legacy flat single-ring path on
-   an identical workload). *)
-let mq_scaling ~quick () =
-  let outcome = Kite.Experiments.mq_scale ~quick in
-  List.iter Kite_stats.Table.print outcome.Kite.Experiments.tables;
-  let dur = Kite_sim.Time.ms (if quick then 3 else 20) in
-  let one = Kite.Experiments.mq_run_gbps ~duration:dur ~mq:true 1 in
-  let four = Kite.Experiments.mq_run_gbps ~duration:dur ~mq:true 4 in
-  let ratio = four /. one in
-  Printf.printf "  4-queue/1-queue ratio: %.2fx (gate: >= 2.00x)\n%!" ratio;
-  if Float.is_nan ratio || ratio < 2.0 then begin
-    print_endline "FAIL: 4 queues do not scale to 2x of 1 queue";
-    exit 1
-  end;
-  print_endline "OK: multi-queue dataplane scales"
-
-let mq_overhead ~quick () =
-  print_endline "== 1-queue multi-queue overhead vs legacy single ring ==";
-  let legacy, mq1 = Kite.Experiments.mq_overhead ~quick in
-  Printf.printf "  legacy single ring:            %10.2f Gbps\n" legacy;
-  Printf.printf "  multi-queue, 1 queue:          %10.2f Gbps\n" mq1;
-  let ratio = legacy /. mq1 in
-  Printf.printf "  legacy/mq ratio: %.2fx (gate: < 1.10x)\n%!" ratio;
-  if Float.is_nan ratio || ratio >= 1.1 then begin
-    print_endline "FAIL: 1-queue mq mode is not within 1.1x of the legacy path";
-    exit 1
-  end;
-  print_endline "OK: multi-queue machinery free when unused"
-
-(* Flight-recorder gate: ISSUE 7's 1.1x bound with the recorder ARMED —
-   not merely compiled in — on the multi-queue workload.  The simulated
-   Gbps figure is invariant under instrumentation by construction
-   (observer hooks cost zero simulated time), so what this gate measures
-   is WALL CLOCK: how much real time the armed run burns over the
-   tracer-only run.  The trace sink is armed on both sides so the delta
-   isolates the recorder's span observer + ring push (its only
-   per-packet work); interleaved best-of-3 minima and an absolute-time
-   fallback harden the ratio against load shifts on a shared machine. *)
-let flight_overhead ~quick () =
-  print_endline "== armed flight-recorder overhead on the mq workload ==";
-  let duration = Kite_sim.Time.ms (if quick then 2 else 5) in
-  let run ~flight () =
-    Kite_trace.Trace.set_default (Some (Kite_trace.Trace.sink ()));
-    if flight then
-      Kite_flight.Flight.set_default (Some (Kite_flight.Flight.sink ()));
-    Fun.protect
-      ~finally:(fun () ->
-        Kite.Scenario.teardown_all ();
-        Kite_trace.Trace.set_default None;
-        Kite_flight.Flight.set_default None)
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let gbps = Kite.Experiments.mq_run_gbps ~duration ~mq:true 2 in
-        (gbps, Unix.gettimeofday () -. t0))
-  in
-  ignore (run ~flight:true ());
-  (* warmed up; now interleave the variants and keep the minima *)
-  let base = ref infinity and armed = ref infinity in
-  let gbps_base = ref 0. and gbps_armed = ref 0. in
-  for _round = 1 to 3 do
-    let g, dt = run ~flight:false () in
-    if dt < !base then begin
-      base := dt;
-      gbps_base := g
-    end;
-    let g, dt = run ~flight:true () in
-    if dt < !armed then begin
-      armed := dt;
-      gbps_armed := g
-    end
-  done;
-  Printf.printf "  tracer only:     %8.3f s wall  (%.2f Gbps simulated)\n"
-    !base !gbps_base;
-  Printf.printf "  tracer + flight: %8.3f s wall  (%.2f Gbps simulated)\n"
-    !armed !gbps_armed;
-  if Float.abs (!gbps_armed -. !gbps_base) > 1e-9 then begin
-    print_endline
-      "FAIL: arming the flight recorder changed the simulated throughput \
-       (observation must not perturb the simulation)";
-    exit 1
-  end;
-  let ratio = !armed /. !base in
-  Printf.printf "  armed/bare wall ratio: %.2fx (gate: < 1.10x or < 50 ms)\n%!"
-    ratio;
-  if Float.is_nan ratio || (ratio >= 1.1 && !armed -. !base >= 0.05) then begin
-    print_endline
-      "FAIL: armed flight recorder costs more than 1.1x wall clock on the \
-       mq workload";
-    exit 1
-  end;
-  print_endline "OK: armed flight recorder within 1.1x of the tracer-only run"
-
-(* Path-attribution gate: the same wall-clock discipline for the
-   critical-path engine ARMED on the multi-queue drain path.  Both sides
-   arm the tracer (spans must exist for the engine to decompose); the
-   delta isolates the engine's additive span tap (per-stage histogram
-   observes) and the scheduler/occupancy profiler hooks — its only
-   per-packet work.  Simulated Gbps must be bit-identical: observation
-   cannot perturb the simulation. *)
-let path_overhead ~quick () =
-  print_endline "== armed path attribution overhead on the mq workload ==";
-  let duration = Kite_sim.Time.ms (if quick then 2 else 5) in
-  let run ~path () =
-    Kite_trace.Trace.set_default (Some (Kite_trace.Trace.sink ()));
-    if path then
-      Kite_path.Path.set_default (Some (Kite_path.Path.sink ()));
-    Fun.protect
-      ~finally:(fun () ->
-        Kite.Scenario.teardown_all ();
-        Kite_trace.Trace.set_default None;
-        Kite_path.Path.set_default None)
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let gbps = Kite.Experiments.mq_run_gbps ~duration ~mq:true 2 in
-        (gbps, Unix.gettimeofday () -. t0))
-  in
-  ignore (run ~path:true ());
-  let base = ref infinity and armed = ref infinity in
-  let gbps_base = ref 0. and gbps_armed = ref 0. in
-  for _round = 1 to 3 do
-    let g, dt = run ~path:false () in
-    if dt < !base then begin
-      base := dt;
-      gbps_base := g
-    end;
-    let g, dt = run ~path:true () in
-    if dt < !armed then begin
-      armed := dt;
-      gbps_armed := g
-    end
-  done;
-  Printf.printf "  tracer only:     %8.3f s wall  (%.2f Gbps simulated)\n"
-    !base !gbps_base;
-  Printf.printf "  tracer + path:   %8.3f s wall  (%.2f Gbps simulated)\n"
-    !armed !gbps_armed;
-  if Float.abs (!gbps_armed -. !gbps_base) > 1e-9 then begin
-    print_endline
-      "FAIL: arming path attribution changed the simulated throughput \
-       (observation must not perturb the simulation)";
-    exit 1
-  end;
-  let ratio = !armed /. !base in
-  Printf.printf "  armed/bare wall ratio: %.2fx (gate: < 1.10x or < 50 ms)\n%!"
-    ratio;
-  if Float.is_nan ratio || (ratio >= 1.1 && !armed -. !base >= 0.05) then begin
-    print_endline
-      "FAIL: armed path attribution costs more than 1.1x wall clock on the \
-       mq workload";
-    exit 1
-  end;
-  print_endline "OK: armed path attribution within 1.1x of the tracer-only run"
-
-(* Adversary-hardening gate: ISSUE 8's 1.1x bound on the HONEST path.
-   The byzantine-frontend hardening added trust-boundary validation to
-   every backend drain — a producer-window check per drain, and a
-   per-request grant-ownership probe, length window and in-flight id
-   claim/release.  An honest frontend pays that validation on every
-   request, so it must be cheap relative to the work each request
-   already does: the baseline is the pre-hardening honest path (drain +
-   grant-copy of each payload, run as a real process episode so the
-   hypercall accounting is live), not an empty ring spin.  Same
-   noise-hardening as the race gate: interleaved rounds, min per
-   variant, absolute slack as the fallback arm. *)
-let adversary_overhead () =
-  print_endline "== trust-boundary validation overhead on the honest path ==";
-  let hv = Kite_xen.Hypervisor.create () in
-  let front =
-    Kite_xen.Hypervisor.create_domain hv ~name:"front"
-      ~kind:Kite_xen.Domain.Dom_u ~vcpus:1 ~mem_mb:64
-  in
-  let back =
-    Kite_xen.Hypervisor.create_domain hv ~name:"back"
-      ~kind:Kite_xen.Domain.Driver_domain ~vcpus:1 ~mem_mb:64
-  in
-  let gt = Kite_xen.Grant_table.create hv in
-  let grefs =
-    Array.init 32 (fun _ ->
-        Kite_xen.Grant_table.grant_access gt ~granter:front ~grantee:back
-          ~page:(Kite_xen.Page.alloc ()) ~writable:false)
-  in
-  let fid = front.Kite_xen.Domain.id in
-  let inflight = Hashtbl.create 64 in
-  (* The honest data path as it stood before the hardening: drain the
-     ring and grant-copy each request's payload out of guest memory.
-     [validate] bolts on exactly what the hardening added per request. *)
-  let roundtrip ~validate () =
-    let r : (int, int) Kite_xen.Ring.t = Kite_xen.Ring.create ~order:5 in
-    for i = 1 to 32 do
-      Kite_xen.Ring.push_request r i
-    done;
-    ignore (Kite_xen.Ring.push_requests_and_check_notify r);
-    (* The grant copies hypercall into the simulator's CPU accounting,
-       so the drain runs as a process episode on the live engine. *)
-    Kite_xen.Hypervisor.spawn hv back ~name:"bench-drain" (fun () ->
-        (* Once per drain: the published producer index. *)
-        if validate && not (Kite_xen.Ring.request_producer_valid r) then
-          failwith "producer window";
-        (* A three-segment request: one full-page copy per segment, the
-           blk backend's data unit. *)
-        let segs = 3 in
-        let rec drain () =
-          match Kite_xen.Ring.take_request r with
-          | Some v ->
-              let len = Kite_xen.Page.size in
-              if validate then begin
-                (* Exactly the backends' honest path: length window and
-                   ownership probe per segment, in-flight id claim per
-                   request... *)
-                for s = 0 to segs - 1 do
-                  if len < 0 || len > Kite_xen.Page.size then failwith "len";
-                  match Kite_xen.Grant_table.owner gt grefs.((v + s) land 31)
-                  with
-                  | Some d when d = fid -> ()
-                  | Some _ | None -> failwith "owner"
-                done;
-                match Hashtbl.find_opt inflight v with
-                | Some _ -> failwith "replay"
-                | None -> Hashtbl.replace inflight v 0
-              end;
-              for s = 0 to segs - 1 do
-                ignore
-                  (Kite_xen.Grant_table.copy_from_granted gt ~caller:back
-                     grefs.((v + s) land 31) ~off:0 ~len)
-              done;
-              (* ...and its release on completion. *)
-              if validate then Hashtbl.remove inflight v;
-              Kite_xen.Ring.push_response r v;
-              drain ()
-          | None -> ()
-        in
-        drain ();
-        ignore (Kite_xen.Ring.push_responses_and_check_notify r));
-    Kite_xen.Hypervisor.run hv
-  in
-  (* Wall-clock noise (CPU contention, GC phase) swings both variants
-     together, so judge adjacent interleaved measurements as a pair and
-     keep the round with the least interference: min of the per-round
-     ratios, not a ratio of cross-round mins. *)
-  let baseline = ref 1.0 and validated = ref infinity in
-  for round = 1 to 6 do
-    let tag = Printf.sprintf "/%d" round in
-    let b = measure_ns ("unvalidated path" ^ tag) (roundtrip ~validate:false) in
-    let v = measure_ns ("validated path" ^ tag) (roundtrip ~validate:true) in
-    if (not (Float.is_nan (v /. b))) && v /. b < !validated /. !baseline
-    then begin
-      baseline := b;
-      validated := v
-    end
-  done;
-  let baseline = !baseline and validated = !validated in
-  Printf.printf "  honest path, no validation: %10.1f ns/roundtrip\n" baseline;
-  Printf.printf "  honest path + validation:   %10.1f ns/roundtrip\n" validated;
-  let ratio = validated /. baseline in
-  Printf.printf
-    "  validated/baseline ratio: %.2fx (gate: < 1.10x or < 120 ns)\n%!" ratio;
-  if Float.is_nan ratio || (ratio >= 1.1 && validated -. baseline >= 120.0)
-  then begin
-    print_endline
-      "FAIL: trust-boundary validation costs more than 1.1x on the honest \
-       path";
-    exit 1
-  end;
-  print_endline
-    "OK: honest-path validation within 1.1x of the pre-hardening path"
-
-(* Swarm-harness gate: the population generator (profile draws, session
-   bookkeeping, latency histogram, SLO windows) layered on Openloop must
-   cost < 1.1x the plain Openloop path when its extras are disabled —
-   churn off (single-request sessions), no think time, no slow clients,
-   no modulation, no impairments.  Both sides fire the identical
-   blkfront write through the split-driver storage path; the delta
-   isolates the swarm machinery. *)
-let swarm_overhead ~quick () =
-  print_endline "== swarm harness overhead vs plain open loop ==";
-  let module Swarm = Kite_swarm.Swarm in
-  let module Profile = Kite_swarm.Profile in
-  let n = if quick then 1_500 else 15_000 in
-  let rate = 5_000. in
-  let blk_data seq =
-    Bytes.make
-      (8 * Kite_drivers.Blkfront.sector_size)
-      (Char.chr (Char.code 'a' + (seq mod 26)))
-  in
-  let with_storage body =
-    let s = Kite.Scenario.storage ~flavor:Kite.Scenario.Kite () in
-    Fun.protect
-      ~finally:(fun () -> Kite.Scenario.teardown_all ())
-      (fun () ->
-        let t0 = Unix.gettimeofday () in
-        let completed = body s in
-        (completed, Unix.gettimeofday () -. t0))
-  in
-  let fire_write front seq =
-    Kite_drivers.Blkfront.write front
-      ~sector:(8 * (seq mod 1024))
-      (blk_data seq);
-    true
-  in
-  let run_openloop () =
-    with_storage (fun s ->
-        let done_ = ref None in
-        Kite.Scenario.when_blk_ready s (fun () ->
-            Kite_bench_tools.Openloop.run ~sched:s.Kite.Scenario.bsched ~rate
-              ~stop_after:n
-              ~duration:(Kite_sim.Time.sec 60)
-              ~fire:(fire_write s.Kite.Scenario.blkfront)
-              ~on_done:(fun r -> done_ := Some r)
-              ());
-        Kite_xen.Hypervisor.run_for s.Kite.Scenario.bhv (Kite_sim.Time.sec 120);
-        match !done_ with
-        | Some r -> r.Kite_bench_tools.Openloop.completed
-        | None -> failwith "swarm-overhead: open loop did not drain")
-  in
-  let plain_profile =
-    {
-      Profile.p_name = "plain";
-      arrivals = Profile.Poisson rate;
-      sizes = Profile.Fixed 4096;
-      requests_per_session = 1;
-      think = 0;
-      slow_fraction = 0.0;
-      slow_stretch = 1;
-      flash = [];
-      diurnal = None;
-    }
-  in
-  let run_swarm () =
-    with_storage (fun s ->
-        let done_ = ref None in
-        Kite.Scenario.when_blk_ready s (fun () ->
-            let seq = ref 0 in
-            let driver =
-              {
-                Swarm.d_app = "blk";
-                d_connect =
-                  (fun () ->
-                    Some
-                      {
-                        Swarm.c_request =
-                          (fun ~size:_ ~slow:_ ->
-                            incr seq;
-                            fire_write s.Kite.Scenario.blkfront !seq);
-                        c_close = (fun () -> ());
-                      });
-              }
-            in
-            Swarm.run ~sched:s.Kite.Scenario.bsched ~profile:plain_profile
-              ~clients:n ~driver
-              ~on_done:(fun r -> done_ := Some r)
-              ());
-        Kite_xen.Hypervisor.run_for s.Kite.Scenario.bhv (Kite_sim.Time.sec 120);
-        match !done_ with
-        | Some r -> r.Swarm.sw_completed
-        | None -> failwith "swarm-overhead: swarm did not drain")
-  in
-  ignore (run_swarm ());
-  (* warmed up; now interleave the variants and keep the minima *)
-  let base = ref infinity and armed = ref infinity in
-  let base_n = ref 0 and armed_n = ref 0 in
-  for _round = 1 to 3 do
-    let c, dt = run_openloop () in
-    if dt < !base then base := dt;
-    base_n := c;
-    let c, dt = run_swarm () in
-    if dt < !armed then armed := dt;
-    armed_n := c
-  done;
-  Printf.printf "  plain open loop: %8.3f s wall  (%d writes)\n" !base !base_n;
-  Printf.printf "  swarm harness:   %8.3f s wall  (%d writes)\n" !armed
-    !armed_n;
-  if !base_n <> n || !armed_n <> n then begin
-    Printf.printf
-      "FAIL: request counts diverged (open loop %d, swarm %d, wanted %d)\n"
-      !base_n !armed_n n;
-    exit 1
-  end;
-  let ratio = !armed /. !base in
-  Printf.printf "  swarm/plain wall ratio: %.2fx (gate: < 1.10x or < 50 ms)\n%!"
-    ratio;
-  if Float.is_nan ratio || (ratio >= 1.1 && !armed -. !base >= 0.05) then begin
-    print_endline
-      "FAIL: swarm harness costs more than 1.1x the plain open-loop path \
-       with impairments and churn disabled";
-    exit 1
-  end;
-  print_endline "OK: swarm harness within 1.1x of the plain open-loop path"
-
-(* Every overhead gate in sequence (the @gates alias): any failure exits
-   nonzero immediately, so a clean exit means all nine held. *)
-let gates ~quick () =
-  trace_overhead ();
-  print_newline ();
-  fault_overhead ();
-  print_newline ();
-  metrics_overhead ();
-  print_newline ();
-  race_overhead ();
-  print_newline ();
-  mq_overhead ~quick ();
-  print_newline ();
-  flight_overhead ~quick ();
-  print_newline ();
-  path_overhead ~quick ();
-  print_newline ();
-  adversary_overhead ();
-  print_newline ();
-  swarm_overhead ~quick ();
-  print_endline "\nall nine overhead gates passed."
-
 let () =
-  let args = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" args in
-  let micro = List.mem "--micro" args in
-  let only =
-    let rec find = function
-      | "--only" :: id :: _ -> Some id
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
-  in
-  if List.mem "--list" args then list_experiments ()
-  else if List.mem "--trace-overhead" args then trace_overhead ()
-  else if List.mem "--fault-overhead" args then fault_overhead ()
-  else if List.mem "--metrics-overhead" args then metrics_overhead ()
-  else if List.mem "--race-overhead" args then race_overhead ()
-  else if List.mem "--mq-scaling" args then mq_scaling ~quick ()
-  else if List.mem "--mq-overhead" args then mq_overhead ~quick ()
-  else if List.mem "--flight-overhead" args then flight_overhead ~quick ()
-  else if List.mem "--path-overhead" args then path_overhead ~quick ()
-  else if List.mem "--adversary-overhead" args then adversary_overhead ()
-  else if List.mem "--swarm-overhead" args then swarm_overhead ~quick ()
-  else if List.mem "--gates" args then gates ~quick ()
-  else if micro then micro_tests ()
-  else begin
-    Printf.printf "Kite reproduction harness (%s scale)\n"
-      (if quick then "quick" else "full");
-    (match only with
-    | Some id -> (
-        match
-          List.find_opt (fun (i, _, _) -> i = id) Kite.Experiments.all
-        with
-        | Some exp -> run_one ~quick exp
-        | None ->
-            Printf.printf "unknown experiment %s\n" id;
-            list_experiments ();
-            exit 1)
-    | None -> List.iter (run_one ~quick) Kite.Experiments.all);
-    print_endline "\ndone."
-  end
+  match Array.to_list Sys.argv with
+  | [ _ ] | [ _; "--micro" ] -> micro_tests ()
+  | _ ->
+      prerr_endline
+        "usage: bench/main.exe  (experiments run through `kite_ctl run`)";
+      exit 2

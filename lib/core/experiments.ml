@@ -1491,12 +1491,12 @@ let hypercalls ~quick =
    NIC is modelled at 100 Gbps so the wire is not what saturates — the
    measured ceiling is the driver domain's per-packet CPU work, which
    is what extra queues parallelize. *)
-let mq_run ~duration ~mq nq =
+let mq_run_gbps ~duration ~mq nq =
   let hv = Kite_xen.Hypervisor.create ~seed:910 () in
   let ctx = Kite_drivers.Xen_ctx.create hv in
   (* Hand-built testbed, so consult the run-wide sinks explicitly: the
-     flight-overhead bench gate arms a recorder on exactly this
-     workload.  No-op when nothing is armed. *)
+     armed-vs-disarmed tests arm every sink on exactly this workload.
+     No-op when nothing is armed. *)
   Scenario.arm_ambient ctx "mq-";
   let sched = Kite_xen.Hypervisor.sched hv in
   let metrics = Kite_xen.Hypervisor.metrics hv in
@@ -1571,14 +1571,14 @@ let mq_run ~duration ~mq nq =
   Kite_xen.Hypervisor.run_for hv (Time.sec 10);
   match !result with
   | Some gbps -> gbps
-  | None -> failwith "mq_run: measurement window never completed"
-
-let mq_run_gbps ~duration ~mq nq = mq_run ~duration ~mq nq
+  | None -> failwith "mq_run_gbps: measurement window never completed"
 
 let mq_scale ~quick =
   let duration = if quick then Time.ms 3 else Time.ms 20 in
   let sweep = [ 1; 2; 4; 8 ] in
-  let results = List.map (fun nq -> (nq, mq_run ~duration ~mq:true nq)) sweep in
+  let results =
+    List.map (fun nq -> (nq, mq_run_gbps ~duration ~mq:true nq)) sweep
+  in
   let one = List.assoc 1 results in
   let t =
     Table.create ~title:"Extension: multi-queue dataplane scaling (net Tx)"
@@ -1597,16 +1597,6 @@ let mq_scale ~quick =
     "per-queue rings + per-queue pusher threads on a matching vCPU count; \
      grant-copy hypercalls batched per drained run";
   { exp_id = "mq-scale"; tables = [ t ] }
-
-(* The mq machinery must be free when unused: one negotiated queue
-   through the multi-queue paths vs the legacy flat single-ring layout,
-   identical workload.  Returns (legacy Gbps, 1-queue mq Gbps); the
-   bench gate asserts mq is within 1.1x. *)
-let mq_overhead ~quick =
-  let duration = if quick then Time.ms 3 else Time.ms 20 in
-  let legacy = mq_run ~duration ~mq:false 1 in
-  let mq1 = mq_run ~duration ~mq:true 1 in
-  (legacy, mq1)
 
 (* Critical-path attribution (lib/path): where does a request's
    simulated time go, and at what offered load does queueing overtake

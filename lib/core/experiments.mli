@@ -1,6 +1,6 @@
 (** One runner per table and figure in the paper's evaluation (§5), plus
-    the ablations of DESIGN.md.  Each returns rendered tables; the bench
-    harness prints them and EXPERIMENTS.md records paper-vs-measured.
+    the ablations of DESIGN.md.  Each returns rendered tables; [kite_ctl
+    run] prints them and EXPERIMENTS.md records paper-vs-measured.
 
     [quick] scales down request counts / durations / image sizes for a
     fast smoke pass; the shape claims hold at either scale. *)
@@ -83,10 +83,6 @@ val mq_scale : quick:bool -> outcome
 (** Multi-queue dataplane scaling: aggregate net Tx throughput over
     1/2/4/8 negotiated queues (driver domain vCPUs matched to the queue
     count). *)
-
-val mq_overhead : quick:bool -> float * float
-(** (legacy single-ring Gbps, 1-queue multi-queue Gbps) on an identical
-    workload — the [bench --mq-overhead] gate's raw numbers. *)
 
 val mq_run_gbps : duration:Kite_sim.Time.span -> mq:bool -> int -> float
 (** One multi-queue throughput measurement: [mq_run_gbps ~duration ~mq n]

@@ -23,4 +23,5 @@ let () =
       ("path", Test_path.suite);
       ("adversary", Test_adversary.suite);
       ("swarm", Test_swarm.suite);
+      ("armed", Test_armed.suite);
     ]

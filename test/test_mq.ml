@@ -1,7 +1,8 @@
 (* The multi-queue dataplane: randomized ring protocol properties, the
-   negotiation/fallback matrix, a seeded stress sweep over random queue
-   counts x fault plans x crash/restart, and the labelled-metrics dedup
-   regression. *)
+   negotiation/fallback matrix, the throughput claims (1 queue = legacy
+   ring exactly, 4 queues >= 2x of 1), a seeded stress sweep over random
+   queue counts x fault plans x crash/restart, and the labelled-metrics
+   dedup regression. *)
 
 open Kite_sim
 open Kite_xen
@@ -389,6 +390,26 @@ let test_scenario_stress () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Throughput: mq against the legacy ring, and scaling                 *)
+(* ------------------------------------------------------------------ *)
+
+let gbps nq ~mq =
+  Kite.Experiments.mq_run_gbps ~duration:(Time.ms 3) ~mq nq
+
+(* The machinery is free when unused: one negotiated queue moves exactly
+   the bytes the legacy flat single ring moves, in the same simulated
+   time. *)
+let test_mq1_equals_legacy () =
+  Alcotest.(check (float 0.))
+    "1-queue mq Gbps = legacy Gbps" (gbps 1 ~mq:false) (gbps 1 ~mq:true)
+
+let test_mq_scales () =
+  let one = gbps 1 ~mq:true and four = gbps 4 ~mq:true in
+  if not (four >= 2. *. one) then
+    Alcotest.failf "4 queues give %.3f Gbps, under 2x the %.3f of 1 queue"
+      four one
+
+(* ------------------------------------------------------------------ *)
 (* Labelled-metrics dedup                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -443,4 +464,6 @@ let suite =
       test_blk_legacy_frontend_on_mq_backend );
     ("scenario stress, 50 seeds", `Slow, test_scenario_stress);
     ("labelled metrics dedup", `Quick, test_labelled_metrics_dedup);
+    ("1-queue mq equals legacy ring", `Quick, test_mq1_equals_legacy);
+    ("4 queues scale to 2x", `Quick, test_mq_scales);
   ]
