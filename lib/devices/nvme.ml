@@ -7,25 +7,36 @@ exception Transient_error of string
 
 type op = Read | Write | Flush
 
+type segment = Kite_xen.Page.t * int * int
+
 type command = {
   op : op;
   sector : int;
   len : int;  (* bytes *)
-  data : Bytes.t;  (* payload for writes; filled for reads *)
+  sg : segment list;  (* the pages the transfer reads or fills *)
   done_ : Condition.t;
   mutable completed : bool;
 }
 
+(* The media is a sparse store of page-sized chunks: chunk [c] holds the
+   device's bytes [c * chunk_size, (c + 1) * chunk_size).  A chunk is
+   made, zeroed, on its first write and overwritten in place after that.
+   Chunks are plain buffers, not pages: they draw no machine frame
+   numbers. *)
+let chunk_size = Kite_xen.Page.size
+
+(* What a never-written chunk reads as.  Only ever read. *)
+let zero_chunk = Bytes.make chunk_size '\000'
+
 type t = {
   name : string;
   sched : Process.sched;
-  metrics : Metrics.t;
   capacity_sectors : int;
   read_base : Time.span;
   write_base : Time.span;
   cmd_overhead : Time.span;
   bandwidth_bps : float;
-  sectors : (int, Bytes.t) Hashtbl.t;
+  chunks : (int, Bytes.t) Hashtbl.t;
   queue : command Mailbox.t;
   (* Commands overlap their setup latency, but the flash media moves data
      at a fixed aggregate bandwidth: transfers are serialized on this
@@ -35,6 +46,9 @@ type t = {
   mutable writes : int;
   mutable bytes_read : int;
   mutable bytes_written : int;
+  m_read : Metrics.counter;
+  m_write : Metrics.counter;
+  m_flush : Metrics.counter;
   mutable fault : Kite_fault.Fault.t option;
 }
 
@@ -57,22 +71,41 @@ let serve_io t base len =
   t.media_free_at <- finish;
   Process.sleep (finish - now)
 
-let do_read t sector count buf =
-  for i = 0 to count - 1 do
-    let src =
-      match Hashtbl.find_opt t.sectors (sector + i) with
-      | Some b -> b
-      | None -> Bytes.make sector_size '\000'
-    in
-    Bytes.blit src 0 buf (i * sector_size) sector_size
-  done
+let chunk_for_write t c =
+  match Hashtbl.find t.chunks c with
+  | b -> b
+  | exception Not_found ->
+      let b = Bytes.make chunk_size '\000' in
+      Hashtbl.add t.chunks c b;
+      b
 
-let do_write t sector data =
-  let count = Bytes.length data / sector_size in
-  for i = 0 to count - 1 do
-    Hashtbl.replace t.sectors (sector + i)
-      (Bytes.sub data (i * sector_size) sector_size)
-  done
+(* The DMA, when the transfer completes: walk the page list and the media
+   in step, copying each piece once between a page and its chunk. *)
+let dma t op ~sector sg =
+  let pos = ref (sector * sector_size) in
+  List.iter
+    (fun (page, off, len) ->
+      let moved = ref 0 in
+      while !moved < len do
+        let c = !pos / chunk_size and c_off = !pos mod chunk_size in
+        let n = min (len - !moved) (chunk_size - c_off) in
+        (match op with
+        | Read ->
+            let src =
+              match Hashtbl.find t.chunks c with
+              | b -> b
+              | exception Not_found -> zero_chunk
+            in
+            Kite_xen.Page.write_from page ~off:(off + !moved) src ~src_off:c_off
+              ~len:n
+        | Write ->
+            Kite_xen.Page.read_into page ~off:(off + !moved) ~len:n
+              (chunk_for_write t c) ~dst_off:c_off
+        | Flush -> ());
+        moved := !moved + n;
+        pos := !pos + n
+      done)
+    sg
 
 let worker t () =
   let rec loop () =
@@ -80,19 +113,19 @@ let worker t () =
     (match cmd.op with
     | Read ->
         serve_io t t.read_base cmd.len;
-        do_read t cmd.sector (cmd.len / sector_size) cmd.data;
+        dma t Read ~sector:cmd.sector cmd.sg;
         t.reads <- t.reads + 1;
         t.bytes_read <- t.bytes_read + cmd.len;
-        Metrics.incr t.metrics ("nvme." ^ t.name ^ ".read")
+        Metrics.bump t.m_read 1
     | Write ->
         serve_io t t.write_base cmd.len;
-        do_write t cmd.sector cmd.data;
+        dma t Write ~sector:cmd.sector cmd.sg;
         t.writes <- t.writes + 1;
         t.bytes_written <- t.bytes_written + cmd.len;
-        Metrics.incr t.metrics ("nvme." ^ t.name ^ ".write")
+        Metrics.bump t.m_write 1
     | Flush ->
         Process.sleep t.write_base;
-        Metrics.incr t.metrics ("nvme." ^ t.name ^ ".flush"));
+        Metrics.bump t.m_flush 1);
     cmd.completed <- true;
     Condition.broadcast cmd.done_;
     loop ()
@@ -106,19 +139,21 @@ let create sched metrics ~name ?(capacity_sectors = 976_773_168)
     {
       name;
       sched;
-      metrics;
       capacity_sectors;
       read_base;
       write_base;
       cmd_overhead;
       bandwidth_bps = bandwidth_mbps *. 1e6;
-      sectors = Hashtbl.create 4096;
+      chunks = Hashtbl.create 512;
       queue = Mailbox.create ();
       media_free_at = Time.zero;
       reads = 0;
       writes = 0;
       bytes_read = 0;
       bytes_written = 0;
+      m_read = Metrics.counter metrics ("nvme." ^ name ^ ".read");
+      m_write = Metrics.counter metrics ("nvme." ^ name ^ ".write");
+      m_flush = Metrics.counter metrics ("nvme." ^ name ^ ".flush");
       fault = None;
     }
   in
@@ -154,51 +189,26 @@ let submit t cmd =
     Condition.wait cmd.done_
   done
 
-let read t ~sector ~count =
-  check t sector count;
-  let buf = Bytes.create (count * sector_size) in
-  let cmd =
-    {
-      op = Read;
-      sector;
-      len = count * sector_size;
-      data = buf;
-      done_ = Condition.create ();
-      completed = false;
-    }
+(* Range and alignment are checked here, in the submitter's process,
+   before the command reaches a worker. *)
+let command t op ~sector sg =
+  let len =
+    List.fold_left
+      (fun acc (_, off, len) ->
+        if off < 0 || len < 0 || off + len > Kite_xen.Page.size then
+          invalid_arg
+            (Printf.sprintf "Nvme: page range %d+%d out of bounds" off len);
+        acc + len)
+      0 sg
   in
-  submit t cmd;
-  buf
-
-let write t ~sector data =
-  let len = Bytes.length data in
   if len mod sector_size <> 0 then
-    invalid_arg "Nvme.write: length not sector-aligned";
+    invalid_arg "Nvme: transfer length not sector-aligned";
   check t sector (len / sector_size);
-  let cmd =
-    {
-      op = Write;
-      sector;
-      len;
-      data;
-      done_ = Condition.create ();
-      completed = false;
-    }
-  in
-  submit t cmd
+  { op; sector; len; sg; done_ = Condition.create (); completed = false }
 
-let flush t =
-  let cmd =
-    {
-      op = Flush;
-      sector = 0;
-      len = 0;
-      data = Bytes.empty;
-      done_ = Condition.create ();
-      completed = false;
-    }
-  in
-  submit t cmd
+let read t ~sector sg = submit t (command t Read ~sector sg)
+let write t ~sector sg = submit t (command t Write ~sector sg)
+let flush t = submit t (command t Flush ~sector:0 [])
 
 let reads t = t.reads
 let writes t = t.writes

@@ -1,10 +1,19 @@
 (** NVMe SSD model (the paper's Samsung 970 EVO Plus).
 
-    Sector-addressable sparse storage with a queued service model: a pool
-    of [queue_depth] workers serves submitted commands; a command's
-    service time is a fixed base latency plus a bandwidth-proportional
-    transfer time.  Reads of never-written sectors return zeroes, like a
-    fresh drive. *)
+    Sector-addressable storage with a queued service model: a pool of
+    [queue_depth] workers serves submitted commands; a command's service
+    time is a fixed base latency plus a bandwidth-proportional transfer
+    time.
+
+    A command names the memory it moves as a list of page ranges, as an
+    NVMe PRP list does; there is no buffer of the device's own in
+    between.  The device copies between those pages and its media when
+    the transfer completes, which is when a real controller's DMA lands:
+    a write stores what its pages hold at completion, and a read's pages
+    change only then.  The media is a sparse store of 4 KiB chunks,
+    created zeroed on a chunk's first write and overwritten in place
+    after that, so sectors never written read as zeroes, like a fresh
+    drive. *)
 
 type t
 
@@ -40,11 +49,21 @@ exception Transient_error of string
 
 val set_fault : t -> Kite_fault.Fault.t option -> unit
 
-val read : t -> sector:int -> count:int -> Bytes.t
-(** Blocking (process context): returns [count * 512] bytes. *)
+type segment = Kite_xen.Page.t * int * int
+(** [(page, off, len)]: [len] bytes of [page] starting at [off].  A
+    command's segments are its transfer in device order. *)
 
-val write : t -> sector:int -> Bytes.t -> unit
-(** Blocking; data length must be a multiple of the sector size. *)
+val read : t -> sector:int -> segment list -> unit
+(** Blocking (process context): fills the segments, in order, from the
+    sectors starting at [sector].  The total length must be a multiple of
+    512; each segment must lie inside its page.  Both are checked at
+    submission: [Invalid_argument] on a violation, {!Out_of_range} past
+    the capacity. *)
+
+val write : t -> sector:int -> segment list -> unit
+(** Blocking; stores the segments, in order, at the sectors starting at
+    [sector], with {!read}'s checks.  The pages are read at completion;
+    the caller must not change them before this returns. *)
 
 val flush : t -> unit
 (** Blocking cache flush barrier. *)

@@ -201,11 +201,12 @@ let throttle_penalty i =
   if Quarantine.throttled i.guard && not i.stop then
     Process.sleep (Quarantine.policy i.guard).Quarantine.throttle_penalty
 
-(* A resolved unit of work: one request, its segments and mapped pages. *)
+(* A resolved unit of work: one request, its segments, and the mapped
+   page range each segment names, in the device's page-list form. *)
 type work = {
   req : Blkif.request;
   segs : Blkif.segment list;
-  pages : Page.t list;
+  sg : Kite_devices.Nvme.segment list;
   total_bytes : int;
 }
 
@@ -411,10 +412,7 @@ let prepare_run i r reqs =
             | Blkif.Direct segs -> (segs :: acc, pages)
             | Blkif.Indirect (grefs, count) ->
                 let mine, rest = split_at (List.length grefs) pages in
-                let bytes =
-                  List.map (fun p -> Page.read p ~off:0 ~len:Page.size) mine
-                in
-                (Blkif.unpack_segments bytes ~count :: acc, rest))
+                (Blkif.unpack_segments mine ~count :: acc, rest))
           ([], ind_pages) reqs
       in
       let prepared = List.combine reqs (List.rev rev_segs) in
@@ -508,7 +506,15 @@ let prepare_run i r reqs =
             Hypervisor.cpu_work (hv i) i.domain
               (i.ov.Overheads.blk_per_request
               + (i.ov.Overheads.blk_per_segment * List.length segs));
-            ({ req; segs; pages = mine; total_bytes } :: acc, rest))
+            let sg =
+              List.map2
+                (fun s page ->
+                  ( page,
+                    s.Blkif.first_sect * sector_size,
+                    Blkif.segment_bytes s ))
+                segs mine
+            in
+            ({ req; segs; sg; total_bytes } :: acc, rest))
           ([], all_pages) prepared
       in
       List.rev rev_works
@@ -519,45 +525,9 @@ let release i work =
     Grant_table.unmap_many i.ctx.Xen_ctx.gt ~grantee:i.domain
       (List.map (fun s -> s.Blkif.gref) work.segs)
 
-(* Gather a batch's pages into one buffer / scatter one buffer back. *)
-let gather works =
-  let total = List.fold_left (fun a w -> a + w.total_bytes) 0 works in
-  let buf = Bytes.create total in
-  let off = ref 0 in
-  List.iter
-    (fun w ->
-      List.iteri
-        (fun pi seg ->
-          let page = List.nth w.pages pi in
-          let len = Blkif.segment_bytes seg in
-          Bytes.blit
-            (Page.read page ~off:(seg.Blkif.first_sect * sector_size) ~len)
-            0 buf !off len;
-          off := !off + len)
-        w.segs)
-    works;
-  buf
-
-let scatter works buf =
-  let off = ref 0 in
-  List.iter
-    (fun w ->
-      List.iteri
-        (fun pi seg ->
-          let page = List.nth w.pages pi in
-          let len = Blkif.segment_bytes seg in
-          Page.write page
-            ~off:(seg.Blkif.first_sect * sector_size)
-            (Bytes.sub buf !off len);
-          off := !off + len)
-        w.segs)
-    works;
-  ()
-
 (* Execute one batch of works sharing an operation and contiguous on the
    device: a single physical operation. *)
 let run_batch i r op sector works =
-  let total = List.fold_left (fun a w -> a + w.total_bytes) 0 works in
   (match trace i with
   | Some tr ->
       let at = Hypervisor.now (hv i) in
@@ -571,6 +541,9 @@ let run_batch i r op sector works =
   (* One submission/completion overhead per (possibly merged) physical
      operation — the term batching amortizes. *)
   Hypervisor.cpu_work (hv i) i.domain i.ov.Overheads.blk_per_request;
+  (* The device moves the data straight between the mapped pages and its
+     media. *)
+  let sg = List.concat_map (fun w -> w.sg) works in
   (* Transient device errors (an injected NVMe hiccup) are retried with
      exponential backoff; only after [retries] attempts is the batch
      failed back to the frontend.  A crash mid-batch ([stop] set abruptly)
@@ -579,14 +552,8 @@ let run_batch i r op sector works =
   let rec perform n =
     try
       (match op with
-      | Blkif.Read ->
-          let data =
-            Kite_devices.Nvme.read i.device ~sector
-              ~count:(total / sector_size)
-          in
-          scatter works data
-      | Blkif.Write ->
-          Kite_devices.Nvme.write i.device ~sector (gather works)
+      | Blkif.Read -> Kite_devices.Nvme.read i.device ~sector sg
+      | Blkif.Write -> Kite_devices.Nvme.write i.device ~sector sg
       | Blkif.Flush -> Kite_devices.Nvme.flush i.device);
       true
     with

@@ -176,22 +176,26 @@ let put_pages t pages =
         Grant_table.end_access t.ctx.Xen_ctx.gt ~granter:t.domain gref)
       pages
 
+(* The bytes page [pi] of a [count]-sector request carries: a whole page
+   but for the last one. *)
+let page_len ~count pi =
+  min Page.size ((count * sector_size) - (pi * Page.size))
+
 (* Build the journal entry for one blkif request covering [count] sectors
-   starting at [sector]: grant the data pages, fill them for writes, and
-   pack indirect descriptors if the segment list is long. *)
-let prepare t op ~sector ~count data =
+   starting at [sector]: grant the data pages, fill them for writes
+   straight from the caller's [buf] at [off], and pack indirect
+   descriptors if the segment list is long. *)
+let prepare t op ~sector ~count buf ~off =
   let id = fresh_id t in
   let npages = (count + sectors_per_page - 1) / sectors_per_page in
   let pages = List.init npages (fun _ -> get_page t) in
-  (match data with
-  | Some buf ->
-      List.iteri
-        (fun pi (_, page) ->
-          let off = pi * Page.size in
-          let len = min Page.size (Bytes.length buf - off) in
-          if len > 0 then Page.write page ~off:0 (Bytes.sub buf off len))
-        pages
-  | None -> ());
+  if op = Blkif.Write then
+    List.iteri
+      (fun pi (_, page) ->
+        Page.write_from page ~off:0 buf
+          ~src_off:(off + (pi * Page.size))
+          ~len:(page_len ~count pi))
+      pages;
   let segments =
     List.mapi
       (fun pi (gref, _) ->
@@ -207,12 +211,10 @@ let prepare t op ~sector ~count data =
     if List.length segments <= Blkif.max_direct_segments then
       (Blkif.Direct segments, [])
     else begin
-      (* Pack descriptors into granted pages, exactly like the ABI. *)
+      (* Pack descriptors into the pages we grant, exactly like the ABI. *)
       let descriptor_pages =
         List.map
-          (fun bytes ->
-            let page = Page.alloc () in
-            Page.write page ~off:0 bytes;
+          (fun page ->
             let gref =
               Grant_table.grant_access t.ctx.Xen_ctx.gt ~granter:t.domain
                 ~grantee:t.backend ~page ~writable:false
@@ -347,8 +349,10 @@ let await_response t p =
         end
   done
 
-let submit t op ~sector ~count data =
-  let p = prepare t op ~sector ~count data in
+(* One ring request over [count] sectors of the caller's [buf] at [off]:
+   the write's source, the read's destination. *)
+let submit t op ~sector ~count buf ~off =
+  let p = prepare t op ~sector ~count buf ~off in
   (match t.ctx.Xen_ctx.trace with
   | Some tr ->
       Kite_trace.Trace.span_begin tr
@@ -374,31 +378,21 @@ let submit t op ~sector ~count data =
     (fun (gref, _) ->
       Grant_table.end_access t.ctx.Xen_ctx.gt ~granter:t.domain gref)
     p.p_indirect;
-  let result =
-    if p.status = Some Blkif.status_ok then begin
-      match data with
-      | Some _ -> Bytes.empty
-      | None when op = Blkif.Read ->
-          let out = Bytes.create (count * sector_size) in
-          List.iteri
-            (fun pi (_, page) ->
-              let off = pi * Page.size in
-              let len = min Page.size (Bytes.length out - off) in
-              Bytes.blit (Page.read page ~off:0 ~len) 0 out off len)
-            p.p_pages;
-          out
-      | None -> Bytes.empty
-    end
-    else begin
-      put_pages t p.p_pages;
-      raise
-        (Io_error
-           (Printf.sprintf "blkfront %s: request %d failed"
-              t.domain.Domain.name p.p_id))
-    end
-  in
-  put_pages t p.p_pages;
-  result
+  if p.status <> Some Blkif.status_ok then begin
+    put_pages t p.p_pages;
+    raise
+      (Io_error
+         (Printf.sprintf "blkfront %s: request %d failed" t.domain.Domain.name
+            p.p_id))
+  end;
+  (* Drain each page straight into its place in the result. *)
+  if op = Blkif.Read then
+    List.iteri
+      (fun pi (_, page) ->
+        Page.read_into page ~off:0 ~len:(page_len ~count pi) buf
+          ~dst_off:(off + (pi * Page.size)))
+      p.p_pages;
+  put_pages t p.p_pages
 
 let max_sectors_per_request t =
   let max_segs =
@@ -407,35 +401,25 @@ let max_sectors_per_request t =
   in
   max_segs * sectors_per_page
 
-(* Split a large operation into ring requests running in parallel. *)
-let run_chunks t op ~sector ~count data =
+(* Split a large operation into ring requests running in parallel, each
+   over its own range of [buf]. *)
+let run_chunks t op ~sector ~count buf =
   let chunk = max_sectors_per_request t in
   let nchunks = (count + chunk - 1) / chunk in
-  if nchunks = 1 then submit t op ~sector ~count data
+  if nchunks = 1 then submit t op ~sector ~count buf ~off:0
   else begin
-    let out =
-      if op = Blkif.Read then Bytes.create (count * sector_size)
-      else Bytes.empty
-    in
     let remaining = ref nchunks in
     let failure = ref None in
     let done_cond = Condition.create () in
     for ci = 0 to nchunks - 1 do
       let first = ci * chunk in
       let n = min chunk (count - first) in
-      let sub_data =
-        Option.map
-          (fun buf -> Some (Bytes.sub buf (first * sector_size) (n * sector_size)))
-          data
-        |> Option.value ~default:None
-      in
       Hypervisor.spawn t.ctx.Xen_ctx.hv t.domain
         ~name:(Printf.sprintf "blkfront-io-%d" ci)
         (fun () ->
           (try
-             let part = submit t op ~sector:(sector + first) ~count:n sub_data in
-             if op = Blkif.Read then
-               Bytes.blit part 0 out (first * sector_size) (n * sector_size)
+             submit t op ~sector:(sector + first) ~count:n buf
+               ~off:(first * sector_size)
            with e -> failure := Some e);
           decr remaining;
           if !remaining = 0 then Condition.broadcast done_cond)
@@ -443,21 +427,22 @@ let run_chunks t op ~sector ~count data =
     while !remaining > 0 do
       Condition.wait done_cond
     done;
-    (match !failure with Some e -> raise e | None -> ());
-    out
+    match !failure with Some e -> raise e | None -> ()
   end
 
 let read t ~sector ~count =
   if count <= 0 then invalid_arg "Blkfront.read: count";
-  run_chunks t Blkif.Read ~sector ~count None
+  let out = Bytes.create (count * sector_size) in
+  run_chunks t Blkif.Read ~sector ~count out;
+  out
 
 let write t ~sector data =
   let len = Bytes.length data in
   if len = 0 || len mod sector_size <> 0 then
     invalid_arg "Blkfront.write: length not sector-aligned";
-  ignore (run_chunks t Blkif.Write ~sector ~count:(len / sector_size) (Some data))
+  run_chunks t Blkif.Write ~sector ~count:(len / sector_size) data
 
-let flush t = ignore (submit t Blkif.Flush ~sector:0 ~count:0 None)
+let flush t = submit t Blkif.Flush ~sector:0 ~count:0 Bytes.empty ~off:0
 
 (* Per-queue ring telemetry, (re)registered at each connect: the family
    keeps its full label set stable and re-registration with the same

@@ -35,39 +35,51 @@ let queue_key q key = Printf.sprintf "queue-%d/%s" q key
 
 type ring = (request, response) Kite_xen.Ring.t
 
-(* 8 bytes per descriptor: gref u32 | first u8 | last u8 | pad u16. *)
+(* 8 bytes per descriptor: gref u32 | first u8 | last u8 | pad u16,
+   big-endian.  Each page is built as exactly the descriptors it holds
+   and granted in that buffer ([Page.of_bytes]): the rest of the page
+   reads as zeroes, as in a zeroed page. *)
 let pack_segments segs =
   let n = List.length segs in
-  let pages = (n + segments_per_indirect_page - 1) / segments_per_indirect_page in
+  let per = segments_per_indirect_page in
   let bufs =
-    List.init (max pages 1) (fun _ ->
-        Bytes.make (segments_per_indirect_page * 8) '\000')
+    Array.init
+      (max 1 ((n + per - 1) / per))
+      (fun k -> Bytes.make (8 * min per (n - (k * per))) '\000')
   in
   List.iteri
     (fun i s ->
-      let page = List.nth bufs (i / segments_per_indirect_page) in
-      let off = i mod segments_per_indirect_page * 8 in
-      Bytes.set page off (Char.chr ((s.gref lsr 24) land 0xff));
-      Bytes.set page (off + 1) (Char.chr ((s.gref lsr 16) land 0xff));
-      Bytes.set page (off + 2) (Char.chr ((s.gref lsr 8) land 0xff));
-      Bytes.set page (off + 3) (Char.chr (s.gref land 0xff));
-      Bytes.set page (off + 4) (Char.chr s.first_sect);
-      Bytes.set page (off + 5) (Char.chr s.last_sect))
+      let b = bufs.(i / per) and off = i mod per * 8 in
+      Bytes.set_uint16_be b off ((s.gref lsr 16) land 0xffff);
+      Bytes.set_uint16_be b (off + 2) (s.gref land 0xffff);
+      Bytes.set b (off + 4) (Char.chr s.first_sect);
+      Bytes.set b (off + 5) (Char.chr s.last_sect))
     segs;
-  bufs
+  Array.to_list (Array.map Kite_xen.Page.of_bytes bufs)
 
+(* Reads only the [count * 8] bytes it parses, out of as many pages as
+   they span. *)
 let unpack_segments pages ~count =
-  let seg_of page off =
-    let b i = Char.code (Bytes.get page (off + i)) in
-    {
-      gref = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3;
-      first_sect = b 4;
-      last_sect = b 5;
-    }
+  let buf = Bytes.create (count * 8) in
+  let rec read_pages first = function
+    | _ when first >= count -> ()
+    | [] -> invalid_arg "Blkif.unpack_segments: too few pages"
+    | page :: rest ->
+        let n = min segments_per_indirect_page (count - first) in
+        Kite_xen.Page.read_into page ~off:0 ~len:(n * 8) buf
+          ~dst_off:(first * 8);
+        read_pages (first + n) rest
   in
+  read_pages 0 pages;
   List.init count (fun i ->
-      let page = List.nth pages (i / segments_per_indirect_page) in
-      seg_of page (i mod segments_per_indirect_page * 8))
+      let off = i * 8 in
+      {
+        gref =
+          (Bytes.get_uint16_be buf off lsl 16)
+          lor Bytes.get_uint16_be buf (off + 2);
+        first_sect = Bytes.get_uint8 buf (off + 4);
+        last_sect = Bytes.get_uint8 buf (off + 5);
+      })
 
 type registry = { mutable next : int; rings : (int, ring * int) Hashtbl.t }
 

@@ -70,10 +70,14 @@ type ring = (request, response) Kite_xen.Ring.t
     Descriptors are packed 8 bytes each into granted pages, exactly like
     the C ABI — blkback genuinely parses bytes out of the shared page. *)
 
-val pack_segments : segment list -> Bytes.t list
-(** Pages' worth of packed descriptors. *)
+val pack_segments : segment list -> Kite_xen.Page.t list
+(** Fresh pages holding the packed descriptors, 512 to a page, ready to
+    grant: each page holds its descriptors and zeroes after them. *)
 
-val unpack_segments : Bytes.t list -> count:int -> segment list
+val unpack_segments : Kite_xen.Page.t list -> count:int -> segment list
+(** Parses [count] descriptors out of the pages, reading only their
+    [count * 8] bytes.  Raises [Invalid_argument] if the pages are too
+    few to hold them (the backend checks the page count first). *)
 
 (** {1 Shared-ring registry} *)
 

@@ -64,6 +64,12 @@ let copy_out t ~off dst ~dst_off ~len =
   if stored > 0 then Bytes.blit t.data off dst dst_off stored;
   Bytes.fill dst (dst_off + stored) (len - stored) '\000'
 
+let check_buf b off len =
+  if off < 0 || len < 0 || off + len > Bytes.length b then
+    invalid_arg
+      (Printf.sprintf "Page: buffer range %d+%d out of bounds (length %d)" off
+         len (Bytes.length b))
+
 let read t ~off ~len =
   check off len;
   race_read t "Page.read";
@@ -74,11 +80,20 @@ let read t ~off ~len =
     b
   end
 
-let write t ~off b =
-  check off (Bytes.length b);
+let read_into t ~off ~len dst ~dst_off =
+  check off len;
+  check_buf dst dst_off len;
+  race_read t "Page.read";
+  copy_out t ~off dst ~dst_off ~len
+
+let write_from t ~off src ~src_off ~len =
+  check off len;
+  check_buf src src_off len;
   race_write t "Page.write";
   own t;
-  Bytes.blit b 0 t.data off (Bytes.length b)
+  Bytes.blit src src_off t.data off len
+
+let write t ~off b = write_from t ~off b ~src_off:0 ~len:(Bytes.length b)
 
 let blit ~src ~src_off ~dst ~dst_off ~len =
   check src_off len;

@@ -109,6 +109,26 @@ let test_nic_throughput_cap () =
 (* NVMe                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Commands name page ranges, as an NVMe PRP list does.  [pages_of b]
+   grants [b] as whole pages; [contents sg] reads a list back out. *)
+module Page = Kite_xen.Page
+
+let pages_of b =
+  let n = Bytes.length b in
+  List.init ((n + Page.size - 1) / Page.size) (fun i ->
+      let page = Page.alloc () in
+      let len = min Page.size (n - (i * Page.size)) in
+      Page.write_from page ~off:0 b ~src_off:(i * Page.size) ~len;
+      (page, 0, len))
+
+let fresh ~len = pages_of (Bytes.make len '?')
+
+let contents sg =
+  String.concat ""
+    (List.map
+       (fun (page, off, len) -> Bytes.to_string (Page.read page ~off ~len))
+       sg)
+
 let test_nvme_rw_roundtrip () =
   let e, s, m = setup () in
   let d = Nvme.create s m ~name:"ssd" () in
@@ -117,9 +137,10 @@ let test_nvme_rw_roundtrip () =
       let data = Bytes.make 1024 'z' in
       Bytes.set data 0 'a';
       Bytes.set data 1023 'b';
-      Nvme.write d ~sector:100 data;
-      let back = Nvme.read d ~sector:100 ~count:2 in
-      ok := Bytes.equal back data);
+      Nvme.write d ~sector:100 (pages_of data);
+      let back = fresh ~len:1024 in
+      Nvme.read d ~sector:100 back;
+      ok := contents back = Bytes.to_string data);
   Engine.run e;
   check_bool "roundtrip" true !ok;
   check_int "reads" 1 (Nvme.reads d);
@@ -131,8 +152,9 @@ let test_nvme_unwritten_zero () =
   let d = Nvme.create s m ~name:"ssd" () in
   let ok = ref false in
   Process.spawn s ~name:"io" (fun () ->
-      let b = Nvme.read d ~sector:12345 ~count:1 in
-      ok := Bytes.equal b (Bytes.make 512 '\000'));
+      let back = fresh ~len:512 in
+      Nvme.read d ~sector:12345 back;
+      ok := contents back = String.make 512 '\000');
   Engine.run e;
   check_bool "zeroes" true !ok
 
@@ -141,11 +163,12 @@ let test_nvme_partial_overwrite () =
   let d = Nvme.create s m ~name:"ssd" () in
   let result = ref "" in
   Process.spawn s ~name:"io" (fun () ->
-      Nvme.write d ~sector:0 (Bytes.make 1024 'a');
-      Nvme.write d ~sector:1 (Bytes.make 512 'b');
-      let back = Nvme.read d ~sector:0 ~count:2 in
-      result :=
-        Printf.sprintf "%c%c" (Bytes.get back 0) (Bytes.get back 512));
+      Nvme.write d ~sector:0 (pages_of (Bytes.make 1024 'a'));
+      Nvme.write d ~sector:1 (pages_of (Bytes.make 512 'b'));
+      let back = fresh ~len:1024 in
+      Nvme.read d ~sector:0 back;
+      let got = contents back in
+      result := Printf.sprintf "%c%c" got.[0] got.[512]);
   Engine.run e;
   Alcotest.(check string) "second sector overwritten" "ab" !result
 
@@ -158,7 +181,7 @@ let test_nvme_latency () =
   let took = ref 0 in
   Process.spawn s ~name:"io" (fun () ->
       let t0 = Engine.now e in
-      ignore (Nvme.read d ~sector:0 ~count:8);  (* 4 KiB *)
+      Nvme.read d ~sector:0 (fresh ~len:4096);
       took := Engine.now e - t0);
   Engine.run e;
   (* 25 us base + 4096 B / 1 GB/s = 4.096 us transfer. *)
@@ -175,7 +198,7 @@ let test_nvme_queue_parallelism () =
     let finished = ref 0 in
     for _ = 1 to 2 do
       Process.spawn s ~name:"io" (fun () ->
-          ignore (Nvme.read d ~sector:0 ~count:1);
+          Nvme.read d ~sector:0 (fresh ~len:512);
           finished := Engine.now e)
     done;
     Engine.run e;
@@ -188,7 +211,7 @@ let test_nvme_out_of_range () =
   let d = Nvme.create s m ~name:"ssd" ~capacity_sectors:100 () in
   let raised = ref false in
   Process.spawn s ~name:"io" (fun () ->
-      try ignore (Nvme.read d ~sector:99 ~count:2)
+      try Nvme.read d ~sector:99 (fresh ~len:1024)
       with Nvme.Out_of_range _ -> raised := true);
   Engine.run e;
   check_bool "rejected" true !raised
@@ -198,10 +221,11 @@ let test_nvme_unaligned_write () =
   let d = Nvme.create s m ~name:"ssd" () in
   let raised = ref false in
   Process.spawn s ~name:"io" (fun () ->
-      try Nvme.write d ~sector:0 (Bytes.create 100)
+      try Nvme.write d ~sector:0 (fresh ~len:100)
       with Invalid_argument _ -> raised := true);
   Engine.run e;
-  check_bool "rejected" true !raised
+  check_bool "rejected" true !raised;
+  check_int "never reached the queue" 0 (Nvme.writes d)
 
 let test_nvme_flush () =
   let e, s, m = setup () in
@@ -212,6 +236,65 @@ let test_nvme_flush () =
       done_ := true);
   Engine.run e;
   check_bool "flush completes" true !done_
+
+let test_nvme_chunk_boundary () =
+  (* Sectors 7 and 8 straddle the media's first 4 KiB chunk boundary;
+     their neighbours 6 and 9 were never written. *)
+  let e, s, m = setup () in
+  let d = Nvme.create s m ~name:"ssd" () in
+  let got = ref "" in
+  Process.spawn s ~name:"io" (fun () ->
+      let data = Bytes.init 1024 (fun i -> Char.chr (33 + (i mod 90))) in
+      Nvme.write d ~sector:7 (pages_of data);
+      let back = fresh ~len:2048 in
+      Nvme.read d ~sector:6 back;
+      got := contents back);
+  Engine.run e;
+  let expect =
+    String.make 512 '\000'
+    ^ String.init 1024 (fun i -> Char.chr (33 + (i mod 90)))
+    ^ String.make 512 '\000'
+  in
+  check_bool "written sectors back, neighbours zero" true (!got = expect)
+
+let test_nvme_no_alias () =
+  (* The media keeps its own copy: scribbling the source page after the
+     write completes changes nothing stored. *)
+  let e, s, m = setup () in
+  let d = Nvme.create s m ~name:"ssd" () in
+  let got = ref "" in
+  Process.spawn s ~name:"io" (fun () ->
+      let sg = pages_of (Bytes.make 4096 'w') in
+      Nvme.write d ~sector:8 sg;
+      List.iter (fun (page, _, _) -> Page.fill page 'X') sg;
+      let back = fresh ~len:4096 in
+      Nvme.read d ~sector:8 back;
+      got := contents back);
+  Engine.run e;
+  check_bool "stored data unchanged" true (!got = String.make 4096 'w')
+
+let test_nvme_page_offsets () =
+  (* Segments may start anywhere in their page, and one command may list
+     several. *)
+  let e, s, m = setup () in
+  let d = Nvme.create s m ~name:"ssd" () in
+  let src = Page.alloc () and dst = Page.alloc () in
+  let got = ref "" and rejected = ref false in
+  Process.spawn s ~name:"io" (fun () ->
+      Page.write src ~off:1024 (Bytes.make 512 'p');
+      Page.write src ~off:3584 (Bytes.make 512 'q');
+      Nvme.write d ~sector:3 [ (src, 1024, 512); (src, 3584, 512) ];
+      Nvme.read d ~sector:3 [ (dst, 2048, 1024) ];
+      got := Bytes.to_string (Page.read dst ~off:2048 ~len:1024);
+      try Nvme.read d ~sector:0 [ (dst, 3584, 1024) ]
+      with Invalid_argument _ -> rejected := true);
+  Engine.run e;
+  check_bool "offsets honoured" true
+    (!got = String.make 512 'p' ^ String.make 512 'q');
+  check_bool "segment past its page rejected" true !rejected;
+  check_bool "untouched outside the segment" true
+    (Bytes.to_string (Page.read dst ~off:0 ~len:2048)
+    = String.make 2048 '\000')
 
 (* ------------------------------------------------------------------ *)
 (* PCI                                                                 *)
@@ -294,4 +377,7 @@ let suite =
     ("pci passthrough flow", `Quick, test_pci_passthrough_flow);
     ("pci iommu required", `Quick, test_pci_iommu_required);
     ("pci unknown and duplicate", `Quick, test_pci_unknown_and_duplicate);
+    ("nvme chunk boundary", `Quick, test_nvme_chunk_boundary);
+    ("nvme no alias", `Quick, test_nvme_no_alias);
+    ("nvme page offsets", `Quick, test_nvme_page_offsets);
   ]

@@ -346,6 +346,39 @@ let test_blk_write_read_roundtrip () =
       let back = Blkfront.read s.blkfront ~sector:100 ~count:16 in
       check_bool "roundtrip" true (Bytes.equal back data))
 
+(* Sizes that do not fill the last page or the last request: 3 sectors
+   end mid-page (the rest of the pooled page must not reach the media),
+   and 257 sectors split into a 256-sector request plus one sector. *)
+let test_blk_odd_sizes_roundtrip () =
+  let s = make_blk_scenario () in
+  let pattern n seed =
+    Bytes.init (n * 512) (fun i -> Char.chr (((i * 13) + seed) land 0xff))
+  in
+  run_blk s (fun () ->
+      let f = s.blkfront in
+      Blkfront.write f ~sector:300 (Bytes.make (8 * 512) 'o');
+      (* Leaves other bytes in the pooled page the next write reuses. *)
+      Blkfront.write f ~sector:500 (Bytes.make (8 * 512) 'x');
+      let three = pattern 3 1 in
+      Blkfront.write f ~sector:300 three;
+      let back = Blkfront.read f ~sector:300 ~count:8 in
+      check_bool "3 sectors back" true
+        (Bytes.equal (Bytes.sub back 0 (3 * 512)) three);
+      check_bool "rest of the page untouched" true
+        (Bytes.equal (Bytes.sub back (3 * 512) (5 * 512))
+           (Bytes.make (5 * 512) 'o'));
+      let odd = pattern 257 7 in
+      Blkfront.write f ~sector:1001 odd;
+      check_bool "257 sectors back" true
+        (Bytes.equal (Blkfront.read f ~sector:1001 ~count:257) odd);
+      let edges =
+        Bytes.cat
+          (Blkfront.read f ~sector:1000 ~count:1)
+          (Blkfront.read f ~sector:1258 ~count:1)
+      in
+      check_bool "neighbours never written" true
+        (Bytes.equal edges (Bytes.make 1024 '\000')))
+
 let test_blk_reaches_device () =
   let s = make_blk_scenario () in
   run_blk s (fun () ->
@@ -558,4 +591,5 @@ let suite =
     ("blk two guests share device", `Quick, test_blk_two_guests_share_device);
     ("netfront drops before connect", `Quick, test_netfront_drops_before_connect);
     QCheck_alcotest.to_alcotest prop_blkif_pack_roundtrip;
+    ("blk odd sizes roundtrip", `Quick, test_blk_odd_sizes_roundtrip);
   ]

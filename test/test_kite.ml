@@ -123,6 +123,44 @@ let test_rx_path_copy_budget () =
   if copies > 6.5 then
     Alcotest.failf "%.2f payload copies per datagram (budget 6.5)" copies
 
+(* The storage path copies a block once on each side of the grant:
+   caller <-> granted page in blkfront, granted page <-> media in the
+   device.  Bytes allocated per 1 MiB blkfront op, in payload units,
+   after a warm-up op has filled the persistent-grant pool and stored
+   the sectors: a rewrite allocates no payload-sized buffer, and a
+   verified read only the buffer it returns. *)
+let test_blk_path_copy_budget () =
+  let s = Scenario.storage ~flavor:Scenario.Kite () in
+  let block = 1 lsl 20 in
+  let count = block / Kite_drivers.Blkfront.sector_size in
+  let data = Bytes.init block (fun i -> Char.chr (i * 7 land 0xff)) in
+  let write = ref nan and read = ref nan and verified = ref false in
+  Scenario.when_blk_ready s (fun () ->
+      let front = s.Scenario.blkfront in
+      let payloads f =
+        Gc.minor ();
+        let b0 = Gc.allocated_bytes () in
+        f ();
+        Gc.minor ();
+        (Gc.allocated_bytes () -. b0) /. float_of_int block
+      in
+      Kite_drivers.Blkfront.write front ~sector:0 data;
+      ignore (Kite_drivers.Blkfront.read front ~sector:0 ~count);
+      write :=
+        payloads (fun () -> Kite_drivers.Blkfront.write front ~sector:0 data);
+      read :=
+        payloads (fun () ->
+            verified :=
+              Bytes.equal (Kite_drivers.Blkfront.read front ~sector:0 ~count)
+                data));
+  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 2);
+  check_bool "read back verified" true !verified;
+  if not (!write <= 0.5) then
+    Alcotest.failf "%.2f payloads allocated per 1 MiB rewrite (budget 0.5)"
+      !write;
+  if not (!read <= 1.5) then
+    Alcotest.failf "%.2f payloads allocated per 1 MiB read (budget 1.5)" !read
+
 (* ------------------------------------------------------------------ *)
 (* Experiment registry                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -271,4 +309,5 @@ let suite =
     ("ablation: persistent grants", `Quick, test_abl_persistent_claim);
     ("extension: multi-NIC scaling", `Slow, test_scale_claim);
     ("extension: restart recovery", `Quick, test_restart_claim);
+    ("blk path copy budget", `Quick, test_blk_path_copy_budget);
   ]

@@ -810,6 +810,53 @@ let test_page_of_bytes () =
     (Invalid_argument "Page.of_bytes: longer than a page") (fun () ->
       ignore (Page.of_bytes (Bytes.create 4097)))
 
+(* In-place page I/O keeps [read]/[write]'s bounds checks, on the page's
+   side and on the buffer's. *)
+let test_page_read_into_write_from () =
+  let p = Page.alloc () in
+  let buf = Bytes.of_string "..abcd.." in
+  Page.write_from p ~off:4092 buf ~src_off:2 ~len:4;
+  Alcotest.(check string) "written at the offsets" "abcd"
+    (Bytes.to_string (Page.read p ~off:4092 ~len:4));
+  let out = Bytes.make 8 '-' in
+  Page.read_into p ~off:4091 ~len:5 out ~dst_off:3;
+  Alcotest.(check string) "read at the offsets" "---\000abcd" (Bytes.to_string out);
+  let oob name f =
+    match f () with
+    | () -> Alcotest.failf "%s: no Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  oob "read past the page" (fun () ->
+      Page.read_into p ~off:4093 ~len:4 out ~dst_off:0);
+  oob "read past the buffer" (fun () ->
+      Page.read_into p ~off:0 ~len:4 out ~dst_off:5);
+  oob "read before the buffer" (fun () ->
+      Page.read_into p ~off:0 ~len:4 out ~dst_off:(-1));
+  oob "write past the page" (fun () ->
+      Page.write_from p ~off:4094 buf ~src_off:0 ~len:4);
+  oob "write past the buffer" (fun () ->
+      Page.write_from p ~off:0 buf ~src_off:6 ~len:4);
+  oob "negative length" (fun () ->
+      Page.write_from p ~off:0 buf ~src_off:0 ~len:(-1));
+  Alcotest.(check string) "failed calls wrote nothing" "---\000abcd"
+    (Bytes.to_string out)
+
+(* [write_from] into a shared [of_bytes] page copies the page out first:
+   neither the caller's source nor the page's original frame changes. *)
+let test_page_write_from_of_bytes () =
+  let frame = Bytes.of_string "frame" in
+  let p = Page.of_bytes frame in
+  let src = Bytes.of_string "XY" in
+  Page.write_from p ~off:1 src ~src_off:0 ~len:2;
+  Alcotest.(check string) "page written" "fXYme"
+    (Bytes.to_string (Page.read p ~off:0 ~len:5));
+  Alcotest.(check string) "frame untouched" "frame" (Bytes.to_string frame);
+  Alcotest.(check string) "source untouched" "XY" (Bytes.to_string src);
+  let out = Bytes.make 3 '-' in
+  Page.read_into (Page.of_bytes frame) ~off:3 ~len:3 out ~dst_off:0;
+  Alcotest.(check string) "short page reads zero past its frame" "me\000"
+    (Bytes.to_string out)
+
 let suite =
   [
     ("xenstore read/write", `Quick, test_xs_read_write);
@@ -856,4 +903,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_xs_last_write_wins;
     QCheck_alcotest.to_alcotest prop_ring_fifo;
     QCheck_alcotest.to_alcotest prop_xenbus_state_roundtrip;
+    ("page read_into/write_from bounds", `Quick, test_page_read_into_write_from);
+    ("page write_from of_bytes", `Quick, test_page_write_from_of_bytes);
   ]
