@@ -131,7 +131,9 @@ val guest_quarantined :
 (** {1 Audits} *)
 
 val quiescence : t -> pending:int -> unit
-(** Deadlock report: when the event queue is empty ([pending = 0]) but
+(** Deadlock report: when no live event is queued ([pending = 0], as
+    [Engine.pending] counts: cancelled timers have already left the
+    queue, so a wake-up's cancelled timeout cannot mask a deadlock) but
     non-daemon processes are still blocked on indefinite waits, name them
     and what they wait on. *)
 

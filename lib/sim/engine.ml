@@ -1,8 +1,11 @@
-type handle = { mutable cancelled : bool; thunk : unit -> unit }
+(* An event is one [Heap] node: instant, explorer priority, sequence
+   number, thunk and slot.  Cancelling removes it from the queue at once,
+   so the queue holds live events only and firing allocates nothing. *)
+type handle = (unit -> unit) Heap.node
 
 type t = {
   mutable clock : Time.t;
-  queue : handle Heap.t;
+  queue : (unit -> unit) Heap.t;
   (* Schedule explorer: when armed, every event draws a random secondary
      priority, so events scheduled for the same instant execute in a
      seed-determined random permutation instead of FIFO order (a
@@ -28,32 +31,27 @@ let schedule_at t when_ f =
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: %d is in the past (now %d)" when_
          t.clock);
-  let h = { cancelled = false; thunk = f } in
-  let prio = match t.explore with None -> 0 | Some rng -> Rng.int rng 0x40000000 in
-  Heap.add t.queue ~key:when_ ~prio h;
-  h
+  match t.explore with
+  | None -> Heap.add t.queue ~key:when_ f
+  | Some rng -> Heap.add t.queue ~key:when_ ~prio:(Rng.int rng 0x40000000) f
 
 let schedule_after t span f = schedule_at t (t.clock + span) f
 
-let cancel h = h.cancelled <- true
-let cancelled h = h.cancelled
+let cancel = Heap.remove
+let cancelled = Heap.removed
 
-let step t =
-  match Heap.pop t.queue with
-  | None -> false
-  | Some (when_, h) ->
-      t.clock <- when_;
-      if not h.cancelled then h.thunk ();
-      true
+let fire t h =
+  t.clock <- Heap.key h;
+  Heap.value h ()
 
-let run t = while step t do () done
+let run t =
+  while not (Heap.is_empty t.queue) do
+    fire t (Heap.take t.queue)
+  done
 
 let run_until t limit =
-  let continue = ref true in
-  while !continue do
-    match Heap.min_key t.queue with
-    | Some k when k <= limit -> ignore (step t)
-    | Some _ | None -> continue := false
+  while (not (Heap.is_empty t.queue)) && Heap.key (Heap.top t.queue) <= limit do
+    fire t (Heap.take t.queue)
   done;
   if t.clock < limit then t.clock <- limit
 

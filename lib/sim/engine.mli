@@ -3,7 +3,9 @@
     The engine owns the simulated clock and an event queue.  Events are
     thunks executed at a scheduled instant; among events scheduled for the
     same instant, execution follows scheduling order, so runs are fully
-    deterministic.
+    deterministic.  The queue holds live events only: a cancelled event
+    leaves it at once, so most timers (armed, then cancelled long before
+    their instant) cost the queue nothing after [cancel].
 
     With [?schedule_seed] the engine becomes a seeded schedule explorer:
     each event draws a random secondary priority (PCT-style), so
@@ -15,7 +17,9 @@
 type t
 
 type handle
-(** A scheduled event; can be cancelled before it fires. *)
+(** A scheduled event; can be cancelled before it fires.  One record per
+    event (instant, explorer priority, sequence number, thunk and queue
+    slot): scheduling allocates nothing else, and firing nothing at all. *)
 
 val create : ?schedule_seed:int -> unit -> t
 (** [create ?schedule_seed ()]: with a seed, arm the schedule explorer;
@@ -35,13 +39,16 @@ val schedule_after : t -> Time.span -> (unit -> unit) -> handle
 (** [schedule_after t span f] runs [f] [span] nanoseconds from now. *)
 
 val cancel : handle -> unit
-(** Cancel a pending event.  Cancelling a fired or already-cancelled event
-    is a no-op. *)
+(** Cancel a pending event: it is removed from the queue at once, in
+    O(log n), and never fires.  Cancelling a fired or already-cancelled
+    event is a no-op. *)
 
 val cancelled : handle -> bool
+(** Whether [cancel] has been called on the event (even after it fired). *)
 
 val run : t -> unit
-(** Execute events until the queue is empty. *)
+(** Execute events until the queue is empty.  The clock is left at the
+    last live event's instant: cancelled events do not move it. *)
 
 val run_until : t -> Time.t -> unit
 (** Execute events with timestamps <= the given instant; afterwards the
@@ -51,5 +58,5 @@ val run_for : t -> Time.span -> unit
 (** [run_for t span] is [run_until t (now t + span)]. *)
 
 val pending : t -> int
-(** Number of events still queued (including cancelled ones not yet
-    reaped). *)
+(** Number of live events still queued: scheduled, neither fired nor
+    cancelled.  Zero means nothing can wake a blocked process any more. *)

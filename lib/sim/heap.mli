@@ -1,23 +1,35 @@
-(** Binary min-heap keyed by integer priority.
+(** Indexed binary min-heap keyed by integer priority.
 
     Used as the event queue of the simulation engine.  Ordering is a
     total, explicitly deterministic (key, prio, seq) comparison: [key]
     first, then [prio] (the schedule explorer's random event priority, 0
     by default), then a stable per-insertion sequence number.  Equal
     (key, prio) entries therefore pop in insertion order, and any run
-    making identical insertions replays byte-for-byte. *)
+    making identical insertions replays byte-for-byte.
+
+    Every element lives in a {!node} that knows its slot, so {!remove}
+    takes it out from anywhere in O(log n): the heap holds only the
+    elements still wanted.  A node is one record — key, priority,
+    sequence number, value, heap and slot — and serves as the caller's
+    handle too.  Since the order is total, removals never change the
+    order in which the remaining elements pop.  Vacated slots are
+    cleared, so the heap keeps no popped or removed value alive. *)
 
 type 'a t
+
+type 'a node
+(** One element of a heap: returned by {!add}, taken by {!take}. *)
 
 val create : unit -> 'a t
 
 val is_empty : 'a t -> bool
 
 val size : 'a t -> int
+(** Number of elements queued (removed ones are not counted). *)
 
-val add : 'a t -> key:int -> ?prio:int -> 'a -> unit
+val add : 'a t -> key:int -> ?prio:int -> 'a -> 'a node
 (** [add h ~key ?prio v] inserts [v] with primary priority [key] and
-    secondary priority [prio] (default 0). *)
+    secondary priority [prio] (default 0), and returns its node. *)
 
 val min_key : 'a t -> int option
 (** Smallest key currently in the heap, if any. *)
@@ -25,3 +37,22 @@ val min_key : 'a t -> int option
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the minimum element, following the deterministic
     (key, prio, insertion-order) ordering above. *)
+
+val top : 'a t -> 'a node
+(** The minimum node, left in place.  Raises [Invalid_argument] on an
+    empty heap. *)
+
+val take : 'a t -> 'a node
+(** Remove and return the minimum node ({!pop} without allocating).
+    Raises [Invalid_argument] on an empty heap. *)
+
+val remove : 'a node -> unit
+(** Take the node out of its heap if it is still queued, and mark it
+    removed either way.  Removing a node again is a no-op. *)
+
+val removed : 'a node -> bool
+(** Whether {!remove} has been called on the node. *)
+
+val key : 'a node -> int
+
+val value : 'a node -> 'a

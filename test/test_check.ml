@@ -277,6 +277,34 @@ let test_clean_storage_scenario () =
   check_int "no orphan watches" 0 (rule_count report "xs-orphan-watch");
   check_int "no errors" 0 (Report.errors report)
 
+(* A timer its wake-up cancelled must not hide a deadlock: the process
+   leaves a 1 s timed_wait on a signal, then parks forever on a second
+   condition.  The cancelled timer has left the event queue, so nothing
+   is pending and quiescence names the process. *)
+let test_quiescence_after_cancelled_timer () =
+  let report, c = fresh () in
+  let engine = Engine.create () in
+  let sched = Process.scheduler engine in
+  Process.set_check sched (Some c);
+  let ready = Condition.create ~label:"ready" () in
+  let never = Condition.create ~label:"never" () in
+  let woke = ref `Timeout in
+  Process.spawn sched ~name:"waiter" (fun () ->
+      woke := Condition.timed_wait ready (Time.sec 1);
+      Condition.wait never);
+  Process.spawn sched ~name:"signaller" (fun () ->
+      Process.sleep (Time.ms 1);
+      Condition.signal ready);
+  Engine.run_until engine (Time.ms 10);
+  check_bool "signalled out of the timed wait" true (!woke = `Signaled);
+  check_int "no live event pending" 0 (Engine.pending engine);
+  Check.quiescence c ~pending:(Engine.pending engine);
+  match Report.by_rule report "sched-quiescence" with
+  | [ f ] ->
+      check_bool "names waiter" true
+        (contains f.Report.message "waiter (on never)")
+  | fs -> Alcotest.failf "expected 1 quiescence, got %d" (List.length fs)
+
 let suite =
   [
     ("grant leak audit", `Quick, test_grant_leak);
@@ -289,4 +317,6 @@ let suite =
     ("report json escaping", `Quick, test_report_json);
     ("clean network scenario", `Quick, test_clean_network_scenario);
     ("clean storage scenario", `Quick, test_clean_storage_scenario);
+    ("quiescence after a cancelled timer", `Quick,
+     test_quiescence_after_cancelled_timer);
   ]

@@ -11,7 +11,9 @@ let check_bool = Alcotest.(check bool)
 
 let test_heap_order () =
   let h = Heap.create () in
-  List.iter (fun k -> Heap.add h ~key:k k) [ 5; 1; 9; 3; 7; 2; 8; 4; 6; 0 ];
+  List.iter
+    (fun k -> ignore (Heap.add h ~key:k k))
+    [ 5; 1; 9; 3; 7; 2; 8; 4; 6; 0 ];
   let out = ref [] in
   let rec drain () =
     match Heap.pop h with
@@ -26,7 +28,7 @@ let test_heap_order () =
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  List.iter (fun v -> Heap.add h ~key:7 v) [ "a"; "b"; "c"; "d" ];
+  List.iter (fun v -> ignore (Heap.add h ~key:7 v)) [ "a"; "b"; "c"; "d" ];
   let next () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
   let x1 = next () in
   let x2 = next () in
@@ -39,15 +41,15 @@ let test_heap_fifo_ties () =
 
 let test_heap_interleaved () =
   let h = Heap.create () in
-  Heap.add h ~key:3 3;
-  Heap.add h ~key:1 1;
+  ignore (Heap.add h ~key:3 3);
+  ignore (Heap.add h ~key:1 1);
   check_int "min" 1 (Option.get (Heap.min_key h));
   (match Heap.pop h with
   | Some (k, v) ->
       check_int "key" 1 k;
       check_int "val" 1 v
   | None -> Alcotest.fail "empty");
-  Heap.add h ~key:2 2;
+  ignore (Heap.add h ~key:2 2);
   check_int "size" 2 (Heap.size h);
   check_int "min2" 2 (Option.get (Heap.min_key h))
 
@@ -62,7 +64,7 @@ let prop_heap_sorts =
     QCheck.(list small_int)
     (fun keys ->
       let h = Heap.create () in
-      List.iter (fun k -> Heap.add h ~key:k k) keys;
+      List.iter (fun k -> ignore (Heap.add h ~key:k k)) keys;
       let rec drain acc =
         match Heap.pop h with None -> List.rev acc | Some (k, _) -> drain (k :: acc)
       in
@@ -454,6 +456,174 @@ let prop_sleep_accumulates =
       Engine.run e;
       !finish = Time.us (List.fold_left ( + ) 0 spans))
 
+(* ------------------------------------------------------------------ *)
+(* Engine against a reference model                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference queue is a plain list: the next event is the least
+   (instant, prio, seq) among those neither fired nor cancelled.  With a
+   seed, the model draws each event's priority from its own [Rng] of the
+   same seed, one draw per schedule, as the engine's explorer does. *)
+type model_event = {
+  id : int;
+  at : Time.t;
+  prio : int;
+  kills : int option;
+  mutable live : bool;
+  mutable was_cancelled : bool;
+}
+
+(* [kills]: when the event fires it cancels the event with that index
+   (modulo the events scheduled so far, itself included), fired or not. *)
+type op =
+  | At of int * int option
+  | After of int * int option
+  | Cancel of int
+  | Until of int
+
+let pp_op = function
+  | At (d, k) ->
+      Printf.sprintf "At(%d,%s)" d (Option.fold ~none:"-" ~some:string_of_int k)
+  | After (d, k) ->
+      Printf.sprintf "After(%d,%s)" d
+        (Option.fold ~none:"-" ~some:string_of_int k)
+  | Cancel k -> Printf.sprintf "Cancel %d" k
+  | Until d -> Printf.sprintf "Until %d" d
+
+(* Small offsets, so that many events share an instant and same-instant
+   cancels happen. *)
+let gen_engine_script =
+  QCheck.Gen.(
+    let kills = opt ~ratio:0.3 small_nat in
+    pair (opt small_nat)
+      (list_size (0 -- 80)
+         (frequency
+            [
+              (3, map2 (fun d k -> At (d, k)) (0 -- 4) kills);
+              (3, map2 (fun d k -> After (d, k)) (0 -- 4) kills);
+              (2, map (fun k -> Cancel k) small_nat);
+              (2, map (fun d -> Until d) (0 -- 5));
+            ])))
+
+let arb_engine_script =
+  QCheck.make gen_engine_script ~print:(fun (seed, ops) ->
+      Printf.sprintf "seed %s: %s"
+        (Option.fold ~none:"none" ~some:string_of_int seed)
+        (String.concat "; " (List.map pp_op ops)))
+
+let prop_engine_model =
+  QCheck.Test.make ~name:"engine matches a reference model" ~count:500
+    arb_engine_script (fun (schedule_seed, ops) ->
+      let e = Engine.create ?schedule_seed () in
+      let rng = Option.map Rng.create schedule_seed in
+      let model = ref [] and handles = ref [||] and n = ref 0 in
+      let clock = ref Time.zero in
+      let fired_e = ref [] and fired_m = ref [] in
+      let find k = List.find (fun m -> m.id = k) !model in
+      let cancel_m k =
+        let m = find k in
+        m.live <- false;
+        m.was_cancelled <- true
+      in
+      let schedule at kills sched =
+        let id = !n in
+        incr n;
+        let kills = Option.map (fun k -> k mod (id + 1)) kills in
+        let prio =
+          match rng with None -> 0 | Some r -> Rng.int r 0x40000000
+        in
+        model :=
+          { id; at; prio; kills; live = true; was_cancelled = false } :: !model;
+        let h =
+          sched (fun () ->
+              fired_e := id :: !fired_e;
+              Option.iter (fun k -> Engine.cancel !handles.(k)) kills)
+        in
+        handles := Array.append !handles [| h |]
+      in
+      (* Fire the model's events due by [limit], least (at, prio, seq)
+         first; seq is [id], since both count every schedule. *)
+      let rec run_model limit =
+        let due =
+          List.filter (fun m -> m.live && m.at <= limit) !model
+          |> List.sort (fun a b ->
+                 compare (a.at, a.prio, a.id) (b.at, b.prio, b.id))
+        in
+        match due with
+        | [] -> ()
+        | m :: _ ->
+            m.live <- false;
+            clock := m.at;
+            fired_m := m.id :: !fired_m;
+            Option.iter cancel_m m.kills;
+            run_model limit
+      in
+      let agrees () =
+        Engine.now e = !clock
+        && Engine.pending e
+           = List.length (List.filter (fun m -> m.live) !model)
+        && !fired_e = !fired_m
+      in
+      let step op =
+        (match op with
+        | At (d, kills) ->
+            schedule (!clock + d) kills (Engine.schedule_at e (!clock + d))
+        | After (d, kills) ->
+            schedule (!clock + d) kills (Engine.schedule_after e d)
+        | Cancel k ->
+            if !n > 0 then begin
+              Engine.cancel !handles.(k mod !n);
+              cancel_m (k mod !n)
+            end
+        | Until d ->
+            let limit = !clock + d in
+            Engine.run_until e limit;
+            run_model limit;
+            if !clock < limit then clock := limit);
+        agrees ()
+      in
+      List.for_all step ops
+      && begin
+           (* [run] stops at the last live instant. *)
+           Engine.run e;
+           run_model max_int;
+           agrees ()
+         end
+      && List.for_all
+           (fun m -> Engine.cancelled !handles.(m.id) = m.was_cancelled)
+           !model)
+
+(* One record per event: a schedule-and-fire of a static thunk at queue
+   depth 1,000 allocates at most 10 minor words, and cancelled timers
+   leave the queue at once instead of waiting out their instant. *)
+let test_engine_event_budget () =
+  let e = Engine.create () in
+  for i = 1 to 1000 do
+    ignore (Engine.schedule_at e (Time.sec 1 + i) ignore)
+  done;
+  let step () =
+    ignore (Engine.schedule_after e 1 ignore);
+    Engine.run_until e (Engine.now e + 1)
+  in
+  step ();
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    step ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  check_bool
+    (Printf.sprintf "%.1f minor words per event <= 10" words)
+    true (words <= 10.0);
+  check_int "depth kept" 1000 (Engine.pending e);
+  let e = Engine.create () in
+  for _ = 1 to 10_000 do
+    Engine.cancel (Engine.schedule_after e (Time.ms 500) ignore)
+  done;
+  check_int "cancelled timers leave the queue" 0 (Engine.pending e);
+  Engine.run e;
+  check_int "clock not dragged to a cancelled instant" Time.zero (Engine.now e)
+
 let suite =
   [
     ("heap ordering", `Quick, test_heap_order);
@@ -491,4 +661,6 @@ let suite =
     ("time pretty-printing", `Quick, test_time_pp);
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_sleep_accumulates;
+    QCheck_alcotest.to_alcotest prop_engine_model;
+    ("engine event budget", `Quick, test_engine_event_budget);
   ]
