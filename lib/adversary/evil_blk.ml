@@ -65,7 +65,7 @@ let handshake t mode =
   Xenbus.wait_for_state xb t.domain ~path:t.bpath Xenbus.Init_wait;
   let put key v = Xenbus.write xb t.domain ~path:(t.fpath ^ "/" ^ key) v in
   let mq = t.nq > 1 in
-  let key qid k = if mq then Blkif.queue_key qid k else k in
+  let key = Xenif.key ~mq in
   (match mode with
   | Garbage_keys -> put Blkif.key_num_queues "banana"
   | Forged_ring_ref ->

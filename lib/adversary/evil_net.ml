@@ -60,7 +60,7 @@ let handshake t mode =
   Xenbus.wait_for_state xb t.domain ~path:t.bpath Xenbus.Init_wait;
   let put key v = Xenbus.write xb t.domain ~path:(t.fpath ^ "/" ^ key) v in
   let mq = t.nq > 1 in
-  let key qid k = if mq then Netchannel.queue_key qid k else k in
+  let key = Xenif.key ~mq in
   (match mode with
   | Garbage_keys ->
       (* Malformed negotiation: unparsable queue count, no rings. *)

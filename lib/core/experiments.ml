@@ -869,8 +869,9 @@ let table1 ~quick:_ =
   in
   Table.add_rows t
     [
-      [ "Blkback"; "1904"; "lib/drivers/blkback.ml + blkif.ml" ];
-      [ "Netback"; "2791"; "lib/drivers/netback.ml + netchannel.ml" ];
+      [ "Blkback"; "1904"; "lib/drivers/blkback.ml + blkif.ml + split.ml" ];
+      [ "Netback"; "2791";
+        "lib/drivers/netback.ml + netchannel.ml + split.ml" ];
       [ "HVM extension (xenbus/xenstore)"; "1100";
         "lib/xen/xenstore.ml + xenbus.ml" ];
       [ "Configuration apps"; "450"; "lib/drivers/net_app.ml + blk_app.ml" ];

@@ -43,6 +43,7 @@ type t = {
   domain : Domain.t;
   backend : Domain.t;
   devid : int;
+  name : string;  (* "vbd<domid>.<devid>" *)
   want_persistent : bool;
   want_indirect : bool;
   ask_queues : int option;  (* multi-ring ask; None = legacy frontend *)
@@ -88,11 +89,9 @@ let fresh_id t =
   t.next_id <- t.next_id + 1;
   id
 
-let vbd_name t = Printf.sprintf "vbd%d.%d" t.domain.Domain.id t.devid
-
 let fnote t what =
   match t.ctx.Xen_ctx.fault with
-  | Some f -> Kite_fault.Fault.note f ~what ~key:(vbd_name t)
+  | Some f -> Kite_fault.Fault.note f ~what ~key:t.name
   | None -> ()
 
 let ring_name t q =
@@ -101,33 +100,20 @@ let ring_name t q =
   else Printf.sprintf "%s/vbd%d" t.domain.Domain.name t.devid
 
 let attach_ring_instruments t q =
-  (match t.ctx.Xen_ctx.check with
-  | Some c -> Ring.attach_check q.q_ring c ~name:(ring_name t q)
-  | None -> ());
-  (match t.ctx.Xen_ctx.trace with
-  | Some tr ->
-      Ring.attach_trace q.q_ring tr ~name:(ring_name t q)
-        ~now:(fun () -> Hypervisor.now t.ctx.Xen_ctx.hv)
-  | None -> ());
-  (match t.ctx.Xen_ctx.fault with
-  | Some f -> Ring.attach_fault q.q_ring f ~name:(ring_name t q)
-  | None -> ());
-  match t.ctx.Xen_ctx.race with
-  | Some r -> Ring.attach_race q.q_ring r ~name:(ring_name t q)
-  | None -> ()
+  Split.instrument t.ctx q.q_ring ~name:(ring_name t q)
 
 (* The multi-queue checker invariant: a request id is a device-global
    slot that must never be in flight on two rings at once. *)
 let mq_claim t q ~slot =
   if t.mq_mode then
     match t.ctx.Xen_ctx.check with
-    | Some c -> Kite_check.Check.mq_claim c ~dev:(vbd_name t) ~queue:q.qid ~slot
+    | Some c -> Kite_check.Check.mq_claim c ~dev:t.name ~queue:q.qid ~slot
     | None -> ()
 
 let mq_release t ~slot =
   if t.mq_mode then
     match t.ctx.Xen_ctx.check with
-    | Some c -> Kite_check.Check.mq_release c ~dev:(vbd_name t) ~slot
+    | Some c -> Kite_check.Check.mq_release c ~dev:t.name ~slot
     | None -> ()
 
 let queue_for t p = t.queues.(p.p_id mod Array.length t.queues)
@@ -139,7 +125,7 @@ let queue_for t p = t.queues.(p.p_id mod Array.length t.queues)
    between submitting processes (and the backend's writes into them), and
    in a real kernel the pool lock is what orders one request's final read
    against the next request's reuse.  put releases, get acquires. *)
-let pool_chan t = Printf.sprintf "%s.pool" (vbd_name t)
+let pool_chan t = Printf.sprintf "%s.pool" t.name
 
 let get_page t =
   if persistent_enabled t then
@@ -256,7 +242,7 @@ let push_entry t p =
   | Some tr ->
       Kite_trace.Trace.span_hop tr
         ~at:(Hypervisor.now t.ctx.Xen_ctx.hv)
-        ~kind:"blk" ~key:(vbd_name t) ~id:p.p_id ~stage:"queue" ~args:[]
+        ~kind:"blk" ~key:t.name ~id:p.p_id ~stage:"queue" ~args:[]
   | None -> ());
   (* Wait for a ring slot; concurrent submitters can steal the slot we
      saw, in which case push raises Ring_full and we go back to sleep.
@@ -287,12 +273,12 @@ let push_entry t p =
       in
       Kite_trace.Trace.span_hop tr
         ~at:(Hypervisor.now t.ctx.Xen_ctx.hv)
-        ~kind:"blk" ~key:(vbd_name t) ~id:p.p_id ~stage:"ring"
+        ~kind:"blk" ~key:t.name ~id:p.p_id ~stage:"ring"
         ~args:[ ("sectors", string_of_int count) ]
   | None -> ());
   if Kite_race.Race.active () then
     Kite_race.Race.scoped_write
-      ~loc:(Printf.sprintf "%s.pending[%d]" (vbd_name t) p.p_id)
+      ~loc:(Printf.sprintf "%s.pending[%d]" t.name p.p_id)
       ~site:"Blkfront.push";
   Hashtbl.replace t.pending p.p_id p;
   if Ring.push_requests_and_check_notify q.q_ring then notify_backend t q
@@ -309,7 +295,7 @@ let handle_event t q () =
             | Some tr ->
                 Kite_trace.Trace.span_end tr
                   ~at:(Hypervisor.now t.ctx.Xen_ctx.hv)
-                  ~kind:"blk" ~key:(vbd_name t) ~id:rsp.Blkif.rsp_id
+                  ~kind:"blk" ~key:t.name ~id:rsp.Blkif.rsp_id
             | None -> ());
             mq_release t ~slot:rsp.Blkif.rsp_id;
             p.status <- Some rsp.Blkif.status;
@@ -357,7 +343,7 @@ let submit t op ~sector ~count buf ~off =
   | Some tr ->
       Kite_trace.Trace.span_begin tr
         ~at:(Hypervisor.now t.ctx.Xen_ctx.hv)
-        ~kind:"blk" ~key:(vbd_name t) ~id:p.p_id ~stage:"frontend"
+        ~kind:"blk" ~key:t.name ~id:p.p_id ~stage:"frontend"
   | None -> ());
   let t0 = Hypervisor.now t.ctx.Xen_ctx.hv in
   push_entry t p;
@@ -370,7 +356,7 @@ let submit t op ~sector ~count buf ~off =
   | None -> ());
   if Kite_race.Race.active () then
     Kite_race.Race.scoped_write
-      ~loc:(Printf.sprintf "%s.pending[%d]" (vbd_name t) p.p_id)
+      ~loc:(Printf.sprintf "%s.pending[%d]" t.name p.p_id)
       ~site:"Blkfront.complete";
   Hashtbl.remove t.pending p.p_id;
   (* Indirect descriptor pages are single-use. *)
@@ -453,7 +439,7 @@ let attach_queue_metrics t =
   | Some r ->
       if t.mq_mode then begin
         let module R = Kite_metrics.Registry in
-        let vbd = vbd_name t in
+        let vbd = t.name in
         Array.iter
           (fun q ->
             let ql =
@@ -481,37 +467,9 @@ let rec connect t () =
     Option.value ~default:0
       (Xenbus.read_int xb t.domain
          ~path:(bpath t ^ "/feature-max-indirect-segments"));
-  (* Multi-ring negotiation: we ask (explicit [num_queues] or the
-     toolstack's [queues-wanted] hint), the backend caps.  Either side
-     staying silent means the legacy flat single-ring layout. *)
-  let ask =
-    match t.ask_queues with
-    | Some n -> Some n
-    | None -> Xenbus.read_int xb t.domain ~path:(fpath t ^ "/queues-wanted")
-  in
-  let backend_max =
-    Xenbus.read_int xb t.domain
-      ~path:(bpath t ^ "/" ^ Blkif.key_max_queues)
-  in
-  let mq_mode =
-    match (ask, backend_max) with
-    | Some a, Some _ -> a >= 1
-    | _ -> false
-  in
-  let nq =
-    if mq_mode then
-      max 1 (min (Option.get ask) (Option.get backend_max))
-    else 1
-  in
-  let max_order =
-    if mq_mode then
-      Option.value ~default:0
-        (Xenbus.read_int xb t.domain
-           ~path:(bpath t ^ "/" ^ Blkif.key_max_ring_page_order))
-    else 0
-  in
-  let order =
-    Blkif.ring_order + if mq_mode then min t.want_order max_order else 0
+  let nq, mq_mode, order =
+    Split.negotiate xb t.domain ~fpath:(fpath t) ~bpath:(bpath t)
+      ~ask:t.ask_queues ~want_order:t.want_order ~ring_order:Blkif.ring_order
   in
   t.mq_mode <- mq_mode;
   t.queues <-
@@ -524,17 +482,12 @@ let rec connect t () =
               ~remote:t.backend;
         });
   Array.iter (fun q -> attach_ring_instruments t q) t.queues;
-  if mq_mode then begin
-    Xenbus.write xb t.domain
-      ~path:(fpath t ^ "/" ^ Blkif.key_num_queues)
-      (string_of_int nq);
-    Xenbus.write xb t.domain
-      ~path:(fpath t ^ "/" ^ Blkif.key_ring_page_order)
-      (string_of_int (order - Blkif.ring_order))
-  end;
+  if mq_mode then
+    Split.write_mq_keys xb t.domain ~fpath:(fpath t) ~nq
+      ~page_order:(order - Blkif.ring_order);
   Array.iter
     (fun q ->
-      let key k = if mq_mode then Blkif.queue_key q.qid k else k in
+      let key = Xenif.key ~mq:mq_mode q.qid in
       let ring_ref =
         Blkif.share t.ctx.Xen_ctx.blkrings ~owner:t.domain.Domain.id q.q_ring
       in
@@ -607,34 +560,19 @@ and reconnect t () =
     (Printf.sprintf "blkfront.replay.done n=%d"
        (List.length (List.filter (fun p -> p.status = None) journal)))
 
-(* The backend-state monitor: armed after the first connect, it turns a
-   Closing/Closed/vanished backend into a reconnect cycle.  Watch
-   callbacks run in engine context, so the store is read directly and the
-   recovery work is spawned as a process. *)
+(* The backend-state monitor, armed after the first connect: a
+   Closing/Closed/vanished backend becomes a reconnect cycle. *)
 and start_monitor t =
-  let store = Hypervisor.store t.ctx.Xen_ctx.hv in
-  let state_path = bpath t ^ "/state" in
   t.monitor <-
     Some
-      (Xenbus.watch t.ctx.Xen_ctx.xb t.domain ~path:state_path
-         ~token:"blkfront-monitor" (fun ~path:_ ~token:_ ->
-           if (not t.shut) && t.connected then begin
-             let gone =
-               match Xenstore.read store ~path:state_path with
-               | None -> true
-               | Some s -> (
-                   match Xenbus.state_of_string s with
-                   | Some (Xenbus.Closing | Xenbus.Closed) | None -> true
-                   | Some _ -> false)
-             in
-             if gone then begin
-               t.connected <- false;
-               t.reconnects <- t.reconnects + 1;
-               fnote t "blkfront.backend-gone";
-               Hypervisor.spawn t.ctx.Xen_ctx.hv t.domain
-                 ~name:"blkfront-reconnect" (reconnect t)
-             end
-           end))
+      (Split.monitor t.ctx t.domain ~bpath:(bpath t) ~token:"blkfront-monitor"
+         ~live:(fun () -> (not t.shut) && t.connected)
+         ~gone:(fun () ->
+           t.connected <- false;
+           t.reconnects <- t.reconnects + 1;
+           fnote t "blkfront.backend-gone";
+           Hypervisor.spawn t.ctx.Xen_ctx.hv t.domain
+             ~name:"blkfront-reconnect" (reconnect t)))
 
 (* Frontend-side telemetry.  Registered once at [create]; closures read
    [t] at sampling time, so ring replacement on reconnect needs no
@@ -649,7 +587,7 @@ let attach_metrics t =
   | None -> ()
   | Some r ->
       let module R = Kite_metrics.Registry in
-      let vbd = vbd_name t in
+      let vbd = t.name in
       let l = [ ("vbd", vbd); ("side", "frontend") ] in
       R.counter_fn r "kite_blk_requests_total" ~help:"Requests submitted" l
         (fun () -> t.requests);
@@ -704,6 +642,7 @@ let create ctx ~domain ~backend ~devid ?(use_persistent = true)
       domain;
       backend;
       devid;
+      name = Printf.sprintf "vbd%d.%d" domain.Domain.id devid;
       want_persistent = use_persistent;
       want_indirect = use_indirect;
       ask_queues;

@@ -25,13 +25,7 @@ let segment_bytes s = (s.last_sect - s.first_sect + 1) * 512
 
 let ring_order = 5
 
-(* Multi-queue negotiation keys — same ABI names as the network side
-   (and as Linux xen-blkfront's multi-ring support). *)
-let key_max_queues = "multi-queue-max-queues"
-let key_num_queues = "multi-queue-num-queues"
-let key_max_ring_page_order = "max-ring-page-order"
-let key_ring_page_order = "multi-ring-page-order"
-let queue_key q key = Printf.sprintf "queue-%d/%s" q key
+include Xenif.Mq
 
 type ring = (request, response) Kite_xen.Ring.t
 
@@ -81,19 +75,10 @@ let unpack_segments pages ~count =
         last_sect = Bytes.get_uint8 buf (off + 5);
       })
 
-type registry = { mutable next : int; rings : (int, ring * int) Hashtbl.t }
+type registry = ring Xenif.registry
 
-let registry () = { next = 1; rings = Hashtbl.create 8 }
-
-let share r ~owner ring =
-  let id = r.next in
-  r.next <- r.next + 1;
-  Hashtbl.add r.rings id (ring, owner);
-  id
-
+let registry = Xenif.registry
+let share = Xenif.share
 let map r id =
-  match Hashtbl.find_opt r.rings id with
-  | Some (ring, _) -> ring
-  | None -> raise Not_found
-
-let owner_of r id = Option.map snd (Hashtbl.find_opt r.rings id)
+  match Xenif.find r id with Some ring -> ring | None -> raise Not_found
+let owner_of = Xenif.owner_of

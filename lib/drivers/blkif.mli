@@ -46,22 +46,9 @@ val segment_bytes : segment -> int
 val ring_order : int
 (** 5 — the classic 32-slot block ring. *)
 
-(** {1 Multi-queue negotiation}
-
-    Same xenstore ABI names as the network side (and as Linux
-    xen-blkfront's multi-ring support): the backend advertises
-    {!key_max_queues} / {!key_max_ring_page_order} before InitWait, a
-    multi-ring frontend answers with {!key_num_queues} /
-    {!key_ring_page_order} and puts per-ring references under
-    [queue_key q ...].  Absent keys mean the legacy flat layout. *)
-
-val key_max_queues : string
-val key_num_queues : string
-val key_max_ring_page_order : string
-val key_ring_page_order : string
-
-val queue_key : int -> string -> string
-(** [queue_key 1 "ring-ref"] is ["queue-1/ring-ref"]. *)
+include module type of Xenif.Mq
+(** The multi-queue key names ({!Xenif.Mq}), shared with the network
+    side and Linux xen-blkfront's multi-ring support. *)
 
 type ring = (request, response) Kite_xen.Ring.t
 
@@ -81,7 +68,7 @@ val unpack_segments : Kite_xen.Page.t list -> count:int -> segment list
 
 (** {1 Shared-ring registry} *)
 
-type registry
+type registry = ring Xenif.registry
 
 val registry : unit -> registry
 

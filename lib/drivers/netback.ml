@@ -21,15 +21,9 @@ type queue = {
 }
 
 type instance = {
-  ctx : Xen_ctx.t;
-  domain : Domain.t;  (* the driver domain *)
-  frontend : Domain.t;
-  devid : int;
-  ov : Overheads.t;
+  dev : Split.dev;
   queues : queue array;
-  mq_mode : bool;
   mutable vif : Netdev.t option;
-  mutable last_activity : Time.t;
   retries : int;
   retry_backoff : Time.span;
   mutable tx_packets : int;
@@ -40,39 +34,19 @@ type instance = {
   mutable io_retries : int;
   mutable tx_failed : int;
   mutable m_txbatch : Kite_metrics.Registry.histogram option;
-  mutable stop : bool;
-  bpath : string;
-  guard : Quarantine.t;
   (* tx ids currently being served, across every queue of the device:
      id -> qid.  Detects in-flight replay and cross-queue slot reuse. *)
   inflight : (int, int) Hashtbl.t;
-  mutable state_guard : Xenstore.watch_id option;
 }
 
-type t = {
-  sctx : Xen_ctx.t;
-  sdomain : Domain.t;
-  soverheads : Overheads.t;
-  sretries : int;
-  sretry_backoff : Time.span;
-  smax_queues : int;
-  smax_ring_page_order : int;
-  on_vif : frontend:int -> devid:int -> Netdev.t -> unit;
-  mutable insts : instance list;
-  mutable rejected : (int * int) list;
-      (* (frontend domid, devid) refused at the handshake *)
-  mutable known : (int * int) list;  (* (frontend domid, devid) seen *)
-  new_frontend : (int * int) Mailbox.t;
-  mutable stopping : bool;
-  mutable watch_id : Xenstore.watch_id option;
-}
+type t = instance Split.t
 
-let instances t = t.insts
-let rejected t = t.rejected
+let instances = Split.instances
+let rejected = Split.rejected
 let vif i = match i.vif with Some v -> v | None -> assert false
-let frontend_domid i = i.frontend.Domain.id
-let devid i = i.devid
-let quarantine i = i.guard
+let frontend_domid i = i.dev.frontend.Domain.id
+let devid i = i.dev.devid
+let quarantine i = i.dev.guard
 let tx_packets i = i.tx_packets
 let rx_packets i = i.rx_packets
 let tx_bytes i = i.tx_bytes
@@ -82,52 +56,22 @@ let io_retries i = i.io_retries
 let tx_failed i = i.tx_failed
 let num_queues i = Array.length i.queues
 
-let hv i = i.ctx.Xen_ctx.hv
-let trace i = i.ctx.Xen_ctx.trace
-let vif_name i = Printf.sprintf "vif%d.%d" i.frontend.Domain.id i.devid
+let hv i = i.dev.ctx.Xen_ctx.hv
+let trace i = i.dev.ctx.Xen_ctx.trace
 
 (* Happens-before channel for the per-queue Rx backlog: the VIF transmit
    callback releases before pushing, the softirq worker acquires after
    popping, so frame contents written by the bridge are ordered before
    the grant-copy that reads them. *)
 let backlog_chan i q =
-  Printf.sprintf "netback:%s.q%d.backlog" (vif_name i) q.qid
-
-let fnote i what =
-  match i.ctx.Xen_ctx.fault with
-  | Some f -> Kite_fault.Fault.note f ~what ~key:(vif_name i)
-  | None -> ()
+  Printf.sprintf "netback:%s.q%d.backlog" i.dev.name q.qid
 
 (* Post-crash, the ring is dead and the channel torn down; a late batch
    must not kick it. *)
 let notify_frontend i q =
-  if not i.stop then
-    try Event_channel.notify i.ctx.Xen_ctx.ec q.qport ~from:i.domain
+  if not i.dev.stop then
+    try Event_channel.notify i.dev.ctx.Xen_ctx.ec q.qport ~from:i.dev.domain
     with Event_channel.Evtchn_error _ -> ()
-
-(* Handler-to-thread wakeup cost: cold after an idle period, warm while
-   traffic flows (§3.2's motivation for fast handlers). *)
-let charge_wake i =
-  let now = Hypervisor.now (hv i) in
-  let idle = now - i.last_activity in
-  let tier, cost =
-    if idle > i.ov.Overheads.warm_window then ("cold", i.ov.Overheads.wake_cold)
-    else if idle > i.ov.Overheads.busy_window then
-      ("warm", i.ov.Overheads.wake_warm)
-    else ("busy", i.ov.Overheads.wake_busy)
-  in
-  (match trace i with
-  | Some tr ->
-      Kite_trace.Trace.driver tr ~at:now ~domain:i.domain.Domain.name
-        ~name:"netback.wake"
-        ~args:
-          [
-            ("vif", vif_name i); ("tier", tier); ("idle_ns", string_of_int idle);
-          ]
-  | None -> ());
-  Hypervisor.cpu_work (hv i) i.domain cost
-
-let touch i = i.last_activity <- Hypervisor.now (hv i)
 
 (* ------------------------------------------------------------------ *)
 (* Trust boundary: every index, reference, length and state the
@@ -137,94 +81,6 @@ let touch i = i.last_activity <- Hypervisor.now (hv i)
 
 let storm_threshold = 64
 
-(* Retire the device's worker threads and close its channels; the
-   xenbus state is left alone.  Idempotent; the teardown half of both
-   [stop] and the Detach/Offline quarantine actions.  Process context. *)
-let detach_instance i =
-  if not i.stop then begin
-    i.stop <- true;
-    (match i.state_guard with
-    | Some id ->
-        Xenbus.unwatch i.ctx.Xen_ctx.xb id;
-        i.state_guard <- None
-    | None -> ());
-    Array.iter
-      (fun q ->
-        Condition.broadcast q.pusher_wake;
-        Condition.broadcast q.soft_wake;
-        Event_channel.close i.ctx.Xen_ctx.ec q.qport)
-      i.queues
-  end
-
-(* Detach plus evict: drive our own directory to Closed so the
-   toolstack and any honest tooling see the device is gone for good. *)
-let offline_instance i =
-  detach_instance i;
-  let xb = i.ctx.Xen_ctx.xb in
-  Xenbus.switch_state xb i.domain ~path:i.bpath Xenbus.Closing;
-  Xenbus.switch_state xb i.domain ~path:i.bpath Xenbus.Closed
-
-let apply_quarantine i action =
-  let name = Quarantine.action_name action in
-  (match i.ctx.Xen_ctx.check with
-  | Some c ->
-      Kite_check.Check.guest_quarantined c ~domid:i.frontend.Domain.id
-        ~device:(vif_name i) ~action:name
-        ~faults:(Quarantine.faults i.guard)
-  | None -> ());
-  (match i.ctx.Xen_ctx.flight with
-  | Some fl ->
-      Kite_flight.Flight.mark fl ~what:"quarantine"
-        ~msg:(Printf.sprintf "%s -> %s" (vif_name i) name)
-  | None -> ());
-  fnote i ("netback.quarantine." ^ name);
-  match action with
-  | Quarantine.Throttle -> ()  (* workers consult the level per wakeup *)
-  | Quarantine.Detach -> detach_instance i
-  | Quarantine.Offline -> offline_instance i
-
-(* One rejected attack primitive: checker finding, flight incident,
-   then whatever escalation the fault count has earned.  Process
-   context (Offline writes xenbus states). *)
-let record_fault i ~attack ~detail =
-  (match i.ctx.Xen_ctx.check with
-  | Some c ->
-      Kite_check.Check.guest_fault c ~domid:i.frontend.Domain.id
-        ~device:(vif_name i)
-        ~attack:(Guest_fault.slug attack)
-        ~detail
-  | None -> ());
-  (match i.ctx.Xen_ctx.flight with
-  | Some fl ->
-      Kite_flight.Flight.record fl ~layer:"adversary" ~kind:"guest-fault"
-        ~key:(vif_name i)
-        ~msg:(Printf.sprintf "%s: %s" (Guest_fault.slug attack) detail);
-      Kite_flight.Flight.trigger fl Kite_flight.Flight.Manual
-        ~reason:
-          (Printf.sprintf "guest fault on %s: %s" (vif_name i)
-             (Guest_fault.slug attack))
-  | None -> ());
-  fnote i ("netback.guest-fault." ^ Guest_fault.slug attack);
-  match Quarantine.note i.guard attack with
-  | Some action -> apply_quarantine i action
-  | None -> ()
-
-let throttle_penalty i =
-  if Quarantine.throttled i.guard && not i.stop then
-    Process.sleep (Quarantine.policy i.guard).Quarantine.throttle_penalty
-
-(* The monolithic-kernel backend's extra per-packet grant-table hypercalls
-   (see Overheads): recorded at zero duration, profile-only. *)
-let kernel_grant_ops i n =
-  match trace i with
-  | None -> ()
-  | Some tr ->
-      let at = Hypervisor.now (hv i) in
-      for _ = 1 to n do
-        Kite_trace.Trace.charge tr ~at ~domain:i.domain.Domain.name
-          ~op:"hypercall.grant_op.kernel" ~cost:0
-      done
-
 (* Guest -> wire.  Drains Tx requests, grant-copies the whole batch out
    of guest pages in one hypercall, hands the frames to the VIF (hence
    the bridge).  One pusher per queue. *)
@@ -233,13 +89,13 @@ let pusher i q () =
      before the grant table or the wire sees any of it. *)
   let validate req =
     let open Guest_fault in
-    let fid = i.frontend.Domain.id in
+    let fid = i.dev.frontend.Domain.id in
     let len = req.Netchannel.tx_len in
     let gref = req.Netchannel.tx_gref in
     if len < 0 || len > Page.size then
       Some (Bad_length, Printf.sprintf "tx len %d outside [0,%d]" len Page.size)
     else
-      match Grant_table.owner i.ctx.Xen_ctx.gt gref with
+      match Grant_table.owner i.dev.ctx.Xen_ctx.gt gref with
       | None -> Some (Bad_gref, Printf.sprintf "tx gref %d unknown or revoked" gref)
       | Some d when d <> fid ->
           Some
@@ -269,7 +125,7 @@ let pusher i q () =
   in
   let drain () =
     if not (Ring.request_producer_valid q.tx_ring) then begin
-      record_fault i ~attack:Guest_fault.Ring_index
+      Split.record_fault i.dev ~attack:Guest_fault.Ring_index
         ~detail:
           (Printf.sprintf "tx producer window %d outside [0,%d]"
              (Ring.pending_requests q.tx_ring)
@@ -284,7 +140,7 @@ let pusher i q () =
           | Some tr ->
               Kite_trace.Trace.span_hop tr
                 ~at:(Hypervisor.now (hv i))
-                ~kind:"net.tx" ~key:(vif_name i) ~id:req.Netchannel.tx_id
+                ~kind:"net.tx" ~key:i.dev.name ~id:req.Netchannel.tx_id
                 ~stage:"backend" ~args:[]
           | None -> ());
           take (req :: acc)
@@ -310,23 +166,25 @@ let pusher i q () =
         List.iter
           (fun (req, (attack, detail)) ->
             respond req Netchannel.status_error;
-            record_fault i ~attack ~detail)
+            Split.record_fault i.dev ~attack ~detail)
           (List.rev rev_bad);
-        if ok = [] || i.stop then List.length reqs
+        if ok = [] || i.dev.stop then List.length reqs
         else begin
         (* Batched grant copy: the whole drained run rides a single
            hypercall trap. *)
         let frames =
-          Grant_table.copy_from_granted_many i.ctx.Xen_ctx.gt
-            ~caller:i.domain
+          Grant_table.copy_from_granted_many i.dev.ctx.Xen_ctx.gt
+            ~caller:i.dev.domain
             (List.map
                (fun req -> (req.Netchannel.tx_gref, 0, req.Netchannel.tx_len))
                ok)
         in
         List.iter2
           (fun req frame ->
-            kernel_grant_ops i i.ov.Overheads.tx_kernel_grant_ops;
-            Hypervisor.cpu_work (hv i) i.domain i.ov.Overheads.tx_per_packet;
+            Split.kernel_grant_ops i.dev
+              i.dev.ov.Overheads.tx_kernel_grant_ops;
+            Hypervisor.cpu_work (hv i) i.dev.domain
+              i.dev.ov.Overheads.tx_per_packet;
             i.tx_packets <- i.tx_packets + 1;
             i.tx_bytes <- i.tx_bytes + req.Netchannel.tx_len;
             q.q_tx_packets <- q.q_tx_packets + 1;
@@ -337,7 +195,7 @@ let pusher i q () =
             | Some tr ->
                 Kite_trace.Trace.span_hop tr
                   ~at:(Hypervisor.now (hv i))
-                  ~kind:"net.tx" ~key:(vif_name i) ~id:req.Netchannel.tx_id
+                  ~kind:"net.tx" ~key:i.dev.name ~id:req.Netchannel.tx_id
                   ~stage:"deliver" ~args:[]
             | None -> ());
             (* The frame may reach the physical NIC synchronously (through
@@ -349,14 +207,15 @@ let pusher i q () =
                 let rec deliver n =
                   try Netdev.deliver v frame with
                   | Kite_devices.Nic.Transient_error _
-                    when n < i.retries && not i.stop ->
+                    when n < i.retries && not i.dev.stop ->
                       i.io_retries <- i.io_retries + 1;
-                      fnote i (Printf.sprintf "netback.tx-retry n=%d" (n + 1));
+                      Split.fnote i.dev
+                        (Printf.sprintf "netback.tx-retry n=%d" (n + 1));
                       Process.sleep (i.retry_backoff * (1 lsl n));
                       deliver (n + 1)
                   | Kite_devices.Nic.Transient_error _ ->
                       i.tx_failed <- i.tx_failed + 1;
-                      fnote i "netback.tx-failed"
+                      Split.fnote i.dev "netback.tx-failed"
                 in
                 deliver 0
             | None -> ());
@@ -365,7 +224,7 @@ let pusher i q () =
             | Some tr ->
                 Kite_trace.Trace.span_end tr
                   ~at:(Hypervisor.now (hv i))
-                  ~kind:"net.tx" ~key:(vif_name i) ~id:req.Netchannel.tx_id
+                  ~kind:"net.tx" ~key:i.dev.name ~id:req.Netchannel.tx_id
             | None -> ());
             Hashtbl.remove i.inflight req.Netchannel.tx_id;
             respond req Netchannel.status_ok)
@@ -375,7 +234,7 @@ let pusher i q () =
     end
   in
   let rec loop () =
-    if i.stop then ()
+    if i.dev.stop then ()
     else begin
       let n = drain () in
       if n > 0 then begin
@@ -384,37 +243,31 @@ let pusher i q () =
         | Some tr ->
             Kite_trace.Trace.driver tr
               ~at:(Hypervisor.now (hv i))
-              ~domain:i.domain.Domain.name ~name:"netback.tx-batch"
-              ~args:[ ("vif", vif_name i); ("n", string_of_int n) ]
+              ~domain:i.dev.domain.Domain.name ~name:"netback.tx-batch"
+              ~args:[ ("vif", i.dev.name); ("n", string_of_int n) ]
         | None -> ());
         (match i.m_txbatch with
         | Some h -> Kite_metrics.Registry.observe h (float_of_int n)
         | None -> ());
         if Ring.push_responses_and_check_notify q.tx_ring then
           notify_frontend i q;
-        touch i
+        Split.touch i.dev
       end
-      else if not i.stop then begin
+      else if not i.dev.stop then begin
         (* A wakeup that drained nothing: normal in ones and twos
            (both workers are signalled per notify), an attack in
            volume.  The counter resets on any real work. *)
         q.spurious <- q.spurious + 1;
         if q.spurious >= storm_threshold then begin
           q.spurious <- 0;
-          record_fault i ~attack:Guest_fault.Evtchn_storm
+          Split.record_fault i.dev ~attack:Guest_fault.Evtchn_storm
             ~detail:
               (Printf.sprintf "%d consecutive wakeups with no ring work"
                  storm_threshold)
         end
       end;
-      if (not i.stop) && not (Ring.final_check_for_requests q.tx_ring)
-      then begin
-        Condition.wait q.pusher_wake;
-        if not i.stop then begin
-          charge_wake i;
-          throttle_penalty i
-        end
-      end;
+      if (not i.dev.stop) && not (Ring.final_check_for_requests q.tx_ring)
+      then Split.wait i.dev q.pusher_wake;
       loop ()
     end
   in
@@ -430,9 +283,9 @@ let soft_start i q () =
      domain's memory. *)
   let validate req =
     let open Guest_fault in
-    let fid = i.frontend.Domain.id in
+    let fid = i.dev.frontend.Domain.id in
     let gref = req.Netchannel.rx_gref in
-    match Grant_table.inspect i.ctx.Xen_ctx.gt gref with
+    match Grant_table.inspect i.dev.ctx.Xen_ctx.gt gref with
     | None -> Some (Bad_gref, Printf.sprintf "rx gref %d unknown or revoked" gref)
     | Some (d, _) when d <> fid ->
         Some
@@ -453,7 +306,7 @@ let soft_start i q () =
   in
   let drain () =
     if not (Ring.request_producer_valid q.rx_ring) then begin
-      record_fault i ~attack:Guest_fault.Ring_index
+      Split.record_fault i.dev ~attack:Guest_fault.Ring_index
         ~detail:
           (Printf.sprintf "rx producer window %d outside [0,%d]"
              (Ring.pending_requests q.rx_ring)
@@ -490,18 +343,21 @@ let soft_start i q () =
                loss charged to the guest that posted the buffer. *)
             i.rx_dropped <- i.rx_dropped + 1;
             respond req ~len:0 Netchannel.status_error;
-            record_fault i ~attack ~detail)
+            Split.record_fault i.dev ~attack ~detail)
           bad;
-        if ok = [] || i.stop then List.length pairs
+        if ok = [] || i.dev.stop then List.length pairs
         else begin
-        Grant_table.copy_to_granted_many i.ctx.Xen_ctx.gt ~caller:i.domain
+        Grant_table.copy_to_granted_many i.dev.ctx.Xen_ctx.gt
+          ~caller:i.dev.domain
           (List.map
              (fun (req, frame) -> (req.Netchannel.rx_gref, 0, frame))
              ok);
         List.iter
           (fun (req, frame) ->
-            kernel_grant_ops i i.ov.Overheads.rx_kernel_grant_ops;
-            Hypervisor.cpu_work (hv i) i.domain i.ov.Overheads.rx_per_packet;
+            Split.kernel_grant_ops i.dev
+              i.dev.ov.Overheads.rx_kernel_grant_ops;
+            Hypervisor.cpu_work (hv i) i.dev.domain
+              i.dev.ov.Overheads.rx_per_packet;
             i.rx_packets <- i.rx_packets + 1;
             i.rx_bytes <- i.rx_bytes + Bytes.length frame;
             q.q_rx_packets <- q.q_rx_packets + 1;
@@ -512,7 +368,7 @@ let soft_start i q () =
     end
   in
   let rec loop () =
-    if i.stop then ()
+    if i.dev.stop then ()
     else begin
       let n = drain () in
       if n > 0 then begin
@@ -520,33 +376,22 @@ let soft_start i q () =
         | Some tr ->
             Kite_trace.Trace.driver tr
               ~at:(Hypervisor.now (hv i))
-              ~domain:i.domain.Domain.name ~name:"netback.rx-batch"
-              ~args:[ ("vif", vif_name i); ("n", string_of_int n) ]
+              ~domain:i.dev.domain.Domain.name ~name:"netback.rx-batch"
+              ~args:[ ("vif", i.dev.name); ("n", string_of_int n) ]
         | None -> ());
         if Ring.push_responses_and_check_notify q.rx_ring then
           notify_frontend i q;
-        touch i
+        Split.touch i.dev
       end;
-      if i.stop
+      if i.dev.stop
          || Queue.is_empty q.backlog
          || Ring.pending_requests q.rx_ring = 0
       then begin
         (* Re-arm request notifications before sleeping. *)
-        if i.stop then ()
-        else if not (Ring.final_check_for_requests q.rx_ring) then begin
-          Condition.wait q.soft_wake;
-          if not i.stop then begin
-            charge_wake i;
-            throttle_penalty i
-          end
-        end
-        else if Queue.is_empty q.backlog then begin
-          Condition.wait q.soft_wake;
-          if not i.stop then begin
-            charge_wake i;
-            throttle_penalty i
-          end
-        end
+        if i.dev.stop then ()
+        else if not (Ring.final_check_for_requests q.rx_ring) then
+          Split.wait i.dev q.soft_wake
+        else if Queue.is_empty q.backlog then Split.wait i.dev q.soft_wake
       end;
       loop ()
     end
@@ -559,32 +404,12 @@ let soft_start i q () =
    backend xenstore path.                                              *)
 (* ------------------------------------------------------------------ *)
 
-let stats_publisher i ~bpath ~interval () =
-  let xb = i.ctx.Xen_ctx.xb in
-  let put key v =
-    Xenbus.write xb i.domain ~path:(bpath ^ "/stats/" ^ key) (string_of_int v)
-  in
-  let rec loop () =
-    Process.sleep interval;
-    if not i.stop then begin
-      put "tx-packets" i.tx_packets;
-      put "rx-packets" i.rx_packets;
-      put "tx-bytes" i.tx_bytes;
-      put "rx-bytes" i.rx_bytes;
-      put "rx-dropped" i.rx_dropped;
-      put "io-retries" i.io_retries;
-      put "num-queues" (Array.length i.queues);
-      loop ()
-    end
-  in
-  loop ()
-
-let attach_metrics i ~bpath =
-  match i.ctx.Xen_ctx.metrics with
+let attach_metrics i =
+  match i.dev.ctx.Xen_ctx.metrics with
   | None -> ()
   | Some r ->
       let module R = Kite_metrics.Registry in
-      let vif = vif_name i in
+      let vif = i.dev.name in
       let l = [ ("vif", vif); ("side", "backend") ] in
       R.counter_fn r "kite_net_tx_packets_total" ~help:"Guest-to-wire packets"
         l
@@ -605,12 +430,7 @@ let attach_metrics i ~bpath =
       R.counter_fn r "kite_net_tx_failed_total"
         ~help:"Frames lost after the retry budget" l
         (fun () -> i.tx_failed);
-      R.counter_fn r "kite_guest_faults_total"
-        ~help:"Frontend-supplied values rejected at the trust boundary" l
-        (fun () -> Quarantine.faults i.guard);
-      R.gauge_fn r "kite_guest_quarantine_level"
-        ~help:"0 ok / 1 throttled / 2 detached / 3 offline" l
-        (fun () -> float_of_int (Quarantine.level i.guard));
+      Split.guard_metrics r i.dev l;
       let sum f =
         Array.fold_left (fun acc q -> acc + f q) 0 i.queues |> float_of_int
       in
@@ -640,14 +460,14 @@ let attach_metrics i ~bpath =
       R.probe r ~name:"kite_net_tx_ring_stalled" [ ("vif", vif) ]
         (R.stalled_probe
            ~pending:(fun () ->
-             if i.stop then 0
+             if i.dev.stop then 0
              else
                Array.fold_left
                  (fun acc q -> acc + Ring.pending_requests q.tx_ring)
                  0 i.queues)
            ~progress:(fun () -> i.tx_packets)
            ());
-      if i.mq_mode then
+      if i.dev.mq then
         Array.iter
           (fun q ->
             let ql = [ ("vif", vif); ("queue", string_of_int q.qid) ] in
@@ -660,99 +480,39 @@ let attach_metrics i ~bpath =
             R.probe r ~name:"kite_net_tx_ring_stalled" ql
               (R.stalled_probe
                  ~pending:(fun () ->
-                   if i.stop then 0 else Ring.pending_requests q.tx_ring)
+                   if i.dev.stop then 0 else Ring.pending_requests q.tx_ring)
                  ~progress:(fun () -> q.q_tx_packets)
                  ()))
           i.queues;
-      Hypervisor.spawn i.ctx.Xen_ctx.hv i.domain ~daemon:true
-        ~name:
-          (Printf.sprintf "netback-stats-%d.%d" i.frontend.Domain.id i.devid)
-        (stats_publisher i ~bpath ~interval:(R.interval r))
+      Split.publish_stats i.dev ~interval:(R.interval r)
+        [
+          ("tx-packets", fun () -> i.tx_packets);
+          ("rx-packets", fun () -> i.rx_packets);
+          ("tx-bytes", fun () -> i.tx_bytes);
+          ("rx-bytes", fun () -> i.rx_bytes);
+          ("rx-dropped", fun () -> i.rx_dropped);
+          ("io-retries", fun () -> i.io_retries);
+          ("num-queues", fun () -> Array.length i.queues);
+        ]
 
-let make_instance t ~frontend ~devid =
-  let ctx = t.sctx in
-  let xb = ctx.Xen_ctx.xb in
-  let domain = t.sdomain in
-  let bpath =
-    Xenbus.backend_path ~backend:domain ~frontend ~ty:"vif" ~devid
-  in
-  let fpath = Xenbus.frontend_path ~frontend ~ty:"vif" ~devid in
-  Xenbus.write xb domain ~path:(bpath ^ "/feature-rx-copy") "1";
-  Xenbus.write xb domain
-    ~path:(bpath ^ "/" ^ Netchannel.key_max_queues)
-    (string_of_int t.smax_queues);
-  Xenbus.write xb domain
-    ~path:(bpath ^ "/" ^ Netchannel.key_max_ring_page_order)
-    (string_of_int t.smax_ring_page_order);
-  Xenbus.switch_state xb domain ~path:bpath Xenbus.Init_wait;
-  Xenbus.wait_for_state xb domain ~path:fpath Xenbus.Initialised;
-  let fid = frontend.Domain.id in
-  let device = Printf.sprintf "vif%d.%d" fid devid in
-  let abuse detail =
-    Guest_fault.fail ~domid:fid ~device ~attack:Guest_fault.Xenstore_abuse
-      ~detail
-  in
-  (* Every negotiation key is frontend-supplied: missing or malformed
-     ones are a typed handshake fault, not a backend crash. *)
-  let want key =
-    match Xenbus.read xb domain ~path:(fpath ^ "/" ^ key) with
-    | None -> abuse ("missing key " ^ key)
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some v -> v
-        | None -> abuse (Printf.sprintf "malformed %s = %S" key s))
-  in
-  (* Multi-queue negotiation: a frontend that published
-     multi-queue-num-queues gets per-queue rings under queue-<n>/;
-     a legacy frontend gets the flat keys.  Never trust the frontend
-     past our own advertised cap. *)
-  let nq_raw =
-    Xenbus.read xb domain ~path:(fpath ^ "/" ^ Netchannel.key_num_queues)
-  in
-  let mq_mode = nq_raw <> None in
-  let nq =
-    match nq_raw with
-    | None -> 1
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some n when n > 0 -> min n t.smax_queues
-        | Some n -> abuse (Printf.sprintf "num-queues %d" n)
-        | None -> abuse (Printf.sprintf "malformed num-queues %S" s))
-  in
+let make_instance ~retries ~retry_backoff ~on_vif (dev : Split.dev) =
+  let ctx = dev.ctx and domain = dev.domain in
+  Xenbus.write ctx.Xen_ctx.xb domain ~path:(dev.bpath ^ "/feature-rx-copy") "1";
+  Split.advertise dev;
+  let nq = Split.num_queues dev in
+  let reg = ctx.Xen_ctx.netrings in
   let queues =
     Array.init nq (fun qid ->
-        let key k =
-          if mq_mode then Netchannel.queue_key qid k else k
-        in
-        let tx_ref = want (key "tx-ring-ref") in
-        let rx_ref = want (key "rx-ring-ref") in
-        let qport = want (key "event-channel") in
-        let bad_ref detail =
-          Guest_fault.fail ~domid:fid ~device
-            ~attack:Guest_fault.Bad_ring_ref ~detail
-        in
-        (* A ring reference is only as trustworthy as its owner: it must
-           exist, be the right kind, and have been shared by *this*
-           frontend — not hijacked from a neighbour. *)
-        let check_ref kind r =
-          match Netchannel.owner_of ctx.Xen_ctx.netrings r with
-          | None -> bad_ref (Printf.sprintf "unknown %s ring ref %d" kind r)
-          | Some d when d <> fid ->
-              bad_ref
-                (Printf.sprintf "%s ring ref %d shared by domain %d" kind r d)
-          | Some _ -> ()
-        in
-        check_ref "tx" tx_ref;
-        check_ref "rx" rx_ref;
+        let tx_ref = Split.want dev qid "tx-ring-ref" in
+        let rx_ref = Split.want dev qid "rx-ring-ref" in
+        let qport = Split.want dev qid "event-channel" in
+        Split.own_ring dev reg ~kind:"tx " tx_ref;
+        Split.own_ring dev reg ~kind:"rx " rx_ref;
         let tx_ring =
-          try Netchannel.map_tx ctx.Xen_ctx.netrings tx_ref
-          with Not_found ->
-            bad_ref (Printf.sprintf "ref %d is not a tx ring" tx_ref)
+          Split.map_ring dev (Netchannel.map_tx reg) ~what:"a tx ring" tx_ref
         in
         let rx_ring =
-          try Netchannel.map_rx ctx.Xen_ctx.netrings rx_ref
-          with Not_found ->
-            bad_ref (Printf.sprintf "ref %d is not an rx ring" rx_ref)
+          Split.map_ring dev (Netchannel.map_rx reg) ~what:"an rx ring" rx_ref
         in
         {
           qid;
@@ -767,30 +527,15 @@ let make_instance t ~frontend ~devid =
           spurious = 0;
         })
   in
-  (* Mapping all the ring pages is pooled into one batched map
-     hypercall (2 pages per queue). *)
-  Hypervisor.hypercall ctx.Xen_ctx.hv domain "grant_map"
-    ~extra:(2 * nq * (Hypervisor.costs ctx.Xen_ctx.hv).Costs.grant_map);
-  Array.iter
-    (fun q ->
-      try Event_channel.bind ctx.Xen_ctx.ec q.qport domain
-      with Event_channel.Evtchn_error msg ->
-        Guest_fault.fail ~domid:fid ~device ~attack:Guest_fault.Bad_port
-          ~detail:msg)
-    queues;
+  Split.map_rings dev ~pages:(2 * nq);
+  Array.iter (fun q -> Split.bind dev q.qport) queues;
   let i =
     {
-      ctx;
-      domain;
-      frontend;
-      devid;
-      ov = t.soverheads;
+      dev;
       queues;
-      mq_mode;
       vif = None;
-      last_activity = Time.zero;
-      retries = t.sretries;
-      retry_backoff = t.sretry_backoff;
+      retries;
+      retry_backoff;
       tx_packets = 0;
       rx_packets = 0;
       tx_bytes = 0;
@@ -799,19 +544,14 @@ let make_instance t ~frontend ~devid =
       io_retries = 0;
       tx_failed = 0;
       m_txbatch = None;
-      stop = false;
-      bpath;
-      guard = Quarantine.create ();
       inflight = Hashtbl.create 64;
-      state_guard = None;
     }
   in
   (* The VIF's transmit side (bridge -> guest) feeds the per-queue
      backlogs through the flow-hash steering function; it runs in
      arbitrary context so it only enqueues and signals. *)
   let vif =
-    Netdev.create
-      ~name:(Printf.sprintf "vif%d.%d" frontend.Domain.id devid)
+    Netdev.create ~name:dev.name
       ~transmit:(fun frame ->
         let q = queues.(Netchannel.flow_hash frame nq) in
         if Queue.length q.backlog >= rx_backlog_limit then
@@ -831,188 +571,37 @@ let make_instance t ~frontend ~devid =
           Condition.signal q.pusher_wake;
           Condition.signal q.soft_wake))
     queues;
-  (* Satellite: watch the frontend's state node and reject illegal
-     frontend-driven transitions — report them, never follow them.  The
-     callback runs in engine context, so escalation (which may write
-     xenbus states) moves to a spawned process. *)
-  i.state_guard <-
-    Some
-      (Xenbus.guard_peer_state xb domain ~path:fpath
-         ~on_illegal:(fun ~from_ ~to_ ->
-           let detail = Printf.sprintf "frontend state %s -> %s" from_ to_ in
-           Hypervisor.spawn ctx.Xen_ctx.hv domain ~daemon:true
-             ~name:(Printf.sprintf "netback-guard-%d.%d" fid devid)
-             (fun () ->
-               if not i.stop then
-                 record_fault i ~attack:Guest_fault.Xenbus_jump ~detail)));
-  Xenbus.switch_state xb domain ~path:bpath Xenbus.Connected;
-  attach_metrics i ~bpath;
-  t.on_vif ~frontend:frontend.Domain.id ~devid vif;
-  Array.iter
-    (fun q ->
-      let suffix = if mq_mode then Printf.sprintf ".q%d" q.qid else "" in
-      Hypervisor.spawn ctx.Xen_ctx.hv domain ~daemon:true
-        ~name:
-          (Printf.sprintf "netback-pusher-%d.%d%s" frontend.Domain.id devid
-             suffix)
-        (pusher i q);
-      Hypervisor.spawn ctx.Xen_ctx.hv domain ~daemon:true
-        ~name:
-          (Printf.sprintf "netback-soft_start-%d.%d%s" frontend.Domain.id
-             devid suffix)
-        (soft_start i q))
-    queues;
-  i
-
-(* A frontend whose handshake failed validation: report, refuse to
-   serve (drive our directory straight to Closed) and remember it so
-   the device is never retried.  Process context. *)
-let reject_frontend t ~frontend ~devid ~attack ~detail =
-  let domain = t.sdomain in
-  let fid = frontend.Domain.id in
-  let device = Printf.sprintf "vif%d.%d" fid devid in
-  (match t.sctx.Xen_ctx.check with
-  | Some c ->
-      Kite_check.Check.guest_fault c ~domid:fid ~device
-        ~attack:(Guest_fault.slug attack) ~detail;
-      Kite_check.Check.guest_quarantined c ~domid:fid ~device
-        ~action:"offline" ~faults:1
-  | None -> ());
-  (match t.sctx.Xen_ctx.flight with
-  | Some fl ->
-      Kite_flight.Flight.record fl ~layer:"adversary" ~kind:"guest-fault"
-        ~key:device
-        ~msg:
-          (Printf.sprintf "%s: %s (handshake rejected)"
-             (Guest_fault.slug attack) detail);
-      Kite_flight.Flight.trigger fl Kite_flight.Flight.Manual
-        ~reason:
-          (Printf.sprintf "handshake rejected on %s: %s" device
-             (Guest_fault.slug attack))
-  | None -> ());
-  let bpath = Xenbus.backend_path ~backend:domain ~frontend ~ty:"vif" ~devid in
-  Xenbus.switch_state t.sctx.Xen_ctx.xb domain ~path:bpath Xenbus.Closing;
-  Xenbus.switch_state t.sctx.Xen_ctx.xb domain ~path:bpath Xenbus.Closed;
-  t.rejected <- (fid, devid) :: t.rejected
-
-(* §4.1 backend invocation: a watch on the backend directory wakes a
-   dedicated thread that pairs new frontends. *)
-let watcher t () =
-  let rec loop () =
-    let front_domid, devid = Mailbox.recv t.new_frontend in
-    if front_domid < 0 || t.stopping then ()
-    else begin
-      (match Hypervisor.find_domain t.sctx.Xen_ctx.hv front_domid with
-      | Some frontend ->
-          (* Each handshake gets its own process: a frontend that stalls
-             mid-handshake (or turns hostile) must not wedge the watcher
-             and starve every other guest's connect. *)
-          Hypervisor.spawn t.sctx.Xen_ctx.hv t.sdomain ~daemon:true
-            ~name:
-              (Printf.sprintf "netback-handshake-%d.%d" front_domid devid)
-            (fun () ->
-              match make_instance t ~frontend ~devid with
-              | i -> if t.stopping then detach_instance i
-                     else t.insts <- i :: t.insts
-              | exception Guest_fault.Guest_fault { attack; detail; _ } ->
-                  reject_frontend t ~frontend ~devid ~attack ~detail)
-      | None -> ());
-      loop ()
-    end
-  in
-  loop ()
-
-let scan t =
-  let xs = Hypervisor.store t.sctx.Xen_ctx.hv in
-  let base = Printf.sprintf "/local/domain/%d/backend/vif" t.sdomain.Domain.id in
-  List.iter
-    (fun frontid ->
-      match int_of_string_opt frontid with
-      | None -> ()
-      | Some fid ->
-          List.iter
-            (fun devid ->
-              match int_of_string_opt devid with
-              | None -> ()
-              | Some did ->
-                  if not (List.mem (fid, did) t.known) then begin
-                    t.known <- (fid, did) :: t.known;
-                    Mailbox.send t.new_frontend (fid, did)
-                  end)
-            (Xenstore.directory xs ~path:(base ^ "/" ^ frontid)))
-    (Xenstore.directory xs ~path:base)
-
-let serve ctx ~domain ~overheads ?(retries = 4)
-    ?(retry_backoff = Time.us 50) ?(max_queues = 8) ?(max_ring_page_order = 2)
-    ~on_vif () =
-  let t =
-    {
-      sctx = ctx;
-      sdomain = domain;
-      soverheads = overheads;
-      sretries = retries;
-      sretry_backoff = retry_backoff;
-      smax_queues = max_queues;
-      smax_ring_page_order = max_ring_page_order;
-      on_vif;
-      insts = [];
-      rejected = [];
-      known = [];
-      new_frontend = Mailbox.create ~label:"netback new frontends" ();
-      stopping = false;
-      watch_id = None;
-    }
-  in
-  Hypervisor.spawn ctx.Xen_ctx.hv domain ~daemon:true ~name:"netback-watcher"
-    (watcher t);
-  Hypervisor.spawn ctx.Xen_ctx.hv domain ~name:"netback-watch-setup"
-    (fun () ->
-      let base =
-        Printf.sprintf "/local/domain/%d/backend/vif" domain.Domain.id
-      in
-      t.watch_id <-
-        Some
-          (Xenbus.watch ctx.Xen_ctx.xb domain ~path:base ~token:"netback"
-             (fun ~path:_ ~token:_ -> scan t)));
-  t
-
-(* Orderly teardown (what the real backend does on frontend Closing):
-   unregister the directory watch, retire the watcher and per-queue
-   threads, and close the event channels.  Must run in process context. *)
-let stop t =
-  t.stopping <- true;
-  (match t.watch_id with
-  | Some id ->
-      Xenbus.unwatch t.sctx.Xen_ctx.xb id;
-      t.watch_id <- None
-  | None -> ());
-  Mailbox.send t.new_frontend (-1, -1);
-  List.iter detach_instance t.insts
-
-(* Abrupt death (driver domain destroyed).  No orderly channel close:
-   {!Toolstack.crash_driver_domain} tears down event channels and grant
-   mappings at the hypervisor; here we only stop the threads from
-   touching the dead rings and drop the watch uncharged. *)
-let crash t =
-  t.stopping <- true;
-  (match t.watch_id with
-  | Some id ->
-      Xenstore.unwatch (Hypervisor.store t.sctx.Xen_ctx.hv) id;
-      t.watch_id <- None
-  | None -> ());
-  Mailbox.send t.new_frontend (-1, -1);
-  List.iter
-    (fun i ->
-      i.stop <- true;
-      (match i.state_guard with
-      | Some id ->
-          Xenstore.unwatch (Hypervisor.store t.sctx.Xen_ctx.hv) id;
-          i.state_guard <- None
-      | None -> ());
+  Split.connect dev
+    ~detach:(fun () ->
+      Array.iter
+        (fun q ->
+          Condition.broadcast q.pusher_wake;
+          Condition.broadcast q.soft_wake;
+          Event_channel.close ctx.Xen_ctx.ec q.qport)
+        queues)
+    ~crash:(fun () ->
       Array.iter
         (fun q ->
           Queue.clear q.backlog;
           Condition.broadcast q.pusher_wake;
           Condition.broadcast q.soft_wake)
-        i.queues)
-    t.insts
+        queues);
+  attach_metrics i;
+  on_vif ~frontend:dev.frontend.Domain.id ~devid:dev.devid vif;
+  Array.iter
+    (fun q ->
+      Split.spawn_worker dev "pusher" q.qid (pusher i q);
+      Split.spawn_worker dev "soft_start" q.qid (soft_start i q))
+    queues;
+  i
+
+let serve ctx ~domain ~overheads ?(retries = 4)
+    ?(retry_backoff = Time.us 50) ?(max_queues = 8) ?(max_ring_page_order = 2)
+    ~on_vif () =
+  Split.serve ctx ~domain ~overheads ~drv:"netback" ~ty:"vif" ~max_queues
+    ~max_ring_page_order
+    ~make:(make_instance ~retries ~retry_backoff ~on_vif)
+    ~dev_of:(fun i -> i.dev)
+
+let stop = Split.stop
+let crash = Split.crash

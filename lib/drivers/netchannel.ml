@@ -19,18 +19,7 @@ type rx_ring = (rx_request, rx_response) Kite_xen.Ring.t
 
 let ring_order = 8
 
-(* Multi-queue negotiation keys, named after the Linux xen-netif ABI.
-   The backend advertises [key_max_queues] / [key_max_ring_page_order]
-   on its own directory before entering InitWait; a multi-queue-aware
-   frontend answers with [key_num_queues] / [key_ring_page_order] and
-   moves its per-queue ring references and event channels under
-   [queue_key q ...].  A frontend that writes neither key gets the
-   legacy flat single-ring layout. *)
-let key_max_queues = "multi-queue-max-queues"
-let key_num_queues = "multi-queue-num-queues"
-let key_max_ring_page_order = "max-ring-page-order"
-let key_ring_page_order = "multi-ring-page-order"
-let queue_key q key = Printf.sprintf "queue-%d/%s" q key
+include Xenif.Mq
 
 (* Flow steering: FNV-1a over the frame's first 40 bytes (covers the
    Ethernet + IP + transport headers), reduced mod the queue count.
@@ -50,27 +39,15 @@ let flow_hash frame nqueues =
 
 type shared = Tx of tx_ring | Rx of rx_ring
 
-type registry = { mutable next : int; rings : (int, shared * int) Hashtbl.t }
+type registry = shared Xenif.registry
 
-let registry () = { next = 1; rings = Hashtbl.create 16 }
-
-let share r ~owner shared =
-  let id = r.next in
-  r.next <- r.next + 1;
-  Hashtbl.add r.rings id (shared, owner);
-  id
-
-let share_tx r ~owner ring = share r ~owner (Tx ring)
-let share_rx r ~owner ring = share r ~owner (Rx ring)
-
-let owner_of r id = Option.map snd (Hashtbl.find_opt r.rings id)
+let registry = Xenif.registry
+let share_tx r ~owner ring = Xenif.share r ~owner (Tx ring)
+let share_rx r ~owner ring = Xenif.share r ~owner (Rx ring)
+let owner_of = Xenif.owner_of
 
 let map_tx r id =
-  match Hashtbl.find_opt r.rings id with
-  | Some (Tx ring, _) -> ring
-  | Some (Rx _, _) | None -> raise Not_found
+  match Xenif.find r id with Some (Tx ring) -> ring | _ -> raise Not_found
 
 let map_rx r id =
-  match Hashtbl.find_opt r.rings id with
-  | Some (Rx ring, _) -> ring
-  | Some (Tx _, _) | None -> raise Not_found
+  match Xenif.find r id with Some (Rx ring) -> ring | _ -> raise Not_found

@@ -27,22 +27,8 @@ type rx_ring = (rx_request, rx_response) Kite_xen.Ring.t
 val ring_order : int
 (** 8 — 256-slot rings, as in the Xen netif ABI. *)
 
-(** {1 Multi-queue negotiation}
-
-    Xenstore key names from the Linux xen-netif multi-queue ABI.  The
-    backend advertises {!key_max_queues} and {!key_max_ring_page_order}
-    before InitWait; the frontend answers with {!key_num_queues} and
-    {!key_ring_page_order} and places per-queue ring references and
-    event channels under [queue_key q ...].  Absent keys mean the
-    legacy flat single-ring layout on either side. *)
-
-val key_max_queues : string
-val key_num_queues : string
-val key_max_ring_page_order : string
-val key_ring_page_order : string
-
-val queue_key : int -> string -> string
-(** [queue_key 2 "tx-ring-ref"] is ["queue-2/tx-ring-ref"]. *)
+include module type of Xenif.Mq
+(** The multi-queue key names ({!Xenif.Mq}). *)
 
 val flow_hash : Bytes.t -> int -> int
 (** [flow_hash frame nqueues] steers a frame to a queue by FNV-1a over
@@ -56,7 +42,8 @@ val flow_hash : Bytes.t -> int -> int
     references via xenstore; the backend "maps" them.  The registry
     resolves a reference to the shared structure. *)
 
-type registry
+type shared = Tx of tx_ring | Rx of rx_ring
+type registry = shared Xenif.registry
 
 val registry : unit -> registry
 
@@ -67,7 +54,6 @@ val share_rx : registry -> owner:int -> rx_ring -> int
     guest cannot hand the backend another guest's ring. *)
 
 val owner_of : registry -> int -> int option
-(** The domid that shared a reference; [None] for a bogus one. *)
 
 val map_tx : registry -> int -> tx_ring
 (** Raises [Not_found] on a bogus reference. *)

@@ -21,6 +21,7 @@ type t = {
   domain : Domain.t;
   backend : Domain.t;
   devid : int;
+  name : string;  (* "vif<domid>.<devid>" *)
   ask_queues : int option;  (* explicit queue ask from [create] *)
   want_order : int;  (* extra ring-page order asked for *)
   mutable queues : queue array;
@@ -59,11 +60,9 @@ let fresh_id t =
   t.next_id <- t.next_id + 1;
   id
 
-let vif_name t = Printf.sprintf "vif%d.%d" t.domain.Domain.id t.devid
-
 let fnote t what =
   match t.ctx.Xen_ctx.fault with
-  | Some f -> Kite_fault.Fault.note f ~what ~key:(vif_name t)
+  | Some f -> Kite_fault.Fault.note f ~what ~key:t.name
   | None -> ()
 
 let fpath t =
@@ -82,40 +81,19 @@ let ring_name t ~dir q =
   else Printf.sprintf "%s/vif%d-%s" t.domain.Domain.name t.devid dir
 
 let attach_ring_instruments t q =
-  let tx_name = ring_name t ~dir:"tx" q in
-  let rx_name = ring_name t ~dir:"rx" q in
-  (match t.ctx.Xen_ctx.check with
-  | Some c ->
-      Ring.attach_check q.tx_ring c ~name:tx_name;
-      Ring.attach_check q.rx_ring c ~name:rx_name
-  | None -> ());
-  (match t.ctx.Xen_ctx.trace with
-  | Some tr ->
-      let now () = Hypervisor.now t.ctx.Xen_ctx.hv in
-      Ring.attach_trace q.tx_ring tr ~name:tx_name ~now;
-      Ring.attach_trace q.rx_ring tr ~name:rx_name ~now
-  | None -> ());
-  (match t.ctx.Xen_ctx.fault with
-  | Some f ->
-      Ring.attach_fault q.tx_ring f ~name:tx_name;
-      Ring.attach_fault q.rx_ring f ~name:rx_name
-  | None -> ());
-  match t.ctx.Xen_ctx.race with
-  | Some r ->
-      Ring.attach_race q.tx_ring r ~name:tx_name;
-      Ring.attach_race q.rx_ring r ~name:rx_name
-  | None -> ()
+  Split.instrument t.ctx q.tx_ring ~name:(ring_name t ~dir:"tx" q);
+  Split.instrument t.ctx q.rx_ring ~name:(ring_name t ~dir:"rx" q)
 
 let mq_claim t q ~slot =
   match t.ctx.Xen_ctx.check with
   | Some c ->
-      Kite_check.Check.mq_claim c ~dev:(vif_name t ^ "-tx") ~queue:q.qid
+      Kite_check.Check.mq_claim c ~dev:(t.name ^ "-tx") ~queue:q.qid
         ~slot
   | None -> ()
 
 let mq_release t ~slot =
   match t.ctx.Xen_ctx.check with
-  | Some c -> Kite_check.Check.mq_release c ~dev:(vif_name t ^ "-tx") ~slot
+  | Some c -> Kite_check.Check.mq_release c ~dev:(t.name ^ "-tx") ~slot
   | None -> ()
 
 (* Frontend-side telemetry.  Aggregate series are registered once at
@@ -128,7 +106,7 @@ let attach_metrics t =
   | None -> ()
   | Some r ->
       let module R = Kite_metrics.Registry in
-      let vif = vif_name t in
+      let vif = t.name in
       let l = [ ("vif", vif); ("side", "frontend") ] in
       R.counter_fn r "kite_net_tx_packets_total" ~help:"Frames pushed to Tx"
         l
@@ -172,7 +150,7 @@ let attach_queue_metrics t =
   | Some r ->
       if t.mq_mode then begin
         let module R = Kite_metrics.Registry in
-        let vif = vif_name t in
+        let vif = t.name in
         Array.iter
           (fun q ->
             List.iter
@@ -220,11 +198,11 @@ let transmit t frame =
     (match t.ctx.Xen_ctx.trace with
     | Some tr ->
         let at = Hypervisor.now t.ctx.Xen_ctx.hv in
-        Kite_trace.Trace.span_begin tr ~at ~kind:"net.tx" ~key:(vif_name t)
+        Kite_trace.Trace.span_begin tr ~at ~kind:"net.tx" ~key:t.name
           ~id ~stage:"frontend";
         (* Queue-entry hop: everything until the ring push is time spent
            waiting for a free slot — queueing, not service. *)
-        Kite_trace.Trace.span_hop tr ~at ~kind:"net.tx" ~key:(vif_name t) ~id
+        Kite_trace.Trace.span_hop tr ~at ~kind:"net.tx" ~key:t.name ~id
           ~stage:"queue" ~args:[]
     | None -> ());
     (* Re-pick the queue after every wait: a reconnect may have
@@ -248,7 +226,7 @@ let transmit t frame =
       in
       if Kite_race.Race.active () then
         Kite_race.Race.scoped_write
-          ~loc:(Printf.sprintf "%s.q%d.tx_pending[%d]" (vif_name t) q.qid id)
+          ~loc:(Printf.sprintf "%s.q%d.tx_pending[%d]" t.name q.qid id)
           ~site:"Netfront.tx";
       Hashtbl.replace q.tx_pending id (gref, page);
       mq_claim t q ~slot:id;
@@ -260,7 +238,7 @@ let transmit t frame =
       | Some tr ->
           Kite_trace.Trace.span_hop tr
             ~at:(Hypervisor.now t.ctx.Xen_ctx.hv)
-            ~kind:"net.tx" ~key:(vif_name t) ~id ~stage:"ring"
+            ~kind:"net.tx" ~key:t.name ~id ~stage:"ring"
             ~args:[ ("len", string_of_int len); ("q", string_of_int q.qid) ]
       | None -> ());
       if Ring.push_requests_and_check_notify q.tx_ring then notify_backend t q
@@ -279,7 +257,7 @@ let drain_tx_responses t q =
             if Kite_race.Race.active () then
               Kite_race.Race.scoped_write
                 ~loc:
-                  (Printf.sprintf "%s.q%d.tx_pending[%d]" (vif_name t) q.qid
+                  (Printf.sprintf "%s.q%d.tx_pending[%d]" t.name q.qid
                      rsp.Netchannel.tx_rsp_id)
                 ~site:"Netfront.tx-response";
             Hashtbl.remove q.tx_pending rsp.Netchannel.tx_rsp_id;
@@ -374,37 +352,10 @@ let make_queue t ~order ~pool qid =
 let rec connect t () =
   let xb = t.ctx.Xen_ctx.xb in
   Xenbus.wait_for_state xb t.domain ~path:(bpath t) Xenbus.Init_wait;
-  (* Multi-queue negotiation: the ask comes from [create] or from the
-     toolstack's queues-wanted hint; the backend caps it.  A backend
-     that advertises no max (or a frontend with no ask) falls back to
-     the legacy flat single-ring layout. *)
-  let ask =
-    match t.ask_queues with
-    | Some n -> Some n
-    | None -> Xenbus.read_int xb t.domain ~path:(fpath t ^ "/queues-wanted")
-  in
-  let backend_max =
-    Xenbus.read_int xb t.domain
-      ~path:(bpath t ^ "/" ^ Netchannel.key_max_queues)
-  in
-  let nq, mq_mode =
-    match (ask, backend_max) with
-    | Some n, Some m when m >= 1 && n >= 1 -> (min n m, true)
-    | _ -> (1, false)
-  in
-  let order =
-    if not mq_mode then Netchannel.ring_order
-    else begin
-      let max_order =
-        match
-          Xenbus.read_int xb t.domain
-            ~path:(bpath t ^ "/" ^ Netchannel.key_max_ring_page_order)
-        with
-        | Some o -> o
-        | None -> 0
-      in
-      Netchannel.ring_order + min t.want_order max_order
-    end
+  let nq, mq_mode, order =
+    Split.negotiate xb t.domain ~fpath:(fpath t) ~bpath:(bpath t)
+      ~ask:t.ask_queues ~want_order:t.want_order
+      ~ring_order:Netchannel.ring_order
   in
   t.mq_mode <- mq_mode;
   (* Rebuild the queue set, carrying buffer pools over so reposted Rx
@@ -421,14 +372,9 @@ let rec connect t () =
         make_queue t ~order ~pool idx);
   t.ring_gen <- t.ring_gen + 1;
   Array.iter (fun q -> attach_ring_instruments t q) t.queues;
-  if mq_mode then begin
-    Xenbus.write xb t.domain
-      ~path:(fpath t ^ "/" ^ Netchannel.key_num_queues)
-      (string_of_int nq);
-    Xenbus.write xb t.domain
-      ~path:(fpath t ^ "/" ^ Netchannel.key_ring_page_order)
-      (string_of_int (order - Netchannel.ring_order))
-  end;
+  if mq_mode then
+    Split.write_mq_keys xb t.domain ~fpath:(fpath t) ~nq
+      ~page_order:(order - Netchannel.ring_order);
   Array.iter
     (fun q ->
       let owner = t.domain.Domain.id in
@@ -437,10 +383,7 @@ let rec connect t () =
       q.qport <-
         Event_channel.alloc_unbound t.ctx.Xen_ctx.ec t.domain
           ~remote:t.backend;
-      let key k =
-        if t.mq_mode then fpath t ^ "/" ^ Netchannel.queue_key q.qid k
-        else fpath t ^ "/" ^ k
-      in
+      let key k = fpath t ^ "/" ^ Xenif.key ~mq:mq_mode q.qid k in
       Xenbus.write xb t.domain ~path:(key "tx-ring-ref")
         (string_of_int tx_ref);
       Xenbus.write xb t.domain ~path:(key "rx-ring-ref")
@@ -511,34 +454,19 @@ and reconnect t () =
   fnote t
     (Printf.sprintf "netfront.resume tx_lost=%d" t.tx_lost)
 
-(* The backend-state monitor: armed after the first connect, it turns a
-   Closing/Closed/vanished backend into a reconnect cycle.  Watch
-   callbacks run in engine context, so the store is read directly and the
-   recovery work is spawned as a process. *)
+(* The backend-state monitor, armed after the first connect: a
+   Closing/Closed/vanished backend becomes a reconnect cycle. *)
 and start_monitor t =
-  let store = Hypervisor.store t.ctx.Xen_ctx.hv in
-  let state_path = bpath t ^ "/state" in
   t.monitor <-
     Some
-      (Xenbus.watch t.ctx.Xen_ctx.xb t.domain ~path:state_path
-         ~token:"netfront-monitor" (fun ~path:_ ~token:_ ->
-           if (not t.stop) && t.connected then begin
-             let gone =
-               match Xenstore.read store ~path:state_path with
-               | None -> true
-               | Some s -> (
-                   match Xenbus.state_of_string s with
-                   | Some (Xenbus.Closing | Xenbus.Closed) | None -> true
-                   | Some _ -> false)
-             in
-             if gone then begin
-               t.connected <- false;
-               t.reconnects <- t.reconnects + 1;
-               fnote t "netfront.backend-gone";
-               Hypervisor.spawn t.ctx.Xen_ctx.hv t.domain
-                 ~name:"netfront-reconnect" (reconnect t)
-             end
-           end))
+      (Split.monitor t.ctx t.domain ~bpath:(bpath t) ~token:"netfront-monitor"
+         ~live:(fun () -> (not t.stop) && t.connected)
+         ~gone:(fun () ->
+           t.connected <- false;
+           t.reconnects <- t.reconnects + 1;
+           fnote t "netfront.backend-gone";
+           Hypervisor.spawn t.ctx.Xen_ctx.hv t.domain
+             ~name:"netfront-reconnect" (reconnect t)))
 
 let create ctx ~domain ~backend ~devid ?num_queues ?(ring_page_order = 0) ()
     =
@@ -548,6 +476,7 @@ let create ctx ~domain ~backend ~devid ?num_queues ?(ring_page_order = 0) ()
       domain;
       backend;
       devid;
+      name = Printf.sprintf "vif%d.%d" domain.Domain.id devid;
       ask_queues = num_queues;
       want_order = ring_page_order;
       queues = [||];

@@ -1,0 +1,22 @@
+module Mq = struct
+  let key_max_queues = "multi-queue-max-queues"
+  let key_num_queues = "multi-queue-num-queues"
+  let key_max_ring_page_order = "max-ring-page-order"
+  let key_ring_page_order = "multi-ring-page-order"
+  let queue_key q key = Printf.sprintf "queue-%d/%s" q key
+end
+
+let key ~mq q k = if mq then Mq.queue_key q k else k
+
+type 'a registry = { mutable next : int; rings : (int, 'a * int) Hashtbl.t }
+
+let registry () = { next = 1; rings = Hashtbl.create 16 }
+
+let share r ~owner ring =
+  let id = r.next in
+  r.next <- r.next + 1;
+  Hashtbl.add r.rings id (ring, owner);
+  id
+
+let find r id = Option.map fst (Hashtbl.find_opt r.rings id)
+let owner_of r id = Option.map snd (Hashtbl.find_opt r.rings id)

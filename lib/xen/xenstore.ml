@@ -21,6 +21,7 @@ type t = {
   mutable next_watch : int;
   mutable next_tx : int;
   mutable gen : int;
+  mutable shape : int;
   mutable check : Kite_check.Check.t option;
   mutable fault : Kite_fault.Fault.t option;
   mutable race : Kite_race.Race.t option;
@@ -35,6 +36,7 @@ let create () =
     next_watch = 0;
     next_tx = 0;
     gen = 0;
+    shape = 0;
     check = None;
     fault = None;
     race = None;
@@ -106,7 +108,7 @@ let fire_watches_below t segs =
 
 (* Walk to [segs], creating intermediate nodes owned by the nearest
    existing ancestor's owner. *)
-let rec ensure node = function
+let rec ensure t node = function
   | [] -> node
   | seg :: rest ->
       let child =
@@ -115,9 +117,10 @@ let rec ensure node = function
         | None ->
             let c = make_node node.owner in
             Hashtbl.add node.children seg c;
+            t.shape <- t.shape + 1;
             c
       in
-      ensure child rest
+      ensure t child rest
 
 let check_write t domid segs =
   if not (may_write t.root domid segs) then begin
@@ -145,7 +148,7 @@ let write_segs t ~domid segs value =
       (match t.race with
       | Some r -> Kite_race.Race.xs_write r ~path:(join_path segs)
       | None -> ());
-      let node = ensure t.root segs in
+      let node = ensure t t.root segs in
       node.value <- value;
       t.gen <- t.gen + 1;
       fire_watches t segs
@@ -164,7 +167,7 @@ let mkdir t ~domid ~path =
   (match t.race with
   | Some r -> Kite_race.Race.xs_write r ~path:(join_path segs)
   | None -> ());
-  ignore (ensure t.root segs);
+  ignore (ensure t t.root segs);
   t.gen <- t.gen + 1;
   fire_watches t segs
 
@@ -184,6 +187,7 @@ let rm t ~domid ~path =
         | Some parent -> Hashtbl.remove parent.children leaf
         | None -> ());
         t.gen <- t.gen + 1;
+        t.shape <- t.shape + 1;
         fire_watches t segs;
         fire_watches_below t segs
       end
@@ -208,6 +212,7 @@ let set_owner t ~path ~domid =
   | None -> ()
 
 let generation t = t.gen
+let shape_generation t = t.shape
 
 let watch t ~path ~token callback =
   let id = t.next_watch in

@@ -65,6 +65,11 @@ val set_owner : t -> path:string -> domid:int -> unit
 val generation : t -> int
 (** Bumped on every successful mutation. *)
 
+val shape_generation : t -> int
+(** Bumped whenever a node is created or a subtree removed, not when a
+    value changes: while it stands still, every {!directory} listing
+    does too. *)
+
 (** {1 Watches}
 
     A watch fires (synchronously, from the mutating call) whenever a node

@@ -566,6 +566,73 @@ let test_netfront_drops_before_connect () =
   check_int "dropped" 1 (Netfront.tx_dropped front);
   check_bool "never connected" false (Netfront.connected front)
 
+(* Discovery skips the backend-directory walk for watch events under a
+   device it already knows, such as the stats publishers' writes when
+   metrics are armed.  A second device hot-added to the same frontend
+   after the first is Connected must still be found and served, by both
+   backends. *)
+let test_hot_add_second_device () =
+  let hv = Hypervisor.create ~seed:11 () in
+  let ctx = Xen_ctx.create hv in
+  Xen_ctx.enable_metrics ctx
+    (Kite_metrics.Registry.create ~name:"hot-add" ());
+  let dd =
+    Hypervisor.create_domain hv ~name:"dd" ~kind:Domain.Driver_domain
+      ~vcpus:2 ~mem_mb:1024
+  in
+  let domu =
+    Hypervisor.create_domain hv ~name:"u" ~kind:Domain.Dom_u ~vcpus:2
+      ~mem_mb:1024
+  in
+  let nvme =
+    Kite_devices.Nvme.create (Hypervisor.sched hv) (Hypervisor.metrics hv)
+      ~name:"nvme0" ~capacity_sectors:(1 lsl 16) ()
+  in
+  let nic =
+    Kite_devices.Nic.create (Hypervisor.sched hv) (Hypervisor.metrics hv)
+      ~name:"eth0" ()
+  in
+  let blk = Blk_app.run ctx ~domain:dd ~nvme ~overheads:Overheads.kite () in
+  let net = Net_app.run ctx ~domain:dd ~nic ~overheads:Overheads.kite () in
+  Toolstack.add_vbd ctx ~backend:dd ~frontend:domu ~devid:0 ();
+  Toolstack.add_vif ctx ~backend:dd ~frontend:domu ~devid:0 ();
+  let b0 = Blkfront.create ctx ~domain:domu ~backend:dd ~devid:0 () in
+  let n0 = Netfront.create ctx ~domain:domu ~backend:dd ~devid:0 () in
+  let blk_ok = ref false and net_connected = ref false in
+  Hypervisor.spawn hv domu ~name:"hot-add" (fun () ->
+      Blkfront.wait_connected b0;
+      Netfront.wait_connected n0;
+      (* Several stats rounds under the known devices first. *)
+      Process.sleep (Time.ms 500);
+      Toolstack.add_vbd ctx ~backend:dd ~frontend:domu ~devid:1 ();
+      Toolstack.add_vif ctx ~backend:dd ~frontend:domu ~devid:1 ();
+      let b1 = Blkfront.create ctx ~domain:domu ~backend:dd ~devid:1 () in
+      let n1 = Netfront.create ctx ~domain:domu ~backend:dd ~devid:1 () in
+      Blkfront.wait_connected b1;
+      Netfront.wait_connected n1;
+      net_connected := true;
+      let data = Bytes.make 4096 'h' in
+      Blkfront.write b1 ~sector:64 data;
+      blk_ok := Bytes.equal (Blkfront.read b1 ~sector:64 ~count:8) data;
+      let dev = Netfront.netdev n1 in
+      Netdev.set_up dev true;
+      Netdev.transmit dev (Bytes.make 64 'x'));
+  Hypervisor.run_for hv (Time.sec 5);
+  check_bool "blk device 1 served I/O" true !blk_ok;
+  check_bool "net device 1 connected" true !net_connected;
+  check_int "two blkback instances" 2
+    (List.length (Blkback.instances (Blk_app.blkback blk)));
+  match
+    List.filter
+      (fun i -> Netback.devid i = 1)
+      (Netback.instances (Net_app.netback net))
+  with
+  | [ i ] ->
+      check_int "vif device 1 forwarded the frame" 1 (Netback.tx_packets i)
+  | l ->
+      Alcotest.failf "expected one devid-1 netback instance, got %d"
+        (List.length l)
+
 let suite =
   [
     ("blkif pack/unpack", `Quick, test_blkif_pack_unpack);
@@ -592,4 +659,5 @@ let suite =
     ("netfront drops before connect", `Quick, test_netfront_drops_before_connect);
     QCheck_alcotest.to_alcotest prop_blkif_pack_roundtrip;
     ("blk odd sizes roundtrip", `Quick, test_blk_odd_sizes_roundtrip);
+    ("hot-add second device", `Quick, test_hot_add_second_device);
   ]

@@ -453,6 +453,77 @@ let test_labelled_metrics_dedup () =
     (once (Metrics.busy_names m) a);
   check_int "names lists the family once" 1 (once (Metrics.names m) a)
 
+(* A backend cap of 0 (multi-queue-max-queues = 0) is no multi-queue
+   support at all: a frontend that asks for 2 queues must fall back to
+   the legacy flat ring on both pairs, and its I/O must complete. *)
+let test_cap_zero_means_legacy () =
+  let hv = Hypervisor.create ~seed:34 () in
+  let ctx = Kite_drivers.Xen_ctx.create hv in
+  let dd, domu = mk_domains hv in
+  let nvme =
+    Kite_devices.Nvme.create (Hypervisor.sched hv) (Hypervisor.metrics hv)
+      ~name:"nvme0" ~capacity_sectors:(1 lsl 16) ()
+  in
+  let nic =
+    Kite_devices.Nic.create (Hypervisor.sched hv) (Hypervisor.metrics hv)
+      ~name:"eth0" ()
+  in
+  let blk =
+    Kite_drivers.Blk_app.run ctx ~domain:dd ~nvme
+      ~overheads:Kite_drivers.Overheads.kite ~max_queues:0 ()
+  in
+  let net =
+    Kite_drivers.Net_app.run ctx ~domain:dd ~nic
+      ~overheads:Kite_drivers.Overheads.kite ~max_queues:0 ()
+  in
+  Kite_drivers.Toolstack.add_vbd ctx ~backend:dd ~frontend:domu ~devid:0 ();
+  Kite_drivers.Toolstack.add_vif ctx ~backend:dd ~frontend:domu ~devid:0 ();
+  let bf =
+    Kite_drivers.Blkfront.create ctx ~domain:domu ~backend:dd ~devid:0
+      ~num_queues:2 ()
+  in
+  let nf =
+    Kite_drivers.Netfront.create ctx ~domain:domu ~backend:dd ~devid:0
+      ~num_queues:2 ()
+  in
+  let blk_ok = ref false in
+  Hypervisor.spawn hv domu ~name:"io" (fun () ->
+      Kite_drivers.Blkfront.wait_connected bf;
+      Kite_drivers.Netfront.wait_connected nf;
+      let dev = Kite_drivers.Netfront.netdev nf in
+      Kite_net.Netdev.set_up dev true;
+      Kite_net.Netdev.transmit dev (Bytes.make 64 'z');
+      let data = Bytes.make 4096 'z' in
+      Kite_drivers.Blkfront.write bf ~sector:0 data;
+      blk_ok :=
+        Bytes.equal (Kite_drivers.Blkfront.read bf ~sector:0 ~count:8) data);
+  Hypervisor.run_for hv (Time.sec 5);
+  check_bool "blk round trip at cap 0" true !blk_ok;
+  check_int "blkfront fell back to one ring" 1
+    (Kite_drivers.Blkfront.num_queues bf);
+  check_int "netfront fell back to one queue" 1
+    (Kite_drivers.Netfront.num_queues nf);
+  (match Kite_drivers.Blkback.instances (Kite_drivers.Blk_app.blkback blk) with
+  | [ i ] ->
+      check_int "blkback serves one ring" 1
+        (Kite_drivers.Blkback.num_queues i)
+  | l -> Alcotest.failf "expected one blkback instance, got %d" (List.length l));
+  (match Kite_drivers.Netback.instances (Kite_drivers.Net_app.netback net) with
+  | [ i ] ->
+      check_int "netback serves one queue" 1
+        (Kite_drivers.Netback.num_queues i);
+      check_int "the frame went out" 1 (Kite_drivers.Netback.tx_packets i)
+  | l -> Alcotest.failf "expected one netback instance, got %d" (List.length l));
+  let store = Hypervisor.store hv in
+  let has p = Xenstore.read store ~path:p <> None in
+  List.iter
+    (fun (ty, ring_key) ->
+      let fp = Xenbus.frontend_path ~frontend:domu ~ty ~devid:0 in
+      check_bool (ty ^ ": flat ring key") true (has (fp ^ "/" ^ ring_key));
+      check_bool (ty ^ ": no num-queues answer") false
+        (has (fp ^ "/" ^ Kite_drivers.Xenif.Mq.key_num_queues)))
+    [ ("vbd", "ring-ref"); ("vif", "tx-ring-ref") ]
+
 let suite =
   [
     ("randomized ring property", `Quick, test_ring_property);
@@ -466,4 +537,5 @@ let suite =
     ("labelled metrics dedup", `Quick, test_labelled_metrics_dedup);
     ("1-queue mq equals legacy ring", `Quick, test_mq1_equals_legacy);
     ("4 queues scale to 2x", `Quick, test_mq_scales);
+    ("cap 0 means legacy", `Quick, test_cap_zero_means_legacy);
   ]

@@ -857,6 +857,25 @@ let test_page_write_from_of_bytes () =
   Alcotest.(check string) "short page reads zero past its frame" "me\000"
     (Bytes.to_string out)
 
+(* The shape generation moves when the tree's shape does: a created
+   node or a removed subtree, never a value update. *)
+let test_xs_shape_generation () =
+  let xs = Xenstore.create () in
+  let g () = Xenstore.shape_generation xs in
+  Xenstore.write xs ~domid:0 ~path:"/a/b" "1";
+  let g0 = g () in
+  check_bool "creating /a/b moved it" true (g0 > 0);
+  Xenstore.write xs ~domid:0 ~path:"/a/b" "2";
+  Xenstore.mkdir xs ~domid:0 ~path:"/a";
+  check_int "value updates and an existing mkdir leave it" g0 (g ());
+  Xenstore.write xs ~domid:0 ~path:"/a/c" "3";
+  let g1 = g () in
+  check_bool "a new sibling moves it" true (g1 > g0);
+  Xenstore.rm xs ~domid:0 ~path:"/a/c";
+  check_bool "a removal moves it" true (g () > g1);
+  check_bool "the global generation counts every mutation" true
+    (Xenstore.generation xs > g ())
+
 let suite =
   [
     ("xenstore read/write", `Quick, test_xs_read_write);
@@ -905,4 +924,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_xenbus_state_roundtrip;
     ("page read_into/write_from bounds", `Quick, test_page_read_into_write_from);
     ("page write_from of_bytes", `Quick, test_page_write_from_of_bytes);
+    ("xenstore shape generation", `Quick, test_xs_shape_generation);
   ]
