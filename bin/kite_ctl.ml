@@ -19,6 +19,7 @@
      kite_ctl topology --flavor kite *)
 
 open Cmdliner
+module Obs = Kite.Obs
 
 let quick_arg =
   let doc = "Run at reduced scale (smoke pass)." in
@@ -27,6 +28,37 @@ let quick_arg =
 let full_arg =
   let doc = "Run the experiments at full scale (default: quick)." in
   Arg.(value & flag & info [ "full" ] ~doc)
+
+(* The arguments several subcommands share; only the help text varies. *)
+let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
+let findings_json_arg = json_arg "Emit the findings as JSON instead of text."
+
+let strict_arg =
+  let doc = "Exit nonzero on warnings too, not just errors." in
+  Arg.(value & flag & info [ "strict" ] ~doc)
+
+(* The experiment-id positional: 'all' by default, unless [req]. *)
+let exp_arg ?(req = false) ~purpose ~verb () =
+  let doc =
+    Printf.sprintf "Experiment id%s (see $(b,list)); 'all' %s everything."
+      purpose verb
+  in
+  let pos0 = Arg.info [] ~docv:"EXPERIMENT" ~doc in
+  if req then Arg.(required & pos 0 (some string) None & pos0)
+  else Arg.(value & pos 0 string "all" & pos0)
+
+let write_file path contents =
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
+
+(* The verdict check and race share: print the findings, then exit 1 on
+   errors (with [strict], on warnings too). *)
+let checker_verdict ~json ~strict report =
+  if json then print_string (Kite_check.Report.to_json report)
+  else Kite_check.Report.print report;
+  let errors = Kite_check.Report.errors report in
+  let warnings = Kite_check.Report.warnings report in
+  if errors > 0 || (strict && warnings > 0) then exit 1;
+  `Ok ()
 
 (* Experiment selection, shared by run/check/trace: resolve [id] ('all'
    runs everything) and apply [run_one] to each selected experiment. *)
@@ -41,6 +73,23 @@ let for_experiments id run_one =
         run_one exp;
         `Ok ()
     | None -> `Error (false, "unknown experiment " ^ id ^ "; try 'list'")
+
+(* Run the selected experiments with [obs] installed.  Each is torn down
+   right after it ran, so the end-of-run audits see it; [before_teardown]
+   runs in between, while its testbeds are still live. *)
+let run_armed obs ~full ~progress ?(before_teardown = ignore) id =
+  Obs.run obs (fun () ->
+      for_experiments id (fun (eid, _desc, f) ->
+          progress eid;
+          ignore (f ~quick:(not full));
+          before_teardown ();
+          Kite.Scenario.teardown_all ()))
+
+(* The progress line printed before each experiment (not with --json). *)
+let say verb shown eid = if shown then Printf.printf "%s %s...\n%!" verb eid
+
+(* Continue after a selection that succeeded. *)
+let ( let* ) outcome k = match outcome with `Ok () -> k () | `Error _ as e -> e
 
 (* ------------------------------------------------------------------ *)
 (* list                                                                *)
@@ -61,10 +110,7 @@ let list_cmd =
 (* ------------------------------------------------------------------ *)
 
 let run_cmd =
-  let id_arg =
-    let doc = "Experiment id (see $(b,list)); 'all' runs everything." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
-  in
+  let id_arg = exp_arg ~req:true ~purpose:"" ~verb:"runs" () in
   let run quick id =
     for_experiments id (fun (eid, desc, f) ->
         Printf.printf "\n### %s — %s\n%!" eid desc;
@@ -80,62 +126,30 @@ let run_cmd =
 (* ------------------------------------------------------------------ *)
 
 let check_cmd =
-  let id_arg =
-    let doc =
-      "Experiment id to check (see $(b,list)); 'all' checks everything."
-    in
-    Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
-  in
-  let strict_arg =
-    let doc = "Exit nonzero on warnings too, not just errors." in
-    Arg.(value & flag & info [ "strict" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Emit the findings as JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let run full strict json id =
     let report = Kite_check.Report.create () in
-    Kite_check.Check.set_default
-      (Some (Kite_check.Check.default_config, report));
-    let quick = not full in
-    let outcome =
-      for_experiments id (fun (eid, _desc, f) ->
-          if not json then Printf.printf "checking %s...\n%!" eid;
-          ignore (f ~quick);
-          (* Tear the experiment's testbeds down so the leak audits run. *)
-          Kite.Scenario.teardown_all ())
+    let* () =
+      run_armed
+        { Obs.none with check = Some report }
+        ~full ~progress:(say "checking" (not json)) id
     in
-    Kite_check.Check.set_default None;
-    match outcome with
-    | `Error _ as e -> e
-    | `Ok () ->
-        if json then print_string (Kite_check.Report.to_json report)
-        else Kite_check.Report.print report;
-        let errors = Kite_check.Report.errors report in
-        let warnings = Kite_check.Report.warnings report in
-        if errors > 0 || (strict && warnings > 0) then exit 1;
-        `Ok ()
+    checker_verdict ~json ~strict report
   in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Run experiments under the protocol-invariant checker (grants, \
           rings, xenstore, scheduler) and report violations.")
-    Term.(ret (const run $ full_arg $ strict_arg $ json_arg $ id_arg))
+    Term.(
+      ret
+        (const run $ full_arg $ strict_arg $ findings_json_arg
+        $ exp_arg ~purpose:" to check" ~verb:"checks" ()))
 
 (* ------------------------------------------------------------------ *)
 (* race                                                                *)
 (* ------------------------------------------------------------------ *)
 
 let race_cmd =
-  let id_arg =
-    let doc =
-      "Experiment id to explore (see $(b,list)); 'all' explores \
-       everything."
-    in
-    Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
-  in
   let sweep_arg =
     let doc = "Number of schedule seeds to sweep (default 1)." in
     Arg.(value & opt int 1 & info [ "sweep" ] ~docv:"N" ~doc)
@@ -144,54 +158,31 @@ let race_cmd =
     let doc = "First schedule seed of the sweep (default 1)." in
     Arg.(value & opt int 1 & info [ "schedule-seed" ] ~docv:"SEED" ~doc)
   in
-  let strict_arg =
-    let doc = "Exit nonzero on warnings too, not just errors." in
-    Arg.(value & flag & info [ "strict" ] ~doc)
-  in
-  let json_arg =
-    let doc = "Emit the findings as JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let run full strict json sweep seed0 id =
     let report = Kite_check.Report.create () in
     (* One shared report: the race detector and the protocol checker are
        co-oracles for every schedule explored. *)
-    let sink = Kite_race.Race.sink ~report () in
-    Kite_race.Race.set_default (Some sink);
-    Kite_check.Check.set_default
-      (Some (Kite_check.Check.default_config, report));
-    let quick = not full in
-    let sweep = max 1 sweep in
-    let outcome = ref (`Ok ()) in
-    (try
-       for s = seed0 to seed0 + sweep - 1 do
-         Kite.Scenario.set_schedule_seed (Some s);
-         match
-           for_experiments id (fun (eid, _desc, f) ->
-               if not json then
-                 Printf.printf "racing %s under schedule seed %d...\n%!" eid
-                   s;
-               ignore (f ~quick);
-               Kite.Scenario.teardown_all ())
-         with
-         | `Ok () -> ()
-         | `Error _ as e ->
-             outcome := e;
-             raise Exit
-       done
-     with Exit -> ());
-    Kite.Scenario.set_schedule_seed None;
-    Kite_check.Check.set_default None;
-    Kite_race.Race.set_default None;
-    match !outcome with
-    | `Error _ as e -> e
-    | `Ok () ->
-        if json then print_string (Kite_check.Report.to_json report)
-        else Kite_check.Report.print report;
-        let errors = Kite_check.Report.errors report in
-        let warnings = Kite_check.Report.warnings report in
-        if errors > 0 || (strict && warnings > 0) then exit 1;
-        `Ok ()
+    let obs =
+      {
+        Obs.none with
+        check = Some report;
+        race = Some (Kite_race.Race.sink ~report ());
+      }
+    in
+    let rec from s =
+      if s >= seed0 + max 1 sweep then `Ok ()
+      else
+        let progress eid =
+          if not json then
+            Printf.printf "racing %s under schedule seed %d...\n%!" eid s
+        in
+        let* () =
+          run_armed { obs with schedule_seed = Some s } ~full ~progress id
+        in
+        from (s + 1)
+    in
+    let* () = from seed0 in
+    checker_verdict ~json ~strict report
   in
   Cmd.v
     (Cmd.info "race"
@@ -201,8 +192,9 @@ let race_cmd =
           checker as co-oracle.")
     Term.(
       ret
-        (const run $ full_arg $ strict_arg $ json_arg $ sweep_arg
-       $ seed0_arg $ id_arg))
+        (const run $ full_arg $ strict_arg $ findings_json_arg $ sweep_arg
+        $ seed0_arg
+        $ exp_arg ~purpose:" to explore" ~verb:"explores" ()))
 
 (* ------------------------------------------------------------------ *)
 (* lint                                                                *)
@@ -212,10 +204,6 @@ let lint_cmd =
   let paths_arg =
     let doc = "Files or directories to lint (default: lib)." in
     Arg.(value & pos_all string [ "lib" ] & info [] ~docv:"PATH" ~doc)
-  in
-  let json_arg =
-    let doc = "Emit the findings as JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let run json paths =
     let report = Kite_check.Report.create () in
@@ -233,7 +221,7 @@ let lint_cmd =
          "Statically check the sources for instrumentation discipline: \
           guarded hot hooks, paired grant map/unmap and watch/unwatch, \
           testbed teardown registration.")
-    Term.(const run $ json_arg $ paths_arg)
+    Term.(const run $ findings_json_arg $ paths_arg)
 
 (* ------------------------------------------------------------------ *)
 (* boot                                                                *)
@@ -381,12 +369,6 @@ let capture_cmd =
 (* ------------------------------------------------------------------ *)
 
 let trace_cmd =
-  let id_arg =
-    let doc =
-      "Experiment id to trace (see $(b,list)); 'all' traces everything."
-    in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
-  in
   let out_arg =
     let doc = "Write Chrome trace-event JSON to $(docv) (Perfetto-loadable)." in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE.json" ~doc)
@@ -408,41 +390,31 @@ let trace_cmd =
   in
   let run full out breakdown hypercalls fail_on_drop id =
     let sink = Kite_trace.Trace.sink () in
-    Kite_trace.Trace.set_default (Some sink);
-    let quick = not full in
-    let outcome =
-      for_experiments id (fun (eid, _desc, f) ->
-          Printf.printf "tracing %s...\n%!" eid;
-          ignore (f ~quick);
-          Kite.Scenario.teardown_all ())
+    let* () =
+      run_armed
+        { Obs.none with trace = Some sink }
+        ~full ~progress:(say "tracing" true) id
     in
-    Kite_trace.Trace.set_default None;
-    match outcome with
-    | `Error _ as e -> e
-    | `Ok () ->
-        let ts = Kite_trace.Trace.traces sink in
-        Kite_stats.Table.print (Kite.Trace_report.summary_table ts);
-        (match out with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Kite_trace.Trace.to_chrome_json ts);
-            close_out oc;
-            Printf.printf "wrote %s (load in Perfetto or chrome://tracing)\n"
-              path
-        | None -> ());
-        if breakdown then
-          List.iter Kite_stats.Table.print (Kite.Trace_report.breakdown_tables ts);
-        if hypercalls then
-          Kite_stats.Table.print (Kite.Trace_report.hypercall_table ts);
-        let lost = Kite.Trace_report.total_dropped ts in
-        if fail_on_drop && lost > 0 then begin
-          Printf.eprintf
-            "FAIL: %d trace event(s) dropped at the buffer limit; raise \
-             ?limit or trace a smaller experiment\n"
-            lost;
-          exit 1
-        end;
-        `Ok ()
+    let ts = Kite_trace.Trace.traces sink in
+    Kite_stats.Table.print (Kite.Trace_report.summary_table ts);
+    (match out with
+    | Some path ->
+        write_file path (Kite_trace.Trace.to_chrome_json ts);
+        Printf.printf "wrote %s (load in Perfetto or chrome://tracing)\n" path
+    | None -> ());
+    if breakdown then
+      List.iter Kite_stats.Table.print (Kite.Trace_report.breakdown_tables ts);
+    if hypercalls then
+      Kite_stats.Table.print (Kite.Trace_report.hypercall_table ts);
+    let lost = Kite.Trace_report.total_dropped ts in
+    if fail_on_drop && lost > 0 then begin
+      Printf.eprintf
+        "FAIL: %d trace event(s) dropped at the buffer limit; raise ?limit \
+         or trace a smaller experiment\n"
+        lost;
+      exit 1
+    end;
+    `Ok ()
   in
   Cmd.v
     (Cmd.info "trace"
@@ -453,20 +425,14 @@ let trace_cmd =
     Term.(
       ret
         (const run $ full_arg $ out_arg $ breakdown_arg $ hypercalls_arg
-       $ fail_on_drop_arg $ id_arg))
+        $ fail_on_drop_arg
+        $ exp_arg ~req:true ~purpose:" to trace" ~verb:"traces" ()))
 
 (* ------------------------------------------------------------------ *)
 (* faults                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let faults_cmd =
-  let id_arg =
-    let doc =
-      "Experiment id to run under fault injection (see $(b,list)); 'all' \
-       runs everything."
-    in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT" ~doc)
-  in
   let seed_arg =
     let doc =
       "Injection seed: the same seed and plan reproduce the same faults."
@@ -480,10 +446,6 @@ let faults_cmd =
        device-error plan."
     in
     Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"FILE" ~doc)
-  in
-  let json_arg =
-    let doc = "Emit the injection/recovery log as JSON instead of text." in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let run full seed plan_file json id =
     let plan_r =
@@ -506,25 +468,17 @@ let faults_cmd =
     in
     match plan_r with
     | Error msg -> `Error (false, "bad plan: " ^ msg)
-    | Ok plan -> (
+    | Ok plan ->
         let sink = Kite_fault.Fault.sink ~seed plan in
-        Kite_fault.Fault.set_default (Some sink);
-        let quick = not full in
-        let outcome =
-          for_experiments id (fun (eid, _desc, f) ->
-              if not json then
-                Printf.printf "injecting faults into %s...\n%!" eid;
-              ignore (f ~quick);
-              Kite.Scenario.teardown_all ())
+        let* () =
+          run_armed
+            { Obs.none with fault = Some sink }
+            ~full ~progress:(say "injecting faults into" (not json)) id
         in
-        Kite_fault.Fault.set_default None;
-        match outcome with
-        | `Error _ as e -> e
-        | `Ok () ->
-            let fs = Kite_fault.Fault.faults sink in
-            if json then print_string (Kite_fault.Fault.to_json fs)
-            else Kite_fault.Fault.print fs;
-            `Ok ())
+        let fs = Kite_fault.Fault.faults sink in
+        if json then print_string (Kite_fault.Fault.to_json fs)
+        else Kite_fault.Fault.print fs;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "faults"
@@ -532,44 +486,33 @@ let faults_cmd =
          "Run experiments under seeded fault injection (device errors, \
           dropped notifications, xenstore loss, ring corruption) and \
           report what was injected and how the drivers recovered.")
-    Term.(ret (const run $ full_arg $ seed_arg $ plan_arg $ json_arg $ id_arg))
+    Term.(
+      ret
+        (const run $ full_arg $ seed_arg $ plan_arg
+        $ json_arg "Emit the injection/recovery log as JSON instead of text."
+        $ exp_arg ~req:true ~purpose:" to run under fault injection"
+            ~verb:"runs" ()))
 
 (* ------------------------------------------------------------------ *)
 (* metrics / top                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared harness: run the selected experiments with a metrics sink set
-   as the run default (every testbed machine auto-attaches a registry
-   and its Dom0 sampler), tear down, then hand the collected registries
-   to [render]. *)
+(* Shared harness: run the selected experiments with a metrics sink
+   armed (every testbed machine gets a registry and its Dom0 sampler),
+   tear down, then hand the collected registries to [render]. *)
 let with_metrics ~full ~progress id render =
   let sink = Kite_metrics.Registry.sink () in
-  Kite_metrics.Registry.set_default (Some sink);
-  let quick = not full in
-  let outcome =
-    for_experiments id (fun (eid, _desc, f) ->
-        if progress then Printf.printf "measuring %s...\n%!" eid;
-        ignore (f ~quick);
-        Kite.Scenario.teardown_all ())
+  let* () =
+    run_armed
+      { Obs.none with metrics = Some sink }
+      ~full ~progress:(say "measuring" progress) id
   in
-  Kite_metrics.Registry.set_default None;
-  match outcome with
-  | `Error _ as e -> e
-  | `Ok () ->
-      render (Kite_metrics.Registry.registries sink);
-      `Ok ()
+  render (Kite_metrics.Registry.registries sink);
+  `Ok ()
 
-let metrics_id_arg =
-  let doc =
-    "Experiment id to measure (see $(b,list)); 'all' measures everything."
-  in
-  Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
+let metrics_id_arg = exp_arg ~purpose:" to measure" ~verb:"measures" ()
 
 let metrics_cmd =
-  let json_arg =
-    let doc = "Emit every registry (values + alerts) as JSON." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let prom_arg =
     let doc =
       "Write the Prometheus text exposition of all registries to $(docv) \
@@ -595,9 +538,7 @@ let metrics_cmd =
         | None -> ()
         | Some "-" -> print_string (Kite_metrics.Registry.to_prometheus rs)
         | Some path ->
-            let oc = open_out path in
-            output_string oc (Kite_metrics.Registry.to_prometheus rs);
-            close_out oc;
+            write_file path (Kite_metrics.Registry.to_prometheus rs);
             Printf.printf "wrote %s\n" path)
   in
   Cmd.v
@@ -605,8 +546,11 @@ let metrics_cmd =
        ~doc:
          "Run experiments under live telemetry and dump the collected \
           registries (table, JSON or Prometheus exposition).")
-    Term.(ret (const run $ full_arg $ json_arg $ prom_arg $ list_arg
-              $ metrics_id_arg))
+    Term.(
+      ret
+        (const run $ full_arg
+        $ json_arg "Emit every registry (values + alerts) as JSON."
+        $ prom_arg $ list_arg $ metrics_id_arg))
 
 let top_cmd =
   let sort_arg =
@@ -662,48 +606,37 @@ let path_cmd =
     in
     Arg.(value & flag & info [ "saturation" ] ~doc)
   in
-  let json_arg =
-    let doc = "Emit every engine (waterfall + CPU profile) as JSON." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let run full waterfall saturation json id =
-    let quick = not full in
     if saturation then begin
-      let outcome = Kite.Experiments.latency_waterfall ~quick in
+      let outcome = Kite.Experiments.latency_waterfall ~quick:(not full) in
       List.iter Kite_stats.Table.print outcome.Kite.Experiments.tables;
       Kite.Scenario.teardown_all ();
       `Ok ()
     end
-    else begin
+    else
       (* The engine decomposes the tracer's spans, so arm both sinks:
          every testbed machine gets a tracer and a path engine tapping
          it (plus the CPU-profiler hooks). *)
-      let tsink = Kite_trace.Trace.sink () in
-      Kite_trace.Trace.set_default (Some tsink);
       let psink = Kite_path.Path.sink () in
-      Kite_path.Path.set_default (Some psink);
-      let outcome =
-        for_experiments id (fun (eid, _desc, f) ->
-            if not json then Printf.printf "attributing %s...\n%!" eid;
-            ignore (f ~quick);
-            Kite.Scenario.teardown_all ())
+      let* () =
+        run_armed
+          {
+            Obs.none with
+            trace = Some (Kite_trace.Trace.sink ());
+            path = Some psink;
+          }
+          ~full ~progress:(say "attributing" (not json)) id
       in
-      Kite_path.Path.set_default None;
-      Kite_trace.Trace.set_default None;
-      match outcome with
-      | `Error _ as e -> e
-      | `Ok () ->
-          let ps = Kite_path.Path.paths psink in
-          if json then print_string (Kite_path.Path.to_json ps)
-          else begin
-            Kite_stats.Table.print (Kite.Path_report.waterfall_table ps);
-            if not waterfall then begin
-              Kite_stats.Table.print (Kite.Path_report.devices_table ps);
-              Kite_stats.Table.print (Kite.Path_report.cpu_table ps)
-            end
-          end;
-          `Ok ()
-    end
+      let ps = Kite_path.Path.paths psink in
+      if json then print_string (Kite_path.Path.to_json ps)
+      else begin
+        Kite_stats.Table.print (Kite.Path_report.waterfall_table ps);
+        if not waterfall then begin
+          Kite_stats.Table.print (Kite.Path_report.devices_table ps);
+          Kite_stats.Table.print (Kite.Path_report.cpu_table ps)
+        end
+      end;
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "path"
@@ -714,8 +647,9 @@ let path_cmd =
           profile.")
     Term.(
       ret
-        (const run $ full_arg $ waterfall_arg $ saturation_arg $ json_arg
-       $ metrics_id_arg))
+        (const run $ full_arg $ waterfall_arg $ saturation_arg
+        $ json_arg "Emit every engine (waterfall + CPU profile) as JSON."
+        $ metrics_id_arg))
 
 (* ------------------------------------------------------------------ *)
 (* flight / incident                                                   *)
@@ -724,45 +658,33 @@ let path_cmd =
 (* Shared harness: arm every layer the recorder taps — checker (findings
    + the recorders' own audits), tracer (spans), metrics (alert edges,
    deltas), the path engine (incident waterfalls) and the flight sink
-   itself — run the selected experiments,
-   tear down, then hand the recorders and the shared report to [render].
-   No fault sink: a default injection plan would perturb the experiments
-   (restart-recovery arms its own note-only injector when none is set).
-   [before_teardown] runs between an experiment and its teardown, while
-   the testbeds are still live — the manual-trigger hook. *)
-let with_flight ~full ~progress ?(before_teardown = fun _ -> ()) id render =
+   itself — run the selected experiments, tear down, then hand the
+   recorders and the shared report to [render].  No fault sink: a
+   default injection plan would perturb the experiments (restart-recovery
+   arms its own note-only injector when none is armed).
+   [before_teardown] is the manual-trigger hook (see [run_armed]). *)
+let with_flight ~full ~progress ?(before_teardown = ignore) id render =
   let report = Kite_check.Report.create () in
-  Kite_check.Check.set_default (Some (Kite_check.Check.default_config, report));
-  let tsink = Kite_trace.Trace.sink () in
-  Kite_trace.Trace.set_default (Some tsink);
-  let msink = Kite_metrics.Registry.sink () in
-  Kite_metrics.Registry.set_default (Some msink);
-  let psink = Kite_path.Path.sink () in
-  Kite_path.Path.set_default (Some psink);
   let fsink = Kite_flight.Flight.sink () in
-  Kite_flight.Flight.set_default (Some fsink);
-  let quick = not full in
-  let outcome =
-    for_experiments id (fun (eid, _desc, f) ->
-        if progress then Printf.printf "recording %s...\n%!" eid;
-        ignore (f ~quick);
-        before_teardown (Kite_flight.Flight.flights fsink);
-        Kite.Scenario.teardown_all ())
+  let obs =
+    {
+      Obs.none with
+      check = Some report;
+      trace = Some (Kite_trace.Trace.sink ());
+      metrics = Some (Kite_metrics.Registry.sink ());
+      path = Some (Kite_path.Path.sink ());
+      flight = Some fsink;
+    }
   in
-  Kite_flight.Flight.set_default None;
-  Kite_path.Path.set_default None;
-  Kite_metrics.Registry.set_default None;
-  Kite_trace.Trace.set_default None;
-  Kite_check.Check.set_default None;
-  match outcome with
-  | `Error _ as e -> e
-  | `Ok () -> render (Kite_flight.Flight.flights fsink) report
+  let* () =
+    run_armed obs ~full ~progress:(say "recording" progress)
+      ~before_teardown:(fun () ->
+        before_teardown (Kite_flight.Flight.flights fsink))
+      id
+  in
+  render (Kite_flight.Flight.flights fsink) report
 
 let flight_cmd =
-  let json_arg =
-    let doc = "Emit the recorders (rings, incidents, SLOs) as JSON." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let run full json id =
     with_flight ~full ~progress:(not json) id (fun fls report ->
         if json then print_string (Kite_flight.Flight.to_json fls)
@@ -790,7 +712,11 @@ let flight_cmd =
          "Run experiments with the always-on flight recorder armed and \
           summarize the black-box rings, incident snapshots and SLO \
           verdicts per machine.")
-    Term.(ret (const run $ full_arg $ json_arg $ metrics_id_arg))
+    Term.(
+      ret
+        (const run $ full_arg
+        $ json_arg "Emit the recorders (rings, incidents, SLOs) as JSON."
+        $ metrics_id_arg))
 
 (* --require tokens: [incident] (at least one snapshot was frozen) and
    [slo] (some snapshot carries a scored SLO verdict) are structural;
@@ -820,10 +746,6 @@ let incident_unmet fls tokens =
   List.filter (fun tok -> not (met tok)) tokens
 
 let incident_cmd =
-  let json_arg =
-    let doc = "Emit the full snapshots as JSON instead of rendered tables." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let out_arg =
     let doc = "Also write the snapshots as JSON to $(docv)." in
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE.json" ~doc)
@@ -874,9 +796,7 @@ let incident_cmd =
         end;
         (match out with
         | Some path ->
-            let oc = open_out path in
-            output_string oc (Lazy.force js);
-            close_out oc;
+            write_file path (Lazy.force js);
             if not json then Printf.printf "wrote %s\n" path
         | None -> ());
         if Kite_check.Report.errors report > 0 then begin
@@ -898,12 +818,15 @@ let incident_cmd =
           timeline, metrics delta, xenstore subtree and SLO verdicts.")
     Term.(
       ret
-        (const run $ full_arg $ json_arg $ out_arg $ trigger_arg
-       $ require_arg $ last_arg $ metrics_id_arg))
+        (const run $ full_arg
+        $ json_arg "Emit the full snapshots as JSON instead of rendered tables."
+        $ out_arg $ trigger_arg $ require_arg $ last_arg $ metrics_id_arg))
 
 (* ------------------------------------------------------------------ *)
 (* attack                                                              *)
 (* ------------------------------------------------------------------ *)
+
+let campaigns_json_arg = json_arg "Emit the campaign results as a JSON array."
 
 let attack_cmd =
   let module Campaign = Kite_adversary.Campaign in
@@ -921,10 +844,6 @@ let attack_cmd =
        slugs, e.g. $(b,bad-gref,replay,evtchn-storm))."
     in
     Arg.(value & opt (list string) [] & info [ "class" ] ~docv:"SLUGS" ~doc)
-  in
-  let json_arg =
-    let doc = "Emit the campaign results as a JSON array." in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   let run seed sweep slugs json =
     let only =
@@ -974,7 +893,8 @@ let attack_cmd =
           detected as a typed guest fault, every hostile device \
           quarantined or rejected, and the co-hosted honest guest's p99 \
           must stay within its SLO with zero checker errors.")
-    Term.(ret (const run $ seed_arg $ sweep_arg $ class_arg $ json_arg))
+    Term.(
+      ret (const run $ seed_arg $ sweep_arg $ class_arg $ campaigns_json_arg))
 
 (* ------------------------------------------------------------------ *)
 (* swarm                                                               *)
@@ -1019,10 +939,6 @@ let swarm_cmd =
     let doc = "Run campaigns for seeds 1..$(docv) instead of one seed." in
     Arg.(value & opt (some int) None & info [ "sweep" ] ~docv:"N" ~doc)
   in
-  let json_arg =
-    let doc = "Emit the campaign results as a JSON array." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   let run clients profile app flavor impair seed rate sweep json =
     let flavor_v =
       match String.lowercase_ascii flavor with
@@ -1039,32 +955,29 @@ let swarm_cmd =
     | Error e, _ | _, Error e -> `Error (false, e)
     | Ok flavor, Ok impair -> (
         let report = Kite_check.Report.create () in
-        Kite_check.Check.set_default
-          (Some (Kite_check.Check.default_config, report));
         let seeds =
           match sweep with
           | Some n -> List.init (max 1 n) (fun i -> i + 1)
           | None -> [ seed ]
         in
         match
-          List.map
-            (fun seed ->
-              if not json then
-                Printf.printf "swarm: %d %s clients of %s traffic (seed %d)...\n%!"
-                  clients app profile seed;
-              let r =
-                Kite.Experiments.swarm_campaign ~flavor ~app ?impair ~profile
-                  ~clients ?rate ~seed ()
-              in
-              Kite.Scenario.teardown_all ();
-              r)
-            seeds
+          Obs.run { Obs.none with check = Some report } (fun () ->
+              List.map
+                (fun seed ->
+                  if not json then
+                    Printf.printf
+                      "swarm: %d %s clients of %s traffic (seed %d)...\n%!"
+                      clients app profile seed;
+                  let r =
+                    Kite.Experiments.swarm_campaign ~flavor ~app ?impair
+                      ~profile ~clients ?rate ~seed ()
+                  in
+                  Kite.Scenario.teardown_all ();
+                  r)
+                seeds)
         with
-        | exception (Invalid_argument e | Failure e) ->
-            Kite_check.Check.set_default None;
-            `Error (false, e)
+        | exception (Invalid_argument e | Failure e) -> `Error (false, e)
         | results ->
-            Kite_check.Check.set_default None;
             if json then
               print_string
                 ("["
@@ -1117,7 +1030,7 @@ let swarm_cmd =
     Term.(
       ret
         (const run $ clients_arg $ profile_arg $ app_arg $ flavor_arg
-       $ impair_arg $ seed_arg $ rate_arg $ sweep_arg $ json_arg))
+       $ impair_arg $ seed_arg $ rate_arg $ sweep_arg $ campaigns_json_arg))
 
 let () =
   let info =

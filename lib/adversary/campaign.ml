@@ -1,7 +1,6 @@
 open Kite_sim
 open Kite_xen
 open Kite_drivers
-module Check = Kite_check.Check
 module Report = Kite_check.Report
 module Flight = Kite_flight.Flight
 module Scenario = Kite.Scenario
@@ -125,12 +124,8 @@ let blk_slo_us = 10_000.0
 let run_net ?only ~seed () =
   let report = Report.create () in
   let sink = Flight.sink () in
-  Check.set_default (Some (Check.default_config, report));
-  Flight.set_default (Some sink);
-  Fun.protect
-    ~finally:(fun () ->
-      Check.set_default None;
-      Flight.set_default None)
+  Kite.Obs.run
+    { (Kite.Obs.current ()) with check = Some report; flight = Some sink }
     (fun () ->
       let rng = Rng.create ((seed * 7919) + 17) in
       let queues = [| 1; 2; 4 |].(Rng.int rng 3) in
@@ -249,12 +244,8 @@ let run_net ?only ~seed () =
 let run_blk ?only ~seed () =
   let report = Report.create () in
   let sink = Flight.sink () in
-  Check.set_default (Some (Check.default_config, report));
-  Flight.set_default (Some sink);
-  Fun.protect
-    ~finally:(fun () ->
-      Check.set_default None;
-      Flight.set_default None)
+  Kite.Obs.run
+    { (Kite.Obs.current ()) with check = Some report; flight = Some sink }
     (fun () ->
       let rng = Rng.create ((seed * 7919) + 29) in
       let queues = [| 1; 2; 4 |].(Rng.int rng 3) in

@@ -34,7 +34,7 @@ val report : t -> Report.t
 
     [Scenario] consults this when building a testbed: when set, every
     machine it creates is instrumented with a fresh [t] targeting the
-    stored report.  [kite_ctl check] and the test suite set it. *)
+    stored report.  [Kite.Obs.run] sets it (perfbench sets it directly). *)
 
 val set_default : (config * Report.t) option -> unit
 val default : unit -> (config * Report.t) option

@@ -998,7 +998,7 @@ let abl_wake ~quick =
      cost (no fast handler-to-thread path). *)
   let requests = if quick then 100 else 400 in
   let run_with ov =
-    let s = Scenario.network_with_overheads ~overheads:ov () in
+    let s = Scenario.network ~overheads_override:ov ~flavor:Scenario.Kite () in
     let result = ref None in
     Scenario.when_net_ready s (fun () ->
         BT.Netperf.run ~sched:s.Scenario.sched ~client:s.Scenario.client_stack
@@ -1078,29 +1078,20 @@ let restart ~quick:_ =
 let restart_recovery ~quick =
   let module Flight = Kite_flight.Flight in
   let module Slo = Kite_flight.Slo in
-  (* The incident snapshot is part of this experiment's contract, so when
-     the CLI armed no observability sinks we install private ones — a
-     flight recorder per machine, plus the fault log (whose toolstack
-     notes land in the timeline) and a metrics registry (for the delta
-     and the SLO histogram) — and restore the ambient state afterwards,
-     like [hypercalls] does for tracing. *)
-  let saved_flight = Flight.default () in
-  let saved_fault = Kite_fault.Fault.default () in
-  let saved_metrics = Kite_metrics.Registry.default () in
-  (match saved_flight with
-  | None -> Flight.set_default (Some (Flight.sink ()))
-  | Some _ -> ());
-  (match saved_fault with
-  | None -> Kite_fault.Fault.set_default (Some (Kite_fault.Fault.sink ~seed:23 []))
-  | Some _ -> ());
-  (match saved_metrics with
-  | None -> Kite_metrics.Registry.set_default (Some (Kite_metrics.Registry.sink ()))
-  | Some _ -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      Flight.set_default saved_flight;
-      Kite_fault.Fault.set_default saved_fault;
-      Kite_metrics.Registry.set_default saved_metrics)
+  (* The incident snapshot is part of this experiment's contract, so
+     where the enclosing run armed none we arm private sinks: a flight
+     recorder per machine, plus the fault log (whose toolstack notes land
+     in the timeline) and a metrics registry (for the delta and the SLO
+     histogram). *)
+  let obs = Obs.current () in
+  Obs.run
+    {
+      obs with
+      flight = Obs.ensure obs.flight Flight.sink;
+      fault =
+        Obs.ensure obs.fault (fun () -> Kite_fault.Fault.sink ~seed:23 []);
+      metrics = Obs.ensure obs.metrics Kite_metrics.Registry.sink;
+    }
   @@ fun () ->
   let flights = ref [] in
   (* Seal at row end so the rendered snapshot carries its metrics delta
@@ -1144,7 +1135,7 @@ let restart_recovery ~quick =
         done;
         done_ := Some ());
     drive s.Scenario.bhv done_ "restart-recovery storage";
-    note_flight s.Scenario.blk_flight;
+    note_flight s.Scenario.bctx.Kite_drivers.Xen_ctx.flight;
     let dt = match !downtime with Some d -> d | None -> 0 in
     [
       Scenario.flavor_name flavor;
@@ -1163,14 +1154,14 @@ let restart_recovery ~quick =
        SLO-annotated p99 spike: a timed-out ping is observed at the
        timeout value (the client-visible floor of its latency). *)
     let rtt_h =
-      match s.Scenario.net_metrics with
+      match s.Scenario.ctx.Kite_drivers.Xen_ctx.metrics with
       | Some reg ->
           let h =
             Kite_metrics.Registry.histogram reg
               ~help:"client ping RTT (ns); timeouts observed at the timeout"
               ~base:1000. ~factor:2. "kite_ping_rtt_ns" []
           in
-          (match s.Scenario.net_flight with
+          (match s.Scenario.ctx.Kite_drivers.Xen_ctx.flight with
           | Some fl ->
               Flight.add_slo fl
                 (Slo.create ~name:"ping-rtt-p99" ~metric:"kite_ping_rtt_ns"
@@ -1224,7 +1215,7 @@ let restart_recovery ~quick =
         done;
         done_ := Some ());
     drive s.Scenario.hv done_ "restart-recovery network";
-    note_flight s.Scenario.net_flight;
+    note_flight s.Scenario.ctx.Kite_drivers.Xen_ctx.flight;
     let dt = match !downtime with Some d -> d | None -> 0 in
     [
       Scenario.flavor_name flavor;
@@ -1416,14 +1407,12 @@ let memory ~quick:_ =
 (* xentrace-style accounting: which hypercalls a driver domain issues
    under a fixed workload, Kite vs Linux — the per-operation costs §4.2
    reasons about, measured rather than asserted.  Implemented on the
-   kite_trace hypercall profile: a private sink traces both testbeds
-   (saving and restoring any sink an enclosing [kite_ctl trace] set). *)
+   kite_trace hypercall profile: a private sink traces both testbeds,
+   in place of any sink an enclosing [kite_ctl trace] armed. *)
 let hypercalls ~quick =
   let pings = if quick then 5 else 20 in
   let module Trace = Kite_trace.Trace in
-  let saved = Trace.default () in
   let sink = Trace.sink () in
-  Trace.set_default (Some sink);
   let run flavor =
     let s = Scenario.network ~flavor () in
     let done_ = ref None in
@@ -1438,9 +1427,7 @@ let hypercalls ~quick =
     s.Scenario.dd.Kite_xen.Domain.name
   in
   let kdd, ldd =
-    Fun.protect
-      ~finally:(fun () -> Trace.set_default saved)
-      (fun () ->
+    Obs.run { (Obs.current ()) with trace = Some sink } (fun () ->
         let kdd = run Scenario.Kite in
         let ldd = run Scenario.Linux in
         (kdd, ldd))
@@ -1494,11 +1481,9 @@ let hypercalls ~quick =
    is what extra queues parallelize. *)
 let mq_run_gbps ~duration ~mq nq =
   let hv = Kite_xen.Hypervisor.create ~seed:910 () in
-  let ctx = Kite_drivers.Xen_ctx.create hv in
-  (* Hand-built testbed, so consult the run-wide sinks explicitly: the
-     armed-vs-disarmed tests arm every sink on exactly this workload.
-     No-op when nothing is armed. *)
-  Scenario.arm_ambient ctx "mq-";
+  (* Hand-built testbed, armed and torn down like the others: the
+     armed-vs-disarmed tests arm every sink on exactly this workload. *)
+  let ctx = Scenario.arm hv "mq-" in
   let sched = Kite_xen.Hypervisor.sched hv in
   let metrics = Kite_xen.Hypervisor.metrics hv in
   let dd =
@@ -1518,9 +1503,10 @@ let mq_run_gbps ~duration ~mq nq =
       ~line_rate_gbps:100.0 ~queue_limit:65536 ()
   in
   Kite_devices.Nic.connect srv cli ~propagation:(Time.ns 500);
-  ignore
-    (Kite_drivers.Net_app.run ctx ~domain:dd ~nic:srv
-       ~overheads:Kite_drivers.Overheads.kite ());
+  let app =
+    Kite_drivers.Net_app.run ctx ~domain:dd ~nic:srv
+      ~overheads:Kite_drivers.Overheads.kite ()
+  in
   let queues = if mq then Some nq else None in
   Kite_drivers.Toolstack.add_vif ctx ~backend:dd ~frontend:domu ~devid:0
     ?queues ();
@@ -1528,6 +1514,10 @@ let mq_run_gbps ~duration ~mq nq =
     Kite_drivers.Netfront.create ctx ~domain:domu ~backend:dd ~devid:0
       ?num_queues:queues ()
   in
+  Scenario.register_teardown ctx ~dd
+    ~stop:(fun () ->
+      Kite_drivers.Netback.stop (Kite_drivers.Net_app.netback app))
+    ~shutdown:(fun () -> Kite_drivers.Netfront.shutdown front);
   let dev = Kite_drivers.Netfront.netdev front in
   Kite_net.Netdev.set_up dev true;
   let frame_len = 1500 in
@@ -1611,20 +1601,15 @@ let mq_scale ~quick =
 let latency_waterfall ~quick =
   let module Path = Kite_path.Path in
   (* The waterfall is the experiment's contract: arm private trace +
-     path sinks when the CLI armed none, restore the ambient state
-     afterwards (the restart-recovery / hypercalls pattern). *)
-  let saved_trace = Kite_trace.Trace.default () in
-  let saved_path = Path.default () in
-  (match saved_trace with
-  | None -> Kite_trace.Trace.set_default (Some (Kite_trace.Trace.sink ()))
-  | Some _ -> ());
-  (match saved_path with
-  | None -> Path.set_default (Some (Path.sink ()))
-  | Some _ -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      Kite_trace.Trace.set_default saved_trace;
-      Path.set_default saved_path)
+     path sinks where the enclosing run armed none (the restart-recovery
+     pattern). *)
+  let obs = Obs.current () in
+  Obs.run
+    {
+      obs with
+      trace = Obs.ensure obs.trace Kite_trace.Trace.sink;
+      path = Obs.ensure obs.path Path.sink;
+    }
   @@ fun () ->
   let engine_of ctx =
     match ctx.Kite_drivers.Xen_ctx.path with

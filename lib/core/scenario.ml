@@ -2,6 +2,10 @@ open Kite_sim
 open Kite_xen
 open Kite_net
 open Kite_drivers
+module Report = Kite_check.Report
+module Trace = Kite_trace.Trace
+module Registry = Kite_metrics.Registry
+module Flight = Kite_flight.Flight
 
 type flavor = Kite | Linux
 
@@ -19,163 +23,23 @@ let client_rx_cost = Time.us 1
 (* Every testbed built here registers an orderly-teardown closure;
    [teardown_all] runs them so end-of-run audits (grant leaks, orphaned
    watches) inspect a quiesced system rather than steady-state buffers.
-   Registration is unconditional — the final audit only runs when a
-   checker is active (Check.set_default), but the quiesce/stop/shutdown
-   sequence itself must not depend on one being set. *)
+   Registration is unconditional: the final audit only runs when the
+   machine was armed with a checker, but the quiesce/stop/shutdown
+   sequence itself must not depend on one. *)
 let scenario_seq = ref 0
 let teardowns : (unit -> unit) list ref = ref []
-
-(* Run-wide schedule-exploration seed (kite_ctl race --sweep, test
-   sweeps): when set, every engine built here draws PCT-style random
-   priorities for same-instant events from this seed, so one process
-   image can be rerun under many interleavings.  An explicit
-   [?schedule_seed] argument to [network]/[storage] overrides it. *)
-let schedule_seed : int option ref = ref None
-let set_schedule_seed s = schedule_seed := s
+let on_teardown f = teardowns := f :: !teardowns
 
 let teardown_all () =
   let fs = List.rev !teardowns in
   teardowns := [];
   List.iter (fun f -> try f () with _ -> ()) fs
 
-let attach_check ctx tag =
-  match Kite_check.Check.default () with
-  | None -> None
-  | Some (config, report) ->
-      incr scenario_seq;
-      let c =
-        Kite_check.Check.create ~config
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-          report
-      in
-      Kite_drivers.Xen_ctx.enable_check ctx c;
-      Some c
-
-(* Same default-consulting pattern as [attach_check]: when a trace sink is
-   set (Trace.set_default), every machine built here gets its own tracer
-   registered in the sink. *)
-let attach_trace ctx tag =
-  match Kite_trace.Trace.default () with
-  | None -> ()
-  | Some sink ->
-      incr scenario_seq;
-      let tr =
-        Kite_trace.Trace.create_in sink
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-      in
-      Kite_drivers.Xen_ctx.enable_trace ctx tr;
-      (* An orphaned hop/end (no span open on the thread) means a broken
-         begin/end pairing somewhere in the instrumentation; the tracer
-         counts them, and teardown surfaces a non-zero count as a checker
-         warning instead of letting them vanish. *)
-      teardowns :=
-        (fun () ->
-          let hops = Kite_trace.Trace.orphan_hops tr in
-          let ends = Kite_trace.Trace.orphan_ends tr in
-          if hops + ends > 0 then
-            match Kite_check.Check.default () with
-            | Some (_, report) ->
-                Kite_check.Report.add report
-                  {
-                    Kite_check.Report.severity = Kite_check.Report.Warning;
-                    subsystem = "trace";
-                    rule = "span-orphaned";
-                    provenance = Kite_trace.Trace.name tr;
-                    message =
-                      Printf.sprintf
-                        "%d orphaned span event(s) (%d hop, %d end): \
-                         span_hop/span_end with no span open on the thread"
-                        (hops + ends) hops ends;
-                  }
-            | None -> ())
-        :: !teardowns
-
-(* And again for fault injection (Fault.set_default): each machine gets
-   its own injector, seeded deterministically from the sink, so two runs
-   with the same seed and plan inject at identical points. *)
-let attach_fault ctx tag =
-  match Kite_fault.Fault.default () with
-  | None -> None
-  | Some sink ->
-      incr scenario_seq;
-      let f =
-        Kite_fault.Fault.create_in sink
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-      in
-      Kite_drivers.Xen_ctx.enable_fault ctx f;
-      Some f
-
-(* And for the race detector (Race.set_default): each machine gets its
-   own detector registered in the sink; findings land in the sink's
-   shared report alongside the protocol checker's. *)
-let attach_race ctx tag =
-  match Kite_race.Race.default () with
-  | None -> ()
-  | Some sink ->
-      incr scenario_seq;
-      let r =
-        Kite_race.Race.create_in sink
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-      in
-      Kite_drivers.Xen_ctx.enable_race ctx r
-
-(* And for telemetry (Kite_metrics.Registry.set_default): each machine
-   gets its own registry in the sink, plus a Dom0 sampler daemon that
-   snapshots every instrument into its ring-buffered series on the
-   registry's interval.  The sampler is stop-guarded through the
-   teardown list so audited runs quiesce. *)
-let attach_metrics ctx tag =
-  match Kite_metrics.Registry.default () with
-  | None -> None
-  | Some sink ->
-      incr scenario_seq;
-      let r =
-        Kite_metrics.Registry.create_in sink
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-      in
-      Kite_drivers.Xen_ctx.enable_metrics ctx r;
-      let hv = ctx.Xen_ctx.hv in
-      let stop = ref false in
-      teardowns := (fun () -> stop := true) :: !teardowns;
-      Hypervisor.spawn hv (Hypervisor.dom0 hv) ~daemon:true
-        ~name:"metrics-sampler" (fun () ->
-          while not !stop do
-            Process.sleep (Kite_metrics.Registry.interval r);
-            if not !stop then
-              Kite_metrics.Registry.sample r ~at:(Hypervisor.now hv)
-          done);
-      Some r
-
-(* And for critical-path attribution (Kite_path.Path.set_default): each
-   machine gets its own engine.  It taps the tracer's span stream
-   additively (so it composes with the flight recorder's primary span
-   observer) and mirrors its histograms/counters into the machine's
-   registry when one is attached — call this after [attach_trace] and
-   [attach_metrics].  Enabling it on the context also arms the
-   scheduler/hypervisor CPU-profiler hooks. *)
-let attach_path ctx tag =
-  match Kite_path.Path.default () with
-  | None -> None
-  | Some sink ->
-      incr scenario_seq;
-      let p =
-        Kite_path.Path.create_in sink
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-      in
-      Kite_drivers.Xen_ctx.enable_path ctx p;
-      (match ctx.Xen_ctx.trace with
-      | Some tr -> Kite_path.Path.tap_trace p tr
-      | None -> ());
-      (match ctx.Xen_ctx.metrics with
-      | Some r -> Kite_path.Path.wire_metrics p r
-      | None -> ());
-      Some p
-
 (* The incident snapshot's xenstore view: a DFS dump of the /local/domain
    subtree, captured lazily at trigger time (so a crash trigger that runs
    before Xenstore.rm still sees the doomed domain's home). *)
-let store_dump ctx () =
-  let xs = Hypervisor.store ctx.Xen_ctx.hv in
+let store_dump hv () =
+  let xs = Hypervisor.store hv in
   let rec walk path acc =
     let acc =
       match Xenstore.read xs ~path with
@@ -188,87 +52,147 @@ let store_dump ctx () =
   in
   List.rev (walk "/local/domain" [])
 
-(* And for the flight recorder (Kite_flight.Flight.set_default): each
-   machine gets its own recorder which taps whatever observability layers
-   the testbed already attached (so call this after the others), plus the
-   run's shared checker report when one is set.  Teardown seals any open
-   incident and runs the recorder's own audit. *)
-let attach_flight ctx tag =
-  match Kite_flight.Flight.default () with
-  | None -> None
-  | Some sink ->
-      incr scenario_seq;
-      let hv = ctx.Xen_ctx.hv in
-      let fl =
-        Kite_flight.Flight.create_in sink
-          ~name:(Printf.sprintf "%s%d" tag !scenario_seq)
-          ~now:(fun () -> Hypervisor.now hv)
-      in
-      Kite_drivers.Xen_ctx.enable_flight ctx fl;
-      (match ctx.Xen_ctx.trace with
-      | Some tr -> Kite_flight.Flight.tap_trace fl tr
-      | None -> ());
-      (match ctx.Xen_ctx.fault with
-      | Some f -> Kite_flight.Flight.tap_fault fl f
-      | None -> ());
-      (match ctx.Xen_ctx.metrics with
-      | Some r -> Kite_flight.Flight.tap_metrics fl r
-      | None -> ());
-      (match ctx.Xen_ctx.path with
-      | Some p -> Kite_flight.Flight.tap_path fl p
-      | None -> ());
-      (* The report is shared run-wide, so with several machines the
-         last-built one receives the findings records. *)
-      (match Kite_check.Check.default () with
-      | Some (_, report) -> Kite_flight.Flight.tap_report fl report
-      | None -> ());
-      Kite_flight.Flight.set_store_source fl (store_dump ctx);
-      teardowns :=
-        (fun () ->
-          Kite_flight.Flight.mark fl ~what:"teardown"
-            ~msg:"scenario teardown";
-          Kite_flight.Flight.seal_all fl;
-          match Kite_check.Check.default () with
-          | Some (_, report) -> Kite_flight.Flight.audit fl report
-          | None -> ())
-        :: !teardowns;
-      Some fl
+(* One member per armed layer of the installed context, named <tag><n>
+   where [n] counts every member built in this process, so names stay
+   unique within each sink.  The build order (check, race, trace, fault,
+   metrics, path, flight) fixes the numbering.  The checker report is the
+   one installed now, also for the teardown audits below. *)
+let arm hv tag =
+  let obs = Obs.current () in
+  let member create sink =
+    Option.map
+      (fun s ->
+        incr scenario_seq;
+        create s ~name:(Printf.sprintf "%s%d" tag !scenario_seq))
+      sink
+  in
+  let check =
+    member (fun r ~name -> Kite_check.Check.create ~name r) obs.Obs.check
+  in
+  let race = member Kite_race.Race.create_in obs.Obs.race in
+  let trace = member Trace.create_in obs.Obs.trace in
+  let fault = member Kite_fault.Fault.create_in obs.Obs.fault in
+  let metrics = member Registry.create_in obs.Obs.metrics in
+  let path = member Kite_path.Path.create_in obs.Obs.path in
+  let flight =
+    let now () = Hypervisor.now hv in
+    member (fun s ~name -> Flight.create_in s ~name ~now) obs.Obs.flight
+  in
+  let ctx =
+    Xen_ctx.create ?check ?race ?trace ?fault ?metrics ?path ?flight hv
+  in
+  (* An orphaned hop/end (no span open on the thread) means a broken
+     begin/end pairing somewhere in the instrumentation; the tracer counts
+     them, and teardown surfaces a non-zero count as a checker warning
+     instead of letting them vanish. *)
+  (match (trace, obs.Obs.check) with
+  | Some tr, Some report ->
+      on_teardown (fun () ->
+          let hops = Trace.orphan_hops tr and ends = Trace.orphan_ends tr in
+          if hops + ends > 0 then
+            Report.add report
+              {
+                Report.severity = Report.Warning;
+                subsystem = "trace";
+                rule = "span-orphaned";
+                provenance = Trace.name tr;
+                message =
+                  Printf.sprintf
+                    "%d orphaned span event(s) (%d hop, %d end): \
+                     span_hop/span_end with no span open on the thread"
+                    (hops + ends) hops ends;
+              })
+  | _ -> ());
+  (* The path engine decomposes the tracer's spans and mirrors its
+     series into the registry. *)
+  Option.iter
+    (fun p ->
+      Option.iter (Kite_path.Path.tap_trace p) trace;
+      Option.iter (Kite_path.Path.wire_metrics p) metrics)
+    path;
+  (* A Dom0 sampler daemon snapshots every instrument into its
+     ring-buffered series on the registry's interval; teardown stops it
+     so audited runs quiesce. *)
+  (match metrics with
+  | Some r ->
+      let stop = ref false in
+      on_teardown (fun () -> stop := true);
+      Hypervisor.spawn hv (Hypervisor.dom0 hv) ~daemon:true
+        ~name:"metrics-sampler" (fun () ->
+          while not !stop do
+            Process.sleep (Registry.interval r);
+            if not !stop then Registry.sample r ~at:(Hypervisor.now hv)
+          done)
+  | None -> ());
+  (* The flight recorder taps every other armed layer and the checker
+     report (shared run-wide, so with several machines the last-built one
+     receives the findings records).  Teardown seals any open incident
+     and runs the recorder's own audit. *)
+  (match flight with
+  | Some fl ->
+      Option.iter (Flight.tap_trace fl) trace;
+      Option.iter (Flight.tap_fault fl) fault;
+      Option.iter (Flight.tap_metrics fl) metrics;
+      Option.iter (Flight.tap_path fl) path;
+      Option.iter (Flight.tap_report fl) obs.Obs.check;
+      Flight.set_store_source fl (store_dump hv);
+      on_teardown (fun () ->
+          Flight.mark fl ~what:"teardown" ~msg:"scenario teardown";
+          Flight.seal_all fl;
+          Option.iter (Flight.audit fl) obs.Obs.check)
+  | None -> ());
+  ctx
 
-(* Arm whatever ambient observability sinks are set on a hand-built
-   context (the mq benchmarks construct Hypervisor + Xen_ctx directly
-   rather than through [network]/[storage]).  Named arm_, not attach_:
-   callers that never build a full scenario teardown keep lint quiet. *)
-let arm_ambient ctx tag =
-  ignore (attach_check ctx tag);
-  attach_trace ctx tag;
-  ignore (attach_fault ctx tag);
-  ignore (attach_metrics ctx tag);
-  ignore (attach_path ctx tag);
-  ignore (attach_flight ctx tag)
+(* The teardown every testbed shares.  Drain in-flight I/O, stop the
+   backend (unregisters its watch), give its threads a beat to park,
+   then close the frontend; audit only when a checker is wired in.
+   [stop] and [shutdown] are called at teardown time, so after a
+   crash-and-restart cycle they can reach the respawned backend. *)
+let register_teardown ctx ~dd ~stop ~shutdown =
+  let hv = ctx.Xen_ctx.hv in
+  on_teardown (fun () ->
+      Hypervisor.run_for hv (Time.sec 1);
+      Hypervisor.spawn hv dd ~name:"teardown" (fun () ->
+          stop ();
+          Process.sleep (Time.ms 1);
+          (* The sleep is the only thing ordering us after the parked
+             backend threads; claim their exit edges explicitly. *)
+          if Kite_race.Race.active () then Kite_race.Race.scoped_quiesce ();
+          shutdown ());
+      Hypervisor.run_for hv (Time.ms 50);
+      match ctx.Xen_ctx.check with
+      | Some c ->
+          Kite_check.Check.finalize c
+            ~pending:(Engine.pending (Hypervisor.engine hv))
+      | None -> ())
 
 (* Edge-triggered backend-health probe: silent until the handshake first
    reaches Connected, then any other state (a crashed or closing
    backend) raises a structured alert until the frontend's recovery
    reconnects.  Evaluated at sampling time from the Dom0 sampler, so the
-   xenstore read is charged like any other Dom0 access. *)
-let backend_state_probe ctx ~dev ~path reg =
-  let seen_connected = ref false in
-  Kite_metrics.Registry.probe reg ~name:"kite_backend_state"
-    [ ("dev", dev) ]
-    (fun () ->
-      let st =
-        Xenbus.read_state ctx.Xen_ctx.xb
-          (Hypervisor.dom0 ctx.Xen_ctx.hv)
-          ~path
-      in
-      if st = Xenbus.Connected then (
-        seen_connected := true;
-        Kite_metrics.Registry.Healthy)
-      else if !seen_connected then
-        Kite_metrics.Registry.Alert
-          (Format.asprintf "backend %s state %a (expected Connected)" dev
-             Xenbus.pp_state st)
-      else Kite_metrics.Registry.Healthy)
+   xenstore read is charged like any other Dom0 access.  Registered only
+   when the machine is armed with metrics. *)
+let backend_state_probe ctx ~ty ~dd ~domu =
+  match ctx.Xen_ctx.metrics with
+  | None -> ()
+  | Some reg ->
+      let dev = ty ^ "0" in
+      let path = Xenbus.backend_path ~backend:dd ~frontend:domu ~ty ~devid:0 in
+      let seen_connected = ref false in
+      Registry.probe reg ~name:"kite_backend_state" [ ("dev", dev) ]
+        (fun () ->
+          let st =
+            Xenbus.read_state ctx.Xen_ctx.xb (Hypervisor.dom0 ctx.Xen_ctx.hv)
+              ~path
+          in
+          if st = Xenbus.Connected then (
+            seen_connected := true;
+            Registry.Healthy)
+          else if !seen_connected then
+            Registry.Alert
+              (Format.asprintf "backend %s state %a (expected Connected)" dev
+                 Xenbus.pp_state st)
+          else Registry.Healthy)
 
 type net = {
   hv : Hypervisor.t;
@@ -285,23 +209,21 @@ type net = {
   server_nic : Kite_devices.Nic.t;
   client_nic : Kite_devices.Nic.t;
   guest_ip : Ipv4addr.t;
-  net_fault : Kite_fault.Fault.t option;
-  net_metrics : Kite_metrics.Registry.t option;
-  net_flight : Kite_flight.Flight.t option;
 }
+
+(* An explicit [?schedule_seed] overrides the installed context's. *)
+let hypervisor ~seed sseed =
+  let sseed =
+    match sseed with
+    | Some _ -> sseed
+    | None -> (Obs.current ()).Obs.schedule_seed
+  in
+  Hypervisor.create ~seed ?schedule_seed:sseed ()
 
 let network ?overheads_override ~flavor ?(seed = 2022) ?schedule_seed:sseed
     ?num_queues ?impair () =
-  let sseed = match sseed with Some _ -> sseed | None -> !schedule_seed in
-  let hv = Hypervisor.create ~seed ?schedule_seed:sseed () in
-  let ctx = Xen_ctx.create hv in
-  let check = attach_check ctx ("net-" ^ flavor_name flavor ^ "-") in
-  attach_race ctx ("net-" ^ flavor_name flavor ^ "-");
-  attach_trace ctx ("net-" ^ flavor_name flavor ^ "-");
-  let fault = attach_fault ctx ("net-" ^ flavor_name flavor ^ "-") in
-  let mreg = attach_metrics ctx ("net-" ^ flavor_name flavor ^ "-") in
-  ignore (attach_path ctx ("net-" ^ flavor_name flavor ^ "-"));
-  let flight = attach_flight ctx ("net-" ^ flavor_name flavor ^ "-") in
+  let hv = hypervisor ~seed sseed in
+  let ctx = arm hv ("net-" ^ flavor_name flavor ^ "-") in
   let sched = Hypervisor.sched hv in
   let metrics = Hypervisor.metrics hv in
   let profile =
@@ -349,14 +271,8 @@ let network ?overheads_override ~flavor ?(seed = 2022) ?schedule_seed:sseed
   let overheads =
     Option.value overheads_override ~default:(overheads_of flavor)
   in
-  Kite_devices.Nic.set_fault nic fault;
-  (match mreg with
-  | Some r ->
-      backend_state_probe ctx ~dev:"vif0"
-        ~path:
-          (Xenbus.backend_path ~backend:dd ~frontend:domu ~ty:"vif" ~devid:0)
-        r
-  | None -> ());
+  Kite_devices.Nic.set_fault nic ctx.Xen_ctx.fault;
+  backend_state_probe ctx ~ty:"vif" ~dd ~domu;
   let net_app = Net_app.run ctx ~domain:dd ~nic ~overheads () in
   (* The queue count is wired at both layers: the toolstack writes the
      guest-config hint and the frontend is given the explicit ask (the
@@ -396,32 +312,11 @@ let network ?overheads_override ~flavor ?(seed = 2022) ?schedule_seed:sseed
       server_nic;
       client_nic;
       guest_ip;
-      net_fault = fault;
-      net_metrics = mreg;
-      net_flight = flight;
     }
   in
-  (* Drain in-flight I/O, stop the backend (unregisters its watch), give
-     its threads a beat to park, then close the frontend; audit only when
-     a checker is wired in.  [s.net_app] is read at teardown time: after
-     a crash-and-restart cycle it is the respawned backend. *)
-  teardowns :=
-    (fun () ->
-      Hypervisor.run_for hv (Time.sec 1);
-      Hypervisor.spawn hv dd ~name:"teardown" (fun () ->
-          Netback.stop (Net_app.netback s.net_app);
-          Process.sleep (Time.ms 1);
-          (* The sleep is the only thing ordering us after the parked
-             backend threads; claim their exit edges explicitly. *)
-          if Kite_race.Race.active () then Kite_race.Race.scoped_quiesce ();
-          Netfront.shutdown netfront);
-      Hypervisor.run_for hv (Time.ms 50);
-      match check with
-      | Some c ->
-          Kite_check.Check.finalize c
-            ~pending:(Engine.pending (Hypervisor.engine hv))
-      | None -> ())
-    :: !teardowns;
+  register_teardown ctx ~dd
+    ~stop:(fun () -> Netback.stop (Net_app.netback s.net_app))
+    ~shutdown:(fun () -> Netfront.shutdown netfront);
   s
 
 let when_net_ready net f =
@@ -440,24 +335,13 @@ type blk = {
   blkfront : Blkfront.t;
   mutable blk_app : Blk_app.t;
   nvme : Kite_devices.Nvme.t;
-  blk_fault : Kite_fault.Fault.t option;
-  blk_metrics : Kite_metrics.Registry.t option;
-  blk_flight : Kite_flight.Flight.t option;
 }
 
 let storage ~flavor ?(seed = 2022) ?schedule_seed:sseed
     ?(feature_persistent = true) ?(feature_indirect = true)
     ?(batching = true) ?num_queues () =
-  let sseed = match sseed with Some _ -> sseed | None -> !schedule_seed in
-  let hv = Hypervisor.create ~seed ?schedule_seed:sseed () in
-  let ctx = Xen_ctx.create hv in
-  let check = attach_check ctx ("blk-" ^ flavor_name flavor ^ "-") in
-  attach_race ctx ("blk-" ^ flavor_name flavor ^ "-");
-  attach_trace ctx ("blk-" ^ flavor_name flavor ^ "-");
-  let fault = attach_fault ctx ("blk-" ^ flavor_name flavor ^ "-") in
-  let mreg = attach_metrics ctx ("blk-" ^ flavor_name flavor ^ "-") in
-  ignore (attach_path ctx ("blk-" ^ flavor_name flavor ^ "-"));
-  let flight = attach_flight ctx ("blk-" ^ flavor_name flavor ^ "-") in
+  let hv = hypervisor ~seed sseed in
+  let ctx = arm hv ("blk-" ^ flavor_name flavor ^ "-") in
   let sched = Hypervisor.sched hv in
   let metrics = Hypervisor.metrics hv in
   let profile =
@@ -487,14 +371,8 @@ let storage ~flavor ?(seed = 2022) ?schedule_seed:sseed
   Kite_devices.Pci.register pci ~bdf:"02:00.0" (Kite_devices.Pci.Nvme nvme);
   Kite_devices.Pci.assignable_add pci ~bdf:"02:00.0";
   ignore (Kite_devices.Pci.attach pci ~bdf:"02:00.0" dd);
-  Kite_devices.Nvme.set_fault nvme fault;
-  (match mreg with
-  | Some r ->
-      backend_state_probe ctx ~dev:"vbd0"
-        ~path:
-          (Xenbus.backend_path ~backend:dd ~frontend:domu ~ty:"vbd" ~devid:0)
-        r
-  | None -> ());
+  Kite_devices.Nvme.set_fault nvme ctx.Xen_ctx.fault;
+  backend_state_probe ctx ~ty:"vbd" ~dd ~domu;
   let blk_app =
     Blk_app.run ctx ~domain:dd ~nvme ~overheads:(overheads_of flavor)
       ~feature_persistent ~feature_indirect ~batching ()
@@ -506,26 +384,13 @@ let storage ~flavor ?(seed = 2022) ?schedule_seed:sseed
   in
   let s =
     { bhv = hv; bctx = ctx; bsched = sched; bdd = dd; bdomu = domu;
-      blkfront; blk_app; nvme; blk_fault = fault; blk_metrics = mreg;
-      blk_flight = flight }
+      blkfront; blk_app; nvme }
   in
-  teardowns :=
-    (fun () ->
-      Hypervisor.run_for hv (Time.sec 1);
-      Hypervisor.spawn hv dd ~name:"teardown" (fun () ->
-          (* Backend first: its persistent-reference sweep must unmap
-             before blkfront revokes the pool. *)
-          Blkback.stop (Blk_app.blkback s.blk_app);
-          Process.sleep (Time.ms 1);
-          if Kite_race.Race.active () then Kite_race.Race.scoped_quiesce ();
-          Blkfront.shutdown blkfront);
-      Hypervisor.run_for hv (Time.ms 50);
-      match check with
-      | Some c ->
-          Kite_check.Check.finalize c
-            ~pending:(Engine.pending (Hypervisor.engine hv))
-      | None -> ())
-    :: !teardowns;
+  (* Backend first: its persistent-reference sweep must unmap before
+     blkfront revokes the pool. *)
+  register_teardown ctx ~dd
+    ~stop:(fun () -> Blkback.stop (Blk_app.blkback s.blk_app))
+    ~shutdown:(fun () -> Blkfront.shutdown blkfront);
   s
 
 let blockdev blk =
@@ -583,7 +448,7 @@ let crash_and_restart_blk s ~flavor ~at ?on_restored () =
           let downtime = Hypervisor.now hv - t0 in
           (match s.bctx.Xen_ctx.flight with
           | Some fl ->
-              Kite_flight.Flight.mark fl ~what:"recovery"
+              Flight.mark fl ~what:"recovery"
                 ~msg:
                   (Printf.sprintf "blkfront reconnected, downtime %d ns"
                      downtime)
@@ -618,12 +483,9 @@ let crash_and_restart_net s ~flavor ~at ?on_restored () =
           let downtime = Hypervisor.now hv - t0 in
           (match s.ctx.Xen_ctx.flight with
           | Some fl ->
-              Kite_flight.Flight.mark fl ~what:"recovery"
+              Flight.mark fl ~what:"recovery"
                 ~msg:
                   (Printf.sprintf "netfront reconnected, downtime %d ns"
                      downtime)
           | None -> ());
           match on_restored with Some f -> f ~downtime | None -> ()))
-
-let network_with_overheads ~overheads ?seed () =
-  network ~overheads_override:overheads ~flavor:Kite ?seed ()

@@ -9,30 +9,34 @@ val flavor_name : flavor -> string
 
 val overheads_of : flavor -> Kite_drivers.Overheads.t
 
-val set_schedule_seed : int option -> unit
-(** Run-wide schedule-exploration seed: when set, every testbed engine
-    built afterwards randomizes the order of same-instant events from
-    this seed (PCT-style), letting sweeps rerun one workload under many
-    interleavings with the race detector and protocol checker as
-    oracles.  [None] (the default) keeps the deterministic FIFO order.
-    An explicit [?schedule_seed] argument to {!network}/{!storage}
-    overrides it per-testbed. *)
-
 val teardown_all : unit -> unit
 (** Run the orderly teardown of every testbed built so far: quiesce,
-    stop backends, shut down frontends.  When a checker was active
-    ({!Kite_check.Check.set_default}) when the testbed was built, the
-    end-of-run audits (grant leaks, orphaned watches, open transactions,
-    quiescence) run as the last step. *)
+    stop backends, shut down frontends.  When the testbed was armed with
+    a checker (the {!Obs.t} [check] field), the end-of-run audits (grant
+    leaks, orphaned watches, open transactions, quiescence) run as the
+    last step. *)
 
-val arm_ambient : Kite_drivers.Xen_ctx.t -> string -> unit
-(** Arm whatever run-wide observability sinks are currently set (check,
-    trace, fault, metrics, path, flight — in that order, so the path
-    engine taps the tracer/registry and the recorder taps the rest) on a
-    hand-built context.  For benchmarks and harnesses
-    that construct [Hypervisor] + [Xen_ctx] directly instead of going
-    through {!network}/{!storage}, which arm these themselves.  The
-    string tags the per-machine instance names. *)
+val arm : Kite_xen.Hypervisor.t -> string -> Kite_drivers.Xen_ctx.t
+(** The machine's context, armed from the installed {!Obs} context: one
+    member per armed layer, built in the order check, race, trace,
+    fault, metrics, path, flight and named [<tag><n>] ([n] counts every
+    member built in this process).  Also installs the path engine's taps
+    on the tracer and registry, the flight recorder's taps on every
+    other layer and the checker report, the Dom0 metrics sampler, and
+    their teardowns (span-orphan warning, sampler stop, flight seal and
+    audit).  {!network} and {!storage} arm through it; a hand-built
+    testbed must also {!register_teardown}. *)
+
+val register_teardown :
+  Kite_drivers.Xen_ctx.t ->
+  dd:Kite_xen.Domain.t ->
+  stop:(unit -> unit) ->
+  shutdown:(unit -> unit) ->
+  unit
+(** The teardown every testbed shares, run by {!teardown_all}: drain
+    1 s, stop the backend ([stop], in a process of [dd]), claim the
+    parked threads' exit edges, shut down the frontend ([shutdown]), run
+    50 ms, then finalize the machine's checker when it has one. *)
 
 (** {1 Network domain testbed} *)
 
@@ -53,21 +57,6 @@ type net = {
   server_nic : Kite_devices.Nic.t;
   client_nic : Kite_devices.Nic.t;
   guest_ip : Kite_net.Ipv4addr.t;
-  net_fault : Kite_fault.Fault.t option;
-      (** This machine's injector when a fault sink was active
-          ({!Kite_fault.Fault.set_default}) at build time. *)
-  net_metrics : Kite_metrics.Registry.t option;
-      (** This machine's metric registry when a metrics sink was active
-          ({!Kite_metrics.Registry.set_default}) at build time.  A Dom0
-          sampler daemon snapshots it on the registry interval, and a
-          [kite_backend_state] probe alerts if the vif backend leaves
-          Connected after the first handshake. *)
-  net_flight : Kite_flight.Flight.t option;
-      (** This machine's flight recorder when a flight sink was active
-          ({!Kite_flight.Flight.set_default}) at build time, tapping
-          whatever other layers are attached; a driver-domain crash or a
-          probe alert edge triggers an incident snapshot, and teardown
-          seals + audits it. *)
 }
 
 val network :
@@ -86,12 +75,11 @@ val network :
     writes the guest-config hint and the frontend negotiates that many
     Tx/Rx ring pairs (capped by netback).  [impair] puts seeded
     loss/reorder/delay on both directions of the cable (streams derived
-    from [seed]; {!Kite_net.Impair.none} leaves the link ideal). *)
-
-val network_with_overheads :
-  overheads:Kite_drivers.Overheads.t -> ?seed:int -> unit -> net
-(** A Kite-shaped network testbed with explicit driver-domain overheads
-    (used by the threading ablation). *)
+    from [seed]; {!Kite_net.Impair.none} leaves the link ideal).
+    [overheads_override] replaces [flavor]'s driver-domain overheads
+    (the threading ablation).  The machine is {!arm}ed; with metrics
+    armed, a [kite_backend_state] probe alerts if the vif backend leaves
+    Connected after the first handshake. *)
 
 val when_net_ready : net -> (unit -> unit) -> unit
 (** Spawn [f] as a client-side process once the frontend is connected. *)
@@ -109,17 +97,6 @@ type blk = {
       (** Replaced by {!crash_and_restart_blk} when the backend domain is
           rebuilt. *)
   nvme : Kite_devices.Nvme.t;
-  blk_fault : Kite_fault.Fault.t option;
-      (** This machine's injector when a fault sink was active
-          ({!Kite_fault.Fault.set_default}) at build time. *)
-  blk_metrics : Kite_metrics.Registry.t option;
-      (** This machine's metric registry when a metrics sink was active
-          ({!Kite_metrics.Registry.set_default}) at build time; same
-          sampler and backend-state probe as {!net.net_metrics}, for the
-          vbd backend. *)
-  blk_flight : Kite_flight.Flight.t option;
-      (** This machine's flight recorder when a flight sink was active
-          at build time; see {!net.net_flight}. *)
 }
 
 val storage :
@@ -134,7 +111,8 @@ val storage :
   blk
 (** The feature flags exist for the ablation benchmarks.  [num_queues]
     negotiates that many blkif rings (capped by blkback); omitted means
-    the legacy single ring. *)
+    the legacy single ring.  Armed like {!network}, with the same
+    backend-state probe for the vbd backend. *)
 
 val blockdev : blk -> Kite_vfs.Blockdev.t
 (** The guest's paravirtual disk as a {!Kite_vfs.Blockdev} (every

@@ -7,57 +7,41 @@ type t = {
   gt : Kite_xen.Grant_table.t;
   netrings : Netchannel.registry;
   blkrings : Blkif.registry;
-  mutable check : Kite_check.Check.t option;
-  mutable trace : Kite_trace.Trace.t option;
-  mutable fault : Kite_fault.Fault.t option;
-  mutable metrics : Kite_metrics.Registry.t option;
-  mutable race : Kite_race.Race.t option;
-  mutable flight : Kite_flight.Flight.t option;
-  mutable path : Kite_path.Path.t option;
+  check : Kite_check.Check.t option;
+  trace : Kite_trace.Trace.t option;
+  fault : Kite_fault.Fault.t option;
+  metrics : Kite_metrics.Registry.t option;
+  race : Kite_race.Race.t option;
+  flight : Kite_flight.Flight.t option;
+  path : Kite_path.Path.t option;
 }
 
-val create : Kite_xen.Hypervisor.t -> t
-
-val enable_check : t -> Kite_check.Check.t -> unit
-(** Wire a protocol checker into this machine: scheduler hooks, the grant
-    table and the xenstore.  Rings are attached as drivers connect (they
-    see [check] through this record).  Call before spawning drivers. *)
-
-val enable_race : t -> Kite_race.Race.t -> unit
-(** Wire a happens-before race detector into this machine: scheduler
-    vector clocks and block epochs, store-node channels, event-channel
-    notify→deliver edges, grant-entry access checks, plus — through this
-    record — per-slot ring instrumentation and per-queue driver state as
-    drivers connect.  Call before spawning drivers. *)
-
-val enable_trace : t -> Kite_trace.Trace.t -> unit
-(** Wire an event tracer into this machine: hypervisor charges, the
-    scheduler, and — through this record — the drivers' rings, spans and
-    milestones.  Call before spawning drivers. *)
-
-val enable_fault : t -> Kite_fault.Fault.t -> unit
-(** Wire a fault injector into this machine: event-channel notification
-    drops and xenstore write/watch loss, plus — through this record —
-    ring-slot corruption in the drivers' rings and recovery notes.
-    Devices (NVMe/NIC) are attached by the testbed.  Call before
-    spawning drivers. *)
-
-val enable_metrics : t -> Kite_metrics.Registry.t -> unit
-(** Wire a metric registry into this machine: scheduler and per-domain
-    busy gauges, grant-table and event-channel counters, plus — through
-    this record — the drivers' per-vif/per-vbd instruments, ring
-    occupancy gauges and xenstore stats publishers.  Everything is a
-    polled closure evaluated at sampling time; call before spawning
-    drivers. *)
-
-val enable_flight : t -> Kite_flight.Flight.t -> unit
-(** Carry a flight recorder on this machine so the toolstack's
-    crash/restart paths can feed its trigger framework.  The recorder's
-    layer taps are installed by [Scenario.attach_flight], not here. *)
-
-val enable_path : t -> Kite_path.Path.t -> unit
-(** Wire a critical-path attribution engine into this machine: the
-    scheduler's current-process stack and the hypervisor's per-domain
-    per-process CPU attribution (the continuous profiler).  The span tap
-    is installed by [Scenario.attach_path] once the tracer is
-    attached. *)
+val create :
+  ?check:Kite_check.Check.t ->
+  ?race:Kite_race.Race.t ->
+  ?trace:Kite_trace.Trace.t ->
+  ?fault:Kite_fault.Fault.t ->
+  ?metrics:Kite_metrics.Registry.t ->
+  ?path:Kite_path.Path.t ->
+  ?flight:Kite_flight.Flight.t ->
+  Kite_xen.Hypervisor.t ->
+  t
+(** The machine's services, with each given observability member wired
+    into the machine-wide ones before any driver is spawned:
+    - [check]: scheduler hooks, the grant table, the xenstore and xenbus;
+    - [race]: scheduler vector clocks and block epochs, store-node
+      channels, event-channel notify→deliver edges, grant-entry access
+      checks;
+    - [trace]: hypervisor charges and the scheduler;
+    - [fault]: event-channel notification drops and xenstore write/watch
+      loss;
+    - [metrics]: scheduler and per-domain busy gauges, grant-table and
+      event-channel counters (polled closures evaluated at sampling
+      time);
+    - [path]: the scheduler's current-process stack and the hypervisor's
+      per-domain per-process CPU attribution (the continuous profiler);
+    - [flight]: carried only, so the toolstack's crash/restart paths can
+      feed its triggers.
+    Rings, per-queue driver state, drivers' instruments and devices see
+    the members through this record as drivers connect.  [Scenario.arm]
+    builds the members and installs the cross-layer taps. *)

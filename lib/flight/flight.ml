@@ -3,8 +3,8 @@
    that freezes the ring into incident snapshots.
 
    The recorder taps the existing observability layers through their
-   single-observer hooks (Trace completed spans, Fault injections and
-   notes, Registry alert edges, Report findings) and is therefore as
+   observer hooks (Trace completed spans, Fault injections and notes,
+   Registry alert edges, Report findings) and is therefore as
    cheap as they are: a layer without a tap installed pays nothing, and
    a machine without a recorder pays the usual [match None].  The ring
    keeps the most recent [limit] records, counting overwritten ones in
@@ -242,22 +242,20 @@ let slo_evals t = t.slo_evals
 (* ------------------------------------------------------------------ *)
 
 let tap_trace t tr =
-  Trace.set_span_observer tr
-    (Some
-       (fun sp ->
-         push t
-           {
-             r_at = sp.Trace.span_end_at;
-             r_layer = "trace";
-             r_kind = "span";
-             r_key =
-               Printf.sprintf "%s %s#%d" sp.Trace.span_kind sp.Trace.span_key
-                 sp.Trace.span_id;
-             r_msg =
-               Printf.sprintf "%d ns over %d stage(s)"
-                 (sp.Trace.span_end_at - sp.Trace.span_begin_at)
-                 (List.length sp.Trace.span_stages);
-           }))
+  Trace.add_span_observer tr (fun sp ->
+      push t
+        {
+          r_at = sp.Trace.span_end_at;
+          r_layer = "trace";
+          r_kind = "span";
+          r_key =
+            Printf.sprintf "%s %s#%d" sp.Trace.span_kind sp.Trace.span_key
+              sp.Trace.span_id;
+          r_msg =
+            Printf.sprintf "%d ns over %d stage(s)"
+              (sp.Trace.span_end_at - sp.Trace.span_begin_at)
+              (List.length sp.Trace.span_stages);
+        })
 
 let tap_fault t f =
   Fault.set_observer f

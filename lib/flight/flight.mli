@@ -145,10 +145,13 @@ val slo_evals : t -> Slo.eval list
 (** {1 Layer taps}
 
     Each tap installs this recorder as the layer's observer (at most one
-    per layer instance; installing replaces a previous tap). *)
+    per layer instance; installing replaces a previous tap), except
+    {!tap_trace}, which subscribes alongside the tracer's other
+    observers. *)
 
 val tap_trace : t -> Kite_trace.Trace.t -> unit
-(** Completed spans become ["trace"/"span"] records at their end time. *)
+(** Completed spans become ["trace"/"span"] records at their end time
+    ({!Kite_trace.Trace.add_span_observer}). *)
 
 val tap_fault : t -> Kite_fault.Fault.t -> unit
 (** Injections and notes become ["fault"/"inject"] and ["fault"/"note"]

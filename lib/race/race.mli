@@ -161,7 +161,7 @@ val members : sink -> t list
 val sink_report : sink -> Kite_check.Report.t
 
 val set_default : sink option -> unit
-(** Install (or clear) the run-wide default sink consulted by
-    [Scenario.attach_race]. *)
+(** Install (or clear) the run-wide default sink, written by [Kite.Obs.run]
+    and consulted by [Scenario.arm]. *)
 
 val default : unit -> sink option

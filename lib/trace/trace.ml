@@ -67,11 +67,9 @@ type t = {
   open_tbl : (string, open_span) Hashtbl.t;
   mutable done_spans : span list;  (* reversed *)
   mutable done_count : int;
-  (* Completed-span observer (the flight recorder's tap); [None] keeps
-     span_end allocation-identical to the pre-observer shape. *)
-  mutable span_obs : (span -> unit) option;
-  (* Additive observers (the path attribution tap): appended, never
-     clobbered by [set_span_observer], so layers compose. *)
+  (* Completed-span observers (the path and flight taps), in
+     subscription order; [] keeps span_end allocation-identical to the
+     pre-observer shape. *)
   mutable span_taps : (span -> unit) list;
   (* Hops/ends that arrived for spans never begun (or already ended):
      lost attribution, counted instead of silently vanishing. *)
@@ -97,7 +95,6 @@ let create ?(limit = 1_000_000) ?(name = "trace") () =
     open_tbl = Hashtbl.create 256;
     done_spans = [];
     done_count = 0;
-    span_obs = None;
     span_taps = [];
     orphan_hops = 0;
     orphan_ends = 0;
@@ -369,12 +366,10 @@ let span_end t ~at ~kind ~key ~id =
       in
       t.done_spans <- sp :: t.done_spans;
       t.done_count <- t.done_count + 1;
-      (match t.span_obs with None -> () | Some f -> f sp);
       (match t.span_taps with [] -> () | taps -> List.iter (fun f -> f sp) taps)
 
 let spans t = List.rev t.done_spans
 let open_spans t = Hashtbl.length t.open_tbl
-let set_span_observer t obs = t.span_obs <- obs
 let add_span_observer t f = t.span_taps <- t.span_taps @ [ f ]
 let orphan_hops t = t.orphan_hops
 let orphan_ends t = t.orphan_ends

@@ -40,7 +40,7 @@ val dropped : t -> int
 
     [Scenario] consults this when building a testbed: when a sink is set,
     every machine it creates is traced by a fresh [t] registered in the
-    sink.  [kite_ctl trace] and the test suite set it. *)
+    sink.  [Kite.Obs.run] sets it (perfbench sets it directly). *)
 
 type sink
 (** An ordered collection of per-machine tracers belonging to one run. *)
@@ -167,18 +167,12 @@ val orphan_hops : t -> int
 val orphan_ends : t -> int
 (** Ends that arrived for unknown spans, counted like {!orphan_hops}. *)
 
-val set_span_observer : t -> (span -> unit) option -> unit
-(** Install (or clear) the {e primary} completed-span observer, called
-    from {!span_end} after the span is recorded.  At most one primary
-    observer per tracer; the flight recorder is the intended client.
-    [None] (the default) keeps [span_end] on its pre-observer path. *)
-
 val add_span_observer : t -> (span -> unit) -> unit
-(** Append an {e additive} completed-span observer.  Additive observers
-    run after the primary one and are never replaced by
-    {!set_span_observer}, so independent layers (the path attribution
-    engine, the flight recorder) compose on one tracer.  They live as
-    long as the tracer. *)
+(** Subscribe a completed-span observer, called from {!span_end} after
+    the span is recorded, in subscription order.  Independent layers
+    (the path attribution engine, the flight recorder) compose on one
+    tracer.  Observers live as long as the tracer; with none,
+    [span_end] stays on its pre-observer path. *)
 
 (** {1 Exporters} *)
 

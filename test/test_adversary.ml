@@ -40,10 +40,7 @@ type outcome = {
    guest's health (every ping must still complete). *)
 let net_attack ~cls ~mode ~volley () =
   let report = Report.create () in
-  Check.set_default (Some (Check.default_config, report));
-  Fun.protect
-    ~finally:(fun () -> Check.set_default None)
-    (fun () ->
+  Kite.Obs.run { Kite.Obs.none with check = Some report } (fun () ->
       let s = Scenario.network ~flavor:Scenario.Kite ~seed:7 ~num_queues:2 () in
       let hv = s.Scenario.hv and ctx = s.Scenario.ctx in
       let evil =
@@ -187,10 +184,7 @@ let test_net_xenstore_abuse () =
    from the attacker's scratch sectors and must read it back intact. *)
 let blk_attack ~cls ~mode ~volley () =
   let report = Report.create () in
-  Check.set_default (Some (Check.default_config, report));
-  Fun.protect
-    ~finally:(fun () -> Check.set_default None)
-    (fun () ->
+  Kite.Obs.run { Kite.Obs.none with check = Some report } (fun () ->
       let s = Scenario.storage ~flavor:Scenario.Kite ~seed:7 ~num_queues:2 () in
       let hv = s.Scenario.bhv and ctx = s.Scenario.bctx in
       let evil =

@@ -5,7 +5,7 @@
 
 open Kite_sim
 module Scenario = Kite.Scenario
-module Check = Kite_check.Check
+module Obs = Kite.Obs
 module Report = Kite_check.Report
 module Trace = Kite_trace.Trace
 module Registry = Kite_metrics.Registry
@@ -15,32 +15,26 @@ module Blkfront = Kite_drivers.Blkfront
 
 type sinks = No_sink | Trace_only | All_five
 
-let disarm () =
-  Check.set_default None;
-  Trace.set_default None;
-  Registry.set_default None;
-  Path.set_default None;
-  Flight.set_default None
-
 (* Run [f] with [sinks] armed the way the kite_ctl subcommands arm them,
    then tear its testbeds down and require a clean checker report. *)
 let armed sinks f =
   let report = Report.create () in
-  (match sinks with
-  | No_sink -> ()
-  | Trace_only -> Trace.set_default (Some (Trace.sink ()))
-  | All_five ->
-      Check.set_default (Some (Check.default_config, report));
-      Trace.set_default (Some (Trace.sink ()));
-      Registry.set_default (Some (Registry.sink ()));
-      Path.set_default (Some (Path.sink ()));
-      Flight.set_default (Some (Flight.sink ())));
+  let obs =
+    match sinks with
+    | No_sink -> Obs.none
+    | Trace_only -> { Obs.none with trace = Some (Trace.sink ()) }
+    | All_five ->
+        {
+          Obs.none with
+          check = Some report;
+          trace = Some (Trace.sink ());
+          metrics = Some (Registry.sink ());
+          path = Some (Path.sink ());
+          flight = Some (Flight.sink ());
+        }
+  in
   let v =
-    Fun.protect
-      ~finally:(fun () ->
-        Scenario.teardown_all ();
-        disarm ())
-      f
+    Obs.run obs (fun () -> Fun.protect ~finally:Scenario.teardown_all f)
   in
   Alcotest.(check int) "zero checker errors" 0 (Report.errors report);
   v
@@ -103,8 +97,113 @@ let test_blk_armed () =
   Alcotest.(check int) "bytes" bytes bytes';
   Alcotest.(check (list int)) "latency samples" lat lat'
 
+(* The context itself: [Obs.run] puts the previous record back when its
+   body raises, and nests the way restart-recovery arms its private
+   sinks inside kite_ctl flight's, without replacing the ones already
+   armed. *)
+exception Boom
+
+let same (a : Obs.t) (b : Obs.t) =
+  let eq x y =
+    match (x, y) with
+    | None, None -> true
+    | Some x, Some y -> x == y
+    | _ -> false
+  in
+  eq a.check b.check && eq a.race b.race && eq a.trace b.trace
+  && eq a.fault b.fault && eq a.metrics b.metrics && eq a.path b.path
+  && eq a.flight b.flight
+  && a.schedule_seed = b.schedule_seed
+
+let test_obs_restores_on_raise () =
+  let outer =
+    {
+      Obs.none with
+      check = Some (Report.create ());
+      trace = Some (Trace.sink ());
+      schedule_seed = Some 3;
+    }
+  in
+  let inner =
+    {
+      Obs.check = Some (Report.create ());
+      race = Some (Kite_race.Race.sink ());
+      trace = None;
+      fault = Some (Kite_fault.Fault.sink []);
+      metrics = Some (Registry.sink ());
+      path = Some (Path.sink ());
+      flight = Some (Flight.sink ());
+      schedule_seed = Some 9;
+    }
+  in
+  Alcotest.(check bool) "nothing armed outside" true
+    (same Obs.none (Obs.current ()));
+  Obs.run outer (fun () ->
+      Alcotest.(check bool) "outer installed" true
+        (same outer (Obs.current ()));
+      (match
+         Obs.run inner (fun () ->
+             Alcotest.(check bool) "inner installed" true
+               (same inner (Obs.current ()));
+             raise Boom)
+       with
+      | () -> Alcotest.fail "the body raised"
+      | exception Boom -> ());
+      Alcotest.(check bool) "outer back after the inner body raised" true
+        (same outer (Obs.current ())));
+  Alcotest.(check bool) "nothing armed after" true
+    (same Obs.none (Obs.current ()));
+  Alcotest.(check bool) "checker transport cleared" true
+    (Kite_check.Check.default () = None)
+
+let test_obs_nests () =
+  let report = Report.create () and fsink = Flight.sink () in
+  let outer =
+    {
+      Obs.none with
+      check = Some report;
+      trace = Some (Trace.sink ());
+      flight = Some fsink;
+    }
+  in
+  let s =
+    Obs.run outer (fun () ->
+        let o = Obs.current () in
+        let s =
+          Obs.run
+            {
+              o with
+              flight = Obs.ensure o.flight Flight.sink;
+              fault = Obs.ensure o.fault (fun () -> Kite_fault.Fault.sink []);
+            }
+            (fun () -> Scenario.storage ~flavor:Scenario.Kite ())
+        in
+        Alcotest.(check bool) "outer back after the nested run" true
+          (same outer (Obs.current ()));
+        s)
+  in
+  let ctx = s.Scenario.bctx in
+  Alcotest.(check bool) "the enclosing run's recorder armed the machine" true
+    (match ctx.Kite_drivers.Xen_ctx.flight with
+    | Some fl -> List.memq fl (Flight.flights fsink)
+    | None -> false);
+  Alcotest.(check bool) "the private fault sink filled the gap" true
+    (ctx.Kite_drivers.Xen_ctx.fault <> None);
+  Alcotest.(check bool) "checker and tracer kept" true
+    (ctx.Kite_drivers.Xen_ctx.check <> None
+    && ctx.Kite_drivers.Xen_ctx.trace <> None);
+  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 1);
+  (* Torn down outside every run: the audits still reach the report the
+     machine was armed with. *)
+  Scenario.teardown_all ();
+  Alcotest.(check bool) "nothing armed after" true
+    (same Obs.none (Obs.current ()));
+  Alcotest.(check int) "clean audit" 0 (Report.errors report)
+
 let suite =
   [
     ("net: no sink = trace = all five armed", `Quick, test_net_armed);
     ("blk: no sink = all five armed", `Quick, test_blk_armed);
+    ("obs: restores on raise", `Quick, test_obs_restores_on_raise);
+    ("obs: nests", `Quick, test_obs_nests);
   ]

@@ -238,10 +238,12 @@ let test_report_json () =
 (* End-to-end: the network testbed under load, then orderly teardown.
    The checker must stay quiet — this is what `kite_ctl check` automates
    and what guards the drivers against leak regressions. *)
+let checked report f =
+  Kite.Obs.run { Kite.Obs.none with check = Some report } f
+
 let test_clean_network_scenario () =
   let report = Report.create () in
-  Check.set_default (Some (Check.default_config, report));
-  Fun.protect ~finally:(fun () -> Check.set_default None) @@ fun () ->
+  checked report @@ fun () ->
   let s = Kite.Scenario.network ~flavor:Kite.Scenario.Kite () in
   Kite.Scenario.when_net_ready s (fun () ->
       ignore
@@ -260,8 +262,7 @@ let test_clean_network_scenario () =
 
 let test_clean_storage_scenario () =
   let report = Report.create () in
-  Check.set_default (Some (Check.default_config, report));
-  Fun.protect ~finally:(fun () -> Check.set_default None) @@ fun () ->
+  checked report @@ fun () ->
   let b = Kite.Scenario.storage ~flavor:Kite.Scenario.Kite () in
   Kite.Scenario.when_blk_ready b (fun () ->
       let bf = b.Kite.Scenario.blkfront in

@@ -573,9 +573,10 @@ let test_netfront_drops_before_connect () =
    backends. *)
 let test_hot_add_second_device () =
   let hv = Hypervisor.create ~seed:11 () in
-  let ctx = Xen_ctx.create hv in
-  Xen_ctx.enable_metrics ctx
-    (Kite_metrics.Registry.create ~name:"hot-add" ());
+  let ctx =
+    Xen_ctx.create ~metrics:(Kite_metrics.Registry.create ~name:"hot-add" ())
+      hv
+  in
   let dd =
     Hypervisor.create_domain hv ~name:"dd" ~kind:Domain.Driver_domain
       ~vcpus:2 ~mem_mb:1024

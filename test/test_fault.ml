@@ -139,15 +139,11 @@ let test_note_log_order () =
 (* Injection + recovery through the scenarios                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Build a testbed with a fault sink installed as the run-wide default
-   (the same way [kite_ctl faults] does), then clear the default so
-   later tests build clean machines. *)
+(* Build a testbed with a fault sink armed (the same way [kite_ctl
+   faults] does); later tests build clean machines. *)
 let with_sink ?(seed = 7) plan build =
   let sink = Fault.sink ~seed plan in
-  Fault.set_default (Some sink);
-  let s = build () in
-  Fault.set_default None;
-  (sink, s)
+  (sink, Obs.run { (Obs.current ()) with fault = Some sink } build)
 
 let test_xenstore_loss_rides_out () =
   (* Lose the first handshake state write and one watch delivery:
@@ -363,15 +359,14 @@ let test_recovery_deterministic () =
      merged fault event logs and on the request-lifecycle trace spans. *)
   let run () =
     let tsink = Kite_trace.Trace.sink () in
-    Kite_trace.Trace.set_default (Some tsink);
     let fsink, s =
-      with_sink ~seed:11 Fault.default_plan (fun () ->
-          Scenario.storage ~flavor:Scenario.Kite ())
+      Obs.run { Obs.none with trace = Some tsink } (fun () ->
+          with_sink ~seed:11 Fault.default_plan (fun () ->
+              Scenario.storage ~flavor:Scenario.Kite ()))
     in
     let _downtime, verify_errors, done_ = blk_crash_workload s in
     Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 60);
     Scenario.teardown_all ();
-    Kite_trace.Trace.set_default None;
     check_bool "run completed" true !done_;
     check_int "run verified clean" 0 !verify_errors;
     (* Injector names carry a global scenario sequence number that

@@ -288,10 +288,7 @@ let test_slo_rearm_resets_burn () =
 
 let test_crash_freezes_incident () =
   let fsink = Flight.sink () in
-  Flight.set_default (Some fsink);
-  Fun.protect
-    ~finally:(fun () -> Flight.set_default None)
-    (fun () ->
+  Kite.Obs.run { Kite.Obs.none with flight = Some fsink } (fun () ->
       let s = Scenario.storage ~flavor:Scenario.Kite () in
       let restored = ref false in
       Scenario.when_blk_ready s (fun () ->

@@ -67,7 +67,8 @@ let test_scenario_flavors_differ () =
 
 let test_overheads_override () =
   let s =
-    Scenario.network_with_overheads ~overheads:Kite_drivers.Overheads.zero ()
+    Scenario.network ~overheads_override:Kite_drivers.Overheads.zero
+      ~flavor:Scenario.Kite ()
   in
   let rtt = ref None in
   Scenario.when_net_ready s (fun () ->

@@ -199,8 +199,7 @@ let test_stalled_probe () =
 
 let with_sink f =
   let sink = R.sink () in
-  R.set_default (Some sink);
-  Fun.protect ~finally:(fun () -> R.set_default None) f;
+  Kite.Obs.run { Kite.Obs.none with metrics = Some sink } f;
   sink
 
 let read_stats_int hv path =
@@ -351,7 +350,6 @@ let test_disabled_emits_nothing () =
   check_bool "I/O flowed" true !done_;
   check_bool "no registry attached" true
     (s.Scenario.bctx.Kite_drivers.Xen_ctx.metrics = None);
-  check_bool "record field empty" true (s.Scenario.blk_metrics = None);
   (* No registry -> no stats publisher daemons, no xenstore nodes. *)
   let stats =
     Kite_xen.Xenbus.backend_path ~backend:s.Scenario.bdd

@@ -273,12 +273,12 @@ let stress_blk ~rng ~seed =
       ]
   in
   let report = Report.create () in
-  Check.set_default (Some (Check.default_config, report));
-  Fault.set_default (Some (Fault.sink ~seed plan));
-  Fun.protect
-    ~finally:(fun () ->
-      Check.set_default None;
-      Fault.set_default None)
+  Kite.Obs.run
+    {
+      Kite.Obs.none with
+      check = Some report;
+      fault = Some (Fault.sink ~seed plan);
+    }
   @@ fun () ->
   let s = Scenario.storage ~flavor:Scenario.Kite ~seed ~num_queues:nq () in
   let verify_errors = ref 0 and done_ = ref false in
@@ -331,12 +331,12 @@ let stress_net ~rng ~seed =
       ]
   in
   let report = Report.create () in
-  Check.set_default (Some (Check.default_config, report));
-  Fault.set_default (Some (Fault.sink ~seed plan));
-  Fun.protect
-    ~finally:(fun () ->
-      Check.set_default None;
-      Fault.set_default None)
+  Kite.Obs.run
+    {
+      Kite.Obs.none with
+      check = Some report;
+      fault = Some (Fault.sink ~seed plan);
+    }
   @@ fun () ->
   let s = Scenario.network ~flavor:Scenario.Kite ~seed ~num_queues:nq () in
   let restored = ref (not crash) and after_ok = ref 0 and done_ = ref false in

@@ -151,15 +151,10 @@ let assert_partition p ~ctx =
     kinds
 
 let with_sinks f =
-  let tsink = Trace.sink () and psink = Path.sink () in
-  Trace.set_default (Some tsink);
-  Path.set_default (Some psink);
-  Fun.protect
-    ~finally:(fun () ->
-      Scenario.teardown_all ();
-      Path.set_default None;
-      Trace.set_default None)
-    (fun () -> f ());
+  let psink = Path.sink () in
+  Kite.Obs.run
+    { Kite.Obs.none with trace = Some (Trace.sink ()); path = Some psink }
+    (fun () -> Fun.protect ~finally:Scenario.teardown_all f);
   psink
 
 let storage_sweep ~seed ~num_queues ~crash () =

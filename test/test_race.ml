@@ -272,17 +272,20 @@ let test_lint_accepts_guarded_source () =
    the interleaving, the drivers must stay free of detector findings.
    Every third seed crashes and restarts the driver domain mid-I/O to
    sweep the reconnect and teardown edges too. *)
+(* The detector and the checker share [report]; every testbed built in
+   [f] runs under the explorer seeded with [schedule_seed]. *)
+let explored ~schedule_seed report f =
+  Kite.Obs.run
+    {
+      Kite.Obs.none with
+      check = Some report;
+      race = Some (Race.sink ~report ());
+      schedule_seed = Some schedule_seed;
+    }
+    f
+
 let sweep_net ~schedule_seed ~crash report =
-  Scenario.set_schedule_seed (Some schedule_seed);
-  let sink = Race.sink ~report () in
-  Race.set_default (Some sink);
-  Check.set_default (Some (Check.default_config, report));
-  Fun.protect
-    ~finally:(fun () ->
-      Scenario.set_schedule_seed None;
-      Race.set_default None;
-      Check.set_default None)
-  @@ fun () ->
+  explored ~schedule_seed report @@ fun () ->
   let s = Scenario.network ~flavor:Scenario.Kite ~seed:schedule_seed () in
   let restored = ref (not crash) and ok = ref 0 and done_ = ref false in
   Scenario.when_net_ready s (fun () ->
@@ -320,16 +323,7 @@ let sweep_net ~schedule_seed ~crash report =
     3 !ok
 
 let sweep_blk ~schedule_seed ~crash report =
-  Scenario.set_schedule_seed (Some schedule_seed);
-  let sink = Race.sink ~report () in
-  Race.set_default (Some sink);
-  Check.set_default (Some (Check.default_config, report));
-  Fun.protect
-    ~finally:(fun () ->
-      Scenario.set_schedule_seed None;
-      Race.set_default None;
-      Check.set_default None)
-  @@ fun () ->
+  explored ~schedule_seed report @@ fun () ->
   let s = Scenario.storage ~flavor:Scenario.Kite ~seed:schedule_seed () in
   let verify_errors = ref 0 and done_ = ref false in
   Scenario.when_blk_ready s (fun () ->
@@ -369,6 +363,36 @@ let test_schedule_seed_sweep () =
   check_int "zero detector warnings across ten schedules" 0
     (Report.warnings report)
 
+(* lint-teardown-missing keys on the arming function: a file that
+   builds a hypervisor and arms it through Scenario.arm must register a
+   teardown somewhere in the file. *)
+let test_lint_teardown_missing () =
+  let lint src =
+    let file = Filename.temp_file "kite_lint_arm" ".ml" in
+    let oc = open_out file in
+    output_string oc src;
+    close_out oc;
+    let report = Report.create () in
+    Kite_lint.Lint.lint_file report file;
+    Sys.remove file;
+    ( Report.count report,
+      List.length (Report.by_rule report "lint-teardown-missing") )
+  in
+  let testbed =
+    "let testbed () =\n\
+    \  let hv = Hypervisor.create ~seed:1 () in\n\
+    \  Scenario.arm hv \"t-\"\n"
+  in
+  check_int "arming without a teardown is flagged" 1 (snd (lint testbed));
+  let registered =
+    testbed
+    ^ "\nlet torn_down () =\n\
+      \  let ctx = testbed () in\n\
+      \  Scenario.register_teardown ctx ~dd:(Hypervisor.dom0 ctx.hv)\n\
+      \    ~stop:ignore ~shutdown:ignore\n"
+  in
+  check_int "with a registration it lints clean" 0 (fst (lint registered))
+
 let suite =
   [
     ("race: injected lost update", `Quick, test_injected_lost_update);
@@ -384,4 +408,5 @@ let suite =
     ("lint: flags bad source", `Quick, test_lint_flags_bad_source);
     ("lint: accepts guarded source", `Quick, test_lint_accepts_guarded_source);
     ("race: ten-schedule stress sweep", `Slow, test_schedule_seed_sweep);
+    ("lint: arming without teardown", `Quick, test_lint_teardown_missing);
   ]

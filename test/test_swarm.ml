@@ -75,12 +75,8 @@ type digest = {
 
 let run_campaign ?impair ?crash_at ~profile ~seed ~clients () =
   let report = Report.create () in
-  Check.set_default (Some (Check.default_config, report));
-  Fun.protect
-    ~finally:(fun () ->
-      Check.set_default None;
-      Scenario.teardown_all ())
-    (fun () ->
+  Kite.Obs.run { Kite.Obs.none with check = Some report } @@ fun () ->
+  Fun.protect ~finally:Scenario.teardown_all (fun () ->
       let s =
         Scenario.network ~flavor:Scenario.Kite ~seed:(9000 + seed) ?impair ()
       in

@@ -212,8 +212,7 @@ let test_buffer_limit () =
 
 let with_sink f =
   let sink = Trace.sink () in
-  Trace.set_default (Some sink);
-  Fun.protect ~finally:(fun () -> Trace.set_default None) (fun () -> f ());
+  Kite.Obs.run { Kite.Obs.none with trace = Some sink } f;
   sink
 
 let test_network_scenario_traced () =
