@@ -68,7 +68,7 @@ let for_experiments id run_one =
     `Ok ()
   end
   else
-    match List.find_opt (fun (i, _, _) -> i = id) Kite.Experiments.all with
+    match Kite.Experiments.find id with
     | Some exp ->
         run_one exp;
         `Ok ()
@@ -276,7 +276,7 @@ let security_cmd =
     List.iter
       (fun id ->
         match Kite.Experiments.find id with
-        | Some f ->
+        | Some (_, _, f) ->
             List.iter Kite_stats.Table.print
               (f ~quick).Kite.Experiments.tables
         | None -> ())
@@ -607,12 +607,11 @@ let path_cmd =
     Arg.(value & flag & info [ "saturation" ] ~doc)
   in
   let run full waterfall saturation json id =
-    if saturation then begin
-      let outcome = Kite.Experiments.latency_waterfall ~quick:(not full) in
-      List.iter Kite_stats.Table.print outcome.Kite.Experiments.tables;
-      Kite.Scenario.teardown_all ();
-      `Ok ()
-    end
+    if saturation then
+      for_experiments "latency-waterfall" (fun (_, _, f) ->
+          List.iter Kite_stats.Table.print
+            (f ~quick:(not full)).Kite.Experiments.tables;
+          Kite.Scenario.teardown_all ())
     else
       (* The engine decomposes the tracer's spans, so arm both sinks:
          every testbed machine gets a tracer and a path engine tapping

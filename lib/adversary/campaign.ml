@@ -45,8 +45,6 @@ type result = {
   ok : bool;
 }
 
-(* How each attack class is delivered: a hostile handshake the backend
-   must reject, or an honest handshake followed by a runtime volley. *)
 let net_classes : Guest_fault.attack list =
   [
     Ring_index;
@@ -63,13 +61,6 @@ let net_classes : Guest_fault.attack list =
   ]
 
 let blk_classes : Guest_fault.attack list = net_classes @ [ Bad_segment ]
-
-let classes_for = function Net -> net_classes | Blk -> blk_classes
-
-let is_handshake_class (a : Guest_fault.attack) =
-  match a with
-  | Bad_ring_ref | Bad_port | Xenstore_abuse -> true
-  | _ -> false
 
 let filter_only only classes =
   match only with
@@ -115,106 +106,219 @@ let evaluate ~seed ~target ~queues ~classes ~errors ~warnings ~incidents
   }
 
 (* ------------------------------------------------------------------ *)
-(* Network campaign                                                    *)
+(* Targets                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let net_slo_us = 5_000.0
-let blk_slo_us = 10_000.0
+(* The testbed side of a campaign, once built: where the attacker aims,
+   the honest guest's load, and what the backend decided about each
+   hostile device. *)
+type testbed = {
+  hv : Hypervisor.t;
+  ctx : Xen_ctx.t;
+  dd : Domain.t;
+  victim : int;  (** the honest guest's domid *)
+  honest_load : (float -> unit) -> unit;
+      (** start the honest guest's load, reporting each latency (us) *)
+  refused : unit -> (int * int) list;
+      (** (domid, devid) of every device rejected at the handshake *)
+  quarantine : domid:int -> devid:int -> Quarantine.t option;
+}
 
-let run_net ?only ~seed () =
+(* Everything a campaign against one backend needs that the other
+   backend does differently. *)
+type ('q, 'p) spec = {
+  target : target;
+  device : ('q, 'p) Evil_front.device;
+  rng_salt : int;
+  attacks : Guest_fault.attack list;
+  add_device :
+    Xen_ctx.t ->
+    backend:Domain.t ->
+    frontend:Domain.t ->
+    devid:int ->
+    ?queues:int ->
+    unit ->
+    unit;
+  build : seed:int -> queues:int -> testbed;
+  slo : float;  (** honest p99, us *)
+}
+
+let net =
+  {
+    target = Net;
+    device = Evil_front.Vif;
+    rng_salt = 17;
+    attacks = net_classes;
+    add_device = Toolstack.add_vif;
+    build =
+      (fun ~seed ~queues ->
+        let s =
+          Scenario.network ~flavor:Scenario.Kite ~seed ~num_queues:queues ()
+        in
+        let nb () = Net_app.netback s.Scenario.net_app in
+        {
+          hv = s.Scenario.hv;
+          ctx = s.Scenario.ctx;
+          dd = s.Scenario.dd;
+          victim = s.Scenario.domu.Domain.id;
+          (* The honest guest keeps serving pings throughout the
+             campaign. *)
+          honest_load =
+            (fun sample ->
+              Scenario.when_net_ready s (fun () ->
+                  for seq = 1 to 40 do
+                    (match
+                       Kite_net.Stack.ping s.Scenario.client_stack
+                         ~dst:s.Scenario.guest_ip ~seq ()
+                     with
+                    | Some rtt -> sample (Time.to_us_f rtt)
+                    | None -> ());
+                    Process.sleep (Time.ms 2)
+                  done));
+          refused = (fun () -> Netback.rejected (nb ()));
+          quarantine =
+            (fun ~domid ~devid ->
+              List.find_opt
+                (fun i ->
+                  Netback.frontend_domid i = domid && Netback.devid i = devid)
+                (Netback.instances (nb ()))
+              |> Option.map Netback.quarantine);
+        });
+    slo = 5_000.0;
+  }
+
+let blk =
+  {
+    target = Blk;
+    device = Evil_front.Vbd;
+    rng_salt = 29;
+    attacks = blk_classes;
+    add_device = Toolstack.add_vbd;
+    build =
+      (fun ~seed ~queues ->
+        let s =
+          Scenario.storage ~flavor:Scenario.Kite ~seed ~num_queues:queues ()
+        in
+        let bb () = Blk_app.blkback s.Scenario.blk_app in
+        let hv = s.Scenario.bhv in
+        {
+          hv;
+          ctx = s.Scenario.bctx;
+          dd = s.Scenario.bdd;
+          victim = s.Scenario.bdomu.Domain.id;
+          (* Timed reads far from the attackers' scratch sectors (their
+             few accepted replay/slot-reuse writes land in the first
+             dozen sectors). *)
+          honest_load =
+            (fun sample ->
+              Scenario.when_blk_ready s (fun () ->
+                  for i = 1 to 30 do
+                    let t0 = Hypervisor.now hv in
+                    ignore
+                      (Blkfront.read s.Scenario.blkfront
+                         ~sector:(20_000 + (8 * i))
+                         ~count:8);
+                    sample (Time.to_us_f (Hypervisor.now hv - t0));
+                    Process.sleep (Time.ms 2)
+                  done));
+          refused = (fun () -> Blkback.rejected (bb ()));
+          quarantine =
+            (fun ~domid ~devid ->
+              List.find_opt
+                (fun i ->
+                  Blkback.frontend_domid i = domid && Blkback.devid i = devid)
+                (Blkback.instances (bb ()))
+              |> Option.map Blkback.quarantine);
+        });
+    slo = 10_000.0;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The campaign                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* How each attack class is delivered: a hostile handshake the backend
+   must reject, or an honest handshake followed by a runtime volley. *)
+let handshake_of : Guest_fault.attack -> Evil_front.handshake = function
+  | Bad_ring_ref -> Forged_ring_ref
+  | Bad_port -> Hijacked_port
+  | Xenstore_abuse -> Garbage_keys
+  | _ -> Honest
+
+let volley (type q p) (device : (q, p) Evil_front.device)
+    (ev : (q, p) Evil_front.t) ~victim : Guest_fault.attack -> unit =
+  function
+  | Ring_index -> Evil_front.attack_ring_index ev
+  | Bad_gref -> Evil_front.attack_bad_gref ev
+  | Foreign_gref -> Evil_front.attack_foreign_gref ev ~victim
+  | Bad_length -> Evil_front.attack_bad_length ev
+  | Bad_segment -> (
+      match device with
+      | Vbd -> Evil_front.attack_bad_segment ev
+      | Vif -> ())
+  | Replay -> Evil_front.attack_replay ev
+  | Slot_reuse -> Evil_front.attack_slot_reuse ev
+  | Xenbus_jump -> Evil_front.attack_xenbus_jump ev
+  (* Well past the 64-wakeup threshold: signals landing while the worker
+     is mid-wakeup are lost, not queued. *)
+  | Evtchn_storm -> Evil_front.attack_storm ev ~count:200
+  | Bad_ring_ref | Bad_port | Xenstore_abuse -> ()
+
+let campaign spec ?only ~seed () =
   let report = Report.create () in
   let sink = Flight.sink () in
   Kite.Obs.run
     { (Kite.Obs.current ()) with check = Some report; flight = Some sink }
     (fun () ->
-      let rng = Rng.create ((seed * 7919) + 17) in
+      let rng = Rng.create ((seed * 7919) + spec.rng_salt) in
       let queues = [| 1; 2; 4 |].(Rng.int rng 3) in
-      let s = Scenario.network ~flavor:Scenario.Kite ~seed ~num_queues:queues () in
-      let hv = s.Scenario.hv and ctx = s.Scenario.ctx in
+      let tb = spec.build ~seed ~queues in
       let evil =
-        Hypervisor.create_domain hv ~name:"evil" ~kind:Domain.Dom_u ~vcpus:1
-          ~mem_mb:256
+        Hypervisor.create_domain tb.hv ~name:"evil" ~kind:Domain.Dom_u
+          ~vcpus:1 ~mem_mb:256
       in
-      let victim = s.Scenario.domu.Domain.id in
-      let classes = filter_only only net_classes in
       let plan =
         List.mapi
           (fun idx cls -> (idx + 1, cls, Time.ms (5 + Rng.int rng 40)))
-          classes
+          (filter_only only spec.attacks)
       in
       let evils = ref [] in
       List.iter
         (fun (devid, cls, offset) ->
-          Hypervisor.spawn hv evil
+          Hypervisor.spawn tb.hv evil
             ~name:(Printf.sprintf "evil-%s" (Guest_fault.slug cls))
             (fun () ->
               Process.sleep offset;
-              Toolstack.add_vif ctx ~backend:s.Scenario.dd ~frontend:evil
-                ~devid ();
+              spec.add_device tb.ctx ~backend:tb.dd ~frontend:evil ~devid ();
               let ev =
-                Evil_net.create ctx ~domain:evil ~backend:s.Scenario.dd ~devid
-                  ~nq:2
+                Evil_front.create spec.device tb.ctx ~domain:evil
+                  ~backend:tb.dd ~devid ~nq:2
               in
               evils := ev :: !evils;
-              let mode : Evil_net.handshake =
-                match cls with
-                | Bad_ring_ref -> Forged_ring_ref
-                | Bad_port -> Hijacked_port
-                | Xenstore_abuse -> Garbage_keys
-                | _ -> Honest
-              in
-              Evil_net.handshake ev mode;
-              if mode = Evil_net.Honest then begin
+              let mode = handshake_of cls in
+              Evil_front.handshake ev mode;
+              if mode = Honest then begin
                 Process.sleep (Time.ms 2);
-                match cls with
-                | Guest_fault.Ring_index -> Evil_net.attack_ring_index ev
-                | Bad_gref -> Evil_net.attack_bad_gref ev
-                | Foreign_gref -> Evil_net.attack_foreign_gref ev ~victim
-                | Bad_length -> Evil_net.attack_bad_length ev
-                | Replay -> Evil_net.attack_replay ev
-                | Slot_reuse -> Evil_net.attack_slot_reuse ev
-                | Xenbus_jump -> Evil_net.attack_xenbus_jump ev
-                (* Well past the 64-wakeup threshold: signals landing
-                   while the worker is mid-wakeup are lost, not queued. *)
-                | Evtchn_storm -> Evil_net.attack_storm ev ~count:200
-                | _ -> ()
+                volley spec.device ev ~victim:tb.victim cls
               end))
         plan;
-      (* The honest guest keeps serving pings throughout the campaign. *)
       let samples = ref [] in
-      Scenario.when_net_ready s (fun () ->
-          for seq = 1 to 40 do
-            (match
-               Kite_net.Stack.ping s.Scenario.client_stack
-                 ~dst:s.Scenario.guest_ip ~seq ()
-             with
-            | Some rtt -> samples := Time.to_us_f rtt :: !samples
-            | None -> ());
-            Process.sleep (Time.ms 2)
-          done);
-      Hypervisor.run_for hv (Time.sec 2);
-      List.iter Evil_net.cleanup !evils;
-      let nb = Net_app.netback s.Scenario.net_app in
-      let insts = Netback.instances nb in
-      let rej = Netback.rejected nb in
-      let classes_r =
+      tb.honest_load (fun us -> samples := us :: !samples);
+      Hypervisor.run_for tb.hv (Time.sec 2);
+      List.iter Evil_front.cleanup !evils;
+      let refused = tb.refused () in
+      let classes =
         List.map
           (fun (devid, cls, _) ->
             let detected =
               Report.by_rule report (Guest_fault.rule cls) <> []
             in
-            let rejected = List.mem (evil.Domain.id, devid) rej in
+            let rejected = List.mem (evil.Domain.id, devid) refused in
             let level =
               if rejected then 3
               else
-                match
-                  List.find_opt
-                    (fun i ->
-                      Netback.frontend_domid i = evil.Domain.id
-                      && Netback.devid i = devid)
-                    insts
-                with
-                | Some i -> Quarantine.level (Netback.quarantine i)
+                match tb.quarantine ~domid:evil.Domain.id ~devid with
+                | Some q -> Quarantine.level q
                 | None -> 0
             in
             {
@@ -233,135 +337,13 @@ let run_net ?only ~seed () =
           (fun acc f -> acc + List.length (Flight.incidents f))
           0 (Flight.flights sink)
       in
-      evaluate ~seed ~target:Net ~queues ~classes:classes_r
+      evaluate ~seed ~target:spec.target ~queues ~classes
         ~errors:(Report.errors report) ~warnings:(Report.warnings report)
-        ~incidents ~samples:!samples ~slo_us:net_slo_us)
-
-(* ------------------------------------------------------------------ *)
-(* Storage campaign                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let run_blk ?only ~seed () =
-  let report = Report.create () in
-  let sink = Flight.sink () in
-  Kite.Obs.run
-    { (Kite.Obs.current ()) with check = Some report; flight = Some sink }
-    (fun () ->
-      let rng = Rng.create ((seed * 7919) + 29) in
-      let queues = [| 1; 2; 4 |].(Rng.int rng 3) in
-      let s = Scenario.storage ~flavor:Scenario.Kite ~seed ~num_queues:queues () in
-      let hv = s.Scenario.bhv and ctx = s.Scenario.bctx in
-      let evil =
-        Hypervisor.create_domain hv ~name:"evil" ~kind:Domain.Dom_u ~vcpus:1
-          ~mem_mb:256
-      in
-      let victim = s.Scenario.bdomu.Domain.id in
-      let classes = filter_only only blk_classes in
-      let plan =
-        List.mapi
-          (fun idx cls -> (idx + 1, cls, Time.ms (5 + Rng.int rng 40)))
-          classes
-      in
-      let evils = ref [] in
-      List.iter
-        (fun (devid, cls, offset) ->
-          Hypervisor.spawn hv evil
-            ~name:(Printf.sprintf "evil-%s" (Guest_fault.slug cls))
-            (fun () ->
-              Process.sleep offset;
-              Toolstack.add_vbd ctx ~backend:s.Scenario.bdd ~frontend:evil
-                ~devid ();
-              let ev =
-                Evil_blk.create ctx ~domain:evil ~backend:s.Scenario.bdd ~devid
-                  ~nq:2
-              in
-              evils := ev :: !evils;
-              let mode : Evil_blk.handshake =
-                match cls with
-                | Bad_ring_ref -> Forged_ring_ref
-                | Bad_port -> Hijacked_port
-                | Xenstore_abuse -> Garbage_keys
-                | _ -> Honest
-              in
-              Evil_blk.handshake ev mode;
-              if mode = Evil_blk.Honest then begin
-                Process.sleep (Time.ms 2);
-                match cls with
-                | Guest_fault.Ring_index -> Evil_blk.attack_ring_index ev
-                | Bad_gref -> Evil_blk.attack_bad_gref ev
-                | Foreign_gref -> Evil_blk.attack_foreign_gref ev ~victim
-                | Bad_length -> Evil_blk.attack_bad_length ev
-                | Bad_segment -> Evil_blk.attack_bad_segment ev
-                | Replay -> Evil_blk.attack_replay ev
-                | Slot_reuse -> Evil_blk.attack_slot_reuse ev
-                | Xenbus_jump -> Evil_blk.attack_xenbus_jump ev
-                | Evtchn_storm -> Evil_blk.attack_storm ev ~count:200
-                | _ -> ()
-              end))
-        plan;
-      (* Honest load: timed reads far from the attackers' scratch
-         sectors (their few accepted replay/slot-reuse writes land in
-         the first dozen sectors). *)
-      let samples = ref [] in
-      Scenario.when_blk_ready s (fun () ->
-          for i = 1 to 30 do
-            let t0 = Hypervisor.now hv in
-            ignore
-              (Blkfront.read s.Scenario.blkfront ~sector:(20_000 + (8 * i))
-                 ~count:8);
-            samples := Time.to_us_f (Hypervisor.now hv - t0) :: !samples;
-            Process.sleep (Time.ms 2)
-          done);
-      Hypervisor.run_for hv (Time.sec 2);
-      List.iter Evil_blk.cleanup !evils;
-      let bb = Blk_app.blkback s.Scenario.blk_app in
-      let insts = Blkback.instances bb in
-      let rej = Blkback.rejected bb in
-      let classes_r =
-        List.map
-          (fun (devid, cls, _) ->
-            let detected =
-              Report.by_rule report (Guest_fault.rule cls) <> []
-            in
-            let rejected = List.mem (evil.Domain.id, devid) rej in
-            let level =
-              if rejected then 3
-              else
-                match
-                  List.find_opt
-                    (fun i ->
-                      Blkback.frontend_domid i = evil.Domain.id
-                      && Blkback.devid i = devid)
-                    insts
-                with
-                | Some i -> Quarantine.level (Blkback.quarantine i)
-                | None -> 0
-            in
-            {
-              attack = cls;
-              devid;
-              detected;
-              quarantined = rejected || level >= 1;
-              rejected;
-              level;
-            })
-          plan
-      in
-      Scenario.teardown_all ();
-      let incidents =
-        List.fold_left
-          (fun acc f -> acc + List.length (Flight.incidents f))
-          0 (Flight.flights sink)
-      in
-      evaluate ~seed ~target:Blk ~queues ~classes:classes_r
-        ~errors:(Report.errors report) ~warnings:(Report.warnings report)
-        ~incidents ~samples:!samples ~slo_us:blk_slo_us)
+        ~incidents ~samples:!samples ~slo_us:spec.slo)
 
 let run ?only ~seed () =
-  if seed mod 2 = 0 then run_blk ?only ~seed () else run_net ?only ~seed ()
-
-let sweep ?only ~seeds () =
-  List.map (fun seed -> run ?only ~seed ()) seeds
+  if seed mod 2 = 0 then campaign blk ?only ~seed ()
+  else campaign net ?only ~seed ()
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

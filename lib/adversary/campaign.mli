@@ -18,8 +18,6 @@
 
 type target = Net | Blk
 
-val target_name : target -> string
-
 type class_result = {
   attack : Kite_drivers.Guest_fault.attack;
   devid : int;
@@ -47,29 +45,11 @@ type result = {
   ok : bool;
 }
 
-val classes_for : target -> Kite_drivers.Guest_fault.attack list
-(** The attack classes a campaign against [target] injects. *)
-
-val is_handshake_class : Kite_drivers.Guest_fault.attack -> bool
-(** Classes delivered as a hostile handshake (rejected outright) rather
-    than a runtime volley. *)
-
-val run_net :
-  ?only:Kite_drivers.Guest_fault.attack list -> seed:int -> unit -> result
-
-val run_blk :
-  ?only:Kite_drivers.Guest_fault.attack list -> seed:int -> unit -> result
-
 val run :
   ?only:Kite_drivers.Guest_fault.attack list -> seed:int -> unit -> result
-(** Even seeds attack the storage domain, odd seeds the network domain
-    (mirroring the multi-queue stress sweep's alternation). *)
-
-val sweep :
-  ?only:Kite_drivers.Guest_fault.attack list ->
-  seeds:int list ->
-  unit ->
-  result list
+(** One campaign.  Even seeds attack the storage domain, odd seeds the
+    network domain (mirroring the multi-queue stress sweep's
+    alternation); [only] restricts it to those attack classes. *)
 
 val to_json : result -> string
 val pp_result : Format.formatter -> result -> unit

@@ -1,3 +1,5 @@
+module Export = Kite_stats.Export
+
 type severity = Info | Warning | Error
 
 let severity_to_string = function
@@ -53,23 +55,6 @@ let pp ppf t =
 
 let print t = pp Format.std_formatter t
 
-(* Minimal JSON string escaping: the messages only contain printable
-   ASCII, but be safe about quotes, backslashes and control bytes. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"findings\":[";
@@ -81,8 +66,8 @@ let to_json t =
            "{\"severity\":\"%s\",\"subsystem\":\"%s\",\"rule\":\"%s\",\
             \"provenance\":\"%s\",\"message\":\"%s\"}"
            (severity_to_string f.severity)
-           (json_escape f.subsystem) (json_escape f.rule)
-           (json_escape f.provenance) (json_escape f.message)))
+           (Export.json_escape f.subsystem) (Export.json_escape f.rule)
+           (Export.json_escape f.provenance) (Export.json_escape f.message)))
     (findings t);
   Buffer.add_string buf
     (Printf.sprintf "],\"errors\":%d,\"warnings\":%d}" t.errors t.warnings);

@@ -4,7 +4,7 @@ open Kite_profiles
 open Kite_security
 module BT = Kite_bench_tools
 
-type outcome = { exp_id : string; tables : Table.t list }
+type outcome = { tables : Table.t list }
 
 let fnum = Table.fmt_f
 let fint = string_of_int
@@ -39,7 +39,7 @@ let fig1a ~quick:_ =
         ])
     Cve_db.driver_cves_by_year;
   Table.note t "shape check: counts rise over time; Linux above Windows";
-  { exp_id = "fig1a"; tables = [ t ] }
+  { tables = [ t ] }
 
 let fig4a ~quick:_ =
   let t =
@@ -55,7 +55,7 @@ let fig4a ~quick:_ =
       [ "Linux full table"; fint (Syscalls.count Syscalls.linux_full) ];
     ];
   Table.note t "paper: Kite 14 (net) / 18 (storage) vs Ubuntu 171 (>=10x)";
-  { exp_id = "fig4a"; tables = [ t ] }
+  { tables = [ t ] }
 
 let fig4b ~quick:_ =
   let t =
@@ -72,7 +72,7 @@ let fig4b ~quick:_ =
   in
   Table.note t
     (Printf.sprintf "Linux/Kite ratio %.1fx (paper: ~10x bigger)" ratio);
-  { exp_id = "fig4b"; tables = [ t ] }
+  { tables = [ t ] }
 
 let fig4c ~quick:_ =
   (* Replay the boot sequences on one simulator. *)
@@ -94,7 +94,7 @@ let fig4c ~quick:_ =
     (fun (name, at) -> Table.add_row t [ name; fnum (Time.to_sec_f at) ])
     (List.rev !results);
   Table.note t "paper: Kite 7 s vs Linux 75 s (>=10x faster, claim C1)";
-  { exp_id = "fig4c"; tables = [ t ] }
+  { tables = [ t ] }
 
 let fig5 ~quick =
   let configs =
@@ -133,7 +133,7 @@ let fig5 ~quick =
            "Default/Kite ratio %.1fx (paper: default config has ~4x Kite's gadgets)"
            (float_of_int d /. float_of_int k))
   | _ -> ());
-  { exp_id = "fig5"; tables = [ t ] }
+  { tables = [ t ] }
 
 let table3 ~quick:_ =
   let kite_net = Os_profile.get Os_profile.Kite_network in
@@ -180,7 +180,7 @@ let table3 ~quick:_ =
           (if Cve_db.applicable kite_net cve then "yes" else "no");
         ])
     Cve_db.tooling;
-  { exp_id = "table3"; tables = [ t; t2 ] }
+  { tables = [ t; t2 ] }
 
 (* ------------------------------------------------------------------ *)
 (* Network domain performance                                          *)
@@ -212,7 +212,7 @@ let fig6 ~quick =
       [ "Kite"; fnum k.BT.Nuttcp.throughput_gbps; fnum k.BT.Nuttcp.loss_pct ];
     ];
   Table.note t "paper: ~7 Gbps for both, <1.5% loss";
-  { exp_id = "fig6"; tables = [ t ] }
+  { tables = [ t ] }
 
 let fig7 ~quick =
   let ping_count = if quick then 10 else 50 in
@@ -287,7 +287,7 @@ let fig7 ~quick =
       ("netperf / Linux", ln.BT.Netperf.latencies_ms);
       ("netperf / Kite", kn.BT.Netperf.latencies_ms);
     ];
-  { exp_id = "fig7"; tables = [ t; td ] }
+  { tables = [ t; td ] }
 
 (* Cap per-point work for apache so the 1 MiB points stay tractable:
    enough requests to amortize, bounded total bytes. *)
@@ -332,7 +332,7 @@ let fig8a ~quick =
         ])
     sizes;
   Table.note t "paper: curves overlap; throughput grows with file size";
-  { exp_id = "fig8a"; tables = [ t ] }
+  { tables = [ t ] }
 
 let fig8b ~quick =
   let k = run_ab Scenario.Kite ~quick ~file_size:524288 in
@@ -352,7 +352,7 @@ let fig8b ~quick =
         fnum k.BT.Ab.requests_per_sec ];
     ];
   Table.note t "paper: Kite marginally faster on all three";
-  { exp_id = "fig8b"; tables = [ t ] }
+  { tables = [ t ] }
 
 let fig9 ~quick =
   let threads_list = [ 5; 10; 15; 20 ] in
@@ -392,7 +392,7 @@ let fig9 ~quick =
         ])
     threads_list;
   Table.note t "paper: Kite and Linux netback exhibit similar performance";
-  { exp_id = "fig9"; tables = [ t ] }
+  { tables = [ t ] }
 
 (* A sysbench read-only query against the paper's 2.2 GHz Xeon costs on
    the order of a millisecond of server CPU; this is what makes the
@@ -458,7 +458,7 @@ let fig10 ~quick =
     threads_list;
   Table.note ta "paper: almost no difference between Linux and Kite netback";
   Table.note tb "paper: DomU utilization very similar for both";
-  { exp_id = "fig10"; tables = [ ta; tb ] }
+  { tables = [ ta; tb ] }
 
 let table4 ~quick =
   let repeats = 3 in
@@ -549,7 +549,7 @@ let table4 ~quick =
   Table.note t
     "paper: all RSDs tiny (<=1.5%); the deterministic simulator gives ~0 \
      except where seeds perturb schedules";
-  { exp_id = "table4"; tables = [ t ] }
+  { tables = [ t ] }
 
 (* ------------------------------------------------------------------ *)
 (* Storage domain performance                                          *)
@@ -581,7 +581,7 @@ let fig11 ~quick =
         [ label; fnum l.BT.Dd.throughput_mbs; fnum k.BT.Dd.throughput_mbs ])
     [ ("read", `Read); ("write", `Write) ];
   Table.note t "paper: ~1 GB/s both directions, Linux and Kite similar";
-  { exp_id = "fig11"; tables = [ t ] }
+  { tables = [ t ] }
 
 let with_fs flavor ~prepare_fn ~run_fn =
   let s = Scenario.storage ~flavor () in
@@ -648,7 +648,7 @@ let fig12 ~quick =
         ])
     sizes;
   Table.note tb "paper: throughput rises with block size; Kite >= Linux";
-  { exp_id = "fig12"; tables = [ ta; tb ] }
+  { tables = [ ta; tb ] }
 
 let fig13 ~quick =
   let threads_list = if quick then [ 1; 10; 40 ] else [ 1; 5; 10; 20; 40; 100 ] in
@@ -716,7 +716,7 @@ let fig13 ~quick =
       Table.add_row t [ fint threads; fnum (kbps l); fnum (kbps k) ])
     threads_list;
   Table.note t "paper: identical curves for Linux and Kite";
-  { exp_id = "fig13"; tables = [ t ] }
+  { tables = [ t ] }
 
 let fig14 ~quick =
   let files = if quick then 24 else 80 in
@@ -753,7 +753,7 @@ let fig14 ~quick =
         ])
     sizes;
   Table.note t "paper: Kite's storage domain often slightly ahead of Linux";
-  { exp_id = "fig14"; tables = [ t ] }
+  { tables = [ t ] }
 
 let filebench_single ~quick personality ~files ~mean_file_size ~io_size
     ~threads ~ops =
@@ -791,7 +791,7 @@ let fig15 ~quick =
         fnum k.BT.Filebench.avg_latency_ms ];
     ];
   Table.note t "paper: Kite outperforms Linux even at low concurrency";
-  { exp_id = "fig15"; tables = [ t ] }
+  { tables = [ t ] }
 
 let fig16 ~quick =
   let k, l =
@@ -815,7 +815,7 @@ let fig16 ~quick =
         fnum k.BT.Filebench.avg_latency_ms ];
     ];
   Table.note t "paper: Kite slightly higher throughput, lower latency";
-  { exp_id = "fig16"; tables = [ t ] }
+  { tables = [ t ] }
 
 (* ------------------------------------------------------------------ *)
 (* Daemon VM                                                           *)
@@ -826,10 +826,9 @@ let dhcp ~quick =
   (* §5.5 swaps the daemon VM itself (rumprun vs Linux) behind the same
      network path; the Linux daemon pays a deeper in-VM stack and
      scheduler path per message. *)
-  let run daemon_cpu rx_cost =
+  let run daemon_cpu =
     let s = Scenario.network ~flavor:Scenario.Kite () in
     let result = ref None in
-    ignore rx_cost;
     Scenario.when_net_ready s (fun () ->
         ignore
           (Kite_apps.Dhcp_server.start s.Scenario.guest_stack
@@ -842,8 +841,8 @@ let dhcp ~quick =
           ());
     drive s.Scenario.hv result "dhcp"
   in
-  let k = run (Time.us 25) 0 in
-  let l = run (Time.us 55) 0 in
+  let k = run (Time.us 25) in
+  let l = run (Time.us 55) in
   let t =
     Table.create ~title:"§5.5: DHCP daemon VM (perfdhcp delays, ms)"
       ~columns:
@@ -858,7 +857,7 @@ let dhcp ~quick =
         fnum ~prec:3 k.BT.Perfdhcp.avg_request_ack_ms ];
     ];
   Table.note t "paper: very similar for rumprun and Linux (~0.78 / ~0.7 ms)";
-  { exp_id = "dhcp"; tables = [ t ] }
+  { tables = [ t ] }
 
 let table1 ~quick:_ =
   let t =
@@ -880,7 +879,7 @@ let table1 ~quick:_ =
       [ "Daemon VM (OpenDHCP)"; "16"; "lib/apps/dhcp_server.ml" ];
       [ "Total"; "6483"; "" ];
     ];
-  { exp_id = "table1"; tables = [ t ] }
+  { tables = [ t ] }
 
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
@@ -926,7 +925,7 @@ let abl_persistent ~quick =
         Time.to_string e_off ];
     ];
   Table.note t "persistent refs eliminate per-request map/unmap hypercalls";
-  { exp_id = "abl-persist"; tables = [ t ] }
+  { tables = [ t ] }
 
 let abl_batching ~quick =
   let total = if quick then 16 * 1024 * 1024 else 64 * 1024 * 1024 in
@@ -960,7 +959,7 @@ let abl_batching ~quick =
       [ "one op per request"; fint req_off; fint ops_off; fnum thr_off ];
     ];
   Table.note t "batching merges contiguous requests into fewer device ops";
-  { exp_id = "abl-batch"; tables = [ t ] }
+  { tables = [ t ] }
 
 let abl_indirect ~quick =
   let total = if quick then 16 * 1024 * 1024 else 64 * 1024 * 1024 in
@@ -990,7 +989,7 @@ let abl_indirect ~quick =
       [ "direct only (44 KiB/request)"; fint req_off; fnum thr_off ];
     ];
   Table.note t "paper §3.3: direct segments cap requests at 44 KiB";
-  { exp_id = "abl-indirect"; tables = [ t ] }
+  { tables = [ t ] }
 
 let abl_wake ~quick =
   (* What the dedicated-thread design buys: compare the normal warm/cold
@@ -1029,7 +1028,7 @@ let abl_wake ~quick =
     ];
   Table.note t
     "paper §3.2: slow handler paths would block subsequent notifications";
-  { exp_id = "abl-threads"; tables = [ t ] }
+  { tables = [ t ] }
 
 (* §5.2 motivates fast boots with failure recovery: when a driver domain
    is restarted, guests lose I/O until it has booted and the frontends
@@ -1065,7 +1064,7 @@ let restart ~quick:_ =
     ];
   Table.note t
     "restarting a failed Kite domain interrupts guest I/O ~10x more briefly";
-  { exp_id = "restart"; tables = [ t ] }
+  { tables = [ t ] }
 
 (* The measured counterpart of [restart]: actually destroy the driver
    domain mid-workload and time recovery end to end.  Storage: a stream
@@ -1272,7 +1271,7 @@ let restart_recovery ~quick =
         Flight_report.summary_table fls :: Flight_report.slo_table fls
         :: incident_tables
   in
-  { exp_id = "restart-recovery"; tables = [ tblk; tnet ] @ flight_tables }
+  { tables = [ tblk; tnet ] @ flight_tables }
 
 (* §3.1's scaling claim: one Kite domain with multiple vCPUs can serve
    several NICs.  Two guests behind two passthrough NICs, one bridge
@@ -1281,7 +1280,7 @@ let scale ~quick =
   let duration = if quick then Time.ms 20 else Time.ms 100 in
   let run nnics =
     let hv = Kite_xen.Hypervisor.create ~seed:77 () in
-    let ctx = Kite_drivers.Xen_ctx.create hv in
+    let ctx = Scenario.arm hv "scale-" in
     let sched = Kite_xen.Hypervisor.sched hv in
     let metrics = Kite_xen.Hypervisor.metrics hv in
     let dd =
@@ -1301,58 +1300,69 @@ let scale ~quick =
           Kite_devices.Nic.connect srv cli ~propagation:(Time.ns 500);
           (srv, cli))
     in
-    ignore
-      (Kite_drivers.Net_app.run_multi ctx ~domain:dd
-         ~nics:(List.map fst links)
-         ~overheads:Kite_drivers.Overheads.kite ());
+    let app =
+      Kite_drivers.Net_app.run_multi ctx ~domain:dd
+        ~nics:(List.map fst links)
+        ~overheads:Kite_drivers.Overheads.kite ()
+    in
     let received = ref 0 in
     (* Must match the datagram size nuttcp actually sends. *)
     let payload = 8192 in
-    List.iteri
-      (fun i (_, client_nic) ->
-        let domu =
-          Kite_xen.Hypervisor.create_domain hv
-            ~name:(Printf.sprintf "domu%d" i) ~kind:Kite_xen.Domain.Dom_u
-            ~vcpus:4 ~mem_mb:2048
-        in
-        (* VIF placement is (frontend id + devid) mod nnics; guests are
-           created in order, so give each the devid that lands it on its
-           own NIC's bridge. *)
-        let devid = (nnics - (domu.Kite_xen.Domain.id mod nnics) + i) mod nnics in
-        Kite_drivers.Toolstack.add_vif ctx ~backend:dd ~frontend:domu ~devid ();
-        let front =
-          Kite_drivers.Netfront.create ctx ~domain:domu ~backend:dd ~devid ()
-        in
-        let subnet = Printf.sprintf "10.%d.0" i in
-        let guest_ip = Kite_net.Ipv4addr.of_string (subnet ^ ".2") in
-        let guest =
-          Kite_net.Stack.create sched
-            ~name:(Printf.sprintf "guest%d" i)
-            ~dev:(Kite_drivers.Netfront.netdev front)
-            ~mac:(Kite_net.Macaddr.make_local (100 + i))
-            ~ip:guest_ip
-            ~netmask:(Kite_net.Ipv4addr.of_string "255.255.255.0")
-            ~rx_cost:(Time.ns 1500) ()
-        in
-        let client =
-          Kite_net.Stack.create sched
-            ~name:(Printf.sprintf "client%d" i)
-            ~dev:(Kite_drivers.Netif.of_nic client_nic)
-            ~mac:(Kite_net.Macaddr.make_local (200 + i))
-            ~ip:(Kite_net.Ipv4addr.of_string (subnet ^ ".9"))
-            ~netmask:(Kite_net.Ipv4addr.of_string "255.255.255.0")
-            ~rx_cost:(Time.us 1) ()
-        in
-        Process.spawn sched ~name:(Printf.sprintf "load%d" i) (fun () ->
-            Kite_drivers.Netfront.wait_connected front;
-            Process.sleep (Time.ms 5);
-            BT.Nuttcp.run ~sched ~client ~server:guest ~server_ip:guest_ip
-              ~port:(5001 + (10 * i))
-              ~duration
-              ~on_done:(fun r ->
-                received := !received + r.BT.Nuttcp.received)
-              ()))
-      links;
+    let fronts =
+      List.mapi
+        (fun i (_, client_nic) ->
+          let domu =
+            Kite_xen.Hypervisor.create_domain hv
+              ~name:(Printf.sprintf "domu%d" i) ~kind:Kite_xen.Domain.Dom_u
+              ~vcpus:4 ~mem_mb:2048
+          in
+          (* VIF placement is (frontend id + devid) mod nnics; guests are
+             created in order, so give each the devid that lands it on its
+             own NIC's bridge. *)
+          let devid =
+            (nnics - (domu.Kite_xen.Domain.id mod nnics) + i) mod nnics
+          in
+          Kite_drivers.Toolstack.add_vif ctx ~backend:dd ~frontend:domu ~devid
+            ();
+          let front =
+            Kite_drivers.Netfront.create ctx ~domain:domu ~backend:dd ~devid ()
+          in
+          let subnet = Printf.sprintf "10.%d.0" i in
+          let guest_ip = Kite_net.Ipv4addr.of_string (subnet ^ ".2") in
+          let guest =
+            Kite_net.Stack.create sched
+              ~name:(Printf.sprintf "guest%d" i)
+              ~dev:(Kite_drivers.Netfront.netdev front)
+              ~mac:(Kite_net.Macaddr.make_local (100 + i))
+              ~ip:guest_ip
+              ~netmask:(Kite_net.Ipv4addr.of_string "255.255.255.0")
+              ~rx_cost:(Time.ns 1500) ()
+          in
+          let client =
+            Kite_net.Stack.create sched
+              ~name:(Printf.sprintf "client%d" i)
+              ~dev:(Kite_drivers.Netif.of_nic client_nic)
+              ~mac:(Kite_net.Macaddr.make_local (200 + i))
+              ~ip:(Kite_net.Ipv4addr.of_string (subnet ^ ".9"))
+              ~netmask:(Kite_net.Ipv4addr.of_string "255.255.255.0")
+              ~rx_cost:(Time.us 1) ()
+          in
+          Process.spawn sched ~name:(Printf.sprintf "load%d" i) (fun () ->
+              Kite_drivers.Netfront.wait_connected front;
+              Process.sleep (Time.ms 5);
+              BT.Nuttcp.run ~sched ~client ~server:guest ~server_ip:guest_ip
+                ~port:(5001 + (10 * i))
+                ~duration
+                ~on_done:(fun r ->
+                  received := !received + r.BT.Nuttcp.received)
+                ());
+          front)
+        links
+    in
+    Scenario.register_teardown ctx ~dd
+      ~stop:(fun () ->
+        Kite_drivers.Netback.stop (Kite_drivers.Net_app.netback app))
+      ~shutdown:(fun () -> List.iter Kite_drivers.Netfront.shutdown fronts);
     Kite_xen.Hypervisor.run_for hv (Time.sec 10);
     float_of_int (!received * payload * 8) /. Time.to_sec_f duration /. 1e9
   in
@@ -1372,7 +1382,7 @@ let scale ~quick =
     (Printf.sprintf
        "scaling factor %.2fx — §3.1: \"several NICs for better I/O scaling\""
        (two /. one));
-  { exp_id = "scale"; tables = [ t ] }
+  { tables = [ t ] }
 
 (* The paper's abstract claim that unikernel service VMs "reduce memory
    overheads": assignment and steady-state working set per domain, and
@@ -1402,7 +1412,7 @@ let memory ~quick:_ =
         resident) by using Kite domains"
        (8 * (linux.Os_profile.assigned_mem_mb - kite.Os_profile.assigned_mem_mb))
        (8 * (linux.Os_profile.resident_mem_mb - kite.Os_profile.resident_mem_mb)));
-  { exp_id = "memory"; tables = [ t ] }
+  { tables = [ t ] }
 
 (* xentrace-style accounting: which hypercalls a driver domain issues
    under a fixed workload, Kite vs Linux — the per-operation costs §4.2
@@ -1470,7 +1480,7 @@ let hypercalls ~quick =
      kernel backend's per-packet grant bookkeeping (grant_op.kernel, \
      traced at zero cost -- its CPU time is inside the calibrated \
      per-packet figures)";
-  { exp_id = "hypercalls"; tables = [ t ] }
+  { tables = [ t ] }
 
 (* Multi-queue dataplane scaling: one guest, one NIC, [nq] negotiated
    Tx/Rx ring pairs, and a driver domain with [nq] vCPUs so the
@@ -1587,7 +1597,7 @@ let mq_scale ~quick =
   Table.note t
     "per-queue rings + per-queue pusher threads on a matching vCPU count; \
      grant-copy hypercalls batched per drained run";
-  { exp_id = "mq-scale"; tables = [ t ] }
+  { tables = [ t ] }
 
 (* Critical-path attribution (lib/path): where does a request's
    simulated time go, and at what offered load does queueing overtake
@@ -1808,7 +1818,6 @@ let latency_waterfall ~quick =
           "latency-waterfall: no saturation knee up to 6x measured capacity"
   | [] -> assert false);
   {
-    exp_id = "latency-waterfall";
     tables =
       [
         Path_report.waterfall_table engines;
@@ -2024,7 +2033,6 @@ let swarm ~quick =
       sweep_apps
   in
   {
-    exp_id = "swarm";
     tables =
       Swarm_report.campaign_table [ camp ]
       :: List.map (fun (app, rows) -> Swarm_report.sweep_table ~app rows)
@@ -2074,6 +2082,4 @@ let all =
       swarm );
   ]
 
-let find id =
-  List.find_opt (fun (i, _, _) -> i = id) all
-  |> Option.map (fun (_, _, f) -> f)
+let find id = List.find_opt (fun (i, _, _) -> i = id) all

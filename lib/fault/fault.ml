@@ -5,6 +5,8 @@
    that Xenstore / Event_channel / the device models (all of which are
    created before, or independently of, any engine) can hold one. *)
 
+module Export = Kite_stats.Export
+
 module Rng = struct
   type t = { mutable state : int64 }
 
@@ -308,34 +310,20 @@ let print ts =
       else List.iter (fun e -> Fmt.pr "  %s@." (event_to_string e)) (List.rev t.log))
     ts
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json ts =
   let injector t =
     let ev = function
       | Injected (p, k, n) ->
           Printf.sprintf
             {|{"type":"inject","point":"%s","key":"%s","op":%d}|}
-            (point_name p) (json_escape k) n
+            (point_name p) (Export.json_escape k) n
       | Noted (w, k) ->
           Printf.sprintf {|{"type":"note","what":"%s","key":"%s"}|}
-            (json_escape w) (json_escape k)
+            (Export.json_escape w) (Export.json_escape k)
     in
     Printf.sprintf
       {|{"name":"%s","seed":%d,"injected":%d,"events":[%s]}|}
-      (json_escape t.f_name) t.f_seed t.n_injected
+      (Export.json_escape t.f_name) t.f_seed t.n_injected
       (String.concat "," (List.rev_map ev t.log))
   in
   "[" ^ String.concat "," (List.map injector ts) ^ "]"

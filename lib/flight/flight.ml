@@ -12,6 +12,7 @@
    [Trace.create ?limit], except a black box overwrites its oldest
    records instead of refusing new ones. *)
 
+module Export = Kite_stats.Export
 module Report = Kite_check.Report
 module Trace = Kite_trace.Trace
 module Fault = Kite_fault.Fault
@@ -380,21 +381,23 @@ let default () = !default_ref
 (* JSON export                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape = Slo.json_escape
 let json_num = Slo.json_num
 
 let record_to_json r =
   Printf.sprintf
     {|{"at":%d,"layer":"%s","kind":"%s","key":"%s","msg":"%s"}|} r.r_at
-    (json_escape r.r_layer) (json_escape r.r_kind) (json_escape r.r_key)
-    (json_escape r.r_msg)
+    (Export.json_escape r.r_layer)
+    (Export.json_escape r.r_kind)
+    (Export.json_escape r.r_key)
+    (Export.json_escape r.r_msg)
 
 let labels_json labels =
   "{"
   ^ String.concat ","
       (List.map
          (fun (k, v) ->
-           Printf.sprintf {|"%s":"%s"|} (json_escape k) (json_escape v))
+           Printf.sprintf {|"%s":"%s"|} (Export.json_escape k)
+             (Export.json_escape v))
          labels)
   ^ "}"
 
@@ -408,7 +411,7 @@ let incident_to_json inc =
          (fun (fam, labels, v0, v1) ->
            Printf.sprintf
              {|{"family":"%s","labels":%s,"before":%s,"after":%s}|}
-             (json_escape fam) (labels_json labels) (json_num v0)
+             (Export.json_escape fam) (labels_json labels) (json_num v0)
              (json_num v1))
          inc.inc_delta)
   in
@@ -416,29 +419,29 @@ let incident_to_json inc =
     String.concat ","
       (List.map
          (fun (p, v) ->
-           Printf.sprintf {|{"path":"%s","value":"%s"}|} (json_escape p)
-             (json_escape v))
+           Printf.sprintf {|{"path":"%s","value":"%s"}|} (Export.json_escape p)
+             (Export.json_escape v))
          inc.inc_store)
   in
   let slos = String.concat "," (List.map Slo.eval_to_json inc.inc_slos) in
   let waterfall =
     String.concat ","
       (List.map
-         (fun l -> Printf.sprintf {|"%s"|} (json_escape l))
+         (fun l -> Printf.sprintf {|"%s"|} (Export.json_escape l))
          inc.inc_waterfall)
   in
   Printf.sprintf
     {|{"seq":%d,"at":%d,"trigger":"%s","reason":"%s","open":%b,"sealed_at":%d,"truncated":%d,"timeline":[%s],"metrics_delta":[%s],"xenstore":[%s],"waterfall":[%s],"slos":[%s]}|}
     inc.inc_seq inc.inc_at
     (trigger_name inc.inc_trigger)
-    (json_escape inc.inc_reason) inc.inc_open inc.inc_sealed_at
+    (Export.json_escape inc.inc_reason) inc.inc_open inc.inc_sealed_at
     inc.inc_post_dropped timeline delta store waterfall slos
 
 let to_json ts =
   let one t =
     Printf.sprintf
       {|{"name":"%s","limit":%d,"records":%d,"dropped":%d,"incidents":[%s],"slos":[%s]}|}
-      (json_escape t.fname) t.limit t.len t.dropped
+      (Export.json_escape t.fname) t.limit t.len t.dropped
       (String.concat "," (List.map incident_to_json (incidents t)))
       (String.concat "," (List.map Slo.eval_to_json t.slo_evals))
   in

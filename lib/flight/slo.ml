@@ -139,19 +139,7 @@ let evaluate t ~at =
     ev_met = (count = 0 || actual <= t.threshold);
   }
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Kite_stats.Export.json_escape
 
 let json_num v =
   if Float.is_nan v then "null"

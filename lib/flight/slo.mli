@@ -69,7 +69,8 @@ val eval_to_json : eval -> string
 
 (**/**)
 
-(* JSON helpers shared with [Flight]. *)
+(* JSON helpers shared with [Flight]; [json_escape] is
+   [Kite_stats.Export.json_escape]. *)
 val json_escape : string -> string
 val json_num : float -> string
 

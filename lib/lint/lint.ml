@@ -158,6 +158,10 @@ let emit report ~rule ~file ~line msg =
          else Printf.sprintf "%s: %s" file msg);
     }
 
+(* The one file allowed to build a machine's context: everywhere else a
+   testbed arms through [Scenario.arm], so armed runs reach it. *)
+let ctx_builder = "scenario.ml"
+
 let lint_structure config report ~file ~check_guards str =
   let facts = fresh_facts () in
   let guarded = ref false in
@@ -214,8 +218,17 @@ let lint_structure config report ~file ~check_guards str =
                        m f)
               | _ -> ());
               Ast_iterator.default_iterator.expr self e
-          | Parsetree.Pexp_ident { txt; _ } ->
+          | Parsetree.Pexp_ident { txt; loc } ->
               note_ident facts txt;
+              if
+                split_path txt = Some ("Xen_ctx", "create")
+                && Filename.basename file <> ctx_builder
+              then
+                emit report ~rule:"lint-testbed-unarmed" ~file
+                  ~line:loc.Location.loc_start.Lexing.pos_lnum
+                  "builds a context with Xen_ctx.create; arm the testbed \
+                   through Scenario.arm (and register its teardown) so \
+                   armed runs inspect it";
               Ast_iterator.default_iterator.expr self e
           | _ -> Ast_iterator.default_iterator.expr self e);
     }

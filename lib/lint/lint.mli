@@ -3,8 +3,9 @@
     syntactic policies that the type checker cannot: hot observability
     hooks must be guarded so they are free when no sink is attached,
     grant maps must have a matching unmap, xenstore watches a matching
-    unwatch, and a file that builds a hypervisor and arms it through
-    [Scenario.arm] must register a teardown.
+    unwatch, a file that builds a hypervisor and arms it through
+    [Scenario.arm] must register a teardown, and no file but
+    [scenario.ml] may build a context with [Xen_ctx.create].
 
     The rules are deliberately lexical (per-file pairing, guard shapes)
     rather than a dataflow analysis: the codebase uses a small set of
@@ -38,5 +39,5 @@ val lint_paths : ?config:config -> Kite_check.Report.t -> string list -> int
 (** Walk directories recursively (or take files as-is), lint every
     [.ml] file found, and return the number of files linted.  Findings
     accumulate in the report under subsystem ["lint"] with rules
-    [lint-hook-unguarded], [lint-grant-unpaired], [lint-watch-unpaired]
-    and [lint-teardown-missing]. *)
+    [lint-hook-unguarded], [lint-grant-unpaired], [lint-watch-unpaired],
+    [lint-teardown-missing] and [lint-testbed-unarmed]. *)

@@ -3,6 +3,8 @@
    bare refs / histograms, and polled closures are only evaluated when a
    sampler or an exposition surface asks. *)
 
+module Export = Kite_stats.Export
+
 type kind = Counter | Gauge | Histogram
 
 type labels = (string * string) list
@@ -606,20 +608,6 @@ let parse_prometheus text =
 (* JSON dump                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_num v =
   if Float.is_nan v then "null"
   else if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
@@ -631,7 +619,8 @@ let add_json_labels b labels =
     (fun k (l, v) ->
       if k > 0 then Buffer.add_char b ',';
       Buffer.add_string b
-        (Printf.sprintf "\"%s\":\"%s\"" (json_escape l) (json_escape v)))
+        (Printf.sprintf "\"%s\":\"%s\"" (Export.json_escape l)
+           (Export.json_escape v)))
     labels;
   Buffer.add_char b '}'
 
@@ -643,7 +632,7 @@ let to_json ts =
       if ti > 0 then Buffer.add_string b ",";
       Buffer.add_string b
         (Printf.sprintf "\n{\"machine\":\"%s\",\"samples\":%d,\"metrics\":["
-           (json_escape t.rname) t.nsamples);
+           (Export.json_escape t.rname) t.nsamples);
       let first = ref true in
       List.iter
         (fun name ->
@@ -653,7 +642,7 @@ let to_json ts =
               if !first then first := false else Buffer.add_string b ",";
               Buffer.add_string b
                 (Printf.sprintf "\n {\"name\":\"%s\",\"kind\":\"%s\",\"labels\":"
-                   (json_escape name) (kind_name f.f_kind));
+                   (Export.json_escape name) (kind_name f.f_kind));
               add_json_labels b i.i_labels;
               (match i.i_instr with
               | I_hist h when Kite_stats.Histogram.count h > 0 ->
@@ -677,10 +666,11 @@ let to_json ts =
           if k > 0 then Buffer.add_string b ",";
           Buffer.add_string b
             (Printf.sprintf "\n {\"at\":%d,\"probe\":\"%s\",\"labels\":"
-               a.alert_at (json_escape a.alert_probe));
+               a.alert_at (Export.json_escape a.alert_probe));
           add_json_labels b a.alert_labels;
           Buffer.add_string b
-            (Printf.sprintf ",\"msg\":\"%s\"}" (json_escape a.alert_msg)))
+            (Printf.sprintf ",\"msg\":\"%s\"}"
+               (Export.json_escape a.alert_msg)))
         (alerts t);
       Buffer.add_string b "]}")
     ts;

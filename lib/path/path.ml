@@ -365,27 +365,13 @@ let waterfall_lines t =
 (* JSON                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let one_to_json t =
   let stages =
     stage_stats t
     |> List.map (fun st ->
            Printf.sprintf
              {|{"kind":"%s","stage":"%s","class":"%s","n":%d,"total_ns":%d,"p50_ns":%.0f,"p99_ns":%.0f}|}
-             (json_escape st.st_kind) (json_escape st.st_stage)
+             (Export.json_escape st.st_kind) (Export.json_escape st.st_stage)
              (class_name st.st_class) st.st_n st.st_total_ns st.st_p50
              st.st_p99)
     |> String.concat ","
@@ -396,7 +382,7 @@ let one_to_json t =
            let ka = Hashtbl.find t.kinds kind in
            Printf.sprintf
              {|{"kind":"%s","spans":%d,"total_ns":%d,"queueing_ns":%d,"service_ns":%d,"notify_ns":%d}|}
-             (json_escape kind) ka.ka_spans ka.ka_total
+             (Export.json_escape kind) ka.ka_spans ka.ka_total
              (class_total_ns t ~kind Queueing)
              (class_total_ns t ~kind Service)
              (class_total_ns t ~kind Notify))
@@ -406,19 +392,19 @@ let one_to_json t =
     devices t
     |> List.map (fun (kind, key, n, total) ->
            Printf.sprintf {|{"kind":"%s","key":"%s","spans":%d,"total_ns":%d}|}
-             (json_escape kind) (json_escape key) n total)
+             (Export.json_escape kind) (Export.json_escape key) n total)
     |> String.concat ","
   in
   let prof =
     profile t
     |> List.map (fun (d, p, ns) ->
            Printf.sprintf {|{"domain":"%s","process":"%s","busy_ns":%d}|}
-             (json_escape d) (json_escape p) ns)
+             (Export.json_escape d) (Export.json_escape p) ns)
     |> String.concat ","
   in
   Printf.sprintf
     {|{"name":"%s","spans":%d,"stages":[%s],"kinds":[%s],"devices":[%s],"cpu_total_ns":%d,"profile":[%s]}|}
-    (json_escape t.pname) t.nspans stages kinds devs t.cpu_total prof
+    (Export.json_escape t.pname) t.nspans stages kinds devs t.cpu_total prof
 
 let to_json ts = "[" ^ String.concat "," (List.map one_to_json ts) ^ "]"
 

@@ -3,6 +3,8 @@
    instrumented layers) are monotone per process and comparable across
    the whole buffer. *)
 
+module Export = Kite_stats.Export
+
 type phase = Instant | Complete
 
 type event = {
@@ -378,29 +380,14 @@ let orphan_ends t = t.orphan_ends
 (* Chrome trace-event JSON                                             *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let add_args b args =
   Buffer.add_string b "{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string b ",";
       Buffer.add_string b
-        (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+        (Printf.sprintf "\"%s\":\"%s\"" (Export.json_escape k)
+           (Export.json_escape v)))
     args;
   Buffer.add_string b "}"
 
@@ -425,7 +412,7 @@ let to_chrome_json ts =
             (Printf.sprintf
                "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
                (base + pid)
-               (json_escape (machine_prefix ^ pname))))
+               (Export.json_escape (machine_prefix ^ pname))))
         (List.rev t.pid_names);
       List.iter
         (fun ((pid, tid), tname) ->
@@ -433,15 +420,15 @@ let to_chrome_json ts =
           Buffer.add_string b
             (Printf.sprintf
                "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-               (base + pid) tid (json_escape tname)))
+               (base + pid) tid (Export.json_escape tname)))
         (List.rev t.tid_names);
       for i = 0 to t.n - 1 do
         let e = t.buf.(i) in
         sep ();
         Buffer.add_string b "{\"name\":\"";
-        Buffer.add_string b (json_escape e.ev_name);
+        Buffer.add_string b (Export.json_escape e.ev_name);
         Buffer.add_string b "\",\"cat\":\"";
-        Buffer.add_string b (json_escape e.ev_cat);
+        Buffer.add_string b (Export.json_escape e.ev_cat);
         Buffer.add_string b "\",\"ph\":\"";
         Buffer.add_string b
           (match e.ev_ph with Instant -> "i" | Complete -> "X");

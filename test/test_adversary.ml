@@ -16,8 +16,7 @@ module Blkback = Kite_drivers.Blkback
 module Toolstack = Kite_drivers.Toolstack
 module Scenario = Kite.Scenario
 module Campaign = Kite_adversary.Campaign
-module Evil_net = Kite_adversary.Evil_net
-module Evil_blk = Kite_adversary.Evil_blk
+module Evil_front = Kite_adversary.Evil_front
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -54,12 +53,12 @@ let net_attack ~cls ~mode ~volley () =
           Toolstack.add_vif ctx ~backend:s.Scenario.dd ~frontend:evil ~devid:1
             ();
           let ev =
-            Evil_net.create ctx ~domain:evil ~backend:s.Scenario.dd ~devid:1
-              ~nq:2
+            Evil_front.create Vif ctx ~domain:evil ~backend:s.Scenario.dd
+              ~devid:1 ~nq:2
           in
           evr := Some ev;
-          Evil_net.handshake ev mode;
-          if mode = Evil_net.Honest then begin
+          Evil_front.handshake ev mode;
+          if mode = Evil_front.Honest then begin
             Process.sleep (Time.ms 2);
             volley ev ~victim
           end);
@@ -75,7 +74,7 @@ let net_attack ~cls ~mode ~volley () =
             Process.sleep (Time.ms 2)
           done);
       Hypervisor.run_for hv (Time.sec 1);
-      (match !evr with Some ev -> Evil_net.cleanup ev | None -> ());
+      (match !evr with Some ev -> Evil_front.cleanup ev | None -> ());
       let nb = Kite_drivers.Net_app.netback s.Scenario.net_app in
       let rejected = List.mem (evil.Domain.id, 1) (Netback.rejected nb) in
       let level =
@@ -111,68 +110,68 @@ let assert_outcome ?(min_level = 1) ?(rejected = false) name o =
 let nop _ev ~victim:_ = ()
 
 let test_net_ring_index () =
-  net_attack ~cls:Guest_fault.Ring_index ~mode:Evil_net.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_net.attack_ring_index ev)
+  net_attack ~cls:Guest_fault.Ring_index ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_ring_index ev)
     ()
   (* Severe: the device state itself is untrustworthy — straight to
      offline, no ladder. *)
   |> assert_outcome ~min_level:3 "ring-index"
 
 let test_net_bad_gref () =
-  net_attack ~cls:Guest_fault.Bad_gref ~mode:Evil_net.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_net.attack_bad_gref ev)
+  net_attack ~cls:Guest_fault.Bad_gref ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_bad_gref ev)
     ()
   |> assert_outcome ~min_level:3 "bad-gref"
 
 let test_net_foreign_gref () =
-  net_attack ~cls:Guest_fault.Foreign_gref ~mode:Evil_net.Honest
-    ~volley:(fun ev ~victim -> Evil_net.attack_foreign_gref ev ~victim)
+  net_attack ~cls:Guest_fault.Foreign_gref ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim -> Evil_front.attack_foreign_gref ev ~victim)
     ()
   |> assert_outcome ~min_level:3 "foreign-gref"
 
 let test_net_bad_length () =
-  net_attack ~cls:Guest_fault.Bad_length ~mode:Evil_net.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_net.attack_bad_length ev)
+  net_attack ~cls:Guest_fault.Bad_length ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_bad_length ev)
     ()
   |> assert_outcome ~min_level:3 "bad-length"
 
 let test_net_replay () =
-  net_attack ~cls:Guest_fault.Replay ~mode:Evil_net.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_net.attack_replay ev)
+  net_attack ~cls:Guest_fault.Replay ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_replay ev)
     ()
   |> assert_outcome ~min_level:3 "replay"
 
 let test_net_slot_reuse () =
-  net_attack ~cls:Guest_fault.Slot_reuse ~mode:Evil_net.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_net.attack_slot_reuse ev)
+  net_attack ~cls:Guest_fault.Slot_reuse ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_slot_reuse ev)
     ()
   |> assert_outcome ~min_level:1 "slot-reuse"
 
 let test_net_xenbus_jump () =
-  net_attack ~cls:Guest_fault.Xenbus_jump ~mode:Evil_net.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_net.attack_xenbus_jump ev)
+  net_attack ~cls:Guest_fault.Xenbus_jump ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_xenbus_jump ev)
     ()
   (* The guard is unwatched at detach, so the ladder plateaus at 2. *)
   |> assert_outcome ~min_level:2 "xenbus-jump"
 
 let test_net_evtchn_storm () =
-  net_attack ~cls:Guest_fault.Evtchn_storm ~mode:Evil_net.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_net.attack_storm ev ~count:200)
+  net_attack ~cls:Guest_fault.Evtchn_storm ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_storm ev ~count:200)
     ()
   |> assert_outcome ~min_level:1 "evtchn-storm"
 
 let test_net_bad_ring_ref () =
-  net_attack ~cls:Guest_fault.Bad_ring_ref ~mode:Evil_net.Forged_ring_ref
+  net_attack ~cls:Guest_fault.Bad_ring_ref ~mode:Evil_front.Forged_ring_ref
     ~volley:nop ()
   |> assert_outcome ~min_level:3 ~rejected:true "bad-ring-ref"
 
 let test_net_bad_port () =
-  net_attack ~cls:Guest_fault.Bad_port ~mode:Evil_net.Hijacked_port
+  net_attack ~cls:Guest_fault.Bad_port ~mode:Evil_front.Hijacked_port
     ~volley:nop ()
   |> assert_outcome ~min_level:3 ~rejected:true "bad-port"
 
 let test_net_xenstore_abuse () =
-  net_attack ~cls:Guest_fault.Xenstore_abuse ~mode:Evil_net.Garbage_keys
+  net_attack ~cls:Guest_fault.Xenstore_abuse ~mode:Evil_front.Garbage_keys
     ~volley:nop ()
   |> assert_outcome ~min_level:3 ~rejected:true "xenstore-abuse"
 
@@ -198,12 +197,12 @@ let blk_attack ~cls ~mode ~volley () =
           Toolstack.add_vbd ctx ~backend:s.Scenario.bdd ~frontend:evil ~devid:1
             ();
           let ev =
-            Evil_blk.create ctx ~domain:evil ~backend:s.Scenario.bdd ~devid:1
-              ~nq:2
+            Evil_front.create Vbd ctx ~domain:evil ~backend:s.Scenario.bdd
+              ~devid:1 ~nq:2
           in
           evr := Some ev;
-          Evil_blk.handshake ev mode;
-          if mode = Evil_blk.Honest then begin
+          Evil_front.handshake ev mode;
+          if mode = Evil_front.Honest then begin
             Process.sleep (Time.ms 2);
             volley ev ~victim
           end);
@@ -219,7 +218,7 @@ let blk_attack ~cls ~mode ~volley () =
           in
           honest_ok := Bytes.equal got payload);
       Hypervisor.run_for hv (Time.sec 1);
-      (match !evr with Some ev -> Evil_blk.cleanup ev | None -> ());
+      (match !evr with Some ev -> Evil_front.cleanup ev | None -> ());
       let bb = Kite_drivers.Blk_app.blkback s.Scenario.blk_app in
       let rejected = List.mem (evil.Domain.id, 1) (Blkback.rejected bb) in
       let level =
@@ -242,73 +241,73 @@ let blk_attack ~cls ~mode ~volley () =
       })
 
 let test_blk_ring_index () =
-  blk_attack ~cls:Guest_fault.Ring_index ~mode:Evil_blk.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_blk.attack_ring_index ev)
+  blk_attack ~cls:Guest_fault.Ring_index ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_ring_index ev)
     ()
   |> assert_outcome ~min_level:3 "blk ring-index"
 
 let test_blk_bad_gref () =
-  blk_attack ~cls:Guest_fault.Bad_gref ~mode:Evil_blk.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_blk.attack_bad_gref ev)
+  blk_attack ~cls:Guest_fault.Bad_gref ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_bad_gref ev)
     ()
   |> assert_outcome ~min_level:3 "blk bad-gref"
 
 let test_blk_foreign_gref () =
-  blk_attack ~cls:Guest_fault.Foreign_gref ~mode:Evil_blk.Honest
-    ~volley:(fun ev ~victim -> Evil_blk.attack_foreign_gref ev ~victim)
+  blk_attack ~cls:Guest_fault.Foreign_gref ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim -> Evil_front.attack_foreign_gref ev ~victim)
     ()
   |> assert_outcome ~min_level:3 "blk foreign-gref"
 
 let test_blk_bad_length () =
-  blk_attack ~cls:Guest_fault.Bad_length ~mode:Evil_blk.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_blk.attack_bad_length ev)
+  blk_attack ~cls:Guest_fault.Bad_length ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_bad_length ev)
     ()
   |> assert_outcome ~min_level:3 "blk bad-length"
 
 let test_blk_bad_segment () =
-  blk_attack ~cls:Guest_fault.Bad_segment ~mode:Evil_blk.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_blk.attack_bad_segment ev)
+  blk_attack ~cls:Guest_fault.Bad_segment ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_bad_segment ev)
     ()
   |> assert_outcome ~min_level:3 "blk bad-segment"
 
 let test_blk_replay () =
-  blk_attack ~cls:Guest_fault.Replay ~mode:Evil_blk.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_blk.attack_replay ev)
+  blk_attack ~cls:Guest_fault.Replay ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_replay ev)
     ()
   |> assert_outcome ~min_level:3 "blk replay"
 
 let test_blk_slot_reuse () =
-  blk_attack ~cls:Guest_fault.Slot_reuse ~mode:Evil_blk.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_blk.attack_slot_reuse ev)
+  blk_attack ~cls:Guest_fault.Slot_reuse ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_slot_reuse ev)
     ()
   |> assert_outcome ~min_level:1 "blk slot-reuse"
 
 let test_blk_xenbus_jump () =
-  blk_attack ~cls:Guest_fault.Xenbus_jump ~mode:Evil_blk.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_blk.attack_xenbus_jump ev)
+  blk_attack ~cls:Guest_fault.Xenbus_jump ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_xenbus_jump ev)
     ()
   |> assert_outcome ~min_level:2 "blk xenbus-jump"
 
 let test_blk_evtchn_storm () =
-  blk_attack ~cls:Guest_fault.Evtchn_storm ~mode:Evil_blk.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_blk.attack_storm ev ~count:200)
+  blk_attack ~cls:Guest_fault.Evtchn_storm ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_storm ev ~count:200)
     ()
   |> assert_outcome ~min_level:1 "blk evtchn-storm"
 
 let test_blk_bad_ring_ref () =
-  blk_attack ~cls:Guest_fault.Bad_ring_ref ~mode:Evil_blk.Forged_ring_ref
+  blk_attack ~cls:Guest_fault.Bad_ring_ref ~mode:Evil_front.Forged_ring_ref
     ~volley:(fun _ev ~victim:_ -> ())
     ()
   |> assert_outcome ~min_level:3 ~rejected:true "blk bad-ring-ref"
 
 let test_blk_bad_port () =
-  blk_attack ~cls:Guest_fault.Bad_port ~mode:Evil_blk.Hijacked_port
+  blk_attack ~cls:Guest_fault.Bad_port ~mode:Evil_front.Hijacked_port
     ~volley:(fun _ev ~victim:_ -> ())
     ()
   |> assert_outcome ~min_level:3 ~rejected:true "blk bad-port"
 
 let test_blk_xenstore_abuse () =
-  blk_attack ~cls:Guest_fault.Xenstore_abuse ~mode:Evil_blk.Garbage_keys
+  blk_attack ~cls:Guest_fault.Xenstore_abuse ~mode:Evil_front.Garbage_keys
     ~volley:(fun _ev ~victim:_ -> ())
     ()
   |> assert_outcome ~min_level:3 ~rejected:true "blk xenstore-abuse"
@@ -332,6 +331,31 @@ let assert_campaign r =
 let test_campaigns () =
   (* One of each flavor: odd = network, even = storage. *)
   List.iter (fun seed -> assert_campaign (Campaign.run ~seed ())) [ 1; 2 ]
+
+(* kite_ctl attack --class: a campaign restricted to one class injects,
+   detects and quarantines exactly that class, on either backend. *)
+let test_campaign_only () =
+  List.iter
+    (fun (seed, target, cls) ->
+      let r = Campaign.run ~only:[ cls ] ~seed () in
+      let name = Guest_fault.slug cls in
+      check_bool (name ^ ": target") true (r.Campaign.target = target);
+      Alcotest.(check (list string))
+        (name ^ ": the one class injected")
+        [ name ]
+        (List.map
+           (fun c -> Guest_fault.slug c.Campaign.attack)
+           r.Campaign.classes);
+      List.iter
+        (fun c ->
+          check_bool (name ^ ": detected") true c.Campaign.detected;
+          check_bool (name ^ ": quarantined") true c.Campaign.quarantined)
+        r.Campaign.classes;
+      check_bool (name ^ ": campaign oracle") true r.Campaign.ok)
+    [
+      (1, Campaign.Net, Guest_fault.Replay);
+      (2, Campaign.Blk, Guest_fault.Bad_segment);
+    ]
 
 let suite =
   [
@@ -359,4 +383,5 @@ let suite =
     ("blk: bad port", `Quick, test_blk_bad_port);
     ("blk: xenstore abuse", `Quick, test_blk_xenstore_abuse);
     ("seeded campaigns", `Slow, test_campaigns);
+    ("campaign restricted to one class", `Quick, test_campaign_only);
   ]

@@ -200,10 +200,28 @@ let test_obs_nests () =
     (same Obs.none (Obs.current ()));
   Alcotest.(check int) "clean audit" 0 (Report.errors report)
 
+(* The multi-NIC scale testbed arms through Scenario.arm like every
+   other: a traced run builds one tracer per machine (one NIC, then two),
+   and its teardown leaves the checker's audits clean. *)
+let test_scale_armed () =
+  let report = Report.create () in
+  let sink = Trace.sink () in
+  Obs.run
+    { Obs.none with check = Some report; trace = Some sink }
+    (fun () ->
+      Fun.protect ~finally:Scenario.teardown_all (fun () ->
+          match Kite.Experiments.find "scale" with
+          | Some (_, _, f) -> ignore (f ~quick:true)
+          | None -> Alcotest.fail "no scale experiment"));
+  Alcotest.(check int) "one tracer per machine" 2
+    (List.length (Trace.traces sink));
+  Alcotest.(check int) "zero checker findings" 0 (Report.count report)
+
 let suite =
   [
     ("net: no sink = trace = all five armed", `Quick, test_net_armed);
     ("blk: no sink = all five armed", `Quick, test_blk_armed);
     ("obs: restores on raise", `Quick, test_obs_restores_on_raise);
     ("obs: nests", `Quick, test_obs_nests);
+    ("scale: armed like every testbed", `Quick, test_scale_armed);
   ]

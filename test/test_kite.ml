@@ -186,7 +186,7 @@ let test_registry_complete () =
 
 let run_exp id =
   match Experiments.find id with
-  | Some f -> f ~quick:true
+  | Some (_, _, f) -> f ~quick:true
   | None -> Alcotest.failf "no experiment %s" id
 
 let cell_matrix table =

@@ -393,6 +393,34 @@ let test_lint_teardown_missing () =
   in
   check_int "with a registration it lints clean" 0 (fst (lint registered))
 
+(* lint-testbed-unarmed: outside Scenario, a machine's context comes
+   from Scenario.arm, never from a bare Xen_ctx.create. *)
+let test_lint_testbed_unarmed () =
+  let lint src =
+    let file = Filename.temp_file "kite_lint_ctx" ".ml" in
+    let oc = open_out file in
+    output_string oc src;
+    close_out oc;
+    let report = Report.create () in
+    Kite_lint.Lint.lint_file report file;
+    Sys.remove file;
+    report
+  in
+  let testbed ctx =
+    "let testbed () =\n\
+    \  let hv = Hypervisor.create ~seed:1 () in\n\
+    \  let ctx = " ^ ctx ^ " in\n\
+    \  Scenario.register_teardown ctx ~dd:(Hypervisor.dom0 hv)\n\
+    \    ~stop:ignore ~shutdown:ignore;\n\
+    \  ctx\n"
+  in
+  let hand_built = lint (testbed "Xen_ctx.create hv") in
+  check_int "a hand-built context is flagged" 1
+    (List.length (Report.by_rule hand_built "lint-testbed-unarmed"));
+  check_int "it is the only finding" 1 (Report.count hand_built);
+  check_int "an armed testbed lints clean" 0
+    (Report.count (lint (testbed "Scenario.arm hv \"t-\"")))
+
 let suite =
   [
     ("race: injected lost update", `Quick, test_injected_lost_update);
@@ -409,4 +437,5 @@ let suite =
     ("lint: accepts guarded source", `Quick, test_lint_accepts_guarded_source);
     ("race: ten-schedule stress sweep", `Slow, test_schedule_seed_sweep);
     ("lint: arming without teardown", `Quick, test_lint_teardown_missing);
+    ("lint: context built by hand", `Quick, test_lint_testbed_unarmed);
   ]

@@ -183,6 +183,20 @@ let prop_histogram_count =
       Histogram.add_list h xs;
       Histogram.count h = List.length xs)
 
+(* The one JSON string escaper every exporter uses. *)
+let test_json_escape () =
+  let check name input expected =
+    Alcotest.(check string) name expected (Export.json_escape input)
+  in
+  check "plain text passes" "vbd2.0 <x>" "vbd2.0 <x>";
+  check "double quote" {|a"b|} {|a\"b|};
+  check "backslash" {|a\b|} {|a\\b|};
+  check "newline" "a\nb" {|a\nb|};
+  check "tab" "a\tb" {|a\tb|};
+  check "carriage return" "a\rb" {|a\rb|};
+  check "other control byte" "a\001b" {|a\u0001b|};
+  check "UTF-8 passes" "\xc2\xb5s" "\xc2\xb5s"
+
 let suite =
   [
     ("mean and stdev", `Quick, test_mean_stdev);
@@ -202,6 +216,7 @@ let suite =
     ("histogram basics", `Quick, test_histogram_basics);
     ("histogram edge cases", `Quick, test_histogram_edge);
     ("quantile conventions", `Quick, test_quantile_conventions);
+    ("json escape", `Quick, test_json_escape);
     QCheck_alcotest.to_alcotest prop_histogram_quantile_monotone;
     QCheck_alcotest.to_alcotest prop_histogram_count;
     QCheck_alcotest.to_alcotest prop_mean_bounds;
