@@ -33,6 +33,21 @@ let full_arg =
 let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
 let findings_json_arg = json_arg "Emit the findings as JSON instead of text."
 
+(* [kite] or [linux], in any case; anything else is a usage error. *)
+let flavor_arg doc =
+  let flavors =
+    Arg.enum [ ("kite", Kite.Scenario.Kite); ("linux", Kite.Scenario.Linux) ]
+  in
+  let flavor =
+    Arg.conv
+      ( (fun s -> Arg.conv_parser flavors (String.lowercase_ascii s)),
+        Arg.conv_printer flavors )
+  in
+  Arg.(
+    value
+    & opt flavor Kite.Scenario.Kite
+    & info [ "flavor" ] ~docv:"FLAVOR" ~doc)
+
 let strict_arg =
   let doc = "Exit nonzero on warnings too, not just errors." in
   Arg.(value & flag & info [ "strict" ] ~doc)
@@ -115,7 +130,8 @@ let run_cmd =
     for_experiments id (fun (eid, desc, f) ->
         Printf.printf "\n### %s — %s\n%!" eid desc;
         let outcome = f ~quick in
-        List.iter Kite_stats.Table.print outcome.Kite.Experiments.tables)
+        List.iter Kite_stats.Table.print outcome.Kite.Experiments.tables;
+        Kite.Scenario.teardown_all ())
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one experiment (or 'all').")
@@ -292,19 +308,10 @@ let security_cmd =
 (* ------------------------------------------------------------------ *)
 
 let topology_cmd =
-  let flavor_arg =
-    let doc = "Driver-domain flavor: kite or linux." in
-    Arg.(value & opt string "kite" & info [ "flavor" ] ~doc)
-  in
-  let run flavor_s =
-    let flavor =
-      match String.lowercase_ascii flavor_s with
-      | "linux" -> Kite.Scenario.Linux
-      | _ -> Kite.Scenario.Kite
-    in
+  let run flavor =
     let s = Kite.Scenario.network ~flavor () in
-    Kite.Scenario.when_net_ready s (fun () -> ());
-    Kite_xen.Hypervisor.run_for s.Kite.Scenario.hv (Kite_sim.Time.sec 2);
+    Kite.Scenario.run s.Kite.Scenario.hv ~what:"topology"
+      (Kite.Scenario.when_net_ready s);
     Printf.printf "domains:\n";
     List.iter
       (fun d -> Format.printf "  %a@." Kite_xen.Domain.pp d)
@@ -328,7 +335,7 @@ let topology_cmd =
   Cmd.v
     (Cmd.info "topology"
        ~doc:"Boot the network testbed and print its domain/bridge topology.")
-    Term.(const run $ flavor_arg)
+    Term.(const run $ flavor_arg "Driver-domain flavor: kite or linux.")
 
 (* ------------------------------------------------------------------ *)
 (* capture                                                             *)
@@ -915,10 +922,6 @@ let swarm_cmd =
     let doc = "Server application: httpd, kvstore, memcache or sqldb." in
     Arg.(value & opt string "httpd" & info [ "app" ] ~docv:"APP" ~doc)
   in
-  let flavor_arg =
-    let doc = "Domain flavor: kite or linux." in
-    Arg.(value & opt string "kite" & info [ "flavor" ] ~docv:"FLAVOR" ~doc)
-  in
   let impair_arg =
     let doc =
       "Seeded link impairments on the cable, e.g. \
@@ -939,20 +942,14 @@ let swarm_cmd =
     Arg.(value & opt (some int) None & info [ "sweep" ] ~docv:"N" ~doc)
   in
   let run clients profile app flavor impair seed rate sweep json =
-    let flavor_v =
-      match String.lowercase_ascii flavor with
-      | "kite" -> Ok Kite.Scenario.Kite
-      | "linux" -> Ok Kite.Scenario.Linux
-      | f -> Error ("unknown flavor " ^ f)
-    in
     let impair_v =
       match impair with
       | None -> Ok None
       | Some s -> Result.map Option.some (Kite_net.Impair.spec_of_string s)
     in
-    match (flavor_v, impair_v) with
-    | Error e, _ | _, Error e -> `Error (false, e)
-    | Ok flavor, Ok impair -> (
+    match impair_v with
+    | Error e -> `Error (false, e)
+    | Ok impair -> (
         let report = Kite_check.Report.create () in
         let seeds =
           match sweep with
@@ -1028,8 +1025,9 @@ let swarm_cmd =
           SLO verdicts under a protocol checker.")
     Term.(
       ret
-        (const run $ clients_arg $ profile_arg $ app_arg $ flavor_arg
-       $ impair_arg $ seed_arg $ rate_arg $ sweep_arg $ campaigns_json_arg))
+        (const run $ clients_arg $ profile_arg $ app_arg
+        $ flavor_arg "Domain flavor: kite or linux."
+        $ impair_arg $ seed_arg $ rate_arg $ sweep_arg $ campaigns_json_arg))
 
 let () =
   let info =

@@ -10,6 +10,7 @@ let () =
   print_endline "booting the network domain and the DHCP daemon VM...";
   let s = Scenario.network ~flavor:Scenario.Kite () in
 
+  Scenario.run s.Scenario.hv ~what:"dhcp daemon" @@ fun finish ->
   Scenario.when_net_ready s (fun () ->
       let dhcpd =
         Kite_apps.Dhcp_server.start s.Scenario.guest_stack
@@ -29,7 +30,6 @@ let () =
           Printf.printf "  Request  -> Ack   : %.3f ms average\n"
             r.Kite_bench_tools.Perfdhcp.avg_request_ack_ms;
           Printf.printf "leases active: %d\n"
-            (Kite_apps.Dhcp_server.active_leases dhcpd))
-        ());
-
-  Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 30)
+            (Kite_apps.Dhcp_server.active_leases dhcpd);
+          finish ())
+        ())

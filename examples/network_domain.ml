@@ -1,5 +1,5 @@
 (* Network driver domain walkthrough: build the testbed by hand (no
-   Scenario helper), run a web server in the guest and benchmark it from
+   Scenario builder), run a web server in the guest and benchmark it from
    the client — the paper's Figure 8 workload in miniature.
 
      dune exec examples/network_domain.exe *)
@@ -60,23 +60,25 @@ let () =
   let guest_tcp = Tcp.attach guest in
   let client_tcp = Tcp.attach client in
 
-  (* 5. Serve HTTP from the guest; benchmark from the client. *)
-  Process.spawn sched ~name:"orchestrate" (fun () ->
-      Netfront.wait_connected front;
-      ignore (Kite_apps.Httpd.start guest_tcp ~sched ());
-      Printf.printf "guest web server up at %s; running ab...\n%!"
-        (Ipv4addr.to_string guest_ip);
-      Kite_bench_tools.Ab.run ~sched ~client_tcp ~server_ip:guest_ip
-        ~requests:400 ~concurrency:8 ~file_size:65536
-        ~on_done:(fun r ->
-          Printf.printf
-            "ab: %d requests, %.0f req/s, %.1f MB/s, mean latency %.2f ms\n"
-            r.Kite_bench_tools.Ab.completed
-            r.Kite_bench_tools.Ab.requests_per_sec
-            r.Kite_bench_tools.Ab.throughput_mbps
-            r.Kite_bench_tools.Ab.avg_latency_ms)
-        ());
-  Hypervisor.run_for hv (Time.sec 30);
+  (* 5. Serve HTTP from the guest; benchmark from the client, running the
+     machine until ab reports. *)
+  Kite.Scenario.run hv ~what:"ab" (fun finish ->
+      Process.spawn sched ~name:"orchestrate" (fun () ->
+          Netfront.wait_connected front;
+          ignore (Kite_apps.Httpd.start guest_tcp ~sched ());
+          Printf.printf "guest web server up at %s; running ab...\n%!"
+            (Ipv4addr.to_string guest_ip);
+          Kite_bench_tools.Ab.run ~sched ~client_tcp ~server_ip:guest_ip
+            ~requests:400 ~concurrency:8 ~file_size:65536
+            ~on_done:(fun r ->
+              Printf.printf
+                "ab: %d requests, %.0f req/s, %.1f MB/s, mean latency %.2f ms\n"
+                r.Kite_bench_tools.Ab.completed
+                r.Kite_bench_tools.Ab.requests_per_sec
+                r.Kite_bench_tools.Ab.throughput_mbps
+                r.Kite_bench_tools.Ab.avg_latency_ms;
+              finish ())
+            ()));
 
   let bridge = Net_app.bridge app in
   Printf.printf "bridge forwarded %d frames (%d flooded)\n"

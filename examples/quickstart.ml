@@ -15,25 +15,25 @@ let () =
   print_endline "building the testbed (Dom0 + Kite driver domain + DomU)...";
   let s = Scenario.network ~flavor:Scenario.Kite () in
 
-  Scenario.when_net_ready s (fun () ->
-      Printf.printf "netfront connected after %s of simulated time\n"
-        (Time.to_string (Kite_xen.Hypervisor.now s.Scenario.hv));
+  Scenario.run s.Scenario.hv ~what:"quickstart" (fun finish ->
+    Scenario.when_net_ready s (fun () ->
+        Printf.printf "netfront connected after %s of simulated time\n"
+          (Time.to_string (Kite_xen.Hypervisor.now s.Scenario.hv));
 
-      print_endline "pinging the guest from the client machine...";
-      for seq = 1 to 5 do
-        (match
-           Kite_net.Stack.ping s.Scenario.client_stack
-             ~dst:s.Scenario.guest_ip ~seq ()
-         with
-        | Some rtt ->
-            Printf.printf "  64 bytes from %s: icmp_seq=%d time=%.3f ms\n"
-              (Kite_net.Ipv4addr.to_string s.Scenario.guest_ip)
-              seq (Time.to_ms_f rtt)
-        | None -> Printf.printf "  icmp_seq=%d timed out\n" seq);
-        Process.sleep (Time.sec 1)
-      done);
-
-  Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 10);
+        print_endline "pinging the guest from the client machine...";
+        for seq = 1 to 5 do
+          (match
+             Kite_net.Stack.ping s.Scenario.client_stack
+               ~dst:s.Scenario.guest_ip ~seq ()
+           with
+          | Some rtt ->
+              Printf.printf "  64 bytes from %s: icmp_seq=%d time=%.3f ms\n"
+                (Kite_net.Ipv4addr.to_string s.Scenario.guest_ip)
+                seq (Time.to_ms_f rtt)
+          | None -> Printf.printf "  icmp_seq=%d timed out\n" seq);
+          Process.sleep (Time.sec 1)
+        done;
+        finish ()));
 
   (* Show what the packets crossed. *)
   let inst =

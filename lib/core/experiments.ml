@@ -9,14 +9,17 @@ type outcome = { tables : Table.t list }
 let fnum = Table.fmt_f
 let fint = string_of_int
 
-(* Drive a hypervisor until the experiment deposits its result. *)
-let drive hv result what =
-  Kite_xen.Hypervisor.run_for hv (Time.sec 7200);
-  match !result with
-  | Some v -> v
-  | None -> failwith (what ^ ": experiment did not complete")
-
 let both f = (f Scenario.Kite, f Scenario.Linux)
+
+(* Run a testbed until its workload calls [finish] (see [Scenario.run]);
+   the workload starts once the frontend is connected. *)
+let net_run s ~what work =
+  Scenario.run s.Scenario.hv ~what (fun finish ->
+      Scenario.when_net_ready s (fun () -> work finish))
+
+let blk_run s ~what work =
+  Scenario.run s.Scenario.bhv ~what (fun finish ->
+      Scenario.when_blk_ready s (fun () -> work finish))
 
 (* ------------------------------------------------------------------ *)
 (* Security / size / boot                                              *)
@@ -190,14 +193,10 @@ let fig6 ~quick =
   let duration = if quick then Time.ms 20 else Time.ms 200 in
   let run flavor =
     let s = Scenario.network ~flavor () in
-    let result = ref None in
-    Scenario.when_net_ready s (fun () ->
+    net_run s ~what:"fig6" (fun finish ->
         BT.Nuttcp.run ~sched:s.Scenario.sched ~client:s.Scenario.client_stack
           ~server:s.Scenario.guest_stack ~server_ip:s.Scenario.guest_ip
-          ~duration
-          ~on_done:(fun r -> result := Some r)
-          ());
-    drive s.Scenario.hv result "fig6"
+          ~duration ~on_done:finish ())
   in
   let k, l = both run in
   let t =
@@ -220,8 +219,7 @@ let fig7 ~quick =
   let mt_ops = if quick then 1100 else 22_000 in
   let run flavor =
     let s = Scenario.network ~flavor () in
-    let result = ref None in
-    Scenario.when_net_ready s (fun () ->
+    net_run s ~what:"fig7" (fun finish ->
         (* Memcached serves from the guest for the memtier leg. *)
         ignore
           (Kite_apps.Memcache.start s.Scenario.guest_tcp ~sched:s.Scenario.sched
@@ -237,11 +235,10 @@ let fig7 ~quick =
                 BT.Memtier.run ~sched:s.Scenario.sched
                   ~client_tcp:s.Scenario.client_tcp
                   ~server_ip:s.Scenario.guest_ip ~ops:mt_ops
-                  ~on_done:(fun mt -> result := Some (ping, np, mt))
+                  ~on_done:(fun mt -> finish (ping, np, mt))
                   ())
               ())
-          ());
-    drive s.Scenario.hv result "fig7"
+          ())
   in
   let (kp, kn, km), (lp, ln, lm) = both run in
   let t =
@@ -298,17 +295,13 @@ let ab_requests ~quick file_size =
 
 let run_ab flavor ~quick ~file_size =
   let s = Scenario.network ~flavor () in
-  let result = ref None in
-  Scenario.when_net_ready s (fun () ->
+  net_run s ~what:"apache" (fun finish ->
       ignore
         (Kite_apps.Httpd.start s.Scenario.guest_tcp ~sched:s.Scenario.sched ());
       BT.Ab.run ~sched:s.Scenario.sched ~client_tcp:s.Scenario.client_tcp
         ~server_ip:s.Scenario.guest_ip
         ~requests:(ab_requests ~quick file_size)
-        ~concurrency:40 ~file_size
-        ~on_done:(fun r -> result := Some r)
-        ());
-  drive s.Scenario.hv result "apache"
+        ~concurrency:40 ~file_size ~on_done:finish ())
 
 let fig8a ~quick =
   let sizes = [ 512; 4096; 32768; 131072; 524288; 1048576 ] in
@@ -359,17 +352,13 @@ let fig9 ~quick =
   let ops = if quick then 2000 else 10_000 in
   let run flavor threads =
     let s = Scenario.network ~flavor () in
-    let result = ref None in
-    Scenario.when_net_ready s (fun () ->
+    net_run s ~what:"fig9" (fun finish ->
         ignore
           (Kite_apps.Kvstore.start s.Scenario.guest_tcp ~sched:s.Scenario.sched
              ());
         BT.Redis_bench.run ~sched:s.Scenario.sched
           ~client_tcp:s.Scenario.client_tcp ~server_ip:s.Scenario.guest_ip
-          ~threads ~ops_per_thread:ops ~value_size:128
-          ~on_done:(fun r -> result := Some r)
-          ());
-    drive s.Scenario.hv result "fig9"
+          ~threads ~ops_per_thread:ops ~value_size:128 ~on_done:finish ())
   in
   let t =
     Table.create ~title:"Figure 9: Redis SET/GET throughput (pipeline 1000)"
@@ -394,9 +383,6 @@ let fig9 ~quick =
   Table.note t "paper: Kite and Linux netback exhibit similar performance";
   { tables = [ t ] }
 
-(* A sysbench read-only query against the paper's 2.2 GHz Xeon costs on
-   the order of a millisecond of server CPU; this is what makes the
-   network-path delta invisible in Figure 10a. *)
 (* A sysbench read-only query costs ~30 us of MySQL CPU; most of the
    per-query wall time is protocol round trips and sysbench's own
    client-side work, which is what makes the network-path delta nearly
@@ -409,25 +395,24 @@ let fig10 ~quick =
   let run flavor threads =
     let s = Scenario.network ~flavor () in
     let hv = s.Scenario.hv in
-    let result = ref None in
-    let started = ref Time.zero in
-    Scenario.when_net_ready s (fun () ->
-        started := Kite_xen.Hypervisor.now hv;
-        ignore
-          (Kite_apps.Sqldb.start s.Scenario.guest_tcp
-             ~cpu_per_query:sysbench_cpu_per_query
-             ~charge:(fun span ->
-               Kite_xen.Hypervisor.cpu_work hv s.Scenario.domu span)
-             ~backend:Kite_apps.Sqldb.Memory ~tables:10
-             ~rows_per_table:1_000_000 ~sched:s.Scenario.sched ());
-        BT.Sysbench_db.run ~sched:s.Scenario.sched
-          ~client_tcp:s.Scenario.client_tcp ~server_ip:s.Scenario.guest_ip
-          ~threads ~transactions_per_thread:tx_per_thread ~seed:(7 + threads)
-          ~on_done:(fun r ->
-            result :=
-              Some (r, Kite_xen.Hypervisor.now hv - !started))
-          ());
-    let r, elapsed = drive s.Scenario.hv result "fig10" in
+    let r, elapsed =
+      net_run s ~what:"fig10" (fun finish ->
+          let started = Kite_xen.Hypervisor.now hv in
+          ignore
+            (Kite_apps.Sqldb.start s.Scenario.guest_tcp
+               ~cpu_per_query:sysbench_cpu_per_query
+               ~charge:(fun span ->
+                 Kite_xen.Hypervisor.cpu_work hv s.Scenario.domu span)
+               ~backend:Kite_apps.Sqldb.Memory ~tables:10
+               ~rows_per_table:1_000_000 ~sched:s.Scenario.sched ());
+          BT.Sysbench_db.run ~sched:s.Scenario.sched
+            ~client_tcp:s.Scenario.client_tcp
+            ~server_ip:s.Scenario.guest_ip ~threads
+            ~transactions_per_thread:tx_per_thread ~seed:(7 + threads)
+            ~on_done:(fun r ->
+              finish (r, Kite_xen.Hypervisor.now hv - started))
+            ())
+    in
     (* DomU CPU utilization from the hypervisor's busy accounting, as
        sysstat would report it: % of the guest's 22 vCPUs. *)
     let busy = Metrics.busy (Kite_xen.Hypervisor.metrics hv) "vcpu.domu" in
@@ -465,27 +450,28 @@ let table4 ~quick =
   let seeds = List.init repeats (fun i -> 100 + i) in
   let samples_of runner = List.map runner seeds in
   let rsd xs = Summary.rsd_pct xs in
-  let jitter seed = Process.sleep (Time.us (seed * 37 mod 211)) in
-  let apache flavor seed =
+  (* One seeded testbed per sample: once the network is ready and a
+     seed-dependent jitter has passed, [bench s seed finish] starts the
+     server and its load generator. *)
+  let measure what bench flavor seed =
     let s = Scenario.network ~flavor ~seed () in
-    let result = ref None in
-    Scenario.when_net_ready s (fun () ->
-        jitter seed;
+    net_run s ~what (fun finish ->
+        Process.sleep (Time.us (seed * 37 mod 211));
+        bench s seed finish)
+  in
+  let apache =
+    measure "table4-apache" (fun s seed finish ->
         ignore
           (Kite_apps.Httpd.start s.Scenario.guest_tcp ~sched:s.Scenario.sched ());
         BT.Ab.run ~sched:s.Scenario.sched ~client_tcp:s.Scenario.client_tcp
           ~server_ip:s.Scenario.guest_ip ~seed
           ~requests:(if quick then 120 else 600)
           ~concurrency:40 ~file_size:131072
-          ~on_done:(fun r -> result := Some r)
-          ());
-    (drive s.Scenario.hv result "table4-apache").BT.Ab.requests_per_sec
+          ~on_done:(fun r -> finish r.BT.Ab.requests_per_sec)
+          ())
   in
-  let redis flavor seed =
-    let s = Scenario.network ~flavor ~seed () in
-    let result = ref None in
-    Scenario.when_net_ready s (fun () ->
-        jitter seed;
+  let redis =
+    measure "table4-redis" (fun s seed finish ->
         ignore
           (Kite_apps.Kvstore.start s.Scenario.guest_tcp ~sched:s.Scenario.sched
              ());
@@ -493,30 +479,22 @@ let table4 ~quick =
           ~client_tcp:s.Scenario.client_tcp ~server_ip:s.Scenario.guest_ip
           ~threads:10 ~seed
           ~ops_per_thread:(if quick then 1000 else 4000)
-          ~on_done:(fun r -> result := Some r)
-          ());
-    (drive s.Scenario.hv result "table4-redis").BT.Redis_bench.get_ops_per_sec
+          ~on_done:(fun r -> finish r.BT.Redis_bench.get_ops_per_sec)
+          ())
   in
-  let memtier flavor seed =
-    let s = Scenario.network ~flavor ~seed () in
-    let result = ref None in
-    Scenario.when_net_ready s (fun () ->
-        jitter seed;
+  let memtier =
+    measure "table4-memtier" (fun s seed finish ->
         ignore
           (Kite_apps.Memcache.start s.Scenario.guest_tcp ~sched:s.Scenario.sched
              ());
         BT.Memtier.run ~sched:s.Scenario.sched
           ~client_tcp:s.Scenario.client_tcp ~server_ip:s.Scenario.guest_ip
           ~ops:(if quick then 1100 else 5500) ~seed
-          ~on_done:(fun r -> result := Some r)
-          ());
-    (drive s.Scenario.hv result "table4-memtier").BT.Memtier.ops_per_sec
+          ~on_done:(fun r -> finish r.BT.Memtier.ops_per_sec)
+          ())
   in
-  let sysbench flavor seed =
-    let s = Scenario.network ~flavor ~seed () in
-    let result = ref None in
-    Scenario.when_net_ready s (fun () ->
-        jitter seed;
+  let sysbench =
+    measure "table4-sysbench" (fun s seed finish ->
         ignore
           (Kite_apps.Sqldb.start s.Scenario.guest_tcp
              ~backend:Kite_apps.Sqldb.Memory ~tables:10
@@ -525,9 +503,8 @@ let table4 ~quick =
           ~client_tcp:s.Scenario.client_tcp ~server_ip:s.Scenario.guest_ip
           ~threads:10 ~transactions_per_thread:(if quick then 5 else 15)
           ~seed
-          ~on_done:(fun r -> result := Some r)
-          ());
-    (drive s.Scenario.hv result "table4-sysbench").BT.Sysbench_db.qps
+          ~on_done:(fun r -> finish r.BT.Sysbench_db.qps)
+          ())
   in
   let t =
     Table.create ~title:"Table 4: relative standard deviation (%)"
@@ -559,13 +536,9 @@ let fig11 ~quick =
   let total = if quick then 32 * 1024 * 1024 else 256 * 1024 * 1024 in
   let run flavor direction =
     let s = Scenario.storage ~flavor () in
-    let result = ref None in
-    Scenario.when_blk_ready s (fun () ->
+    blk_run s ~what:"fig11" (fun finish ->
         BT.Dd.run ~sched:s.Scenario.bsched ~dev:(Scenario.blockdev s)
-          ~direction ~total
-          ~on_done:(fun r -> result := Some r)
-          ());
-    drive s.Scenario.bhv result "fig11"
+          ~direction ~total ~on_done:finish ())
   in
   let t =
     Table.create ~title:"Figure 11: dd sequential throughput (MB/s)"
@@ -585,12 +558,10 @@ let fig11 ~quick =
 
 let with_fs flavor ~prepare_fn ~run_fn =
   let s = Scenario.storage ~flavor () in
-  let result = ref None in
-  Scenario.when_blk_ready s (fun () ->
+  blk_run s ~what:"storage-fs" (fun finish ->
       let fs = Kite_vfs.Fs.format (Scenario.blockdev s) in
       prepare_fn fs;
-      run_fn s fs (fun r -> result := Some r));
-  drive s.Scenario.bhv result "storage-fs"
+      run_fn s fs finish)
 
 let fig12 ~quick =
   let files = 8 in
@@ -655,8 +626,7 @@ let fig13 ~quick =
   let tx_per_thread = if quick then 4 else 10 in
   let run flavor threads =
     let s = Scenario.storage ~flavor () in
-    let result = ref None in
-    Scenario.when_blk_ready s (fun () ->
+    blk_run s ~what:"fig13" (fun finish ->
         (* The DB server lives in DomU; the sysbench client talks to it
            over a management link that bypasses the storage domain, so
            the variable under test is the disk path. *)
@@ -693,10 +663,7 @@ let fig13 ~quick =
           ~server_ip:(Kite_net.Ipv4addr.of_string "172.16.0.1")
           ~tables:100 ~rows_per_table:100_000 ~threads
           ~transactions_per_thread:tx_per_thread ~range_size:50
-          ~seed:(31 + threads)
-          ~on_done:(fun r -> result := Some r)
-          ());
-    drive s.Scenario.bhv result "fig13"
+          ~seed:(31 + threads) ~on_done:finish ())
   in
   let t =
     Table.create ~title:"Figure 13: MySQL (storage path) throughput"
@@ -828,8 +795,7 @@ let dhcp ~quick =
      scheduler path per message. *)
   let run daemon_cpu =
     let s = Scenario.network ~flavor:Scenario.Kite () in
-    let result = ref None in
-    Scenario.when_net_ready s (fun () ->
+    net_run s ~what:"dhcp" (fun finish ->
         ignore
           (Kite_apps.Dhcp_server.start s.Scenario.guest_stack
              ~sched:s.Scenario.sched ~server_ip:s.Scenario.guest_ip
@@ -837,9 +803,7 @@ let dhcp ~quick =
              ~pool_size:200 ~cpu_per_message:daemon_cpu ());
         BT.Perfdhcp.run ~sched:s.Scenario.sched ~client:s.Scenario.client_stack
           ~server_ip:s.Scenario.guest_ip ~clients ~interval:(Time.ms 100)
-          ~on_done:(fun r -> result := Some r)
-          ());
-    drive s.Scenario.hv result "dhcp"
+          ~on_done:finish ())
   in
   let k = run (Time.us 25) in
   let l = run (Time.us 55) in
@@ -885,26 +849,24 @@ let table1 ~quick:_ =
 (* Ablations                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let storage_workload s ~writes k =
-  let dev = Scenario.blockdev s in
-  Scenario.when_blk_ready s (fun () ->
-      let payload = Bytes.make 4096 'a' in
-      let t0 = Kite_xen.Hypervisor.now s.Scenario.bhv in
-      for i = 0 to writes - 1 do
-        dev.Kite_vfs.Blockdev.write ~sector:(i * 8) payload
-      done;
-      k (Kite_xen.Hypervisor.now s.Scenario.bhv - t0))
-
 let abl_persistent ~quick =
   let writes = if quick then 100 else 400 in
   let run persistent =
     let s =
       Scenario.storage ~flavor:Scenario.Kite ~feature_persistent:persistent ()
     in
-    let result = ref None in
-    storage_workload s ~writes (fun elapsed -> result := Some elapsed);
-    let elapsed = drive s.Scenario.bhv result "abl-persistent" in
-    let m = Kite_xen.Hypervisor.metrics s.Scenario.bhv in
+    let hv = s.Scenario.bhv in
+    let elapsed =
+      blk_run s ~what:"abl-persistent" (fun finish ->
+          let dev = Scenario.blockdev s in
+          let payload = Bytes.make 4096 'a' in
+          let t0 = Kite_xen.Hypervisor.now hv in
+          for i = 0 to writes - 1 do
+            dev.Kite_vfs.Blockdev.write ~sector:(i * 8) payload
+          done;
+          finish (Kite_xen.Hypervisor.now hv - t0))
+    in
+    let m = Kite_xen.Hypervisor.metrics hv in
     ( elapsed,
       Metrics.count m "hypercall.grant_map",
       Metrics.count m "hypercall.grant_unmap" )
@@ -931,13 +893,11 @@ let abl_batching ~quick =
   let total = if quick then 16 * 1024 * 1024 else 64 * 1024 * 1024 in
   let run batching =
     let s = Scenario.storage ~flavor:Scenario.Kite ~batching () in
-    let result = ref None in
-    Scenario.when_blk_ready s (fun () ->
-        BT.Dd.run ~sched:s.Scenario.bsched ~dev:(Scenario.blockdev s)
-          ~direction:`Write ~total
-          ~on_done:(fun r -> result := Some r)
-          ());
-    let r = drive s.Scenario.bhv result "abl-batching" in
+    let r =
+      blk_run s ~what:"abl-batching" (fun finish ->
+          BT.Dd.run ~sched:s.Scenario.bsched ~dev:(Scenario.blockdev s)
+            ~direction:`Write ~total ~on_done:finish ())
+    in
     let inst =
       List.hd (Kite_drivers.Blkback.instances (Kite_drivers.Blk_app.blkback s.Scenario.blk_app))
     in
@@ -965,13 +925,11 @@ let abl_indirect ~quick =
   let total = if quick then 16 * 1024 * 1024 else 64 * 1024 * 1024 in
   let run indirect =
     let s = Scenario.storage ~flavor:Scenario.Kite ~feature_indirect:indirect () in
-    let result = ref None in
-    Scenario.when_blk_ready s (fun () ->
-        BT.Dd.run ~sched:s.Scenario.bsched ~dev:(Scenario.blockdev s)
-          ~direction:`Read ~total
-          ~on_done:(fun r -> result := Some r)
-          ());
-    let r = drive s.Scenario.bhv result "abl-indirect" in
+    let r =
+      blk_run s ~what:"abl-indirect" (fun finish ->
+          BT.Dd.run ~sched:s.Scenario.bsched ~dev:(Scenario.blockdev s)
+            ~direction:`Read ~total ~on_done:finish ())
+    in
     (r.BT.Dd.throughput_mbs, Kite_drivers.Blkfront.requests_issued s.Scenario.blkfront)
   in
   let thr_on, req_on = run true in
@@ -998,14 +956,10 @@ let abl_wake ~quick =
   let requests = if quick then 100 else 400 in
   let run_with ov =
     let s = Scenario.network ~overheads_override:ov ~flavor:Scenario.Kite () in
-    let result = ref None in
-    Scenario.when_net_ready s (fun () ->
+    net_run s ~what:"abl-wake" (fun finish ->
         BT.Netperf.run ~sched:s.Scenario.sched ~client:s.Scenario.client_stack
           ~server:s.Scenario.guest_stack ~server_ip:s.Scenario.guest_ip
-          ~requests
-          ~on_done:(fun r -> result := Some r)
-          ());
-    drive s.Scenario.hv result "abl-wake"
+          ~requests ~on_done:finish ())
   in
   let normal = run_with Kite_drivers.Overheads.kite in
   let degraded =
@@ -1037,10 +991,9 @@ let abl_wake ~quick =
 let restart ~quick:_ =
   let handshake_time flavor =
     let s = Scenario.network ~flavor () in
-    let t = ref 0 in
-    Scenario.when_net_ready s (fun () -> t := Kite_xen.Hypervisor.now s.Scenario.hv);
-    Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 2);
-    !t
+    let hv = s.Scenario.hv in
+    net_run s ~what:"restart" (fun finish ->
+        finish (Kite_xen.Hypervisor.now hv))
   in
   let t =
     Table.create ~title:"Extension: driver-domain restart recovery time"
@@ -1106,48 +1059,47 @@ let restart_recovery ~quick =
     let writes = if quick then 96 else 256 in
     let span = 64 (* sectors per write *) in
     let downtime = ref None in
-    let done_ = ref None in
-    let verify_errors = ref 0 in
-    Scenario.when_blk_ready s (fun () ->
-        (* Back-to-back writes keep requests in flight, so the crash
-           lands on a non-empty journal and forces a replay. *)
-        Scenario.crash_and_restart_blk s ~flavor ~at:(Time.ms 2)
-          ~on_restored:(fun ~downtime:d -> downtime := Some d)
-          ();
-        let front = s.Scenario.blkfront in
-        let fill k =
-          Char.chr (Char.code 'a' + (k mod 26))
-        in
-        for k = 0 to writes - 1 do
-          let data =
-            Bytes.make (span * Kite_drivers.Blkfront.sector_size) (fill k)
-          in
-          Kite_drivers.Blkfront.write front ~sector:(k * span) data
-        done;
-        for k = 0 to writes - 1 do
-          let data =
-            Kite_drivers.Blkfront.read front ~sector:(k * span) ~count:span
-          in
-          Bytes.iter
-            (fun c -> if c <> fill k then incr verify_errors)
-            data
-        done;
-        done_ := Some ());
-    drive s.Scenario.bhv done_ "restart-recovery storage";
+    let verify_errors =
+      blk_run s ~what:"restart-recovery storage" (fun finish ->
+          (* Back-to-back writes keep requests in flight, so the crash
+             lands on a non-empty journal and forces a replay. *)
+          Scenario.crash_and_restart_blk s ~flavor ~at:(Time.ms 2)
+            ~on_restored:(fun ~downtime:d -> downtime := Some d)
+            ();
+          let front = s.Scenario.blkfront in
+          let fill k = Char.chr (Char.code 'a' + (k mod 26)) in
+          for k = 0 to writes - 1 do
+            let data =
+              Bytes.make (span * Kite_drivers.Blkfront.sector_size) (fill k)
+            in
+            Kite_drivers.Blkfront.write front ~sector:(k * span) data
+          done;
+          let errors = ref 0 in
+          for k = 0 to writes - 1 do
+            Bytes.iter
+              (fun c -> if c <> fill k then incr errors)
+              (Kite_drivers.Blkfront.read front ~sector:(k * span)
+                 ~count:span)
+          done;
+          (* The restore callback polls the frontend every 1 ms, so it
+             may report after the last read completed. *)
+          while !downtime = None do
+            Process.sleep (Time.ms 1)
+          done;
+          finish !errors)
+    in
     note_flight s.Scenario.bctx.Kite_drivers.Xen_ctx.flight;
-    let dt = match !downtime with Some d -> d | None -> 0 in
     [
       Scenario.flavor_name flavor;
-      Time.to_string dt;
+      Time.to_string (Option.get !downtime);
       fint writes;
       fint (Kite_drivers.Blkfront.replayed s.Scenario.blkfront);
-      fint !verify_errors;
+      fint verify_errors;
     ]
   in
   let net_row flavor =
     let s = Scenario.network ~flavor () in
     let downtime = ref None in
-    let done_ = ref None in
     let sent = ref 0 and received = ref 0 and after_ok = ref 0 in
     (* Ping RTTs feed a histogram so the blackout shows up as an
        SLO-annotated p99 spike: a timed-out ping is observed at the
@@ -1176,7 +1128,7 @@ let restart_recovery ~quick =
       | Some h -> Kite_metrics.Registry.observe h (float_of_int ns)
       | None -> ()
     in
-    Scenario.when_net_ready s (fun () ->
+    net_run s ~what:"restart-recovery network" (fun finish ->
         Scenario.crash_and_restart_net s ~flavor ~at:(Time.ms 10)
           ~on_restored:(fun ~downtime:d -> downtime := Some d)
           ();
@@ -1212,13 +1164,11 @@ let restart_recovery ~quick =
               observe_rtt rtt
           | None -> observe_rtt (Time.ms 100)
         done;
-        done_ := Some ());
-    drive s.Scenario.hv done_ "restart-recovery network";
+        finish ());
     note_flight s.Scenario.ctx.Kite_drivers.Xen_ctx.flight;
-    let dt = match !downtime with Some d -> d | None -> 0 in
     [
       Scenario.flavor_name flavor;
-      Time.to_string dt;
+      Time.to_string (Option.get !downtime);
       fint !sent;
       fint (!sent - !received);
       Printf.sprintf "%d/10" !after_ok;
@@ -1305,9 +1255,10 @@ let scale ~quick =
         ~nics:(List.map fst links)
         ~overheads:Kite_drivers.Overheads.kite ()
     in
-    let received = ref 0 in
     (* Must match the datagram size nuttcp actually sends. *)
     let payload = 8192 in
+    let received = ref 0 and running = ref nnics in
+    Scenario.run hv ~what:"scale" @@ fun finish ->
     let fronts =
       List.mapi
         (fun i (_, client_nic) ->
@@ -1354,7 +1305,12 @@ let scale ~quick =
                 ~port:(5001 + (10 * i))
                 ~duration
                 ~on_done:(fun r ->
-                  received := !received + r.BT.Nuttcp.received)
+                  received := !received + r.BT.Nuttcp.received;
+                  decr running;
+                  if !running = 0 then
+                    finish
+                      (float_of_int (!received * payload * 8)
+                      /. Time.to_sec_f duration /. 1e9))
                 ());
           front)
         links
@@ -1362,9 +1318,7 @@ let scale ~quick =
     Scenario.register_teardown ctx ~dd
       ~stop:(fun () ->
         Kite_drivers.Netback.stop (Kite_drivers.Net_app.netback app))
-      ~shutdown:(fun () -> List.iter Kite_drivers.Netfront.shutdown fronts);
-    Kite_xen.Hypervisor.run_for hv (Time.sec 10);
-    float_of_int (!received * payload * 8) /. Time.to_sec_f duration /. 1e9
+      ~shutdown:(fun () -> List.iter Kite_drivers.Netfront.shutdown fronts)
   in
   let one = run 1 in
   let two = run 2 in
@@ -1425,15 +1379,13 @@ let hypercalls ~quick =
   let sink = Trace.sink () in
   let run flavor =
     let s = Scenario.network ~flavor () in
-    let done_ = ref None in
-    Scenario.when_net_ready s (fun () ->
+    net_run s ~what:"hypercalls" (fun finish ->
         for seq = 1 to pings do
           ignore
             (Kite_net.Stack.ping s.Scenario.client_stack
                ~dst:s.Scenario.guest_ip ~seq ())
         done;
-        done_ := Some ());
-    ignore (drive s.Scenario.hv done_ "hypercalls");
+        finish ());
     s.Scenario.dd.Kite_xen.Domain.name
   in
   let kdd, ldd =
@@ -1548,7 +1500,7 @@ let mq_run_gbps ~duration ~mq nq =
     f
   in
   let stop = ref false in
-  let result = ref None in
+  Scenario.run hv ~what:"mq_run_gbps" @@ fun finish ->
   Kite_xen.Hypervisor.spawn hv domu ~name:"mq-load" (fun () ->
       Kite_drivers.Netfront.wait_connected front;
       for q = 0 to nq - 1 do
@@ -1567,12 +1519,7 @@ let mq_run_gbps ~duration ~mq nq =
       stop := true;
       let bytes = Kite_devices.Nic.rx_bytes cli - rx0 in
       let dt = Kite_xen.Hypervisor.now hv - t0 in
-      result :=
-        Some (float_of_int (bytes * 8) /. Time.to_sec_f dt /. 1e9));
-  Kite_xen.Hypervisor.run_for hv (Time.sec 10);
-  match !result with
-  | Some gbps -> gbps
-  | None -> failwith "mq_run_gbps: measurement window never completed"
+      finish (float_of_int (bytes * 8) /. Time.to_sec_f dt /. 1e9))
 
 let mq_scale ~quick =
   let duration = if quick then Time.ms 3 else Time.ms 20 in
@@ -1637,8 +1584,7 @@ let latency_waterfall ~quick =
   let net_path =
     let s = Scenario.network ~flavor:Scenario.Kite () in
     let p = engine_of s.Scenario.ctx in
-    let done_ = ref None in
-    Scenario.when_net_ready s (fun () ->
+    net_run s ~what:"latency-waterfall net" (fun finish ->
         let dev = Kite_drivers.Netfront.netdev s.Scenario.netfront in
         let frame = Bytes.make 1500 '\000' in
         Bytes.fill frame 0 6 '\xff';
@@ -1649,9 +1595,8 @@ let latency_waterfall ~quick =
           ~fire:(fun _ ->
             Kite_net.Netdev.transmit dev frame;
             true)
-          ~on_done:(fun r -> done_ := Some r)
+          ~on_done:(fun _ -> finish ())
           ());
-    ignore (drive s.Scenario.hv done_ "latency-waterfall net");
     p
   in
   let blk_n = if quick then 150 else 600 in
@@ -1659,8 +1604,7 @@ let latency_waterfall ~quick =
   let blk_path =
     let s = Scenario.storage ~flavor:Scenario.Kite () in
     let p = engine_of s.Scenario.bctx in
-    let done_ = ref None in
-    Scenario.when_blk_ready s (fun () ->
+    blk_run s ~what:"latency-waterfall blk" (fun finish ->
         let front = s.Scenario.blkfront in
         Kite_bench_tools.Openloop.run ~sched:s.Scenario.bsched ~rate:blk_rate
           ~duration:(Time.of_sec_f (float_of_int blk_n /. blk_rate))
@@ -1669,9 +1613,8 @@ let latency_waterfall ~quick =
               ~sector:(8 * (seq mod 1024))
               (blk_data seq);
             true)
-          ~on_done:(fun r -> done_ := Some r)
+          ~on_done:(fun _ -> finish ())
           ());
-    ignore (drive s.Scenario.bhv done_ "latency-waterfall blk");
     p
   in
   let engines = [ net_path; blk_path ] in
@@ -1738,8 +1681,7 @@ let latency_waterfall ~quick =
   let capacity =
     let s = Scenario.storage ~flavor:Scenario.Kite () in
     let hv = s.Scenario.bhv in
-    let done_ = ref None in
-    Scenario.when_blk_ready s (fun () ->
+    blk_run s ~what:"latency-waterfall capacity" (fun finish ->
         let front = s.Scenario.blkfront in
         let window = if quick then Time.ms 2 else Time.ms 10 in
         let workers = 8 in
@@ -1758,16 +1700,14 @@ let latency_waterfall ~quick =
               done;
               decr live;
               if !live = 0 then
-                done_ :=
-                  Some
-                    (float_of_int !completed
-                    /. Time.to_sec_f (Kite_xen.Hypervisor.now hv - t0)))
+                finish
+                  (float_of_int !completed
+                  /. Time.to_sec_f (Kite_xen.Hypervisor.now hv - t0)))
         done;
         Kite_xen.Hypervisor.spawn hv s.Scenario.bdomu ~name:"cap-stop"
           (fun () ->
             Process.sleep window;
-            stop := true));
-    drive hv done_ "latency-waterfall capacity"
+            stop := true))
   in
   let sat_n = if quick then 150 else 500 in
   let step multiple =
@@ -1776,21 +1716,21 @@ let latency_waterfall ~quick =
     let hv = s.Scenario.bhv in
     let p = engine_of s.Scenario.bctx in
     let lats = ref [] in
-    let done_ = ref None in
-    Scenario.when_blk_ready s (fun () ->
-        let front = s.Scenario.blkfront in
-        Kite_bench_tools.Openloop.run ~sched:s.Scenario.bsched ~rate
-          ~duration:(Time.of_sec_f (float_of_int sat_n /. rate))
-          ~fire:(fun seq ->
-            let t0 = Kite_xen.Hypervisor.now hv in
-            Kite_drivers.Blkfront.write front
-              ~sector:(8 * (seq mod 1024))
-              (blk_data seq);
-            lats := Time.to_ms_f (Kite_xen.Hypervisor.now hv - t0) :: !lats;
-            true)
-          ~on_done:(fun r -> done_ := Some r)
-          ());
-    let r = drive hv done_ "latency-waterfall saturation step" in
+    let r =
+      blk_run s ~what:"latency-waterfall saturation step" (fun finish ->
+          let front = s.Scenario.blkfront in
+          Kite_bench_tools.Openloop.run ~sched:s.Scenario.bsched ~rate
+            ~duration:(Time.of_sec_f (float_of_int sat_n /. rate))
+            ~fire:(fun seq ->
+              let t0 = Kite_xen.Hypervisor.now hv in
+              Kite_drivers.Blkfront.write front
+                ~sector:(8 * (seq mod 1024))
+                (blk_data seq);
+              lats :=
+                Time.to_ms_f (Kite_xen.Hypervisor.now hv - t0) :: !lats;
+              true)
+            ~on_done:finish ())
+    in
     {
       Path_report.sat_rate = rate;
       sat_offered = r.Kite_bench_tools.Openloop.offered;
@@ -1896,14 +1836,10 @@ let swarm_driver (s : Scenario.net) app =
 
 let swarm_run ~flavor ~app ~p ~clients ?rate ~seed ?impair () =
   let s = Scenario.network ~flavor ~seed:(2022 + seed) ?impair () in
-  let done_ = ref None in
-  Scenario.when_net_ready s (fun () ->
+  net_run s ~what:("swarm " ^ app) (fun finish ->
       let driver = swarm_driver s app in
       Swarm.run ~sched:s.Scenario.sched ~seed ?rate ~profile:p ~clients
-        ~driver
-        ~on_done:(fun r -> done_ := Some r)
-        ());
-  drive s.Scenario.hv done_ ("swarm " ^ app)
+        ~driver ~on_done:finish ())
 
 let swarm_campaign ?(flavor = Scenario.Kite) ?(app = "httpd") ?impair
     ?(profile = "web") ?(clients = 5_000) ?rate ?(seed = 7) () =
@@ -1919,8 +1855,7 @@ let swarm_campaign ?(flavor = Scenario.Kite) ?(app = "httpd") ?impair
    the service rate the open-loop sweep is calibrated against. *)
 let swarm_capacity ~flavor ~app ~quick =
   let s = Scenario.network ~flavor () in
-  let done_ = ref None in
-  Scenario.when_net_ready s (fun () ->
+  net_run s ~what:("swarm capacity " ^ app) (fun finish ->
       let mk = swarm_sessions s app in
       let engine = Process.engine s.Scenario.sched in
       let window = if quick then Time.ms 20 else Time.ms 100 in
@@ -1939,15 +1874,13 @@ let swarm_capacity ~flavor ~app ~quick =
             sess.Kite_apps.Clients.close ();
             decr live;
             if !live = 0 then
-              done_ :=
-                Some
-                  (float_of_int !completed
-                  /. Time.to_sec_f (Engine.now engine - t0)))
+              finish
+                (float_of_int !completed
+                /. Time.to_sec_f (Engine.now engine - t0)))
       done;
       Process.spawn s.Scenario.sched ~name:"swarm-cap-stop" (fun () ->
           Process.sleep window;
-          stop := true));
-  drive s.Scenario.hv done_ ("swarm capacity " ^ app)
+          stop := true))
 
 (* One profile for the whole sweep: modest keep-alive sessions, fixed
    sizes, no modulation — the knee must come from the backend, not the

@@ -166,6 +166,29 @@ let register_teardown ctx ~dd ~stop ~shutdown =
             ~pending:(Engine.pending (Hypervisor.engine hv))
       | None -> ())
 
+(* The one testbed runner: run until the experiment calls [finish],
+   which stops the engine at that event's instant, so the daemons
+   (samplers, stats publishers) do not tick on after the result.  Only
+   the first call counts: a late one must not cut short the teardown's
+   drain.  The final snapshot gives an armed registry a point at the
+   result. *)
+let run hv ~what body =
+  let result = ref None in
+  let engine = Hypervisor.engine hv in
+  body (fun v ->
+      if Option.is_none !result then begin
+        result := Some v;
+        Engine.stop engine
+      end);
+  if Option.is_none !result then Engine.run_for engine (Time.sec 7200);
+  match !result with
+  | None -> failwith (what ^ ": experiment did not complete")
+  | Some v ->
+      Option.iter
+        (fun r -> Registry.snapshot r ~at:(Hypervisor.now hv))
+        (Hypervisor.metrics_registry hv);
+      v
+
 (* Edge-triggered backend-health probe: silent until the handshake first
    reaches Connected, then any other state (a crashed or closing
    backend) raises a structured alert until the frontend's recovery

@@ -38,6 +38,18 @@ val register_teardown :
     parked threads' exit edges, shut down the frontend ([shutdown]), run
     50 ms, then finalize the machine's checker when it has one. *)
 
+val run :
+  Kite_xen.Hypervisor.t -> what:string -> (('a -> unit) -> unit) -> 'a
+(** [run hv ~what body] calls [body finish], then runs the machine until
+    [finish v] is called and returns [v].  The engine stops once the
+    event that called [finish] is done, with the clock at its instant and
+    later events still queued for {!teardown_all}.  When a metrics
+    registry is armed, its last sample is a
+    {!Kite_metrics.Registry.snapshot} at that instant.  Later calls to
+    [finish] are ignored.  Fails with
+    ["<what>: experiment did not complete"] if the queue drains or 7200
+    simulated seconds pass before [finish]. *)
+
 (** {1 Network domain testbed} *)
 
 type net = {
@@ -68,9 +80,9 @@ val network :
   ?impair:Kite_net.Impair.spec ->
   unit ->
   net
-(** Build the network-domain testbed; drive it with
-    {!Kite_xen.Hypervisor.run_for}.  The netfront handshake happens in
-    simulated time — use {!when_net_ready} to sequence load behind it.
+(** Build the network-domain testbed; drive it with {!run}.  The
+    netfront handshake happens in simulated time — use {!when_net_ready}
+    to sequence load behind it.
     [num_queues] turns on the multi-queue dataplane: the toolstack
     writes the guest-config hint and the frontend negotiates that many
     Tx/Rx ring pairs (capped by netback).  [impair] puts seeded

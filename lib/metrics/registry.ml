@@ -300,11 +300,15 @@ let push_sample t i ~at v =
   i.s_head <- (i.s_head + 1) mod t.capacity;
   if i.s_len < t.capacity then i.s_len <- i.s_len + 1
 
-let sample t ~at =
+let snapshot t ~at =
   Hashtbl.iter
     (fun _ f ->
       Hashtbl.iter (fun _ i -> push_sample t i ~at (scalar i)) f.f_instances)
     t.fams;
+  t.nsamples <- t.nsamples + 1
+
+let sample t ~at =
+  snapshot t ~at;
   List.iter
     (fun key ->
       let p = Hashtbl.find t.probes key in
@@ -325,8 +329,7 @@ let sample t ~at =
             t.nalerts <- t.nalerts + 1;
             match t.alert_obs with None -> () | Some f -> f a
           end)
-    (List.rev t.probe_order);
-  t.nsamples <- t.nsamples + 1
+    (List.rev t.probe_order)
 
 let samples_taken t = t.nsamples
 

@@ -115,8 +115,13 @@ val hbuckets : t -> string -> (string * string) list -> (float * float * int) li
 (** {1 Sampling and time series} *)
 
 val sample : t -> at:int -> unit
-(** Snapshot every instance into its ring-buffered series at simulated
-    time [at] (ns), then evaluate health probes. *)
+(** {!snapshot}, then evaluate health probes. *)
+
+val snapshot : t -> at:int -> unit
+(** Record every instance into its ring-buffered series at simulated
+    time [at] (ns), without evaluating probes.  A probe may charge the
+    domain that samples (a xenstore read), which needs a process; the
+    snapshot needs none, so it can close a run outside one. *)
 
 val samples_taken : t -> int
 

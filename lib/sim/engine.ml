@@ -13,6 +13,8 @@ type t = {
      interleaving; sweeping seeds with the checker and race detector as
      oracles surfaces ordering bugs the FIFO schedule can never hit. *)
   explore : Rng.t option;
+  (* Set by [stop]; the run loops check it after every event. *)
+  mutable stopped : bool;
 }
 
 let create ?schedule_seed () =
@@ -20,6 +22,7 @@ let create ?schedule_seed () =
     clock = Time.zero;
     queue = Heap.create ();
     explore = Option.map Rng.create schedule_seed;
+    stopped = false;
   }
 
 let explored t = t.explore <> None
@@ -44,16 +47,24 @@ let fire t h =
   t.clock <- Heap.key h;
   Heap.value h ()
 
+let stop t = t.stopped <- true
+
 let run t =
-  while not (Heap.is_empty t.queue) do
+  t.stopped <- false;
+  while (not t.stopped) && not (Heap.is_empty t.queue) do
     fire t (Heap.take t.queue)
   done
 
 let run_until t limit =
-  while (not (Heap.is_empty t.queue)) && Heap.key (Heap.top t.queue) <= limit do
+  t.stopped <- false;
+  while
+    (not t.stopped)
+    && (not (Heap.is_empty t.queue))
+    && Heap.key (Heap.top t.queue) <= limit
+  do
     fire t (Heap.take t.queue)
   done;
-  if t.clock < limit then t.clock <- limit
+  if (not t.stopped) && t.clock < limit then t.clock <- limit
 
 let run_for t span = run_until t (t.clock + span)
 

@@ -46,13 +46,22 @@ val cancel : handle -> unit
 val cancelled : handle -> bool
 (** Whether [cancel] has been called on the event (even after it fired). *)
 
+val stop : t -> unit
+(** Make the current {!run} or {!run_until} return once the event that
+    called [stop] has finished, with the clock at that event's instant
+    and every later event still queued.  Each run starts unstopped, so
+    the next one resumes them in order; outside a run [stop] does
+    nothing. *)
+
 val run : t -> unit
-(** Execute events until the queue is empty.  The clock is left at the
-    last live event's instant: cancelled events do not move it. *)
+(** Execute events until the queue is empty or an event calls {!stop}.
+    The clock is left at the last fired event's instant: cancelled
+    events do not move it. *)
 
 val run_until : t -> Time.t -> unit
 (** Execute events with timestamps <= the given instant; afterwards the
-    clock reads exactly that instant. *)
+    clock reads exactly that instant, unless an event called {!stop},
+    which leaves it at that event's instant. *)
 
 val run_for : t -> Time.span -> unit
 (** [run_for t span] is [run_until t (now t + span)]. *)

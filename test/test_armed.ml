@@ -63,7 +63,6 @@ let blk_run sinks =
       let hv = s.Scenario.bhv in
       let front = s.Scenario.blkfront in
       let lat = ref [] and bytes = ref 0 and bad = ref 0 in
-      let finished = ref None in
       let timed f =
         let t0 = Kite_xen.Hypervisor.now hv in
         let v = f () in
@@ -71,24 +70,26 @@ let blk_run sinks =
         bytes := !bytes + block;
         v
       in
-      Scenario.when_blk_ready s (fun () ->
-          for k = 0 to 15 do
-            timed (fun () ->
-                Blkfront.write front ~sector:(k * sectors) (pattern k))
-          done;
-          for k = 0 to 15 do
-            let got =
-              timed (fun () ->
-                  Blkfront.read front ~sector:(k * sectors) ~count:sectors)
-            in
-            if not (Bytes.equal got (pattern k)) then incr bad
-          done;
-          finished := Some (Kite_xen.Hypervisor.now hv));
-      Kite_xen.Hypervisor.run_for hv (Time.sec 1);
+      let at =
+        Testbed.run hv ~what:"armed storage run" ~within:(Time.sec 1)
+          (fun finish ->
+            Scenario.when_blk_ready s (fun () ->
+                for k = 0 to 15 do
+                  timed (fun () ->
+                      Blkfront.write front ~sector:(k * sectors) (pattern k))
+                done;
+                for k = 0 to 15 do
+                  let got =
+                    timed (fun () ->
+                        Blkfront.read front ~sector:(k * sectors)
+                          ~count:sectors)
+                  in
+                  if not (Bytes.equal got (pattern k)) then incr bad
+                done;
+                finish (Kite_xen.Hypervisor.now hv)))
+      in
       Alcotest.(check int) "every read verified" 0 !bad;
-      match !finished with
-      | Some at -> (at, !bytes, List.rev !lat)
-      | None -> Alcotest.fail "storage run did not finish")
+      (at, !bytes, List.rev !lat))
 
 let test_blk_armed () =
   let at, bytes, lat = blk_run No_sink in

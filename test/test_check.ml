@@ -245,16 +245,20 @@ let test_clean_network_scenario () =
   let report = Report.create () in
   checked report @@ fun () ->
   let s = Kite.Scenario.network ~flavor:Kite.Scenario.Kite () in
-  Kite.Scenario.when_net_ready s (fun () ->
-      ignore
-        (Kite_net.Stack.ping s.Kite.Scenario.client_stack
-           ~dst:s.Kite.Scenario.guest_ip ~seq:1 ());
-      let sock =
-        Kite_net.Stack.udp_bind s.Kite.Scenario.client_stack ~port:40000
-      in
-      Kite_net.Stack.udp_send s.Kite.Scenario.client_stack sock
-        ~dst:s.Kite.Scenario.guest_ip ~dst_port:9 (Bytes.of_string "probe"));
-  Kite_xen.Hypervisor.run_for s.Kite.Scenario.hv (Time.sec 2);
+  Testbed.run s.Kite.Scenario.hv ~what:"network load" ~within:(Time.sec 2)
+    (fun finish ->
+      Kite.Scenario.when_net_ready s (fun () ->
+          ignore
+            (Kite_net.Stack.ping s.Kite.Scenario.client_stack
+               ~dst:s.Kite.Scenario.guest_ip ~seq:1 ());
+          let sock =
+            Kite_net.Stack.udp_bind s.Kite.Scenario.client_stack ~port:40000
+          in
+          Kite_net.Stack.udp_send s.Kite.Scenario.client_stack sock
+            ~dst:s.Kite.Scenario.guest_ip ~dst_port:9
+            (Bytes.of_string "probe");
+          finish ()));
+  (* The teardown's 1 s drain delivers the probe before the audit. *)
   Kite.Scenario.teardown_all ();
   check_int "no grant leaks" 0 (rule_count report "grant-leak");
   check_int "no orphan watches" 0 (rule_count report "xs-orphan-watch");
@@ -264,14 +268,16 @@ let test_clean_storage_scenario () =
   let report = Report.create () in
   checked report @@ fun () ->
   let b = Kite.Scenario.storage ~flavor:Kite.Scenario.Kite () in
-  Kite.Scenario.when_blk_ready b (fun () ->
-      let bf = b.Kite.Scenario.blkfront in
-      let data = Bytes.make 4096 'k' in
-      Kite_drivers.Blkfront.write bf ~sector:0 data;
-      let back = Kite_drivers.Blkfront.read bf ~sector:0 ~count:8 in
-      Alcotest.(check bytes) "read back" data back;
-      Kite_drivers.Blkfront.flush bf);
-  Kite_xen.Hypervisor.run_for b.Kite.Scenario.bhv (Time.sec 2);
+  Testbed.run b.Kite.Scenario.bhv ~what:"storage load" ~within:(Time.sec 2)
+    (fun finish ->
+      Kite.Scenario.when_blk_ready b (fun () ->
+          let bf = b.Kite.Scenario.blkfront in
+          let data = Bytes.make 4096 'k' in
+          Kite_drivers.Blkfront.write bf ~sector:0 data;
+          let back = Kite_drivers.Blkfront.read bf ~sector:0 ~count:8 in
+          Alcotest.(check bytes) "read back" data back;
+          Kite_drivers.Blkfront.flush bf;
+          finish ()));
   Kite.Scenario.teardown_all ();
   check_int "no grant leaks (persistent pool swept)" 0
     (rule_count report "grant-leak");

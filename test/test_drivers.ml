@@ -111,12 +111,10 @@ let make_net_scenario ?(overheads = Overheads.kite) () =
 
 let test_net_domain_handshake () =
   let s = make_net_scenario () in
-  let connected = ref false in
-  Hypervisor.spawn s.hv (Hypervisor.dom0 s.hv) ~name:"wait" (fun () ->
-      Netfront.wait_connected s.netfront;
-      connected := true);
-  Hypervisor.run_for s.hv (Time.sec 1);
-  check_bool "handshake completes" true !connected;
+  Testbed.run s.hv ~what:"handshake" ~within:(Time.sec 1) (fun finish ->
+      Hypervisor.spawn s.hv (Hypervisor.dom0 s.hv) ~name:"wait" (fun () ->
+          Netfront.wait_connected s.netfront;
+          finish ()));
   check_int "one netback instance" 1
     (List.length (Netback.instances (Net_app.netback s.net_app)));
   (* Bridge has the physical IF plus one VIF. *)
@@ -124,12 +122,12 @@ let test_net_domain_handshake () =
 
 let test_net_domain_ping () =
   let s = make_net_scenario () in
-  let rtt = ref None in
-  Process.spawn (Hypervisor.sched s.hv) ~name:"pinger" (fun () ->
-      Netfront.wait_connected s.netfront;
-      rtt := Stack.ping s.client_stack ~dst:guest_ip ~seq:1 ());
-  Hypervisor.run_for s.hv (Time.sec 5);
-  match !rtt with
+  match
+    Testbed.run s.hv ~what:"ping" ~within:(Time.sec 5) (fun finish ->
+        Process.spawn (Hypervisor.sched s.hv) ~name:"pinger" (fun () ->
+            Netfront.wait_connected s.netfront;
+            finish (Stack.ping s.client_stack ~dst:guest_ip ~seq:1 ())))
+  with
   | Some span ->
       (* Sanity bounds: slower than bare wire, far below a millisecond
          budget blowout. *)
@@ -139,22 +137,23 @@ let test_net_domain_ping () =
 
 let test_net_domain_udp_both_ways () =
   let s = make_net_scenario () in
-  let echoed = ref None in
-  Process.spawn (Hypervisor.sched s.hv) ~name:"guest-server" (fun () ->
-      Netfront.wait_connected s.netfront;
-      let sock = Stack.udp_bind s.guest_stack ~port:7000 in
-      let src, sport, data = Stack.udp_recv sock in
-      Stack.udp_send s.guest_stack sock ~dst:src ~dst_port:sport data);
-  Process.spawn (Hypervisor.sched s.hv) ~name:"client" (fun () ->
-      Process.sleep (Time.ms 50);  (* let the handshake finish *)
-      let sock = Stack.udp_bind s.client_stack ~port:7001 in
-      Stack.udp_send s.client_stack sock ~dst:guest_ip ~dst_port:7000
-        (Bytes.of_string "through-the-driver-domain");
-      let _, _, data = Stack.udp_recv sock in
-      echoed := Some (Bytes.to_string data));
-  Hypervisor.run_for s.hv (Time.sec 5);
+  let echoed =
+    Testbed.run s.hv ~what:"udp echo" ~within:(Time.sec 5) (fun finish ->
+        Process.spawn (Hypervisor.sched s.hv) ~name:"guest-server" (fun () ->
+            Netfront.wait_connected s.netfront;
+            let sock = Stack.udp_bind s.guest_stack ~port:7000 in
+            let src, sport, data = Stack.udp_recv sock in
+            Stack.udp_send s.guest_stack sock ~dst:src ~dst_port:sport data);
+        Process.spawn (Hypervisor.sched s.hv) ~name:"client" (fun () ->
+            Process.sleep (Time.ms 50);  (* let the handshake finish *)
+            let sock = Stack.udp_bind s.client_stack ~port:7001 in
+            Stack.udp_send s.client_stack sock ~dst:guest_ip ~dst_port:7000
+              (Bytes.of_string "through-the-driver-domain");
+            let _, _, data = Stack.udp_recv sock in
+            finish (Bytes.to_string data)))
+  in
   check_bool "udp echo through dd" true
-    (!echoed = Some "through-the-driver-domain");
+    (echoed = "through-the-driver-domain");
   (* Both directions used the netback data path. *)
   let inst = List.hd (Netback.instances (Net_app.netback s.net_app)) in
   check_bool "tx path used" true (Netback.tx_packets inst > 0);
@@ -165,40 +164,40 @@ let test_net_domain_tcp_bulk () =
   let guest_tcp = Tcp.attach s.guest_stack in
   let client_tcp = Tcp.attach s.client_stack in
   let total = 2_000_000 in
-  let received = ref 0 in
-  Process.spawn (Hypervisor.sched s.hv) ~name:"guest-server" (fun () ->
-      Netfront.wait_connected s.netfront;
-      let l = Tcp.listen guest_tcp ~port:5001 in
-      let c = Tcp.accept l in
-      let rec drain () =
-        match Tcp.recv c ~max:65536 with
-        | Some b ->
-            received := !received + Bytes.length b;
-            drain ()
-        | None -> ()
-      in
-      drain ());
-  Process.spawn (Hypervisor.sched s.hv) ~name:"client" (fun () ->
-      Process.sleep (Time.ms 50);
-      let c = Tcp.connect client_tcp ~dst:guest_ip ~port:5001 in
-      let chunk = Bytes.create 16384 in
-      let sent = ref 0 in
-      while !sent < total do
-        Tcp.send c chunk;
-        sent := !sent + Bytes.length chunk
-      done;
-      Tcp.close c);
-  Hypervisor.run_for s.hv (Time.sec 30);
+  let received =
+    Testbed.run s.hv ~what:"bulk" ~within:(Time.sec 30) (fun finish ->
+        Process.spawn (Hypervisor.sched s.hv) ~name:"guest-server" (fun () ->
+            Netfront.wait_connected s.netfront;
+            let l = Tcp.listen guest_tcp ~port:5001 in
+            let c = Tcp.accept l in
+            let rec drain n =
+              match Tcp.recv c ~max:65536 with
+              | Some b -> drain (n + Bytes.length b)
+              | None -> n
+            in
+            finish (drain 0));
+        Process.spawn (Hypervisor.sched s.hv) ~name:"client" (fun () ->
+            Process.sleep (Time.ms 50);
+            let c = Tcp.connect client_tcp ~dst:guest_ip ~port:5001 in
+            let chunk = Bytes.create 16384 in
+            let sent = ref 0 in
+            while !sent < total do
+              Tcp.send c chunk;
+              sent := !sent + Bytes.length chunk
+            done;
+            Tcp.close c))
+  in
   (* The client sends whole 16 KiB chunks until it passes [total]. *)
   let expected = (total + 16383) / 16384 * 16384 in
-  check_int "bulk through driver domain" expected !received
+  check_int "bulk through driver domain" expected received
 
 let test_net_domain_hypercall_accounting () =
   let s = make_net_scenario () in
-  Process.spawn (Hypervisor.sched s.hv) ~name:"pinger" (fun () ->
-      Netfront.wait_connected s.netfront;
-      ignore (Stack.ping s.client_stack ~dst:guest_ip ~seq:1 ()));
-  Hypervisor.run_for s.hv (Time.sec 2);
+  Testbed.run s.hv ~what:"ping" ~within:(Time.sec 2) (fun finish ->
+      Process.spawn (Hypervisor.sched s.hv) ~name:"pinger" (fun () ->
+          Netfront.wait_connected s.netfront;
+          ignore (Stack.ping s.client_stack ~dst:guest_ip ~seq:1 ());
+          finish ()));
   let m = Hypervisor.metrics s.hv in
   check_bool "grant copies happened" true
     (Metrics.count m "hypercall.grant_copy" > 0);
@@ -247,25 +246,26 @@ let test_net_domain_two_guests () =
       ()
   in
   (* Guest-to-guest traffic crosses the bridge without touching the wire. *)
-  let echoed = ref None in
-  Process.spawn sched ~name:"g2-server" (fun () ->
-      Netfront.wait_connected nf2;
-      let sock = Stack.udp_bind stack2 ~port:9 in
-      let src, sport, data = Stack.udp_recv sock in
-      Stack.udp_send stack2 sock ~dst:src ~dst_port:sport data);
-  Process.spawn sched ~name:"g1-client" (fun () ->
-      Netfront.wait_connected nf1;
-      Process.sleep (Time.ms 100);
-      let sock = Stack.udp_bind stack1 ~port:10 in
-      Stack.udp_send stack1 sock
-        ~dst:(Ipv4addr.of_string "10.0.0.12")
-        ~dst_port:9 (Bytes.of_string "vm-to-vm");
-      let _, _, data = Stack.udp_recv sock in
-      echoed := Some (Bytes.to_string data));
-  Hypervisor.run_for hv (Time.sec 5);
+  let echoed =
+    Testbed.run hv ~what:"vm-to-vm echo" ~within:(Time.sec 5) (fun finish ->
+        Process.spawn sched ~name:"g2-server" (fun () ->
+            Netfront.wait_connected nf2;
+            let sock = Stack.udp_bind stack2 ~port:9 in
+            let src, sport, data = Stack.udp_recv sock in
+            Stack.udp_send stack2 sock ~dst:src ~dst_port:sport data);
+        Process.spawn sched ~name:"g1-client" (fun () ->
+            Netfront.wait_connected nf1;
+            Process.sleep (Time.ms 100);
+            let sock = Stack.udp_bind stack1 ~port:10 in
+            Stack.udp_send stack1 sock
+              ~dst:(Ipv4addr.of_string "10.0.0.12")
+              ~dst_port:9 (Bytes.of_string "vm-to-vm");
+            let _, _, data = Stack.udp_recv sock in
+            finish (Bytes.to_string data)))
+  in
   check_bool "two instances" true
     (List.length (Netback.instances (Net_app.netback net_app)) = 2);
-  check_bool "vm-to-vm echo" true (!echoed = Some "vm-to-vm");
+  check_bool "vm-to-vm echo" true (echoed = "vm-to-vm");
   (* Only the ARP broadcast may flood out to the wire; the unicast data
      stays on the bridge. *)
   check_bool "only broadcasts on the wire" true
@@ -317,14 +317,11 @@ let make_blk_scenario ?(overheads = Overheads.kite) ?(feature_persistent = true)
   { bhv = hv; blkfront; blk_app; nvme }
 
 let run_blk s f =
-  let result = ref None in
-  Process.spawn (Hypervisor.sched s.bhv) ~name:"blk-test" (fun () ->
-      Blkfront.wait_connected s.blkfront;
-      result := Some (f ()));
-  Hypervisor.run_for s.bhv (Time.sec 60);
-  match !result with
-  | Some v -> v
-  | None -> Alcotest.fail "storage scenario did not complete"
+  Testbed.run s.bhv ~what:"storage scenario" ~within:(Time.sec 60)
+    (fun finish ->
+      Process.spawn (Hypervisor.sched s.bhv) ~name:"blk-test" (fun () ->
+          Blkfront.wait_connected s.blkfront;
+          finish (f ())))
 
 let test_blk_handshake_features () =
   let s = make_blk_scenario () in
@@ -465,21 +462,26 @@ let test_blk_out_of_range_fails () =
 
 let test_blk_concurrent_writers () =
   let s = make_blk_scenario () in
-  let done_count = ref 0 in
-  Process.spawn (Hypervisor.sched s.bhv) ~name:"spawner" (fun () ->
-      Blkfront.wait_connected s.blkfront;
-      for w = 0 to 7 do
-        Hypervisor.spawn s.bhv (Hypervisor.dom0 s.bhv)
-          ~name:(Printf.sprintf "writer%d" w)
-          (fun () ->
-            let sector = w * 1024 in
-            let data = Bytes.make (64 * 512) (Char.chr (Char.code 'a' + w)) in
-            Blkfront.write s.blkfront ~sector data;
-            let back = Blkfront.read s.blkfront ~sector ~count:64 in
-            if Bytes.equal back data then incr done_count)
-      done);
-  Hypervisor.run_for s.bhv (Time.sec 60);
-  check_int "all writers verified" 8 !done_count
+  let finished = ref 0 and verified = ref 0 in
+  Testbed.run s.bhv ~what:"concurrent writers" ~within:(Time.sec 60)
+    (fun finish ->
+      Process.spawn (Hypervisor.sched s.bhv) ~name:"spawner" (fun () ->
+          Blkfront.wait_connected s.blkfront;
+          for w = 0 to 7 do
+            Hypervisor.spawn s.bhv (Hypervisor.dom0 s.bhv)
+              ~name:(Printf.sprintf "writer%d" w)
+              (fun () ->
+                let sector = w * 1024 in
+                let data =
+                  Bytes.make (64 * 512) (Char.chr (Char.code 'a' + w))
+                in
+                Blkfront.write s.blkfront ~sector data;
+                let back = Blkfront.read s.blkfront ~sector ~count:64 in
+                if Bytes.equal back data then incr verified;
+                incr finished;
+                if !finished = 8 then finish ())
+          done));
+  check_int "all writers verified" 8 !verified
 
 let prop_blkif_pack_roundtrip =
   QCheck.Test.make ~name:"blkif indirect descriptors roundtrip" ~count:100
@@ -523,18 +525,20 @@ let test_blk_two_guests_share_device () =
   Toolstack.add_vbd ctx ~backend:dd ~frontend:u2 ~devid:0 ();
   let f1 = Blkfront.create ctx ~domain:u1 ~backend:dd ~devid:0 () in
   let f2 = Blkfront.create ctx ~domain:u2 ~backend:dd ~devid:0 () in
-  let ok = ref 0 in
-  let writer front sector fill =
-    Hypervisor.spawn hv dd ~name:"w" (fun () ->
-        Blkfront.wait_connected front;
-        let data = Bytes.make 8192 fill in
-        Blkfront.write front ~sector data;
-        if Bytes.equal (Blkfront.read front ~sector ~count:16) data then
-          incr ok)
-  in
-  writer f1 0 'a';
-  writer f2 4096 'b';
-  Hypervisor.run_for hv (Time.sec 10);
+  let finished = ref 0 and ok = ref 0 in
+  Testbed.run hv ~what:"two writers" ~within:(Time.sec 10) (fun finish ->
+      let writer front sector fill =
+        Hypervisor.spawn hv dd ~name:"w" (fun () ->
+            Blkfront.wait_connected front;
+            let data = Bytes.make 8192 fill in
+            Blkfront.write front ~sector data;
+            if Bytes.equal (Blkfront.read front ~sector ~count:16) data then
+              incr ok;
+            incr finished;
+            if !finished = 2 then finish ())
+      in
+      writer f1 0 'a';
+      writer f2 4096 'b');
   check_int "both guests verified" 2 !ok;
   check_int "two blkback instances" 2
     (List.length (Blkback.instances (Blk_app.blkback app)));
@@ -599,28 +603,32 @@ let test_hot_add_second_device () =
   Toolstack.add_vif ctx ~backend:dd ~frontend:domu ~devid:0 ();
   let b0 = Blkfront.create ctx ~domain:domu ~backend:dd ~devid:0 () in
   let n0 = Netfront.create ctx ~domain:domu ~backend:dd ~devid:0 () in
-  let blk_ok = ref false and net_connected = ref false in
-  Hypervisor.spawn hv domu ~name:"hot-add" (fun () ->
-      Blkfront.wait_connected b0;
-      Netfront.wait_connected n0;
-      (* Several stats rounds under the known devices first. *)
-      Process.sleep (Time.ms 500);
-      Toolstack.add_vbd ctx ~backend:dd ~frontend:domu ~devid:1 ();
-      Toolstack.add_vif ctx ~backend:dd ~frontend:domu ~devid:1 ();
-      let b1 = Blkfront.create ctx ~domain:domu ~backend:dd ~devid:1 () in
-      let n1 = Netfront.create ctx ~domain:domu ~backend:dd ~devid:1 () in
-      Blkfront.wait_connected b1;
-      Netfront.wait_connected n1;
-      net_connected := true;
-      let data = Bytes.make 4096 'h' in
-      Blkfront.write b1 ~sector:64 data;
-      blk_ok := Bytes.equal (Blkfront.read b1 ~sector:64 ~count:8) data;
-      let dev = Netfront.netdev n1 in
-      Netdev.set_up dev true;
-      Netdev.transmit dev (Bytes.make 64 'x'));
-  Hypervisor.run_for hv (Time.sec 5);
-  check_bool "blk device 1 served I/O" true !blk_ok;
-  check_bool "net device 1 connected" true !net_connected;
+  (* Device 1 of each kind connecting is the run's result; the frame
+     goes out before the block round trip, which outlasts its delivery. *)
+  let blk_ok, net_connected =
+    Testbed.run hv ~what:"hot-add" ~within:(Time.sec 5) (fun finish ->
+        Hypervisor.spawn hv domu ~name:"hot-add" (fun () ->
+            Blkfront.wait_connected b0;
+            Netfront.wait_connected n0;
+            (* Several stats rounds under the known devices first. *)
+            Process.sleep (Time.ms 500);
+            Toolstack.add_vbd ctx ~backend:dd ~frontend:domu ~devid:1 ();
+            Toolstack.add_vif ctx ~backend:dd ~frontend:domu ~devid:1 ();
+            let b1 = Blkfront.create ctx ~domain:domu ~backend:dd ~devid:1 () in
+            let n1 = Netfront.create ctx ~domain:domu ~backend:dd ~devid:1 () in
+            Blkfront.wait_connected b1;
+            Netfront.wait_connected n1;
+            let dev = Netfront.netdev n1 in
+            Netdev.set_up dev true;
+            Netdev.transmit dev (Bytes.make 64 'x');
+            let data = Bytes.make 4096 'h' in
+            Blkfront.write b1 ~sector:64 data;
+            finish
+              ( Bytes.equal (Blkfront.read b1 ~sector:64 ~count:8) data,
+                Netfront.connected n1 )))
+  in
+  check_bool "blk device 1 served I/O" true blk_ok;
+  check_bool "net device 1 connected" true net_connected;
   check_int "two blkback instances" 2
     (List.length (Blkback.instances (Blk_app.blkback blk)));
   match

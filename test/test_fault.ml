@@ -157,11 +157,9 @@ let test_xenstore_loss_rides_out () =
       ]
       (fun () -> Scenario.storage ~flavor:Scenario.Kite ())
   in
-  let ready = ref false in
-  Scenario.when_blk_ready s (fun () -> ready := true);
-  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 60);
+  Testbed.run s.Scenario.bhv ~what:"handshake despite xenstore loss"
+    ~within:(Time.sec 60) (Scenario.when_blk_ready s);
   Scenario.teardown_all ();
-  check_bool "handshake completed despite xenstore loss" true !ready;
   check_bool "both losses were injected" true
     (List.exists (fun f -> Fault.injected_count f >= 2) (Fault.faults sink))
 
@@ -173,15 +171,20 @@ let test_evtchn_drop_recovered () =
       [ Fault.spec ~count:1 Fault.Evtchn_notify ]
       (fun () -> Scenario.storage ~flavor:Scenario.Kite ())
   in
-  let ok = ref false in
-  Scenario.when_blk_ready s (fun () ->
-      let dev = Scenario.blockdev s in
-      let data = Bytes.make 4096 'q' in
-      dev.Kite_vfs.Blockdev.write ~sector:8 data;
-      ok := Bytes.equal (dev.Kite_vfs.Blockdev.read ~sector:8 ~count:8) data);
-  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 60);
+  let ok =
+    Testbed.run s.Scenario.bhv ~what:"round trip" ~within:(Time.sec 60)
+      (fun finish ->
+        Scenario.when_blk_ready s (fun () ->
+            let dev = Scenario.blockdev s in
+            let data = Bytes.make 4096 'q' in
+            dev.Kite_vfs.Blockdev.write ~sector:8 data;
+            finish
+              (Bytes.equal
+                 (dev.Kite_vfs.Blockdev.read ~sector:8 ~count:8)
+                 data)))
+  in
   Scenario.teardown_all ();
-  check_bool "round trip completed" true !ok;
+  check_bool "round trip intact" true ok;
   check_int "exactly one notification dropped" 1
     (List.fold_left (fun n f -> n + Fault.injected_count f) 0
        (Fault.faults sink))
@@ -194,15 +197,20 @@ let test_ring_slot_corruption_reissued () =
       [ Fault.spec ~key:"vbd" ~count:1 Fault.Ring_slot ]
       (fun () -> Scenario.storage ~flavor:Scenario.Kite ())
   in
-  let ok = ref false in
-  Scenario.when_blk_ready s (fun () ->
-      let dev = Scenario.blockdev s in
-      let data = Bytes.make 4096 'r' in
-      dev.Kite_vfs.Blockdev.write ~sector:16 data;
-      ok := Bytes.equal (dev.Kite_vfs.Blockdev.read ~sector:16 ~count:8) data);
-  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 60);
+  let ok =
+    Testbed.run s.Scenario.bhv ~what:"round trip" ~within:(Time.sec 60)
+      (fun finish ->
+        Scenario.when_blk_ready s (fun () ->
+            let dev = Scenario.blockdev s in
+            let data = Bytes.make 4096 'r' in
+            dev.Kite_vfs.Blockdev.write ~sector:16 data;
+            finish
+              (Bytes.equal
+                 (dev.Kite_vfs.Blockdev.read ~sector:16 ~count:8)
+                 data)))
+  in
   Scenario.teardown_all ();
-  check_bool "round trip completed" true !ok;
+  check_bool "round trip intact" true ok;
   check_bool "slot was corrupted" true
     (List.exists (fun f -> Fault.injected_count f > 0) (Fault.faults sink));
   check_bool "frontend reissued the discarded request" true
@@ -216,19 +224,22 @@ let test_nvme_transient_retry () =
       [ Fault.spec ~key:"nvme" ~first:2 ~every:3 ~count:4 Fault.Device_io ]
       (fun () -> Scenario.storage ~flavor:Scenario.Kite ())
   in
-  let ok = ref 0 and done_ = ref false in
-  Scenario.when_blk_ready s (fun () ->
-      let dev = Scenario.blockdev s in
-      for k = 0 to 19 do
-        let data = Bytes.make 4096 (Char.chr (Char.code 'a' + k)) in
-        dev.Kite_vfs.Blockdev.write ~sector:(k * 8) data;
-        if Bytes.equal (dev.Kite_vfs.Blockdev.read ~sector:(k * 8) ~count:8) data
-        then incr ok
-      done;
-      done_ := true);
-  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 60);
+  let ok = ref 0 in
+  Testbed.run s.Scenario.bhv ~what:"workload" ~within:(Time.sec 60)
+    (fun finish ->
+      Scenario.when_blk_ready s (fun () ->
+          let dev = Scenario.blockdev s in
+          for k = 0 to 19 do
+            let data = Bytes.make 4096 (Char.chr (Char.code 'a' + k)) in
+            dev.Kite_vfs.Blockdev.write ~sector:(k * 8) data;
+            if
+              Bytes.equal
+                (dev.Kite_vfs.Blockdev.read ~sector:(k * 8) ~count:8)
+                data
+            then incr ok
+          done;
+          finish ()));
   Scenario.teardown_all ();
-  check_bool "workload completed" true !done_;
   check_int "all round trips intact" 20 !ok;
   check_bool "errors were injected" true
     (List.exists (fun f -> Fault.injected_count f > 0) (Fault.faults sink));
@@ -246,20 +257,20 @@ let test_nic_transient_retry () =
       [ Fault.spec ~key:"eth" ~first:3 ~every:5 ~count:3 Fault.Device_io ]
       (fun () -> Scenario.network ~flavor:Scenario.Kite ())
   in
-  let received = ref 0 and done_ = ref false in
-  Scenario.when_net_ready s (fun () ->
-      for seq = 1 to 10 do
-        match
-          Kite_net.Stack.ping s.Scenario.client_stack ~dst:s.Scenario.guest_ip
-            ~timeout:(Time.ms 100) ~seq ()
-        with
-        | Some _ -> incr received
-        | None -> ()
-      done;
-      done_ := true);
-  Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 60);
+  let received = ref 0 in
+  Testbed.run s.Scenario.hv ~what:"workload" ~within:(Time.sec 60)
+    (fun finish ->
+      Scenario.when_net_ready s (fun () ->
+          for seq = 1 to 10 do
+            match
+              Kite_net.Stack.ping s.Scenario.client_stack
+                ~dst:s.Scenario.guest_ip ~timeout:(Time.ms 100) ~seq ()
+            with
+            | Some _ -> incr received
+            | None -> ()
+          done;
+          finish ()));
   Scenario.teardown_all ();
-  check_bool "workload completed" true !done_;
   check_int "no ping lost to transient tx errors" 10 !received;
   check_bool "errors were injected" true
     (List.exists (fun f -> Fault.injected_count f > 0) (Fault.faults sink));
@@ -277,74 +288,86 @@ let blk_crash_workload s =
   (* Back-to-back writes so the crash lands on a non-empty journal, then
      a full read-back verify: exactly-once or bust. *)
   let writes = 48 and span = 64 in
-  let downtime = ref None and verify_errors = ref 0 and done_ = ref false in
-  Scenario.when_blk_ready s (fun () ->
-      Scenario.crash_and_restart_blk s ~flavor:Scenario.Kite ~at:(Time.ms 2)
-        ~on_restored:(fun ~downtime:d -> downtime := Some d)
-        ();
-      let front = s.Scenario.blkfront in
-      let fill k = Char.chr (Char.code 'a' + (k mod 26)) in
-      for k = 0 to writes - 1 do
-        Kite_drivers.Blkfront.write front ~sector:(k * span)
-          (Bytes.make (span * Kite_drivers.Blkfront.sector_size) (fill k))
-      done;
-      for k = 0 to writes - 1 do
-        Bytes.iter
-          (fun c -> if c <> fill k then incr verify_errors)
-          (Kite_drivers.Blkfront.read front ~sector:(k * span) ~count:span)
-      done;
-      done_ := true);
-  (downtime, verify_errors, done_)
+  let downtime = ref None in
+  let verify_errors =
+    Testbed.run s.Scenario.bhv ~what:"workload across the crash"
+      ~within:(Time.sec 60) (fun finish ->
+        Scenario.when_blk_ready s (fun () ->
+            Scenario.crash_and_restart_blk s ~flavor:Scenario.Kite
+              ~at:(Time.ms 2)
+              ~on_restored:(fun ~downtime:d -> downtime := Some d)
+              ();
+            let front = s.Scenario.blkfront in
+            let fill k = Char.chr (Char.code 'a' + (k mod 26)) in
+            for k = 0 to writes - 1 do
+              Kite_drivers.Blkfront.write front ~sector:(k * span)
+                (Bytes.make (span * Kite_drivers.Blkfront.sector_size) (fill k))
+            done;
+            let errors = ref 0 in
+            for k = 0 to writes - 1 do
+              Bytes.iter
+                (fun c -> if c <> fill k then incr errors)
+                (Kite_drivers.Blkfront.read front ~sector:(k * span)
+                   ~count:span)
+            done;
+            (* The restore callback polls the frontend every 1 ms, so
+               it may report after the last read completed. *)
+            while !downtime = None do
+              Process.sleep (Time.ms 1)
+            done;
+            finish !errors))
+  in
+  (!downtime, verify_errors)
 
 let test_blk_crash_exactly_once () =
   let s = Scenario.storage ~flavor:Scenario.Kite () in
-  let downtime, verify_errors, done_ = blk_crash_workload s in
-  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 60);
+  let downtime, verify_errors = blk_crash_workload s in
   let front = s.Scenario.blkfront in
-  check_bool "workload completed across the crash" true !done_;
-  check_bool "downtime measured" true (!downtime <> None);
+  check_bool "downtime measured" true (downtime <> None);
   check_bool "downtime positive" true
-    (match !downtime with Some d -> d > 0 | None -> false);
+    (match downtime with Some d -> d > 0 | None -> false);
   check_int "frontend reconnected once" 1
     (Kite_drivers.Blkfront.reconnects front);
   check_bool "journal replayed in-flight requests" true
     (Kite_drivers.Blkfront.replayed front >= 1);
   check_bool "frontend connected again" true
     (Kite_drivers.Blkfront.is_connected front);
-  check_int "exactly-once: zero lost or corrupted bytes" 0 !verify_errors;
+  check_int "exactly-once: zero lost or corrupted bytes" 0 verify_errors;
   Scenario.teardown_all ()
 
 let test_net_crash_resumes () =
   let s = Scenario.network ~flavor:Scenario.Kite () in
-  let downtime = ref None and after_ok = ref 0 and done_ = ref false in
-  Scenario.when_net_ready s (fun () ->
-      Scenario.crash_and_restart_net s ~flavor:Scenario.Kite ~at:(Time.ms 10)
-        ~on_restored:(fun ~downtime:d -> downtime := Some d)
-        ();
-      (* Ping through the outage until the backend is back... *)
-      let rec until_restored seq =
-        if !downtime = None then begin
-          ignore
-            (Kite_net.Stack.ping s.Scenario.client_stack
-               ~dst:s.Scenario.guest_ip ~timeout:(Time.ms 20) ~seq ());
-          Process.sleep (Time.ms 5);
-          until_restored (seq + 1)
-        end
-        else seq
-      in
-      let seq = until_restored 0 in
-      (* ...then confirm the resumed data path. *)
-      for k = 0 to 9 do
-        match
-          Kite_net.Stack.ping s.Scenario.client_stack ~dst:s.Scenario.guest_ip
-            ~timeout:(Time.ms 100) ~seq:(seq + k) ()
-        with
-        | Some _ -> incr after_ok
-        | None -> ()
-      done;
-      done_ := true);
-  Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 60);
-  check_bool "workload completed across the crash" true !done_;
+  let downtime = ref None and after_ok = ref 0 in
+  Testbed.run s.Scenario.hv ~what:"workload across the crash"
+    ~within:(Time.sec 60) (fun finish ->
+      Scenario.when_net_ready s (fun () ->
+          Scenario.crash_and_restart_net s ~flavor:Scenario.Kite
+            ~at:(Time.ms 10)
+            ~on_restored:(fun ~downtime:d -> downtime := Some d)
+            ();
+          (* Ping through the outage until the backend is back... *)
+          let rec until_restored seq =
+            if !downtime = None then begin
+              ignore
+                (Kite_net.Stack.ping s.Scenario.client_stack
+                   ~dst:s.Scenario.guest_ip ~timeout:(Time.ms 20) ~seq ());
+              Process.sleep (Time.ms 5);
+              until_restored (seq + 1)
+            end
+            else seq
+          in
+          let seq = until_restored 0 in
+          (* ...then confirm the resumed data path. *)
+          for k = 0 to 9 do
+            match
+              Kite_net.Stack.ping s.Scenario.client_stack
+                ~dst:s.Scenario.guest_ip ~timeout:(Time.ms 100) ~seq:(seq + k)
+                ()
+            with
+            | Some _ -> incr after_ok
+            | None -> ()
+          done;
+          finish ()));
   check_bool "downtime measured" true (!downtime <> None);
   check_int "netfront reconnected once" 1
     (Kite_drivers.Netfront.reconnects s.Scenario.netfront);
@@ -364,11 +387,9 @@ let test_recovery_deterministic () =
           with_sink ~seed:11 Fault.default_plan (fun () ->
               Scenario.storage ~flavor:Scenario.Kite ()))
     in
-    let _downtime, verify_errors, done_ = blk_crash_workload s in
-    Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 60);
+    let _downtime, verify_errors = blk_crash_workload s in
     Scenario.teardown_all ();
-    check_bool "run completed" true !done_;
-    check_int "run verified clean" 0 !verify_errors;
+    check_int "run verified clean" 0 verify_errors;
     (* Injector names carry a global scenario sequence number that
        differs between runs; the event logs are what must reproduce. *)
     let fault_log = List.concat_map Fault.events (Fault.faults fsink) in

@@ -291,17 +291,21 @@ let test_crash_freezes_incident () =
   Kite.Obs.run { Kite.Obs.none with flight = Some fsink } (fun () ->
       let s = Scenario.storage ~flavor:Scenario.Kite () in
       let restored = ref false in
-      Scenario.when_blk_ready s (fun () ->
-          Scenario.crash_and_restart_blk s ~flavor:Scenario.Kite
-            ~at:(Time.ms 2)
-            ~on_restored:(fun ~downtime:_ -> restored := true)
-            ();
-          let front = s.Scenario.blkfront in
-          for k = 0 to 31 do
-            Kite_drivers.Blkfront.write front ~sector:k
-              (Bytes.make Kite_drivers.Blkfront.sector_size 'x')
-          done);
-      Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 7200);
+      Scenario.run s.Scenario.bhv ~what:"crash incident" (fun finish ->
+          Scenario.when_blk_ready s (fun () ->
+              Scenario.crash_and_restart_blk s ~flavor:Scenario.Kite
+                ~at:(Time.ms 2)
+                ~on_restored:(fun ~downtime:_ -> restored := true)
+                ();
+              let front = s.Scenario.blkfront in
+              for k = 0 to 31 do
+                Kite_drivers.Blkfront.write front ~sector:k
+                  (Bytes.make Kite_drivers.Blkfront.sector_size 'x')
+              done;
+              while not !restored do
+                Process.sleep (Time.ms 1)
+              done;
+              finish ()));
       check_bool "recovered" true !restored;
       let fl =
         match Flight.flights fsink with

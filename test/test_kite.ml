@@ -13,10 +13,8 @@ let check_bool = Alcotest.(check bool)
 
 let test_network_scenario_boots () =
   let s = Scenario.network ~flavor:Scenario.Kite () in
-  let ready = ref false in
-  Scenario.when_net_ready s (fun () -> ready := true);
-  Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 2);
-  check_bool "netfront connected" true !ready;
+  Testbed.run s.Scenario.hv ~what:"netfront handshake" ~within:(Time.sec 2)
+    (Scenario.when_net_ready s);
   check_bool "netback instance exists" true
     (Kite_drivers.Netback.instances
        (Kite_drivers.Net_app.netback s.Scenario.net_app)
@@ -27,37 +25,90 @@ let test_network_scenario_boots () =
 
 let test_storage_scenario_boots () =
   let s = Scenario.storage ~flavor:Scenario.Linux () in
-  let ready = ref false in
-  Scenario.when_blk_ready s (fun () -> ready := true);
-  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 2);
-  check_bool "blkfront connected" true !ready;
+  Testbed.run s.Scenario.bhv ~what:"blkfront handshake" ~within:(Time.sec 2)
+    (Scenario.when_blk_ready s);
   check_bool "capacity visible" true
     (Kite_drivers.Blkfront.capacity_sectors s.Scenario.blkfront > 0)
 
 let test_scenario_blockdev_end_to_end () =
   let s = Scenario.storage ~flavor:Scenario.Kite () in
   let dev = Scenario.blockdev s in
-  let ok = ref false in
-  Scenario.when_blk_ready s (fun () ->
-      let data = Bytes.make 4096 'e' in
-      dev.Kite_vfs.Blockdev.write ~sector:64 data;
-      let back = dev.Kite_vfs.Blockdev.read ~sector:64 ~count:8 in
-      ok := Bytes.equal back data);
-  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 5);
-  check_bool "write/read through the split driver" true !ok;
+  let ok =
+    Testbed.run s.Scenario.bhv ~what:"round trip" ~within:(Time.sec 5)
+      (fun finish ->
+        Scenario.when_blk_ready s (fun () ->
+            let data = Bytes.make 4096 'e' in
+            dev.Kite_vfs.Blockdev.write ~sector:64 data;
+            let back = dev.Kite_vfs.Blockdev.read ~sector:64 ~count:8 in
+            finish (Bytes.equal back data)))
+  in
+  check_bool "write/read through the split driver" true ok;
   check_bool "reached the physical device" true
     (Kite_devices.Nvme.writes s.Scenario.nvme > 0)
+
+(* The runner returns at [finish]'s instant with later events still
+   queued, ignores a second [finish], and fails naming [what] when the
+   machine goes idle first. *)
+let test_scenario_run () =
+  let hv = Kite_xen.Hypervisor.create () in
+  let dom0 = Kite_xen.Hypervisor.dom0 hv in
+  let v =
+    Scenario.run hv ~what:"stop" (fun finish ->
+        Kite_xen.Hypervisor.spawn hv dom0 ~name:"result" (fun () ->
+            Process.sleep (Time.ms 3);
+            finish (Kite_xen.Hypervisor.now hv));
+        Kite_xen.Hypervisor.spawn hv dom0 ~name:"later" (fun () ->
+            Process.sleep (Time.sec 1);
+            finish 0))
+  in
+  check_int "value set at finish" (Time.ms 3) v;
+  check_int "clock at finish" (Time.ms 3) (Kite_xen.Hypervisor.now hv);
+  check_int "later event still queued" 1
+    (Engine.pending (Kite_xen.Hypervisor.engine hv));
+  Kite_xen.Hypervisor.run_for hv (Time.sec 2);
+  check_int "a late finish does not stop the next run"
+    (Time.ms 3 + Time.sec 2)
+    (Kite_xen.Hypervisor.now hv);
+  Alcotest.check_raises "idle machine"
+    (Failure "idle: experiment did not complete") (fun () ->
+      Scenario.run hv ~what:"idle" (fun _ -> ()))
+
+(* With metrics armed, the registry's last sample is the runner's
+   snapshot at the stop, off the sampler's 100 ms grid. *)
+let test_scenario_run_final_sample () =
+  let sink = Kite_metrics.Registry.sink () in
+  Obs.run { Obs.none with metrics = Some sink } @@ fun () ->
+  Fun.protect ~finally:Scenario.teardown_all @@ fun () ->
+  let s = Scenario.network ~flavor:Scenario.Kite () in
+  let hv = s.Scenario.hv in
+  let stop =
+    Scenario.run hv ~what:"armed" (fun finish ->
+        Scenario.when_net_ready s (fun () ->
+            Process.sleep (Time.ms 250);
+            finish (Kite_xen.Hypervisor.now hv)))
+  in
+  match Kite_metrics.Registry.registries sink with
+  | [ r ] ->
+      check_bool "stop off the sampling grid" true
+        (stop mod Kite_metrics.Registry.interval r <> 0);
+      let at =
+        Option.map fst
+          (Kite_metrics.Registry.last_sample r "kite_sched_processes_live" [])
+      in
+      Alcotest.(check (option int)) "last sample at the stop" (Some stop) at
+  | rs -> Alcotest.failf "expected 1 registry, got %d" (List.length rs)
 
 let test_scenario_flavors_differ () =
   (* Same workload, both flavors: Kite must be strictly faster on the
      cold-latency path, and both must complete. *)
   let ping flavor =
     let s = Scenario.network ~flavor () in
-    let rtt = ref None in
-    Scenario.when_net_ready s (fun () ->
-        rtt := Kite_net.Stack.ping s.Scenario.client_stack ~dst:s.Scenario.guest_ip ~seq:1 ());
-    Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 5);
-    Option.get !rtt
+    Testbed.run s.Scenario.hv ~what:"ping" ~within:(Time.sec 5) (fun finish ->
+        Scenario.when_net_ready s (fun () ->
+            finish
+              (Kite_net.Stack.ping s.Scenario.client_stack
+                 ~dst:s.Scenario.guest_ip ~seq:1 ())))
+    |> Option.get
   in
   let k = ping Scenario.Kite and l = ping Scenario.Linux in
   check_bool
@@ -70,13 +121,13 @@ let test_overheads_override () =
     Scenario.network ~overheads_override:Kite_drivers.Overheads.zero
       ~flavor:Scenario.Kite ()
   in
-  let rtt = ref None in
-  Scenario.when_net_ready s (fun () ->
-      rtt :=
-        Kite_net.Stack.ping s.Scenario.client_stack ~dst:s.Scenario.guest_ip
-          ~seq:1 ());
-  Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 5);
-  match !rtt with
+  match
+    Testbed.run s.Scenario.hv ~what:"ping" ~within:(Time.sec 5) (fun finish ->
+        Scenario.when_net_ready s (fun () ->
+            finish
+              (Kite_net.Stack.ping s.Scenario.client_stack
+                 ~dst:s.Scenario.guest_ip ~seq:1 ())))
+  with
   | Some span ->
       (* With zero overheads the path cost is just devices + hypercalls. *)
       check_bool "well under the kite cold latency" true (span < Time.us 120)
@@ -93,34 +144,41 @@ let test_rx_path_copy_budget () =
   let s = Scenario.network ~flavor:Scenario.Kite () in
   let n = 100 and size = 8192 in
   let payload = Bytes.make size 'k' in
-  let got = ref 0 and bytes = ref 0. in
-  Scenario.when_net_ready s (fun () ->
-      let rx = Kite_net.Stack.udp_bind s.Scenario.guest_stack ~port:5001 in
-      let tx = Kite_net.Stack.udp_bind s.Scenario.client_stack ~port:5002 in
-      let send () =
-        Kite_net.Stack.udp_send s.Scenario.client_stack tx
-          ~dst:s.Scenario.guest_ip ~dst_port:5001 payload
-      in
-      Process.spawn s.Scenario.sched ~name:"rx" (fun () ->
-          for _ = 0 to n do
-            ignore (Kite_net.Stack.udp_recv rx);
-            incr got
-          done);
-      (* The first datagram pays for ARP. *)
-      send ();
-      Process.sleep (Time.ms 1);
-      Gc.minor ();
-      let b0 = Gc.allocated_bytes () in
-      for _ = 1 to n do
-        send ();
-        Process.sleep (Time.us 20)
-      done;
-      Process.sleep (Time.ms 1);
-      Gc.minor ();
-      bytes := Gc.allocated_bytes () -. b0);
-  Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 2);
+  let got = ref 0 in
+  let bytes =
+    Testbed.run s.Scenario.hv ~what:"datagrams" ~within:(Time.sec 2)
+      (fun finish ->
+        Scenario.when_net_ready s (fun () ->
+            let rx =
+              Kite_net.Stack.udp_bind s.Scenario.guest_stack ~port:5001
+            in
+            let tx =
+              Kite_net.Stack.udp_bind s.Scenario.client_stack ~port:5002
+            in
+            let send () =
+              Kite_net.Stack.udp_send s.Scenario.client_stack tx
+                ~dst:s.Scenario.guest_ip ~dst_port:5001 payload
+            in
+            Process.spawn s.Scenario.sched ~name:"rx" (fun () ->
+                for _ = 0 to n do
+                  ignore (Kite_net.Stack.udp_recv rx);
+                  incr got
+                done);
+            (* The first datagram pays for ARP. *)
+            send ();
+            Process.sleep (Time.ms 1);
+            Gc.minor ();
+            let b0 = Gc.allocated_bytes () in
+            for _ = 1 to n do
+              send ();
+              Process.sleep (Time.us 20)
+            done;
+            Process.sleep (Time.ms 1);
+            Gc.minor ();
+            finish (Gc.allocated_bytes () -. b0)))
+  in
   check_int "all delivered" (n + 1) !got;
-  let copies = !bytes /. float_of_int n /. float_of_int size in
+  let copies = bytes /. float_of_int n /. float_of_int size in
   if copies > 6.5 then
     Alcotest.failf "%.2f payload copies per datagram (budget 6.5)" copies
 
@@ -135,32 +193,40 @@ let test_blk_path_copy_budget () =
   let block = 1 lsl 20 in
   let count = block / Kite_drivers.Blkfront.sector_size in
   let data = Bytes.init block (fun i -> Char.chr (i * 7 land 0xff)) in
-  let write = ref nan and read = ref nan and verified = ref false in
-  Scenario.when_blk_ready s (fun () ->
-      let front = s.Scenario.blkfront in
-      let payloads f =
-        Gc.minor ();
-        let b0 = Gc.allocated_bytes () in
-        f ();
-        Gc.minor ();
-        (Gc.allocated_bytes () -. b0) /. float_of_int block
-      in
-      Kite_drivers.Blkfront.write front ~sector:0 data;
-      ignore (Kite_drivers.Blkfront.read front ~sector:0 ~count);
-      write :=
-        payloads (fun () -> Kite_drivers.Blkfront.write front ~sector:0 data);
-      read :=
-        payloads (fun () ->
-            verified :=
-              Bytes.equal (Kite_drivers.Blkfront.read front ~sector:0 ~count)
-                data));
-  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 2);
+  let verified = ref false in
+  let write, read =
+    Testbed.run s.Scenario.bhv ~what:"rewrite and read" ~within:(Time.sec 2)
+      (fun finish ->
+        Scenario.when_blk_ready s (fun () ->
+            let front = s.Scenario.blkfront in
+            let payloads f =
+              Gc.minor ();
+              let b0 = Gc.allocated_bytes () in
+              f ();
+              Gc.minor ();
+              (Gc.allocated_bytes () -. b0) /. float_of_int block
+            in
+            Kite_drivers.Blkfront.write front ~sector:0 data;
+            ignore (Kite_drivers.Blkfront.read front ~sector:0 ~count);
+            let write =
+              payloads (fun () ->
+                  Kite_drivers.Blkfront.write front ~sector:0 data)
+            in
+            let read =
+              payloads (fun () ->
+                  verified :=
+                    Bytes.equal
+                      (Kite_drivers.Blkfront.read front ~sector:0 ~count)
+                      data)
+            in
+            finish (write, read)))
+  in
   check_bool "read back verified" true !verified;
-  if not (!write <= 0.5) then
+  if not (write <= 0.5) then
     Alcotest.failf "%.2f payloads allocated per 1 MiB rewrite (budget 0.5)"
-      !write;
-  if not (!read <= 1.5) then
-    Alcotest.failf "%.2f payloads allocated per 1 MiB read (budget 1.5)" !read
+      write;
+  if not (read <= 1.5) then
+    Alcotest.failf "%.2f payloads allocated per 1 MiB read (budget 1.5)" read
 
 (* ------------------------------------------------------------------ *)
 (* Experiment registry                                                 *)
@@ -299,6 +365,8 @@ let suite =
     ("network scenario boots", `Quick, test_network_scenario_boots);
     ("storage scenario boots", `Quick, test_storage_scenario_boots);
     ("blockdev end to end", `Quick, test_scenario_blockdev_end_to_end);
+    ("scenario run stops at finish", `Quick, test_scenario_run);
+    ("scenario run final sample", `Quick, test_scenario_run_final_sample);
     ("flavors differ on cold latency", `Quick, test_scenario_flavors_differ);
     ("overheads override", `Quick, test_overheads_override);
     ("rx path copy budget", `Quick, test_rx_path_copy_budget);

@@ -208,28 +208,32 @@ let read_stats_int hv path =
   | None -> None
 
 let test_storage_scenario_metered () =
-  let stats = ref "" in
-  let mid = ref None and fin = ref None in
+  let nodes = ref (None, None) in
   let sink =
     with_sink (fun () ->
         let s = Scenario.storage ~flavor:Scenario.Kite () in
-        stats :=
+        let requests =
           Kite_xen.Xenbus.backend_path ~backend:s.Scenario.bdd
             ~frontend:s.Scenario.bdomu ~ty:"vbd" ~devid:0
-          ^ "/stats";
+          ^ "/stats/requests"
+        in
         let dev = Scenario.blockdev s in
-        Scenario.when_blk_ready s (fun () ->
-            let data = Bytes.make 4096 'm' in
-            dev.Kite_vfs.Blockdev.write ~sector:0 data;
-            ignore (dev.Kite_vfs.Blockdev.read ~sector:0 ~count:8);
-            (* Give the publisher a tick, snapshot, then issue more I/O:
-               the node must refresh, not freeze at its first value. *)
-            Process.sleep (Time.ms 300);
-            mid := read_stats_int s.Scenario.bhv (!stats ^ "/requests");
-            dev.Kite_vfs.Blockdev.write ~sector:64 data;
-            dev.Kite_vfs.Blockdev.flush ());
-        Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 5);
-        fin := read_stats_int s.Scenario.bhv (!stats ^ "/requests"))
+        nodes :=
+          Testbed.run s.Scenario.bhv ~what:"metered I/O" ~within:(Time.sec 5)
+            (fun finish ->
+              Scenario.when_blk_ready s (fun () ->
+                  let data = Bytes.make 4096 'm' in
+                  dev.Kite_vfs.Blockdev.write ~sector:0 data;
+                  ignore (dev.Kite_vfs.Blockdev.read ~sector:0 ~count:8);
+                  (* Give the publisher a tick, snapshot, then issue more
+                     I/O: the node must refresh, not freeze at its first
+                     value. *)
+                  Process.sleep (Time.ms 300);
+                  let mid = read_stats_int s.Scenario.bhv requests in
+                  dev.Kite_vfs.Blockdev.write ~sector:64 data;
+                  dev.Kite_vfs.Blockdev.flush ();
+                  Process.sleep (Time.ms 300);
+                  finish (mid, read_stats_int s.Scenario.bhv requests))))
   in
   match R.registries sink with
   | [ r ] ->
@@ -256,7 +260,7 @@ let test_storage_scenario_metered () =
           "kite_sched_domain_busy_ns_total";
         ];
       (* xenstore stats nodes exist after connect and keep refreshing. *)
-      (match (!mid, !fin) with
+      (match !nodes with
       | Some a, Some b ->
           check_bool "stats node live" true (a > 0);
           check_bool "stats node refreshed" true (b > a)
@@ -268,13 +272,17 @@ let test_network_scenario_metered () =
   let sink =
     with_sink (fun () ->
         let s = Scenario.network ~flavor:Scenario.Kite () in
-        Scenario.when_net_ready s (fun () ->
-            for seq = 1 to 3 do
-              ignore
-                (Kite_net.Stack.ping s.Scenario.client_stack
-                   ~dst:s.Scenario.guest_ip ~seq ())
-            done);
-        Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 5);
+        Testbed.run s.Scenario.hv ~what:"metered pings" ~within:(Time.sec 5)
+          (fun finish ->
+            Scenario.when_net_ready s (fun () ->
+                for seq = 1 to 3 do
+                  ignore
+                    (Kite_net.Stack.ping s.Scenario.client_stack
+                       ~dst:s.Scenario.guest_ip ~seq ())
+                done;
+                (* Give the publisher a tick. *)
+                Process.sleep (Time.ms 300);
+                finish ()));
         (* The vif stats nodes were published and refreshed. *)
         let stats =
           Kite_xen.Xenbus.backend_path ~backend:s.Scenario.dd
@@ -341,13 +349,11 @@ let test_backend_crash_alerts () =
 let test_disabled_emits_nothing () =
   check_bool "no ambient sink" true (R.default () = None);
   let s = Scenario.storage ~flavor:Scenario.Kite () in
-  let done_ = ref false in
   let dev = Scenario.blockdev s in
-  Scenario.when_blk_ready s (fun () ->
-      dev.Kite_vfs.Blockdev.write ~sector:0 (Bytes.make 4096 'q');
-      done_ := true);
-  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 5);
-  check_bool "I/O flowed" true !done_;
+  Testbed.run s.Scenario.bhv ~what:"I/O" ~within:(Time.sec 5) (fun finish ->
+      Scenario.when_blk_ready s (fun () ->
+          dev.Kite_vfs.Blockdev.write ~sector:0 (Bytes.make 4096 'q');
+          finish ()));
   check_bool "no registry attached" true
     (s.Scenario.bctx.Kite_drivers.Xen_ctx.metrics = None);
   (* No registry -> no stats publisher daemons, no xenstore nodes. *)

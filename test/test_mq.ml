@@ -151,12 +151,10 @@ let test_net_backend_caps_ask () =
     Kite_drivers.Netfront.create ctx ~domain:domu ~backend:dd ~devid:0
       ~num_queues:8 ()
   in
-  let connected = ref false in
-  Hypervisor.spawn hv domu ~name:"wait" (fun () ->
-      Kite_drivers.Netfront.wait_connected front;
-      connected := true);
-  Hypervisor.run_for hv (Time.sec 5);
-  check_bool "connected" true !connected;
+  Testbed.run hv ~what:"handshake" ~within:(Time.sec 5) (fun finish ->
+      Hypervisor.spawn hv domu ~name:"wait" (fun () ->
+          Kite_drivers.Netfront.wait_connected front;
+          finish ()));
   check_int "frontend settled on the backend's cap" 2
     (Kite_drivers.Netfront.num_queues front);
   (match Kite_drivers.Netback.instances (Kite_drivers.Net_app.netback app) with
@@ -193,15 +191,18 @@ let test_blk_backend_caps_ask () =
     Kite_drivers.Blkfront.create ctx ~domain:domu ~backend:dd ~devid:0
       ~num_queues:8 ()
   in
-  let ok = ref false in
-  Hypervisor.spawn hv domu ~name:"io" (fun () ->
-      Kite_drivers.Blkfront.wait_connected front;
-      let data = Bytes.make 4096 'm' in
-      Kite_drivers.Blkfront.write front ~sector:0 data;
-      ok :=
-        Bytes.equal (Kite_drivers.Blkfront.read front ~sector:0 ~count:8) data);
-  Hypervisor.run_for hv (Time.sec 10);
-  check_bool "round trip over capped rings" true !ok;
+  let ok =
+    Testbed.run hv ~what:"round trip" ~within:(Time.sec 10) (fun finish ->
+        Hypervisor.spawn hv domu ~name:"io" (fun () ->
+            Kite_drivers.Blkfront.wait_connected front;
+            let data = Bytes.make 4096 'm' in
+            Kite_drivers.Blkfront.write front ~sector:0 data;
+            finish
+              (Bytes.equal
+                 (Kite_drivers.Blkfront.read front ~sector:0 ~count:8)
+                 data)))
+  in
+  check_bool "round trip over capped rings" true ok;
   check_int "frontend settled on the backend's cap" 2
     (Kite_drivers.Blkfront.num_queues front);
   match Kite_drivers.Blkback.instances (Kite_drivers.Blk_app.blkback app) with
@@ -228,15 +229,18 @@ let test_blk_legacy_frontend_on_mq_backend () =
   let front =
     Kite_drivers.Blkfront.create ctx ~domain:domu ~backend:dd ~devid:0 ()
   in
-  let ok = ref false in
-  Hypervisor.spawn hv domu ~name:"io" (fun () ->
-      Kite_drivers.Blkfront.wait_connected front;
-      let data = Bytes.make 4096 'l' in
-      Kite_drivers.Blkfront.write front ~sector:8 data;
-      ok :=
-        Bytes.equal (Kite_drivers.Blkfront.read front ~sector:8 ~count:8) data);
-  Hypervisor.run_for hv (Time.sec 10);
-  check_bool "round trip over the legacy ring" true !ok;
+  let ok =
+    Testbed.run hv ~what:"round trip" ~within:(Time.sec 10) (fun finish ->
+        Hypervisor.spawn hv domu ~name:"io" (fun () ->
+            Kite_drivers.Blkfront.wait_connected front;
+            let data = Bytes.make 4096 'l' in
+            Kite_drivers.Blkfront.write front ~sector:8 data;
+            finish
+              (Bytes.equal
+                 (Kite_drivers.Blkfront.read front ~sector:8 ~count:8)
+                 data)))
+  in
+  check_bool "round trip over the legacy ring" true ok;
   check_int "single legacy queue" 1 (Kite_drivers.Blkfront.num_queues front);
   let store = Hypervisor.store hv in
   let fp = Xenbus.frontend_path ~frontend:domu ~ty:"vbd" ~devid:0 in
@@ -281,29 +285,35 @@ let stress_blk ~rng ~seed =
     }
   @@ fun () ->
   let s = Scenario.storage ~flavor:Scenario.Kite ~seed ~num_queues:nq () in
-  let verify_errors = ref 0 and done_ = ref false in
-  Scenario.when_blk_ready s (fun () ->
-      if crash then
-        Scenario.crash_and_restart_blk s ~flavor:Scenario.Kite
-          ~at:(Time.ms 2) ();
-      let front = s.Scenario.blkfront in
-      let fill k = Char.chr (Char.code 'a' + (k mod 26)) in
-      for k = 0 to 5 do
-        Kite_drivers.Blkfront.write front ~sector:(k * 8)
-          (Bytes.make 4096 (fill k))
-      done;
-      for k = 0 to 5 do
-        Bytes.iter
-          (fun ch -> if ch <> fill k then incr verify_errors)
-          (Kite_drivers.Blkfront.read front ~sector:(k * 8) ~count:8)
-      done;
-      done_ := true);
-  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 60);
+  let restored = ref (not crash) and verify_errors = ref 0 in
+  Testbed.run s.Scenario.bhv
+    ~what:
+      (Printf.sprintf "seed %d: blk workload (nq=%d crash=%b)" seed nq crash)
+    ~within:(Time.sec 60) (fun finish ->
+      Scenario.when_blk_ready s (fun () ->
+          if crash then
+            Scenario.crash_and_restart_blk s ~flavor:Scenario.Kite
+              ~at:(Time.ms 2)
+              ~on_restored:(fun ~downtime:_ -> restored := true)
+              ();
+          let front = s.Scenario.blkfront in
+          let fill k = Char.chr (Char.code 'a' + (k mod 26)) in
+          for k = 0 to 5 do
+            Kite_drivers.Blkfront.write front ~sector:(k * 8)
+              (Bytes.make 4096 (fill k))
+          done;
+          for k = 0 to 5 do
+            Bytes.iter
+              (fun ch -> if ch <> fill k then incr verify_errors)
+              (Kite_drivers.Blkfront.read front ~sector:(k * 8) ~count:8)
+          done;
+          (* The I/O may all land before the crash: the run's result is
+             the workload and the recovery. *)
+          while not !restored do
+            Process.sleep (Time.ms 1)
+          done;
+          finish ()));
   Scenario.teardown_all ();
-  check_bool
-    (Printf.sprintf "seed %d: blk workload completed (nq=%d crash=%b)" seed
-       nq crash)
-    true !done_;
   check_int
     (Printf.sprintf "seed %d: exactly-once, zero corrupted bytes" seed)
     0 !verify_errors;
@@ -339,38 +349,37 @@ let stress_net ~rng ~seed =
     }
   @@ fun () ->
   let s = Scenario.network ~flavor:Scenario.Kite ~seed ~num_queues:nq () in
-  let restored = ref (not crash) and after_ok = ref 0 and done_ = ref false in
-  Scenario.when_net_ready s (fun () ->
-      if crash then
-        Scenario.crash_and_restart_net s ~flavor:Scenario.Kite
-          ~at:(Time.ms 5)
-          ~on_restored:(fun ~downtime:_ -> restored := true)
-          ();
-      (* Ping through any outage until the backend is (back) up... *)
-      let seq = ref 0 in
-      while not !restored do
-        incr seq;
-        ignore
-          (Kite_net.Stack.ping s.Scenario.client_stack
-             ~dst:s.Scenario.guest_ip ~timeout:(Time.ms 20) ~seq:!seq ());
-        Process.sleep (Time.ms 5)
-      done;
-      (* ...then the steady-state path must be loss-free. *)
-      for k = 1 to 5 do
-        match
-          Kite_net.Stack.ping s.Scenario.client_stack
-            ~dst:s.Scenario.guest_ip ~timeout:(Time.ms 100) ~seq:(!seq + k)
-            ()
-        with
-        | Some _ -> incr after_ok
-        | None -> ()
-      done;
-      done_ := true);
-  Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 60);
-  check_bool
-    (Printf.sprintf "seed %d: net workload completed (nq=%d crash=%b)" seed
-       nq crash)
-    true !done_;
+  let restored = ref (not crash) and after_ok = ref 0 in
+  Testbed.run s.Scenario.hv
+    ~what:
+      (Printf.sprintf "seed %d: net workload (nq=%d crash=%b)" seed nq crash)
+    ~within:(Time.sec 60) (fun finish ->
+      Scenario.when_net_ready s (fun () ->
+          if crash then
+            Scenario.crash_and_restart_net s ~flavor:Scenario.Kite
+              ~at:(Time.ms 5)
+              ~on_restored:(fun ~downtime:_ -> restored := true)
+              ();
+          (* Ping through any outage until the backend is (back) up... *)
+          let seq = ref 0 in
+          while not !restored do
+            incr seq;
+            ignore
+              (Kite_net.Stack.ping s.Scenario.client_stack
+                 ~dst:s.Scenario.guest_ip ~timeout:(Time.ms 20) ~seq:!seq ());
+            Process.sleep (Time.ms 5)
+          done;
+          (* ...then the steady-state path must be loss-free. *)
+          for k = 1 to 5 do
+            match
+              Kite_net.Stack.ping s.Scenario.client_stack
+                ~dst:s.Scenario.guest_ip ~timeout:(Time.ms 100)
+                ~seq:(!seq + k) ()
+            with
+            | Some _ -> incr after_ok
+            | None -> ()
+          done;
+          finish ()));
   check_int
     (Printf.sprintf "seed %d: steady-state pings all answered" seed)
     5 !after_ok;
@@ -486,19 +495,22 @@ let test_cap_zero_means_legacy () =
     Kite_drivers.Netfront.create ctx ~domain:domu ~backend:dd ~devid:0
       ~num_queues:2 ()
   in
-  let blk_ok = ref false in
-  Hypervisor.spawn hv domu ~name:"io" (fun () ->
-      Kite_drivers.Blkfront.wait_connected bf;
-      Kite_drivers.Netfront.wait_connected nf;
-      let dev = Kite_drivers.Netfront.netdev nf in
-      Kite_net.Netdev.set_up dev true;
-      Kite_net.Netdev.transmit dev (Bytes.make 64 'z');
-      let data = Bytes.make 4096 'z' in
-      Kite_drivers.Blkfront.write bf ~sector:0 data;
-      blk_ok :=
-        Bytes.equal (Kite_drivers.Blkfront.read bf ~sector:0 ~count:8) data);
-  Hypervisor.run_for hv (Time.sec 5);
-  check_bool "blk round trip at cap 0" true !blk_ok;
+  let blk_ok =
+    Testbed.run hv ~what:"round trips" ~within:(Time.sec 5) (fun finish ->
+        Hypervisor.spawn hv domu ~name:"io" (fun () ->
+            Kite_drivers.Blkfront.wait_connected bf;
+            Kite_drivers.Netfront.wait_connected nf;
+            let dev = Kite_drivers.Netfront.netdev nf in
+            Kite_net.Netdev.set_up dev true;
+            Kite_net.Netdev.transmit dev (Bytes.make 64 'z');
+            let data = Bytes.make 4096 'z' in
+            Kite_drivers.Blkfront.write bf ~sector:0 data;
+            finish
+              (Bytes.equal
+                 (Kite_drivers.Blkfront.read bf ~sector:0 ~count:8)
+                 data)))
+  in
+  check_bool "blk round trip at cap 0" true blk_ok;
   check_int "blkfront fell back to one ring" 1
     (Kite_drivers.Blkfront.num_queues bf);
   check_int "netfront fell back to one queue" 1

@@ -164,16 +164,23 @@ let storage_sweep ~seed ~num_queues ~crash () =
   let psink =
     with_sinks (fun () ->
         let s = Scenario.storage ~flavor:Scenario.Kite ~seed ~num_queues () in
-        Scenario.when_blk_ready s (fun () ->
-            if crash then
-              Scenario.crash_and_restart_blk s ~flavor:Scenario.Kite
-                ~at:(Time.ms 2) ();
-            let front = s.Scenario.blkfront in
-            for k = 0 to 31 do
-              let data = Bytes.make Kite_drivers.Blkfront.sector_size 'p' in
-              Kite_drivers.Blkfront.write front ~sector:k data
-            done);
-        Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 7200))
+        let restored = ref (not crash) in
+        Scenario.run s.Scenario.bhv ~what:ctx (fun finish ->
+            Scenario.when_blk_ready s (fun () ->
+                if crash then
+                  Scenario.crash_and_restart_blk s ~flavor:Scenario.Kite
+                    ~at:(Time.ms 2)
+                    ~on_restored:(fun ~downtime:_ -> restored := true)
+                    ();
+                let front = s.Scenario.blkfront in
+                for k = 0 to 31 do
+                  let data = Bytes.make Kite_drivers.Blkfront.sector_size 'p' in
+                  Kite_drivers.Blkfront.write front ~sector:k data
+                done;
+                while not !restored do
+                  Process.sleep (Time.ms 1)
+                done;
+                finish ())))
   in
   match Path.paths psink with
   | [ p ] ->

@@ -182,6 +182,42 @@ let test_engine_cascading () =
   Engine.run e;
   Alcotest.(check (list string)) "cascade" [ "a"; "b" ] (List.rev !log)
 
+(* A stop from inside an event ends the run at that event's instant;
+   later events, one due at the same instant too, stay queued, and the
+   next run resumes them in order. *)
+let test_engine_stop () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let at t name f =
+    ignore
+      (Engine.schedule_at e t (fun () ->
+           log := name :: !log;
+           f ()))
+  in
+  let fired () = List.rev !log in
+  at (Time.ms 1) "a" ignore;
+  at (Time.ms 2) "stop" (fun () -> Engine.stop e);
+  at (Time.ms 2) "b" ignore;
+  at (Time.ms 3) "c" ignore;
+  Engine.run_until e (Time.ms 10);
+  Alcotest.(check (list string)) "fired up to the stop" [ "a"; "stop" ]
+    (fired ());
+  check_int "clock at the stopping event" (Time.ms 2) (Engine.now e);
+  check_int "later events still queued" 2 (Engine.pending e);
+  Engine.run_for e (Time.ms 10);
+  Alcotest.(check (list string)) "resumed in order" [ "a"; "stop"; "b"; "c" ]
+    (fired ());
+  check_int "the stop did not stick" (Time.ms 12) (Engine.now e);
+  at (Time.ms 13) "stop again" (fun () -> Engine.stop e);
+  at (Time.ms 14) "d" ignore;
+  Engine.run e;
+  check_int "run stops too" (Time.ms 13) (Engine.now e);
+  check_int "d still queued" 1 (Engine.pending e);
+  Engine.stop e;
+  Engine.run e;
+  check_int "a stop outside a run does nothing" 0 (Engine.pending e);
+  check_int "clock at the last event" (Time.ms 14) (Engine.now e)
+
 (* ------------------------------------------------------------------ *)
 (* Process                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -642,6 +678,7 @@ let suite =
     ("engine run_until", `Quick, test_engine_run_until);
     ("engine rejects past", `Quick, test_engine_past_rejected);
     ("engine cascading events", `Quick, test_engine_cascading);
+    ("engine stop", `Quick, test_engine_stop);
     ("process sleep", `Quick, test_process_sleep);
     ("process interleave", `Quick, test_process_interleave);
     ("process yield", `Quick, test_process_yield);

@@ -81,40 +81,36 @@ let run_campaign ?impair ?crash_at ~profile ~seed ~clients () =
         Scenario.network ~flavor:Scenario.Kite ~seed:(9000 + seed) ?impair ()
       in
       let reg = Registry.create ~name:"swarm-test" () in
-      let done_ = ref None in
-      Scenario.when_net_ready s (fun () ->
-          (match crash_at with
-          | Some at ->
-              Scenario.crash_and_restart_net s ~flavor:Scenario.Kite ~at
-                ~on_restored:(fun ~downtime:_ -> ())
-                ()
-          | None -> ());
-          let driver = httpd_driver s in
-          Swarm.run ~sched:s.Scenario.sched ~seed ~registry:reg ~profile
-            ~clients ~driver
-            ~on_done:(fun r -> done_ := Some r)
-            ());
-      Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 7200);
-      match !done_ with
-      | None -> Alcotest.fail "swarm campaign did not finish"
-      | Some r ->
-          let buckets =
-            match Registry.hbuckets reg Swarm.metric [ ("app", "httpd") ] with
-            | Some bs -> bs
-            | None -> []
-          in
-          ( {
-              d_offered = r.Swarm.sw_offered;
-              d_completed = r.Swarm.sw_completed;
-              d_errors = r.Swarm.sw_errors;
-              d_clients = r.Swarm.sw_clients;
-              d_verdicts =
-                List.map
-                  (fun e -> (e.Slo.ev_name, e.Slo.ev_met))
-                  r.Swarm.sw_slos;
-              d_buckets = buckets;
-            },
-            Report.errors report ))
+      let r =
+        Scenario.run s.Scenario.hv ~what:"swarm campaign" (fun finish ->
+            Scenario.when_net_ready s (fun () ->
+                (match crash_at with
+                | Some at ->
+                    Scenario.crash_and_restart_net s ~flavor:Scenario.Kite ~at
+                      ~on_restored:(fun ~downtime:_ -> ())
+                      ()
+                | None -> ());
+                let driver = httpd_driver s in
+                Swarm.run ~sched:s.Scenario.sched ~seed ~registry:reg ~profile
+                  ~clients ~driver ~on_done:finish ()))
+      in
+      let buckets =
+        match Registry.hbuckets reg Swarm.metric [ ("app", "httpd") ] with
+        | Some bs -> bs
+        | None -> []
+      in
+      ( {
+          d_offered = r.Swarm.sw_offered;
+          d_completed = r.Swarm.sw_completed;
+          d_errors = r.Swarm.sw_errors;
+          d_clients = r.Swarm.sw_clients;
+          d_verdicts =
+            List.map
+              (fun e -> (e.Slo.ev_name, e.Slo.ev_met))
+              r.Swarm.sw_slos;
+          d_buckets = buckets;
+        },
+        Report.errors report ))
 
 (* ------------------------------------------------------------------ *)
 (* Seeded stress sweep                                                  *)
@@ -195,45 +191,40 @@ let test_blk_flash_crowd_exactly_once () =
   let s = Scenario.storage ~flavor:Scenario.Kite () in
   let clients = 200 in
   let fill k = Char.chr (Char.code 'a' + (k mod 26)) in
-  let done_ = ref None in
-  Scenario.when_blk_ready s (fun () ->
-      Scenario.crash_and_restart_blk s ~flavor:Scenario.Kite ~at:(Time.ms 20)
-        ~on_restored:(fun ~downtime:_ -> ())
-        ();
-      let front = s.Scenario.blkfront in
-      let seq = ref 0 in
-      (* Client [k] owns sector [k] and stamps it with its own fill
-         byte on every request: any lost or doubled-and-torn replay
-         shows up in the read-back. *)
-      let driver =
-        {
-          Swarm.d_app = "blk";
-          d_connect =
-            (fun () ->
-              incr seq;
-              let me = !seq in
-              Some
-                {
-                  Swarm.c_request =
-                    (fun ~size:_ ~slow:_ ->
-                      Kite_drivers.Blkfront.write front ~sector:me
-                        (Bytes.make Kite_drivers.Blkfront.sector_size (fill me));
-                      true);
-                  c_close = (fun () -> ());
-                });
-        }
-      in
-      (* Flash-crowd profile slowed to 2k sessions/s so the 50 ms flash
-         window and the 20 ms crash both land inside the ramp. *)
-      Swarm.run ~sched:s.Scenario.bsched ~seed:5
-        ~profile:(profile_named "flash") ~rate:2_000.0 ~clients ~driver
-        ~on_done:(fun r -> done_ := Some r)
-        ());
-  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 7200);
   let r =
-    match !done_ with
-    | Some r -> r
-    | None -> Alcotest.fail "blk swarm did not finish"
+    Scenario.run s.Scenario.bhv ~what:"blk swarm" @@ fun finish ->
+    Scenario.when_blk_ready s (fun () ->
+        Scenario.crash_and_restart_blk s ~flavor:Scenario.Kite ~at:(Time.ms 20)
+          ~on_restored:(fun ~downtime:_ -> ())
+          ();
+        let front = s.Scenario.blkfront in
+        let seq = ref 0 in
+        (* Client [k] owns sector [k] and stamps it with its own fill
+           byte on every request: any lost or doubled-and-torn replay
+           shows up in the read-back. *)
+        let driver =
+          {
+            Swarm.d_app = "blk";
+            d_connect =
+              (fun () ->
+                incr seq;
+                let me = !seq in
+                Some
+                  {
+                    Swarm.c_request =
+                      (fun ~size:_ ~slow:_ ->
+                        Kite_drivers.Blkfront.write front ~sector:me
+                          (Bytes.make Kite_drivers.Blkfront.sector_size (fill me));
+                        true);
+                    c_close = (fun () -> ());
+                  });
+          }
+        in
+        (* Flash-crowd profile slowed to 2k sessions/s so the 50 ms flash
+           window and the 20 ms crash both land inside the ramp. *)
+        Swarm.run ~sched:s.Scenario.bsched ~seed:5
+          ~profile:(profile_named "flash") ~rate:2_000.0 ~clients ~driver
+          ~on_done:finish ())
   in
   let front = s.Scenario.blkfront in
   check_int "every client fired" clients r.Swarm.sw_clients;
@@ -242,17 +233,20 @@ let test_blk_flash_crowd_exactly_once () =
   check_int "frontend reconnected once" 1
     (Kite_drivers.Blkfront.reconnects front);
   (* Read-back: every client's sector carries exactly its fill byte. *)
-  let verify_errors = ref (-1) in
-  Process.spawn s.Scenario.bsched ~name:"swarm-verify" (fun () ->
-      let bad = ref 0 in
-      for me = 1 to clients do
-        Bytes.iter
-          (fun c -> if c <> fill me then incr bad)
-          (Kite_drivers.Blkfront.read front ~sector:me ~count:1)
-      done;
-      verify_errors := !bad);
-  Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 600);
-  check_int "exactly-once: every sector matches" 0 !verify_errors;
+  let verify_errors =
+    Testbed.run s.Scenario.bhv ~what:"blk swarm read-back"
+      ~within:(Time.sec 600)
+    @@ fun finish ->
+    Process.spawn s.Scenario.bsched ~name:"swarm-verify" (fun () ->
+        let bad = ref 0 in
+        for me = 1 to clients do
+          Bytes.iter
+            (fun c -> if c <> fill me then incr bad)
+            (Kite_drivers.Blkfront.read front ~sector:me ~count:1)
+        done;
+        finish !bad)
+  in
+  check_int "exactly-once: every sector matches" 0 verify_errors;
   Scenario.teardown_all ()
 
 (* ------------------------------------------------------------------ *)

@@ -296,17 +296,24 @@ let test_spans_cross_restart () =
   let sink =
     with_sink (fun () ->
         let s = Scenario.storage ~flavor:Scenario.Kite () in
-        Scenario.when_blk_ready s (fun () ->
-            Scenario.crash_and_restart_blk s ~flavor:Scenario.Kite
-              ~at:(Time.ms 2)
-              ~on_restored:(fun ~downtime:d -> downtime := Some d)
-              ();
-            let front = s.Scenario.blkfront in
-            for k = 0 to writes - 1 do
-              let data = Bytes.make Kite_drivers.Blkfront.sector_size 'r' in
-              Kite_drivers.Blkfront.write front ~sector:k data
-            done);
-        Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.sec 7200);
+        Scenario.run s.Scenario.bhv ~what:"spans across a restart"
+          (fun finish ->
+            Scenario.when_blk_ready s (fun () ->
+                Scenario.crash_and_restart_blk s ~flavor:Scenario.Kite
+                  ~at:(Time.ms 2)
+                  ~on_restored:(fun ~downtime:d -> downtime := Some d)
+                  ();
+                let front = s.Scenario.blkfront in
+                for k = 0 to writes - 1 do
+                  let data = Bytes.make Kite_drivers.Blkfront.sector_size 'r' in
+                  Kite_drivers.Blkfront.write front ~sector:k data
+                done;
+                (* The restore callback polls the frontend every 1 ms, so
+                   it may report after the last write completed. *)
+                while !downtime = None do
+                  Process.sleep (Time.ms 1)
+                done;
+                finish ()));
         replayed := Kite_drivers.Blkfront.replayed s.Scenario.blkfront)
   in
   let dt = match !downtime with Some d -> d | None -> Alcotest.fail "no restore" in
@@ -344,13 +351,15 @@ let test_disabled_emits_nothing () =
   (* No default sink: the scenario must run completely untraced. *)
   check_bool "no ambient sink" true (Trace.default () = None);
   let s = Scenario.network ~flavor:Scenario.Kite () in
-  let got = ref None in
-  Scenario.when_net_ready s (fun () ->
-      got :=
-        Kite_net.Stack.ping s.Scenario.client_stack ~dst:s.Scenario.guest_ip
-          ~seq:1 ());
-  Kite_xen.Hypervisor.run_for s.Scenario.hv (Time.sec 5);
-  check_bool "traffic flowed" true (!got <> None);
+  let got =
+    Testbed.run s.Scenario.hv ~what:"untraced ping" ~within:(Time.sec 5)
+      (fun finish ->
+        Scenario.when_net_ready s (fun () ->
+            finish
+              (Kite_net.Stack.ping s.Scenario.client_stack
+                 ~dst:s.Scenario.guest_ip ~seq:1 ())))
+  in
+  check_bool "traffic flowed" true (got <> None);
   check_bool "no tracer attached" true (s.Scenario.ctx.Kite_drivers.Xen_ctx.trace = None);
   check_bool "hypervisor tracer off" true
     (Kite_xen.Hypervisor.trace s.Scenario.hv = None)
