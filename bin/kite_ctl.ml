@@ -33,6 +33,20 @@ let full_arg =
 let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
 let findings_json_arg = json_arg "Emit the findings as JSON instead of text."
 
+(* A seed count for [--sweep]: at least 1, as a sweep of none would pass
+   its oracle without testing anything. *)
+let sweep_count =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf "invalid value '%s', expected a positive integer"
+                s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 (* [kite] or [linux], in any case; anything else is a usage error. *)
 let flavor_arg doc =
   let flavors =
@@ -168,7 +182,7 @@ let check_cmd =
 let race_cmd =
   let sweep_arg =
     let doc = "Number of schedule seeds to sweep (default 1)." in
-    Arg.(value & opt int 1 & info [ "sweep" ] ~docv:"N" ~doc)
+    Arg.(value & opt sweep_count 1 & info [ "sweep" ] ~docv:"N" ~doc)
   in
   let seed0_arg =
     let doc = "First schedule seed of the sweep (default 1)." in
@@ -186,7 +200,7 @@ let race_cmd =
       }
     in
     let rec from s =
-      if s >= seed0 + max 1 sweep then `Ok ()
+      if s >= seed0 + sweep then `Ok ()
       else
         let progress eid =
           if not json then
@@ -391,7 +405,7 @@ let trace_cmd =
   let fail_on_drop_arg =
     let doc =
       "Exit nonzero if any bounded trace buffer dropped events (the \
-       Chrome export and breakdowns would silently under-count)."
+       Chrome export and the event count would be short)."
     in
     Arg.(value & flag & info [ "fail-on-drop" ] ~doc)
   in
@@ -416,8 +430,9 @@ let trace_cmd =
     let lost = Kite.Trace_report.total_dropped ts in
     if fail_on_drop && lost > 0 then begin
       Printf.eprintf
-        "FAIL: %d trace event(s) dropped at the buffer limit; raise ?limit \
-         or trace a smaller experiment\n"
+        "FAIL: %d trace event(s) dropped at the buffer limit, so the Chrome \
+         export and the event count are short; trace fewer experiments, or \
+         drop --full\n"
         lost;
       exit 1
     end;
@@ -566,24 +581,20 @@ let top_cmd =
        per-second rates) or $(b,busy) (the machine's busiest histogram, \
        by observation count).  Default: build order."
     in
-    Arg.(value & opt (some string) None & info [ "sort" ] ~docv:"KEY" ~doc)
-  in
-  let run full sort_s id =
-    let sort =
-      match sort_s with
-      | None -> Ok None
-      | Some "rate" -> Ok (Some Kite.Metrics_report.By_rate)
-      | Some "busy" -> Ok (Some Kite.Metrics_report.By_busy)
-      | Some other -> Error other
+    let keys =
+      Arg.enum
+        [
+          ("rate", Kite.Metrics_report.By_rate);
+          ("busy", Kite.Metrics_report.By_busy);
+        ]
     in
-    match sort with
-    | Error other ->
-        `Error (false, "unknown sort key " ^ other ^ "; use rate or busy")
-    | Ok sort ->
-        with_metrics ~full ~progress:true id (fun rs ->
-            Kite_stats.Table.print (Kite.Metrics_report.top_table ?sort rs);
-            if List.exists (fun r -> Kite_metrics.Registry.alerts r <> []) rs
-            then Kite_stats.Table.print (Kite.Metrics_report.alerts_table rs))
+    Arg.(value & opt (some keys) None & info [ "sort" ] ~docv:"KEY" ~doc)
+  in
+  let run full sort id =
+    with_metrics ~full ~progress:true id (fun rs ->
+        Kite_stats.Table.print (Kite.Metrics_report.top_table ?sort rs);
+        if List.exists (fun r -> Kite_metrics.Registry.alerts r <> []) rs then
+          Kite_stats.Table.print (Kite.Metrics_report.alerts_table rs))
   in
   Cmd.v
     (Cmd.info "top"
@@ -834,62 +845,57 @@ let incident_cmd =
 
 let campaigns_json_arg = json_arg "Emit the campaign results as a JSON array."
 
+let campaigns_sweep_arg =
+  let doc = "Run campaigns for seeds 1..$(docv) instead of one seed." in
+  Arg.(value & opt (some sweep_count) None & info [ "sweep" ] ~docv:"N" ~doc)
+
 let attack_cmd =
   let module Campaign = Kite_adversary.Campaign in
   let seed_arg =
     let doc = "Campaign seed (even seeds attack storage, odd network)." in
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc)
   in
-  let sweep_arg =
-    let doc = "Run campaigns for seeds 1..$(docv) instead of one seed." in
-    Arg.(value & opt (some int) None & info [ "sweep" ] ~docv:"N" ~doc)
-  in
   let class_arg =
     let doc =
       "Restrict the campaign to these attack classes (comma-separated \
        slugs, e.g. $(b,bad-gref,replay,evtchn-storm))."
     in
-    Arg.(value & opt (list string) [] & info [ "class" ] ~docv:"SLUGS" ~doc)
-  in
-  let run seed sweep slugs json =
-    let only =
-      List.fold_left
-        (fun acc s ->
-          match acc with
-          | Error _ as e -> e
-          | Ok l -> (
-              match Kite_drivers.Guest_fault.of_slug s with
-              | Some a -> Ok (a :: l)
-              | None -> Error s))
-        (Ok []) slugs
+    let module G = Kite_drivers.Guest_fault in
+    let attack =
+      let parse s =
+        match G.of_slug s with
+        | Some a -> Ok a
+        | None -> Error (`Msg ("unknown attack class " ^ s))
+      in
+      Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (G.slug a))
     in
-    match only with
-    | Error s -> `Error (false, "unknown attack class " ^ s)
-    | Ok l ->
-        let only = match l with [] -> None | l -> Some l in
-        let seeds =
-          match sweep with
-          | Some n -> List.init n (fun i -> i + 1)
-          | None -> [ seed ]
-        in
-        let results =
-          List.map
-            (fun seed ->
-              let r = Campaign.run ?only ~seed () in
-              if not json then Format.printf "%a@." Campaign.pp_result r;
-              r)
-            seeds
-        in
-        if json then
-          print_string
-            ("[" ^ String.concat "," (List.map Campaign.to_json results) ^ "]\n");
-        let failed = List.filter (fun r -> not r.Campaign.ok) results in
-        if failed = [] then `Ok ()
-        else begin
-          Printf.eprintf "FAIL: %d/%d campaign(s) violated the oracle\n"
-            (List.length failed) (List.length results);
-          exit 1
-        end
+    Arg.(value & opt (list attack) [] & info [ "class" ] ~docv:"SLUGS" ~doc)
+  in
+  let run seed sweep only json =
+    let only = match only with [] -> None | l -> Some l in
+    let seeds =
+      match sweep with
+      | Some n -> List.init n (fun i -> i + 1)
+      | None -> [ seed ]
+    in
+    let results =
+      List.map
+        (fun seed ->
+          let r = Campaign.run ?only ~seed () in
+          if not json then Format.printf "%a@." Campaign.pp_result r;
+          r)
+        seeds
+    in
+    if json then
+      print_string
+        ("[" ^ String.concat "," (List.map Campaign.to_json results) ^ "]\n");
+    let failed = List.filter (fun r -> not r.Campaign.ok) results in
+    if failed = [] then `Ok ()
+    else begin
+      Printf.eprintf "FAIL: %d/%d campaign(s) violated the oracle\n"
+        (List.length failed) (List.length results);
+      exit 1
+    end
   in
   Cmd.v
     (Cmd.info "attack"
@@ -900,7 +906,9 @@ let attack_cmd =
           quarantined or rejected, and the co-hosted honest guest's p99 \
           must stay within its SLO with zero checker errors.")
     Term.(
-      ret (const run $ seed_arg $ sweep_arg $ class_arg $ campaigns_json_arg))
+      ret
+        (const run $ seed_arg $ campaigns_sweep_arg $ class_arg
+       $ campaigns_json_arg))
 
 (* ------------------------------------------------------------------ *)
 (* swarm                                                               *)
@@ -937,10 +945,6 @@ let swarm_cmd =
     let doc = "Session arrival rate override (sessions/s)." in
     Arg.(value & opt (some float) None & info [ "rate" ] ~docv:"R" ~doc)
   in
-  let sweep_arg =
-    let doc = "Run campaigns for seeds 1..$(docv) instead of one seed." in
-    Arg.(value & opt (some int) None & info [ "sweep" ] ~docv:"N" ~doc)
-  in
   let run clients profile app flavor impair seed rate sweep json =
     let impair_v =
       match impair with
@@ -953,7 +957,7 @@ let swarm_cmd =
         let report = Kite_check.Report.create () in
         let seeds =
           match sweep with
-          | Some n -> List.init (max 1 n) (fun i -> i + 1)
+          | Some n -> List.init n (fun i -> i + 1)
           | None -> [ seed ]
         in
         match
@@ -1027,7 +1031,8 @@ let swarm_cmd =
       ret
         (const run $ clients_arg $ profile_arg $ app_arg
         $ flavor_arg "Domain flavor: kite or linux."
-        $ impair_arg $ seed_arg $ rate_arg $ sweep_arg $ campaigns_json_arg))
+        $ impair_arg $ seed_arg $ rate_arg $ campaigns_sweep_arg
+        $ campaigns_json_arg))
 
 let () =
   let info =

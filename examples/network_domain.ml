@@ -11,7 +11,7 @@ open Kite_drivers
 
 let () =
   (* 1. The machine: hypervisor, Dom0, a driver domain and a guest. *)
-  let hv = Hypervisor.create ~seed:42 () in
+  let hv = Hypervisor.create () in
   let ctx = Xen_ctx.create hv in
   let sched = Hypervisor.sched hv in
   let dd =

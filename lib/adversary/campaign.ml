@@ -139,7 +139,7 @@ type ('q, 'p) spec = {
     ?queues:int ->
     unit ->
     unit;
-  build : seed:int -> queues:int -> testbed;
+  build : queues:int -> testbed;
   slo : float;  (** honest p99, us *)
 }
 
@@ -151,10 +151,8 @@ let net =
     attacks = net_classes;
     add_device = Toolstack.add_vif;
     build =
-      (fun ~seed ~queues ->
-        let s =
-          Scenario.network ~flavor:Scenario.Kite ~seed ~num_queues:queues ()
-        in
+      (fun ~queues ->
+        let s = Scenario.network ~flavor:Scenario.Kite ~num_queues:queues () in
         let nb () = Net_app.netback s.Scenario.net_app in
         {
           hv = s.Scenario.hv;
@@ -195,10 +193,8 @@ let blk =
     attacks = blk_classes;
     add_device = Toolstack.add_vbd;
     build =
-      (fun ~seed ~queues ->
-        let s =
-          Scenario.storage ~flavor:Scenario.Kite ~seed ~num_queues:queues ()
-        in
+      (fun ~queues ->
+        let s = Scenario.storage ~flavor:Scenario.Kite ~num_queues:queues () in
         let bb () = Blk_app.blkback s.Scenario.blk_app in
         let hv = s.Scenario.bhv in
         {
@@ -272,7 +268,7 @@ let campaign spec ?only ~seed () =
     (fun () ->
       let rng = Rng.create ((seed * 7919) + spec.rng_salt) in
       let queues = [| 1; 2; 4 |].(Rng.int rng 3) in
-      let tb = spec.build ~seed ~queues in
+      let tb = spec.build ~queues in
       let evil =
         Hypervisor.create_domain tb.hv ~name:"evil" ~kind:Domain.Dom_u
           ~vcpus:1 ~mem_mb:256

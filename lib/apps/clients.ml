@@ -3,28 +3,30 @@ open Kite_net
 
 type session = { request : size:int -> slow:bool -> bool; close : unit -> unit }
 
-(* Drip-feed write: the request bytes leave in small pieces with think
-   gaps in between, holding the server's connection open the whole
+(* Drip-feed write: the request bytes leave in [drip_chunks] pieces,
+   [drip_gap] apart, holding the server's connection open the whole
    time.  The last chunk carries no trailing gap. *)
-let send_req conn buf ~slow ~chunks ~gap =
+let drip_chunks = 8
+let drip_gap = Time.ms 2
+
+let send_req conn buf ~slow =
   if not slow then Tcp.send conn buf
   else begin
     let n = Bytes.length buf in
-    let chunks = max 1 (min chunks n) in
+    let chunks = max 1 (min drip_chunks n) in
     let per = max 1 ((n + chunks - 1) / chunks) in
     let off = ref 0 in
     while !off < n do
       let len = min per (n - !off) in
       Tcp.send conn (Bytes.sub buf !off len);
       off := !off + len;
-      if !off < n then Process.sleep gap
+      if !off < n then Process.sleep drip_gap
     done
   end
 
 let close_quietly conn = try Tcp.close conn with _ -> ()
 
-let httpd client_tcp ~dst ?(port = 80) ?(drip_chunks = 8)
-    ?(drip_gap = Time.ms 2) () =
+let httpd client_tcp ~dst ?(port = 80) () =
   let conn = Tcp.connect client_tcp ~dst ~port in
   let rd = Line_reader.create conn in
   let request ~size ~slow =
@@ -34,7 +36,7 @@ let httpd client_tcp ~dst ?(port = 80) ?(drip_chunks = 8)
           (Printf.sprintf "GET %s HTTP/1.1\r\nHost: swarm\r\n\r\n"
              (Httpd.path_for size))
       in
-      send_req conn req ~slow ~chunks:drip_chunks ~gap:drip_gap;
+      send_req conn req ~slow;
       let ok = ref false in
       let clen = ref 0 in
       (match Line_reader.line rd with
@@ -63,8 +65,7 @@ let httpd client_tcp ~dst ?(port = 80) ?(drip_chunks = 8)
   in
   { request; close = (fun () -> close_quietly conn) }
 
-let kvstore client_tcp ~dst ?(port = 6379) ?(drip_chunks = 8)
-    ?(drip_gap = Time.ms 2) ~key () =
+let kvstore client_tcp ~dst ?(port = 6379) ~key () =
   let conn = Tcp.connect client_tcp ~dst ~port in
   let rd = Line_reader.create conn in
   let stored = ref false in
@@ -75,8 +76,7 @@ let kvstore client_tcp ~dst ?(port = 6379) ?(drip_chunks = 8)
         let req = Buffer.create (size + 32) in
         Buffer.add_string req (Printf.sprintf "SET %s %d\n" key size);
         Buffer.add_string req (String.make size 'v');
-        send_req conn (Buffer.to_bytes req) ~slow ~chunks:drip_chunks
-          ~gap:drip_gap;
+        send_req conn (Buffer.to_bytes req) ~slow;
         match Line_reader.line rd with
         | Some "+OK" ->
             stored := true;
@@ -86,7 +86,7 @@ let kvstore client_tcp ~dst ?(port = 6379) ?(drip_chunks = 8)
       else begin
         send_req conn
           (Bytes.of_string (Printf.sprintf "GET %s\n" key))
-          ~slow ~chunks:drip_chunks ~gap:drip_gap;
+          ~slow;
         match Line_reader.line rd with
         | Some hdr when String.length hdr > 1 && hdr.[0] = '$' && hdr <> "$-1"
           ->
@@ -98,8 +98,7 @@ let kvstore client_tcp ~dst ?(port = 6379) ?(drip_chunks = 8)
   in
   { request; close = (fun () -> close_quietly conn) }
 
-let memcache client_tcp ~dst ?(port = 11211) ?(drip_chunks = 8)
-    ?(drip_gap = Time.ms 2) ~key () =
+let memcache client_tcp ~dst ?(port = 11211) ~key () =
   let conn = Tcp.connect client_tcp ~dst ~port in
   let rd = Line_reader.create conn in
   let stored = ref false in
@@ -111,8 +110,7 @@ let memcache client_tcp ~dst ?(port = 11211) ?(drip_chunks = 8)
         Buffer.add_string req (Printf.sprintf "set %s 0 0 %d\r\n" key size);
         Buffer.add_string req (String.make size 'v');
         Buffer.add_string req "\r\n";
-        send_req conn (Buffer.to_bytes req) ~slow ~chunks:drip_chunks
-          ~gap:drip_gap;
+        send_req conn (Buffer.to_bytes req) ~slow;
         match Line_reader.line rd with
         | Some hdr when String.trim hdr = "STORED" ->
             stored := true;
@@ -122,7 +120,7 @@ let memcache client_tcp ~dst ?(port = 11211) ?(drip_chunks = 8)
       else begin
         send_req conn
           (Bytes.of_string (Printf.sprintf "get %s\r\n" key))
-          ~slow ~chunks:drip_chunks ~gap:drip_gap;
+          ~slow;
         match Line_reader.line rd with
         | Some hdr when String.length hdr >= 5 && String.sub hdr 0 5 = "VALUE"
           -> (
@@ -139,8 +137,7 @@ let memcache client_tcp ~dst ?(port = 11211) ?(drip_chunks = 8)
   in
   { request; close = (fun () -> close_quietly conn) }
 
-let sqldb client_tcp ~dst ?(port = 3306) ?(drip_chunks = 8)
-    ?(drip_gap = Time.ms 2) ~table ~row () =
+let sqldb client_tcp ~dst ?(port = 3306) ~table ~row () =
   let conn = Tcp.connect client_tcp ~dst ~port in
   let rd = Line_reader.create conn in
   let next = ref row in
@@ -155,8 +152,7 @@ let sqldb client_tcp ~dst ?(port = 3306) ?(drip_chunks = 8)
         if n = 1 then Printf.sprintf "PSELECT %d %d\n" table id
         else Printf.sprintf "RANGE %d %d %d\n" table id n
       in
-      send_req conn (Bytes.of_string cmd) ~slow ~chunks:drip_chunks
-        ~gap:drip_gap;
+      send_req conn (Bytes.of_string cmd) ~slow;
       match Line_reader.line rd with
       | Some hdr -> (
           match String.split_on_char ' ' (String.trim hdr) with

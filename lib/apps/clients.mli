@@ -7,8 +7,8 @@
     connection; [request] issues one operation of roughly [size] bytes
     and returns whether the server answered it correctly.
 
-    [slow] asks for a drip-feed write: the request bytes go out in
-    [drip_chunks] pieces, [drip_gap] apart — the slowloris shape that
+    [slow] asks for a drip-feed write: the request bytes go out in 8
+    pieces, 2 ms apart — the slowloris shape that
     ties up a server accept slot for seconds.  Servers must keep serving
     everyone else while these dribble in. *)
 
@@ -21,19 +21,15 @@ val httpd :
   Kite_net.Tcp.t ->
   dst:Kite_net.Ipv4addr.t ->
   ?port:int ->
-  ?drip_chunks:int ->
-  ?drip_gap:Kite_sim.Time.span ->
   unit ->
   session
 (** [GET /data/<size>] over one keep-alive connection; checks the body
-    arrives in full.  Defaults: port 80, 8 chunks, 2 ms. *)
+    arrives in full.  Default port 80. *)
 
 val kvstore :
   Kite_net.Tcp.t ->
   dst:Kite_net.Ipv4addr.t ->
   ?port:int ->
-  ?drip_chunks:int ->
-  ?drip_gap:Kite_sim.Time.span ->
   key:string ->
   unit ->
   session
@@ -44,8 +40,6 @@ val memcache :
   Kite_net.Tcp.t ->
   dst:Kite_net.Ipv4addr.t ->
   ?port:int ->
-  ?drip_chunks:int ->
-  ?drip_gap:Kite_sim.Time.span ->
   key:string ->
   unit ->
   session
@@ -56,8 +50,6 @@ val sqldb :
   Kite_net.Tcp.t ->
   dst:Kite_net.Ipv4addr.t ->
   ?port:int ->
-  ?drip_chunks:int ->
-  ?drip_gap:Kite_sim.Time.span ->
   table:int ->
   row:int ->
   unit ->

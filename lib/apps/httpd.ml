@@ -1,9 +1,11 @@
 open Kite_sim
 open Kite_net
 
+(* Server-side processing per request, an httpd-ish figure. *)
+let cpu_per_request = Time.us 40
+
 type t = {
   sched : Process.sched;
-  cpu_per_request : Time.span;
   mutable requests_served : int;
   mutable bytes_served : int;
   metrics : Kite_metrics.Registry.sink option;
@@ -74,7 +76,7 @@ let handle_connection t conn () =
     match read_request conn with
     | None -> Tcp.close conn
     | Some head -> (
-        if t.cpu_per_request > 0 then Process.sleep t.cpu_per_request;
+        Process.sleep cpu_per_request;
         let keepalive = wants_keepalive head in
         (match parse_request_line head with
         | Some ("GET", "/metrics") -> (
@@ -113,11 +115,8 @@ let handle_connection t conn () =
   in
   serve ()
 
-let start tcp ?(port = 80) ?(cpu_per_request = Time.us 40) ?metrics ~sched ()
-    =
-  let t =
-    { sched; cpu_per_request; requests_served = 0; bytes_served = 0; metrics }
-  in
+let start tcp ?(port = 80) ?metrics ~sched () =
+  let t = { sched; requests_served = 0; bytes_served = 0; metrics } in
   (match metrics with
   | None -> ()
   | Some sink ->

@@ -10,13 +10,12 @@ type t
 val start :
   Kite_net.Tcp.t ->
   ?port:int ->
-  ?cpu_per_request:Kite_sim.Time.span ->
   ?metrics:Kite_metrics.Registry.sink ->
   sched:Kite_sim.Process.sched ->
   unit ->
   t
-(** Listen (default port 80).  [cpu_per_request] models server-side
-    processing (default 40 us, an httpd-ish figure).  When [metrics] is
+(** Listen (default port 80).  Each request costs 40 us of server-side
+    processing, an httpd-ish figure.  When [metrics] is
     given, [GET /metrics] answers with the Prometheus text exposition of
     every registry in the sink (and the server registers its own
     [kite_httpd_*] counters there); without it the route is a 404. *)

@@ -1,9 +1,11 @@
 open Kite_sim
 open Kite_net
 
+(* Server CPU per command. *)
+let cpu_per_op = Time.us 2
+
 type t = {
   store : (string, Bytes.t) Hashtbl.t;
-  cpu_per_op : Time.span;
   mutable sets : int;
   mutable gets : int;
 }
@@ -14,7 +16,7 @@ let handle t conn () =
     match Line_reader.line r with
     | None -> Tcp.close conn
     | Some cmd -> (
-        if t.cpu_per_op > 0 then Process.sleep t.cpu_per_op;
+        Process.sleep cpu_per_op;
         match String.split_on_char ' ' (String.trim cmd) with
         | [ "SET"; key; len ] -> (
             match int_of_string_opt len with
@@ -45,8 +47,8 @@ let handle t conn () =
   in
   serve ()
 
-let start tcp ?(port = 6379) ?(cpu_per_op = Time.us 2) ~sched () =
-  let t = { store = Hashtbl.create 1024; cpu_per_op; sets = 0; gets = 0 } in
+let start tcp ?(port = 6379) ~sched () =
+  let t = { store = Hashtbl.create 1024; sets = 0; gets = 0 } in
   let listener = Tcp.listen tcp ~port in
   Process.spawn sched ~daemon:true ~name:"kvstore-acceptor" (fun () ->
       let rec loop () =

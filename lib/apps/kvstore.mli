@@ -13,7 +13,6 @@ type t
 val start :
   Kite_net.Tcp.t ->
   ?port:int ->
-  ?cpu_per_op:Kite_sim.Time.span ->
   sched:Kite_sim.Process.sched ->
   unit ->
   t

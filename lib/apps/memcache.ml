@@ -3,10 +3,11 @@ open Kite_net
 
 type entry = { flags : int; data : Bytes.t }
 
+(* Server CPU per command. *)
+let cpu_per_op = Time.us 2
+
 type t = {
   store : (string, entry) Hashtbl.t;
-  cpu_per_op : Time.span;
-  mutable sets : int;
   mutable gets : int;
   mutable hits : int;
 }
@@ -20,7 +21,7 @@ let handle t conn () =
     match Line_reader.line r with
     | None -> Tcp.close conn
     | Some cmd -> (
-        if t.cpu_per_op > 0 then Process.sleep t.cpu_per_op;
+        Process.sleep cpu_per_op;
         match String.split_on_char ' ' (String.trim cmd) with
         | [ "set"; key; flags; _exptime; bytes ] -> (
             match (int_of_string_opt flags, int_of_string_opt bytes) with
@@ -29,7 +30,6 @@ let handle t conn () =
                 | Some raw ->
                     let data = Bytes.sub raw 0 n in
                     Hashtbl.replace t.store key { flags; data };
-                    t.sets <- t.sets + 1;
                     reply ("STORED" ^ crlf);
                     serve ()
                 | None -> Tcp.close conn)
@@ -56,10 +56,8 @@ let handle t conn () =
   in
   serve ()
 
-let start tcp ?(port = 11211) ?(cpu_per_op = Time.us 2) ~sched () =
-  let t =
-    { store = Hashtbl.create 1024; cpu_per_op; sets = 0; gets = 0; hits = 0 }
-  in
+let start tcp ?(port = 11211) ~sched () =
+  let t = { store = Hashtbl.create 1024; gets = 0; hits = 0 } in
   let listener = Tcp.listen tcp ~port in
   Process.spawn sched ~daemon:true ~name:"memcache-acceptor" (fun () ->
       let rec loop () =
@@ -70,6 +68,5 @@ let start tcp ?(port = 11211) ?(cpu_per_op = Time.us 2) ~sched () =
       loop ());
   t
 
-let sets t = t.sets
 let gets t = t.gets
 let hits t = t.hits

@@ -10,12 +10,10 @@ type t
 val start :
   Kite_net.Tcp.t ->
   ?port:int ->
-  ?cpu_per_op:Kite_sim.Time.span ->
   sched:Kite_sim.Process.sched ->
   unit ->
   t
 (** Default port 11211, 2 us per operation. *)
 
-val sets : t -> int
 val gets : t -> int
 val hits : t -> int

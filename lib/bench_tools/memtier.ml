@@ -11,10 +11,10 @@ type result = {
 
 
 let run ~sched ~client_tcp ~server_ip ?(port = 11211) ?(ops = 100_000)
-    ?(set_get_ratio = (1, 10)) ?(value_size = 8192) ?(clients = 4) ?(seed = 1)
-    ~on_done () =
+    ?(value_size = 8192) ?(clients = 4) ?(seed = 1) ~on_done () =
   let engine = Process.engine sched in
-  let set_w, get_w = set_get_ratio in
+  (* memtier's default mix: 1 set to 10 gets. *)
+  let set_w, get_w = (1, 10) in
   let cycle = set_w + get_w in
   let total_lat = ref 0.0 in
   let done_ops = ref 0 in

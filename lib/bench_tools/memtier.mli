@@ -15,12 +15,11 @@ val run :
   server_ip:Kite_net.Ipv4addr.t ->
   ?port:int ->
   ?ops:int ->
-  ?set_get_ratio:int * int ->
   ?value_size:int ->
   ?clients:int ->
   ?seed:int ->
   on_done:(result -> unit) ->
   unit ->
   unit
-(** Defaults: port 11211, 100 000 ops, ratio 1:10, 8 KiB values, 4
-    connections. *)
+(** Sets and gets in the ratio 1:10.  Defaults: port 11211, 100 000 ops,
+    8 KiB values, 4 connections. *)

@@ -2,18 +2,13 @@ open Kite_sim
 
 type result = { offered : int; completed : int; elapsed : Time.span }
 
-let run ~sched ?(seed = 42) ?rng ?(burst = 0) ?burst_every ?burst_rng ?gap
-    ?stop_after ~rate ~duration ~fire ~on_done () =
+let run ~sched ?(seed = 42) ?rng ?(burst = 0) ?burst_every ?gap ?stop_after
+    ~rate ~duration ~fire ~on_done () =
   let engine = Process.engine sched in
   let arrival_rng = match rng with Some r -> r | None -> Rng.create seed in
-  let burst_rng =
-    match burst_rng with
-    | Some r -> r
-    | None ->
-        (* Independent stream: bursts must not consume from (or be
-           affected by) the arrival stream — see the .mli contract. *)
-        Rng.create (seed lxor 0x62757273 (* "burs" *))
-  in
+  (* Independent stream: bursts must not consume from (or be affected by)
+     the arrival stream — see the .mli contract. *)
+  let burst_rng = Rng.create (seed lxor 0x62757273 (* "burs" *)) in
   let mean_gap_ns = 1e9 /. rate in
   let t0 = Engine.now engine in
   let deadline = t0 + duration in

@@ -14,12 +14,11 @@
     The arrival instants are a pure function of the arrival stream
     ([rng], or [Rng.create seed] when absent), [rate] and [duration] —
     nothing else ever draws from that stream.  Bursts draw their phase
-    jitter from a separate stream ([burst_rng], defaulting to a stream
-    derived from [seed] alone), so enabling or disabling bursts, link
-    impairments, observability layers, or anything [fire] does cannot
-    shift the base arrival times under the same seed.  Callers that pass
-    an explicit [rng] and want reproducible bursts should pass
-    [burst_rng] too. *)
+    jitter from a separate stream derived from [seed] alone, so enabling
+    or disabling bursts, link impairments, observability layers, or
+    anything [fire] does cannot shift the base arrival times under the
+    same seed.  A caller that passes an explicit [rng] still gets its
+    burst jitter from [seed]'s stream. *)
 
 type result = {
   offered : int;  (** arrivals fired *)
@@ -33,7 +32,6 @@ val run :
   ?rng:Kite_sim.Rng.t ->
   ?burst:int ->
   ?burst_every:Kite_sim.Time.span ->
-  ?burst_rng:Kite_sim.Rng.t ->
   ?gap:(Kite_sim.Rng.t -> at:Kite_sim.Time.span -> Kite_sim.Time.span) ->
   ?stop_after:int ->
   rate:float ->

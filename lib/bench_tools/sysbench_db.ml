@@ -9,10 +9,12 @@ type result = {
   avg_latency_ms : float;
 }
 
+(* sysbench's own client-side work per query. *)
+let client_overhead = Time.us 500
+
 let run ~sched ~client_tcp ~server_ip ?(port = 3306) ?(tables = 10)
     ?(rows_per_table = 1_000_000) ?(transactions_per_thread = 50)
-    ?(range_size = 100) ?(client_overhead = Time.us 500) ~threads ~seed
-    ~on_done () =
+    ?(range_size = 100) ~threads ~seed ~on_done () =
   let engine = Process.engine sched in
   let finished = ref 0 in
   let txs = ref 0 in
@@ -51,8 +53,7 @@ let run ~sched ~client_tcp ~server_ip ?(port = 3306) ?(tables = 10)
         for _ = 1 to transactions_per_thread do
           let tx_start = Engine.now engine in
           (* sysbench's own per-transaction bookkeeping on the client. *)
-          if client_overhead > 0 then
-            Process.sleep (client_overhead * 14 / 2);
+          Process.sleep (client_overhead * 14 / 2);
           send "BEGIN\n";
           expect_ok ();
           (* 10 point selects *)

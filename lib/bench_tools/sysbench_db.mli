@@ -21,13 +21,12 @@ val run :
   ?rows_per_table:int ->
   ?transactions_per_thread:int ->
   ?range_size:int ->
-  ?client_overhead:Kite_sim.Time.span ->
   threads:int ->
   seed:int ->
   on_done:(result -> unit) ->
   unit ->
   unit
 (** Defaults: port 3306, 10 tables of 1 M rows addressed, 50 transactions
-    per thread, ranges of 100 rows.  [client_overhead] models sysbench's
-    own per-query client-side work (default 500 us, charged per
-    transaction as 7x that); worker starts are staggered by [seed]. *)
+    per thread, ranges of 100 rows.  sysbench's own per-query
+    client-side work is 500 us, charged per transaction as 7x that;
+    worker starts are staggered by [seed]. *)

@@ -31,9 +31,10 @@ let prepare fs ~files ~file_size =
   done
 
 let run ~sched ~fs ~files ~file_size ~block_size ~threads ~ops_per_thread
-    ?(read_write_ratio = (3, 2)) ~seed ~on_done () =
+    ~seed ~on_done () =
   let engine = Process.engine sched in
-  let rw_r, rw_w = read_write_ratio in
+  (* sysbench's default mix: 3 reads to 2 writes. *)
+  let rw_r, rw_w = (3, 2) in
   let cycle = rw_r + rw_w in
   let reads = ref 0 in
   let writes = ref 0 in

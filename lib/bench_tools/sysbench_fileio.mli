@@ -21,9 +21,8 @@ val run :
   block_size:int ->
   threads:int ->
   ops_per_thread:int ->
-  ?read_write_ratio:int * int ->
   seed:int ->
   on_done:(result -> unit) ->
   unit ->
   unit
-(** Random positioned I/O; default ratio 3:2 reads:writes. *)
+(** Random positioned I/O, 3:2 reads:writes. *)

@@ -58,8 +58,6 @@ let create ?(config = default_config) ?(name = "-") report =
     mq_slots = Hashtbl.create 64;
   }
 
-let report t = t.report
-
 let default_ref : (config * Report.t) option ref = ref None
 let set_default v = default_ref := v
 let default () = !default_ref

@@ -28,8 +28,6 @@ type t
 val create : ?config:config -> ?name:string -> Report.t -> t
 (** [name] labels end-of-run findings (usually the scenario name). *)
 
-val report : t -> Report.t
-
 (** {1 Run-wide default}
 
     [Scenario] consults this when building a testbed: when set, every

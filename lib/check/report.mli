@@ -29,17 +29,11 @@ val set_observer : t -> (finding -> unit) option -> unit
     the intended client.  A report is shared by every checker of a run,
     so the observer sees findings from all of them. *)
 
-val findings : t -> finding list
-(** In the order they were recorded. *)
-
 val count : t -> int
 val errors : t -> int
 val warnings : t -> int
 
 val by_rule : t -> string -> finding list
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable rendering, one line per finding plus a summary. *)
 
 val print : t -> unit
 

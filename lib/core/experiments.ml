@@ -1229,7 +1229,7 @@ let restart_recovery ~quick =
 let scale ~quick =
   let duration = if quick then Time.ms 20 else Time.ms 100 in
   let run nnics =
-    let hv = Kite_xen.Hypervisor.create ~seed:77 () in
+    let hv = Kite_xen.Hypervisor.create () in
     let ctx = Scenario.arm hv "scale-" in
     let sched = Kite_xen.Hypervisor.sched hv in
     let metrics = Kite_xen.Hypervisor.metrics hv in
@@ -1442,7 +1442,7 @@ let hypercalls ~quick =
    measured ceiling is the driver domain's per-packet CPU work, which
    is what extra queues parallelize. *)
 let mq_run_gbps ~duration ~mq nq =
-  let hv = Kite_xen.Hypervisor.create ~seed:910 () in
+  let hv = Kite_xen.Hypervisor.create () in
   (* Hand-built testbed, armed and torn down like the others: the
      armed-vs-disarmed tests arm every sink on exactly this workload. *)
   let ctx = Scenario.arm hv "mq-" in

@@ -31,7 +31,7 @@ val swarm_campaign :
   Kite_swarm.Swarm.result
 (** One swarm run on a fresh testbed: [app] is one of
     httpd/kvstore/memcache/sqldb, [profile] a
-    {!Kite_swarm.Profile.builtins} name, [rate] an optional session-rate
+    {!Kite_swarm.Profile.names} name, [rate] an optional session-rate
     override.  The [kite_ctl swarm] subcommand is a thin wrapper.
     Raises [Invalid_argument] on an unknown profile and [Failure] on an
     unknown app. *)

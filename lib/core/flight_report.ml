@@ -207,14 +207,10 @@ let incident_slo_table fl inc =
     (Flight.incident_slos inc);
   tbl
 
-let incident_tables ?last ?(store = true) fl inc =
-  let base =
-    [ timeline_table ?last fl inc; delta_table fl inc ]
-    @ (if store then [ store_table fl inc ] else [])
-  in
-  base
+let incident_tables ?last fl inc =
+  [ timeline_table ?last fl inc; delta_table fl inc; store_table fl inc ]
   @ if Flight.incident_slos inc = [] then [] else [ incident_slo_table fl inc ]
 
-let print_incident ?last ?store fl inc =
+let print_incident ?last fl inc =
   print_endline (incident_headline fl inc);
-  List.iter Table.print (incident_tables ?last ?store fl inc)
+  List.iter Table.print (incident_tables ?last fl inc)

@@ -12,38 +12,16 @@ val slo_table : Kite_flight.Flight.t list -> Kite_stats.Table.t
 
 val incident_headline : Kite_flight.Flight.t -> Kite_flight.Flight.incident -> string
 
-val timeline_table :
-  ?last:int ->
-  Kite_flight.Flight.t ->
-  Kite_flight.Flight.incident ->
-  Kite_stats.Table.t
-(** The correlated cross-layer timeline: the [last] (default 40)
-    pre-trigger records plus everything captured after the trigger
-    (marked [+]). *)
-
-val delta_table :
-  Kite_flight.Flight.t -> Kite_flight.Flight.incident -> Kite_stats.Table.t
-(** Metric instances that moved between trigger and seal. *)
-
-val store_table :
-  Kite_flight.Flight.t -> Kite_flight.Flight.incident -> Kite_stats.Table.t
-(** The xenstore subtree captured at the trigger instant. *)
-
-val incident_slo_table :
-  Kite_flight.Flight.t -> Kite_flight.Flight.incident -> Kite_stats.Table.t
-
 val incident_tables :
   ?last:int ->
-  ?store:bool ->
   Kite_flight.Flight.t ->
   Kite_flight.Flight.incident ->
   Kite_stats.Table.t list
-(** The full rendered snapshot: timeline, metrics delta, xenstore dump
-    ([store], default true), and SLO verdicts when any are registered. *)
+(** The full rendered snapshot: timeline, metrics delta, xenstore dump,
+    and SLO verdicts when any are registered. *)
 
 val print_incident :
   ?last:int ->
-  ?store:bool ->
   Kite_flight.Flight.t ->
   Kite_flight.Flight.incident ->
   unit

@@ -30,10 +30,21 @@ let scenario_seq = ref 0
 let teardowns : (unit -> unit) list ref = ref []
 let on_teardown f = teardowns := f :: !teardowns
 
+(* A teardown that raises must not skip the others (each machine's
+   audit runs last in its own), nor vanish: the first failure is raised
+   once all have run. *)
 let teardown_all () =
   let fs = List.rev !teardowns in
   teardowns := [];
-  List.iter (fun f -> try f () with _ -> ()) fs
+  let failure = ref None in
+  List.iter
+    (fun f ->
+      try f ()
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        if Option.is_none !failure then failure := Some (e, bt))
+    fs;
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure
 
 (* The incident snapshot's xenstore view: a DFS dump of the /local/domain
    subtree, captured lazily at trigger time (so a crash trigger that runs
@@ -235,17 +246,17 @@ type net = {
 }
 
 (* An explicit [?schedule_seed] overrides the installed context's. *)
-let hypervisor ~seed sseed =
+let hypervisor sseed =
   let sseed =
     match sseed with
     | Some _ -> sseed
     | None -> (Obs.current ()).Obs.schedule_seed
   in
-  Hypervisor.create ~seed ?schedule_seed:sseed ()
+  Hypervisor.create ?schedule_seed:sseed ()
 
 let network ?overheads_override ~flavor ?(seed = 2022) ?schedule_seed:sseed
     ?num_queues ?impair () =
-  let hv = hypervisor ~seed sseed in
+  let hv = hypervisor sseed in
   let ctx = arm hv ("net-" ^ flavor_name flavor ^ "-") in
   let sched = Hypervisor.sched hv in
   let metrics = Hypervisor.metrics hv in
@@ -360,10 +371,10 @@ type blk = {
   nvme : Kite_devices.Nvme.t;
 }
 
-let storage ~flavor ?(seed = 2022) ?schedule_seed:sseed
+let storage ~flavor ?schedule_seed:sseed
     ?(feature_persistent = true) ?(feature_indirect = true)
     ?(batching = true) ?num_queues () =
-  let hv = hypervisor ~seed sseed in
+  let hv = hypervisor sseed in
   let ctx = arm hv ("blk-" ^ flavor_name flavor ^ "-") in
   let sched = Hypervisor.sched hv in
   let metrics = Hypervisor.metrics hv in

@@ -7,14 +7,13 @@ type flavor = Kite | Linux
 
 val flavor_name : flavor -> string
 
-val overheads_of : flavor -> Kite_drivers.Overheads.t
-
 val teardown_all : unit -> unit
 (** Run the orderly teardown of every testbed built so far: quiesce,
     stop backends, shut down frontends.  When the testbed was armed with
     a checker (the {!Obs.t} [check] field), the end-of-run audits (grant
     leaks, orphaned watches, open transactions, quiescence) run as the
-    last step. *)
+    last step.  Every registered teardown runs even when one raises;
+    the registry is then empty and the first exception is re-raised. *)
 
 val arm : Kite_xen.Hypervisor.t -> string -> Kite_drivers.Xen_ctx.t
 (** The machine's context, armed from the installed {!Obs} context: one
@@ -87,7 +86,8 @@ val network :
     writes the guest-config hint and the frontend negotiates that many
     Tx/Rx ring pairs (capped by netback).  [impair] puts seeded
     loss/reorder/delay on both directions of the cable (streams derived
-    from [seed]; {!Kite_net.Impair.none} leaves the link ideal).
+    from [seed], default 2022, which seeds nothing else;
+    {!Kite_net.Impair.none} leaves the link ideal).
     [overheads_override] replaces [flavor]'s driver-domain overheads
     (the threading ablation).  The machine is {!arm}ed; with metrics
     armed, a [kite_backend_state] probe alerts if the vif backend leaves
@@ -113,7 +113,6 @@ type blk = {
 
 val storage :
   flavor:flavor ->
-  ?seed:int ->
   ?schedule_seed:int ->
   ?feature_persistent:bool ->
   ?feature_indirect:bool ->
@@ -121,7 +120,8 @@ val storage :
   ?num_queues:int ->
   unit ->
   blk
-(** The feature flags exist for the ablation benchmarks.  [num_queues]
+(** The feature flags exist for the ablation benchmarks.  There is no
+    seed: nothing on the storage path draws a random number.  [num_queues]
     negotiates that many blkif rings (capped by blkback); omitted means
     the legacy single ring.  Armed like {!network}, with the same
     backend-state probe for the vbd backend. *)

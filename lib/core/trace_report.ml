@@ -32,8 +32,9 @@ let summary_table ts =
     Table.note t
       (Printf.sprintf
          "WARNING: %d event(s) dropped at the buffer limit — the Chrome \
-          export and breakdown under-count; re-run with a higher ?limit \
-          (hypercall profile and spans stay exact)"
+          export and the event count are short (spans, breakdowns and the \
+          hypercall profile stay exact); trace fewer experiments, or drop \
+          --full"
          lost);
   t
 

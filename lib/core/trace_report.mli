@@ -6,7 +6,8 @@
 val summary_table : Kite_trace.Trace.t list -> Kite_stats.Table.t
 (** One row per traced machine: events recorded/dropped, spans
     completed/open.  Gains a WARNING footnote when any bounded buffer
-    dropped events (the Chrome export and breakdown under-count). *)
+    dropped events (the Chrome export and the event count are short;
+    spans and breakdowns are exact). *)
 
 val total_dropped : Kite_trace.Trace.t list -> int
 (** Events dropped across all machines — [kite_ctl trace --fail-on-drop]

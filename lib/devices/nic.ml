@@ -120,8 +120,6 @@ let set_impair t imp =
   t.impair <- imp;
   if imp = None then t.held <- None
 
-let impair t = t.impair
-
 let transmit t frame =
   (* Transient transmit failure (descriptor ring hiccup): raised at the
      enqueue point so the caller — netback's pusher — can retry with
@@ -144,4 +142,3 @@ let rx_packets t = t.rx_packets
 let tx_bytes t = t.tx_bytes
 let rx_bytes t = t.rx_bytes
 let dropped t = t.dropped
-let line_rate_gbps t = t.line_rate_bps /. 1e9

@@ -41,8 +41,6 @@ val set_impair : t -> Kite_net.Impair.t option -> unit
     A frame held for reordering is released right behind the next
     delivered frame; clearing the impairment discards any held frame. *)
 
-val impair : t -> Kite_net.Impair.t option
-
 val transmit : t -> Bytes.t -> unit
 (** Enqueue a frame for transmission.  Never blocks; drops when the queue
     is full. *)
@@ -52,5 +50,3 @@ val rx_packets : t -> int
 val tx_bytes : t -> int
 val rx_bytes : t -> int
 val dropped : t -> int
-
-val line_rate_gbps : t -> float

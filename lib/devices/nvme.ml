@@ -33,7 +33,6 @@ type t = {
   sched : Process.sched;
   capacity_sectors : int;
   read_base : Time.span;
-  write_base : Time.span;
   cmd_overhead : Time.span;
   bandwidth_bps : float;
   chunks : (int, Bytes.t) Hashtbl.t;
@@ -52,7 +51,9 @@ type t = {
   mutable fault : Kite_fault.Fault.t option;
 }
 
-let name t = t.name
+(* Base latency of a write or flush command. *)
+let write_base = Time.us 30
+
 let capacity_sectors t = t.capacity_sectors
 
 let transfer_time t len =
@@ -118,13 +119,13 @@ let worker t () =
         t.bytes_read <- t.bytes_read + cmd.len;
         Metrics.bump t.m_read 1
     | Write ->
-        serve_io t t.write_base cmd.len;
+        serve_io t write_base cmd.len;
         dma t Write ~sector:cmd.sector cmd.sg;
         t.writes <- t.writes + 1;
         t.bytes_written <- t.bytes_written + cmd.len;
         Metrics.bump t.m_write 1
     | Flush ->
-        Process.sleep t.write_base;
+        Process.sleep write_base;
         Metrics.bump t.m_flush 1);
     cmd.completed <- true;
     Condition.broadcast cmd.done_;
@@ -133,15 +134,14 @@ let worker t () =
   loop ()
 
 let create sched metrics ~name ?(capacity_sectors = 976_773_168)
-    ?(queue_depth = 32) ?(read_base = Time.us 25) ?(write_base = Time.us 30)
-    ?(cmd_overhead = Time.us 4) ?(bandwidth_mbps = 1500.0) () =
+    ?(queue_depth = 32) ?(read_base = Time.us 25) ?(cmd_overhead = Time.us 4)
+    ?(bandwidth_mbps = 1500.0) () =
   let t =
     {
       name;
       sched;
       capacity_sectors;
       read_base;
-      write_base;
       cmd_overhead;
       bandwidth_bps = bandwidth_mbps *. 1e6;
       chunks = Hashtbl.create 512;

@@ -27,17 +27,16 @@ val create :
   ?capacity_sectors:int ->
   ?queue_depth:int ->
   ?read_base:Kite_sim.Time.span ->
-  ?write_base:Kite_sim.Time.span ->
   ?cmd_overhead:Kite_sim.Time.span ->
   ?bandwidth_mbps:float ->
   unit ->
   t
-(** Defaults: 500 GB, queue depth 32, 25 us read / 30 us write base
-    latency, 4 us serialized controller work per command, 1500 MB/s
-    sustained bandwidth.  Base latencies overlap across the queue;
-    per-command work and transfer time serialize on the media. *)
+(** Defaults: 500 GB, queue depth 32, 25 us read base latency (writes
+    and flushes take 30 us), 4 us serialized controller work per
+    command, 1500 MB/s sustained bandwidth.  Base latencies overlap
+    across the queue; per-command work and transfer time serialize on
+    the media. *)
 
-val name : t -> string
 val capacity_sectors : t -> int
 
 exception Out_of_range of string

@@ -12,8 +12,6 @@ type t = { iommu : bool; slots : (string, slot) Hashtbl.t }
 
 let create ?(iommu = true) () = { iommu; slots = Hashtbl.create 8 }
 
-let iommu t = t.iommu
-
 let register t ~bdf device =
   if Hashtbl.mem t.slots bdf then
     raise (Pci_error (Printf.sprintf "device %s already present" bdf));

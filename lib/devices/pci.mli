@@ -16,8 +16,6 @@ exception Pci_error of string
 val create : ?iommu:bool -> unit -> t
 (** [iommu] defaults to true (HVM). *)
 
-val iommu : t -> bool
-
 val register : t -> bdf:string -> device -> unit
 (** Plug a physical device into the machine (owned by Dom0 initially). *)
 

@@ -25,8 +25,6 @@ type instance = {
      §3.3); shared by every ring (persistence is per-device), released in
      one sweep on disconnect. *)
   pmap : (int, unit) Hashtbl.t;
-  retries : int;
-  retry_backoff : Time.span;
   mutable requests : int;
   mutable segments : int;
   mutable device_ops : int;
@@ -51,9 +49,6 @@ let requests_served i = i.requests
 let segments_served i = i.segments
 let device_ops i = i.device_ops
 let io_retries i = i.io_retries
-let indirect_requests i = i.indirect_reqs
-let inflight i = i.inflight
-let persistent_grants i = Hashtbl.length i.pmap
 let num_queues i = Array.length i.rings
 
 let hv i = i.dev.ctx.Xen_ctx.hv
@@ -410,7 +405,7 @@ let run_batch i r op sector works =
      media. *)
   let sg = List.concat_map (fun w -> w.sg) works in
   (* Transient device errors (an injected NVMe hiccup) are retried with
-     exponential backoff; only after [retries] attempts is the batch
+     exponential backoff; only after [Split.retries] attempts is the batch
      failed back to the frontend.  A crash mid-batch ([stop] set abruptly)
      makes the worker finish its device op and then do nothing: the
      grants were revoked with the domain and the ring is dead. *)
@@ -423,10 +418,10 @@ let run_batch i r op sector works =
       true
     with
     | Kite_devices.Nvme.Transient_error _
-      when n < i.retries && not i.dev.stop ->
+      when n < Split.retries && not i.dev.stop ->
         i.io_retries <- i.io_retries + 1;
         Split.fnote i.dev (Printf.sprintf "blkback.io-retry n=%d" (n + 1));
-        Process.sleep (i.retry_backoff * (1 lsl n));
+        Process.sleep (Split.retry_backoff * (1 lsl n));
         perform (n + 1)
     | Kite_devices.Nvme.Transient_error _ | Kite_devices.Nvme.Out_of_range _
       ->
@@ -659,7 +654,7 @@ let attach_metrics i =
         ]
 
 let make_instance ~device ~feature_persistent ~feature_indirect ~batching
-    ~retries ~retry_backoff (dev : Split.dev) =
+    (dev : Split.dev) =
   let ctx = dev.ctx and domain = dev.domain in
   let xb = ctx.Xen_ctx.xb in
   (* Advertise properties (§4.4 initialization). *)
@@ -708,8 +703,6 @@ let make_instance ~device ~feature_persistent ~feature_indirect ~batching
       persistent = feature_persistent && front_persistent;
       batching;
       pmap;
-      retries;
-      retry_backoff;
       requests = 0;
       segments = 0;
       device_ops = 0;
@@ -745,14 +738,10 @@ let make_instance ~device ~feature_persistent ~feature_indirect ~batching
   i
 
 let serve ctx ~domain ~overheads ~device ?(feature_persistent = true)
-    ?(feature_indirect = true) ?(batching = true) ?(retries = 4)
-    ?(retry_backoff = Time.us 50) ?(max_queues = 8)
-    ?(max_ring_page_order = 2) () =
+    ?(feature_indirect = true) ?(batching = true) ?(max_queues = 8) () =
   Split.serve ctx ~domain ~overheads ~drv:"blkback" ~ty:"vbd" ~max_queues
-    ~max_ring_page_order
     ~make:
-      (make_instance ~device ~feature_persistent ~feature_indirect ~batching
-         ~retries ~retry_backoff)
+      (make_instance ~device ~feature_persistent ~feature_indirect ~batching)
     ~dev_of:(fun i -> i.dev)
 
 let stop = Split.stop

@@ -31,19 +31,15 @@ val serve :
   ?feature_persistent:bool ->
   ?feature_indirect:bool ->
   ?batching:bool ->
-  ?retries:int ->
-  ?retry_backoff:Kite_sim.Time.span ->
   ?max_queues:int ->
-  ?max_ring_page_order:int ->
   unit ->
   t
 (** Start the backend in [domain], exporting [device].  Flags exist for
     the ablation benchmarks; they default to on, matching Kite.
-    Transient device errors (fault-injected NVMe hiccups) are retried up
-    to [retries] times with exponential backoff starting at
-    [retry_backoff] (defaults: 4, 50 us).  [max_queues] (default 8) and
-    [max_ring_page_order] (default 2) cap what multi-ring frontends may
-    negotiate; legacy frontends are unaffected. *)
+    Transient device errors (fault-injected NVMe hiccups) are retried as
+    {!Split.retries} says.  [max_queues] (default 8) caps the rings a
+    multi-ring frontend may negotiate (next to an advertised
+    max-ring-page-order of 2); legacy frontends are unaffected. *)
 
 val stop : t -> unit
 (** Orderly teardown: unregister the directory watch, retire the watcher
@@ -81,15 +77,6 @@ val device_ops : instance -> int
 
 val io_retries : instance -> int
 (** Device operations re-attempted after a transient error. *)
-
-val indirect_requests : instance -> int
-(** Requests that arrived as indirect descriptors. *)
-
-val inflight : instance -> int
-(** Requests prepared but not yet completed (in the device or queued). *)
-
-val persistent_grants : instance -> int
-(** Grants currently held mapped across requests (§3.3 table size). *)
 
 val num_queues : instance -> int
 (** Negotiated ring count (1 for legacy frontends). *)

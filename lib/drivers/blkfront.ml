@@ -45,9 +45,7 @@ type t = {
   devid : int;
   name : string;  (* "vbd<domid>.<devid>" *)
   want_persistent : bool;
-  want_indirect : bool;
   ask_queues : int option;  (* multi-ring ask; None = legacy frontend *)
-  want_order : int;  (* extra ring-page order asked for in mq mode *)
   mutable queues : queue array;  (* rebuilt on every (re)connect *)
   mutable mq_mode : bool;
   mutable connected : bool;
@@ -74,7 +72,7 @@ let reconnects t = t.reconnects
 let replayed t = t.replayed
 let resubmits t = t.resubmits
 let is_connected t = t.connected
-let indirect_enabled t = t.want_indirect && t.backend_indirect > 0
+let indirect_enabled t = t.backend_indirect > 0
 let persistent_enabled t = t.want_persistent && t.backend_persistent
 let num_queues t = Array.length t.queues
 
@@ -467,24 +465,23 @@ let rec connect t () =
     Option.value ~default:0
       (Xenbus.read_int xb t.domain
          ~path:(bpath t ^ "/feature-max-indirect-segments"));
-  let nq, mq_mode, order =
+  let nq, mq_mode =
     Split.negotiate xb t.domain ~fpath:(fpath t) ~bpath:(bpath t)
-      ~ask:t.ask_queues ~want_order:t.want_order ~ring_order:Blkif.ring_order
+      ~ask:t.ask_queues
   in
   t.mq_mode <- mq_mode;
   t.queues <-
     Array.init nq (fun qid ->
         {
           qid;
-          q_ring = Ring.create ~order;
+          q_ring = Ring.create ~order:Blkif.ring_order;
           q_port =
             Event_channel.alloc_unbound t.ctx.Xen_ctx.ec t.domain
               ~remote:t.backend;
         });
   Array.iter (fun q -> attach_ring_instruments t q) t.queues;
   if mq_mode then
-    Split.write_mq_keys xb t.domain ~fpath:(fpath t) ~nq
-      ~page_order:(order - Blkif.ring_order);
+    Split.write_mq_keys xb t.domain ~fpath:(fpath t) ~nq;
   Array.iter
     (fun q ->
       let key = Xenif.key ~mq:mq_mode q.qid in
@@ -635,7 +632,7 @@ let attach_metrics t =
           else R.Healthy)
 
 let create ctx ~domain ~backend ~devid ?(use_persistent = true)
-    ?(use_indirect = true) ?num_queues:ask_queues ?(ring_page_order = 0) () =
+    ?num_queues:ask_queues () =
   let t =
     {
       ctx;
@@ -644,9 +641,7 @@ let create ctx ~domain ~backend ~devid ?(use_persistent = true)
       devid;
       name = Printf.sprintf "vbd%d.%d" domain.Domain.id devid;
       want_persistent = use_persistent;
-      want_indirect = use_indirect;
       ask_queues;
-      want_order = ring_page_order;
       queues = [||];
       mq_mode = false;
       connected = false;

@@ -24,18 +24,16 @@ val create :
   backend:Kite_xen.Domain.t ->
   devid:int ->
   ?use_persistent:bool ->
-  ?use_indirect:bool ->
   ?num_queues:int ->
-  ?ring_page_order:int ->
   unit ->
   t
-(** Both features default to on (they also require backend support,
-    negotiated via xenstore).  [num_queues] asks for that many
-    independent rings (the backend caps the answer); when omitted the
-    frontend honours a toolstack [queues-wanted] hint in its own
-    xenstore directory, and with neither it stays a legacy single-ring
-    frontend.  [ring_page_order] asks for bigger per-ring pages in
-    multi-ring mode (capped by the backend's [max-ring-page-order]). *)
+(** Persistent grants default to on and indirect descriptors are always
+    used; both also require backend support, negotiated via xenstore.
+    [num_queues] asks for that many independent rings (the backend caps
+    the answer); when omitted the frontend honours a toolstack
+    [queues-wanted] hint in its own xenstore directory, and with neither
+    it stays a legacy single-ring frontend.  Rings are one page in
+    either layout. *)
 
 val wait_connected : t -> unit
 

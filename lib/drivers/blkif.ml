@@ -81,4 +81,3 @@ let registry = Xenif.registry
 let share = Xenif.share
 let map r id =
   match Xenif.find r id with Some ring -> ring | None -> raise Not_found
-let owner_of = Xenif.owner_of

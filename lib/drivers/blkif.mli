@@ -78,6 +78,3 @@ val share : registry -> owner:int -> ring -> int
 
 val map : registry -> int -> ring
 (** Raises [Not_found] on a bogus reference. *)
-
-val owner_of : registry -> int -> int option
-(** The domid that shared a reference; [None] for a bogus one. *)

@@ -26,8 +26,6 @@ type attack =
   | Xenstore_abuse  (** missing or malformed negotiation keys *)
   | Evtchn_storm  (** notification storm carrying no ring work *)
 
-val all : attack list
-
 val slug : attack -> string
 (** Stable kebab-case name, e.g. [Bad_gref] -> ["bad-gref"]. *)
 

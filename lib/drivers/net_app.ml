@@ -1,13 +1,9 @@
-type t = {
-  bridges : Kite_net.Bridge.t list;
-  netback : Netback.t;
-  nic_netdevs : Kite_net.Netdev.t list;
-}
+type t = { bridges : Kite_net.Bridge.t list; netback : Netback.t }
 
 (* One bridge per physical NIC; VIFs are spread across bridges by their
    frontend's domain id ("several NICs for better I/O scaling", §3.1). *)
 let run_multi ctx ~domain ~nics ~overheads ?max_queues () =
-  let bridges_and_ifs =
+  let bridges =
     List.mapi
       (fun i nic ->
         let bridge =
@@ -15,12 +11,10 @@ let run_multi ctx ~domain ~nics ~overheads ?max_queues () =
         in
         (* ifconfig: wrap and bring up the physical interface; brconfig:
            add it to the bridge. *)
-        let nic_netdev = Netif.of_nic nic in
-        Kite_net.Bridge.add_port bridge nic_netdev;
-        (bridge, nic_netdev))
+        Kite_net.Bridge.add_port bridge (Netif.of_nic nic);
+        bridge)
       nics
   in
-  let bridges = List.map fst bridges_and_ifs in
   let n = List.length bridges in
   let netback =
     Netback.serve ctx ~domain ~overheads ?max_queues
@@ -29,12 +23,10 @@ let run_multi ctx ~domain ~nics ~overheads ?max_queues () =
         Kite_net.Bridge.add_port bridge vif)
       ()
   in
-  { bridges; netback; nic_netdevs = List.map snd bridges_and_ifs }
+  { bridges; netback }
 
 let run ctx ~domain ~nic ~overheads ?max_queues () =
   run_multi ctx ~domain ~nics:[ nic ] ~overheads ?max_queues ()
 
 let bridge t = List.hd t.bridges
-let bridges t = t.bridges
 let netback t = t.netback
-let nic_netdev t = List.hd t.nic_netdevs

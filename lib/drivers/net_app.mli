@@ -35,7 +35,4 @@ val run_multi :
 val bridge : t -> Kite_net.Bridge.t
 (** The first bridge (the only one under {!run}). *)
 
-val bridges : t -> Kite_net.Bridge.t list
 val netback : t -> Netback.t
-val nic_netdev : t -> Kite_net.Netdev.t
-(** The first NIC's netdev. *)

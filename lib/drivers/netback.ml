@@ -24,8 +24,6 @@ type instance = {
   dev : Split.dev;
   queues : queue array;
   mutable vif : Netdev.t option;
-  retries : int;
-  retry_backoff : Time.span;
   mutable tx_packets : int;
   mutable rx_packets : int;
   mutable tx_bytes : int;
@@ -43,17 +41,12 @@ type t = instance Split.t
 
 let instances = Split.instances
 let rejected = Split.rejected
-let vif i = match i.vif with Some v -> v | None -> assert false
 let frontend_domid i = i.dev.frontend.Domain.id
 let devid i = i.dev.devid
 let quarantine i = i.dev.guard
 let tx_packets i = i.tx_packets
 let rx_packets i = i.rx_packets
-let tx_bytes i = i.tx_bytes
-let rx_bytes i = i.rx_bytes
-let rx_dropped i = i.rx_dropped
 let io_retries i = i.io_retries
-let tx_failed i = i.tx_failed
 let num_queues i = Array.length i.queues
 
 let hv i = i.dev.ctx.Xen_ctx.hv
@@ -207,11 +200,11 @@ let pusher i q () =
                 let rec deliver n =
                   try Netdev.deliver v frame with
                   | Kite_devices.Nic.Transient_error _
-                    when n < i.retries && not i.dev.stop ->
+                    when n < Split.retries && not i.dev.stop ->
                       i.io_retries <- i.io_retries + 1;
                       Split.fnote i.dev
                         (Printf.sprintf "netback.tx-retry n=%d" (n + 1));
-                      Process.sleep (i.retry_backoff * (1 lsl n));
+                      Process.sleep (Split.retry_backoff * (1 lsl n));
                       deliver (n + 1)
                   | Kite_devices.Nic.Transient_error _ ->
                       i.tx_failed <- i.tx_failed + 1;
@@ -495,7 +488,7 @@ let attach_metrics i =
           ("num-queues", fun () -> Array.length i.queues);
         ]
 
-let make_instance ~retries ~retry_backoff ~on_vif (dev : Split.dev) =
+let make_instance ~on_vif (dev : Split.dev) =
   let ctx = dev.ctx and domain = dev.domain in
   Xenbus.write ctx.Xen_ctx.xb domain ~path:(dev.bpath ^ "/feature-rx-copy") "1";
   Split.advertise dev;
@@ -534,8 +527,6 @@ let make_instance ~retries ~retry_backoff ~on_vif (dev : Split.dev) =
       dev;
       queues;
       vif = None;
-      retries;
-      retry_backoff;
       tx_packets = 0;
       rx_packets = 0;
       tx_bytes = 0;
@@ -595,12 +586,9 @@ let make_instance ~retries ~retry_backoff ~on_vif (dev : Split.dev) =
     queues;
   i
 
-let serve ctx ~domain ~overheads ?(retries = 4)
-    ?(retry_backoff = Time.us 50) ?(max_queues = 8) ?(max_ring_page_order = 2)
-    ~on_vif () =
+let serve ctx ~domain ~overheads ?(max_queues = 8) ~on_vif () =
   Split.serve ctx ~domain ~overheads ~drv:"netback" ~ty:"vif" ~max_queues
-    ~max_ring_page_order
-    ~make:(make_instance ~retries ~retry_backoff ~on_vif)
+    ~make:(make_instance ~on_vif)
     ~dev_of:(fun i -> i.dev)
 
 let stop = Split.stop

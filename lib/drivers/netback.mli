@@ -25,10 +25,7 @@ val serve :
   Xen_ctx.t ->
   domain:Kite_xen.Domain.t ->
   overheads:Overheads.t ->
-  ?retries:int ->
-  ?retry_backoff:Kite_sim.Time.span ->
   ?max_queues:int ->
-  ?max_ring_page_order:int ->
   on_vif:(frontend:int -> devid:int -> Kite_net.Netdev.t -> unit) ->
   unit ->
   t
@@ -37,16 +34,14 @@ val serve :
     network application adds it to the right bridge.  The watcher picks
     up frontends the toolstack registers under
     [/local/domain/<id>/backend/vif].  Transient NIC errors on the Tx
-    path (fault-injected) are retried up to [retries] times with
-    exponential backoff starting at [retry_backoff] (defaults: 4,
-    50 us) before the frame is dropped as a wire loss.
+    path (fault-injected) are retried as {!Split.retries} says before
+    the frame is dropped as a wire loss.
 
     [max_queues] (default 8) caps the queue count any multi-queue
-    frontend may negotiate (advertised as multi-queue-max-queues);
-    [max_ring_page_order] (default 2) likewise caps the negotiated
-    ring page order.  Each negotiated queue gets its own ring pair,
-    event channel, backlog and pusher/soft_start threads; frames from
-    the bridge are steered by {!Netchannel.flow_hash}. *)
+    frontend may negotiate (advertised as multi-queue-max-queues, next
+    to a max-ring-page-order of 2).  Each negotiated queue gets its own
+    ring pair, event channel, backlog and pusher/soft_start threads;
+    frames from the bridge are steered by {!Netchannel.flow_hash}. *)
 
 val stop : t -> unit
 (** Orderly teardown: unregister the directory watch, retire the watcher
@@ -67,7 +62,6 @@ val rejected : t -> (int * int) list
     validation: the backend reported a {!Guest_fault}, drove its own
     directory to Closed and will never serve the device. *)
 
-val vif : instance -> Kite_net.Netdev.t
 val frontend_domid : instance -> int
 val devid : instance -> int
 
@@ -88,18 +82,5 @@ val tx_packets : instance -> int
 val rx_packets : instance -> int
 (** Wire-to-guest packets delivered into posted buffers. *)
 
-val tx_bytes : instance -> int
-(** Guest-to-wire payload bytes forwarded. *)
-
-val rx_bytes : instance -> int
-(** Wire-to-guest payload bytes delivered. *)
-
-val rx_dropped : instance -> int
-(** Frames dropped because the guest posted no Rx buffers (or the
-    backlog overflowed). *)
-
 val io_retries : instance -> int
 (** Tx deliveries re-attempted after a transient NIC error. *)
-
-val tx_failed : instance -> int
-(** Tx frames dropped after exhausting the retry budget. *)

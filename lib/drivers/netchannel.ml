@@ -12,7 +12,6 @@ type rx_response = { rx_rsp_id : int; rx_len : int; rx_status : int }
 
 let status_ok = 0
 let status_error = -1
-let status_dropped = -2
 
 type tx_ring = (tx_request, tx_response) Kite_xen.Ring.t
 type rx_ring = (rx_request, rx_response) Kite_xen.Ring.t

@@ -19,7 +19,6 @@ type rx_response = { rx_rsp_id : int; rx_len : int; rx_status : int }
 
 val status_ok : int
 val status_error : int
-val status_dropped : int
 
 type tx_ring = (tx_request, tx_response) Kite_xen.Ring.t
 type rx_ring = (rx_request, rx_response) Kite_xen.Ring.t

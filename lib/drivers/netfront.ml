@@ -23,7 +23,6 @@ type t = {
   devid : int;
   name : string;  (* "vif<domid>.<devid>" *)
   ask_queues : int option;  (* explicit queue ask from [create] *)
-  want_order : int;  (* extra ring-page order asked for *)
   mutable queues : queue array;
   mutable mq_mode : bool;  (* negotiated multi-queue layout in use *)
   mutable ring_gen : int;  (* bumped on every (re)connect *)
@@ -46,13 +45,8 @@ type t = {
 }
 
 let connected t = t.connected
-let tx_packets t = t.tx_packets
-let rx_packets t = t.rx_packets
-let tx_bytes t = t.tx_bytes
-let rx_bytes t = t.rx_bytes
 let tx_dropped t = t.tx_dropped
 let reconnects t = t.reconnects
-let tx_lost t = t.tx_lost
 let num_queues t = Array.length t.queues
 
 let fresh_id t =
@@ -333,11 +327,11 @@ let rx_thread t () =
   in
   loop ()
 
-let make_queue t ~order ~pool qid =
+let make_queue t ~pool qid =
   {
     qid;
-    tx_ring = Ring.create ~order;
-    rx_ring = Ring.create ~order;
+    tx_ring = Ring.create ~order:Netchannel.ring_order;
+    rx_ring = Ring.create ~order:Netchannel.ring_order;
     qport = -1;
     tx_pending = Hashtbl.create 64;
     rx_buffers = Hashtbl.create 512;
@@ -352,10 +346,9 @@ let make_queue t ~order ~pool qid =
 let rec connect t () =
   let xb = t.ctx.Xen_ctx.xb in
   Xenbus.wait_for_state xb t.domain ~path:(bpath t) Xenbus.Init_wait;
-  let nq, mq_mode, order =
+  let nq, mq_mode =
     Split.negotiate xb t.domain ~fpath:(fpath t) ~bpath:(bpath t)
-      ~ask:t.ask_queues ~want_order:t.want_order
-      ~ring_order:Netchannel.ring_order
+      ~ask:t.ask_queues
   in
   t.mq_mode <- mq_mode;
   (* Rebuild the queue set, carrying buffer pools over so reposted Rx
@@ -369,12 +362,11 @@ let rec connect t () =
         let pool =
           if idx < Array.length old then Some old.(idx).bufpool else None
         in
-        make_queue t ~order ~pool idx);
+        make_queue t ~pool idx);
   t.ring_gen <- t.ring_gen + 1;
   Array.iter (fun q -> attach_ring_instruments t q) t.queues;
   if mq_mode then
-    Split.write_mq_keys xb t.domain ~fpath:(fpath t) ~nq
-      ~page_order:(order - Netchannel.ring_order);
+    Split.write_mq_keys xb t.domain ~fpath:(fpath t) ~nq;
   Array.iter
     (fun q ->
       let owner = t.domain.Domain.id in
@@ -468,8 +460,7 @@ and start_monitor t =
            Hypervisor.spawn t.ctx.Xen_ctx.hv t.domain
              ~name:"netfront-reconnect" (reconnect t)))
 
-let create ctx ~domain ~backend ~devid ?num_queues ?(ring_page_order = 0) ()
-    =
+let create ctx ~domain ~backend ~devid ?num_queues () =
   let t =
     {
       ctx;
@@ -478,7 +469,6 @@ let create ctx ~domain ~backend ~devid ?num_queues ?(ring_page_order = 0) ()
       devid;
       name = Printf.sprintf "vif%d.%d" domain.Domain.id devid;
       ask_queues = num_queues;
-      want_order = ring_page_order;
       queues = [||];
       mq_mode = false;
       ring_gen = 0;

@@ -7,7 +7,7 @@
 
     The frontend is crash-tolerant: it watches the backend's xenbus state
     after connecting and, on a Closed/vanished backend, drops in-flight Tx
-    frames (a cable-pull, counted in {!tx_lost}), discards posted Rx
+    frames (a cable-pull), discards posted Rx
     buffers, and re-runs the handshake with fresh rings and grants against
     the rebooted backend.  Tx/Rx resume as soon as the re-handshake
     completes. *)
@@ -20,7 +20,6 @@ val create :
   backend:Kite_xen.Domain.t ->
   devid:int ->
   ?num_queues:int ->
-  ?ring_page_order:int ->
   unit ->
   t
 (** Start the frontend; the xenbus handshake proceeds in the background.
@@ -31,9 +30,8 @@ val create :
     backend caps it at its advertised max); when absent, the
     toolstack's [queues-wanted] hint is used instead, and when neither
     exists — or the backend advertises no multi-queue support — the
-    frontend uses the legacy flat single-ring layout.  [ring_page_order]
-    asks for rings [2^order] pages big (order 0 by default; only
-    honoured in multi-queue mode, capped by the backend). *)
+    frontend uses the legacy flat single-ring layout.  Rings are one
+    page in either layout. *)
 
 val netdev : t -> Kite_net.Netdev.t
 (** The guest-visible interface.  Frames transmitted before the handshake
@@ -52,19 +50,7 @@ val connected : t -> bool
 val num_queues : t -> int
 (** Negotiated queue count (0 before the first handshake completes). *)
 
-val tx_packets : t -> int
-val rx_packets : t -> int
-
-val tx_bytes : t -> int
-(** Payload bytes pushed into the Tx ring. *)
-
-val rx_bytes : t -> int
-(** Payload bytes received from posted Rx buffers. *)
-
 val tx_dropped : t -> int
 
 val reconnects : t -> int
 (** Completed or in-progress crash-recovery cycles. *)
-
-val tx_lost : t -> int
-(** In-flight Tx frames dropped by backend crashes. *)

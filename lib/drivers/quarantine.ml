@@ -7,49 +7,31 @@ let action_name = function
   | Detach -> "detach"
   | Offline -> "offline"
 
-type policy = {
-  throttle_after : int;
-  detach_after : int;
-  offline_after : int;
-  throttle_penalty : Time.span;
-}
+(* Cumulative fault counts at which each escalation fires. *)
+let throttle_after = 1
+let detach_after = 2
+let offline_after = 3
+let throttle_penalty = Time.us 100
 
-let default_policy =
-  {
-    throttle_after = 1;
-    detach_after = 2;
-    offline_after = 3;
-    throttle_penalty = Time.us 100;
-  }
+type t = { mutable count : int; mutable level : int }
 
-type t = {
-  pol : policy;
-  mutable count : int;
-  mutable level : int;
-  by_class : (string, int) Hashtbl.t;
-}
-
-let create ?(policy = default_policy) () =
-  { pol = policy; count = 0; level = 0; by_class = Hashtbl.create 4 }
+let create () = { count = 0; level = 0 }
 
 let note t attack =
   t.count <- t.count + 1;
-  let slug = Guest_fault.slug attack in
-  Hashtbl.replace t.by_class slug
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.by_class slug));
   if Guest_fault.severe attack && t.level < 3 then begin
     t.level <- 3;
     Some Offline
   end
-  else if t.count >= t.pol.offline_after && t.level < 3 then begin
+  else if t.count >= offline_after && t.level < 3 then begin
     t.level <- 3;
     Some Offline
   end
-  else if t.count >= t.pol.detach_after && t.level < 2 then begin
+  else if t.count >= detach_after && t.level < 2 then begin
     t.level <- 2;
     Some Detach
   end
-  else if t.count >= t.pol.throttle_after && t.level < 1 then begin
+  else if t.count >= throttle_after && t.level < 1 then begin
     t.level <- 1;
     Some Throttle
   end
@@ -57,11 +39,4 @@ let note t attack =
 
 let level t = t.level
 let throttled t = t.level >= 1
-let offline t = t.level >= 3
 let faults t = t.count
-
-let faults_by_class t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.by_class []
-  |> List.sort compare
-
-let policy t = t.pol

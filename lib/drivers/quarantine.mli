@@ -12,8 +12,9 @@
     - [Offline]: detach plus drive the backend directory to
       [Closing]/[Closed], evicting the guest's device for good.
 
-    Thresholds are cumulative fault counts; {!Guest_fault.severe}
-    classes jump straight to [Offline].  Pure bookkeeping — the backend
+    The thresholds are cumulative fault counts: throttle after 1 fault,
+    detach after 2, offline after 3; {!Guest_fault.severe} classes jump
+    straight to [Offline].  Pure bookkeeping — the backend
     owns the plumbing, so the module has no hooks and costs nothing when
     no faults occur. *)
 
@@ -21,21 +22,12 @@ type action = Throttle | Detach | Offline
 
 val action_name : action -> string
 
-type policy = {
-  throttle_after : int;
-  detach_after : int;
-  offline_after : int;
-  throttle_penalty : Kite_sim.Time.span;
-      (** Sleep charged to the quarantined device's workers per wakeup. *)
-}
-
-val default_policy : policy
-(** throttle after 1 fault, detach after 2, offline after 3, with a
-    100 us wakeup penalty. *)
+val throttle_penalty : Kite_sim.Time.span
+(** Sleep charged to a throttled device's workers per wakeup: 100 us. *)
 
 type t
 
-val create : ?policy:policy -> unit -> t
+val create : unit -> t
 
 val note : t -> Guest_fault.attack -> action option
 (** Record one fault; [Some a] when an escalation threshold was crossed
@@ -45,12 +37,6 @@ val level : t -> int
 (** 0 ok, 1 throttled, 2 detached, 3 offline. *)
 
 val throttled : t -> bool
-val offline : t -> bool
 
 val faults : t -> int
 (** Total faults recorded. *)
-
-val faults_by_class : t -> (string * int) list
-(** Fault counts keyed by attack slug, sorted by slug. *)
-
-val policy : t -> policy

@@ -19,7 +19,6 @@ type dev = {
   fpath : string;
   ov : Overheads.t;
   max_queues : int;
-  max_ring_page_order : int;
   guard : Quarantine.t;
   mutable mq : bool;
   mutable stop : bool;
@@ -150,7 +149,7 @@ let record_fault d ~attack ~detail =
 
 let throttle_penalty d =
   if Quarantine.throttled d.guard && not d.stop then
-    Process.sleep (Quarantine.policy d.guard).Quarantine.throttle_penalty
+    Process.sleep Quarantine.throttle_penalty
 
 let wait d cond =
   Condition.wait cond;
@@ -168,6 +167,12 @@ let wait d cond =
 let fail d attack detail =
   Guest_fault.fail ~domid:(fid d) ~device:d.name ~attack ~detail
 
+(* The ring-page order cap both backends advertise. *)
+let max_ring_page_order = 2
+
+let retries = 4
+let retry_backoff = Time.us 50
+
 let advertise d =
   let xb = d.ctx.Xen_ctx.xb in
   Xenbus.write xb d.domain
@@ -175,7 +180,7 @@ let advertise d =
     (string_of_int d.max_queues);
   Xenbus.write xb d.domain
     ~path:(d.bpath ^ "/" ^ Xenif.Mq.key_max_ring_page_order)
-    (string_of_int d.max_ring_page_order);
+    (string_of_int max_ring_page_order);
   Xenbus.switch_state xb d.domain ~path:d.bpath Xenbus.Init_wait;
   Xenbus.wait_for_state xb d.domain ~path:d.fpath Xenbus.Initialised
 
@@ -295,7 +300,6 @@ type 'i t = {
   sty : string;
   sov : Overheads.t;
   smax_queues : int;
-  smax_ring_page_order : int;
   base : string;
   make : dev -> 'i;
   dev_of : 'i -> dev;
@@ -327,7 +331,6 @@ let device t frontend devid =
     fpath = Xenbus.frontend_path ~frontend ~ty ~devid;
     ov = t.sov;
     max_queues = t.smax_queues;
-    max_ring_page_order = t.smax_ring_page_order;
     guard = Quarantine.create ();
     mq = false;
     stop = false;
@@ -411,8 +414,7 @@ let scan t =
             (Xenstore.directory xs ~path:(t.base ^ "/" ^ frontid)))
     (Xenstore.directory xs ~path:t.base)
 
-let serve ctx ~domain ~overheads ~drv ~ty ~max_queues ~max_ring_page_order
-    ~make ~dev_of =
+let serve ctx ~domain ~overheads ~drv ~ty ~max_queues ~make ~dev_of =
   let t =
     {
       sctx = ctx;
@@ -421,7 +423,6 @@ let serve ctx ~domain ~overheads ~drv ~ty ~max_queues ~max_ring_page_order
       sty = ty;
       sov = overheads;
       smax_queues = max_queues;
-      smax_ring_page_order = max_ring_page_order;
       base = Printf.sprintf "/local/domain/%d/backend/%s" domain.Domain.id ty;
       make;
       dev_of;
@@ -484,7 +485,7 @@ let instrument ctx ring ~name =
   | Some r -> Ring.attach_race ring r ~name
   | None -> ()
 
-let negotiate xb domain ~fpath ~bpath ~ask ~want_order ~ring_order =
+let negotiate xb domain ~fpath ~bpath ~ask =
   let ask =
     match ask with
     | Some _ -> ask
@@ -495,21 +496,22 @@ let negotiate xb domain ~fpath ~bpath ~ask ~want_order ~ring_order =
   in
   match (ask, cap) with
   | Some n, Some m when m >= 1 && n >= 1 ->
-      let max_order =
-        Xenbus.read_int xb domain
-          ~path:(bpath ^ "/" ^ Xenif.Mq.key_max_ring_page_order)
-        |> Option.value ~default:0
-      in
-      (min n m, true, ring_order + min want_order max_order)
-  | _ -> (1, false, ring_order)
+      (* Rings stay one page, which every cap allows; the cap is still
+         read, as a real frontend does, because the read is a charged
+         xenbus operation. *)
+      ignore
+        (Xenbus.read_int xb domain
+           ~path:(bpath ^ "/" ^ Xenif.Mq.key_max_ring_page_order));
+      (min n m, true)
+  | _ -> (1, false)
 
-let write_mq_keys xb domain ~fpath ~nq ~page_order =
+let write_mq_keys xb domain ~fpath ~nq =
   Xenbus.write xb domain
     ~path:(fpath ^ "/" ^ Xenif.Mq.key_num_queues)
     (string_of_int nq);
   Xenbus.write xb domain
     ~path:(fpath ^ "/" ^ Xenif.Mq.key_ring_page_order)
-    (string_of_int page_order)
+    "0"
 
 let monitor ctx domain ~bpath ~token ~live ~gone =
   let store = Hypervisor.store ctx.Xen_ctx.hv in

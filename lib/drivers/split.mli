@@ -32,7 +32,6 @@ type dev = private {
   fpath : string;
   ov : Overheads.t;
   max_queues : int;
-  max_ring_page_order : int;
   guard : Quarantine.t;
   mutable mq : bool;  (** per-queue keys under queue-<n>/ *)
   mutable stop : bool;
@@ -123,6 +122,14 @@ val publish_stats :
 (** Spawn ["<drv>-stats-F.D"], which writes each counter under
     [<bpath>/stats/] every [interval] until the device stops. *)
 
+val retries : int
+(** A transient device error (a fault-injected NIC or NVMe hiccup) is
+    retried up to [retries] (4) times, the [n]th retry after
+    [retry_backoff * 2^n] (50 us, 100 us, ...), before the backend gives
+    the operation up. *)
+
+val retry_backoff : Kite_sim.Time.span
+
 (** {1 Backend service} *)
 
 type 'i t
@@ -136,7 +143,6 @@ val serve :
   drv:string ->
   ty:string ->
   max_queues:int ->
-  max_ring_page_order:int ->
   make:(dev -> 'i) ->
   dev_of:('i -> dev) ->
   'i t
@@ -172,19 +178,18 @@ val negotiate :
   fpath:string ->
   bpath:string ->
   ask:int option ->
-  want_order:int ->
-  ring_order:int ->
-  int * bool * int
-(** Queue count, multi-queue layout and ring order.  The ask is [ask]
-    or else the toolstack's queues-wanted hint; the backend's
-    multi-queue-max-queues caps it.  Either side silent, or a cap or
-    ask below 1, means the legacy flat single ring at [ring_order]. *)
+  int * bool
+(** Queue count and multi-queue layout.  The ask is [ask] or else the
+    toolstack's queues-wanted hint; the backend's multi-queue-max-queues
+    caps it.  Either side silent, or a cap or ask below 1, means the
+    legacy flat single ring.  Rings are one page in either layout: in
+    multi-queue mode the backend's max-ring-page-order is read (a
+    charged xenbus operation) and order 0 is asked for. *)
 
 val write_mq_keys :
-  Kite_xen.Xenbus.t -> Kite_xen.Domain.t -> fpath:string -> nq:int ->
-  page_order:int -> unit
+  Kite_xen.Xenbus.t -> Kite_xen.Domain.t -> fpath:string -> nq:int -> unit
 (** Answer the backend with multi-queue-num-queues and
-    multi-ring-page-order. *)
+    multi-ring-page-order 0. *)
 
 val monitor :
   Xen_ctx.t ->

@@ -169,7 +169,6 @@ type event =
 type t = {
   f_name : string;
   f_seed : int;
-  f_plan : plan;
   armed : armed list;
   rng : Rng.t;
   mutable log : event list;  (* reversed *)
@@ -183,17 +182,12 @@ let create ?(name = "fault") ~seed plan =
   {
     f_name = name;
     f_seed = seed;
-    f_plan = plan;
     armed = List.map (fun sp -> { sp; seen = 0; fired = 0 }) plan;
     rng = Rng.create seed;
     log = [];
     n_injected = 0;
     obs = None;
   }
-
-let name t = t.f_name
-let seed t = t.f_seed
-let plan t = t.f_plan
 
 let key_matches ~pat key =
   pat = ""
@@ -272,9 +266,6 @@ type sink = {
 }
 
 let sink ?(seed = 1) plan = { s_seed = seed; s_plan = plan; created = []; next = 0 }
-
-let sink_seed s = s.s_seed
-let sink_plan s = s.s_plan
 
 let create_in s ~name =
   (* Split a per-injector seed from the sink seed and the creation index

@@ -73,10 +73,6 @@ type t
 
 val create : ?name:string -> seed:int -> plan -> t
 
-val name : t -> string
-val seed : t -> int
-val plan : t -> plan
-
 val fire : t -> point -> key:string -> bool
 (** The one hook the substrate calls.  Counts the eligible operation and
     returns [true] when the plan injects a fault into it.  Every
@@ -121,9 +117,6 @@ type sink
 
 val sink : ?seed:int -> plan -> sink
 (** Default seed: [1]. *)
-
-val sink_seed : sink -> int
-val sink_plan : sink -> plan
 
 val create_in : sink -> name:string -> t
 (** Per-machine injector with a stream split deterministically from the

@@ -95,7 +95,6 @@ let create ?(limit = 4096) ?(post_limit = 512) ?(name = "flight") ~now () =
   }
 
 let name t = t.fname
-let limit t = t.limit
 let dropped t = t.dropped
 
 let records t =
@@ -227,7 +226,6 @@ let incident_timeline i = i.inc_pre @ List.rev i.inc_post_rev
 let incident_truncated i = i.inc_post_dropped
 let incident_delta i = i.inc_delta
 let incident_store i = i.inc_store
-let incident_waterfall i = i.inc_waterfall
 let incident_slos i = i.inc_slos
 
 (* ------------------------------------------------------------------ *)

@@ -42,7 +42,6 @@ val create :
     timestamp of their own (fault events, explicit marks). *)
 
 val name : t -> string
-val limit : t -> int
 
 val records : t -> record list
 (** Current ring contents, oldest first (at most [limit]). *)
@@ -126,11 +125,6 @@ val incident_delta : incident -> (string * (string * string) list * float * floa
 val incident_store : incident -> (string * string) list
 (** The captured xenstore subtree as (path, value) rows. *)
 
-val incident_waterfall : incident -> string list
-(** The critical-path latency waterfall captured at trigger time, one
-    rendered line per (kind, stage) — empty unless {!tap_path} armed a
-    path attribution engine before the trigger fired. *)
-
 val incident_slos : incident -> Slo.eval list
 (** SLO verdicts computed when the incident was sealed. *)
 
@@ -167,7 +161,7 @@ val tap_metrics : t -> Kite_metrics.Registry.t -> unit
 
 val tap_path : t -> Kite_path.Path.t -> unit
 (** Snapshot [p]'s latency waterfall into every future incident at
-    trigger time (see {!incident_waterfall}). *)
+    trigger time. *)
 
 val tap_report : t -> Kite_check.Report.t -> unit
 (** Checker findings become ["check"/<severity>] records; an [Error]
@@ -200,6 +194,4 @@ val default : unit -> sink option
 
 (** {1 Export} *)
 
-val record_to_json : record -> string
-val incident_to_json : incident -> string
 val to_json : t list -> string

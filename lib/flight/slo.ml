@@ -37,11 +37,6 @@ let create ?(labels = []) ~name ~metric ~quantile ~threshold reg =
     base = [];
   }
 
-let name t = t.slo_name
-let metric t = t.metric
-let target_quantile t = t.q
-let threshold t = t.threshold
-
 let live_buckets t =
   match Registry.hbuckets t.reg t.metric t.labels with
   | Some bs -> bs

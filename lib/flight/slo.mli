@@ -32,11 +32,6 @@ val create :
     non-positive threshold.  The instance need not exist yet — an SLO
     armed before traffic simply sees an empty baseline. *)
 
-val name : t -> string
-val metric : t -> string
-val target_quantile : t -> float
-val threshold : t -> float
-
 val arm : t -> at:int -> unit
 (** Open an evaluation window at simulated time [at] (ns): snapshot the
     instance's bucket counts as the baseline.  A fresh SLO is armed at

@@ -28,8 +28,6 @@ type config = {
           implementations themselves. *)
 }
 
-val default_config : config
-
 val lint_file : ?config:config -> Kite_check.Report.t -> string -> unit
 (** Parse one [.ml] file and append any findings to the report.  A file
     that fails to parse yields a [lint-parse-error] finding rather than

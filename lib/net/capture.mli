@@ -32,9 +32,5 @@ val records : t -> record list
 val captured : t -> int
 (** Total frames seen (including any dropped past [limit]). *)
 
-val summarize : Bytes.t -> string
-(** One-line decode of a frame, e.g.
-    ["IP 10.0.0.9 > 10.0.0.2: ICMP echo request id 1 seq 1, 64 bytes"]. *)
-
 val dump : t -> string list
 (** Timestamped one-line summaries of everything captured. *)

@@ -16,13 +16,12 @@ type t = {
 let server_port = 67
 let client_port = 68
 
-let make ~op ~xid ~chaddr ~message_type ?(ciaddr = Ipv4addr.any)
-    ?(yiaddr = Ipv4addr.any) ?(siaddr = Ipv4addr.any) ?server_id ?requested_ip
-    ?lease_time () =
+let make ~op ~xid ~chaddr ~message_type ?(yiaddr = Ipv4addr.any)
+    ?(siaddr = Ipv4addr.any) ?server_id ?requested_ip ?lease_time () =
   {
     op;
     xid;
-    ciaddr;
+    ciaddr = Ipv4addr.any;
     yiaddr;
     siaddr;
     chaddr;

@@ -22,7 +22,6 @@ val make :
   xid:int32 ->
   chaddr:Macaddr.t ->
   message_type:message_type ->
-  ?ciaddr:Ipv4addr.t ->
   ?yiaddr:Ipv4addr.t ->
   ?siaddr:Ipv4addr.t ->
   ?server_id:Ipv4addr.t ->

@@ -3,7 +3,6 @@
 type ethertype = Ipv4 | Arp | Other of int
 
 val ethertype_code : ethertype -> int
-val ethertype_of_code : int -> ethertype
 
 type header = { dst : Macaddr.t; src : Macaddr.t; ethertype : ethertype }
 

@@ -72,24 +72,9 @@ let spec_of_string str =
   in
   go none parts
 
-let spec_to_string s =
-  Printf.sprintf "loss=%g,reorder=%g,delay=%dns,jitter=%dns" s.loss s.reorder
-    s.delay s.jitter
+type t = { spec : spec; rng : Rng.t; mutable pending : bool }
 
-type t = {
-  spec : spec;
-  rng : Rng.t;
-  mutable pending : bool;
-  mutable dropped : int;
-  mutable reordered : int;
-  mutable delivered : int;
-}
-
-let create ?(seed = 1) spec =
-  { spec; rng = Rng.create seed; pending = false; dropped = 0; reordered = 0;
-    delivered = 0 }
-
-let spec t = t.spec
+let create ?(seed = 1) spec = { spec; rng = Rng.create seed; pending = false }
 
 type verdict = Deliver of Time.span | Hold | Drop
 
@@ -99,25 +84,12 @@ let extra_delay t =
 
 let frame t =
   let s = t.spec in
-  if s.loss > 0.0 && Rng.float t.rng 1.0 < s.loss then begin
-    t.dropped <- t.dropped + 1;
-    Drop
-  end
+  if s.loss > 0.0 && Rng.float t.rng 1.0 < s.loss then Drop
   else if (not t.pending) && s.reorder > 0.0 && Rng.float t.rng 1.0 < s.reorder
   then begin
     t.pending <- true;
-    t.reordered <- t.reordered + 1;
     Hold
   end
-  else begin
-    t.delivered <- t.delivered + 1;
-    Deliver (extra_delay t)
-  end
+  else Deliver (extra_delay t)
 
-let release t =
-  t.pending <- false;
-  t.delivered <- t.delivered + 1
-
-let dropped t = t.dropped
-let reordered t = t.reordered
-let delivered t = t.delivered
+let release t = t.pending <- false

@@ -30,14 +30,10 @@ val spec_of_string : string -> (spec, string) result
     ["loss=0.01,reorder=0.005,delay=200us,jitter=50us"].  Durations
     accept [ns]/[us]/[ms]/[s] suffixes; omitted fields default to zero. *)
 
-val spec_to_string : spec -> string
-
 type t
 
 val create : ?seed:int -> spec -> t
 (** Default [seed] 1. *)
-
-val spec : t -> spec
 
 type verdict =
   | Deliver of Kite_sim.Time.span  (** deliver with this extra delay *)
@@ -51,7 +47,3 @@ val frame : t -> verdict
 val release : t -> unit
 (** Tell the impairment that the held frame has been put back on the
     wire (the NIC does this when it delivers the following frame). *)
-
-val dropped : t -> int
-val reordered : t -> int
-val delivered : t -> int

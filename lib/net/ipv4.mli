@@ -5,7 +5,6 @@
 type protocol = Icmp | Tcp | Udp | Other_proto of int
 
 val protocol_code : protocol -> int
-val protocol_of_code : int -> protocol
 
 type header = {
   src : Ipv4addr.t;

@@ -23,11 +23,8 @@ let to_int32 t = t
 
 let any = 0l
 let broadcast = 0xffffffffl
-let localhost = of_string "127.0.0.1"
 
 let same_subnet a b ~netmask =
   Int32.logand a netmask = Int32.logand b netmask
 
-let compare = Int32.unsigned_compare
 let equal = Int32.equal
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -16,10 +16,6 @@ val any : t
 val broadcast : t
 (** 255.255.255.255 *)
 
-val localhost : t
-
 val same_subnet : t -> t -> netmask:t -> bool
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -35,6 +35,4 @@ let make_local n =
   Bytes.set b 5 (Char.chr (n land 0xff));
   Bytes.to_string b
 
-let compare = String.compare
 let equal = String.equal
-let pp ppf t = Format.pp_print_string ppf (to_string t)

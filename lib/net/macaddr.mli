@@ -17,6 +17,4 @@ val make_local : int -> t
 (** [make_local n] is a locally-administered unicast address derived from
     [n]; distinct inputs yield distinct addresses. *)
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

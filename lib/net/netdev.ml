@@ -9,10 +9,10 @@ type t = {
   mutable tap : ([ `Tx | `Rx ] -> Bytes.t -> unit) option;
 }
 
-let create ~name ?(mtu = 1500) ~transmit () =
+let create ~name ~transmit () =
   {
     name;
-    mtu;
+    mtu = 1500;
     transmit_fn = transmit;
     rx = None;
     up = false;
@@ -23,7 +23,6 @@ let create ~name ?(mtu = 1500) ~transmit () =
 
 let name t = t.name
 let mtu t = t.mtu
-let up t = t.up
 let set_up t v = t.up <- v
 let set_rx t f = t.rx <- Some f
 

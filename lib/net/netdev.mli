@@ -11,15 +11,13 @@
 
 type t
 
-val create :
-  name:string -> ?mtu:int -> transmit:(Bytes.t -> unit) -> unit -> t
-(** [mtu] defaults to 1500 (payload bytes; the Ethernet header rides on
-    top). *)
+val create : name:string -> transmit:(Bytes.t -> unit) -> unit -> t
 
 val name : t -> string
-val mtu : t -> int
 
-val up : t -> bool
+val mtu : t -> int
+(** 1500 (payload bytes; the Ethernet header rides on top). *)
+
 val set_up : t -> bool -> unit
 (** Interfaces start down; ifconfig brings them up. *)
 

@@ -40,7 +40,6 @@ type t = {
   mutable tcp_handler : (Ipv4.header -> Wire.slice -> unit) option;
   (* Reassembly buffers keyed by (source, datagram id). *)
   reassembly : (Ipv4addr.t * int, reasm) Hashtbl.t;
-  mutable rx_packets : int;
   mutable tx_packets : int;
   mutable next_ping_id : int;
   mutable next_ip_id : int;
@@ -52,9 +51,7 @@ let mac t = t.mac
 let ip t = t.ip
 let set_ip t ip = t.ip <- ip
 let dev t = t.dev
-let mtu t = Netdev.mtu t.dev
 let arp_cache_size t = Hashtbl.length t.arp_cache
-let rx_packets t = t.rx_packets
 let tx_packets t = t.tx_packets
 let set_tcp_handler t f = t.tcp_handler <- Some f
 
@@ -184,8 +181,6 @@ let udp_bind t ~port =
   let sock = { port; incoming = Mailbox.create () } in
   Hashtbl.add t.udp_socks port sock;
   sock
-
-let udp_close t sock = Hashtbl.remove t.udp_socks sock.port
 
 let udp_send t sock ~dst ~dst_port payload =
   let hdr =
@@ -344,7 +339,6 @@ let handle_frame t frame =
 let rx_loop t () =
   let rec loop () =
     let frame = Mailbox.recv t.rxq in
-    t.rx_packets <- t.rx_packets + 1;
     if t.rx_cost > 0 then Process.sleep t.rx_cost;
     handle_frame t frame;
     loop ()
@@ -369,7 +363,6 @@ let create sched ~name ~dev ~mac ~ip ~netmask ?gateway ?(rx_cost = 0) () =
       pings = [];
       tcp_handler = None;
       reassembly = Hashtbl.create 8;
-      rx_packets = 0;
       tx_packets = 0;
       next_ping_id = 1;
       next_ip_id = 1;

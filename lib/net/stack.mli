@@ -30,7 +30,6 @@ val mac : t -> Macaddr.t
 val ip : t -> Ipv4addr.t
 val set_ip : t -> Ipv4addr.t -> unit
 val dev : t -> Netdev.t
-val mtu : t -> int
 
 exception Network_unreachable of string
 (** No route: destination off-subnet and no gateway. *)
@@ -76,8 +75,6 @@ type udp_socket
 val udp_bind : t -> port:int -> udp_socket
 (** Raises [Invalid_argument] if the port is taken. *)
 
-val udp_close : t -> udp_socket -> unit
-
 val udp_send :
   t -> udp_socket -> dst:Ipv4addr.t -> dst_port:int -> Bytes.t -> unit
 (** Broadcast destinations go out as Ethernet broadcast (no ARP). *)
@@ -88,5 +85,4 @@ val udp_recv : udp_socket -> Ipv4addr.t * int * Bytes.t
 val udp_recv_timeout :
   udp_socket -> Kite_sim.Time.span -> (Ipv4addr.t * int * Bytes.t) option
 
-val rx_packets : t -> int
 val tx_packets : t -> int

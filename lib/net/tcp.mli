@@ -54,7 +54,6 @@ val close : conn -> unit
 (** Graceful close: queued data is flushed, then FIN. *)
 
 val state_name : conn -> string
-val is_open : conn -> bool
 
 val retransmissions : t -> int
 (** Total RTO-triggered retransmissions on this stack (loss indicator). *)

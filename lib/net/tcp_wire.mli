@@ -14,8 +14,6 @@ type header = {
   window : int;  (** receive window in bytes, pre-scaled *)
 }
 
-val header_size : int
-
 val header :
   header -> src:Ipv4addr.t -> dst:Ipv4addr.t -> payload:Bytes.t -> Bytes.t
 (** The 20-byte header for [payload], its pseudo-header checksum computed

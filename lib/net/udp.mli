@@ -2,8 +2,6 @@
 
 type header = { src_port : int; dst_port : int }
 
-val header_size : int
-
 val header :
   header -> src:Ipv4addr.t -> dst:Ipv4addr.t -> payload:Bytes.t -> Bytes.t
 (** The 8-byte header for [payload], its pseudo-header checksum computed

@@ -39,12 +39,6 @@ val name : t -> string
 
 (** {1 Hot hooks} *)
 
-val record_span : t -> Kite_trace.Trace.span -> unit
-(** Decompose one completed span: each stage duration is classified and
-    observed into its (kind, stage) histogram, and the span total into
-    the kind's end-to-end accounting.  Installed as a span observer by
-    {!tap_trace}. *)
-
 val cpu_sample : t -> domain:string -> cost:int -> unit
 (** Attribute [cost] ns of simulated CPU to [domain] and the process
     currently entered via {!proc_enter} (["(interrupt)"] outside any
@@ -59,9 +53,11 @@ val proc_leave : t -> unit
 (** {1 Wiring} *)
 
 val tap_trace : t -> Kite_trace.Trace.t -> unit
-(** Subscribe {!record_span} to the tracer's completed spans
-    ({!Kite_trace.Trace.add_span_observer}); composes with the flight
-    recorder's tap. *)
+(** Subscribe to the tracer's completed spans
+    ({!Kite_trace.Trace.add_span_observer}): each stage duration is
+    observed into its (kind, stage) histogram and the span total into the
+    kind's end-to-end accounting.  Composes with the flight recorder's
+    tap. *)
 
 val wire_metrics : t -> Kite_metrics.Registry.t -> unit
 (** Mirror the attribution into the registry so the series are browsable

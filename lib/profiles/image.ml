@@ -84,10 +84,3 @@ let linux_driver_domain =
         c "initrd (driver domain trim)" 1900 Runtime;
       ];
   }
-
-let pp ppf t =
-  Format.fprintf ppf "%s: %.1f MB@." t.name (total_mb t);
-  List.iter
-    (fun comp ->
-      Format.fprintf ppf "  %-36s %6d KB@." comp.comp_name comp.size_kb)
-    t.components

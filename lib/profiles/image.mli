@@ -24,5 +24,3 @@ val kite_network : t
 val kite_storage : t
 val kite_dhcp : t
 val linux_driver_domain : t
-
-val pp : Format.formatter -> t -> unit

@@ -93,11 +93,3 @@ let is_kite t =
   match t.flavor with
   | Kite_network | Kite_storage | Kite_dhcp -> true
   | Linux_network | Linux_storage -> false
-
-let pp ppf t =
-  Format.fprintf ppf
-    "%s: image %.1f MB, boot %a, %d syscalls, %d MB RAM, shell=%b"
-    t.profile_name (Image.total_mb t.image) Kite_sim.Time.pp
-    (Boot.total t.boot)
-    (Syscalls.count t.syscalls)
-    t.assigned_mem_mb t.has_shell

@@ -31,4 +31,3 @@ type t = {
 val get : flavor -> t
 val all : t list
 val is_kite : t -> bool
-val pp : Format.formatter -> t -> unit

@@ -144,11 +144,6 @@ let create ?(config = default_config) ?(name = "-") report =
     atomicity = 0;
   }
 
-let report t = t.report
-let name t = t.name
-let races t = t.races
-let atomicity_violations t = t.atomicity
-
 (* ------------------------------------------------------------------ *)
 (* Ambient scope: which detector/process the instant belongs to.       *)
 (* Set by Process's step wrapper and by Event_channel's interrupt       *)
@@ -563,25 +558,15 @@ let ring_take rr side ~got ~slot =
 (* Run-wide sink                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type sink = {
-  s_config : config;
-  s_report : Kite_check.Report.t;
-  mutable s_members : t list;
-}
+type sink = { s_config : config; s_report : Kite_check.Report.t }
 
 let sink ?(config = default_config) ?report () =
   let s_report =
     match report with Some r -> r | None -> Kite_check.Report.create ()
   in
-  { s_config = config; s_report; s_members = [] }
+  { s_config = config; s_report }
 
-let create_in s ~name =
-  let t = create ~config:s.s_config ~name s.s_report in
-  s.s_members <- t :: s.s_members;
-  t
-
-let members s = List.rev s.s_members
-let sink_report s = s.s_report
+let create_in s ~name = create ~config:s.s_config ~name s.s_report
 
 let default_ref : sink option ref = ref None
 let set_default s = default_ref := s

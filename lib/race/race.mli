@@ -37,21 +37,10 @@ type config = {
           see DESIGN.md §13 *)
 }
 
-val default_config : config
-
 type t
 (** One detector instance, normally one per simulated machine. *)
 
 val create : ?config:config -> ?name:string -> Kite_check.Report.t -> t
-
-val report : t -> Kite_check.Report.t
-val name : t -> string
-
-val races : t -> int
-(** Error-severity findings recorded so far. *)
-
-val atomicity_violations : t -> int
-(** Warning-severity findings recorded so far. *)
 
 (** {1 Process lifecycle} — called by [Process]'s instrumentation. *)
 
@@ -85,12 +74,6 @@ val hb_release : t -> chan:string -> unit
 
 val hb_acquire : t -> chan:string -> unit
 (** Join the named channel's clock into the current process's. *)
-
-val quiesce : t -> unit
-(** Acquire the exit edges of every process that has already
-    terminated.  Teardown paths that synchronize by waiting out the
-    clock (rather than joining) call this to claim the ordering they
-    rely on; it never orders against a process that is still live. *)
 
 (** {1 Instrumented accesses} *)
 
@@ -157,8 +140,6 @@ type sink
 
 val sink : ?config:config -> ?report:Kite_check.Report.t -> unit -> sink
 val create_in : sink -> name:string -> t
-val members : sink -> t list
-val sink_report : sink -> Kite_check.Report.t
 
 val set_default : sink option -> unit
 (** Install (or clear) the run-wide default sink, written by [Kite.Obs.run]

@@ -13,7 +13,10 @@ let rec walk code start ret_off budget last_cat =
         walk code (start + insn.Decoder.length) ret_off (budget - 1)
           (Some insn.Decoder.category)
 
-let scan ?(max_insns = 5) ?(max_back = 20) code =
+(* How many bytes before a RET a gadget may start. *)
+let max_back = 20
+
+let scan ?(max_insns = 5) code =
   let tbl = Hashtbl.create 16 in
   let bump cat =
     let r =
@@ -44,9 +47,3 @@ let scan ?(max_insns = 5) ?(max_back = 20) code =
     Decoder.all_categories
 
 let total counts = List.fold_left (fun acc (_, n) -> acc + n) 0 counts
-
-let pp ppf counts =
-  List.iter
-    (fun (cat, n) ->
-      Format.fprintf ppf "%-14s %8d@." (Decoder.category_name cat) n)
-    counts

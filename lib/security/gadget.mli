@@ -9,11 +9,8 @@
 type counts = (Decoder.category * int) list
 (** Per-category gadget counts, in {!Decoder.all_categories} order. *)
 
-val scan : ?max_insns:int -> ?max_back:int -> Bytes.t -> counts
-(** [scan code] finds gadgets.  [max_back] (default 20) bounds how many
-    bytes before a RET a gadget may start; [max_insns] (default 5) bounds
-    its instruction count. *)
+val scan : ?max_insns:int -> Bytes.t -> counts
+(** [scan code] finds gadgets starting at most 20 bytes before a RET;
+    [max_insns] (default 5) bounds a gadget's instruction count. *)
 
 val total : counts -> int
-
-val pp : Format.formatter -> counts -> unit

@@ -17,11 +17,6 @@ val kite : kernel_config
 val linux_default : kernel_config
 (** Default-config kernel, almost no modules (~11 MB text). *)
 
-val centos8 : kernel_config
-val fedora : kernel_config
-val debian : kernel_config
-val ubuntu : kernel_config
-
 val all : kernel_config list
 (** Figure 5 order: Kite, Default, CentOS, Fedora, Debian, Ubuntu. *)
 

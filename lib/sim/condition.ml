@@ -90,6 +90,3 @@ let broadcast t =
           w.resume ()
         end
   done
-
-let waiters t =
-  Queue.fold (fun acc w -> if w.live then acc + 1 else acc) 0 t.q

@@ -21,6 +21,3 @@ val signal : t -> unit
 
 val broadcast : t -> unit
 (** Wake all current waiters. *)
-
-val waiters : t -> int
-(** Number of processes currently blocked. *)

@@ -25,8 +25,6 @@ let create ?schedule_seed () =
     stopped = false;
   }
 
-let explored t = t.explore <> None
-
 let now t = t.clock
 
 let schedule_at t when_ f =

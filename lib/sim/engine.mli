@@ -25,9 +25,6 @@ val create : ?schedule_seed:int -> unit -> t
 (** [create ?schedule_seed ()]: with a seed, arm the schedule explorer;
     without, keep the deterministic FIFO order at equal instants. *)
 
-val explored : t -> bool
-(** Whether the schedule explorer is armed. *)
-
 val now : t -> Time.t
 (** Current simulated time. *)
 

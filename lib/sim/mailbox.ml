@@ -51,7 +51,4 @@ and recv_now t =
       Some v
   | None -> None
 
-let try_recv t = recv_now t
-
 let length t = Queue.length t.q
-let is_empty t = Queue.is_empty t.q

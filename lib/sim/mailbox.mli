@@ -18,9 +18,4 @@ val recv : 'a t -> 'a
 val recv_timeout : 'a t -> Time.span -> 'a option
 (** Like {!recv} but returns [None] if nothing arrives within the span. *)
 
-val try_recv : 'a t -> 'a option
-(** Non-blocking receive. *)
-
 val length : 'a t -> int
-
-val is_empty : 'a t -> bool

@@ -1,17 +1,9 @@
 type t = {
   counters : (string, int ref) Hashtbl.t;
   busy : (string, int ref) Hashtbl.t;
-  series : (string, float list ref) Hashtbl.t;
-  mutable epoch : int;  (* bumped by [reset], which orphans every cell *)
 }
 
-let create () =
-  {
-    counters = Hashtbl.create 64;
-    busy = Hashtbl.create 16;
-    series = Hashtbl.create 16;
-    epoch = 0;
-  }
+let create () = { counters = Hashtbl.create 64; busy = Hashtbl.create 16 }
 
 let cell tbl name =
   match Hashtbl.find_opt tbl name with
@@ -21,117 +13,35 @@ let cell tbl name =
       Hashtbl.add tbl name r;
       r
 
-let add t name n =
-  let r = cell t.counters name in
-  r := !r + n
-
-let incr t name = add t name 1
-
 (* A named cell looked up once: per-frame and per-hypercall accounting
    then costs no key string and no hash.  The cell still enters the
    table on its first update, so [names] lists only touched counters. *)
 type counter = {
-  m : t;
   tbl : (string, int ref) Hashtbl.t;
   key : string;
   mutable cell : int ref;
-  mutable epoch : int;  (* -1 until first use *)
+  mutable bound : bool;  (* [cell] is the table's cell for [key] *)
 }
 
-let handle m tbl key = { m; tbl; key; cell = ref 0; epoch = -1 }
-let counter t name = handle t t.counters name
-let busy_counter t name = handle t t.busy name
+let handle tbl key = { tbl; key; cell = ref 0; bound = false }
+let counter t name = handle t.counters name
+let busy_counter t name = handle t.busy name
 
 let bump c n =
-  if c.epoch <> c.m.epoch then begin
+  if not c.bound then begin
     c.cell <- cell c.tbl c.key;
-    c.epoch <- c.m.epoch
+    c.bound <- true
   end;
   c.cell := !(c.cell) + n
 
-let count t name =
-  match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
+let find tbl name =
+  match Hashtbl.find_opt tbl name with Some r -> !r | None -> 0
 
-let add_busy t name span =
-  let r = cell t.busy name in
-  r := !r + span
+let count t name = find t.counters name
+let busy t name = find t.busy name
 
-let busy t name =
-  match Hashtbl.find_opt t.busy name with Some r -> !r | None -> 0
-
-let utilization t name ~total =
-  if total <= 0 then 0.0
-  else
-    let b = float_of_int (busy t name) /. float_of_int total in
-    Float.min 1.0 b
-
-let record_sample t name v =
-  match Hashtbl.find_opt t.series name with
-  | Some r -> r := v :: !r
-  | None -> Hashtbl.add t.series name (ref [ v ])
-
-(* Series are stored most-recent-first and reversed here, so callers see
-   samples exactly in the order [record_sample] appended them. *)
-let samples t name =
-  match Hashtbl.find_opt t.series name with
-  | Some r -> List.rev !r
-  | None -> []
-
-let summary_opt t name =
-  match samples t name with
-  | [] -> None
-  | xs -> Some (Kite_stats.Summary.of_list xs)
-
-let summary t name =
-  match summary_opt t name with
-  | Some s -> s
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Metrics.summary: no samples recorded under %S" name)
-
-(* [Hashtbl.fold] visits every binding, including shadowed ones a stray
-   [Hashtbl.add] may have stacked under one key, so enumerations must
-   dedup or a family can be listed (and summed) twice. *)
 let sorted_keys tbl =
   Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort_uniq String.compare
 
-(* Canonical key for a labelled family: labels sorted by label name, so
-   the same (name, label set) always lands in the same cell no matter
-   what order call sites list the labels in. *)
-let labelled name labels =
-  match labels with
-  | [] -> name
-  | labels ->
-      let labels =
-        List.sort (fun (a, _) (b, _) -> String.compare a b) labels
-      in
-      Printf.sprintf "%s{%s}" name
-        (String.concat ","
-           (List.map (fun (k, v) -> Printf.sprintf "%s=\"%s\"" k v) labels))
-
 let names t = sorted_keys t.counters
 let busy_names t = sorted_keys t.busy
-let series_names t = sorted_keys t.series
-
-let reset (t : t) =
-  t.epoch <- t.epoch + 1;
-  Hashtbl.reset t.counters;
-  Hashtbl.reset t.busy;
-  Hashtbl.reset t.series
-
-let pp ppf t =
-  let counters =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters []
-    |> List.sort compare
-  in
-  List.iter (fun (k, v) -> Format.fprintf ppf "%s = %d@." k v) counters;
-  let busies =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.busy []
-    |> List.sort compare
-  in
-  List.iter
-    (fun (k, v) -> Format.fprintf ppf "%s busy = %a@." k Time.pp v)
-    busies;
-  Hashtbl.iter
-    (fun k r -> Format.fprintf ppf "%s samples = %d@." k (List.length !r))
-    t.series

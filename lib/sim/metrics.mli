@@ -1,79 +1,39 @@
 (** Named counters and time accounting for a simulation run.
 
-    One [Metrics.t] per scenario collects hypercall counts, packet/request
-    counts, bytes moved, and per-resource busy time (used for the CPU
-    utilization figures). *)
+    One [Metrics.t] per machine collects hypercall counts, frame and
+    operation counts, and per-resource busy time (used for the CPU
+    utilization figures).  Writers hold a handle on one named cell;
+    readers look cells up by name. *)
 
 type t
 
 val create : unit -> t
 
-val incr : t -> string -> unit
-val add : t -> string -> int -> unit
-val count : t -> string -> int
-(** [count t name] is the accumulated value; 0 if never touched. *)
-
-val add_busy : t -> string -> Time.span -> unit
-(** Record that the named resource was busy for the span. *)
-
 type counter
 (** A handle on one named counter or busy-time cell, for hot paths that
     update the same name per event: the name is hashed once, not per
-    update.  Like {!add}, the first update creates the cell. *)
+    update.  The cell enters the table on the handle's first {!bump}, so
+    {!names} and {!busy_names} list only touched cells; handles of the
+    same name share one cell. *)
 
 val counter : t -> string -> counter
-(** The {!add}/{!count} cell of that name. *)
+(** The {!count} cell of that name. *)
 
 val busy_counter : t -> string -> counter
-(** The {!add_busy}/{!busy} cell of that name. *)
+(** The {!busy} cell of that name. *)
 
 val bump : counter -> int -> unit
-(** [bump c n] is [add t name n] (or [add_busy]) for [c]'s cell. *)
+(** Add [n] to the handle's cell (a busy-time cell counts simulated ns). *)
+
+val count : t -> string -> int
+(** [count t name] is the accumulated value; 0 if never touched. *)
 
 val busy : t -> string -> Time.span
-
-val utilization : t -> string -> total:Time.span -> float
-(** Busy fraction in [\[0, 1\]] over a window of the given length. *)
-
-val record_sample : t -> string -> float -> unit
-(** Append a sample to a named series (latencies, throughputs, ...). *)
-
-val samples : t -> string -> float list
-(** All samples of the named series, {e guaranteed} to be in recording
-    order (the order of the {!record_sample} calls), oldest first; [] if
-    the series was never touched. *)
-
-val summary_opt : t -> string -> Kite_stats.Summary.t option
-(** Summary statistics over {!samples}, so experiment code does not
-    hand-roll percentile math from raw sample lists; [None] when the
-    series is empty or absent.  Prefer this total variant in new code. *)
-
-val summary : t -> string -> Kite_stats.Summary.t
-(** As {!summary_opt} but raising [Invalid_argument] when the series is
-    empty or absent. *)
+(** Accumulated busy time of the named resource; 0 if never touched. *)
 
 val names : t -> string list
-(** Counter names only ({!incr}/{!add} keys), sorted.  Busy-time and
-    sample-series keys live in their own namespaces — see {!busy_names}
-    and {!series_names}. *)
+(** Counter names, sorted, each once.  Busy-time names live in their own
+    namespace — see {!busy_names}. *)
 
 val busy_names : t -> string list
-(** All {!add_busy} resource names, sorted. *)
-
-val series_names : t -> string list
-(** All {!record_sample} series names, sorted — so exposition layers can
-    enumerate every series without guessing keys.  Like {!names} and
-    {!busy_names}, each name appears exactly once even if the backing
-    table picked up shadowed bindings. *)
-
-val labelled : string -> (string * string) list -> string
-(** Canonical key for a labelled family: [labelled "tx" [("q","0")]] is
-    ["tx{q=\"0\"}"], with labels sorted by label name so every ordering
-    of the same label set maps to the same key.  Use this to build
-    per-queue (or otherwise labelled) counter/series names that must be
-    counted once per family. *)
-
-val reset : t -> unit
-
-val pp : Format.formatter -> t -> unit
-(** Dump all counters, busy times and sample counts. *)
+(** Busy-time resource names, sorted, each once. *)

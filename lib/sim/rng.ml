@@ -42,5 +42,3 @@ let gaussian t ~mean ~stdev =
 let exponential t ~mean =
   let u = max 1e-12 (float t 1.0) in
   -.mean *. log u
-
-let byte t = int t 256

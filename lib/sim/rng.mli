@@ -27,6 +27,3 @@ val gaussian : t -> mean:float -> stdev:float -> float
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
-
-val byte : t -> int
-(** Uniform in [\[0, 256)]. *)

@@ -36,7 +36,5 @@ val to_ms_f : span -> float
 val to_us_f : span -> float
 (** [to_us_f s] is the span in microseconds as a float. *)
 
-val pp : Format.formatter -> span -> unit
-(** Pretty-print a span with an adaptive unit (ns, us, ms, s). *)
-
 val to_string : span -> string
+(** The span with an adaptive unit (ns, us, ms, s). *)

@@ -65,10 +65,3 @@ let sparkline t =
       String.init (List.length bs) (fun i ->
           let _, _, c = List.nth bs i in
           bars.(c * (Array.length bars - 1) / max_c))
-
-let pp ppf t =
-  if t.n = 0 then Format.pp_print_string ppf "(empty)"
-  else
-    Format.fprintf ppf "n=%d mean=%.4g p50=%.4g p90=%.4g p99=%.4g %s" t.n
-      (mean t) (quantile t 0.5) (quantile t 0.9) (quantile t 0.99)
-      (sparkline t)

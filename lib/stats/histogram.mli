@@ -38,6 +38,3 @@ val buckets : t -> (float * float * int) list
 val sparkline : t -> string
 (** A compact ASCII bar rendering of the distribution, e.g. [".:=@#-."],
     one character per non-empty bucket. *)
-
-val pp : Format.formatter -> t -> unit
-(** Count, mean, p50/p90/p99 and the sparkline. *)

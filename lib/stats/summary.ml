@@ -64,7 +64,3 @@ let percentile xs p =
           a.(lo) +. (frac *. (a.(hi) -. a.(lo)))
 
 let median xs = percentile xs 50.0
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.4g stdev=%.4g rsd=%.3f%% min=%.4g max=%.4g"
-    t.n t.mean t.stdev t.rsd_pct t.min t.max

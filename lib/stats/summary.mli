@@ -28,5 +28,3 @@ val percentile : float list -> float -> float
     {!Histogram.percentile} bridges the two. *)
 
 val median : float list -> float
-
-val pp : Format.formatter -> t -> unit

@@ -16,7 +16,14 @@ type verdict = {
   vd_reasons : string list;
 }
 
-let knee ?(knee_frac = 0.9) steps =
+(* The knee is the first step below [knee_frac] of its offered rate;
+   collapse is goodput below [goodput_floor] of the peak; p999 may reach
+   [p999_slack] times the drain bound. *)
+let knee_frac = 0.9
+let goodput_floor = 0.7
+let p999_slack = 3.0
+
+let knee steps =
   let rec go i = function
     | [] -> None
     | s :: rest ->
@@ -25,8 +32,7 @@ let knee ?(knee_frac = 0.9) steps =
   in
   go 0 steps
 
-let assess ?(knee_frac = 0.9) ?(goodput_floor = 0.7) ?(p999_slack = 3.0)
-    ~clients_per_step ~capacity_rps steps =
+let assess ~clients_per_step ~capacity_rps steps =
   let peak =
     List.fold_left (fun m s -> Float.max m s.st_goodput_rps) 0.0 steps
   in
@@ -34,7 +40,7 @@ let assess ?(knee_frac = 0.9) ?(goodput_floor = 0.7) ?(p999_slack = 3.0)
     p999_slack *. float_of_int clients_per_step /. Float.max 1.0 capacity_rps
     *. 1e3
   in
-  let k = knee ~knee_frac steps in
+  let k = knee steps in
   (* Collapse is only meaningful past the knee: below it goodput tracks
      the (still small) offered rate, not the backend's limit. *)
   let collapse =

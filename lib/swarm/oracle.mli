@@ -4,21 +4,21 @@
     closed-loop capacity, each step a fixed client population.  The
     oracle turns the step results into an asserted verdict:
 
-    - {e knee}: the first step whose goodput falls below [knee_frac] of
-      its offered rate — the saturation point.  Every sweep that goes
+    - {e knee}: the first step whose goodput falls below 0.9 of its
+      offered rate — the saturation point.  Every sweep that goes
       past capacity must have one.
     - {e graceful} (the Kite promise): past the knee, goodput stays a
-      plateau ([>= goodput_floor] of the peak — monotone-then-flat, no
+      plateau ([>= 0.7] of the peak — monotone-then-flat, no
       collapse), no step records request errors, and p999 stays bounded.
       The p999 bound is principled rather than arbitrary: with a fixed
       population of [clients] per step, the worst backlog an open-loop
       step can build is the whole population, which a backend that keeps
       its capacity drains in [clients / capacity] seconds — so p999 must
-      stay within [p999_slack] of that, independent of the overload
+      stay within 3x that, independent of the overload
       multiple.  A backend that loses capacity under pressure (lock
       convoys, drop-retransmit storms) blows through it.
-    - {e collapse}: the first step whose goodput drops below
-      [goodput_floor] of the peak — recorded for the Linux flavor, never
+    - {e collapse}: the first step whose goodput drops below 0.7 of the
+      peak — recorded for the Linux flavor, never
       asserted. *)
 
 type step = {
@@ -39,15 +39,4 @@ type verdict = {
   vd_reasons : string list;  (** why [vd_ok] is false; [] when it holds *)
 }
 
-val knee : ?knee_frac:float -> step list -> int option
-(** Default [knee_frac] 0.9. *)
-
-val assess :
-  ?knee_frac:float ->
-  ?goodput_floor:float ->
-  ?p999_slack:float ->
-  clients_per_step:int ->
-  capacity_rps:float ->
-  step list ->
-  verdict
-(** Defaults: [knee_frac] 0.9, [goodput_floor] 0.7, [p999_slack] 3.0. *)
+val assess : clients_per_step:int -> capacity_rps:float -> step list -> verdict

@@ -53,24 +53,16 @@ val rate : t -> float
 val with_rate : t -> float -> t
 (** Same shape, different base arrival rate — for knee sweeps. *)
 
-val modulation : t -> at:Kite_sim.Time.span -> float
-(** Combined diurnal x flash rate multiplier at offset [at]. *)
-
 val gap : t -> Kite_sim.Rng.t -> at:Kite_sim.Time.span -> Kite_sim.Time.span
 (** Next inter-arrival gap at offset [at]; the base draw (exponential or
-    Pareto) divided by {!modulation}.  Pareto gaps are capped at 10^4
-    mean gaps so a single astronomical draw cannot stall a run. *)
+    Pareto) divided by the combined diurnal x flash rate multiplier at
+    [at].  Pareto gaps are capped at 10^4 mean gaps so a single
+    astronomical draw cannot stall a run. *)
 
 val size : t -> Kite_sim.Rng.t -> int
 val session_length : t -> Kite_sim.Rng.t -> int
 val think_gap : t -> Kite_sim.Rng.t -> Kite_sim.Time.span
 val slow : t -> Kite_sim.Rng.t -> bool
-
-val builtins : (string * t) list
-(** [steady] (Poisson, fixed sizes, light sessions), [web] (Pareto
-    arrivals, lognormal sizes, keep-alive sessions), [flash] (web plus
-    flash crowds), [diurnal] (web plus a diurnal ramp), [drip] (web plus
-    a slow-client cohort). *)
 
 val find : string -> t option
 val names : string

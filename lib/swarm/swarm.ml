@@ -9,7 +9,7 @@ let metric = "kite_swarm_latency_ms"
 
 type slo_spec = { s_name : string; s_q : float; s_threshold_ms : float }
 
-let default_slos =
+let slos =
   [
     { s_name = "p50"; s_q = 0.5; s_threshold_ms = 2.0 };
     { s_name = "p99"; s_q = 0.99; s_threshold_ms = 20.0 };
@@ -31,8 +31,8 @@ type result = {
   sw_slos : Slo.eval list;
 }
 
-let run ~sched ?(seed = 7) ?registry ?rate ?(slos = default_slos) ~profile
-    ~clients ~driver ~on_done () =
+let run ~sched ?(seed = 7) ?registry ?rate ~profile ~clients ~driver ~on_done
+    () =
   let engine = Process.engine sched in
   let p =
     match rate with Some r -> Profile.with_rate profile r | None -> profile

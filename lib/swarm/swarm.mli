@@ -45,11 +45,6 @@ val metric : string
     their latency is by construction the drip schedule, not the
     server's. *)
 
-type slo_spec = { s_name : string; s_q : float; s_threshold_ms : float }
-
-val default_slos : slo_spec list
-(** p50 <= 2 ms, p99 <= 20 ms, p999 <= 100 ms. *)
-
 type result = {
   sw_app : string;
   sw_profile : string;
@@ -70,7 +65,6 @@ val run :
   ?seed:int ->
   ?registry:Kite_metrics.Registry.t ->
   ?rate:float ->
-  ?slos:slo_spec list ->
   profile:Profile.t ->
   clients:int ->
   driver:driver ->
@@ -81,7 +75,8 @@ val run :
     when given, else the profile's base rate) and call [on_done] once
     every session has drained.  Latency lands in {!metric} inside
     [registry] (default: a fresh private registry, so percentiles and
-    SLO windows cover exactly this run) and is scored against [slos]
-    armed at the start.  Default [seed] 7. *)
+    SLO windows cover exactly this run) and is scored against SLOs armed
+    at the start: p50 <= 2 ms, p99 <= 20 ms, p999 <= 100 ms.  Default
+    [seed] 7. *)
 
 val result_to_json : result -> string

@@ -21,7 +21,6 @@ type t = {
   mutable files : int;
 }
 
-let total_blocks t = t.total_blocks
 let free_blocks t = t.free_count
 let file_count t = t.files
 
@@ -312,5 +311,3 @@ let stat t ~path =
   | Some (Dir d) ->
       { st_size = Hashtbl.length d; st_blocks = 0; st_is_dir = true }
   | None -> err "no such path: %s" path
-
-let sync t = t.dev.Blockdev.flush ()

@@ -18,9 +18,6 @@ exception Fs_error of string
 val format : Blockdev.t -> t
 (** A fresh, empty filesystem on the device. *)
 
-val block_size : int
-(** 4096. *)
-
 (** {1 Directories} *)
 
 val mkdir : t -> path:string -> unit
@@ -55,11 +52,7 @@ type stat = { st_size : int; st_blocks : int; st_is_dir : bool }
 
 val stat : t -> path:string -> stat
 
-val sync : t -> unit
-(** Flush the underlying device. *)
-
 (** {1 Introspection} *)
 
 val free_blocks : t -> int
-val total_blocks : t -> int
 val file_count : t -> int

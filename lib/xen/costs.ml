@@ -24,16 +24,3 @@ let default =
     xenstore_op = Time.us 30;
     memcpy_per_kb = Time.ns 60;
   }
-
-let free =
-  {
-    hypercall_base = 0;
-    evtchn_send = 0;
-    interrupt_latency = 0;
-    grant_map = 0;
-    grant_unmap = 0;
-    grant_copy_base = 0;
-    grant_copy_per_kb = 0;
-    xenstore_op = 0;
-    memcpy_per_kb = 0;
-  }

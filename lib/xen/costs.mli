@@ -27,6 +27,3 @@ val default : t
     hypercall 300 ns, event send 500 ns, interrupt delivery 4 us, grant
     map/unmap 900/700 ns, grant copy 450 ns + 150 ns/KiB, xenstore round
     trip 30 us, memcpy 60 ns/KiB. *)
-
-val free : t
-(** All-zero costs, for functional tests that only check protocol logic. *)

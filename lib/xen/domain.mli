@@ -17,7 +17,6 @@ type t = {
   mutable mem_mb : int;
 }
 
-val pp_kind : Format.formatter -> kind -> unit
 val pp : Format.formatter -> t -> unit
 
 val is_privileged : t -> bool

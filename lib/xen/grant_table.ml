@@ -264,11 +264,6 @@ let revoke_domain t ~domid =
       Hashtbl.remove t.entries r)
     (List.sort compare !granted)
 
-let is_mapped t r =
-  match Hashtbl.find_opt t.entries r with
-  | Some e -> e.mapped
-  | None -> false
-
 let owner t r =
   match Hashtbl.find_opt t.entries r with
   | Some e -> Some e.granter
@@ -292,8 +287,6 @@ type pool = {
   pool_grantee : Domain.t;
   pool_writable : bool;
   mutable pool_free : (ref_ * Page.t) list;
-  mutable pool_granted : int;
-  mutable pool_outstanding : int;
 }
 
 let pool t ~granter ~grantee ~writable =
@@ -303,12 +296,9 @@ let pool t ~granter ~grantee ~writable =
     pool_grantee = grantee;
     pool_writable = writable;
     pool_free = [];
-    pool_granted = 0;
-    pool_outstanding = 0;
   }
 
 let pool_take p =
-  p.pool_outstanding <- p.pool_outstanding + 1;
   match p.pool_free with
   | (r, pg) :: rest ->
       p.pool_free <- rest;
@@ -319,21 +309,14 @@ let pool_take p =
         grant_access p.pt ~granter:p.pool_granter ~grantee:p.pool_grantee
           ~page:pg ~writable:p.pool_writable
       in
-      p.pool_granted <- p.pool_granted + 1;
       (r, pg)
 
-let pool_put p (r, pg) =
-  p.pool_outstanding <- p.pool_outstanding - 1;
-  p.pool_free <- (r, pg) :: p.pool_free
+let pool_put p (r, pg) = p.pool_free <- (r, pg) :: p.pool_free
 
 let pool_drain p =
   List.iter (fun (r, _) -> end_access p.pt ~granter:p.pool_granter r)
     p.pool_free;
-  p.pool_granted <- p.pool_granted - List.length p.pool_free;
   p.pool_free <- []
-
-let pool_granted p = p.pool_granted
-let pool_outstanding p = p.pool_outstanding
 
 let active_grants t = Hashtbl.length t.entries
 let map_count t = t.maps

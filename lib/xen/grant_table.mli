@@ -100,14 +100,6 @@ val pool_drain : pool -> unit
 (** Revoke every idle pooled grant (shutdown path; keeps the leak audit
     clean).  Outstanding buffers are untouched. *)
 
-val pool_granted : pool -> int
-(** Grants currently owned by the pool (idle + outstanding). *)
-
-val pool_outstanding : pool -> int
-(** Buffers taken and not yet put back. *)
-
-val is_mapped : t -> ref_ -> bool
-
 val owner : t -> ref_ -> int option
 (** The granting domid of a live reference, [None] for an unknown or
     revoked one.  The backend-side ownership probe: a reference supplied

@@ -6,7 +6,6 @@ type t = {
   metrics : Metrics.t;
   costs : Costs.t;
   store : Xenstore.t;
-  rng : Rng.t;
   mutable domains : Domain.t list;  (* reversed creation order *)
   mutable next_domid : int;
   mutable trace : Kite_trace.Trace.t option;
@@ -26,7 +25,7 @@ and acct = {
   ops : (string, Metrics.counter * Metrics.counter) Hashtbl.t;
 }
 
-let create ?(costs = Costs.default) ?(seed = 1) ?schedule_seed () =
+let create ?schedule_seed () =
   let engine = Engine.create ?schedule_seed () in
   let dom0 =
     { Domain.id = 0; name = "Dom0"; kind = Domain.Dom0; vcpus = 4; mem_mb = 8192 }
@@ -35,9 +34,8 @@ let create ?(costs = Costs.default) ?(seed = 1) ?schedule_seed () =
     engine;
     sched = Process.scheduler engine;
     metrics = Metrics.create ();
-    costs;
+    costs = Costs.default;
     store = Xenstore.create ();
-    rng = Rng.create seed;
     domains = [ dom0 ];
     next_domid = 1;
     trace = None;
@@ -52,7 +50,6 @@ let sched t = t.sched
 let metrics t = t.metrics
 let costs t = t.costs
 let store t = t.store
-let rng t = t.rng
 let now t = Engine.now t.engine
 let trace t = t.trace
 
@@ -67,9 +64,10 @@ let set_path t p =
   t.path <- p;
   Process.set_path t.sched p
 
-(* A domain's vCPU busy time already accumulates in [Metrics.add_busy]
-   (see [occupy]); the registry just reads it back on each sampling
-   tick, so attaching metrics costs the hot path nothing. *)
+(* A domain's vCPU busy time already accumulates in its
+   [Metrics.busy_counter] cell (see [occupy]); the registry just reads it
+   back on each sampling tick, so attaching metrics costs the hot path
+   nothing. *)
 let register_domain_metrics t d =
   match t.mreg with
   | None -> ()

@@ -2,15 +2,14 @@
 
     Owns the simulated machine — engine, scheduler, domains, the xenstore
     database, and the hypercall cost model.  All hypercall-shaped
-    operations of the other modules go through {!charge} so that every
+    operations of the other modules go through {!hypercall} so that every
     experiment accounts hypercall counts and time uniformly. *)
 
 type t
 
-val create :
-  ?costs:Costs.t -> ?seed:int -> ?schedule_seed:int -> unit -> t
-(** A fresh machine with an empty event queue, a Dom0, and an empty
-    xenstore.  [costs] defaults to {!Costs.default}.  [schedule_seed]
+val create : ?schedule_seed:int -> unit -> t
+(** A fresh machine with an empty event queue, a Dom0, an empty
+    xenstore and the {!Costs.default} cost model.  [schedule_seed]
     arms the engine's schedule explorer (see {!Kite_sim.Engine.create}):
     same-instant events run in a seed-determined random permutation
     instead of FIFO order. *)
@@ -20,12 +19,11 @@ val sched : t -> Kite_sim.Process.sched
 val metrics : t -> Kite_sim.Metrics.t
 val costs : t -> Costs.t
 val store : t -> Xenstore.t
-val rng : t -> Kite_sim.Rng.t
 
 val now : t -> Kite_sim.Time.t
 
 val set_trace : t -> Kite_trace.Trace.t option -> unit
-(** Attach (or detach) an event tracer for this machine: {!charge} /
+(** Attach (or detach) an event tracer for this machine: {!hypercall} /
     {!cpu_work} emit cost events, and the scheduler's tracer is set so
     that processes spawned afterwards are tracked (see
     {!Kite_sim.Process.set_trace}).  [None] (the default) restores the
@@ -69,14 +67,6 @@ val spawn :
 (** Start a process belonging to a domain; the process name is prefixed
     with the domain name for diagnostics.  [daemon] marks service loops
     the checker's quiescence report skips. *)
-
-val charge : t -> Domain.t -> string -> Kite_sim.Time.span -> unit
-(** [charge hv dom what span] models [dom] spending [span] on hypercall or
-    device work named [what]: the calling process sleeps for [span] (on
-    one of the domain's vCPUs, contending with its other work), the
-    [what] counter increments globally and under ["dom.<name>.<what>"],
-    and the domain's vCPU busy time grows.  Must run in process
-    context. *)
 
 val hypercall : t -> Domain.t -> string -> extra:Kite_sim.Time.span -> unit
 (** [hypercall hv dom name ~extra] charges [hypercall_base + extra] and

@@ -8,8 +8,6 @@ type t = { frame : int; mutable data : Bytes.t; mutable shared : bool }
 
 let next_frame = ref 0
 
-let frame t = t.frame
-
 let make data =
   let f = !next_frame in
   incr next_frame;

@@ -9,9 +9,6 @@ val size : int
 
 type t
 
-val frame : t -> int
-(** Machine frame number; unique per page. *)
-
 val alloc : unit -> t
 (** A fresh zeroed page. *)
 

@@ -56,7 +56,6 @@ let legal_transition ~from_ ~to_ =
 type t = { hv : Hypervisor.t; mutable check : Kite_check.Check.t option }
 
 let create hv = { hv; check = None }
-let hv t = t.hv
 let set_check t c = t.check <- c
 
 let charge t dom =
@@ -75,18 +74,6 @@ let read_int t dom ~path =
   match read t dom ~path with
   | Some s -> int_of_string_opt s
   | None -> None
-
-let mkdir t dom ~path =
-  charge t dom;
-  Xenstore.mkdir (Hypervisor.store t.hv) ~domid:dom.Domain.id ~path
-
-let rm t dom ~path =
-  charge t dom;
-  Xenstore.rm (Hypervisor.store t.hv) ~domid:dom.Domain.id ~path
-
-let directory t dom ~path =
-  charge t dom;
-  Xenstore.directory (Hypervisor.store t.hv) ~path
 
 let watch t dom ~path ~token callback =
   charge t dom;

@@ -33,8 +33,6 @@ type t
 
 val create : Hypervisor.t -> t
 
-val hv : t -> Hypervisor.t
-
 val set_check : t -> Kite_check.Check.t option -> unit
 (** Attach the protocol checker: {!read_state} reports unparsable state
     values and {!switch_state} reports illegal transitions. *)
@@ -46,9 +44,6 @@ val set_check : t -> Kite_check.Check.t option -> unit
 val write : t -> Domain.t -> path:string -> string -> unit
 val read : t -> Domain.t -> path:string -> string option
 val read_int : t -> Domain.t -> path:string -> int option
-val mkdir : t -> Domain.t -> path:string -> unit
-val rm : t -> Domain.t -> path:string -> unit
-val directory : t -> Domain.t -> path:string -> string list
 
 val watch :
   t -> Domain.t -> path:string -> token:string ->

@@ -184,7 +184,7 @@ let test_net_xenstore_abuse () =
 let blk_attack ~cls ~mode ~volley () =
   let report = Report.create () in
   Kite.Obs.run { Kite.Obs.none with check = Some report } (fun () ->
-      let s = Scenario.storage ~flavor:Scenario.Kite ~seed:7 ~num_queues:2 () in
+      let s = Scenario.storage ~flavor:Scenario.Kite ~num_queues:2 () in
       let hv = s.Scenario.bhv and ctx = s.Scenario.bctx in
       let evil =
         Hypervisor.create_domain hv ~name:"evil" ~kind:Domain.Dom_u ~vcpus:1

@@ -42,7 +42,7 @@ let test_grant_leak () =
    the grant table also rejects them. *)
 let test_grant_sanitizer () =
   let report, c = fresh () in
-  let hv = Hypervisor.create ~seed:7 () in
+  let hv = Hypervisor.create () in
   let gt = Grant_table.create hv in
   Grant_table.set_check gt (Some c);
   let dd =

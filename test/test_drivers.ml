@@ -68,7 +68,7 @@ let guest_ip = Ipv4addr.of_string "10.0.0.2"
 let client_ip = Ipv4addr.of_string "10.0.0.9"
 
 let make_net_scenario ?(overheads = Overheads.kite) () =
-  let hv = Hypervisor.create ~seed:7 () in
+  let hv = Hypervisor.create () in
   let ctx = Xen_ctx.create hv in
   let sched = Hypervisor.sched hv in
   let metrics = Hypervisor.metrics hv in
@@ -208,7 +208,7 @@ let test_net_domain_hypercall_accounting () =
 
 let test_net_domain_two_guests () =
   (* Two DomUs share the NIC through the same driver domain bridge. *)
-  let hv = Hypervisor.create ~seed:11 () in
+  let hv = Hypervisor.create () in
   let ctx = Xen_ctx.create hv in
   let sched = Hypervisor.sched hv in
   let metrics = Hypervisor.metrics hv in
@@ -283,9 +283,8 @@ type blk_scenario = {
 }
 
 let make_blk_scenario ?(overheads = Overheads.kite) ?(feature_persistent = true)
-    ?(feature_indirect = true) ?(batching = true) ?(use_persistent = true)
-    ?(use_indirect = true) () =
-  let hv = Hypervisor.create ~seed:13 () in
+    ?(feature_indirect = true) ?(batching = true) ?(use_persistent = true) () =
+  let hv = Hypervisor.create () in
   let ctx = Xen_ctx.create hv in
   let sched = Hypervisor.sched hv in
   let metrics = Hypervisor.metrics hv in
@@ -311,8 +310,7 @@ let make_blk_scenario ?(overheads = Overheads.kite) ?(feature_persistent = true)
   in
   Toolstack.add_vbd ctx ~backend:dd ~frontend:domu ~devid:0 ();
   let blkfront =
-    Blkfront.create ctx ~domain:domu ~backend:dd ~devid:0 ~use_persistent
-      ~use_indirect ()
+    Blkfront.create ctx ~domain:domu ~backend:dd ~devid:0 ~use_persistent ()
   in
   { bhv = hv; blkfront; blk_app; nvme }
 
@@ -501,7 +499,7 @@ let test_blk_two_guests_share_device () =
   (* Two DomUs, each with its own blkfront, against one blkback domain:
      the backend watcher spawns one instance per frontend (§4.1), and
      writes land on disjoint regions of the same NVMe device. *)
-  let hv = Hypervisor.create ~seed:21 () in
+  let hv = Hypervisor.create () in
   let ctx = Xen_ctx.create hv in
   let sched = Hypervisor.sched hv in
   let metrics = Hypervisor.metrics hv in
@@ -576,7 +574,7 @@ let test_netfront_drops_before_connect () =
    after the first is Connected must still be found and served, by both
    backends. *)
 let test_hot_add_second_device () =
-  let hv = Hypervisor.create ~seed:11 () in
+  let hv = Hypervisor.create () in
   let ctx =
     Xen_ctx.create ~metrics:(Kite_metrics.Registry.create ~name:"hot-add" ())
       hv

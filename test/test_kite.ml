@@ -98,6 +98,33 @@ let test_scenario_run_final_sample () =
       Alcotest.(check (option int)) "last sample at the stop" (Some stop) at
   | rs -> Alcotest.failf "expected 1 registry, got %d" (List.length rs)
 
+(* A teardown that raises no longer hides: the machines registered after
+   it are still torn down, then its failure is raised, and the registry
+   is left empty. *)
+let test_teardown_failure_raised () =
+  Scenario.teardown_all ();
+  let ready s =
+    Testbed.run s.Scenario.hv ~what:"netfront handshake" ~within:(Time.sec 2)
+      (Scenario.when_net_ready s)
+  in
+  let s1 = Scenario.network ~flavor:Scenario.Kite () in
+  ready s1;
+  Scenario.register_teardown s1.Scenario.ctx ~dd:s1.Scenario.dd
+    ~stop:(fun () -> failwith "backend stop failed")
+    ~shutdown:ignore;
+  let s2 = Scenario.network ~flavor:Scenario.Kite () in
+  ready s2;
+  let up () = Kite_drivers.Netfront.connected s2.Scenario.netfront in
+  check_bool "second frontend connected" true (up ());
+  (match Scenario.teardown_all () with
+  | () -> Alcotest.fail "a failed teardown must raise"
+  | exception Process.Process_failure (_, Failure m) ->
+      Alcotest.(check string) "first failure raised" "backend stop failed" m);
+  check_bool "second frontend shut down" false (up ());
+  (* Nothing is left to run: a failing closure still registered would
+     raise again. *)
+  Scenario.teardown_all ()
+
 let test_scenario_flavors_differ () =
   (* Same workload, both flavors: Kite must be strictly faster on the
      cold-latency path, and both must complete. *)
@@ -367,6 +394,7 @@ let suite =
     ("blockdev end to end", `Quick, test_scenario_blockdev_end_to_end);
     ("scenario run stops at finish", `Quick, test_scenario_run);
     ("scenario run final sample", `Quick, test_scenario_run_final_sample);
+    ("teardown failure raised", `Quick, test_teardown_failure_raised);
     ("flavors differ on cold latency", `Quick, test_scenario_flavors_differ);
     ("overheads override", `Quick, test_overheads_override);
     ("rx path copy budget", `Quick, test_rx_path_copy_budget);

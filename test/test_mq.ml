@@ -134,7 +134,7 @@ let mk_domains hv =
   (dd, domu)
 
 let test_net_backend_caps_ask () =
-  let hv = Hypervisor.create ~seed:31 () in
+  let hv = Hypervisor.create () in
   let ctx = Kite_drivers.Xen_ctx.create hv in
   let dd, domu = mk_domains hv in
   let nic =
@@ -175,7 +175,7 @@ let test_net_backend_caps_ask () =
     (has (fp ^ "/tx-ring-ref"))
 
 let test_blk_backend_caps_ask () =
-  let hv = Hypervisor.create ~seed:32 () in
+  let hv = Hypervisor.create () in
   let ctx = Kite_drivers.Xen_ctx.create hv in
   let dd, domu = mk_domains hv in
   let nvme =
@@ -215,7 +215,7 @@ let test_blk_legacy_frontend_on_mq_backend () =
   (* A frontend that never asks (and a toolstack that never hints) must
      get the seed's flat single-ring layout even though the backend
      advertises multi-queue support. *)
-  let hv = Hypervisor.create ~seed:33 () in
+  let hv = Hypervisor.create () in
   let ctx = Kite_drivers.Xen_ctx.create hv in
   let dd, domu = mk_domains hv in
   let nvme =
@@ -284,7 +284,7 @@ let stress_blk ~rng ~seed =
       fault = Some (Fault.sink ~seed plan);
     }
   @@ fun () ->
-  let s = Scenario.storage ~flavor:Scenario.Kite ~seed ~num_queues:nq () in
+  let s = Scenario.storage ~flavor:Scenario.Kite ~num_queues:nq () in
   let restored = ref (not crash) and verify_errors = ref 0 in
   Testbed.run s.Scenario.bhv
     ~what:
@@ -399,6 +399,35 @@ let test_scenario_stress () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Labelled-metrics dedup                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The per-queue families carry a queue="<n>" label next to the device
+   label.  A driver that re-registers after a reconnect may spell the
+   label set in another order: it must land in the same instance, and
+   every enumeration must list that instance once. *)
+let test_labelled_metrics_dedup () =
+  let module R = Kite_metrics.Registry in
+  let r = R.create ~name:"mq" () in
+  let fam = "kite_net_ring_pending" in
+  let a = [ ("queue", "0"); ("vif", "vif1.0") ]
+  and b = [ ("vif", "vif1.0"); ("queue", "0") ]
+  and c = [ ("queue", "1"); ("vif", "vif1.0") ] in
+  R.gauge_fn r fam a (fun () -> 1.);
+  R.gauge_fn r fam b (fun () -> 2.);
+  R.gauge_fn r fam c (fun () -> 5.);
+  check_bool "shuffled spelling replaces the closure" true
+    (R.value r fam a = Some 2.);
+  check_bool "a different label set is a different instance" true
+    (R.value r fam c = Some 5.);
+  let of_fam rows = List.filter (fun (n, _, _) -> String.equal n fam) rows in
+  check_int "read lists each instance once" 2 (List.length (of_fam (R.read r)));
+  check_int "families lists the family once" 1
+    (List.length (of_fam (R.families r)));
+  check_int "exposition lists each instance once" 2
+    (List.length (of_fam (R.parse_prometheus (R.to_prometheus [ r ]))))
+
+(* ------------------------------------------------------------------ *)
 (* Throughput: mq against the legacy ring, and scaling                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -418,55 +447,11 @@ let test_mq_scales () =
     Alcotest.failf "4 queues give %.3f Gbps, under 2x the %.3f of 1 queue"
       four one
 
-(* ------------------------------------------------------------------ *)
-(* Labelled-metrics dedup                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_labelled_metrics_dedup () =
-  let a =
-    Metrics.labelled "kite_net_ring_pending"
-      [ ("queue", "0"); ("vif", "vif1.0") ]
-  in
-  let b =
-    Metrics.labelled "kite_net_ring_pending"
-      [ ("vif", "vif1.0"); ("queue", "0") ]
-  in
-  Alcotest.(check string) "label order is canonicalized" a b;
-  Alcotest.(check string) "no labels is the bare name" "x"
-    (Metrics.labelled "x" []);
-  let c =
-    Metrics.labelled "kite_net_ring_pending"
-      [ ("queue", "1"); ("vif", "vif1.0") ]
-  in
-  check_bool "a different label set is a different family" false
-    (String.equal a c);
-  let m = Metrics.create () in
-  (* Two shuffled spellings of the same family land in one cell... *)
-  Metrics.record_sample m a 1.0;
-  Metrics.record_sample m b 2.0;
-  Metrics.add_busy m a 5;
-  Metrics.add_busy m b 7;
-  Metrics.add m a 1;
-  Metrics.add m b 1;
-  check_int "samples merged into one series" 2
-    (List.length (Metrics.samples m a));
-  check_int "busy time merged" 12 (Metrics.busy m a);
-  check_int "counter merged" 2 (Metrics.count m a);
-  (* ...and every enumeration lists the family exactly once. *)
-  let once names name =
-    List.length (List.filter (String.equal name) names)
-  in
-  check_int "series_names lists the family once" 1
-    (once (Metrics.series_names m) a);
-  check_int "busy_names lists the family once" 1
-    (once (Metrics.busy_names m) a);
-  check_int "names lists the family once" 1 (once (Metrics.names m) a)
-
 (* A backend cap of 0 (multi-queue-max-queues = 0) is no multi-queue
    support at all: a frontend that asks for 2 queues must fall back to
    the legacy flat ring on both pairs, and its I/O must complete. *)
 let test_cap_zero_means_legacy () =
-  let hv = Hypervisor.create ~seed:34 () in
+  let hv = Hypervisor.create () in
   let ctx = Kite_drivers.Xen_ctx.create hv in
   let dd, domu = mk_domains hv in
   let nvme =

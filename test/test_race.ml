@@ -323,7 +323,7 @@ let sweep_net ~schedule_seed ~crash report =
 
 let sweep_blk ~schedule_seed ~crash report =
   explored ~schedule_seed report @@ fun () ->
-  let s = Scenario.storage ~flavor:Scenario.Kite ~seed:schedule_seed () in
+  let s = Scenario.storage ~flavor:Scenario.Kite () in
   let restored = ref (not crash) and verify_errors = ref 0 in
   Testbed.run s.Scenario.bhv
     ~what:(Printf.sprintf "schedule seed %d: blk workload" schedule_seed)
@@ -385,7 +385,7 @@ let test_lint_teardown_missing () =
   in
   let testbed =
     "let testbed () =\n\
-    \  let hv = Hypervisor.create ~seed:1 () in\n\
+    \  let hv = Hypervisor.create () in\n\
     \  Scenario.arm hv \"t-\"\n"
   in
   check_int "arming without a teardown is flagged" 1 (snd (lint testbed));
@@ -413,7 +413,7 @@ let test_lint_testbed_unarmed () =
   in
   let testbed ctx =
     "let testbed () =\n\
-    \  let hv = Hypervisor.create ~seed:1 () in\n\
+    \  let hv = Hypervisor.create () in\n\
     \  let ctx = " ^ ctx ^ " in\n\
     \  Scenario.register_teardown ctx ~dd:(Hypervisor.dom0 hv)\n\
     \    ~stop:ignore ~shutdown:ignore;\n\

@@ -422,56 +422,47 @@ let test_mailbox_timeout () =
   in
   check_bool "timed out empty" true (!out = None)
 
+(* Reads: an unknown name reads 0, and each name list is sorted and
+   names a cell once, however many handles share it. *)
 let test_metrics () =
   let m = Metrics.create () in
-  Metrics.incr m "hypercalls";
-  Metrics.add m "hypercalls" 4;
-  check_int "count" 5 (Metrics.count m "hypercalls");
-  check_int "missing" 0 (Metrics.count m "nope");
-  Metrics.add_busy m "vcpu0" (Time.ms 30);
-  Alcotest.(check (float 1e-9))
-    "util" 0.3
-    (Metrics.utilization m "vcpu0" ~total:(Time.ms 100));
-  Metrics.record_sample m "lat" 1.5;
-  Metrics.record_sample m "lat" 2.5;
-  Alcotest.(check (list (float 1e-9))) "samples" [ 1.5; 2.5 ]
-    (Metrics.samples m "lat");
-  let s = Metrics.summary m "lat" in
-  check_int "summary n" 2 s.Kite_stats.Summary.n;
-  Alcotest.(check (float 1e-9)) "summary mean" 2.0 s.Kite_stats.Summary.mean;
-  (match Metrics.summary m "nope" with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "summary of an empty series should raise");
-  (* The total variant: None instead of raising for empty series. *)
-  check_bool "summary_opt empty" true (Metrics.summary_opt m "nope" = None);
-  (match Metrics.summary_opt m "lat" with
-  | Some s -> check_int "summary_opt n" 2 s.Kite_stats.Summary.n
-  | None -> Alcotest.fail "summary_opt of a recorded series");
-  (* Key enumeration is per store and sorted. *)
-  Alcotest.(check (list string)) "counter names" [ "hypercalls" ]
+  check_int "unknown count" 0 (Metrics.count m "nope");
+  check_int "unknown busy" 0 (Metrics.busy m "nope");
+  List.iter
+    (fun name -> Metrics.bump (Metrics.counter m name) 1)
+    [ "nic.tx"; "hypercall.evtchn_send"; "nic.tx" ];
+  List.iter
+    (fun name -> Metrics.bump (Metrics.busy_counter m name) (Time.ms 5))
+    [ "vcpu.b"; "vcpu.a"; "vcpu.b" ];
+  Alcotest.(check (list string)) "counter names sorted, once"
+    [ "hypercall.evtchn_send"; "nic.tx" ]
     (Metrics.names m);
-  Alcotest.(check (list string)) "busy names" [ "vcpu0" ] (Metrics.busy_names m);
-  Alcotest.(check (list string)) "series names" [ "lat" ]
-    (Metrics.series_names m);
-  Metrics.reset m;
-  check_int "reset" 0 (Metrics.count m "hypercalls")
+  Alcotest.(check (list string)) "busy names sorted, once"
+    [ "vcpu.a"; "vcpu.b" ] (Metrics.busy_names m);
+  check_int "count" 2 (Metrics.count m "nic.tx");
+  check_int "busy" (Time.ms 10) (Metrics.busy m "vcpu.b")
 
-(* A handle updates the same cell as the named calls, enters the table
-   only once used, and survives [reset]. *)
+(* A handle enters the table on its first bump, and handles of one name
+   share its cell; counters and busy times are separate namespaces. *)
 let test_metrics_handles () =
   let m = Metrics.create () in
-  let c = Metrics.counter m "nic.tx" and b = Metrics.busy_counter m "vcpu.d" in
+  let c = Metrics.counter m "nic.tx" and c' = Metrics.counter m "nic.tx" in
+  let b = Metrics.busy_counter m "vcpu.d" in
   Alcotest.(check (list string)) "untouched handle not listed" []
     (Metrics.names m);
+  Alcotest.(check (list string)) "untouched busy handle not listed" []
+    (Metrics.busy_names m);
   Metrics.bump c 2;
-  Metrics.incr m "nic.tx";
+  Alcotest.(check (list string)) "listed on first bump" [ "nic.tx" ]
+    (Metrics.names m);
+  Metrics.bump c' 1;
+  Metrics.bump c 4;
   Metrics.bump b 7;
-  check_int "shared cell" 3 (Metrics.count m "nic.tx");
+  check_int "shared cell" 7 (Metrics.count m "nic.tx");
   check_int "busy cell" 7 (Metrics.busy m "vcpu.d");
-  Metrics.reset m;
-  Metrics.bump c 1;
-  check_int "after reset" 1 (Metrics.count m "nic.tx");
-  Alcotest.(check (list string)) "busy cleared" [] (Metrics.busy_names m)
+  check_int "busy namespace apart" 0 (Metrics.busy m "nic.tx");
+  Alcotest.(check (list string)) "busy names" [ "vcpu.d" ]
+    (Metrics.busy_names m)
 
 let test_time_pp () =
   Alcotest.(check string) "ns" "17ns" (Time.to_string (Time.ns 17));

@@ -266,7 +266,7 @@ let prop_ring_fifo =
 (* ------------------------------------------------------------------ *)
 
 let test_evtchn_delivery () =
-  let hv = Hypervisor.create ~seed:42 () in
+  let hv = Hypervisor.create () in
   let delivered_at = ref (-1) in
   let ec = Event_channel.create hv in
   let back =
@@ -291,7 +291,7 @@ let test_evtchn_delivery () =
     (!delivered_at >= Costs.default.Costs.interrupt_latency)
 
 let test_evtchn_coalescing_check () =
-  let hv = Hypervisor.create ~seed:1 () in
+  let hv = Hypervisor.create () in
   let ec = Event_channel.create hv in
   let a =
     Hypervisor.create_domain hv ~name:"a" ~kind:Domain.Driver_domain ~vcpus:1
