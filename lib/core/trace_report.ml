@@ -23,7 +23,7 @@ let summary_table ts =
           Trace.name tr;
           fint (Trace.events tr);
           fint (Trace.dropped tr);
-          fint (List.length (Trace.spans tr));
+          fint (Trace.span_count tr);
           fint (Trace.open_spans tr);
         ])
     ts;

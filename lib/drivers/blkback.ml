@@ -324,9 +324,9 @@ let prepare_run i r reqs =
                 ~stage:"map"
                 ~args:
                   [
-                    ("segs", string_of_int (List.length segs));
-                    ("persistent_hits", string_of_int persistent_hits);
-                    ("indirect", if indirect then "1" else "0");
+                    Int ("segs", List.length segs);
+                    Int ("persistent_hits", persistent_hits);
+                    Int ("indirect", Bool.to_int indirect);
                   ];
               Split.kernel_grant_ops i.dev
                 i.dev.ov.Overheads.blk_kernel_grant_ops
@@ -395,7 +395,7 @@ let run_batch i r op sector works =
         (fun w ->
           Kite_trace.Trace.span_hop tr ~at ~kind:"blk" ~key:i.dev.name
             ~id:w.req.Blkif.req_id ~stage:"device"
-            ~args:[ ("merged", string_of_int (List.length works)) ])
+            ~args:[ Int ("merged", List.length works) ])
         works
   | None -> ());
   (* One submission/completion overhead per (possibly merged) physical
@@ -509,7 +509,7 @@ let request_thread i r () =
               ~at:(Hypervisor.now (hv i))
               ~kind:"blk" ~key:i.dev.name ~id:req.Blkif.req_id
               ~stage:"backend"
-              ~args:[ ("q", string_of_int r.rid) ]
+              ~args:[ Int ("q", r.rid) ]
         | None -> ());
         drain (req :: acc)
     | None -> List.rev acc
@@ -553,9 +553,9 @@ let request_thread i r () =
               ~domain:i.dev.domain.Domain.name ~name:"blkback.batch"
               ~args:
                 [
-                  ("vbd", i.dev.name);
-                  ("n", string_of_int (List.length works));
-                  ("queue", string_of_int r.rid);
+                  Str ("vbd", i.dev.name);
+                  Int ("n", List.length works);
+                  Int ("queue", r.rid);
                 ]
         | None -> ());
         List.iter

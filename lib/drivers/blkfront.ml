@@ -272,7 +272,7 @@ let push_entry t p =
       Kite_trace.Trace.span_hop tr
         ~at:(Hypervisor.now t.ctx.Xen_ctx.hv)
         ~kind:"blk" ~key:t.name ~id:p.p_id ~stage:"ring"
-        ~args:[ ("sectors", string_of_int count) ]
+        ~args:[ Int ("sectors", count) ]
   | None -> ());
   if Kite_race.Race.active () then
     Kite_race.Race.scoped_write

@@ -237,7 +237,7 @@ let pusher i q () =
             Kite_trace.Trace.driver tr
               ~at:(Hypervisor.now (hv i))
               ~domain:i.dev.domain.Domain.name ~name:"netback.tx-batch"
-              ~args:[ ("vif", i.dev.name); ("n", string_of_int n) ]
+              ~args:[ Str ("vif", i.dev.name); Int ("n", n) ]
         | None -> ());
         (match i.m_txbatch with
         | Some h -> Kite_metrics.Registry.observe h (float_of_int n)
@@ -370,7 +370,7 @@ let soft_start i q () =
             Kite_trace.Trace.driver tr
               ~at:(Hypervisor.now (hv i))
               ~domain:i.dev.domain.Domain.name ~name:"netback.rx-batch"
-              ~args:[ ("vif", i.dev.name); ("n", string_of_int n) ]
+              ~args:[ Str ("vif", i.dev.name); Int ("n", n) ]
         | None -> ());
         if Ring.push_responses_and_check_notify q.rx_ring then
           notify_frontend i q;

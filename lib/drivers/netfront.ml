@@ -233,7 +233,7 @@ let transmit t frame =
           Kite_trace.Trace.span_hop tr
             ~at:(Hypervisor.now t.ctx.Xen_ctx.hv)
             ~kind:"net.tx" ~key:t.name ~id ~stage:"ring"
-            ~args:[ ("len", string_of_int len); ("q", string_of_int q.qid) ]
+            ~args:[ Int ("len", len); Int ("q", q.qid) ]
       | None -> ());
       if Ring.push_requests_and_check_notify q.tx_ring then notify_backend t q
     end

@@ -51,8 +51,7 @@ let charge_wake d =
   | Some tr ->
       Kite_trace.Trace.driver tr ~at:now ~domain:d.domain.Domain.name
         ~name:d.wake
-        ~args:
-          [ (d.ty, d.name); ("tier", tier); ("idle_ns", string_of_int idle) ]
+        ~args:[ Str (d.ty, d.name); Str ("tier", tier); Int ("idle_ns", idle) ]
   | None -> ());
   Hypervisor.cpu_work (hv d) d.domain cost
 
@@ -65,11 +64,16 @@ let kernel_grant_ops d n =
   match d.ctx.Xen_ctx.trace with
   | None -> ()
   | Some tr ->
-      let at = Hypervisor.now (hv d) in
-      for _ = 1 to n do
-        Kite_trace.Trace.charge tr ~at ~domain:d.domain.Domain.name
-          ~op:"hypercall.grant_op.kernel" ~cost:0
-      done
+      if n > 0 then begin
+        let at = Hypervisor.now (hv d) in
+        let op =
+          Kite_trace.Trace.op tr ~domain:d.domain.Domain.name
+            ~op:"hypercall.grant_op.kernel"
+        in
+        for _ = 1 to n do
+          Kite_trace.Trace.charge tr ~at op ~cost:0
+        done
+      end
 
 (* One per-queue worker thread: ["<drv>-<role>-F.D"], plus [.qN] in the
    multi-queue layout. *)

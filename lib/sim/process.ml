@@ -30,106 +30,124 @@ let sleep span = Effect.perform (Sleep span)
 let yield () = Effect.perform Yield
 let suspend ?label register = Effect.perform (Suspend (label, register))
 
+(* One process's identity and its registration with each sink.  Sink
+   references are re-read from the scheduler at every engine-queue
+   (re-)entry, and each registration is made lazily against the instance
+   seen at that moment: attaching a checker, tracer or race detector
+   mid-run therefore instruments already-running processes from their
+   next step onward.  Events from before the attach are simply absent, as
+   for any late observer. *)
+type proc = {
+  sched : sched;
+  name : string;
+  daemon : bool;
+  mutable creg : (Kite_check.Check.t * int) option;
+  mutable rreg : (Kite_race.Race.t * int) option;
+  mutable treg : (Kite_trace.Trace.t * Kite_trace.Trace.proc) option;
+}
+
+(* [@lint.guarded]: only reached through a Some-match on the sink. *)
+let[@lint.guarded] check_pid p c =
+  match p.creg with
+  | Some (c', pid) when c' == c -> pid
+  | _ ->
+      let pid = Kite_check.Check.proc_spawned c ~name:p.name ~daemon:p.daemon in
+      p.creg <- Some (c, pid);
+      pid
+
+let[@lint.guarded] race_pid p r =
+  match p.rreg with
+  | Some (r', pid) when r' == r -> pid
+  | _ ->
+      let pid = Kite_race.Race.proc_register r ~name:p.name in
+      p.rreg <- Some (r, pid);
+      pid
+
+let trace_proc p tr =
+  match p.treg with
+  | Some (tr', h) when tr' == tr -> h
+  | _ ->
+      let h = Kite_trace.Trace.proc ~name:p.name in
+      p.treg <- Some (tr, h);
+      h
+
+let blocked p kind =
+  let t = p.sched in
+  (match t.check with
+  | Some c ->
+      let ckind =
+        match kind with `Sleep _ -> `Sleep | (`Yield | `Suspend _) as k -> k
+      in
+      Kite_check.Check.proc_blocked c (check_pid p c) ~kind:ckind
+  | None -> ());
+  (match t.race with
+  | Some r -> Kite_race.Race.proc_blocked r (race_pid p r)
+  | None -> ());
+  match t.trace with
+  | Some tr ->
+      Kite_trace.Trace.proc_blocked tr ~at:(Engine.now t.engine)
+        (trace_proc p tr) ~kind
+  | None -> ()
+
+let leave check trace race path =
+  (match path with Some pa -> Kite_path.Path.proc_leave pa | None -> ());
+  (match race with Some r -> Kite_race.Race.proc_leave r | None -> ());
+  (match trace with Some tr -> Kite_trace.Trace.proc_leave tr | None -> ());
+  match check with Some c -> Kite_check.Check.proc_leave c | None -> ()
+
+(* Wrap every engine-queue (re-)entry of the process so the observers
+   know which process events are attributed to. *)
+let step p f () =
+  let t = p.sched in
+  match (t.check, t.trace, t.race, t.path) with
+  | None, None, None, None -> f ()
+  | check, trace, race, path -> (
+      (match check with
+      | Some c -> Kite_check.Check.proc_enter c (check_pid p c)
+      | None -> ());
+      (match trace with
+      | Some tr -> Kite_trace.Trace.proc_enter tr (trace_proc p tr)
+      | None -> ());
+      (match race with
+      | Some r -> Kite_race.Race.proc_enter r (race_pid p r)
+      | None -> ());
+      (match path with
+      | Some pa -> Kite_path.Path.proc_enter pa ~name:p.name
+      | None -> ());
+      match f () with
+      | () -> leave check trace race path
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          leave check trace race path;
+          Printexc.raise_with_backtrace e bt)
+
+let exited p =
+  let t = p.sched in
+  (match t.check with
+  | Some c -> Kite_check.Check.proc_exited c (check_pid p c)
+  | None -> ());
+  (match t.race with
+  | Some r -> Kite_race.Race.proc_exited r (race_pid p r)
+  | None -> ());
+  match t.trace with
+  | Some tr ->
+      Kite_trace.Trace.proc_exited tr ~at:(Engine.now t.engine)
+        (trace_proc p tr)
+  | None -> ()
+
 let spawn t ?(daemon = false) ~name body =
   t.live <- t.live + 1;
-  (* Sink references are re-read from the scheduler at every engine-queue
-     (re-)entry, and per-sink registration happens lazily against the
-     instance seen at that moment: attaching a checker, tracer or race
-     detector mid-run therefore instruments already-running processes
-     from their next step onward (closing the old capture-at-spawn-time
-     gap, where mid-run attachment silently skipped them).  Events from
-     before the attach are simply absent, as for any late observer. *)
-  let creg = ref None in
-  let rreg = ref None in
-  (* [@lint.guarded]: only reached through a Some-match on the sink. *)
-  let[@lint.guarded] check_pid c =
-    match !creg with
-    | Some (c', pid) when c' == c -> pid
-    | _ ->
-        let pid = Kite_check.Check.proc_spawned c ~name ~daemon in
-        creg := Some (c, pid);
-        pid
-  in
-  let[@lint.guarded] race_pid r =
-    match !rreg with
-    | Some (r', pid) when r' == r -> pid
-    | _ ->
-        let pid = Kite_race.Race.proc_register r ~name in
-        rreg := Some (r, pid);
-        pid
-  in
+  let p = { sched = t; name; daemon; creg = None; rreg = None; treg = None } in
   (* Register eagerly when sinks are already attached, so spawn order and
      the race detector's spawn edge are recorded at the true spawn
      instant (the spawner is still the current process here). *)
-  (match t.check with Some c -> ignore (check_pid c) | None -> ());
-  (match t.race with Some r -> ignore (race_pid r) | None -> ());
+  (match t.check with Some c -> ignore (check_pid p c) | None -> ());
+  (match t.race with Some r -> ignore (race_pid p r) | None -> ());
   (match t.trace with
   | Some tr ->
-      Kite_trace.Trace.proc_spawned tr ~at:(Engine.now t.engine) ~name ~daemon
+      Kite_trace.Trace.proc_spawned tr ~at:(Engine.now t.engine)
+        (trace_proc p tr) ~daemon
   | None -> ());
-  let blocked kind =
-    (match t.check with
-    | Some c ->
-        let ckind =
-          match kind with
-          | `Sleep _ -> `Sleep
-          | (`Yield | `Suspend _) as k -> k
-        in
-        Kite_check.Check.proc_blocked c (check_pid c) ~kind:ckind
-    | None -> ());
-    (match t.race with
-    | Some r -> Kite_race.Race.proc_blocked r (race_pid r)
-    | None -> ());
-    match t.trace with
-    | Some tr ->
-        Kite_trace.Trace.proc_blocked tr ~at:(Engine.now t.engine) ~name ~kind
-    | None -> ()
-  in
-  (* Wrap every engine-queue (re-)entry of the process so the observers
-     know which process events are attributed to. *)
-  let step f () =
-    match (t.check, t.trace, t.race, t.path) with
-    | None, None, None, None -> f ()
-    | check, trace, race, path ->
-        (match check with
-        | Some c -> Kite_check.Check.proc_enter c (check_pid c)
-        | None -> ());
-        (match trace with
-        | Some tr -> Kite_trace.Trace.proc_enter tr ~name
-        | None -> ());
-        (match race with
-        | Some r -> Kite_race.Race.proc_enter r (race_pid r)
-        | None -> ());
-        (match path with
-        | Some p -> Kite_path.Path.proc_enter p ~name
-        | None -> ());
-        Fun.protect
-          ~finally:(fun () ->
-            (match path with
-            | Some p -> Kite_path.Path.proc_leave p
-            | None -> ());
-            (match race with
-            | Some r -> Kite_race.Race.proc_leave r
-            | None -> ());
-            (match trace with
-            | Some tr -> Kite_trace.Trace.proc_leave tr
-            | None -> ());
-            match check with
-            | Some c -> Kite_check.Check.proc_leave c
-            | None -> ())
-          f
-  in
-  let exited () =
-    (match t.check with
-    | Some c -> Kite_check.Check.proc_exited c (check_pid c)
-    | None -> ());
-    (match t.race with
-    | Some r -> Kite_race.Race.proc_exited r (race_pid r)
-    | None -> ());
-    match t.trace with
-    | Some tr -> Kite_trace.Trace.proc_exited tr ~at:(Engine.now t.engine) ~name
-    | None -> ()
-  in
   let run () =
     let open Effect.Deep in
     match_with body ()
@@ -137,11 +155,11 @@ let spawn t ?(daemon = false) ~name body =
         retc =
           (fun () ->
             t.live <- t.live - 1;
-            exited ());
+            exited p);
         exnc =
           (fun e ->
             t.live <- t.live - 1;
-            exited ();
+            exited p;
             raise (Process_failure (name, e)));
         effc =
           (fun (type a) (eff : a Effect.t) ->
@@ -149,21 +167,21 @@ let spawn t ?(daemon = false) ~name body =
             | Sleep span ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    blocked (`Sleep span);
+                    blocked p (`Sleep span);
                     ignore
                       (Engine.schedule_after t.engine span
-                         (step (fun () -> continue k ()))))
+                         (step p (fun () -> continue k ()))))
             | Yield ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    blocked `Yield;
+                    blocked p `Yield;
                     ignore
                       (Engine.schedule_after t.engine 0
-                         (step (fun () -> continue k ()))))
+                         (step p (fun () -> continue k ()))))
             | Suspend (label, register) ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    blocked (`Suspend label);
+                    blocked p (`Suspend label);
                     (* [resume] re-enters through the event queue so that a
                        waker always finishes its step before the woken
                        process runs. *)
@@ -174,10 +192,10 @@ let spawn t ?(daemon = false) ~name body =
                       resumed := true;
                       ignore
                         (Engine.schedule_after t.engine 0
-                           (step (fun () -> continue k ())))
+                           (step p (fun () -> continue k ())))
                     in
                     register t.engine resume)
             | _ -> None);
       }
   in
-  ignore (Engine.schedule_after t.engine 0 (step run))
+  ignore (Engine.schedule_after t.engine 0 (step p run))

@@ -1,34 +1,125 @@
-(* Event storage: a flat growable array of small records.  The tracer is
-   per simulated machine, so timestamps (simulated ns supplied by the
-   instrumented layers) are monotone per process and comparable across
-   the whole buffer. *)
+(* Event storage: fixed-size chunks of int columns.  An event is one row
+   across a chunk's columns: its time, duration (0 for instants), track,
+   label, and up to [max_args] int arguments.  What repeats is interned
+   once per tracer: a label is (phase, name, category, argument keys), a
+   track is a thread id (tids are numbered per tracer, so a tid also
+   names its domain's pid), and a string-valued argument is an id into
+   the tracer's string table.  Nothing is rendered until
+   [to_chrome_json].  The tracer is per simulated machine, so timestamps
+   (simulated ns supplied by the instrumented layers) are monotone per
+   process and comparable across the whole store. *)
 
 module Export = Kite_stats.Export
 
+(* A growable array: the tracer's interning tables are append-only. *)
+module Vec = struct
+  type 'a t = { mutable a : 'a array; mutable n : int; dummy : 'a }
+
+  let create dummy = { a = [||]; n = 0; dummy }
+
+  let push v x =
+    if v.n = Array.length v.a then begin
+      let b = Array.make (max 8 (2 * v.n)) v.dummy in
+      Array.blit v.a 0 b 0 v.n;
+      v.a <- b
+    end;
+    v.a.(v.n) <- x;
+    v.n <- v.n + 1
+end
+
 type phase = Instant | Complete
 
-type event = {
-  ev_at : int;  (* ns *)
-  ev_dur : int;  (* ns; 0 for instants *)
-  ev_pid : int;
-  ev_tid : int;
-  ev_ph : phase;
-  ev_name : string;
-  ev_cat : string;
-  ev_args : (string * string) list;
+type arg = Int of string * int | Str of string * string
+
+type label = {
+  ph : phase;
+  lname : string;
+  cat : string;
+  keys : string array;
+  strs : bool array;  (* key i's value is a string-table id *)
 }
 
-let dummy_event =
-  {
-    ev_at = 0;
-    ev_dur = 0;
-    ev_pid = 0;
-    ev_tid = 0;
-    ev_ph = Instant;
-    ev_name = "";
-    ev_cat = "";
-    ev_args = [];
-  }
+let max_args = 4
+
+(* The hooks' fixed labels, the same ids in every tracer. *)
+let builtin =
+  let l ?(ph = Instant) ?(args = []) cat lname =
+    {
+      ph;
+      lname;
+      cat;
+      keys = Array.of_list (List.map fst args);
+      strs = Array.of_list (List.map snd args);
+    }
+  in
+  [|
+    l "sched" "spawn";
+    l "sched" "spawn" ~args:[ ("daemon", false) ];
+    l "sched" "sleep" ~args:[ ("ns", false) ];
+    l "sched" "yield";
+    l "sched" "wait";
+    l "sched" "wait" ~args:[ ("on", true) ];
+    l "sched" "exit";
+    l ~ph:Complete "cpu" "cpu_work";
+    l "evtchn" "evtchn.send" ~args:[ ("port", false) ];
+    l "evtchn" "evtchn.deliver" ~args:[ ("port", false) ];
+    l "ring" "publish.req" ~args:[ ("batch", false); ("notify", false) ];
+    l "ring" "publish.rsp" ~args:[ ("batch", false); ("notify", false) ];
+    l "ring" "consume.req" ~args:[ ("batch", false) ];
+    l "ring" "consume.rsp" ~args:[ ("batch", false) ];
+  |]
+
+let l_spawn = 0
+let l_spawn_daemon = 1
+let l_sleep = 2
+let l_yield = 3
+let l_wait = 4
+let l_wait_on = 5
+let l_exit = 6
+let l_cpu_work = 7
+let l_evtchn_send = 8
+let l_evtchn_deliver = 9
+let l_publish_req = 10
+let l_publish_rsp = 11
+let l_consume_req = 12
+let l_consume_rsp = 13
+
+let chunk_size = 1024
+
+type chunk = {
+  c_at : int array;
+  c_dur : int array;
+  c_track : int array;
+  c_label : int array;
+  c_args : int array;  (* [max_args] per event *)
+}
+
+let no_chunk =
+  { c_at = [||]; c_dur = [||]; c_track = [||]; c_label = [||]; c_args = [||] }
+
+(* A process as this tracer sees it: its ["Domain/thread"] name split
+   once, its own track, the tid of its thread in each domain it has
+   emitted in, and the last label it waited on. *)
+type proc = {
+  p_domain : string;
+  p_thread : string;
+  mutable p_own : int;  (* its thread in [p_domain]; 0 until the first event *)
+  mutable p_tids : int array;  (* by pid; 0 until interned *)
+  mutable p_on : string;
+  mutable p_on_id : int;  (* -1 until the first labelled wait *)
+}
+
+(* A charged operation on one domain: its label, and its exact
+   hypercall aggregation. *)
+type op = {
+  o_domain : string;
+  o_op : string;
+  o_label : int;
+  o_hypercall : bool;
+  mutable o_pid : int;  (* 0 until the first charge *)
+  mutable o_count : int;
+  mutable o_total : int;
+}
 
 type span = {
   span_kind : string;
@@ -45,26 +136,33 @@ type open_span = {
   os_kind : string;
   os_key : string;
   os_begin : int;
-  mutable os_marks : (string * int * (string * string) list) list;
+  mutable os_marks : (string * int * arg list) list;
 }
 
 type t = {
   tname : string;
   limit : int;
-  mutable buf : event array;
   mutable n : int;
   mutable dropped : int;
-  (* Track interning: pid per domain name, tid per (pid, thread name). *)
+  chunks : chunk Vec.t;
+  mutable last : chunk;  (* the newest chunk *)
+  labels : label Vec.t;
+  strs : (string, int) Hashtbl.t;
+  str_of : string Vec.t;
+  (* Tracks: pid per domain name, tid per (pid, thread name), both from
+     1 in first-seen order.  [pid_names] holds, per pid, the string last
+     looked up for that name, so a caller passing the same string finds
+     its pid by identity, without hashing it. *)
   pids : (string, int) Hashtbl.t;
-  mutable pid_names : (int * string) list;  (* reversed *)
-  tids : (string, int) Hashtbl.t;  (* key "<pid>|<thread>" *)
-  mutable tid_names : ((int * int) * string) list;  (* reversed *)
-  mutable next_pid : int;
-  mutable next_tid : int;
-  (* Attribution stack maintained by proc_enter/proc_leave. *)
-  mutable cur : (string * string) list;  (* (domain, thread) *)
-  (* Exact per-domain hypercall aggregation, immune to buffer overflow. *)
-  hyp : (string * string, int ref * int ref) Hashtbl.t;
+  pid_names : string Vec.t;  (* pid - 1 *)
+  tids : (int * string, int) Hashtbl.t;
+  tid_pid : int Vec.t;  (* tid - 1 *)
+  tid_names : string Vec.t;  (* tid - 1 *)
+  (* Attribution stack maintained by proc_enter/proc_leave; [irq] is the
+     thread outside any process. *)
+  stack : proc Vec.t;
+  irq : proc;
+  ops : (string * string, op) Hashtbl.t;
   (* Spans. *)
   open_tbl : (string, open_span) Hashtbl.t;
   mutable done_spans : span list;  (* reversed *)
@@ -79,21 +177,43 @@ type t = {
   mutable orphan_ends : int;
 }
 
+(* "Domain/thread" process names (the [Hypervisor.spawn] convention) are
+   split into their track components; bare names land on a "sim" track. *)
+let split_name name =
+  match String.index_opt name '/' with
+  | Some i ->
+      (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
+  | None -> ("sim", name)
+
+let proc_of_parts p_domain p_thread =
+  { p_domain; p_thread; p_own = 0; p_tids = [||]; p_on = ""; p_on_id = -1 }
+
+let proc ~name =
+  let domain, thread = split_name name in
+  proc_of_parts domain thread
+
 let create ?(limit = 1_000_000) ?(name = "trace") () =
+  let irq = proc_of_parts "sim" "(interrupt)" in
+  let labels = Vec.create builtin.(0) in
+  Array.iter (Vec.push labels) builtin;
   {
     tname = name;
     limit;
-    buf = Array.make 1024 dummy_event;
     n = 0;
     dropped = 0;
+    chunks = Vec.create no_chunk;
+    last = no_chunk;
+    labels;
+    strs = Hashtbl.create 16;
+    str_of = Vec.create "";
     pids = Hashtbl.create 16;
-    pid_names = [];
+    pid_names = Vec.create "";
     tids = Hashtbl.create 64;
-    tid_names = [];
-    next_pid = 1;
-    next_tid = 1;
-    cur = [];
-    hyp = Hashtbl.create 64;
+    tid_pid = Vec.create 0;
+    tid_names = Vec.create "";
+    stack = Vec.create irq;
+    irq;
+    ops = Hashtbl.create 16;
     open_tbl = Hashtbl.create 256;
     done_spans = [];
     done_count = 0;
@@ -129,98 +249,192 @@ let default () = !default_ref
 (* Interning and emission                                              *)
 (* ------------------------------------------------------------------ *)
 
-let pid_of t domain =
-  match Hashtbl.find_opt t.pids domain with
-  | Some p -> p
-  | None ->
-      let p = t.next_pid in
-      t.next_pid <- p + 1;
-      Hashtbl.add t.pids domain p;
-      t.pid_names <- (p, domain) :: t.pid_names;
-      p
+let rec pid_scan v domain i =
+  if i = v.Vec.n then 0
+  else if v.Vec.a.(i) == domain then i + 1
+  else pid_scan v domain (i + 1)
 
-let tid_of t pid thread =
-  let key = string_of_int pid ^ "|" ^ thread in
+(* A domain's pid: by the identity of the string last looked up for it,
+   else by hashing the name, which also makes [domain] the string the
+   next identity scan finds. *)
+let pid_of t domain =
+  match pid_scan t.pid_names domain 0 with
+  | 0 -> (
+      let v = t.pid_names in
+      match Hashtbl.find_opt t.pids domain with
+      | Some p ->
+          v.Vec.a.(p - 1) <- domain;
+          p
+      | None ->
+          Vec.push v domain;
+          Hashtbl.add t.pids domain v.Vec.n;
+          v.Vec.n)
+  | p -> p
+
+let intern_tid t pid thread =
+  let key = (pid, thread) in
   match Hashtbl.find_opt t.tids key with
   | Some i -> i
   | None ->
-      let i = t.next_tid in
-      t.next_tid <- i + 1;
+      Vec.push t.tid_pid pid;
+      Vec.push t.tid_names thread;
+      let i = t.tid_pid.Vec.n in
       Hashtbl.add t.tids key i;
-      t.tid_names <- ((pid, i), thread) :: t.tid_names;
       i
 
-(* "Domain/thread" process names (the [Hypervisor.spawn] convention) are
-   split into their track components; bare names land on a "sim" track. *)
-let split_name name =
-  match String.index_opt name '/' with
-  | Some i ->
-      (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
-  | None -> ("sim", name)
-
-let current t =
-  match t.cur with (d, th) :: _ -> (d, th) | [] -> ("sim", "(interrupt)")
-
-let emit t ~at ~dur ~pid ~tid ~ph ~name ~cat ~args =
-  if t.n >= t.limit then t.dropped <- t.dropped + 1
+(* The tid of [p]'s thread inside domain [pid]. *)
+let tid_in t p pid =
+  let a = p.p_tids in
+  if pid < Array.length a && a.(pid) <> 0 then a.(pid)
   else begin
-    if t.n = Array.length t.buf then begin
-      let bigger = Array.make (2 * t.n) dummy_event in
-      Array.blit t.buf 0 bigger 0 t.n;
-      t.buf <- bigger
+    let tid = intern_tid t pid p.p_thread in
+    if pid >= Array.length a then begin
+      let b = Array.make (pid + 4) 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      p.p_tids <- b
     end;
-    t.buf.(t.n) <-
-      {
-        ev_at = at;
-        ev_dur = dur;
-        ev_pid = pid;
-        ev_tid = tid;
-        ev_ph = ph;
-        ev_name = name;
-        ev_cat = cat;
-        ev_args = args;
-      };
-    t.n <- t.n + 1
+    p.p_tids.(pid) <- tid;
+    tid
   end
 
-(* Emit on the track of the currently-running process, inside [domain]. *)
-let emit_cur t ~at ~dur ~domain ~ph ~name ~cat ~args =
-  let _, thread = current t in
+let str_id t s =
+  match Hashtbl.find_opt t.strs s with
+  | Some i -> i
+  | None ->
+      let i = t.str_of.Vec.n in
+      Vec.push t.str_of s;
+      Hashtbl.add t.strs s i;
+      i
+
+(* Labels outside the builtin set (charged operations, driver events,
+   span stages) are few per tracer and are found by a scan. *)
+let rec keys_match l i = function
+  | [] -> i = Array.length l.keys
+  | a :: rest ->
+      i < Array.length l.keys
+      && (match a with
+         | Int (k, _) -> (not l.strs.(i)) && String.equal k l.keys.(i)
+         | Str (k, _) -> l.strs.(i) && String.equal k l.keys.(i))
+      && keys_match l (i + 1) rest
+
+let label_id t ph name cat args =
+  let v = t.labels in
+  let rec scan i =
+    if i = v.Vec.n then begin
+      if List.length args > max_args then
+        invalid_arg
+          (Printf.sprintf "Trace: %s has more than %d args" name max_args);
+      Vec.push v
+        {
+          ph;
+          lname = name;
+          cat;
+          keys =
+            Array.of_list
+              (List.map (function Int (k, _) | Str (k, _) -> k) args);
+          strs =
+            Array.of_list
+              (List.map (function Int _ -> false | Str _ -> true) args);
+        };
+      i
+    end
+    else
+      let l = v.Vec.a.(i) in
+      if
+        l.ph = ph && String.equal l.cat cat && String.equal l.lname name
+        && keys_match l 0 args
+      then i
+      else scan (i + 1)
+  in
+  scan 0
+
+let fresh_chunk t =
+  let c =
+    {
+      c_at = Array.make chunk_size 0;
+      c_dur = Array.make chunk_size 0;
+      c_track = Array.make chunk_size 0;
+      c_label = Array.make chunk_size 0;
+      c_args = Array.make (chunk_size * max_args) 0;
+    }
+  in
+  Vec.push t.chunks c;
+  t.last <- c;
+  c
+
+let emit t at dur track label a0 a1 a2 a3 =
+  let n = t.n in
+  if n >= t.limit then t.dropped <- t.dropped + 1
+  else begin
+    let i = n land (chunk_size - 1) in
+    let c = if i = 0 then fresh_chunk t else t.last in
+    c.c_at.(i) <- at;
+    c.c_dur.(i) <- dur;
+    c.c_track.(i) <- track;
+    c.c_label.(i) <- label;
+    let j = i * max_args in
+    c.c_args.(j) <- a0;
+    c.c_args.(j + 1) <- a1;
+    c.c_args.(j + 2) <- a2;
+    c.c_args.(j + 3) <- a3;
+    t.n <- n + 1
+  end
+
+let arg_value t = function Int (_, v) -> v | Str (_, s) -> str_id t s
+
+let emit_args t at dur track label args =
+  match args with
+  | [] -> emit t at dur track label 0 0 0 0
+  | [ a ] -> emit t at dur track label (arg_value t a) 0 0 0
+  | [ a; b ] -> emit t at dur track label (arg_value t a) (arg_value t b) 0 0
+  | [ a; b; c ] ->
+      emit t at dur track label (arg_value t a) (arg_value t b)
+        (arg_value t c) 0
+  | [ a; b; c; d ] ->
+      emit t at dur track label (arg_value t a) (arg_value t b)
+        (arg_value t c) (arg_value t d)
+  | _ -> assert false (* label_id refused it *)
+
+let current t =
+  let s = t.stack in
+  if s.Vec.n = 0 then t.irq else s.Vec.a.(s.Vec.n - 1)
+
+(* The track of the currently-running process's thread inside [domain]. *)
+let cur_track t domain =
   let pid = pid_of t domain in
-  emit t ~at ~dur ~pid ~tid:(tid_of t pid thread) ~ph ~name ~cat ~args
+  tid_in t (current t) pid
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler hooks                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let proc_enter t ~name = t.cur <- split_name name :: t.cur
+let proc_enter t p = Vec.push t.stack p
 
-let proc_leave t = match t.cur with _ :: rest -> t.cur <- rest | [] -> ()
+let proc_leave t = if t.stack.Vec.n > 0 then t.stack.Vec.n <- t.stack.Vec.n - 1
 
-let track_of_name t pname =
-  let domain, thread = split_name pname in
-  let pid = pid_of t domain in
-  (pid, tid_of t pid thread)
+let own_track t p =
+  if p.p_own = 0 then p.p_own <- tid_in t p (pid_of t p.p_domain);
+  p.p_own
 
-let proc_spawned t ~at ~name ~daemon =
-  let pid, tid = track_of_name t name in
-  emit t ~at ~dur:0 ~pid ~tid ~ph:Instant ~name:"spawn" ~cat:"sched"
-    ~args:(if daemon then [ ("daemon", "1") ] else [])
+let proc_spawned t ~at p ~daemon =
+  let track = own_track t p in
+  if daemon then emit t at 0 track l_spawn_daemon 1 0 0 0
+  else emit t at 0 track l_spawn 0 0 0 0
 
-let proc_blocked t ~at ~name ~kind =
-  let pid, tid = track_of_name t name in
-  let ev, args =
-    match kind with
-    | `Sleep span -> ("sleep", [ ("ns", string_of_int span) ])
-    | `Yield -> ("yield", [])
-    | `Suspend None -> ("wait", [])
-    | `Suspend (Some label) -> ("wait", [ ("on", label) ])
-  in
-  emit t ~at ~dur:0 ~pid ~tid ~ph:Instant ~name:ev ~cat:"sched" ~args
+let proc_blocked t ~at p ~kind =
+  let track = own_track t p in
+  match kind with
+  | `Sleep span -> emit t at 0 track l_sleep span 0 0 0
+  | `Yield -> emit t at 0 track l_yield 0 0 0 0
+  | `Suspend None -> emit t at 0 track l_wait 0 0 0 0
+  | `Suspend (Some label) ->
+      if not (p.p_on_id >= 0 && p.p_on == label) then begin
+        p.p_on <- label;
+        p.p_on_id <- str_id t label
+      end;
+      emit t at 0 track l_wait_on p.p_on_id 0 0 0
 
-let proc_exited t ~at ~name =
-  let pid, tid = track_of_name t name in
-  emit t ~at ~dur:0 ~pid ~tid ~ph:Instant ~name:"exit" ~cat:"sched" ~args:[]
+let proc_exited t ~at p = emit t at 0 (own_track t p) l_exit 0 0 0 0
 
 (* ------------------------------------------------------------------ *)
 (* Hypervisor hooks                                                    *)
@@ -231,39 +445,46 @@ let hypercall_prefix = "hypercall."
 let is_hypercall op =
   String.length op > 10 && String.sub op 0 10 = hypercall_prefix
 
-let charge t ~at ~domain ~op ~cost =
-  if is_hypercall op then begin
-    let key = (domain, op) in
-    let count, total =
-      match Hashtbl.find_opt t.hyp key with
-      | Some cell -> cell
-      | None ->
-          let cell = (ref 0, ref 0) in
-          Hashtbl.add t.hyp key cell;
-          cell
-    in
-    incr count;
-    total := !total + cost
+let op t ~domain ~op =
+  let key = (domain, op) in
+  match Hashtbl.find_opt t.ops key with
+  | Some o -> o
+  | None ->
+      let o =
+        {
+          o_domain = domain;
+          o_op = op;
+          o_label = label_id t Complete op "hv" [];
+          o_hypercall = is_hypercall op;
+          o_pid = 0;
+          o_count = 0;
+          o_total = 0;
+        }
+      in
+      Hashtbl.add t.ops key o;
+      o
+
+let charge t ~at o ~cost =
+  if o.o_hypercall then begin
+    o.o_count <- o.o_count + 1;
+    o.o_total <- o.o_total + cost
   end;
-  emit_cur t ~at ~dur:cost ~domain ~ph:Complete ~name:op ~cat:"hv" ~args:[]
+  if o.o_pid = 0 then o.o_pid <- pid_of t o.o_domain;
+  emit t at cost (tid_in t (current t) o.o_pid) o.o_label 0 0 0 0
 
 let cpu_work t ~at ~domain ~cost =
-  emit_cur t ~at ~dur:cost ~domain ~ph:Complete ~name:"cpu_work" ~cat:"cpu"
-    ~args:[]
+  emit t at cost (cur_track t domain) l_cpu_work 0 0 0 0
 
 (* ------------------------------------------------------------------ *)
 (* Event channels                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let evtchn_send t ~at ~domain ~port =
-  emit_cur t ~at ~dur:0 ~domain ~ph:Instant ~name:"evtchn.send" ~cat:"evtchn"
-    ~args:[ ("port", string_of_int port) ]
+  emit t at 0 (cur_track t domain) l_evtchn_send port 0 0 0
 
 let evtchn_deliver t ~at ~domain ~port =
   let pid = pid_of t domain in
-  emit t ~at ~dur:0 ~pid ~tid:(tid_of t pid "(interrupt)") ~ph:Instant
-    ~name:"evtchn.deliver" ~cat:"evtchn"
-    ~args:[ ("port", string_of_int port) ]
+  emit t at 0 (tid_in t t.irq pid) l_evtchn_deliver port 0 0 0
 
 (* ------------------------------------------------------------------ *)
 (* Rings                                                               *)
@@ -275,25 +496,24 @@ type ring = {
   rt : t;
   rname : string;
   rnow : unit -> int;
+  mutable rtid : int;  (* 0 until the first event *)
   mutable req_run : int;
   mutable rsp_run : int;
 }
 
-let ring t ~name ~now = { rt = t; rname = name; rnow = now; req_run = 0; rsp_run = 0 }
+let ring t ~name ~now =
+  { rt = t; rname = name; rnow = now; rtid = 0; req_run = 0; rsp_run = 0 }
 
-let side_name = function `Req -> "req" | `Rsp -> "rsp"
-
-let ring_event r name args =
+let ring_event r label a0 a1 =
   let t = r.rt in
-  let pid = pid_of t "rings" in
-  emit t ~at:(r.rnow ()) ~dur:0 ~pid ~tid:(tid_of t pid r.rname) ~ph:Instant
-    ~name ~cat:"ring" ~args
+  if r.rtid = 0 then r.rtid <- intern_tid t (pid_of t "rings") r.rname;
+  emit t (r.rnow ()) 0 r.rtid label a0 a1 0 0
 
 let ring_publish r side ~batch ~notify =
   if batch > 0 then
     ring_event r
-      ("publish." ^ side_name side)
-      [ ("batch", string_of_int batch); ("notify", if notify then "1" else "0") ]
+      (match side with `Req -> l_publish_req | `Rsp -> l_publish_rsp)
+      batch (Bool.to_int notify)
 
 let ring_take r side ~got =
   match side with
@@ -302,14 +522,14 @@ let ring_take r side ~got =
       else if r.req_run > 0 then begin
         let n = r.req_run in
         r.req_run <- 0;
-        ring_event r "consume.req" [ ("batch", string_of_int n) ]
+        ring_event r l_consume_req n 0
       end
   | `Rsp ->
       if got then r.rsp_run <- r.rsp_run + 1
       else if r.rsp_run > 0 then begin
         let n = r.rsp_run in
         r.rsp_run <- 0;
-        ring_event r "consume.rsp" [ ("batch", string_of_int n) ]
+        ring_event r l_consume_rsp n 0
       end
 
 (* ------------------------------------------------------------------ *)
@@ -317,7 +537,8 @@ let ring_take r side ~got =
 (* ------------------------------------------------------------------ *)
 
 let driver t ~at ~domain ~name ~args =
-  emit_cur t ~at ~dur:0 ~domain ~ph:Instant ~name ~cat:"driver" ~args
+  let track = cur_track t domain in
+  emit_args t at 0 track (label_id t Instant name "driver" args) args
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -344,15 +565,15 @@ let span_end t ~at ~kind ~key ~id =
       Hashtbl.remove t.open_tbl k;
       (* Close the marks into consecutive intervals; also render them as
          Chrome slices on the machine's dedicated span track. *)
-      let pid = pid_of t "spans" in
-      let tid = tid_of t pid (kind ^ ":" ^ key) in
+      let tid = intern_tid t (pid_of t "spans") (kind ^ ":" ^ key) in
       let rec close marks stop acc =
         match marks with
         | [] -> acc
         | (stage, start, args) :: older ->
-            emit t ~at:start ~dur:(stop - start) ~pid ~tid ~ph:Complete
-              ~name:stage ~cat:kind
-              ~args:(("id", string_of_int id) :: args);
+            let args = Int ("id", id) :: args in
+            emit_args t start (stop - start) tid
+              (label_id t Complete stage kind args)
+              args;
             close older start ((stage, start, stop) :: acc)
       in
       let stages = close os.os_marks at [] in
@@ -371,6 +592,7 @@ let span_end t ~at ~kind ~key ~id =
       (match t.span_taps with [] -> () | taps -> List.iter (fun f -> f sp) taps)
 
 let spans t = List.rev t.done_spans
+let span_count t = t.done_count
 let open_spans t = Hashtbl.length t.open_tbl
 let add_span_observer t f = t.span_taps <- t.span_taps @ [ f ]
 let orphan_hops t = t.orphan_hops
@@ -380,20 +602,47 @@ let orphan_ends t = t.orphan_ends
 (* Chrome trace-event JSON                                             *)
 (* ------------------------------------------------------------------ *)
 
-let add_args b args =
-  Buffer.add_string b "{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_string b ",";
-      Buffer.add_string b
-        (Printf.sprintf "\"%s\":\"%s\"" (Export.json_escape k)
-           (Export.json_escape v)))
-    args;
-  Buffer.add_string b "}"
-
 (* Timestamps are emitted in microseconds (the trace-event unit) with ns
    resolution preserved as fractional digits. *)
 let add_ts b ns = Buffer.add_string b (Printf.sprintf "%.3f" (float_of_int ns /. 1000.))
+
+(* A label's fixed text: the event object up to its timestamp, and each
+   argument's quoted key with the opening quote of its value. *)
+let render_label l =
+  let head =
+    Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":"
+      (Export.json_escape l.lname) (Export.json_escape l.cat)
+      (match l.ph with Instant -> "i" | Complete -> "X")
+  in
+  (head, Array.map (fun k -> "\"" ^ Export.json_escape k ^ "\":\"") l.keys)
+
+let add_event b t base heads c i =
+  let l = t.labels.Vec.a.(c.c_label.(i)) in
+  let head, keys = heads.(c.c_label.(i)) in
+  Buffer.add_string b head;
+  add_ts b c.c_at.(i);
+  (match l.ph with
+  | Complete ->
+      Buffer.add_string b ",\"dur\":";
+      add_ts b c.c_dur.(i)
+  | Instant -> Buffer.add_string b ",\"s\":\"t\"");
+  let tid = c.c_track.(i) in
+  Buffer.add_string b ",\"pid\":";
+  Buffer.add_string b (string_of_int (base + t.tid_pid.Vec.a.(tid - 1)));
+  Buffer.add_string b ",\"tid\":";
+  Buffer.add_string b (string_of_int tid);
+  Buffer.add_string b ",\"args\":{";
+  Array.iteri
+    (fun k key ->
+      if k > 0 then Buffer.add_char b ',';
+      Buffer.add_string b key;
+      let v = c.c_args.((i * max_args) + k) in
+      Buffer.add_string b
+        (if l.strs.(k) then Export.json_escape t.str_of.Vec.a.(v)
+         else string_of_int v);
+      Buffer.add_char b '"')
+    keys;
+  Buffer.add_string b "}}"
 
 let to_chrome_json ts =
   let b = Buffer.create 65536 in
@@ -405,45 +654,31 @@ let to_chrome_json ts =
       let base = (mi + 1) * 1000 in
       let machine_prefix = if List.length ts > 1 then t.tname ^ "/" else "" in
       (* Track metadata. *)
-      List.iter
-        (fun (pid, pname) ->
-          sep ();
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
-               (base + pid)
-               (Export.json_escape (machine_prefix ^ pname))))
-        (List.rev t.pid_names);
-      List.iter
-        (fun ((pid, tid), tname) ->
-          sep ();
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-               (base + pid) tid (Export.json_escape tname)))
-        (List.rev t.tid_names);
-      for i = 0 to t.n - 1 do
-        let e = t.buf.(i) in
+      for p = 1 to t.pid_names.Vec.n do
         sep ();
-        Buffer.add_string b "{\"name\":\"";
-        Buffer.add_string b (Export.json_escape e.ev_name);
-        Buffer.add_string b "\",\"cat\":\"";
-        Buffer.add_string b (Export.json_escape e.ev_cat);
-        Buffer.add_string b "\",\"ph\":\"";
         Buffer.add_string b
-          (match e.ev_ph with Instant -> "i" | Complete -> "X");
-        Buffer.add_string b "\",\"ts\":";
-        add_ts b e.ev_at;
-        (match e.ev_ph with
-        | Complete ->
-            Buffer.add_string b ",\"dur\":";
-            add_ts b e.ev_dur
-        | Instant -> Buffer.add_string b ",\"s\":\"t\"");
+          (Printf.sprintf
+             "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"%s\"}}"
+             (base + p)
+             (Export.json_escape (machine_prefix ^ t.pid_names.Vec.a.(p - 1))))
+      done;
+      for tid = 1 to t.tid_pid.Vec.n do
+        sep ();
         Buffer.add_string b
-          (Printf.sprintf ",\"pid\":%d,\"tid\":%d,\"args\":" (base + e.ev_pid)
-             e.ev_tid);
-        add_args b e.ev_args;
-        Buffer.add_string b "}"
+          (Printf.sprintf
+             "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
+             (base + t.tid_pid.Vec.a.(tid - 1))
+             tid
+             (Export.json_escape t.tid_names.Vec.a.(tid - 1)))
+      done;
+      let heads =
+        Array.init t.labels.Vec.n (fun i -> render_label t.labels.Vec.a.(i))
+      in
+      for e = 0 to t.n - 1 do
+        sep ();
+        add_event b t base heads
+          t.chunks.Vec.a.(e / chunk_size)
+          (e mod chunk_size)
       done)
     ts;
   Buffer.add_string b "\n]\n";
@@ -457,9 +692,11 @@ let hypercall_profile ts =
   List.concat_map
     (fun t ->
       Hashtbl.fold
-        (fun (domain, op) (count, total) acc ->
-          (t.tname, domain, op, !count, !total) :: acc)
-        t.hyp []
+        (fun _ o acc ->
+          if o.o_hypercall && o.o_count > 0 then
+            (t.tname, o.o_domain, o.o_op, o.o_count, o.o_total) :: acc
+          else acc)
+        t.ops []
       |> List.sort compare)
     ts
 

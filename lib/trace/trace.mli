@@ -9,11 +9,29 @@
 
     Like {!Kite_check.Check}, this library sits {e below}
     [kite_sim]/[kite_xen] in the dependency graph (it depends only on
-    [fmt]): the instrumented layers hold a [Trace.t option] consulted at
-    each hook point, so a disabled tracer costs one [match] on [None] and
-    the benchmarks are unaffected.  Every hook therefore speaks in plain
-    ints and strings; timestamps are simulated nanoseconds supplied by the
-    caller.
+    [kite_stats] and [fmt]): the instrumented layers hold a
+    [Trace.t option] consulted at each hook point, so a disabled tracer
+    costs one [match] on [None] and the benchmarks are unaffected.
+    Timestamps are simulated nanoseconds supplied by the caller.
+
+    Storage: events live in fixed-size chunks of int columns (time,
+    duration, track, label, up to four int arguments), allocated as they
+    fill.  A label (phase, name, category, argument keys) and a track
+    (pid, tid) are interned once per tracer; string-valued arguments are
+    ids into a per-tracer string table.  The hot hooks take handles that
+    carry what they would otherwise look up by name: a {!proc} per
+    process (which keeps the process's own track after its first event),
+    a {!ring} per ring and an {!op} per charged operation.  A hook that
+    names a domain by string finds its pid by comparing the string, by
+    identity, with the one last looked up for each pid; only a miss
+    hashes the name.  Callers passing [Domain.name] pass the same string
+    every time, but a process's domain is a copy cut from its name, so
+    each process's first event misses, and so does the next lookup by
+    [Domain.name] after it.  A string argument is hashed into the string
+    table on every driver event, and on a wait whose label is not the
+    process's previous one.  Recording a scheduler, charge, event-channel
+    or ring event allocates nothing but a fresh chunk every 1,024 events.
+    Int argument values stay ints until {!to_chrome_json} renders them.
 
     Exporters: Chrome trace-event JSON (loadable in Perfetto / catapult,
     one track per domain and per process), a per-domain hypercall profile
@@ -55,31 +73,46 @@ val default : unit -> sink option
 
 (** {1 Scheduler hooks (called by [Process])} *)
 
-val proc_enter : t -> name:string -> unit
-(** The named process starts (or resumes) a step; it becomes the
-    attribution target (the Chrome thread) of subsequent events.  A
-    ["Domain/thread"] name is split into its track components. *)
+type proc
+(** A tracer's handle on one process: its ["Domain/thread"] name split
+    into its track components once, and the thread's tids cached, its
+    own track among them.  The caches are one tracer's numbering, so a
+    handle serves one tracer. *)
+
+val proc : name:string -> proc
+
+val proc_enter : t -> proc -> unit
+(** The process starts (or resumes) a step; it becomes the attribution
+    target (the Chrome thread) of subsequent events. *)
 
 val proc_leave : t -> unit
 
-val proc_spawned : t -> at:int -> name:string -> daemon:bool -> unit
+val proc_spawned : t -> at:int -> proc -> daemon:bool -> unit
 
 val proc_blocked :
   t ->
   at:int ->
-  name:string ->
+  proc ->
   kind:[ `Sleep of int | `Yield | `Suspend of string option ] ->
   unit
 
-val proc_exited : t -> at:int -> name:string -> unit
+val proc_exited : t -> at:int -> proc -> unit
 
 (** {1 Hypervisor hooks} *)
 
-val charge : t -> at:int -> domain:string -> op:string -> cost:int -> unit
-(** A charged operation ([op] as passed to [Hypervisor.charge], e.g.
-    ["hypercall.grant_copy"]); [cost] is its simulated service time in ns.
-    Operations named ["hypercall.*"] also feed the exact per-domain
-    hypercall profile. *)
+type op
+(** A charged operation on one domain, resolved once per tracer: its
+    label and, for a hypercall, its profile cell. *)
+
+val op : t -> domain:string -> op:string -> op
+(** The handle for [op] (as passed to [Hypervisor.charge], e.g.
+    ["hypercall.grant_copy"]) charged to [domain]; the same handle for
+    the same pair.  Operations named ["hypercall.*"] feed the exact
+    per-domain hypercall profile. *)
+
+val charge : t -> at:int -> op -> cost:int -> unit
+(** One charge of the operation; [cost] is its simulated service time in
+    ns. *)
 
 val cpu_work : t -> at:int -> domain:string -> cost:int -> unit
 (** Plain vCPU occupancy (no hypercall), e.g. per-packet driver CPU. *)
@@ -111,11 +144,15 @@ val ring_take : ring -> side -> got:bool -> unit
 
 (** {1 Driver events} *)
 
+type arg = Int of string * int | Str of string * string
+(** An event argument: its key and its value.  An [Int] is stored as an
+    int and rendered as a string only by {!to_chrome_json}. *)
+
 val driver :
-  t -> at:int -> domain:string -> name:string ->
-  args:(string * string) list -> unit
+  t -> at:int -> domain:string -> name:string -> args:arg list -> unit
 (** Instant driver-level milestone (netback tx/rx batch sizes, wake-tier
-    transitions, blkback batch dispatch, ...). *)
+    transitions, blkback batch dispatch, ...), with at most four
+    arguments. *)
 
 (** {1 Request-lifecycle spans}
 
@@ -132,11 +169,13 @@ val span_begin :
 
 val span_hop :
   t -> at:int -> kind:string -> key:string -> id:int -> stage:string ->
-  args:(string * string) list -> unit
+  args:arg list -> unit
 (** A hop for an unknown span (the request began before tracing was
     enabled, or the id never had a {!span_begin} — e.g. a byzantine
     frontend writing the ring directly) is dropped but counted in
-    {!orphan_hops}: lost attribution is visible, not silent. *)
+    {!orphan_hops}: lost attribution is visible, not silent.  A stage is
+    exported with the span id before [args], so a hop takes at most
+    three. *)
 
 val span_end : t -> at:int -> kind:string -> key:string -> id:int -> unit
 (** An end for an unknown span is dropped but counted in
@@ -155,6 +194,9 @@ type span = {
 
 val spans : t -> span list
 (** Completed spans, in completion order. *)
+
+val span_count : t -> int
+(** [List.length (spans t)], without copying the list. *)
 
 val open_spans : t -> int
 (** Requests still in flight (began but not ended). *)

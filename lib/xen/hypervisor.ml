@@ -22,7 +22,15 @@ type t = {
    counts. *)
 and acct = {
   busy : Metrics.counter;
-  ops : (string, Metrics.counter * Metrics.counter) Hashtbl.t;
+  ops : (string, op_acct) Hashtbl.t;
+}
+
+(* One operation's cells on one domain, with the tracer's handle for it
+   resolved against the tracer attached when it was last charged. *)
+and op_acct = {
+  total : Metrics.counter;
+  per_domain : Metrics.counter;
+  mutable traced : (Kite_trace.Trace.t * Kite_trace.Trace.op) option;
 }
 
 let create ?schedule_seed () =
@@ -156,27 +164,39 @@ let occupy t dom span =
     Process.sleep (finish - now)
   end
 
+let trace_op c tr dom what =
+  match c.traced with
+  | Some (tr', o) when tr' == tr -> o
+  | _ ->
+      let o = Kite_trace.Trace.op tr ~domain:dom.Domain.name ~op:what in
+      c.traced <- Some (tr, o);
+      o
+
 let charge t dom what span =
   let a = acct t dom in
-  let total, per_domain =
+  let c =
     match Hashtbl.find_opt a.ops what with
     | Some c -> c
     | None ->
         (* Per-domain breakdown for xentrace-style profiles. *)
         let c =
-          ( Metrics.counter t.metrics what,
-            Metrics.counter t.metrics
-              (Printf.sprintf "dom.%s.%s" dom.Domain.name what) )
+          {
+            total = Metrics.counter t.metrics what;
+            per_domain =
+              Metrics.counter t.metrics
+                (Printf.sprintf "dom.%s.%s" dom.Domain.name what);
+            traced = None;
+          }
         in
         Hashtbl.add a.ops what c;
         c
   in
-  Metrics.bump total 1;
-  Metrics.bump per_domain 1;
+  Metrics.bump c.total 1;
+  Metrics.bump c.per_domain 1;
   (match t.trace with
   | Some tr ->
       Kite_trace.Trace.charge tr ~at:(Engine.now t.engine)
-        ~domain:dom.Domain.name ~op:what ~cost:span
+        (trace_op c tr dom what) ~cost:span
   | None -> ());
   occupy t dom span
 

@@ -196,8 +196,9 @@ let test_span_accounting () =
 
 let test_buffer_limit () =
   let tr = Trace.create ~limit:10 ~name:"tiny" () in
+  let op = Trace.op tr ~domain:"d" ~op:"hypercall.x" in
   for i = 1 to 25 do
-    Trace.charge tr ~at:i ~domain:"d" ~op:"hypercall.x" ~cost:7
+    Trace.charge tr ~at:i op ~cost:7
   done;
   check_int "capped" 10 (Trace.events tr);
   check_int "overflow counted" 15 (Trace.dropped tr);
@@ -205,6 +206,137 @@ let test_buffer_limit () =
   match Trace.hypercall_profile [ tr ] with
   | [ (_, "d", "hypercall.x", 25, 175) ] -> ()
   | _ -> Alcotest.fail "profile should be exact despite drops"
+
+(* ------------------------------------------------------------------ *)
+(* Export shapes                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One event of every hook shape, and the exact Chrome JSON it exports,
+   pid and tid numbering included (the text the tracer wrote when it
+   still stored each event as a record of strings). *)
+let shapes_json =
+  {|[
+{"ph":"M","name":"process_name","pid":1001,"tid":0,"args":{"name":"Dom0"}},
+{"ph":"M","name":"process_name","pid":1002,"tid":0,"args":{"name":"sim"}},
+{"ph":"M","name":"process_name","pid":1003,"tid":0,"args":{"name":"domu"}},
+{"ph":"M","name":"process_name","pid":1004,"tid":0,"args":{"name":"rings"}},
+{"ph":"M","name":"process_name","pid":1005,"tid":0,"args":{"name":"spans"}},
+{"ph":"M","name":"thread_name","pid":1001,"tid":1,"args":{"name":"netback"}},
+{"ph":"M","name":"thread_name","pid":1002,"tid":2,"args":{"name":"probe"}},
+{"ph":"M","name":"thread_name","pid":1003,"tid":3,"args":{"name":"netback"}},
+{"ph":"M","name":"thread_name","pid":1003,"tid":4,"args":{"name":"(interrupt)"}},
+{"ph":"M","name":"thread_name","pid":1004,"tid":5,"args":{"name":"vif1.0-tx"}},
+{"ph":"M","name":"thread_name","pid":1005,"tid":6,"args":{"name":"net.tx:vif1.0"}},
+{"name":"spawn","cat":"sched","ph":"i","ts":0.000,"s":"t","pid":1001,"tid":1,"args":{"daemon":"1"}},
+{"name":"spawn","cat":"sched","ph":"i","ts":0.001,"s":"t","pid":1002,"tid":2,"args":{}},
+{"name":"hypercall.grant_copy","cat":"hv","ph":"X","ts":0.002,"dur":2.500,"pid":1001,"tid":1,"args":{}},
+{"name":"xenstore.read","cat":"hv","ph":"X","ts":0.003,"dur":0.050,"pid":1003,"tid":3,"args":{}},
+{"name":"cpu_work","cat":"cpu","ph":"X","ts":0.004,"dur":1.500,"pid":1001,"tid":1,"args":{}},
+{"name":"evtchn.send","cat":"evtchn","ph":"i","ts":0.005,"s":"t","pid":1001,"tid":1,"args":{"port":"7"}},
+{"name":"netback.wake","cat":"driver","ph":"i","ts":0.006,"s":"t","pid":1001,"tid":1,"args":{"vif":"vif1.0","tier":"cold","idle_ns":"123456"}},
+{"name":"sleep","cat":"sched","ph":"i","ts":0.007,"s":"t","pid":1001,"tid":1,"args":{"ns":"1000"}},
+{"name":"evtchn.deliver","cat":"evtchn","ph":"i","ts":0.008,"s":"t","pid":1003,"tid":4,"args":{"port":"7"}},
+{"name":"cpu_work","cat":"cpu","ph":"X","ts":0.009,"dur":0.100,"pid":1003,"tid":4,"args":{}},
+{"name":"yield","cat":"sched","ph":"i","ts":0.010,"s":"t","pid":1002,"tid":2,"args":{}},
+{"name":"wait","cat":"sched","ph":"i","ts":0.011,"s":"t","pid":1002,"tid":2,"args":{}},
+{"name":"wait","cat":"sched","ph":"i","ts":0.012,"s":"t","pid":1002,"tid":2,"args":{"on":"slot \"free\""}},
+{"name":"publish.req","cat":"ring","ph":"i","ts":0.013,"s":"t","pid":1004,"tid":5,"args":{"batch":"2","notify":"1"}},
+{"name":"publish.rsp","cat":"ring","ph":"i","ts":0.014,"s":"t","pid":1004,"tid":5,"args":{"batch":"1","notify":"0"}},
+{"name":"consume.req","cat":"ring","ph":"i","ts":0.015,"s":"t","pid":1004,"tid":5,"args":{"batch":"2"}},
+{"name":"backend","cat":"net.tx","ph":"X","ts":0.031,"dur":0.009,"pid":1005,"tid":6,"args":{"id":"4"}},
+{"name":"ring","cat":"net.tx","ph":"X","ts":0.025,"dur":0.006,"pid":1005,"tid":6,"args":{"id":"4","len":"1514","q":"0"}},
+{"name":"frontend","cat":"net.tx","ph":"X","ts":0.020,"dur":0.005,"pid":1005,"tid":6,"args":{"id":"4"}},
+{"name":"exit","cat":"sched","ph":"i","ts":0.050,"s":"t","pid":1002,"tid":2,"args":{}}
+]
+|}
+
+let test_export_shapes () =
+  let tr = Trace.create ~name:"shapes" () in
+  let netback = Trace.proc ~name:"Dom0/netback" in
+  let probe = Trace.proc ~name:"probe" in
+  Trace.proc_spawned tr ~at:0 netback ~daemon:true;
+  Trace.proc_spawned tr ~at:1 probe ~daemon:false;
+  Trace.proc_enter tr netback;
+  let copy = Trace.op tr ~domain:"Dom0" ~op:"hypercall.grant_copy" in
+  Trace.charge tr ~at:2 copy ~cost:2500;
+  let read = Trace.op tr ~domain:"domu" ~op:"xenstore.read" in
+  Trace.charge tr ~at:3 read ~cost:50;
+  Trace.cpu_work tr ~at:4 ~domain:"Dom0" ~cost:1500;
+  Trace.evtchn_send tr ~at:5 ~domain:"Dom0" ~port:7;
+  Trace.driver tr ~at:6 ~domain:"Dom0" ~name:"netback.wake"
+    ~args:
+      [ Str ("vif", "vif1.0"); Str ("tier", "cold"); Int ("idle_ns", 123456) ];
+  Trace.proc_blocked tr ~at:7 netback ~kind:(`Sleep 1000);
+  Trace.proc_leave tr;
+  Trace.evtchn_deliver tr ~at:8 ~domain:"domu" ~port:7;
+  Trace.cpu_work tr ~at:9 ~domain:"domu" ~cost:100;
+  Trace.proc_blocked tr ~at:10 probe ~kind:`Yield;
+  Trace.proc_blocked tr ~at:11 probe ~kind:(`Suspend None);
+  Trace.proc_blocked tr ~at:12 probe ~kind:(`Suspend (Some "slot \"free\""));
+  let now = ref 13 in
+  let r = Trace.ring tr ~name:"vif1.0-tx" ~now:(fun () -> !now) in
+  Trace.ring_publish r `Req ~batch:2 ~notify:true;
+  now := 14;
+  Trace.ring_publish r `Rsp ~batch:1 ~notify:false;
+  Trace.ring_take r `Req ~got:true;
+  Trace.ring_take r `Req ~got:true;
+  now := 15;
+  Trace.ring_take r `Req ~got:false;
+  let kind = "net.tx" and key = "vif1.0" in
+  Trace.span_begin tr ~at:20 ~kind ~key ~id:4 ~stage:"frontend";
+  Trace.span_hop tr ~at:25 ~kind ~key ~id:4 ~stage:"ring"
+    ~args:[ Int ("len", 1514); Int ("q", 0) ];
+  Trace.span_hop tr ~at:31 ~kind ~key ~id:4 ~stage:"backend" ~args:[];
+  Trace.span_end tr ~at:40 ~kind ~key ~id:4;
+  Trace.proc_exited tr ~at:50 probe;
+  Alcotest.(check string)
+    "chrome json" shapes_json
+    (Trace.to_chrome_json [ tr ]);
+  check_int "events" 20 (Trace.events tr);
+  match Trace.hypercall_profile [ tr ] with
+  | [ ("shapes", "Dom0", "hypercall.grant_copy", 1, 2500) ] -> ()
+  | _ -> Alcotest.fail "one hypercall row"
+
+(* A limit that spans three 1,024-event chunks and ends inside the
+   third: exactly [limit] events are kept and exported, the rest are
+   counted, and the hypercall profile and spans stay exact. *)
+let test_limit_across_chunks () =
+  let limit = 2500 in
+  let tr = Trace.create ~limit ~name:"chunks" () in
+  let op = Trace.op tr ~domain:"d" ~op:"hypercall.x" in
+  let n = 1000 in
+  for id = 1 to n do
+    let at = id * 10 in
+    Trace.charge tr ~at op ~cost:3;
+    Trace.span_begin tr ~at ~kind:"k" ~key:"dev" ~id ~stage:"a";
+    Trace.span_hop tr ~at:(at + 1) ~kind:"k" ~key:"dev" ~id ~stage:"b"
+      ~args:[ Int ("n", id) ];
+    Trace.span_end tr ~at:(at + 2) ~kind:"k" ~key:"dev" ~id
+  done;
+  check_int "events capped" limit (Trace.events tr);
+  check_int "rest counted" ((3 * n) - limit) (Trace.dropped tr);
+  let json = Trace.to_chrome_json [ tr ] in
+  let objects = List.length (String.split_on_char '\n' json) - 3 in
+  (* Metadata rows: pids "d" and "spans", tids "(interrupt)" and "k:dev". *)
+  check_int "exported events" (limit + 4) objects;
+  check_int "parses" (limit + 4) (parse_json json);
+  (match Trace.hypercall_profile [ tr ] with
+  | [ (_, "d", "hypercall.x", c, total) ] ->
+      check_int "profile count" n c;
+      check_int "profile total" (3 * n) total
+  | _ -> Alcotest.fail "profile should be exact despite drops");
+  check_int "span count" n (Trace.span_count tr);
+  let spans = Trace.spans tr in
+  check_int "span list" n (List.length spans);
+  List.iteri
+    (fun i sp ->
+      check_int "span id" (i + 1) sp.Trace.span_id;
+      match sp.Trace.span_stages with
+      | [ ("a", s0, s1); ("b", s1', s2) ] ->
+          check_bool "stages" true
+            (s0 = (i + 1) * 10 && s1 = s1' && s2 = s0 + 2)
+      | _ -> Alcotest.fail "two stages")
+    spans
 
 (* ------------------------------------------------------------------ *)
 (* Scenario integration                                                *)
@@ -409,4 +541,6 @@ let suite =
     ("storage scenario traced", `Quick, test_storage_scenario_traced);
     ("spans cross crash/restart", `Quick, test_spans_cross_restart);
     ("disabled tracer emits nothing", `Quick, test_disabled_emits_nothing);
+    ("export shapes", `Quick, test_export_shapes);
+    ("limit across chunks", `Quick, test_limit_across_chunks);
   ]
