@@ -50,9 +50,23 @@ let install t =
   Kite_flight.Flight.set_default t.flight;
   schedule_seed := t.schedule_seed
 
+(* Machines built since the outermost run began: a run installed over a
+   context that arms nothing starts the count again; a nested one
+   continues it, so names stay unique in every sink the two share. *)
+let machines = ref 0
+
+let arms_nothing t =
+  t.check = None && t.race = None && t.trace = None && t.fault = None
+  && t.metrics = None && t.path = None && t.flight = None
+
 let run t f =
   let saved = current () in
+  if arms_nothing saved then machines := 0;
   install t;
   Fun.protect ~finally:(fun () -> install saved) f
+
+let machine () =
+  incr machines;
+  !machines
 
 let ensure s fresh = match s with Some _ -> s | None -> Some (fresh ())

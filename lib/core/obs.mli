@@ -37,6 +37,13 @@ val run : t -> (unit -> 'a) -> 'a
     previous record back, also when [f] raises.  Nests: an experiment
     that arms a private sink runs [run { (current ()) with ... }]. *)
 
+val machine : unit -> int
+(** The number of the machine being built: 1 for the first machine since
+    the outermost {!run} began, then 2, ...  A {!run} installed over a
+    context that arms nothing starts the count again; a nested one (an
+    experiment arming private sinks) continues it.  {!Scenario.arm}
+    names every member of the machine [<tag><k>] from it. *)
+
 val ensure : 'a option -> (unit -> 'a) -> 'a option
 (** [ensure s fresh] is [s] when set, else [Some (fresh ())]: arm a sink
     only where the enclosing run left it unarmed. *)

@@ -26,7 +26,6 @@ let client_rx_cost = Time.us 1
    Registration is unconditional: the final audit only runs when the
    machine was armed with a checker, but the quiesce/stop/shutdown
    sequence itself must not depend on one. *)
-let scenario_seq = ref 0
 let teardowns : (unit -> unit) list ref = ref []
 let on_teardown f = teardowns := f :: !teardowns
 
@@ -63,20 +62,15 @@ let store_dump hv () =
   in
   List.rev (walk "/local/domain" [])
 
-(* One member per armed layer of the installed context, named <tag><n>
-   where [n] counts every member built in this process, so names stay
-   unique within each sink.  The build order (check, race, trace, fault,
-   metrics, path, flight) fixes the numbering.  The checker report is the
-   one installed now, also for the teardown audits below. *)
+(* One member per armed layer of the installed context, all named
+   <tag><k> after the machine's number in the run ({!Obs.machine}), so
+   names stay unique within each sink and do not depend on which sinks
+   are armed.  The checker report is the one installed now, also for
+   the teardown audits below. *)
 let arm hv tag =
   let obs = Obs.current () in
-  let member create sink =
-    Option.map
-      (fun s ->
-        incr scenario_seq;
-        create s ~name:(Printf.sprintf "%s%d" tag !scenario_seq))
-      sink
-  in
+  let name = Printf.sprintf "%s%d" tag (Obs.machine ()) in
+  let member create sink = Option.map (fun s -> create s ~name) sink in
   let check =
     member (fun r ~name -> Kite_check.Check.create ~name r) obs.Obs.check
   in
@@ -179,7 +173,8 @@ let register_teardown ctx ~dd ~stop ~shutdown =
 
 (* The one testbed runner: run until the experiment calls [finish],
    which stops the engine at that event's instant, so the daemons
-   (samplers, stats publishers) do not tick on after the result.  Only
+   (the metrics sampler, the frontends' monitors) do not tick on after
+   the result.  Only
    the first call counts: a late one must not cut short the teardown's
    drain.  The final snapshot gives an armed registry a point at the
    result. *)
@@ -203,21 +198,26 @@ let run hv ~what body =
 (* Edge-triggered backend-health probe: silent until the handshake first
    reaches Connected, then any other state (a crashed or closing
    backend) raises a structured alert until the frontend's recovery
-   reconnects.  Evaluated at sampling time from the Dom0 sampler, so the
-   xenstore read is charged like any other Dom0 access.  Registered only
-   when the machine is armed with metrics. *)
+   reconnects.  Evaluated at sampling time from the Dom0 sampler as an
+   observer's peek at the store: no xenstore operation is charged, so
+   the sampler costs no simulated time.  A missing or unparsable node
+   reads as Closed.  Registered only when the machine is armed with
+   metrics. *)
 let backend_state_probe ctx ~ty ~dd ~domu =
   match ctx.Xen_ctx.metrics with
   | None -> ()
   | Some reg ->
       let dev = ty ^ "0" in
-      let path = Xenbus.backend_path ~backend:dd ~frontend:domu ~ty ~devid:0 in
+      let path =
+        Xenbus.backend_path ~backend:dd ~frontend:domu ~ty ~devid:0 ^ "/state"
+      in
+      let store = Hypervisor.store ctx.Xen_ctx.hv in
       let seen_connected = ref false in
       Registry.probe reg ~name:"kite_backend_state" [ ("dev", dev) ]
         (fun () ->
           let st =
-            Xenbus.read_state ctx.Xen_ctx.xb (Hypervisor.dom0 ctx.Xen_ctx.hv)
-              ~path
+            Option.bind (Xenstore.read store ~path) Xenbus.state_of_string
+            |> Option.value ~default:Xenbus.Closed
           in
           if st = Xenbus.Connected then (
             seen_connected := true;

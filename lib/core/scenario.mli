@@ -17,14 +17,16 @@ val teardown_all : unit -> unit
 
 val arm : Kite_xen.Hypervisor.t -> string -> Kite_drivers.Xen_ctx.t
 (** The machine's context, armed from the installed {!Obs} context: one
-    member per armed layer, built in the order check, race, trace,
-    fault, metrics, path, flight and named [<tag><n>] ([n] counts every
-    member built in this process).  Also installs the path engine's taps
-    on the tracer and registry, the flight recorder's taps on every
-    other layer and the checker report, the Dom0 metrics sampler, and
-    their teardowns (span-orphan warning, sampler stop, flight seal and
-    audit).  {!network} and {!storage} arm through it; a hand-built
-    testbed must also {!register_teardown}. *)
+    member per armed layer, every one named [<tag><k>] where [k] is the
+    machine's number in the run ({!Obs.machine}), whichever sinks are
+    armed.  Also installs the path engine's taps on the tracer and
+    registry, the flight recorder's taps on every other layer and the
+    checker report, the Dom0 metrics sampler, and their teardowns
+    (span-orphan warning, sampler stop, flight seal and audit).  The
+    sampler only observes: its probes peek at the store and cost no
+    simulated time, so an armed machine runs exactly as a disarmed one.
+    {!network} and {!storage} arm through it; a hand-built testbed must
+    also {!register_teardown}. *)
 
 val register_teardown :
   Kite_drivers.Xen_ctx.t ->
@@ -91,7 +93,9 @@ val network :
     [overheads_override] replaces [flavor]'s driver-domain overheads
     (the threading ablation).  The machine is {!arm}ed; with metrics
     armed, a [kite_backend_state] probe alerts if the vif backend leaves
-    Connected after the first handshake. *)
+    Connected after the first handshake.  The probe reads the backend's
+    [state] node straight from the store, uncharged; a missing or
+    unparsable node counts as not Connected. *)
 
 val when_net_ready : net -> (unit -> unit) -> unit
 (** Spawn [f] as a client-side process once the frontend is connected. *)

@@ -572,9 +572,8 @@ let request_thread i r () =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry: per-vbd instruments, ring-stall probes (aggregate and
-   per ring), and the live stats nodes published under the backend
-   xenstore path.                                                      *)
+(* Telemetry: per-vbd instruments and ring-stall probes (aggregate and
+   per ring).                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let attach_metrics i =
@@ -641,17 +640,7 @@ let attach_metrics i =
                    if i.dev.stop then 0 else Ring.pending_requests q.ring)
                  ~progress:(fun () -> q.r_requests)
                  ()))
-          i.rings;
-      Split.publish_stats i.dev ~interval:(R.interval r)
-        [
-          ("requests", fun () -> i.requests);
-          ("segments", fun () -> i.segments);
-          ("device-ops", fun () -> i.device_ops);
-          ("io-retries", fun () -> i.io_retries);
-          ("inflight", fun () -> i.inflight);
-          ("persistent-grants", fun () -> Hashtbl.length i.pmap);
-          ("num-queues", fun () -> Array.length i.rings);
-        ]
+          i.rings
 
 let make_instance ~device ~feature_persistent ~feature_indirect ~batching
     (dev : Split.dev) =

@@ -392,9 +392,8 @@ let soft_start i q () =
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry: per-vif instruments, Tx-ring stall probes (aggregate and
-   per queue), and the live stats nodes real netback exposes under the
-   backend xenstore path.                                              *)
+(* Telemetry: per-vif instruments and Tx-ring stall probes (aggregate
+   and per queue).                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let attach_metrics i =
@@ -476,17 +475,7 @@ let attach_metrics i =
                    if i.dev.stop then 0 else Ring.pending_requests q.tx_ring)
                  ~progress:(fun () -> q.q_tx_packets)
                  ()))
-          i.queues;
-      Split.publish_stats i.dev ~interval:(R.interval r)
-        [
-          ("tx-packets", fun () -> i.tx_packets);
-          ("rx-packets", fun () -> i.rx_packets);
-          ("tx-bytes", fun () -> i.tx_bytes);
-          ("rx-bytes", fun () -> i.rx_bytes);
-          ("rx-dropped", fun () -> i.rx_dropped);
-          ("io-retries", fun () -> i.io_retries);
-          ("num-queues", fun () -> Array.length i.queues);
-        ]
+          i.queues
 
 let make_instance ~on_vif (dev : Split.dev) =
   let ctx = dev.ctx and domain = dev.domain in

@@ -260,8 +260,7 @@ let connect d ~detach ~crash =
   Xenbus.switch_state d.ctx.Xen_ctx.xb d.domain ~path:d.bpath Xenbus.Connected
 
 (* ------------------------------------------------------------------ *)
-(* Telemetry shared by both backends: the misbehavior series and the
-   live stats nodes published under the backend xenstore path.        *)
+(* Telemetry shared by both backends: the misbehavior series.         *)
 (* ------------------------------------------------------------------ *)
 
 let guard_metrics r d l =
@@ -272,24 +271,6 @@ let guard_metrics r d l =
   R.gauge_fn r "kite_guest_quarantine_level"
     ~help:"0 ok / 1 throttled / 2 detached / 3 offline" l
     (fun () -> float_of_int (Quarantine.level d.guard))
-
-let publish_stats d ~interval stats =
-  let stats =
-    List.map (fun (key, v) -> (d.bpath ^ "/stats/" ^ key, v)) stats
-  in
-  let rec loop () =
-    Process.sleep interval;
-    if not d.stop then begin
-      List.iter
-        (fun (path, v) ->
-          Xenbus.write d.ctx.Xen_ctx.xb d.domain ~path (string_of_int (v ())))
-        stats;
-      loop ()
-    end
-  in
-  Hypervisor.spawn (hv d) d.domain ~daemon:true
-    ~name:(Printf.sprintf "%s-stats-%d.%d" d.drv (fid d) d.devid)
-    loop
 
 (* ------------------------------------------------------------------ *)
 (* Discovery (§4.1 backend invocation): a watch on backend/<ty> wakes a
@@ -396,8 +377,8 @@ let watcher t () =
 
 (* Pair every device under backend/<ty> not seen before.  A scan finds
    nothing new unless a store node was created or removed since the
-   last one, so the watch skips it then: the stats publishers' value
-   writes under known devices fire the watch every interval. *)
+   last one, so the watch skips it then: the value writes under known
+   devices (features, ring refs, states) fire it too. *)
 let scan t =
   let xs = Hypervisor.store t.sctx.Xen_ctx.hv in
   t.scanned <- Xenstore.shape_generation xs;

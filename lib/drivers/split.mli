@@ -4,10 +4,11 @@
     Backend side, on the model of Linux's [xenbus_probe_backend] and
     the paper's rumprun xenbus extension (§4.1, Table 1): device
     discovery under [backend/<ty>], one handshake process per device,
-    the handshake checks, the per-device quarantine ladder, wakeup
-    accounting and the xenstore stats node.  Netback and blkback keep
-    their rings, data paths, device-specific adverts, detach specifics
-    and metric families.
+    the handshake checks, the per-device quarantine ladder and wakeup
+    accounting.  Netback and blkback keep their rings, data paths,
+    device-specific adverts, detach specifics and metric families; their
+    counters reach the metrics registry only, never xenstore, so arming
+    a registry costs the driver domain nothing.
 
     Frontend side: the backend-state monitor, the queue and ring-order
     negotiation and the multi-queue key writes.
@@ -116,11 +117,6 @@ val connect : dev -> detach:(unit -> unit) -> crash:(unit -> unit) -> unit
 val guard_metrics :
   Kite_metrics.Registry.t -> dev -> (string * string) list -> unit
 (** Register the device's guest-fault and quarantine-level series. *)
-
-val publish_stats :
-  dev -> interval:Kite_sim.Time.span -> (string * (unit -> int)) list -> unit
-(** Spawn ["<drv>-stats-F.D"], which writes each counter under
-    [<bpath>/stats/] every [interval] until the device stops. *)
 
 val retries : int
 (** A transient device error (a fault-injected NIC or NVMe hiccup) is

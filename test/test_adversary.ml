@@ -1,7 +1,7 @@
 (* The adversary subsystem: one deterministic test per attack primitive
    (typed Guest_fault finding + quarantine escalation + zero impact on
    the co-hosted honest guest), the handshake-rejection paths, and a
-   reduced seeded campaign (the 50-seed sweep runs under the @adversary
+   reduced seeded campaign (the 500-seed sweep runs under the @adversary
    alias via kite_ctl attack). *)
 
 open Kite_sim
@@ -313,7 +313,7 @@ let test_blk_xenstore_abuse () =
   |> assert_outcome ~min_level:3 ~rejected:true "blk xenstore-abuse"
 
 (* ------------------------------------------------------------------ *)
-(* Seeded campaigns (reduced; the 50-seed sweep is the @adversary gate) *)
+(* Seeded campaigns (reduced; the 500-seed sweep is the @adversary gate) *)
 (* ------------------------------------------------------------------ *)
 
 let assert_campaign r =

@@ -1,7 +1,8 @@
-(* Armed against disarmed observability: the sinks' hooks cost no
-   simulated time, so a run gives the same simulated results with no
-   sink, with the tracer only, and with all five run-wide sinks armed
-   (check, trace, metrics, path, flight), on the net and storage paths. *)
+(* Armed against disarmed observability: the sinks observe without
+   costing simulated time, so a run gives the same simulated results
+   with no sink, with the tracer only, and with the run-wide sinks
+   armed, on the net and storage paths and in every quick experiment's
+   tables. *)
 
 open Kite_sim
 module Scenario = Kite.Scenario
@@ -13,28 +14,27 @@ module Path = Kite_path.Path
 module Flight = Kite_flight.Flight
 module Blkfront = Kite_drivers.Blkfront
 
-type sinks = No_sink | Trace_only | All_five
+(* What a run arms, given the run's checker report. *)
+let no_sink _ = Obs.none
+let trace_only _ = { Obs.none with trace = Some (Trace.sink ()) }
+
+let all_five report =
+  {
+    Obs.none with
+    check = Some report;
+    trace = Some (Trace.sink ());
+    metrics = Some (Registry.sink ());
+    path = Some (Path.sink ());
+    flight = Some (Flight.sink ());
+  }
 
 (* Run [f] with [sinks] armed the way the kite_ctl subcommands arm them,
    then tear its testbeds down and require a clean checker report. *)
 let armed sinks f =
   let report = Report.create () in
-  let obs =
-    match sinks with
-    | No_sink -> Obs.none
-    | Trace_only -> { Obs.none with trace = Some (Trace.sink ()) }
-    | All_five ->
-        {
-          Obs.none with
-          check = Some report;
-          trace = Some (Trace.sink ());
-          metrics = Some (Registry.sink ());
-          path = Some (Path.sink ());
-          flight = Some (Flight.sink ());
-        }
-  in
   let v =
-    Obs.run obs (fun () -> Fun.protect ~finally:Scenario.teardown_all f)
+    Obs.run (sinks report) (fun () ->
+        Fun.protect ~finally:Scenario.teardown_all f)
   in
   Alcotest.(check int) "zero checker errors" 0 (Report.errors report);
   v
@@ -45,10 +45,10 @@ let net_gbps sinks =
       Kite.Experiments.mq_run_gbps ~duration:(Time.ms 3) ~mq:true 2)
 
 let test_net_armed () =
-  let none = net_gbps No_sink in
-  Alcotest.(check (float 0.)) "trace only = no sink" none (net_gbps Trace_only);
+  let none = net_gbps no_sink in
+  Alcotest.(check (float 0.)) "trace only = no sink" none (net_gbps trace_only);
   Alcotest.(check (float 0.)) "all five armed = no sink" none
-    (net_gbps All_five)
+    (net_gbps all_five)
 
 (* Storage: sixteen 64 KiB writes, then each block read back and
    verified.  Returns the simulated completion instant, the bytes moved
@@ -92,8 +92,8 @@ let blk_run sinks =
       (at, !bytes, List.rev !lat))
 
 let test_blk_armed () =
-  let at, bytes, lat = blk_run No_sink in
-  let at', bytes', lat' = blk_run All_five in
+  let at, bytes, lat = blk_run no_sink in
+  let at', bytes', lat' = blk_run all_five in
   Alcotest.(check int) "completion instant" at at';
   Alcotest.(check int) "bytes" bytes bytes';
   Alcotest.(check (list int)) "latency samples" lat lat'
@@ -218,6 +218,47 @@ let test_scale_armed () =
     (List.length (Trace.traces sink));
   Alcotest.(check int) "zero checker findings" 0 (Report.count report)
 
+(* Every quick experiment prints the same tables armed or disarmed: the
+   sinks that check and record (checker, an empty fault plan, metrics,
+   flight recorder), then the tracer with the path engine.  Member names
+   print in some tables; they number machines, not members, so they do
+   not depend on which sinks are armed either.
+
+   Skipped for host time: these nine take 1.4 to 7 s each, against about
+   0.2 s for the others, and would double the suite. *)
+let heavy =
+  [ "fig5"; "fig8a"; "fig8b"; "fig9"; "fig10"; "table4"; "fig12"; "fig13";
+    "swarm" ]
+
+let recording report =
+  {
+    Obs.none with
+    check = Some report;
+    fault = Some (Kite_fault.Fault.sink []);
+    metrics = Some (Registry.sink ());
+    flight = Some (Flight.sink ());
+  }
+
+let tracing _ =
+  { Obs.none with trace = Some (Trace.sink ()); path = Some (Path.sink ()) }
+
+let tables sinks f =
+  armed sinks (fun () ->
+      let outcome = f ~quick:true in
+      String.concat "\n"
+        (List.map Kite_stats.Table.render outcome.Kite.Experiments.tables))
+
+let test_tables id f () =
+  let none = tables no_sink f in
+  Alcotest.(check string) "check, fault, metrics, flight = no sink" none
+    (tables recording f);
+  (* Restart-recovery's private flight recorder taps whatever tracer is
+     armed, and its table prints the recorder's ring occupancy (9
+     records untraced, 201 traced): observer state, not simulated
+     output. *)
+  if id <> "restart-recovery" then
+    Alcotest.(check string) "trace, path = no sink" none (tables tracing f)
+
 let suite =
   [
     ("net: no sink = trace = all five armed", `Quick, test_net_armed);
@@ -226,3 +267,8 @@ let suite =
     ("obs: nests", `Quick, test_obs_nests);
     ("scale: armed like every testbed", `Quick, test_scale_armed);
   ]
+  @ List.filter_map
+      (fun (id, _, f) ->
+        if List.mem id heavy then None
+        else Some (id ^ ": armed = disarmed", `Quick, test_tables id f))
+      Kite.Experiments.all

@@ -569,9 +569,9 @@ let test_netfront_drops_before_connect () =
   check_bool "never connected" false (Netfront.connected front)
 
 (* Discovery skips the backend-directory walk for watch events under a
-   device it already knows, such as the stats publishers' writes when
-   metrics are armed.  A second device hot-added to the same frontend
-   after the first is Connected must still be found and served, by both
+   device it already knows, such as the handshake's state and feature
+   writes.  A second device hot-added to the same frontend after the
+   first is Connected must still be found and served, by both
    backends. *)
 let test_hot_add_second_device () =
   let hv = Hypervisor.create () in

@@ -1,7 +1,7 @@
 (* kite_metrics: registry semantics, Prometheus exposition round-trip,
-   health probes, scenario integration (xenstore-published backend stats,
-   Dom0 sampler, backend-state alerts) and the no-instruments-when-
-   disabled guarantee. *)
+   health probes, scenario integration (backend counters and their
+   sampled series, the Dom0 sampler that only observes, backend-state
+   alerts) and the no-instruments-when-disabled guarantee. *)
 
 open Kite_sim
 open Kite
@@ -202,38 +202,58 @@ let with_sink f =
   Kite.Obs.run { Kite.Obs.none with metrics = Some sink } f;
   sink
 
-let read_stats_int hv path =
-  match Kite_xen.Xenstore.read (Kite_xen.Hypervisor.store hv) ~path with
-  | Some s -> int_of_string_opt s
-  | None -> None
+(* A registry only observes: no backend publishes a [stats] node under
+   [backend/<ty>/<F>/<D>], and Dom0's sampler, whose probes peek at the
+   store, is never charged simulated time. *)
+let check_observer_only hv r =
+  let xs = Kite_xen.Hypervisor.store hv in
+  let dirs path =
+    List.map (fun c -> path ^ "/" ^ c) (Kite_xen.Xenstore.directory xs ~path)
+  in
+  let devices =
+    dirs "/local/domain"
+    |> List.concat_map (fun d -> dirs (d ^ "/backend"))
+    |> List.concat_map dirs |> List.concat_map dirs
+  in
+  check_bool "backends found" true (devices <> []);
+  check_bool "no backend stats node" false
+    (List.exists
+       (fun dev -> Kite_xen.Xenstore.exists xs ~path:(dev ^ "/stats"))
+       devices);
+  check_bool "Dom0 sampler uncharged" true
+    (R.value r "kite_sched_domain_busy_ns_total" [ ("domain", "Dom0") ]
+    = Some 0.)
+
+let backend_value r name labels =
+  Option.map snd (R.last_sample r name (("side", "backend") :: labels))
 
 let test_storage_scenario_metered () =
-  let nodes = ref (None, None) in
+  let hv = ref None and sampled = ref (None, None) in
   let sink =
     with_sink (fun () ->
         let s = Scenario.storage ~flavor:Scenario.Kite () in
-        let requests =
-          Kite_xen.Xenbus.backend_path ~backend:s.Scenario.bdd
-            ~frontend:s.Scenario.bdomu ~ty:"vbd" ~devid:0
-          ^ "/stats/requests"
-        in
+        let r = Option.get s.Scenario.bctx.Kite_drivers.Xen_ctx.metrics in
+        let domu = s.Scenario.bdomu.Kite_xen.Domain.id in
+        let vbd = [ ("vbd", Printf.sprintf "vbd%d.0" domu) ] in
+        let requests () = backend_value r "kite_blk_requests_total" vbd in
         let dev = Scenario.blockdev s in
-        nodes :=
+        hv := Some s.Scenario.bhv;
+        sampled :=
           Testbed.run s.Scenario.bhv ~what:"metered I/O" ~within:(Time.sec 5)
             (fun finish ->
               Scenario.when_blk_ready s (fun () ->
                   let data = Bytes.make 4096 'm' in
                   dev.Kite_vfs.Blockdev.write ~sector:0 data;
                   ignore (dev.Kite_vfs.Blockdev.read ~sector:0 ~count:8);
-                  (* Give the publisher a tick, snapshot, then issue more
-                     I/O: the node must refresh, not freeze at its first
-                     value. *)
+                  (* Give the sampler a tick, read the series, then issue
+                     more I/O: the series must move on, not freeze at its
+                     first value. *)
                   Process.sleep (Time.ms 300);
-                  let mid = read_stats_int s.Scenario.bhv requests in
+                  let mid = requests () in
                   dev.Kite_vfs.Blockdev.write ~sector:64 data;
                   dev.Kite_vfs.Blockdev.flush ();
                   Process.sleep (Time.ms 300);
-                  finish (mid, read_stats_int s.Scenario.bhv requests))))
+                  finish (mid, requests ()))))
   in
   match R.registries sink with
   | [ r ] ->
@@ -259,19 +279,23 @@ let test_storage_scenario_metered () =
           "kite_sched_runq_depth";
           "kite_sched_domain_busy_ns_total";
         ];
-      (* xenstore stats nodes exist after connect and keep refreshing. *)
-      (match !nodes with
+      (* The backend's request counter is sampled after connect and its
+         series keeps moving. *)
+      (match !sampled with
       | Some a, Some b ->
-          check_bool "stats node live" true (a > 0);
-          check_bool "stats node refreshed" true (b > a)
-      | _ -> Alcotest.fail "backend stats nodes missing");
-      check_bool "healthy run, no alerts" true (R.alerts r = [])
+          check_bool "requests series live" true (a > 0.);
+          check_bool "requests series refreshed" true (b > a)
+      | _ -> Alcotest.fail "backend requests series missing");
+      check_bool "healthy run, no alerts" true (R.alerts r = []);
+      check_observer_only (Option.get !hv) r
   | rs -> Alcotest.failf "expected 1 registry, got %d" (List.length rs)
 
 let test_network_scenario_metered () =
+  let hv = ref None in
   let sink =
     with_sink (fun () ->
         let s = Scenario.network ~flavor:Scenario.Kite () in
+        hv := Some s.Scenario.hv;
         Testbed.run s.Scenario.hv ~what:"metered pings" ~within:(Time.sec 5)
           (fun finish ->
             Scenario.when_net_ready s (fun () ->
@@ -280,18 +304,16 @@ let test_network_scenario_metered () =
                     (Kite_net.Stack.ping s.Scenario.client_stack
                        ~dst:s.Scenario.guest_ip ~seq ())
                 done;
-                (* Give the publisher a tick. *)
+                (* Give the sampler a tick. *)
                 Process.sleep (Time.ms 300);
                 finish ()));
-        (* The vif stats nodes were published and refreshed. *)
-        let stats =
-          Kite_xen.Xenbus.backend_path ~backend:s.Scenario.dd
-            ~frontend:s.Scenario.domu ~ty:"vif" ~devid:0
-          ^ "/stats"
-        in
-        match read_stats_int s.Scenario.hv (stats ^ "/tx-packets") with
-        | Some n -> check_bool "vif stats live" true (n > 0)
-        | None -> Alcotest.fail "vif stats nodes missing")
+        (* The sampled series saw the backend's Tx packets. *)
+        let r = Option.get s.Scenario.ctx.Kite_drivers.Xen_ctx.metrics in
+        let domu = s.Scenario.domu.Kite_xen.Domain.id in
+        let vif = [ ("vif", Printf.sprintf "vif%d.0" domu) ] in
+        match backend_value r "kite_net_tx_packets_total" vif with
+        | Some n -> check_bool "vif tx series live" true (n > 0.)
+        | None -> Alcotest.fail "vif tx series missing")
   in
   match R.registries sink with
   | [ r ] ->
@@ -320,7 +342,8 @@ let test_network_scenario_metered () =
         |> List.sort_uniq String.compare
       in
       Alcotest.(check (list string)) "side labels" [ "backend"; "frontend" ]
-        sides
+        sides;
+      check_observer_only (Option.get !hv) r
   | rs -> Alcotest.failf "expected 1 registry, got %d" (List.length rs)
 
 let test_backend_crash_alerts () =
@@ -356,16 +379,10 @@ let test_disabled_emits_nothing () =
           finish ()));
   check_bool "no registry attached" true
     (s.Scenario.bctx.Kite_drivers.Xen_ctx.metrics = None);
-  (* No registry -> no stats publisher daemons, no xenstore nodes. *)
-  let stats =
-    Kite_xen.Xenbus.backend_path ~backend:s.Scenario.bdd
-      ~frontend:s.Scenario.bdomu ~ty:"vbd" ~devid:0
-    ^ "/stats"
-  in
-  check_bool "no stats subtree" false
-    (Kite_xen.Xenstore.exists
-       (Kite_xen.Hypervisor.store s.Scenario.bhv)
-       ~path:(stats ^ "/requests"))
+  (* No registry on the machine either, so no Dom0 sampler and no
+     scheduler series. *)
+  check_bool "no machine registry" true
+    (Kite_xen.Hypervisor.metrics_registry s.Scenario.bhv = None)
 
 let suite =
   [
