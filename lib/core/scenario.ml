@@ -172,12 +172,10 @@ let register_teardown ctx ~dd ~stop ~shutdown =
       | None -> ())
 
 (* The one testbed runner: run until the experiment calls [finish],
-   which stops the engine at that event's instant, so the daemons
-   (the metrics sampler, the frontends' monitors) do not tick on after
-   the result.  Only
-   the first call counts: a late one must not cut short the teardown's
-   drain.  The final snapshot gives an armed registry a point at the
-   result. *)
+   which stops the engine at that event's instant, so daemons such as
+   the metrics sampler do not tick on after the result.  Only the first
+   call counts: a late one must not cut short the teardown's drain.  The
+   final snapshot gives an armed registry a point at the result. *)
 let run hv ~what body =
   let result = ref None in
   let engine = Hypervisor.engine hv in

@@ -224,8 +224,9 @@ let test_scale_armed () =
    print in some tables; they number machines, not members, so they do
    not depend on which sinks are armed either.
 
-   Skipped for host time: these nine take 1.4 to 7 s each, against about
-   0.2 s for the others, and would double the suite. *)
+   Skipped for host time: each of these nine takes 0.8 to 7 s unarmed
+   on a 2-vCPU VM, against at most 0.3 s for the others, so comparing
+   them would add about a minute to the suite. *)
 let heavy =
   [ "fig5"; "fig8a"; "fig8b"; "fig9"; "fig10"; "table4"; "fig12"; "fig13";
     "swarm" ]
@@ -252,10 +253,13 @@ let test_tables id f () =
   let none = tables no_sink f in
   Alcotest.(check string) "check, fault, metrics, flight = no sink" none
     (tables recording f);
-  (* Restart-recovery's private flight recorder taps whatever tracer is
-     armed, and its table prints the recorder's ring occupancy (9
-     records untraced, 201 traced): observer state, not simulated
-     output. *)
+  (* Restart-recovery's private flight recorders tap whatever tracer and
+     path engine are armed, and its tables print what they captured: the
+     ring occupancy (9 records a machine untraced; 201 per blk and 22
+     per net machine traced), the span records in each incident
+     timeline and the kite_path_* rows of each incident's metrics delta.
+     That is observer state, not simulated output; every other cell
+     matches. *)
   if id <> "restart-recovery" then
     Alcotest.(check string) "trace, path = no sink" none (tables tracing f)
 

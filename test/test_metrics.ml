@@ -228,7 +228,7 @@ let backend_value r name labels =
   Option.map snd (R.last_sample r name (("side", "backend") :: labels))
 
 let test_storage_scenario_metered () =
-  let hv = ref None and sampled = ref (None, None) in
+  let sampled = ref (None, None) in
   let sink =
     with_sink (fun () ->
         let s = Scenario.storage ~flavor:Scenario.Kite () in
@@ -237,7 +237,6 @@ let test_storage_scenario_metered () =
         let vbd = [ ("vbd", Printf.sprintf "vbd%d.0" domu) ] in
         let requests () = backend_value r "kite_blk_requests_total" vbd in
         let dev = Scenario.blockdev s in
-        hv := Some s.Scenario.bhv;
         sampled :=
           Testbed.run s.Scenario.bhv ~what:"metered I/O" ~within:(Time.sec 5)
             (fun finish ->
@@ -253,7 +252,8 @@ let test_storage_scenario_metered () =
                   dev.Kite_vfs.Blockdev.write ~sector:64 data;
                   dev.Kite_vfs.Blockdev.flush ();
                   Process.sleep (Time.ms 300);
-                  finish (mid, requests ()))))
+                  finish (mid, requests ())));
+        check_observer_only s.Scenario.bhv r)
   in
   match R.registries sink with
   | [ r ] ->
@@ -286,16 +286,13 @@ let test_storage_scenario_metered () =
           check_bool "requests series live" true (a > 0.);
           check_bool "requests series refreshed" true (b > a)
       | _ -> Alcotest.fail "backend requests series missing");
-      check_bool "healthy run, no alerts" true (R.alerts r = []);
-      check_observer_only (Option.get !hv) r
+      check_bool "healthy run, no alerts" true (R.alerts r = [])
   | rs -> Alcotest.failf "expected 1 registry, got %d" (List.length rs)
 
 let test_network_scenario_metered () =
-  let hv = ref None in
   let sink =
     with_sink (fun () ->
         let s = Scenario.network ~flavor:Scenario.Kite () in
-        hv := Some s.Scenario.hv;
         Testbed.run s.Scenario.hv ~what:"metered pings" ~within:(Time.sec 5)
           (fun finish ->
             Scenario.when_net_ready s (fun () ->
@@ -311,9 +308,10 @@ let test_network_scenario_metered () =
         let r = Option.get s.Scenario.ctx.Kite_drivers.Xen_ctx.metrics in
         let domu = s.Scenario.domu.Kite_xen.Domain.id in
         let vif = [ ("vif", Printf.sprintf "vif%d.0" domu) ] in
-        match backend_value r "kite_net_tx_packets_total" vif with
+        (match backend_value r "kite_net_tx_packets_total" vif with
         | Some n -> check_bool "vif tx series live" true (n > 0.)
-        | None -> Alcotest.fail "vif tx series missing")
+        | None -> Alcotest.fail "vif tx series missing");
+        check_observer_only s.Scenario.hv r)
   in
   match R.registries sink with
   | [ r ] ->
@@ -342,8 +340,7 @@ let test_network_scenario_metered () =
         |> List.sort_uniq String.compare
       in
       Alcotest.(check (list string)) "side labels" [ "backend"; "frontend" ]
-        sides;
-      check_observer_only (Option.get !hv) r
+        sides
   | rs -> Alcotest.failf "expected 1 registry, got %d" (List.length rs)
 
 let test_backend_crash_alerts () =
