@@ -410,7 +410,11 @@ let trace_cmd =
     Arg.(value & flag & info [ "fail-on-drop" ] ~doc)
   in
   let run full out breakdown hypercalls fail_on_drop id =
-    let sink = Kite_trace.Trace.sink () in
+    (* Only the JSON export and the breakdown read stored events and
+       spans; the summary and the hypercall profile come from counts. *)
+    let sink =
+      Kite_trace.Trace.sink ~record:(out <> None || breakdown) ()
+    in
     let* () =
       run_armed
         { Obs.none with trace = Some sink }

@@ -1,13 +1,18 @@
-(* Event storage: fixed-size chunks of int columns.  An event is one row
-   across a chunk's columns: its time, duration (0 for instants), track,
-   label, and up to [max_args] int arguments.  What repeats is interned
-   once per tracer: a label is (phase, name, category, argument keys), a
-   track is a thread id (tids are numbered per tracer, so a tid also
-   names its domain's pid), and a string-valued argument is an id into
-   the tracer's string table.  Nothing is rendered until
-   [to_chrome_json].  The tracer is per simulated machine, so timestamps
-   (simulated ns supplied by the instrumented layers) are monotone per
-   process and comparable across the whole store. *)
+(* Two modes.  A recording tracer stores every event for the exporters;
+   a counting tracer stores none and keeps only the counts, profiles and
+   open spans that the summary, the hypercall profile and the span
+   observers read.  Both count the same events against the same limit.
+
+   Event storage (recording): fixed-size chunks of int columns.  An
+   event is one row across a chunk's columns: its time, duration (0 for
+   instants), track, label, and up to [max_args] int arguments.  What
+   repeats is interned once per tracer: a label is (phase, name,
+   category, argument keys), a track is a thread id (tids are numbered
+   per tracer, so a tid also names its domain's pid), and a string-valued
+   argument is an id into the tracer's string table.  Nothing is
+   rendered until [to_chrome_json].  The tracer is per simulated machine,
+   so timestamps (simulated ns supplied by the instrumented layers) are
+   monotone per process and comparable across the whole store. *)
 
 module Export = Kite_stats.Export
 
@@ -131,16 +136,27 @@ type span = {
 }
 
 (* An in-flight span: stages are collected as (name, start, args) marks,
-   most recent first; span_end closes them into intervals. *)
+   most recent first; span_end closes them into intervals.  A counting
+   tracer keeps no args. *)
 type open_span = {
-  os_kind : string;
-  os_key : string;
   os_begin : int;
   mutable os_marks : (string * int * arg list) list;
 }
 
+module Itbl = Hashtbl.Make (Int)
+
+(* The open spans of one (kind, key) pair, by id.  A tracer sees a few
+   pairs (a span kind per device), found by a scan. *)
+type span_class = {
+  sc_kind : string;
+  sc_key : string;
+  sc_open : open_span Itbl.t;
+  mutable sc_tid : int;  (* its Chrome track; 0 until its first end *)
+}
+
 type t = {
   tname : string;
+  record : bool;
   limit : int;
   mutable n : int;
   mutable dropped : int;
@@ -164,12 +180,12 @@ type t = {
   irq : proc;
   ops : (string * string, op) Hashtbl.t;
   (* Spans. *)
-  open_tbl : (string, open_span) Hashtbl.t;
-  mutable done_spans : span list;  (* reversed *)
+  classes : span_class Vec.t;
+  mutable done_spans : span list;  (* reversed; recording only *)
   mutable done_count : int;
   (* Completed-span observers (the path and flight taps), in
-     subscription order; [] keeps span_end allocation-identical to the
-     pre-observer shape. *)
+     subscription order; a counting tracer with none builds no span
+     record. *)
   mutable span_taps : (span -> unit) list;
   (* Hops/ends that arrived for spans never begun (or already ended):
      lost attribution, counted instead of silently vanishing. *)
@@ -192,12 +208,16 @@ let proc ~name =
   let domain, thread = split_name name in
   proc_of_parts domain thread
 
-let create ?(limit = 1_000_000) ?(name = "trace") () =
+let no_class =
+  { sc_kind = ""; sc_key = ""; sc_open = Itbl.create 1; sc_tid = 0 }
+
+let make ~record ?(limit = 1_000_000) ?(name = "trace") () =
   let irq = proc_of_parts "sim" "(interrupt)" in
   let labels = Vec.create builtin.(0) in
   Array.iter (Vec.push labels) builtin;
   {
     tname = name;
+    record;
     limit;
     n = 0;
     dropped = 0;
@@ -214,7 +234,7 @@ let create ?(limit = 1_000_000) ?(name = "trace") () =
     stack = Vec.create irq;
     irq;
     ops = Hashtbl.create 16;
-    open_tbl = Hashtbl.create 256;
+    classes = Vec.create no_class;
     done_spans = [];
     done_count = 0;
     span_taps = [];
@@ -222,6 +242,7 @@ let create ?(limit = 1_000_000) ?(name = "trace") () =
     orphan_ends = 0;
   }
 
+let create ?limit ?name () = make ~record:true ?limit ?name ()
 let name t = t.tname
 let events t = t.n
 let dropped t = t.dropped
@@ -230,12 +251,12 @@ let dropped t = t.dropped
 (* Run-wide default sink                                               *)
 (* ------------------------------------------------------------------ *)
 
-type sink = { mutable members : t list (* reversed *) }
+type sink = { s_record : bool; mutable members : t list (* reversed *) }
 
-let sink () = { members = [] }
+let sink ?(record = false) () = { s_record = record; members = [] }
 
 let create_in s ~name =
-  let t = create ~name () in
+  let t = make ~record:s.s_record ~name () in
   s.members <- t :: s.members;
   t
 
@@ -321,9 +342,6 @@ let label_id t ph name cat args =
   let v = t.labels in
   let rec scan i =
     if i = v.Vec.n then begin
-      if List.length args > max_args then
-        invalid_arg
-          (Printf.sprintf "Trace: %s has more than %d args" name max_args);
       Vec.push v
         {
           ph;
@@ -362,6 +380,11 @@ let fresh_chunk t =
   t.last <- c;
   c
 
+(* One event a counting tracer does not store: counted, or dropped at
+   the limit, as [emit] would. *)
+let count t =
+  if t.n >= t.limit then t.dropped <- t.dropped + 1 else t.n <- t.n + 1
+
 let emit t at dur track label a0 a1 a2 a3 =
   let n = t.n in
   if n >= t.limit then t.dropped <- t.dropped + 1
@@ -393,7 +416,13 @@ let emit_args t at dur track label args =
   | [ a; b; c; d ] ->
       emit t at dur track label (arg_value t a) (arg_value t b)
         (arg_value t c) (arg_value t d)
-  | _ -> assert false (* label_id refused it *)
+  | _ -> assert false (* [check_arity] refused it *)
+
+(* An event takes at most [max] args; checked at the call, in both
+   modes, since a counting tracer never builds the label. *)
+let check_arity name max args =
+  if List.compare_length_with args max > 0 then
+    invalid_arg (Printf.sprintf "Trace: %s has more than %d args" name max)
 
 let current t =
   let s = t.stack in
@@ -408,7 +437,7 @@ let cur_track t domain =
 (* Scheduler hooks                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let proc_enter t p = Vec.push t.stack p
+let proc_enter t p = if t.record then Vec.push t.stack p
 
 let proc_leave t = if t.stack.Vec.n > 0 then t.stack.Vec.n <- t.stack.Vec.n - 1
 
@@ -417,24 +446,29 @@ let own_track t p =
   p.p_own
 
 let proc_spawned t ~at p ~daemon =
-  let track = own_track t p in
-  if daemon then emit t at 0 track l_spawn_daemon 1 0 0 0
-  else emit t at 0 track l_spawn 0 0 0 0
+  if not t.record then count t
+  else
+    let track = own_track t p in
+    if daemon then emit t at 0 track l_spawn_daemon 1 0 0 0
+    else emit t at 0 track l_spawn 0 0 0 0
 
 let proc_blocked t ~at p ~kind =
-  let track = own_track t p in
-  match kind with
-  | `Sleep span -> emit t at 0 track l_sleep span 0 0 0
-  | `Yield -> emit t at 0 track l_yield 0 0 0 0
-  | `Suspend None -> emit t at 0 track l_wait 0 0 0 0
-  | `Suspend (Some label) ->
-      if not (p.p_on_id >= 0 && p.p_on == label) then begin
-        p.p_on <- label;
-        p.p_on_id <- str_id t label
-      end;
-      emit t at 0 track l_wait_on p.p_on_id 0 0 0
+  if not t.record then count t
+  else
+    let track = own_track t p in
+    match kind with
+    | `Sleep span -> emit t at 0 track l_sleep span 0 0 0
+    | `Yield -> emit t at 0 track l_yield 0 0 0 0
+    | `Suspend None -> emit t at 0 track l_wait 0 0 0 0
+    | `Suspend (Some label) ->
+        if not (p.p_on_id >= 0 && p.p_on == label) then begin
+          p.p_on <- label;
+          p.p_on_id <- str_id t label
+        end;
+        emit t at 0 track l_wait_on p.p_on_id 0 0 0
 
-let proc_exited t ~at p = emit t at 0 (own_track t p) l_exit 0 0 0 0
+let proc_exited t ~at p =
+  if not t.record then count t else emit t at 0 (own_track t p) l_exit 0 0 0 0
 
 (* ------------------------------------------------------------------ *)
 (* Hypervisor hooks                                                    *)
@@ -454,7 +488,7 @@ let op t ~domain ~op =
         {
           o_domain = domain;
           o_op = op;
-          o_label = label_id t Complete op "hv" [];
+          o_label = (if t.record then label_id t Complete op "hv" [] else -1);
           o_hypercall = is_hypercall op;
           o_pid = 0;
           o_count = 0;
@@ -469,22 +503,29 @@ let charge t ~at o ~cost =
     o.o_count <- o.o_count + 1;
     o.o_total <- o.o_total + cost
   end;
-  if o.o_pid = 0 then o.o_pid <- pid_of t o.o_domain;
-  emit t at cost (tid_in t (current t) o.o_pid) o.o_label 0 0 0 0
+  if not t.record then count t
+  else begin
+    if o.o_pid = 0 then o.o_pid <- pid_of t o.o_domain;
+    emit t at cost (tid_in t (current t) o.o_pid) o.o_label 0 0 0 0
+  end
 
 let cpu_work t ~at ~domain ~cost =
-  emit t at cost (cur_track t domain) l_cpu_work 0 0 0 0
+  if not t.record then count t
+  else emit t at cost (cur_track t domain) l_cpu_work 0 0 0 0
 
 (* ------------------------------------------------------------------ *)
 (* Event channels                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let evtchn_send t ~at ~domain ~port =
-  emit t at 0 (cur_track t domain) l_evtchn_send port 0 0 0
+  if not t.record then count t
+  else emit t at 0 (cur_track t domain) l_evtchn_send port 0 0 0
 
 let evtchn_deliver t ~at ~domain ~port =
-  let pid = pid_of t domain in
-  emit t at 0 (tid_in t t.irq pid) l_evtchn_deliver port 0 0 0
+  if not t.record then count t
+  else
+    let pid = pid_of t domain in
+    emit t at 0 (tid_in t t.irq pid) l_evtchn_deliver port 0 0 0
 
 (* ------------------------------------------------------------------ *)
 (* Rings                                                               *)
@@ -506,8 +547,11 @@ let ring t ~name ~now =
 
 let ring_event r label a0 a1 =
   let t = r.rt in
-  if r.rtid = 0 then r.rtid <- intern_tid t (pid_of t "rings") r.rname;
-  emit t (r.rnow ()) 0 r.rtid label a0 a1 0 0
+  if not t.record then count t
+  else begin
+    if r.rtid = 0 then r.rtid <- intern_tid t (pid_of t "rings") r.rname;
+    emit t (r.rnow ()) 0 r.rtid label a0 a1 0 0
+  end
 
 let ring_publish r side ~batch ~notify =
   if batch > 0 then
@@ -537,63 +581,112 @@ let ring_take r side ~got =
 (* ------------------------------------------------------------------ *)
 
 let driver t ~at ~domain ~name ~args =
-  let track = cur_track t domain in
-  emit_args t at 0 track (label_id t Instant name "driver" args) args
+  check_arity name max_args args;
+  if not t.record then count t
+  else
+    let track = cur_track t domain in
+    emit_args t at 0 track (label_id t Instant name "driver" args) args
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let span_tbl_key ~kind ~key ~id =
-  kind ^ "#" ^ key ^ "#" ^ string_of_int id
+(* The (kind, key) pair's class, or [no_class], whose table stays
+   empty. *)
+let rec find_class v kind key i =
+  if i = v.Vec.n then no_class
+  else
+    let c = v.Vec.a.(i) in
+    if String.equal c.sc_kind kind && String.equal c.sc_key key then c
+    else find_class v kind key (i + 1)
+
+let new_class t kind key =
+  let c =
+    { sc_kind = kind; sc_key = key; sc_open = Itbl.create 64; sc_tid = 0 }
+  in
+  Vec.push t.classes c;
+  c
 
 let span_begin t ~at ~kind ~key ~id ~stage =
-  Hashtbl.replace t.open_tbl
-    (span_tbl_key ~kind ~key ~id)
-    { os_kind = kind; os_key = key; os_begin = at; os_marks = [ (stage, at, []) ] }
+  let c = find_class t.classes kind key 0 in
+  let c = if c == no_class then new_class t kind key else c in
+  Itbl.replace c.sc_open id { os_begin = at; os_marks = [ (stage, at, []) ] }
 
+(* A stage is exported with the span id before its args, so a hop takes
+   one arg fewer than an event. *)
 let span_hop t ~at ~kind ~key ~id ~stage ~args =
-  match Hashtbl.find_opt t.open_tbl (span_tbl_key ~kind ~key ~id) with
-  | Some os -> os.os_marks <- (stage, at, args) :: os.os_marks
-  | None -> t.orphan_hops <- t.orphan_hops + 1
+  check_arity stage (max_args - 1) args;
+  match Itbl.find (find_class t.classes kind key 0).sc_open id with
+  | os ->
+      let args = if t.record then args else [] in
+      os.os_marks <- (stage, at, args) :: os.os_marks
+  | exception Not_found -> t.orphan_hops <- t.orphan_hops + 1
+
+(* Close the marks into consecutive intervals, oldest first. *)
+let rec stages_of marks stop acc =
+  match marks with
+  | [] -> acc
+  | (stage, start, _) :: older ->
+      stages_of older start ((stage, start, stop) :: acc)
+
+(* Render the marks as Chrome slices on the class's span track, newest
+   first. *)
+let emit_stages t c ~id ~at marks =
+  if c.sc_tid = 0 then
+    c.sc_tid <- intern_tid t (pid_of t "spans") (c.sc_kind ^ ":" ^ c.sc_key);
+  ignore
+    (List.fold_left
+       (fun stop (stage, start, args) ->
+         let args = Int ("id", id) :: args in
+         emit_args t start (stop - start) c.sc_tid
+           (label_id t Complete stage c.sc_kind args)
+           args;
+         start)
+       at marks)
 
 let span_end t ~at ~kind ~key ~id =
-  let k = span_tbl_key ~kind ~key ~id in
-  match Hashtbl.find_opt t.open_tbl k with
-  | None -> t.orphan_ends <- t.orphan_ends + 1
-  | Some os ->
-      Hashtbl.remove t.open_tbl k;
-      (* Close the marks into consecutive intervals; also render them as
-         Chrome slices on the machine's dedicated span track. *)
-      let tid = intern_tid t (pid_of t "spans") (kind ^ ":" ^ key) in
-      let rec close marks stop acc =
-        match marks with
-        | [] -> acc
-        | (stage, start, args) :: older ->
-            let args = Int ("id", id) :: args in
-            emit_args t start (stop - start) tid
-              (label_id t Complete stage kind args)
-              args;
-            close older start ((stage, start, stop) :: acc)
-      in
-      let stages = close os.os_marks at [] in
-      let sp =
-        {
-          span_kind = kind;
-          span_key = key;
-          span_id = id;
-          span_begin_at = os.os_begin;
-          span_end_at = at;
-          span_stages = stages;
-        }
-      in
-      t.done_spans <- sp :: t.done_spans;
+  let c = find_class t.classes kind key 0 in
+  match Itbl.find c.sc_open id with
+  | exception Not_found -> t.orphan_ends <- t.orphan_ends + 1
+  | os ->
+      Itbl.remove c.sc_open id;
+      if t.record then emit_stages t c ~id ~at os.os_marks
+      else List.iter (fun _ -> count t) os.os_marks;
       t.done_count <- t.done_count + 1;
-      (match t.span_taps with [] -> () | taps -> List.iter (fun f -> f sp) taps)
+      if t.record || t.span_taps <> [] then begin
+        let sp =
+          {
+            span_kind = kind;
+            span_key = key;
+            span_id = id;
+            span_begin_at = os.os_begin;
+            span_end_at = at;
+            span_stages = stages_of os.os_marks at [];
+          }
+        in
+        if t.record then t.done_spans <- sp :: t.done_spans;
+        match t.span_taps with [] -> () | taps -> List.iter (fun f -> f sp) taps
+      end
 
-let spans t = List.rev t.done_spans
+let require_recording what t =
+  if not t.record then
+    invalid_arg
+      (Printf.sprintf "Trace.%s: %s is a counting tracer (arm Trace.sink \
+                       ~record:true)" what t.tname)
+
+let spans t =
+  require_recording "spans" t;
+  List.rev t.done_spans
+
 let span_count t = t.done_count
-let open_spans t = Hashtbl.length t.open_tbl
+
+let open_spans t =
+  let v = t.classes in
+  let n = ref 0 in
+  for i = 0 to v.Vec.n - 1 do
+    n := !n + Itbl.length v.Vec.a.(i).sc_open
+  done;
+  !n
 let add_span_observer t f = t.span_taps <- t.span_taps @ [ f ]
 let orphan_hops t = t.orphan_hops
 let orphan_ends t = t.orphan_ends
@@ -645,6 +738,7 @@ let add_event b t base heads c i =
   Buffer.add_string b "}}"
 
 let to_chrome_json ts =
+  List.iter (require_recording "to_chrome_json") ts;
   let b = Buffer.create 65536 in
   let first = ref true in
   let sep () = if !first then first := false else Buffer.add_string b ",\n" in
@@ -705,6 +799,7 @@ let hypercall_profile ts =
 (* ------------------------------------------------------------------ *)
 
 let breakdown ts =
+  List.iter (require_recording "breakdown") ts;
   (* kind -> stage -> durations, preserving first-seen order. *)
   let kinds : (string * (string * float list ref) list ref) list ref = ref [] in
   let stage_cell kind stage =

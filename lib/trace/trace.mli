@@ -14,9 +14,28 @@
     costs one [match] on [None] and the benchmarks are unaffected.
     Timestamps are simulated nanoseconds supplied by the caller.
 
-    Storage: events live in fixed-size chunks of int columns (time,
-    duration, track, label, up to four int arguments), allocated as they
-    fill.  A label (phase, name, category, argument keys) and a track
+    Two modes.  A {e recording} tracer stores every event and every
+    completed span, for the exporters that read them back:
+    {!to_chrome_json}, {!spans} and {!breakdown}.  A {e counting} tracer
+    stores no event and keeps no completed span: it interns no label,
+    resolves no track and allocates no chunk, and a scheduler, charge,
+    event-channel or ring event allocates nothing at all.  It still
+    reports what a recording tracer with the same limit would report
+    through {!events}, {!dropped}, {!span_count}, {!open_spans},
+    {!orphan_hops}, {!orphan_ends} and {!hypercall_profile}, and it
+    still passes every completed span to its observers (the path engine,
+    the flight recorder).  Its exporters raise [Invalid_argument].  A
+    tracer made by {!create} records; one made by {!create_in} follows
+    its {!sink}, which counts unless made with [~record:true]
+    ([kite_ctl trace] records only for [--out] or [--breakdown]).
+
+    Open spans are found, in both modes, by their (kind, key) pair among
+    the few a tracer sees, then by id in an int-keyed table: no key
+    string is built on a begin, hop or end.
+
+    Storage (recording): events live in fixed-size chunks of int
+    columns (time, duration, track, label, up to four int arguments),
+    allocated as they fill.  A label (phase, name, category, argument keys) and a track
     (pid, tid) are interned once per tracer; string-valued arguments are
     ids into a per-tracer string table.  The hot hooks take handles that
     carry what they would otherwise look up by name: a {!proc} per
@@ -41,18 +60,20 @@
 type t
 
 val create : ?limit:int -> ?name:string -> unit -> t
-(** A fresh tracer.  [limit] (default 1_000_000) bounds the number of
-    buffered events; once reached, further events are counted in
-    {!dropped} instead of being recorded (hypercall-profile aggregation
-    and spans are exact regardless). *)
+(** A fresh recording tracer.  [limit] (default 1_000_000) bounds the
+    number of buffered events; once reached, further events are counted
+    in {!dropped} instead of being recorded (hypercall-profile
+    aggregation and spans are exact regardless). *)
 
 val name : t -> string
 
 val events : t -> int
-(** Number of events recorded so far. *)
+(** Events recorded so far; on a counting tracer, the events it would
+    have recorded.  At most the limit in both modes. *)
 
 val dropped : t -> int
-(** Events discarded after the buffer limit was reached. *)
+(** Events past the limit: refused by a recording tracer, counted alike
+    by a counting one. *)
 
 (** {1 Run-wide default}
 
@@ -63,8 +84,14 @@ val dropped : t -> int
 type sink
 (** An ordered collection of per-machine tracers belonging to one run. *)
 
-val sink : unit -> sink
+val sink : ?record:bool -> unit -> sink
+(** [record] (default false) makes every member a recording tracer;
+    arm it only for an exporter that reads stored events or spans. *)
+
 val create_in : sink -> name:string -> t
+(** A member with the default limit, recording or counting as its sink
+    says. *)
+
 val traces : sink -> t list
 (** In creation order. *)
 
@@ -152,7 +179,8 @@ val driver :
   t -> at:int -> domain:string -> name:string -> args:arg list -> unit
 (** Instant driver-level milestone (netback tx/rx batch sizes, wake-tier
     transitions, blkback batch dispatch, ...), with at most four
-    arguments. *)
+    arguments; more raise [Invalid_argument] at the call, in both
+    modes. *)
 
 (** {1 Request-lifecycle spans}
 
@@ -175,7 +203,8 @@ val span_hop :
     frontend writing the ring directly) is dropped but counted in
     {!orphan_hops}: lost attribution is visible, not silent.  A stage is
     exported with the span id before [args], so a hop takes at most
-    three. *)
+    three; more raise [Invalid_argument] at the call, in both modes,
+    whether or not the span is open.  A counting tracer drops [args]. *)
 
 val span_end : t -> at:int -> kind:string -> key:string -> id:int -> unit
 (** An end for an unknown span is dropped but counted in
@@ -193,7 +222,7 @@ type span = {
 }
 
 val spans : t -> span list
-(** Completed spans, in completion order. *)
+(** Completed spans, in completion order.  Recording tracers only. *)
 
 val span_count : t -> int
 (** [List.length (spans t)], without copying the list. *)
@@ -211,10 +240,10 @@ val orphan_ends : t -> int
 
 val add_span_observer : t -> (span -> unit) -> unit
 (** Subscribe a completed-span observer, called from {!span_end} after
-    the span is recorded, in subscription order.  Independent layers
-    (the path attribution engine, the flight recorder) compose on one
-    tracer.  Observers live as long as the tracer; with none,
-    [span_end] stays on its pre-observer path. *)
+    the span is recorded, in subscription order, in both modes.
+    Independent layers (the path attribution engine, the flight
+    recorder) compose on one tracer.  Observers live as long as the
+    tracer; a counting tracer with none builds no span record. *)
 
 (** {1 Exporters} *)
 
@@ -223,7 +252,7 @@ val to_chrome_json : t list -> string
     Perfetto or chrome://tracing).  Each domain becomes a process track
     (named ["machine/domain"]), each simulated thread a thread track;
     completed spans are rendered as per-stage slices on a dedicated
-    ["spans"] track per machine. *)
+    ["spans"] track per machine.  Recording tracers only. *)
 
 val hypercall_profile :
   t list -> (string * string * string * int * int) list
@@ -234,4 +263,4 @@ val hypercall_profile :
 val breakdown : t list -> (string * (string * float list) list) list
 (** Per span kind, per stage (first-seen order, ["TOTAL"] last): the
     attributed durations in ns of every completed span, ready for
-    percentile math. *)
+    percentile math.  Recording tracers only. *)

@@ -381,7 +381,7 @@ let test_recovery_deterministic () =
      produce the identical injection/recovery sequence — asserted on the
      merged fault event logs and on the request-lifecycle trace spans. *)
   let run () =
-    let tsink = Kite_trace.Trace.sink () in
+    let tsink = Kite_trace.Trace.sink ~record:true () in
     let fsink, s =
       Obs.run { Obs.none with trace = Some tsink } (fun () ->
           with_sink ~seed:11 Fault.default_plan (fun () ->

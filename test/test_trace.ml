@@ -1,5 +1,5 @@
-(* kite_trace: span accounting invariants, Chrome JSON export, and the
-   zero-events-when-disabled guarantee. *)
+(* kite_trace: span accounting invariants, Chrome JSON export, counting
+   against recording, and the zero-events-when-disabled guarantee. *)
 
 open Kite_sim
 open Kite
@@ -339,11 +339,197 @@ let test_limit_across_chunks () =
     spans
 
 (* ------------------------------------------------------------------ *)
+(* Counting against recording                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A sink's members get the default limit, so the overflow below fills
+   it. *)
+let limit = 1_000_000
+
+(* One run of hooks of every shape: scheduler, charges, event channels,
+   rings, driver events, nested spans of two kinds (one left open), an
+   orphan hop and end, then events past the limit, with a span whose
+   stages straddle it. *)
+let drive tr =
+  let netback = Trace.proc ~name:"Dom0/netback" in
+  let probe = Trace.proc ~name:"probe" in
+  Trace.proc_spawned tr ~at:0 netback ~daemon:true;
+  Trace.proc_spawned tr ~at:1 probe ~daemon:false;
+  Trace.proc_enter tr netback;
+  let copy = Trace.op tr ~domain:"Dom0" ~op:"hypercall.grant_copy" in
+  let read = Trace.op tr ~domain:"domu" ~op:"xenstore.read" in
+  Trace.charge tr ~at:2 copy ~cost:2500;
+  Trace.charge tr ~at:3 read ~cost:50;
+  Trace.cpu_work tr ~at:4 ~domain:"Dom0" ~cost:1500;
+  Trace.evtchn_send tr ~at:5 ~domain:"Dom0" ~port:7;
+  Trace.driver tr ~at:6 ~domain:"Dom0" ~name:"netback.wake"
+    ~args:[ Str ("vif", "vif1.0"); Str ("tier", "cold"); Int ("idle_ns", 9) ];
+  Trace.proc_blocked tr ~at:7 netback ~kind:(`Sleep 1000);
+  Trace.proc_leave tr;
+  Trace.evtchn_deliver tr ~at:8 ~domain:"domu" ~port:7;
+  Trace.proc_blocked tr ~at:9 probe ~kind:`Yield;
+  Trace.proc_blocked tr ~at:10 probe ~kind:(`Suspend (Some "slot"));
+  Trace.proc_blocked tr ~at:11 probe ~kind:(`Suspend None);
+  let now = ref 12 in
+  let r = Trace.ring tr ~name:"vif1.0-tx" ~now:(fun () -> !now) in
+  Trace.ring_publish r `Req ~batch:2 ~notify:true;
+  Trace.ring_publish r `Rsp ~batch:0 ~notify:false;
+  Trace.ring_take r `Req ~got:true;
+  Trace.ring_take r `Req ~got:true;
+  now := 13;
+  Trace.ring_take r `Req ~got:false;
+  Trace.ring_take r `Rsp ~got:false;
+  let net = "net.tx" and blk = "blk" in
+  Trace.span_begin tr ~at:20 ~kind:net ~key:"vif1.0" ~id:1 ~stage:"frontend";
+  Trace.span_begin tr ~at:21 ~kind:net ~key:"vif1.0" ~id:2 ~stage:"frontend";
+  Trace.span_begin tr ~at:22 ~kind:blk ~key:"vbd2.0" ~id:1 ~stage:"frontend";
+  Trace.span_hop tr ~at:23 ~kind:net ~key:"vif1.0" ~id:2 ~stage:"ring"
+    ~args:[ Int ("len", 1514); Int ("q", 0) ];
+  Trace.span_hop tr ~at:24 ~kind:net ~key:"vif1.0" ~id:1 ~stage:"ring"
+    ~args:[];
+  Trace.span_hop tr ~at:25 ~kind:blk ~key:"vbd2.0" ~id:1 ~stage:"ring"
+    ~args:[ Int ("segs", 11); Str ("op", "write"); Int ("q", 1) ];
+  Trace.span_end tr ~at:30 ~kind:net ~key:"vif1.0" ~id:2;
+  Trace.span_hop tr ~at:31 ~kind:net ~key:"vif1.0" ~id:1 ~stage:"backend"
+    ~args:[];
+  Trace.span_end tr ~at:35 ~kind:net ~key:"vif1.0" ~id:1;
+  Trace.span_hop tr ~at:36 ~kind:net ~key:"vif1.0" ~id:2 ~stage:"late"
+    ~args:[];
+  Trace.span_hop tr ~at:37 ~kind:net ~key:"vif9.0" ~id:1 ~stage:"ring"
+    ~args:[];
+  Trace.span_end tr ~at:38 ~kind:blk ~key:"vbd2.0" ~id:7;
+  Trace.span_begin tr ~at:40 ~kind:net ~key:"vif1.0" ~id:3 ~stage:"frontend";
+  List.iteri
+    (fun i stage ->
+      Trace.span_hop tr ~at:(41 + i) ~kind:net ~key:"vif1.0" ~id:3 ~stage
+        ~args:[])
+    [ "queue"; "ring"; "backend" ];
+  (* Fill to two events short of the limit: the span's four stages
+     straddle it. *)
+  for i = Trace.events tr + 1 to limit - 2 do
+    Trace.charge tr ~at:(50 + i) copy ~cost:1
+  done;
+  Trace.span_end tr ~at:(limit + 100) ~kind:net ~key:"vif1.0" ~id:3;
+  Trace.proc_exited tr ~at:(limit + 101) probe;
+  Trace.evtchn_send tr ~at:(limit + 102) ~domain:"Dom0" ~port:7
+
+let summary tr =
+  Trace.
+    [
+      events tr; dropped tr; span_count tr; open_spans tr; orphan_hops tr;
+      orphan_ends tr;
+    ]
+
+let test_counting_equals_recording () =
+  let traced record =
+    let tr = Trace.create_in (Trace.sink ~record ()) ~name:"m" in
+    let seen = ref [] in
+    Trace.add_span_observer tr (fun sp -> seen := sp :: !seen);
+    drive tr;
+    (tr, List.rev !seen)
+  in
+  let rec_tr, rec_seen = traced true in
+  let cnt_tr, cnt_seen = traced false in
+  Alcotest.(check (list int))
+    "events, dropped, spans, open spans, orphan hops and ends"
+    [ limit; 4; 3; 1; 2; 1 ] (summary rec_tr);
+  Alcotest.(check (list int)) "counting = recording" (summary rec_tr)
+    (summary cnt_tr);
+  check_bool "same hypercall profile" true
+    (Trace.hypercall_profile [ rec_tr ] = Trace.hypercall_profile [ cnt_tr ]);
+  check_int "observer saw every span" 3 (List.length cnt_seen);
+  check_bool "observers saw the same spans in the same order" true
+    (rec_seen = cnt_seen);
+  check_bool "the recording tracer kept them" true
+    (Trace.spans rec_tr = rec_seen);
+  let refuses what f =
+    match f () with
+    | _ -> Alcotest.failf "%s on a counting tracer did not raise" what
+    | exception Invalid_argument _ -> ()
+  in
+  refuses "to_chrome_json" (fun () -> ignore (Trace.to_chrome_json [ cnt_tr ]));
+  refuses "spans" (fun () -> ignore (Trace.spans cnt_tr));
+  refuses "breakdown" (fun () -> ignore (Trace.breakdown [ cnt_tr ]))
+
+(* Arity is checked where the hook is called, in both modes: a hop with
+   four args raises even when its span is not open (a recording tracer
+   used to find out only when the span ended), and so does a driver
+   event with five. *)
+let test_arity_at_call () =
+  List.iter
+    (fun (mode, tr) ->
+      let raises what f =
+        match f () with
+        | () -> Alcotest.failf "%s: %s did not raise" mode what
+        | exception Invalid_argument _ -> ()
+      in
+      let i k = Trace.Int (k, 1) in
+      let hop id args () =
+        Trace.span_hop tr ~at:2 ~kind:"k" ~key:"x" ~id ~stage:"s" ~args
+      in
+      raises "a four-arg hop, no span open" (hop 1 [ i "a"; i "b"; i "c"; i "d" ]);
+      Trace.span_begin tr ~at:1 ~kind:"k" ~key:"x" ~id:1 ~stage:"s0";
+      raises "a four-arg hop" (hop 1 [ i "a"; i "b"; i "c"; i "d" ]);
+      raises "a five-arg driver event" (fun () ->
+          Trace.driver tr ~at:3 ~domain:"d" ~name:"e"
+            ~args:[ i "a"; i "b"; i "c"; i "d"; i "e" ]);
+      check_int (mode ^ ": refused calls left no trace") 0
+        (Trace.events tr + Trace.orphan_hops tr);
+      hop 1 [ i "a"; i "b"; i "c" ] ();
+      Trace.driver tr ~at:3 ~domain:"d" ~name:"e"
+        ~args:[ i "a"; i "b"; i "c"; i "d" ];
+      Trace.span_end tr ~at:4 ~kind:"k" ~key:"x" ~id:1;
+      check_int (mode ^ ": a driver event and two stages") 3 (Trace.events tr))
+    [
+      ("recording", Trace.create ());
+      ("counting", Trace.create_in (Trace.sink ()) ~name:"c");
+    ]
+
+(* A counting tracer stores nothing: after a warm-up, scheduler, charge,
+   ring and event-channel events allocate no minor words (the
+   measurement itself may box a float or two). *)
+let test_counting_alloc_budget () =
+  let tr = Trace.create_in (Trace.sink ()) ~name:"budget" in
+  let p = Trace.proc ~name:"Dom0/netback" in
+  let copy = Trace.op tr ~domain:"Dom0" ~op:"hypercall.grant_copy" in
+  let r = Trace.ring tr ~name:"vif1.0-tx" ~now:(fun () -> 0) in
+  (* Ten events. *)
+  let round at =
+    Trace.proc_spawned tr ~at p ~daemon:false;
+    Trace.proc_enter tr p;
+    Trace.charge tr ~at copy ~cost:3;
+    Trace.cpu_work tr ~at ~domain:"Dom0" ~cost:5;
+    Trace.evtchn_send tr ~at ~domain:"Dom0" ~port:7;
+    Trace.evtchn_deliver tr ~at ~domain:"domu" ~port:7;
+    Trace.ring_publish r `Req ~batch:1 ~notify:true;
+    Trace.ring_take r `Req ~got:true;
+    Trace.ring_take r `Req ~got:false;
+    Trace.proc_blocked tr ~at p ~kind:(`Sleep 1000);
+    Trace.proc_blocked tr ~at p ~kind:(`Suspend (Some "slot"));
+    Trace.proc_leave tr;
+    Trace.proc_exited tr ~at p
+  in
+  round 0;
+  let n = 100_000 in
+  let e0 = Trace.events tr in
+  let before = Gc.minor_words () in
+  for at = 1 to n / 10 do
+    round at
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  check_int "events counted" n (Trace.events tr - e0);
+  check_bool
+    (Printf.sprintf "%.4f minor words per counted event < 0.001" words)
+    true (words < 0.001)
+
+(* ------------------------------------------------------------------ *)
 (* Scenario integration                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The scenario tests read stored spans and the Chrome export, so their
+   sink records. *)
 let with_sink f =
-  let sink = Trace.sink () in
+  let sink = Trace.sink ~record:true () in
   Kite.Obs.run { Kite.Obs.none with trace = Some sink } f;
   sink
 
@@ -543,4 +729,7 @@ let suite =
     ("disabled tracer emits nothing", `Quick, test_disabled_emits_nothing);
     ("export shapes", `Quick, test_export_shapes);
     ("limit across chunks", `Quick, test_limit_across_chunks);
+    ("counting equals recording", `Quick, test_counting_equals_recording);
+    ("arity checked at the call", `Quick, test_arity_at_call);
+    ("counting alloc budget", `Quick, test_counting_alloc_budget);
   ]
