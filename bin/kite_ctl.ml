@@ -103,16 +103,14 @@ let for_experiments id run_one =
         `Ok ()
     | None -> `Error (false, "unknown experiment " ^ id ^ "; try 'list'")
 
-(* Run the selected experiments with [obs] installed.  Each is torn down
-   right after it ran, so the end-of-run audits see it; [before_teardown]
-   runs in between, while its testbeds are still live. *)
-let run_armed obs ~full ~progress ?(before_teardown = ignore) id =
+(* Run the selected experiments with [obs] installed.  Each testbed is
+   torn down at its result ([Scenario.run]), so the end-of-run audits
+   see it. *)
+let run_armed obs ~full ~progress id =
   Obs.run obs (fun () ->
       for_experiments id (fun (eid, _desc, f) ->
           progress eid;
-          ignore (f ~quick:(not full));
-          before_teardown ();
-          Kite.Scenario.teardown_all ()))
+          ignore (f ~quick:(not full))))
 
 (* The progress line printed before each experiment (not with --json). *)
 let say verb shown eid = if shown then Printf.printf "%s %s...\n%!" verb eid
@@ -143,9 +141,7 @@ let run_cmd =
   let run quick id =
     for_experiments id (fun (eid, desc, f) ->
         Printf.printf "\n### %s — %s\n%!" eid desc;
-        let outcome = f ~quick in
-        List.iter Kite_stats.Table.print outcome.Kite.Experiments.tables;
-        Kite.Scenario.teardown_all ())
+        List.iter Kite_stats.Table.print (f ~quick).Kite.Experiments.tables)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one experiment (or 'all').")
@@ -632,8 +628,7 @@ let path_cmd =
     if saturation then
       for_experiments "latency-waterfall" (fun (_, _, f) ->
           List.iter Kite_stats.Table.print
-            (f ~quick:(not full)).Kite.Experiments.tables;
-          Kite.Scenario.teardown_all ())
+            (f ~quick:(not full)).Kite.Experiments.tables)
     else
       (* The engine decomposes the tracer's spans, so arm both sinks:
          every testbed machine gets a tracer and a path engine tapping
@@ -682,11 +677,11 @@ let path_cmd =
    itself — run the selected experiments, tear down, then hand the
    recorders and the shared report to [render].  No fault sink: a
    default injection plan would perturb the experiments (restart-recovery
-   arms its own note-only injector when none is armed).
-   [before_teardown] is the manual-trigger hook (see [run_armed]). *)
-let with_flight ~full ~progress ?(before_teardown = ignore) id render =
+   arms its own note-only injector when none is armed).  [trigger] is
+   the sink's manual trigger, fired at each testbed's teardown. *)
+let with_flight ~full ~progress ?trigger id render =
   let report = Kite_check.Report.create () in
-  let fsink = Kite_flight.Flight.sink () in
+  let fsink = Kite_flight.Flight.sink ?trigger () in
   let obs =
     {
       Obs.none with
@@ -698,10 +693,7 @@ let with_flight ~full ~progress ?(before_teardown = ignore) id render =
     }
   in
   let* () =
-    run_armed obs ~full ~progress:(say "recording" progress)
-      ~before_teardown:(fun () ->
-        before_teardown (Kite_flight.Flight.flights fsink))
-      id
+    run_armed obs ~full ~progress:(say "recording" progress) id
   in
   render (Kite_flight.Flight.flights fsink) report
 
@@ -793,17 +785,9 @@ let incident_cmd =
     Arg.(value & opt int 40 & info [ "last" ] ~docv:"N" ~doc)
   in
   let run full json out trigger require last id =
-    let before_teardown fls =
-      if trigger then
-        List.iter
-          (fun fl ->
-            if Kite_flight.Flight.incidents fl = [] then
-              Kite_flight.Flight.trigger fl Kite_flight.Flight.Manual
-                ~reason:"kite_ctl incident --trigger")
-          fls
-    in
-    with_flight ~full ~progress:(not json) ~before_teardown id
-      (fun fls report ->
+    with_flight ~full ~progress:(not json)
+      ?trigger:(if trigger then Some "kite_ctl incident --trigger" else None)
+      id (fun fls report ->
         let js = lazy (Kite_flight.Flight.to_json fls) in
         if json then print_string (Lazy.force js)
         else begin
@@ -972,12 +956,8 @@ let swarm_cmd =
                     Printf.printf
                       "swarm: %d %s clients of %s traffic (seed %d)...\n%!"
                       clients app profile seed;
-                  let r =
-                    Kite.Experiments.swarm_campaign ~flavor ~app ?impair
-                      ~profile ~clients ?rate ~seed ()
-                  in
-                  Kite.Scenario.teardown_all ();
-                  r)
+                  Kite.Experiments.swarm_campaign ~flavor ~app ?impair
+                    ~profile ~clients ?rate ~seed ())
                 seeds)
         with
         | exception (Invalid_argument e | Failure e) -> `Error (false, e)

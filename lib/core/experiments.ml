@@ -856,20 +856,18 @@ let abl_persistent ~quick =
       Scenario.storage ~flavor:Scenario.Kite ~feature_persistent:persistent ()
     in
     let hv = s.Scenario.bhv in
-    let elapsed =
-      blk_run s ~what:"abl-persistent" (fun finish ->
-          let dev = Scenario.blockdev s in
-          let payload = Bytes.make 4096 'a' in
-          let t0 = Kite_xen.Hypervisor.now hv in
-          for i = 0 to writes - 1 do
-            dev.Kite_vfs.Blockdev.write ~sector:(i * 8) payload
-          done;
-          finish (Kite_xen.Hypervisor.now hv - t0))
-    in
-    let m = Kite_xen.Hypervisor.metrics hv in
-    ( elapsed,
-      Metrics.count m "hypercall.grant_map",
-      Metrics.count m "hypercall.grant_unmap" )
+    blk_run s ~what:"abl-persistent" (fun finish ->
+        let dev = Scenario.blockdev s in
+        let payload = Bytes.make 4096 'a' in
+        let t0 = Kite_xen.Hypervisor.now hv in
+        for i = 0 to writes - 1 do
+          dev.Kite_vfs.Blockdev.write ~sector:(i * 8) payload
+        done;
+        let m = Kite_xen.Hypervisor.metrics hv in
+        finish
+          ( Kite_xen.Hypervisor.now hv - t0,
+            Metrics.count m "hypercall.grant_map",
+            Metrics.count m "hypercall.grant_unmap" ))
   in
   let e_on, map_on, unmap_on = run true in
   let e_off, map_off, unmap_off = run false in
@@ -1045,15 +1043,10 @@ let restart_recovery ~quick =
       metrics = Obs.ensure obs.metrics Kite_metrics.Registry.sink;
     }
   @@ fun () ->
+  (* Each run's teardown seals its recorder: the rendered snapshot
+     carries its metrics delta and SLO verdicts. *)
   let flights = ref [] in
-  (* Seal at row end so the rendered snapshot carries its metrics delta
-     and SLO verdicts; the scenario teardown's later seal is a no-op. *)
-  let note_flight = function
-    | Some fl ->
-        Flight.seal_all fl;
-        flights := fl :: !flights
-    | None -> ()
-  in
+  let note_flight = Option.iter (fun fl -> flights := fl :: !flights) in
   let blk_row flavor =
     let s = Scenario.storage ~flavor () in
     let writes = if quick then 96 else 256 in

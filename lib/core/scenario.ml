@@ -20,30 +20,33 @@ let overheads_of = function
 let guest_rx_cost = Time.ns 1100
 let client_rx_cost = Time.us 1
 
-(* Every testbed built here registers an orderly-teardown closure;
-   [teardown_all] runs them so end-of-run audits (grant leaks, orphaned
-   watches) inspect a quiesced system rather than steady-state buffers.
-   Registration is unconditional: the final audit only runs when the
-   machine was armed with a checker, but the quiesce/stop/shutdown
-   sequence itself must not depend on one. *)
-let teardowns : (unit -> unit) list ref = ref []
-let on_teardown f = teardowns := f :: !teardowns
+(* Every testbed built here registers orderly-teardown closures under
+   its machine; [run] runs them at its result, so end-of-run audits
+   (grant leaks, orphaned watches) inspect a quiesced system rather than
+   steady-state buffers.  Registration is unconditional: the final audit
+   only runs when the machine was armed with a checker, but the
+   quiesce/stop/shutdown sequence itself must not depend on one. *)
+let teardowns : (Hypervisor.t * (unit -> unit)) list ref = ref []
+let on_teardown hv f = teardowns := (hv, f) :: !teardowns
 
-(* A teardown that raises must not skip the others (each machine's
+(* Run and drop the selected machines' closures in registration order.
+   A teardown that raises must not skip the others (each machine's
    audit runs last in its own), nor vanish: the first failure is raised
    once all have run. *)
-let teardown_all () =
-  let fs = List.rev !teardowns in
-  teardowns := [];
+let teardown mine =
+  let fs, rest = List.partition (fun (hv, _) -> mine hv) !teardowns in
+  teardowns := rest;
   let failure = ref None in
   List.iter
-    (fun f ->
+    (fun (_, f) ->
       try f ()
       with e ->
         let bt = Printexc.get_raw_backtrace () in
         if Option.is_none !failure then failure := Some (e, bt))
-    fs;
+    (List.rev fs);
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure
+
+let teardown_all () = teardown (fun _ -> true)
 
 (* The incident snapshot's xenstore view: a DFS dump of the /local/domain
    subtree, captured lazily at trigger time (so a crash trigger that runs
@@ -92,7 +95,7 @@ let arm hv tag =
      instead of letting them vanish. *)
   (match (trace, obs.Obs.check) with
   | Some tr, Some report ->
-      on_teardown (fun () ->
+      on_teardown hv (fun () ->
           let hops = Trace.orphan_hops tr and ends = Trace.orphan_ends tr in
           if hops + ends > 0 then
             Report.add report
@@ -121,7 +124,7 @@ let arm hv tag =
   (match metrics with
   | Some r ->
       let stop = ref false in
-      on_teardown (fun () -> stop := true);
+      on_teardown hv (fun () -> stop := true);
       Hypervisor.spawn hv (Hypervisor.dom0 hv) ~daemon:true
         ~name:"metrics-sampler" (fun () ->
           while not !stop do
@@ -131,8 +134,8 @@ let arm hv tag =
   | None -> ());
   (* The flight recorder taps every other armed layer and the checker
      report (shared run-wide, so with several machines the last-built one
-     receives the findings records).  Teardown seals any open incident
-     and runs the recorder's own audit. *)
+     receives the findings records).  Teardown fires the sink's manual
+     trigger, seals any open incident and runs the recorder's own audit. *)
   (match flight with
   | Some fl ->
       Option.iter (Flight.tap_trace fl) trace;
@@ -141,9 +144,8 @@ let arm hv tag =
       Option.iter (Flight.tap_path fl) path;
       Option.iter (Flight.tap_report fl) obs.Obs.check;
       Flight.set_store_source fl (store_dump hv);
-      on_teardown (fun () ->
-          Flight.mark fl ~what:"teardown" ~msg:"scenario teardown";
-          Flight.seal_all fl;
+      on_teardown hv (fun () ->
+          Flight.teardown fl;
           Option.iter (Flight.audit fl) obs.Obs.check)
   | None -> ());
   ctx
@@ -155,7 +157,7 @@ let arm hv tag =
    crash-and-restart cycle they can reach the respawned backend. *)
 let register_teardown ctx ~dd ~stop ~shutdown =
   let hv = ctx.Xen_ctx.hv in
-  on_teardown (fun () ->
+  on_teardown hv (fun () ->
       Hypervisor.run_for hv (Time.sec 1);
       Hypervisor.spawn hv dd ~name:"teardown" (fun () ->
           stop ();
@@ -191,6 +193,7 @@ let run hv ~what body =
       Option.iter
         (fun r -> Registry.snapshot r ~at:(Hypervisor.now hv))
         (Hypervisor.metrics_registry hv);
+      teardown (( == ) hv);
       v
 
 (* Edge-triggered backend-health probe: silent until the handshake first

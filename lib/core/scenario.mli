@@ -8,12 +8,10 @@ type flavor = Kite | Linux
 val flavor_name : flavor -> string
 
 val teardown_all : unit -> unit
-(** Run the orderly teardown of every testbed built so far: quiesce,
-    stop backends, shut down frontends.  When the testbed was armed with
-    a checker (the {!Obs.t} [check] field), the end-of-run audits (grant
-    leaks, orphaned watches, open transactions, quiescence) run as the
-    last step.  Every registered teardown runs even when one raises;
-    the registry is then empty and the first exception is re-raised. *)
+(** Tear down every testbed that no {!run} has: machines driven by a
+    fixed [Hypervisor.run_for] window.  Each runs the teardown {!run}
+    would run; all of them run even when one raises, the registry is
+    then empty and the first exception is re-raised. *)
 
 val arm : Kite_xen.Hypervisor.t -> string -> Kite_drivers.Xen_ctx.t
 (** The machine's context, armed from the installed {!Obs} context: one
@@ -22,7 +20,7 @@ val arm : Kite_xen.Hypervisor.t -> string -> Kite_drivers.Xen_ctx.t
     armed.  Also installs the path engine's taps on the tracer and
     registry, the flight recorder's taps on every other layer and the
     checker report, the Dom0 metrics sampler, and their teardowns
-    (span-orphan warning, sampler stop, flight seal and audit).  The
+    (span-orphan warning, sampler stop, flight teardown and audit).  The
     sampler only observes: its probes peek at the store and cost no
     simulated time, so an armed machine runs exactly as a disarmed one.
     {!network} and {!storage} arm through it; a hand-built testbed must
@@ -34,8 +32,8 @@ val register_teardown :
   stop:(unit -> unit) ->
   shutdown:(unit -> unit) ->
   unit
-(** The teardown every testbed shares, run by {!teardown_all}: drain
-    1 s, stop the backend ([stop], in a process of [dd]), claim the
+(** The teardown every testbed shares, run at its result by {!run}:
+    drain 1 s, stop the backend ([stop], in a process of [dd]), claim the
     parked threads' exit edges, shut down the frontend ([shutdown]), run
     50 ms, then finalize the machine's checker when it has one. *)
 
@@ -43,13 +41,16 @@ val run :
   Kite_xen.Hypervisor.t -> what:string -> (('a -> unit) -> unit) -> 'a
 (** [run hv ~what body] calls [body finish], then runs the machine until
     [finish v] is called and returns [v].  The engine stops once the
-    event that called [finish] is done, with the clock at its instant and
-    later events still queued for {!teardown_all}.  When a metrics
-    registry is armed, its last sample is a
-    {!Kite_metrics.Registry.snapshot} at that instant.  Later calls to
-    [finish] are ignored.  Fails with
-    ["<what>: experiment did not complete"] if the queue drains or 7200
-    simulated seconds pass before [finish]. *)
+    event that called [finish] is done, with the clock at its instant.
+    When a metrics registry is armed, its last sample is a
+    {!Kite_metrics.Registry.snapshot} at that instant.  Then [hv]'s
+    testbed is torn down: the closures {!arm} and {!register_teardown}
+    registered for it run in that order, and the first failure is
+    re-raised once all have run.  Read the machine in [body] and pass
+    [finish] what the caller needs.  Later calls to [finish] are
+    ignored.  Fails with ["<what>: experiment did not complete"], leaving
+    the testbed registered, if the queue drains or 7200 simulated seconds
+    pass before [finish]. *)
 
 (** {1 Network domain testbed} *)
 

@@ -71,6 +71,7 @@ type t = {
   mutable store_src : unit -> (string * string) list;
   mutable slos_rev : Slo.t list;
   mutable slo_evals : Slo.eval list;  (* from the last seal_all *)
+  manual : string option;  (* the sink's trigger, fired at teardown *)
 }
 
 let create ?(limit = 4096) ?(post_limit = 512) ?(name = "flight") ~now () =
@@ -92,6 +93,7 @@ let create ?(limit = 4096) ?(post_limit = 512) ?(name = "flight") ~now () =
     store_src = (fun () -> []);
     slos_rev = [];
     slo_evals = [];
+    manual = None;
   }
 
 let name t = t.fname
@@ -206,6 +208,12 @@ let seal_all t =
   let at = t.now () in
   (match t.open_inc with None -> () | Some inc -> seal_incident t inc ~at);
   t.slo_evals <- List.rev_map (fun s -> Slo.evaluate s ~at) t.slos_rev
+
+let teardown t =
+  if t.incidents_rev = [] then
+    Option.iter (fun reason -> trigger t Manual ~reason) t.manual;
+  mark t ~what:"teardown" ~msg:"scenario teardown";
+  seal_all t
 
 let incidents t = List.rev t.incidents_rev
 let open_incident t = t.open_inc
@@ -356,16 +364,14 @@ let audit t report =
 (* ------------------------------------------------------------------ *)
 
 type sink = {
-  s_limit : int option;
-  s_post_limit : int option;
+  s_trigger : string option;
   mutable members : t list;  (* reversed *)
 }
 
-let sink ?limit ?post_limit () =
-  { s_limit = limit; s_post_limit = post_limit; members = [] }
+let sink ?trigger () = { s_trigger = trigger; members = [] }
 
 let create_in s ~name ~now =
-  let t = create ?limit:s.s_limit ?post_limit:s.s_post_limit ~name ~now () in
+  let t = { (create ~name ~now ()) with manual = s.s_trigger } in
   s.members <- t :: s.members;
   t
 

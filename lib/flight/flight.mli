@@ -94,8 +94,11 @@ val open_incident : t -> incident option
 
 val seal_all : t -> unit
 (** Seal the open incident (if any) at [now ()]: compute its metrics
-    delta and SLO verdicts.  Also refreshes {!slo_evals}.  Scenario
-    teardown calls this. *)
+    delta and SLO verdicts.  Also refreshes {!slo_evals}. *)
+
+val teardown : t -> unit
+(** The recorder's step of its scenario's teardown: fire the sink's
+    manual trigger when it holds no incident, mark, then {!seal_all}. *)
 
 val incident_seq : incident -> int
 val incident_at : incident -> int
@@ -186,7 +189,10 @@ val audit : t -> Kite_check.Report.t -> unit
 
 type sink
 
-val sink : ?limit:int -> ?post_limit:int -> unit -> sink
+val sink : ?trigger:string -> unit -> sink
+(** With [trigger], a recorder that holds no incident at its {!teardown}
+    fires a {!Manual} trigger there, with that reason. *)
+
 val create_in : sink -> name:string -> now:(unit -> int) -> t
 val flights : sink -> t list
 val set_default : sink option -> unit

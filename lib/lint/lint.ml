@@ -140,11 +140,7 @@ let note_ident facts lid =
   | _ -> ());
   (* Inside Scenario the arming function is called bare. *)
   if lid = Longident.Lident "arm" then facts.arms <- true;
-  List.iter
-    (fun p ->
-      if p = "teardowns" || p = "register_teardown" then
-        facts.teardown_reg <- true)
-    (Longident.flatten lid)
+  if Longident.last lid = "register_teardown" then facts.teardown_reg <- true
 
 let emit report ~rule ~file ~line msg =
   Kite_check.Report.add report
@@ -245,8 +241,8 @@ let lint_structure config report ~file ~check_guards str =
       "registers a xenstore watch but never unwatches";
   if facts.hv_create && facts.arms && not facts.teardown_reg then
     emit report ~rule:"lint-teardown-missing" ~file ~line:0
-      "builds a hypervisor and arms it (Scenario.arm) but registers no \
-       teardown"
+      "builds a hypervisor and arms it (Scenario.arm) but never calls \
+       Scenario.register_teardown"
 
 let lint_file ?(config = default_config) report path =
   let base = Filename.basename path in

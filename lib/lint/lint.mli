@@ -4,7 +4,7 @@
     hooks must be guarded so they are free when no sink is attached,
     grant maps must have a matching unmap, xenstore watches a matching
     unwatch, a file that builds a hypervisor and arms it through
-    [Scenario.arm] must register a teardown, and no file but
+    [Scenario.arm] must call [Scenario.register_teardown], and no file but
     [scenario.ml] may build a context with [Xen_ctx.create].
 
     The rules are deliberately lexical (per-file pairing, guard shapes)

@@ -28,14 +28,12 @@ let all_five report =
     flight = Some (Flight.sink ());
   }
 
-(* Run [f] with [sinks] armed the way the kite_ctl subcommands arm them,
-   then tear its testbeds down and require a clean checker report. *)
+(* Run [f] with [sinks] armed the way the kite_ctl subcommands arm them
+   (each testbed is torn down at its result) and require a clean checker
+   report. *)
 let armed sinks f =
   let report = Report.create () in
-  let v =
-    Obs.run (sinks report) (fun () ->
-        Fun.protect ~finally:Scenario.teardown_all f)
-  in
+  let v = Obs.run (sinks report) f in
   Alcotest.(check int) "zero checker errors" 0 (Report.errors report);
   v
 
@@ -210,10 +208,9 @@ let test_scale_armed () =
   Obs.run
     { Obs.none with check = Some report; trace = Some sink }
     (fun () ->
-      Fun.protect ~finally:Scenario.teardown_all (fun () ->
-          match Kite.Experiments.find "scale" with
-          | Some (_, _, f) -> ignore (f ~quick:true)
-          | None -> Alcotest.fail "no scale experiment"));
+      match Kite.Experiments.find "scale" with
+      | Some (_, _, f) -> ignore (f ~quick:true)
+      | None -> Alcotest.fail "no scale experiment");
   Alcotest.(check int) "one tracer per machine" 2
     (List.length (Trace.traces sink));
   Alcotest.(check int) "zero checker findings" 0 (Report.count report)

@@ -258,8 +258,8 @@ let test_clean_network_scenario () =
             ~dst:s.Kite.Scenario.guest_ip ~dst_port:9
             (Bytes.of_string "probe");
           finish ()));
-  (* The teardown's 1 s drain delivers the probe before the audit. *)
-  Kite.Scenario.teardown_all ();
+  (* The run's teardown drains 1 s, which delivers the probe before the
+     audit. *)
   check_int "no grant leaks" 0 (rule_count report "grant-leak");
   check_int "no orphan watches" 0 (rule_count report "xs-orphan-watch");
   check_int "no errors" 0 (Report.errors report)
@@ -278,7 +278,6 @@ let test_clean_storage_scenario () =
           Alcotest.(check bytes) "read back" data back;
           Kite_drivers.Blkfront.flush bf;
           finish ()));
-  Kite.Scenario.teardown_all ();
   check_int "no grant leaks (persistent pool swept)" 0
     (rule_count report "grant-leak");
   check_int "no orphan watches" 0 (rule_count report "xs-orphan-watch");

@@ -159,7 +159,6 @@ let test_xenstore_loss_rides_out () =
   in
   Testbed.run s.Scenario.bhv ~what:"handshake despite xenstore loss"
     ~within:(Time.sec 60) (Scenario.when_blk_ready s);
-  Scenario.teardown_all ();
   check_bool "both losses were injected" true
     (List.exists (fun f -> Fault.injected_count f >= 2) (Fault.faults sink))
 
@@ -183,7 +182,6 @@ let test_evtchn_drop_recovered () =
                  (dev.Kite_vfs.Blockdev.read ~sector:8 ~count:8)
                  data)))
   in
-  Scenario.teardown_all ();
   check_bool "round trip intact" true ok;
   check_int "exactly one notification dropped" 1
     (List.fold_left (fun n f -> n + Fault.injected_count f) 0
@@ -209,7 +207,6 @@ let test_ring_slot_corruption_reissued () =
                  (dev.Kite_vfs.Blockdev.read ~sector:16 ~count:8)
                  data)))
   in
-  Scenario.teardown_all ();
   check_bool "round trip intact" true ok;
   check_bool "slot was corrupted" true
     (List.exists (fun f -> Fault.injected_count f > 0) (Fault.faults sink));
@@ -239,7 +236,6 @@ let test_nvme_transient_retry () =
             then incr ok
           done;
           finish ()));
-  Scenario.teardown_all ();
   check_int "all round trips intact" 20 !ok;
   check_bool "errors were injected" true
     (List.exists (fun f -> Fault.injected_count f > 0) (Fault.faults sink));
@@ -270,7 +266,6 @@ let test_nic_transient_retry () =
             | None -> ()
           done;
           finish ()));
-  Scenario.teardown_all ();
   check_int "no ping lost to transient tx errors" 10 !received;
   check_bool "errors were injected" true
     (List.exists (fun f -> Fault.injected_count f > 0) (Fault.faults sink));
@@ -286,10 +281,11 @@ let test_nic_transient_retry () =
 
 let blk_crash_workload s =
   (* Back-to-back writes so the crash lands on a non-empty journal, then
-     a full read-back verify: exactly-once or bust. *)
+     a full read-back verify: exactly-once or bust.  The frontend's
+     recovery is read at the result, before the run's teardown. *)
   let writes = 48 and span = 64 in
   let downtime = ref None in
-  let verify_errors =
+  let verify_errors, front =
     Testbed.run s.Scenario.bhv ~what:"workload across the crash"
       ~within:(Time.sec 60) (fun finish ->
         Scenario.when_blk_ready s (fun () ->
@@ -315,29 +311,29 @@ let blk_crash_workload s =
             while !downtime = None do
               Process.sleep (Time.ms 1)
             done;
-            finish !errors))
+            finish
+              ( !errors,
+                Kite_drivers.Blkfront.
+                  (reconnects front, replayed front, is_connected front) )))
   in
-  (!downtime, verify_errors)
+  (!downtime, verify_errors, front)
 
 let test_blk_crash_exactly_once () =
   let s = Scenario.storage ~flavor:Scenario.Kite () in
-  let downtime, verify_errors = blk_crash_workload s in
-  let front = s.Scenario.blkfront in
+  let downtime, verify_errors, (reconnects, replayed, connected) =
+    blk_crash_workload s
+  in
   check_bool "downtime measured" true (downtime <> None);
   check_bool "downtime positive" true
     (match downtime with Some d -> d > 0 | None -> false);
-  check_int "frontend reconnected once" 1
-    (Kite_drivers.Blkfront.reconnects front);
-  check_bool "journal replayed in-flight requests" true
-    (Kite_drivers.Blkfront.replayed front >= 1);
-  check_bool "frontend connected again" true
-    (Kite_drivers.Blkfront.is_connected front);
-  check_int "exactly-once: zero lost or corrupted bytes" 0 verify_errors;
-  Scenario.teardown_all ()
+  check_int "frontend reconnected once" 1 reconnects;
+  check_bool "journal replayed in-flight requests" true (replayed >= 1);
+  check_bool "frontend connected again" true connected;
+  check_int "exactly-once: zero lost or corrupted bytes" 0 verify_errors
 
 let test_net_crash_resumes () =
   let s = Scenario.network ~flavor:Scenario.Kite () in
-  let downtime = ref None and after_ok = ref 0 in
+  let downtime = ref None and after_ok = ref 0 and front = ref (0, false) in
   Testbed.run s.Scenario.hv ~what:"workload across the crash"
     ~within:(Time.sec 60) (fun finish ->
       Scenario.when_net_ready s (fun () ->
@@ -367,14 +363,13 @@ let test_net_crash_resumes () =
             | Some _ -> incr after_ok
             | None -> ()
           done;
+          let nf = s.Scenario.netfront in
+          front := Kite_drivers.Netfront.(reconnects nf, connected nf);
           finish ()));
   check_bool "downtime measured" true (!downtime <> None);
-  check_int "netfront reconnected once" 1
-    (Kite_drivers.Netfront.reconnects s.Scenario.netfront);
-  check_bool "netfront connected again" true
-    (Kite_drivers.Netfront.connected s.Scenario.netfront);
-  check_int "all post-restart pings answered" 10 !after_ok;
-  Scenario.teardown_all ()
+  check_int "netfront reconnected once" 1 (fst !front);
+  check_bool "netfront connected again" true (snd !front);
+  check_int "all post-restart pings answered" 10 !after_ok
 
 let test_recovery_deterministic () =
   (* The acceptance bar for the whole layer: the same seed and plan must
@@ -387,8 +382,7 @@ let test_recovery_deterministic () =
           with_sink ~seed:11 Fault.default_plan (fun () ->
               Scenario.storage ~flavor:Scenario.Kite ()))
     in
-    let _downtime, verify_errors = blk_crash_workload s in
-    Scenario.teardown_all ();
+    let _downtime, verify_errors, _ = blk_crash_workload s in
     check_int "run verified clean" 0 verify_errors;
     (* Injector names carry a global scenario sequence number that
        differs between runs; the event logs are what must reproduce. *)

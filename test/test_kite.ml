@@ -78,7 +78,6 @@ let test_scenario_run () =
 let test_scenario_run_final_sample () =
   let sink = Kite_metrics.Registry.sink () in
   Obs.run { Obs.none with metrics = Some sink } @@ fun () ->
-  Fun.protect ~finally:Scenario.teardown_all @@ fun () ->
   let s = Scenario.network ~flavor:Scenario.Kite () in
   let hv = s.Scenario.hv in
   let stop =
@@ -98,29 +97,50 @@ let test_scenario_run_final_sample () =
       Alcotest.(check (option int)) "last sample at the stop" (Some stop) at
   | rs -> Alcotest.failf "expected 1 registry, got %d" (List.length rs)
 
-(* A teardown that raises no longer hides: the machines registered after
-   it are still torn down, then its failure is raised, and the registry
-   is left empty. *)
+(* A testbed lives for its run: once [Scenario.run] has returned, no
+   pending teardown keeps its machine reachable. *)
+let[@inline never] run_weakly weak =
+  let s = Scenario.network ~flavor:Scenario.Kite () in
+  Weak.set weak 0 (Some s.Scenario.hv);
+  Scenario.run s.Scenario.hv ~what:"net" (Scenario.when_net_ready s);
+  let b = Scenario.storage ~flavor:Scenario.Kite () in
+  Weak.set weak 1 (Some b.Scenario.bhv);
+  Scenario.run b.Scenario.bhv ~what:"blk" (Scenario.when_blk_ready b)
+
+let test_run_frees_testbed () =
+  let weak = Weak.create 2 in
+  run_weakly weak;
+  Gc.full_major ();
+  check_bool "network testbed collected" false (Weak.check weak 0);
+  check_bool "storage testbed collected" false (Weak.check weak 1)
+
+(* A teardown that raises no longer hides: the machine's closures after
+   it still run, then its [Scenario.run] raises the first failure, and
+   nothing of the machine is left registered. *)
 let test_teardown_failure_raised () =
-  Scenario.teardown_all ();
-  let ready s =
-    Testbed.run s.Scenario.hv ~what:"netfront handshake" ~within:(Time.sec 2)
-      (Scenario.when_net_ready s)
-  in
-  let s1 = Scenario.network ~flavor:Scenario.Kite () in
-  ready s1;
-  Scenario.register_teardown s1.Scenario.ctx ~dd:s1.Scenario.dd
+  let s = Scenario.network ~flavor:Scenario.Kite () in
+  let ctx = s.Scenario.ctx and dd = s.Scenario.dd in
+  let up () = Kite_drivers.Netfront.connected s.Scenario.netfront in
+  let at_result = ref false and later = ref false in
+  Scenario.register_teardown ctx ~dd
     ~stop:(fun () -> failwith "backend stop failed")
     ~shutdown:ignore;
-  let s2 = Scenario.network ~flavor:Scenario.Kite () in
-  ready s2;
-  let up () = Kite_drivers.Netfront.connected s2.Scenario.netfront in
-  check_bool "second frontend connected" true (up ());
-  (match Scenario.teardown_all () with
+  Scenario.register_teardown ctx ~dd ~stop:ignore ~shutdown:(fun () ->
+      later := true);
+  (* Also on a failure here: a failing closure left registered would
+     break the next test's [teardown_all]. *)
+  Fun.protect ~finally:(fun () -> try Scenario.teardown_all () with _ -> ())
+  @@ fun () ->
+  (match
+     Scenario.run s.Scenario.hv ~what:"handshake" (fun finish ->
+         Scenario.when_net_ready s (fun () -> at_result := up (); finish ()))
+   with
   | () -> Alcotest.fail "a failed teardown must raise"
   | exception Process.Process_failure (_, Failure m) ->
       Alcotest.(check string) "first failure raised" "backend stop failed" m);
-  check_bool "second frontend shut down" false (up ());
+  check_bool "frontend connected at the result" true !at_result;
+  check_bool "the teardown after the failure ran" true !later;
+  check_bool "frontend shut down" false (up ());
   (* Nothing is left to run: a failing closure still registered would
      raise again. *)
   Scenario.teardown_all ()
@@ -407,4 +427,5 @@ let suite =
     ("extension: multi-NIC scaling", `Slow, test_scale_claim);
     ("extension: restart recovery", `Quick, test_restart_claim);
     ("blk path copy budget", `Quick, test_blk_path_copy_budget);
+    ("a run frees its testbed", `Quick, test_run_frees_testbed);
   ]

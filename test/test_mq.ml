@@ -313,7 +313,6 @@ let stress_blk ~rng ~seed =
             Process.sleep (Time.ms 1)
           done;
           finish ()));
-  Scenario.teardown_all ();
   check_int
     (Printf.sprintf "seed %d: exactly-once, zero corrupted bytes" seed)
     0 !verify_errors;
@@ -350,6 +349,7 @@ let stress_net ~rng ~seed =
   @@ fun () ->
   let s = Scenario.network ~flavor:Scenario.Kite ~seed ~num_queues:nq () in
   let restored = ref (not crash) and after_ok = ref 0 in
+  let connected = ref false in
   Testbed.run s.Scenario.hv
     ~what:
       (Printf.sprintf "seed %d: net workload (nq=%d crash=%b)" seed nq crash)
@@ -379,15 +379,14 @@ let stress_net ~rng ~seed =
             | Some _ -> incr after_ok
             | None -> ()
           done;
+          connected := Kite_drivers.Netfront.connected s.Scenario.netfront;
           finish ()));
   check_int
     (Printf.sprintf "seed %d: steady-state pings all answered" seed)
     5 !after_ok;
   check_bool
     (Printf.sprintf "seed %d: netfront connected at end" seed)
-    true
-    (Kite_drivers.Netfront.connected s.Scenario.netfront);
-  Scenario.teardown_all ();
+    true !connected;
   check_int
     (Printf.sprintf "seed %d: zero checker errors" seed)
     0 (Report.errors report)

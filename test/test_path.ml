@@ -150,6 +150,8 @@ let assert_partition p ~ctx =
       check_int (ctx ^ ": class totals partition " ^ kind) stage_sum cls_sum)
     kinds
 
+(* The network sweep drives its machine through a fixed 5 s window and
+   never to a result, so no run tears it down: [teardown_all] does. *)
 let with_sinks f =
   let psink = Path.sink () in
   Kite.Obs.run

@@ -315,7 +315,6 @@ let sweep_net ~schedule_seed ~crash report =
             | None -> ()
           done;
           finish ()));
-  Scenario.teardown_all ();
   check_int
     (Printf.sprintf "schedule seed %d: steady-state pings answered"
        schedule_seed)
@@ -351,7 +350,6 @@ let sweep_blk ~schedule_seed ~crash report =
             Process.sleep (Time.ms 1)
           done;
           finish ()));
-  Scenario.teardown_all ();
   check_int
     (Printf.sprintf "schedule seed %d: zero corrupted bytes" schedule_seed)
     0 !verify_errors
@@ -369,8 +367,8 @@ let test_schedule_seed_sweep () =
     (Report.warnings report)
 
 (* lint-teardown-missing keys on the arming function: a file that
-   builds a hypervisor and arms it through Scenario.arm must register a
-   teardown somewhere in the file. *)
+   builds a hypervisor and arms it through Scenario.arm must call
+   Scenario.register_teardown somewhere in the file. *)
 let test_lint_teardown_missing () =
   let lint src =
     let file = Filename.temp_file "kite_lint_arm" ".ml" in
@@ -389,6 +387,8 @@ let test_lint_teardown_missing () =
     \  Scenario.arm hv \"t-\"\n"
   in
   check_int "arming without a teardown is flagged" 1 (snd (lint testbed));
+  check_int "naming Scenario's private list registers nothing" 1
+    (snd (lint (testbed ^ "\nlet pending () = !teardowns\n")));
   let registered =
     testbed
     ^ "\nlet torn_down () =\n\

@@ -76,41 +76,40 @@ type digest = {
 let run_campaign ?impair ?crash_at ~profile ~seed ~clients () =
   let report = Report.create () in
   Kite.Obs.run { Kite.Obs.none with check = Some report } @@ fun () ->
-  Fun.protect ~finally:Scenario.teardown_all (fun () ->
-      let s =
-        Scenario.network ~flavor:Scenario.Kite ~seed:(9000 + seed) ?impair ()
-      in
-      let reg = Registry.create ~name:"swarm-test" () in
-      let r =
-        Scenario.run s.Scenario.hv ~what:"swarm campaign" (fun finish ->
-            Scenario.when_net_ready s (fun () ->
-                (match crash_at with
-                | Some at ->
-                    Scenario.crash_and_restart_net s ~flavor:Scenario.Kite ~at
-                      ~on_restored:(fun ~downtime:_ -> ())
-                      ()
-                | None -> ());
-                let driver = httpd_driver s in
-                Swarm.run ~sched:s.Scenario.sched ~seed ~registry:reg ~profile
-                  ~clients ~driver ~on_done:finish ()))
-      in
-      let buckets =
-        match Registry.hbuckets reg Swarm.metric [ ("app", "httpd") ] with
-        | Some bs -> bs
-        | None -> []
-      in
-      ( {
-          d_offered = r.Swarm.sw_offered;
-          d_completed = r.Swarm.sw_completed;
-          d_errors = r.Swarm.sw_errors;
-          d_clients = r.Swarm.sw_clients;
-          d_verdicts =
-            List.map
-              (fun e -> (e.Slo.ev_name, e.Slo.ev_met))
-              r.Swarm.sw_slos;
-          d_buckets = buckets;
-        },
-        Report.errors report ))
+  let s =
+    Scenario.network ~flavor:Scenario.Kite ~seed:(9000 + seed) ?impair ()
+  in
+  let reg = Registry.create ~name:"swarm-test" () in
+  let r =
+    Scenario.run s.Scenario.hv ~what:"swarm campaign" (fun finish ->
+        Scenario.when_net_ready s (fun () ->
+            (match crash_at with
+            | Some at ->
+                Scenario.crash_and_restart_net s ~flavor:Scenario.Kite ~at
+                  ~on_restored:(fun ~downtime:_ -> ())
+                  ()
+            | None -> ());
+            let driver = httpd_driver s in
+            Swarm.run ~sched:s.Scenario.sched ~seed ~registry:reg ~profile
+              ~clients ~driver ~on_done:finish ()))
+  in
+  let buckets =
+    match Registry.hbuckets reg Swarm.metric [ ("app", "httpd") ] with
+    | Some bs -> bs
+    | None -> []
+  in
+  ( {
+      d_offered = r.Swarm.sw_offered;
+      d_completed = r.Swarm.sw_completed;
+      d_errors = r.Swarm.sw_errors;
+      d_clients = r.Swarm.sw_clients;
+      d_verdicts =
+        List.map
+          (fun e -> (e.Slo.ev_name, e.Slo.ev_met))
+          r.Swarm.sw_slos;
+      d_buckets = buckets;
+    },
+    Report.errors report )
 
 (* ------------------------------------------------------------------ *)
 (* Seeded stress sweep                                                  *)
@@ -191,13 +190,15 @@ let test_blk_flash_crowd_exactly_once () =
   let s = Scenario.storage ~flavor:Scenario.Kite () in
   let clients = 200 in
   let fill k = Char.chr (Char.code 'a' + (k mod 26)) in
-  let r =
-    Scenario.run s.Scenario.bhv ~what:"blk swarm" @@ fun finish ->
+  let front = s.Scenario.blkfront in
+  let r, reconnects, verify_errors =
+    Testbed.run s.Scenario.bhv ~what:"blk swarm and read-back"
+      ~within:(Time.sec 600)
+    @@ fun finish ->
     Scenario.when_blk_ready s (fun () ->
         Scenario.crash_and_restart_blk s ~flavor:Scenario.Kite ~at:(Time.ms 20)
           ~on_restored:(fun ~downtime:_ -> ())
           ();
-        let front = s.Scenario.blkfront in
         let seq = ref 0 in
         (* Client [k] owns sector [k] and stamps it with its own fill
            byte on every request: any lost or doubled-and-torn replay
@@ -220,34 +221,30 @@ let test_blk_flash_crowd_exactly_once () =
                   });
           }
         in
+        (* Read-back: every client's sector carries exactly its fill
+           byte. *)
+        let verify r =
+          let reconnects = Kite_drivers.Blkfront.reconnects front in
+          Process.spawn s.Scenario.bsched ~name:"swarm-verify" (fun () ->
+              let bad = ref 0 in
+              for me = 1 to clients do
+                Bytes.iter
+                  (fun c -> if c <> fill me then incr bad)
+                  (Kite_drivers.Blkfront.read front ~sector:me ~count:1)
+              done;
+              finish (r, reconnects, !bad))
+        in
         (* Flash-crowd profile slowed to 2k sessions/s so the 50 ms flash
            window and the 20 ms crash both land inside the ramp. *)
         Swarm.run ~sched:s.Scenario.bsched ~seed:5
           ~profile:(profile_named "flash") ~rate:2_000.0 ~clients ~driver
-          ~on_done:finish ())
+          ~on_done:verify ())
   in
-  let front = s.Scenario.blkfront in
   check_int "every client fired" clients r.Swarm.sw_clients;
   check_int "writes never fail across the crash" 0 r.Swarm.sw_errors;
   check_int "every write acknowledged" r.Swarm.sw_offered r.Swarm.sw_completed;
-  check_int "frontend reconnected once" 1
-    (Kite_drivers.Blkfront.reconnects front);
-  (* Read-back: every client's sector carries exactly its fill byte. *)
-  let verify_errors =
-    Testbed.run s.Scenario.bhv ~what:"blk swarm read-back"
-      ~within:(Time.sec 600)
-    @@ fun finish ->
-    Process.spawn s.Scenario.bsched ~name:"swarm-verify" (fun () ->
-        let bad = ref 0 in
-        for me = 1 to clients do
-          Bytes.iter
-            (fun c -> if c <> fill me then incr bad)
-            (Kite_drivers.Blkfront.read front ~sector:me ~count:1)
-        done;
-        finish !bad)
-  in
-  check_int "exactly-once: every sector matches" 0 verify_errors;
-  Scenario.teardown_all ()
+  check_int "frontend reconnected once" 1 reconnects;
+  check_int "exactly-once: every sector matches" 0 verify_errors
 
 (* ------------------------------------------------------------------ *)
 (* Arrival-process statistics                                           *)
