@@ -103,9 +103,8 @@ let for_experiments id run_one =
         `Ok ()
     | None -> `Error (false, "unknown experiment " ^ id ^ "; try 'list'")
 
-(* Run the selected experiments with [obs] installed.  Each testbed is
-   torn down at its result ([Scenario.run]), so the end-of-run audits
-   see it. *)
+(* Run the selected experiments with [obs] installed; [Scenario.run]
+   tears each testbed down at its result, so the audits see it. *)
 let run_armed obs ~full ~progress id =
   Obs.run obs (fun () ->
       for_experiments id (fun (eid, _desc, f) ->

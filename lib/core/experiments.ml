@@ -395,7 +395,7 @@ let fig10 ~quick =
   let run flavor threads =
     let s = Scenario.network ~flavor () in
     let hv = s.Scenario.hv in
-    let r, elapsed =
+    let r, elapsed, busy =
       net_run s ~what:"fig10" (fun finish ->
           let started = Kite_xen.Hypervisor.now hv in
           ignore
@@ -410,12 +410,14 @@ let fig10 ~quick =
             ~server_ip:s.Scenario.guest_ip ~threads
             ~transactions_per_thread:tx_per_thread ~seed:(7 + threads)
             ~on_done:(fun r ->
-              finish (r, Kite_xen.Hypervisor.now hv - started))
+              finish
+                ( r,
+                  Kite_xen.Hypervisor.now hv - started,
+                  Metrics.busy (Kite_xen.Hypervisor.metrics hv) "vcpu.domu" ))
             ())
     in
     (* DomU CPU utilization from the hypervisor's busy accounting, as
        sysstat would report it: % of the guest's 22 vCPUs. *)
-    let busy = Metrics.busy (Kite_xen.Hypervisor.metrics hv) "vcpu.domu" in
     let util =
       float_of_int busy /. float_of_int (max 1 elapsed) /. 22.0 *. 100.0
     in

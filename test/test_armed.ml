@@ -29,8 +29,7 @@ let all_five report =
   }
 
 (* Run [f] with [sinks] armed the way the kite_ctl subcommands arm them
-   (each testbed is torn down at its result) and require a clean checker
-   report. *)
+   and require a clean checker report. *)
 let armed sinks f =
   let report = Report.create () in
   let v = Obs.run (sinks report) f in

@@ -258,8 +258,7 @@ let test_clean_network_scenario () =
             ~dst:s.Kite.Scenario.guest_ip ~dst_port:9
             (Bytes.of_string "probe");
           finish ()));
-  (* The run's teardown drains 1 s, which delivers the probe before the
-     audit. *)
+  (* The run's 1 s teardown drain delivers the probe before the audit. *)
   check_int "no grant leaks" 0 (rule_count report "grant-leak");
   check_int "no orphan watches" 0 (rule_count report "xs-orphan-watch");
   check_int "no errors" 0 (Report.errors report)

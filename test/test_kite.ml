@@ -119,14 +119,13 @@ let test_run_frees_testbed () =
    nothing of the machine is left registered. *)
 let test_teardown_failure_raised () =
   let s = Scenario.network ~flavor:Scenario.Kite () in
-  let ctx = s.Scenario.ctx and dd = s.Scenario.dd in
   let up () = Kite_drivers.Netfront.connected s.Scenario.netfront in
   let at_result = ref false and later = ref false in
-  Scenario.register_teardown ctx ~dd
+  Scenario.register_teardown s.Scenario.ctx ~dd:s.Scenario.dd
     ~stop:(fun () -> failwith "backend stop failed")
     ~shutdown:ignore;
-  Scenario.register_teardown ctx ~dd ~stop:ignore ~shutdown:(fun () ->
-      later := true);
+  Scenario.register_teardown s.Scenario.ctx ~dd:s.Scenario.dd ~stop:ignore
+    ~shutdown:(fun () -> later := true);
   (* Also on a failure here: a failing closure left registered would
      break the next test's [teardown_all]. *)
   Fun.protect ~finally:(fun () -> try Scenario.teardown_all () with _ -> ())
