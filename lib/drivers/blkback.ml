@@ -24,7 +24,7 @@ type instance = {
   (* Grants held mapped across requests (the persistent-reference table of
      §3.3); shared by every ring (persistence is per-device), released in
      one sweep on disconnect. *)
-  pmap : (int, unit) Hashtbl.t;
+  pmap : unit Int_table.t;
   mutable requests : int;
   mutable segments : int;
   mutable device_ops : int;
@@ -34,7 +34,7 @@ type instance = {
   (* request ids currently being served, across every ring of the
      device: id -> rid.  Detects in-flight replay and cross-ring slot
      reuse. *)
-  req_ids : (int, int) Hashtbl.t;
+  req_ids : int Int_table.t;
   io_name : string;  (* "blkback-io-F.D", one per device operation *)
 }
 
@@ -96,7 +96,7 @@ let respond_id i r ~id status =
   end
 
 let respond i r work status =
-  Hashtbl.remove i.req_ids work.req.Blkif.req_id;
+  Int_table.remove i.req_ids work.req.Blkif.req_id;
   respond_id i r ~id:work.req.Blkif.req_id status
 
 (* Stage-1 validation, before any grant is touched: request-id liveness
@@ -107,7 +107,7 @@ let respond i r work status =
 let validate_pre i r req =
   let fid = i.dev.frontend.Domain.id in
   let id = req.Blkif.req_id in
-  match Hashtbl.find_opt i.req_ids id with
+  match Int_table.find_opt i.req_ids id with
   | Some rid when rid = r.rid ->
       Some
         ( Guest_fault.Replay,
@@ -237,7 +237,7 @@ let prepare_run i r reqs =
             Split.record_fault i.dev ~attack ~detail;
             false
         | None ->
-            Hashtbl.replace i.req_ids req.Blkif.req_id r.rid;
+            Int_table.replace i.req_ids req.Blkif.req_id r.rid;
             true)
       reqs
   in
@@ -292,7 +292,7 @@ let prepare_run i r reqs =
             match validate_segs i req segs with
             | Some (attack, detail) ->
                 i.inflight <- i.inflight - 1;
-                Hashtbl.remove i.req_ids req.Blkif.req_id;
+                Int_table.remove i.req_ids req.Blkif.req_id;
                 respond_id i r ~id:req.Blkif.req_id Blkif.status_error;
                 Split.record_fault i.dev ~attack ~detail;
                 false
@@ -313,7 +313,7 @@ let prepare_run i r reqs =
              free). *)
           let persistent_hits =
             if i.persistent then
-              List.length (List.filter (Hashtbl.mem i.pmap) grefs)
+              List.length (List.filter (Int_table.mem i.pmap) grefs)
             else 0
           in
           match trace i with
@@ -355,7 +355,7 @@ let prepare_run i r reqs =
                         (Printf.sprintf "%s.pmap[%d]" i.dev.name
                            s.Blkif.gref)
                       ~site:"Blkback.persist";
-                  Hashtbl.replace i.pmap s.Blkif.gref ())
+                  Int_table.replace i.pmap s.Blkif.gref ())
                 segs;
             let total_bytes =
               List.fold_left (fun a s -> a + Blkif.segment_bytes s) 0 segs
@@ -605,7 +605,7 @@ let attach_metrics i =
       R.gauge_fn r "kite_blk_persistent_grants"
         ~help:"Grants held mapped across requests"
         [ ("vbd", vbd) ]
-        (fun () -> float_of_int (Hashtbl.length i.pmap));
+        (fun () -> float_of_int (Int_table.length i.pmap));
       let sum f =
         Array.fold_left (fun acc q -> acc + f q) 0 i.rings |> float_of_int
       in
@@ -683,7 +683,7 @@ let make_instance ~device ~feature_persistent ~feature_indirect ~batching
   in
   Split.map_rings dev ~pages:nq;
   Array.iter (fun r -> Split.bind dev r.rport) rings;
-  let pmap = Hashtbl.create 64 in
+  let pmap = Int_table.create 64 in
   let i =
     {
       dev;
@@ -698,7 +698,7 @@ let make_instance ~device ~feature_persistent ~feature_indirect ~batching
       io_retries = 0;
       indirect_reqs = 0;
       inflight = 0;
-      req_ids = Hashtbl.create 64;
+      req_ids = Int_table.create 64;
       io_name =
         Printf.sprintf "blkback-io-%d.%d" dev.frontend.Domain.id dev.devid;
     }
@@ -714,12 +714,12 @@ let make_instance ~device ~feature_persistent ~feature_indirect ~batching
   Split.connect dev
     ~detach:(fun () ->
       Array.iter (fun r -> Condition.broadcast r.rwake) rings;
-      let grefs = Hashtbl.fold (fun g () acc -> g :: acc) pmap [] in
-      Hashtbl.reset pmap;
+      let grefs = Int_table.fold (fun g () acc -> g :: acc) pmap [] in
+      Int_table.reset pmap;
       Grant_table.unmap_many ctx.Xen_ctx.gt ~grantee:domain grefs;
       Array.iter (fun r -> Event_channel.close ctx.Xen_ctx.ec r.rport) rings)
     ~crash:(fun () ->
-      Hashtbl.reset pmap;
+      Int_table.reset pmap;
       Array.iter (fun r -> Condition.broadcast r.rwake) rings);
   attach_metrics i;
   Array.iter (fun r -> Split.spawn_worker dev "req" r.rid (request_thread i r))

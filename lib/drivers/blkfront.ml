@@ -56,7 +56,7 @@ type t = {
   mutable backend_indirect : int;  (* max indirect segments; 0 = none *)
   conn_cond : Condition.t;
   slot_cond : Condition.t;
-  pending : (int, pending) Hashtbl.t;
+  pending : pending Int_table.t;
   mutable pool : (Grant_table.ref_ * Page.t) list;  (* persistent pages *)
   mutable next_id : int;
   mutable requests : int;
@@ -278,7 +278,7 @@ let push_entry t p =
     Kite_race.Race.scoped_write
       ~loc:(Printf.sprintf "%s.pending[%d]" t.name p.p_id)
       ~site:"Blkfront.push";
-  Hashtbl.replace t.pending p.p_id p;
+  Int_table.replace t.pending p.p_id p;
   if Ring.push_requests_and_check_notify q.q_ring then notify_backend t q
 
 (* Responses carry no payload copying that needs process context, so they
@@ -287,7 +287,7 @@ let handle_event t q () =
   let rec drain () =
     match Ring.take_response q.q_ring with
     | Some rsp ->
-        (match Hashtbl.find_opt t.pending rsp.Blkif.rsp_id with
+        (match Int_table.find_opt t.pending rsp.Blkif.rsp_id with
         | Some p ->
             (match t.ctx.Xen_ctx.trace with
             | Some tr ->
@@ -356,7 +356,7 @@ let submit t op ~sector ~count buf ~off =
     Kite_race.Race.scoped_write
       ~loc:(Printf.sprintf "%s.pending[%d]" t.name p.p_id)
       ~site:"Blkfront.complete";
-  Hashtbl.remove t.pending p.p_id;
+  Int_table.remove t.pending p.p_id;
   (* Indirect descriptor pages are single-use. *)
   List.iter
     (fun (gref, _) ->
@@ -522,7 +522,7 @@ let rec connect t () =
 and reconnect t () =
   fnote t "blkfront.reconnect";
   let journal =
-    Hashtbl.fold (fun _ p acc -> p :: acc) t.pending []
+    Int_table.fold (fun _ p acc -> p :: acc) t.pending []
     |> List.filter (fun p -> p.status = None)
     |> List.sort (fun a b -> compare a.p_id b.p_id)
   in
@@ -604,7 +604,7 @@ let attach_metrics t =
       R.gauge_fn r "kite_blk_pending"
         ~help:"Journal entries awaiting a response"
         [ ("vbd", vbd) ]
-        (fun () -> float_of_int (Hashtbl.length t.pending));
+        (fun () -> float_of_int (Int_table.length t.pending));
       let sum f =
         Array.fold_left (fun acc q -> acc + f q) 0 t.queues |> float_of_int
       in
@@ -623,12 +623,12 @@ let attach_metrics t =
           in
           if
             persistent_enabled t && t.pool = [] && slots > 0
-            && Hashtbl.length t.pending >= slots
+            && Int_table.length t.pending >= slots
           then
             R.Alert
               (Printf.sprintf
                  "persistent-grant pool empty with %d requests in flight"
-                 (Hashtbl.length t.pending))
+                 (Int_table.length t.pending))
           else R.Healthy)
 
 let create ctx ~domain ~backend ~devid ?(use_persistent = true)
@@ -652,7 +652,7 @@ let create ctx ~domain ~backend ~devid ?(use_persistent = true)
       backend_indirect = 0;
       conn_cond = Condition.create ~label:"blkfront connect" ();
       slot_cond = Condition.create ~label:"blkfront ring slots" ();
-      pending = Hashtbl.create 64;
+      pending = Int_table.create 64;
       pool = [];
       next_id = 0;
       requests = 0;
@@ -683,7 +683,7 @@ let shutdown t =
       Xenbus.unwatch t.ctx.Xen_ctx.xb id;
       t.monitor <- None
   | None -> ());
-  Hashtbl.iter (fun id _ -> mq_release t ~slot:id) t.pending;
+  Int_table.iter (fun id _ -> mq_release t ~slot:id) t.pending;
   List.iter
     (fun (gref, _) ->
       Grant_table.end_access t.ctx.Xen_ctx.gt ~granter:t.domain gref)

@@ -34,7 +34,7 @@ type instance = {
   mutable m_txbatch : Kite_metrics.Registry.histogram option;
   (* tx ids currently being served, across every queue of the device:
      id -> qid.  Detects in-flight replay and cross-queue slot reuse. *)
-  inflight : (int, int) Hashtbl.t;
+  inflight : int Int_table.t;
 }
 
 type t = instance Split.t
@@ -79,34 +79,37 @@ let storm_threshold = 64
    the bridge).  One pusher per queue. *)
 let pusher i q () =
   (* Everything in a Tx descriptor is frontend-supplied; check it all
-     before the grant table or the wire sees any of it. *)
+     before the grant table or the wire sees any of it.  An accepted
+     descriptor yields its grant entry, which the batched copy then
+     reads without a second lookup. *)
   let validate req =
     let open Guest_fault in
     let fid = i.dev.frontend.Domain.id in
     let len = req.Netchannel.tx_len in
     let gref = req.Netchannel.tx_gref in
     if len < 0 || len > Page.size then
-      Some (Bad_length, Printf.sprintf "tx len %d outside [0,%d]" len Page.size)
+      Error (Bad_length, Printf.sprintf "tx len %d outside [0,%d]" len Page.size)
     else
-      match Grant_table.owner i.dev.ctx.Xen_ctx.gt gref with
-      | None -> Some (Bad_gref, Printf.sprintf "tx gref %d unknown or revoked" gref)
-      | Some d when d <> fid ->
-          Some
+      match Grant_table.find i.dev.ctx.Xen_ctx.gt gref with
+      | None -> Error (Bad_gref, Printf.sprintf "tx gref %d unknown or revoked" gref)
+      | Some e when Grant_table.granter e <> fid ->
+          Error
             ( Foreign_gref,
-              Printf.sprintf "tx gref %d granted by domain %d" gref d )
-      | Some _ -> (
-          match Hashtbl.find_opt i.inflight req.Netchannel.tx_id with
+              Printf.sprintf "tx gref %d granted by domain %d" gref
+                (Grant_table.granter e) )
+      | Some e -> (
+          match Int_table.find_opt i.inflight req.Netchannel.tx_id with
           | Some qid when qid = q.qid ->
-              Some
+              Error
                 ( Replay,
                   Printf.sprintf "tx id %d replayed while in flight"
                     req.Netchannel.tx_id )
           | Some qid ->
-              Some
+              Error
                 ( Slot_reuse,
                   Printf.sprintf "tx id %d already live on queue %d"
                     req.Netchannel.tx_id qid )
-          | None -> None)
+          | None -> Ok e)
   in
   (* A hostile frontend may never consume responses; a full response
      ring is its loss, not a reason to kill the worker. *)
@@ -149,10 +152,10 @@ let pusher i q () =
           List.fold_left
             (fun (ok, bad) req ->
               match validate req with
-              | None ->
-                  Hashtbl.replace i.inflight req.Netchannel.tx_id q.qid;
-                  (req :: ok, bad)
-              | Some fault -> (ok, (req, fault) :: bad))
+              | Ok e ->
+                  Int_table.replace i.inflight req.Netchannel.tx_id q.qid;
+                  ((req, e) :: ok, bad)
+              | Error fault -> (ok, (req, fault) :: bad))
             ([], []) reqs
         in
         let ok = List.rev rev_ok in
@@ -168,12 +171,10 @@ let pusher i q () =
         let frames =
           Grant_table.copy_from_granted_many i.dev.ctx.Xen_ctx.gt
             ~caller:i.dev.domain
-            (List.map
-               (fun req -> (req.Netchannel.tx_gref, 0, req.Netchannel.tx_len))
-               ok)
+            (List.map (fun (req, e) -> (e, 0, req.Netchannel.tx_len)) ok)
         in
         List.iter2
-          (fun req frame ->
+          (fun (req, _) frame ->
             Split.kernel_grant_ops i.dev
               i.dev.ov.Overheads.tx_kernel_grant_ops;
             Hypervisor.cpu_work (hv i) i.dev.domain
@@ -219,7 +220,7 @@ let pusher i q () =
                   ~at:(Hypervisor.now (hv i))
                   ~kind:"net.tx" ~key:i.dev.name ~id:req.Netchannel.tx_id
             | None -> ());
-            Hashtbl.remove i.inflight req.Netchannel.tx_id;
+            Int_table.remove i.inflight req.Netchannel.tx_id;
             respond req Netchannel.status_ok)
           ok frames;
         List.length reqs
@@ -273,19 +274,22 @@ let pusher i q () =
 let soft_start i q () =
   (* An Rx buffer must be a live grant from *this* frontend that we are
      allowed to write into; anything else is an attack on some other
-     domain's memory. *)
+     domain's memory.  An accepted buffer yields its grant entry, which
+     the batched copy writes through without a second lookup. *)
   let validate req =
     let open Guest_fault in
     let fid = i.dev.frontend.Domain.id in
     let gref = req.Netchannel.rx_gref in
-    match Grant_table.inspect i.dev.ctx.Xen_ctx.gt gref with
-    | None -> Some (Bad_gref, Printf.sprintf "rx gref %d unknown or revoked" gref)
-    | Some (d, _) when d <> fid ->
-        Some
-          (Foreign_gref, Printf.sprintf "rx gref %d granted by domain %d" gref d)
-    | Some (_, false) ->
-        Some (Bad_gref, Printf.sprintf "rx gref %d granted read-only" gref)
-    | Some _ -> None
+    match Grant_table.find i.dev.ctx.Xen_ctx.gt gref with
+    | None -> Error (Bad_gref, Printf.sprintf "rx gref %d unknown or revoked" gref)
+    | Some e when Grant_table.granter e <> fid ->
+        Error
+          ( Foreign_gref,
+            Printf.sprintf "rx gref %d granted by domain %d" gref
+              (Grant_table.granter e) )
+    | Some e when not (Grant_table.writable e) ->
+        Error (Bad_gref, Printf.sprintf "rx gref %d granted read-only" gref)
+    | Some e -> Ok e
   in
   let respond req ~len status =
     try
@@ -326,8 +330,8 @@ let soft_start i q () =
           List.partition_map
             (fun (req, frame) ->
               match validate req with
-              | None -> Either.Left (req, frame)
-              | Some fault -> Either.Right (req, fault))
+              | Ok e -> Either.Left (req, e, frame)
+              | Error fault -> Either.Right (req, fault))
             pairs
         in
         List.iter
@@ -342,11 +346,9 @@ let soft_start i q () =
         else begin
         Grant_table.copy_to_granted_many i.dev.ctx.Xen_ctx.gt
           ~caller:i.dev.domain
-          (List.map
-             (fun (req, frame) -> (req.Netchannel.rx_gref, 0, frame))
-             ok);
+          (List.map (fun (_, e, frame) -> (e, 0, frame)) ok);
         List.iter
-          (fun (req, frame) ->
+          (fun (req, _, frame) ->
             Split.kernel_grant_ops i.dev
               i.dev.ov.Overheads.rx_kernel_grant_ops;
             Hypervisor.cpu_work (hv i) i.dev.domain
@@ -524,7 +526,7 @@ let make_instance ~on_vif (dev : Split.dev) =
       io_retries = 0;
       tx_failed = 0;
       m_txbatch = None;
-      inflight = Hashtbl.create 64;
+      inflight = Int_table.create 64;
     }
   in
   (* The VIF's transmit side (bridge -> guest) feeds the per-queue

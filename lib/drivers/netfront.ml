@@ -11,8 +11,8 @@ type queue = {
   mutable tx_ring : Netchannel.tx_ring;
   mutable rx_ring : Netchannel.rx_ring;
   mutable qport : Event_channel.port;
-  tx_pending : (int, Grant_table.ref_ * Page.t) Hashtbl.t;
-  rx_buffers : (int, Grant_table.ref_ * Page.t) Hashtbl.t;
+  tx_pending : (Grant_table.ref_ * Page.t) Int_table.t;
+  rx_buffers : (Grant_table.ref_ * Page.t) Int_table.t;
   bufpool : Grant_table.pool;  (* pre-granted Rx buffer pages *)
 }
 
@@ -222,7 +222,7 @@ let transmit t frame =
         Kite_race.Race.scoped_write
           ~loc:(Printf.sprintf "%s.q%d.tx_pending[%d]" t.name q.qid id)
           ~site:"Netfront.tx";
-      Hashtbl.replace q.tx_pending id (gref, page);
+      Int_table.replace q.tx_pending id (gref, page);
       mq_claim t q ~slot:id;
       Ring.push_request q.tx_ring
         { Netchannel.tx_id = id; tx_gref = gref; tx_len = len };
@@ -246,18 +246,18 @@ let drain_tx_responses t q =
   let rec go () =
     match Ring.take_response ring with
     | Some rsp ->
-        (match Hashtbl.find_opt q.tx_pending rsp.Netchannel.tx_rsp_id with
-        | Some (gref, _page) ->
+        (match Int_table.find q.tx_pending rsp.Netchannel.tx_rsp_id with
+        | gref, _page ->
             if Kite_race.Race.active () then
               Kite_race.Race.scoped_write
                 ~loc:
                   (Printf.sprintf "%s.q%d.tx_pending[%d]" t.name q.qid
                      rsp.Netchannel.tx_rsp_id)
                 ~site:"Netfront.tx-response";
-            Hashtbl.remove q.tx_pending rsp.Netchannel.tx_rsp_id;
+            Int_table.remove q.tx_pending rsp.Netchannel.tx_rsp_id;
             mq_release t ~slot:rsp.Netchannel.tx_rsp_id;
             Grant_table.end_access t.ctx.Xen_ctx.gt ~granter:t.domain gref
-        | None -> ());
+        | exception Not_found -> ());
         Condition.broadcast t.tx_slots;
         go ()
     | None -> if Ring.final_check_for_responses ring then go ()
@@ -266,7 +266,7 @@ let drain_tx_responses t q =
 
 let post_rx_buffer t q gref page =
   let id = fresh_id t in
-  Hashtbl.replace q.rx_buffers id (gref, page);
+  Int_table.replace q.rx_buffers id (gref, page);
   Ring.push_request q.rx_ring { Netchannel.rx_id = id; rx_gref = gref }
 
 (* Rx completions: copy frames out of our own posted pages (local memcpy)
@@ -290,11 +290,9 @@ let rx_thread t () =
           let rec drain reposted =
             match Ring.take_response ring with
             | Some rsp ->
-                (match
-                   Hashtbl.find_opt q.rx_buffers rsp.Netchannel.rx_rsp_id
-                 with
-                | Some (gref, page) ->
-                    Hashtbl.remove q.rx_buffers rsp.Netchannel.rx_rsp_id;
+                (match Int_table.find q.rx_buffers rsp.Netchannel.rx_rsp_id with
+                | (gref, page) as buf ->
+                    Int_table.remove q.rx_buffers rsp.Netchannel.rx_rsp_id;
                     if rsp.Netchannel.rx_status = Netchannel.status_ok
                     then begin
                       let frame =
@@ -307,11 +305,11 @@ let rx_thread t () =
                       | None -> ()
                     end;
                     let id = fresh_id t in
-                    Hashtbl.replace q.rx_buffers id (gref, page);
+                    Int_table.replace q.rx_buffers id buf;
                     Ring.push_request ring
                       { Netchannel.rx_id = id; rx_gref = gref };
                     drain (reposted + 1)
-                | None -> drain reposted)
+                | exception Not_found -> drain reposted)
             | None -> reposted
           in
           let reposted = drain 0 in
@@ -333,8 +331,8 @@ let make_queue t ~pool qid =
     tx_ring = Ring.create ~order:Netchannel.ring_order;
     rx_ring = Ring.create ~order:Netchannel.ring_order;
     qport = -1;
-    tx_pending = Hashtbl.create 64;
-    rx_buffers = Hashtbl.create 512;
+    tx_pending = Int_table.create 64;
+    rx_buffers = Int_table.create 512;
     bufpool =
       (match pool with
       | Some p -> p
@@ -423,17 +421,16 @@ and reconnect t () =
   let gt = t.ctx.Xen_ctx.gt in
   Array.iter
     (fun q ->
-      t.tx_lost <- t.tx_lost + Hashtbl.length q.tx_pending;
-      Hashtbl.iter
+      t.tx_lost <- t.tx_lost + Int_table.length q.tx_pending;
+      Int_table.iter
         (fun id (gref, _) ->
           mq_release t ~slot:id;
           Grant_table.end_access gt ~granter:t.domain gref)
         q.tx_pending;
-      Hashtbl.reset q.tx_pending;
-      Hashtbl.iter
-        (fun _ (gref, page) -> Grant_table.pool_put q.bufpool (gref, page))
+      Int_table.reset q.tx_pending;
+      Int_table.iter (fun _ buf -> Grant_table.pool_put q.bufpool buf)
         q.rx_buffers;
-      Hashtbl.reset q.rx_buffers;
+      Int_table.reset q.rx_buffers;
       Event_channel.close t.ctx.Xen_ctx.ec q.qport)
     t.queues;
   Condition.broadcast t.tx_slots;
@@ -525,16 +522,15 @@ let shutdown t =
   let gt = t.ctx.Xen_ctx.gt in
   Array.iter
     (fun q ->
-      Hashtbl.iter
+      Int_table.iter
         (fun id (gref, _) ->
           mq_release t ~slot:id;
           Grant_table.end_access gt ~granter:t.domain gref)
         q.tx_pending;
-      Hashtbl.reset q.tx_pending;
-      Hashtbl.iter
-        (fun _ (gref, page) -> Grant_table.pool_put q.bufpool (gref, page))
+      Int_table.reset q.tx_pending;
+      Int_table.iter (fun _ buf -> Grant_table.pool_put q.bufpool buf)
         q.rx_buffers;
-      Hashtbl.reset q.rx_buffers;
+      Int_table.reset q.rx_buffers;
       Grant_table.pool_drain q.bufpool;
       Event_channel.close t.ctx.Xen_ctx.ec q.qport)
     t.queues

@@ -233,7 +233,7 @@ let map_ring d map ~what r =
 
 (* Mapping all the ring pages is pooled into one batched map hypercall. *)
 let map_rings d ~pages =
-  Hypervisor.hypercall (hv d) d.domain "grant_map"
+  Hypervisor.hypercall (hv d) d.domain Hypervisor.Grant_map
     ~extra:(pages * (Hypervisor.costs (hv d)).Costs.grant_map)
 
 let bind d port =

@@ -8,15 +8,18 @@ end
 
 let key ~mq q k = if mq then Mq.queue_key q k else k
 
-type 'a registry = { mutable next : int; rings : (int, 'a * int) Hashtbl.t }
+type 'a registry = {
+  mutable next : int;
+  rings : ('a * int) Kite_sim.Int_table.t;
+}
 
-let registry () = { next = 1; rings = Hashtbl.create 16 }
+let registry () = { next = 1; rings = Kite_sim.Int_table.create 16 }
 
 let share r ~owner ring =
   let id = r.next in
   r.next <- r.next + 1;
-  Hashtbl.add r.rings id (ring, owner);
+  Kite_sim.Int_table.add r.rings id (ring, owner);
   id
 
-let find r id = Option.map fst (Hashtbl.find_opt r.rings id)
-let owner_of r id = Option.map snd (Hashtbl.find_opt r.rings id)
+let find r id = Option.map fst (Kite_sim.Int_table.find_opt r.rings id)
+let owner_of r id = Option.map snd (Kite_sim.Int_table.find_opt r.rings id)

@@ -16,9 +16,9 @@ let encode p =
   Wire.set_u8 b 5 4;  (* plen *)
   Wire.set_u16 b 6 (match p.op with Request -> 1 | Reply -> 2);
   Macaddr.write p.sender_mac b ~off:8;
-  Wire.set_u32 b 14 (Ipv4addr.to_int32 p.sender_ip);
+  Ipv4addr.write p.sender_ip b ~off:14;
   Macaddr.write p.target_mac b ~off:18;
-  Wire.set_u32 b 24 (Ipv4addr.to_int32 p.target_ip);
+  Ipv4addr.write p.target_ip b ~off:24;
   b
 
 let decode (s : Wire.slice) =
@@ -39,9 +39,9 @@ let decode (s : Wire.slice) =
           {
             op;
             sender_mac = Macaddr.of_bytes b ~off:(o + 8);
-            sender_ip = Ipv4addr.of_int32 (Wire.get_u32 b (o + 14));
+            sender_ip = Ipv4addr.of_bytes b ~off:(o + 14);
             target_mac = Macaddr.of_bytes b ~off:(o + 18);
-            target_ip = Ipv4addr.of_int32 (Wire.get_u32 b (o + 24));
+            target_ip = Ipv4addr.of_bytes b ~off:(o + 24);
           }
 
 let request ~sender_mac ~sender_ip ~target_ip =

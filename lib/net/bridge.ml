@@ -1,13 +1,19 @@
 type t = {
   name : string;
   mutable ports : Netdev.t list;
-  fdb : (Macaddr.t, Netdev.t) Hashtbl.t;  (* forwarding database *)
+  fdb : Netdev.t Macaddr.Table.t;  (* forwarding database *)
   mutable forwarded : int;
   mutable flooded : int;
 }
 
 let create ~name =
-  { name; ports = []; fdb = Hashtbl.create 16; forwarded = 0; flooded = 0 }
+  {
+    name;
+    ports = [];
+    fdb = Macaddr.Table.create 16;
+    forwarded = 0;
+    flooded = 0;
+  }
 
 let name t = t.name
 
@@ -16,7 +22,7 @@ let handle_frame t ingress frame =
   | None -> ()
   | Some (h, _) ->
       (* Learn the sender's location. *)
-      Hashtbl.replace t.fdb h.Ethernet.src ingress;
+      Macaddr.Table.replace t.fdb h.Ethernet.src ingress;
       let flood () =
         t.flooded <- t.flooded + 1;
         List.iter
@@ -25,12 +31,12 @@ let handle_frame t ingress frame =
       in
       if Macaddr.is_broadcast h.Ethernet.dst then flood ()
       else
-        match Hashtbl.find_opt t.fdb h.Ethernet.dst with
-        | Some port when port != ingress ->
+        match Macaddr.Table.find t.fdb h.Ethernet.dst with
+        | port when port != ingress ->
             t.forwarded <- t.forwarded + 1;
             Netdev.transmit port frame
-        | Some _ -> ()  (* destination is behind the ingress port *)
-        | None -> flood ()
+        | _ -> ()  (* destination is behind the ingress port *)
+        | exception Not_found -> flood ()
 
 let add_port t dev =
   if List.memq dev t.ports then
@@ -43,11 +49,11 @@ let add_port t dev =
 
 let remove_port t dev =
   t.ports <- List.filter (fun p -> p != dev) t.ports;
-  Hashtbl.iter
-    (fun mac port -> if port == dev then Hashtbl.remove t.fdb mac)
-    (Hashtbl.copy t.fdb)
+  Macaddr.Table.filter_map_inplace
+    (fun _ port -> if port == dev then None else Some port)
+    t.fdb
 
 let ports t = t.ports
 let forwarded t = t.forwarded
 let flooded t = t.flooded
-let lookup t mac = Hashtbl.find_opt t.fdb mac
+let lookup t mac = Macaddr.Table.find_opt t.fdb mac

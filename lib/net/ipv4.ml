@@ -39,8 +39,8 @@ let write_header b ~off h ~len =
   Wire.set_u8 b (off + 8) h.ttl;
   Wire.set_u8 b (off + 9) (protocol_code h.protocol);
   Wire.set_u16 b (off + 10) 0;  (* checksum placeholder *)
-  Wire.set_u32 b (off + 12) (Ipv4addr.to_int32 h.src);
-  Wire.set_u32 b (off + 16) (Ipv4addr.to_int32 h.dst);
+  Ipv4addr.write h.src b ~off:(off + 12);
+  Ipv4addr.write h.dst b ~off:(off + 16);
   Wire.set_u16 b (off + 10) (Wire.checksum b ~off ~len:header_size)
 
 let encode h ~payload =
@@ -62,8 +62,8 @@ let decode (s : Wire.slice) =
       let flags_frag = Wire.get_u16 b (o + 6) in
       let h =
         {
-          src = Ipv4addr.of_int32 (Wire.get_u32 b (o + 12));
-          dst = Ipv4addr.of_int32 (Wire.get_u32 b (o + 16));
+          src = Ipv4addr.of_bytes b ~off:(o + 12);
+          dst = Ipv4addr.of_bytes b ~off:(o + 16);
           protocol = protocol_of_code (Wire.get_u8 b (o + 9));
           ttl = Wire.get_u8 b (o + 8);
           id = Wire.get_u16 b (o + 4);
@@ -78,7 +78,7 @@ let is_fragment h = h.more_fragments || h.frag_offset > 0
 (* The pseudo-header's 16-bit words, summed without building it. *)
 let pseudo_sum ~src ~dst ~protocol ~len =
   let words a =
-    let a = Int32.to_int (Ipv4addr.to_int32 a) land 0xffffffff in
+    let a = Ipv4addr.to_int a in
     (a lsr 16) + (a land 0xffff)
   in
   words src + words dst + protocol_code protocol + (len land 0xffff)

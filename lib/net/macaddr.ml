@@ -1,38 +1,40 @@
-type t = string  (* 6 raw bytes *)
+(* The 48 bits as an immediate int, big-endian: the first byte on the
+   wire is bits 47-40.  So [compare] orders as the bytes do. *)
+type t = int
 
 let of_string s =
   let parts = String.split_on_char ':' s in
   if List.length parts <> 6 then
     invalid_arg ("Macaddr.of_string: " ^ s);
-  let b = Bytes.create 6 in
-  List.iteri
-    (fun i p ->
+  List.fold_left
+    (fun acc p ->
       match int_of_string_opt ("0x" ^ p) with
-      | Some v when v >= 0 && v < 256 -> Bytes.set b i (Char.chr v)
+      | Some v when v >= 0 && v < 256 -> (acc lsl 8) lor v
       | Some _ | None -> invalid_arg ("Macaddr.of_string: " ^ s))
-    parts;
-  Bytes.to_string b
+    0 parts
 
 let to_string t =
-  String.concat ":"
-    (List.init 6 (fun i -> Printf.sprintf "%02x" (Char.code t.[i])))
+  let byte i = (t lsr (40 - (8 * i))) land 0xff in
+  String.concat ":" (List.init 6 (fun i -> Printf.sprintf "%02x" (byte i)))
 
-let of_bytes b ~off = Bytes.sub_string b off 6
+let of_bytes b ~off =
+  (Bytes.get_uint16_be b off lsl 32)
+  lor (Bytes.get_uint16_be b (off + 2) lsl 16)
+  lor Bytes.get_uint16_be b (off + 4)
 
-let write t b ~off = Bytes.blit_string t 0 b off 6
+let write t b ~off =
+  Bytes.set_uint16_be b off (t lsr 32);
+  Bytes.set_uint16_be b (off + 2) ((t lsr 16) land 0xffff);
+  Bytes.set_uint16_be b (off + 4) (t land 0xffff)
 
-let broadcast = String.make 6 '\xff'
+let broadcast = 0xffff_ffff_ffff
 let is_broadcast t = t = broadcast
 
-let make_local n =
-  (* 0x02 = locally administered, unicast. *)
-  let b = Bytes.create 6 in
-  Bytes.set b 0 '\x02';
-  Bytes.set b 1 '\x4b';  (* 'K' for Kite *)
-  Bytes.set b 2 (Char.chr ((n lsr 24) land 0xff));
-  Bytes.set b 3 (Char.chr ((n lsr 16) land 0xff));
-  Bytes.set b 4 (Char.chr ((n lsr 8) land 0xff));
-  Bytes.set b 5 (Char.chr (n land 0xff));
-  Bytes.to_string b
+(* 0x02 = locally administered, unicast; 0x4b = 'K' for Kite; then the
+   low 32 bits of [n]. *)
+let make_local n = 0x02_4b_00_00_00_00 lor (n land 0xffff_ffff)
 
-let equal = String.equal
+let equal = Int.equal
+let compare = Int.compare
+
+module Table = Kite_sim.Int_table

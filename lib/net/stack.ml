@@ -16,6 +16,15 @@ type reasm = {
   mutable total : int option;
 }
 
+(* One ARP entry per address: the learnt MAC once one is known, and the
+   condition that resolvers of the address wait on, made by the first
+   one that missed. *)
+type arp_entry = {
+  mutable arp_mac : Macaddr.t;
+  mutable known : bool;
+  mutable waiters : Condition.t option;
+}
+
 type ping_waiter = {
   id : int;
   seq : int;
@@ -33,13 +42,13 @@ type t = {
   gateway : Ipv4addr.t option;
   rx_cost : Time.span;
   rxq : Bytes.t Mailbox.t;
-  arp_cache : (Ipv4addr.t, Macaddr.t) Hashtbl.t;
-  arp_waiters : (Ipv4addr.t, Condition.t) Hashtbl.t;
-  udp_socks : (int, udp_socket) Hashtbl.t;
+  arp : arp_entry Ipv4addr.Table.t;
+  mutable arp_known : int;  (* entries with a learnt MAC *)
+  udp_socks : udp_socket Int_table.t;
   mutable pings : ping_waiter list;
   mutable tcp_handler : (Ipv4.header -> Wire.slice -> unit) option;
-  (* Reassembly buffers keyed by (source, datagram id). *)
-  reassembly : (Ipv4addr.t * int, reasm) Hashtbl.t;
+  (* Reassembly buffers keyed by [reasm_key] (source, datagram id). *)
+  reassembly : reasm Int_table.t;
   mutable tx_packets : int;
   mutable next_ping_id : int;
   mutable next_ip_id : int;
@@ -51,7 +60,7 @@ let mac t = t.mac
 let ip t = t.ip
 let set_ip t ip = t.ip <- ip
 let dev t = t.dev
-let arp_cache_size t = Hashtbl.length t.arp_cache
+let arp_cache_size t = t.arp_known
 let tx_packets t = t.tx_packets
 let set_tcp_handler t f = t.tcp_handler <- Some f
 
@@ -68,45 +77,59 @@ let emit t ~dst_mac ~ethertype payload =
 (* ------------------------------------------------------------------ *)
 
 let arp_learn t ip mac =
-  if not (Ipv4addr.equal ip Ipv4addr.any) then begin
-    Hashtbl.replace t.arp_cache ip mac;
-    match Hashtbl.find_opt t.arp_waiters ip with
-    | Some c -> Condition.broadcast c
-    | None -> ()
-  end
+  if not (Ipv4addr.equal ip Ipv4addr.any) then
+    match Ipv4addr.Table.find t.arp ip with
+    | e -> (
+        if not e.known then begin
+          e.known <- true;
+          t.arp_known <- t.arp_known + 1
+        end;
+        e.arp_mac <- mac;
+        match e.waiters with Some c -> Condition.broadcast c | None -> ())
+    | exception Not_found ->
+        Ipv4addr.Table.add t.arp ip
+          { arp_mac = mac; known = true; waiters = None };
+        t.arp_known <- t.arp_known + 1
 
 let send_arp_request t target_ip =
   let pkt = Arp.request ~sender_mac:t.mac ~sender_ip:t.ip ~target_ip in
   emit t ~dst_mac:Macaddr.broadcast ~ethertype:Ethernet.Arp (Arp.encode pkt)
 
 let resolve t dst =
-  match Hashtbl.find_opt t.arp_cache dst with
-  | Some mac -> mac
-  | None ->
-      let cond =
-        match Hashtbl.find_opt t.arp_waiters dst with
-        | Some c -> c
-        | None ->
-            let c = Condition.create () in
-            Hashtbl.add t.arp_waiters dst c;
-            c
-      in
-      let rec attempt n =
-        if n = 0 then
-          raise
-            (Host_unreachable
-               (Printf.sprintf "%s: no ARP reply from %s" t.name
-                  (Ipv4addr.to_string dst)))
-        else begin
-          send_arp_request t dst;
-          match Condition.timed_wait cond (Time.sec 1) with
-          | `Signaled | `Timeout -> (
-              match Hashtbl.find_opt t.arp_cache dst with
-              | Some mac -> mac
-              | None -> attempt (n - 1))
-        end
-      in
-      attempt 3
+  let e =
+    match Ipv4addr.Table.find t.arp dst with
+    | e -> e
+    | exception Not_found ->
+        let e =
+          { arp_mac = Macaddr.broadcast; known = false; waiters = None }
+        in
+        Ipv4addr.Table.add t.arp dst e;
+        e
+  in
+  if e.known then e.arp_mac
+  else
+    let cond =
+      match e.waiters with
+      | Some c -> c
+      | None ->
+          let c = Condition.create () in
+          e.waiters <- Some c;
+          c
+    in
+    let rec attempt n =
+      if n = 0 then
+        raise
+          (Host_unreachable
+             (Printf.sprintf "%s: no ARP reply from %s" t.name
+                (Ipv4addr.to_string dst)))
+      else begin
+        send_arp_request t dst;
+        match Condition.timed_wait cond (Time.sec 1) with
+        | `Signaled | `Timeout ->
+            if e.known then e.arp_mac else attempt (n - 1)
+      end
+    in
+    attempt 3
 
 (* ------------------------------------------------------------------ *)
 (* Transmit paths                                                      *)
@@ -176,10 +199,10 @@ let send_ip t ~dst ~protocol ?(hdr = Bytes.empty) body =
 (* ------------------------------------------------------------------ *)
 
 let udp_bind t ~port =
-  if Hashtbl.mem t.udp_socks port then
+  if Int_table.mem t.udp_socks port then
     invalid_arg (Printf.sprintf "Stack.udp_bind: port %d in use" port);
   let sock = { port; incoming = Mailbox.create () } in
-  Hashtbl.add t.udp_socks port sock;
+  Int_table.add t.udp_socks port sock;
   sock
 
 let udp_send t sock ~dst ~dst_port payload =
@@ -254,26 +277,28 @@ let handle_udp t (h : Ipv4.header) iov =
   match Udp.decode iov ~src:h.Ipv4.src ~dst:h.Ipv4.dst with
   | None -> ()
   | Some (uh, data) -> (
-      match Hashtbl.find_opt t.udp_socks uh.Udp.dst_port with
-      | Some sock ->
-          Mailbox.send sock.incoming (h.Ipv4.src, uh.Udp.src_port, data)
-      | None -> ())
+      match Int_table.find t.udp_socks uh.Udp.dst_port with
+      | sock -> Mailbox.send sock.incoming (h.Ipv4.src, uh.Udp.src_port, data)
+      | exception Not_found -> ())
 
 (* Collect fragments; deliver the whole datagram once every byte from 0
    through the final fragment's end has arrived, as its fragments' slices
    in offset order: the transport gathers them in its one copy.  Stale
    partial datagrams are overwritten when their (source, id) pair is
    reused. *)
+let reasm_key (h : Ipv4.header) =
+  (Ipv4addr.to_int h.Ipv4.src lsl 16) lor h.Ipv4.id
+
 let reassemble t (h : Ipv4.header) (body : Wire.slice) =
   if not (Ipv4.is_fragment h) then Some [ body ]
   else begin
-    let key = (h.Ipv4.src, h.Ipv4.id) in
+    let key = reasm_key h in
     let r =
-      match Hashtbl.find_opt t.reassembly key with
-      | Some r -> r
-      | None ->
+      match Int_table.find t.reassembly key with
+      | r -> r
+      | exception Not_found ->
           let r = { frags = []; total = None } in
-          Hashtbl.replace t.reassembly key r;
+          Int_table.add t.reassembly key r;
           r
     in
     r.frags <- (h.Ipv4.frag_offset, body) :: r.frags;
@@ -288,7 +313,9 @@ let reassemble t (h : Ipv4.header) (body : Wire.slice) =
         let sorted =
           List.sort
             (fun (a, (x : Wire.slice)) (b, (y : Wire.slice)) ->
-              compare (a, x.Wire.len) (b, y.Wire.len))
+              match Int.compare a b with
+              | 0 -> Int.compare x.Wire.len y.Wire.len
+              | c -> c)
             r.frags
         in
         let rec contiguous expect = function
@@ -297,7 +324,7 @@ let reassemble t (h : Ipv4.header) (body : Wire.slice) =
               off = expect && contiguous (off + s.Wire.len) rest
         in
         if contiguous 0 sorted then begin
-          Hashtbl.remove t.reassembly key;
+          Int_table.remove t.reassembly key;
           Some (List.map snd sorted)
         end
         else None
@@ -357,12 +384,12 @@ let create sched ~name ~dev ~mac ~ip ~netmask ?gateway ?(rx_cost = 0) () =
       gateway;
       rx_cost;
       rxq = Mailbox.create ();
-      arp_cache = Hashtbl.create 16;
-      arp_waiters = Hashtbl.create 4;
-      udp_socks = Hashtbl.create 8;
+      arp = Ipv4addr.Table.create 16;
+      arp_known = 0;
+      udp_socks = Int_table.create 8;
       pings = [];
       tcp_handler = None;
-      reassembly = Hashtbl.create 8;
+      reassembly = Int_table.create 8;
       tx_packets = 0;
       next_ping_id = 1;
       next_ip_id = 1;

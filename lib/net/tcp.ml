@@ -63,6 +63,19 @@ module Bytebuf = struct
     Wire.gather (b.front @ List.rev b.back) ~off:0 ~len:n
 end
 
+(* Connections by (local port, remote address, remote port): a
+   monomorphic table whose hash mixes the three fields, so demux calls
+   neither the generic hash nor the polymorphic compare. *)
+module Conns = Hashtbl.Make (struct
+  type t = int * Ipv4addr.t * int
+
+  let equal (lp, ip, rp) (lp', ip', rp') =
+    lp = lp' && rp = rp' && Ipv4addr.equal ip ip'
+
+  let hash (lp, ip, rp) =
+    (((Ipv4addr.to_int ip * 65599) + lp) * 65599) + rp
+end)
+
 type conn_state =
   | Syn_sent
   | Syn_received
@@ -103,8 +116,8 @@ and listener = { lport : int; backlog : conn Mailbox.t }
 
 and t = {
   stack : Stack.t;
-  conns : (int * Ipv4addr.t * int, conn) Hashtbl.t;
-  listeners : (int, listener) Hashtbl.t;
+  conns : conn Conns.t;
+  listeners : listener Int_table.t;
   mutable next_iss : int;
   mutable next_ephemeral : int;
   mutable retransmissions : int;
@@ -296,7 +309,7 @@ let make_conn tcp ~local_port ~remote_ip ~remote_port ~state ~iss ~rcv_nxt =
       dup_acks = 0;
     }
   in
-  Hashtbl.replace tcp.conns (local_port, remote_ip, remote_port) c;
+  Conns.replace tcp.conns (local_port, remote_ip, remote_port) c;
   Process.spawn (Stack.sched tcp.stack) ~daemon:true
     ~name:
       (Printf.sprintf "%s-tcp-%d-%s:%d" (Stack.name tcp.stack) local_port
@@ -307,7 +320,7 @@ let make_conn tcp ~local_port ~remote_ip ~remote_port ~state ~iss ~rcv_nxt =
 let teardown c =
   c.state <- Closed;
   cancel_timer c;
-  Hashtbl.remove c.tcp.conns (key c);
+  Conns.remove c.tcp.conns (key c);
   Condition.broadcast c.tx_cond;
   Condition.broadcast c.rx_cond;
   Condition.broadcast c.hs_cond
@@ -443,10 +456,10 @@ let handle_ip t (ih : Ipv4.header) body =
   | None -> ()
   | Some (h, payload) -> (
       let k = (h.Tcp_wire.dst_port, ih.Ipv4.src, h.Tcp_wire.src_port) in
-      match Hashtbl.find_opt t.conns k with
-      | Some c -> handle_segment c h payload
-      | None -> (
-          match Hashtbl.find_opt t.listeners h.Tcp_wire.dst_port with
+      match Conns.find t.conns k with
+      | c -> handle_segment c h payload
+      | exception Not_found -> (
+          match Int_table.find_opt t.listeners h.Tcp_wire.dst_port with
           | Some l
             when h.Tcp_wire.flags.Tcp_wire.syn
                  && not h.Tcp_wire.flags.Tcp_wire.ack ->
@@ -473,8 +486,8 @@ let attach stack =
   let t =
     {
       stack;
-      conns = Hashtbl.create 64;
-      listeners = Hashtbl.create 8;
+      conns = Conns.create 64;
+      listeners = Int_table.create 8;
       next_iss = 100_000;
       next_ephemeral = 32768;
       retransmissions = 0;
@@ -488,10 +501,10 @@ let attach stack =
 (* ------------------------------------------------------------------ *)
 
 let listen t ~port =
-  if Hashtbl.mem t.listeners port then
+  if Int_table.mem t.listeners port then
     invalid_arg (Printf.sprintf "Tcp.listen: port %d in use" port);
   let l = { lport = port; backlog = Mailbox.create () } in
-  Hashtbl.add t.listeners port l;
+  Int_table.add t.listeners port l;
   l
 
 let accept l = Mailbox.recv l.backlog

@@ -20,7 +20,7 @@ type port = int
 
 type t = {
   hv : Hypervisor.t;
-  channels : (int, channel) Hashtbl.t;
+  channels : channel Int_table.t;
   mutable next_port : int;
   mutable sent : int;
   mutable delivered : int;
@@ -32,7 +32,7 @@ type t = {
 let create hv =
   {
     hv;
-    channels = Hashtbl.create 16;
+    channels = Int_table.create 16;
     next_port = 1;
     sent = 0;
     delivered = 0;
@@ -56,14 +56,15 @@ let alloc_unbound t dom ~remote =
       closed = false;
     }
   in
-  Hashtbl.add t.channels port ch;
+  Int_table.add t.channels port ch;
   port
 
 let get t port =
-  match Hashtbl.find_opt t.channels port with
-  | Some ch when not ch.closed -> ch
-  | Some _ -> raise (Evtchn_error (Printf.sprintf "port %d is closed" port))
-  | None -> raise (Evtchn_error (Printf.sprintf "no such port %d" port))
+  match Int_table.find t.channels port with
+  | ch when not ch.closed -> ch
+  | _ -> raise (Evtchn_error (Printf.sprintf "port %d is closed" port))
+  | exception Not_found ->
+      raise (Evtchn_error (Printf.sprintf "no such port %d" port))
 
 let bind t port dom =
   let ch = get t port in
@@ -109,7 +110,7 @@ let notify t port ~from =
         (Evtchn_error
            (Printf.sprintf "domain %d not an endpoint of port %d"
               from.Domain.id port)));
-  Hypervisor.hypercall t.hv from "evtchn_send"
+  Hypervisor.hypercall t.hv from Hypervisor.Evtchn_send
     ~extra:(Hypervisor.costs t.hv).Costs.evtchn_send;
   (match Hypervisor.trace t.hv with
   | Some tr ->
@@ -177,7 +178,7 @@ let notify t port ~from =
       end)
 
 let close t port =
-  match Hashtbl.find_opt t.channels port with
+  match Int_table.find_opt t.channels port with
   | Some ch -> ch.closed <- true
   | None -> ()
 
@@ -186,7 +187,7 @@ let close_domain t ~domid =
      endpoint is torn down, exactly as the hypervisor does on
      domain_destroy.  Unbound channels merely *reserved* for the dead
      domain stay open — their owner closes them during reconnect. *)
-  Hashtbl.iter
+  Int_table.iter
     (fun _ ch ->
       let endpoint =
         ch.a.domid = domid
@@ -196,7 +197,7 @@ let close_domain t ~domid =
     t.channels
 
 let is_connected t port =
-  match Hashtbl.find_opt t.channels port with
+  match Int_table.find_opt t.channels port with
   | Some ch -> (not ch.closed) && ch.b <> None
   | None -> false
 

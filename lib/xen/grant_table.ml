@@ -1,7 +1,10 @@
 
+open Kite_sim
+
 exception Grant_error of string
 
 type entry = {
+  gref : int;
   granter : int;
   grantee : int;
   page : Page.t;
@@ -13,7 +16,7 @@ type ref_ = int
 
 type t = {
   hv : Hypervisor.t;
-  entries : (int, entry) Hashtbl.t;
+  entries : entry Int_table.t;
   mutable next_ref : int;
   mutable maps : int;
   mutable unmaps : int;
@@ -25,7 +28,7 @@ type t = {
 let create hv =
   {
     hv;
-    entries = Hashtbl.create 64;
+    entries = Int_table.create 64;
     next_ref = 8;
     maps = 0;
     unmaps = 0;
@@ -56,8 +59,9 @@ let grant_access t ~granter ~grantee ~page ~writable =
         ~grantee:grantee.Domain.id
   | None -> ());
   race_entry t r "Grant_table.grant_access";
-  Hashtbl.add t.entries r
+  Int_table.add t.entries r
     {
+      gref = r;
       granter = granter.Domain.id;
       grantee = grantee.Domain.id;
       page;
@@ -67,9 +71,10 @@ let grant_access t ~granter ~grantee ~page ~writable =
   r
 
 let get t r =
-  match Hashtbl.find_opt t.entries r with
-  | Some e -> e
-  | None -> raise (Grant_error (Printf.sprintf "bad grant reference %d" r))
+  match Int_table.find t.entries r with
+  | e -> e
+  | exception Not_found ->
+      raise (Grant_error (Printf.sprintf "bad grant reference %d" r))
 
 let end_access t ~granter r =
   (match t.check with
@@ -82,7 +87,7 @@ let end_access t ~granter r =
                           granter.Domain.id));
   if e.mapped then
     raise (Grant_error (Printf.sprintf "grant %d is still mapped" r));
-  Hashtbl.remove t.entries r
+  Int_table.remove t.entries r
 
 let check_grantee e r dom =
   if e.grantee <> dom.Domain.id then
@@ -109,7 +114,7 @@ let map_one t ~grantee r =
 let map t ~grantee r =
   let fresh, page = map_one t ~grantee r in
   if fresh then
-    Hypervisor.hypercall t.hv grantee "grant_map"
+    Hypervisor.hypercall t.hv grantee Hypervisor.Grant_map
       ~extra:(Hypervisor.costs t.hv).Costs.grant_map;
   page
 
@@ -117,7 +122,7 @@ let map_many t ~grantee refs =
   let results = List.map (map_one t ~grantee) refs in
   let fresh = List.length (List.filter fst results) in
   if fresh > 0 then
-    Hypervisor.hypercall t.hv grantee "grant_map"
+    Hypervisor.hypercall t.hv grantee Hypervisor.Grant_map
       ~extra:(fresh * (Hypervisor.costs t.hv).Costs.grant_map);
   List.map snd results
 
@@ -136,13 +141,13 @@ let unmap_one t ~grantee r =
 
 let unmap t ~grantee r =
   unmap_one t ~grantee r;
-  Hypervisor.hypercall t.hv grantee "grant_unmap"
+  Hypervisor.hypercall t.hv grantee Hypervisor.Grant_unmap
     ~extra:(Hypervisor.costs t.hv).Costs.grant_unmap
 
 let unmap_many t ~grantee refs =
   List.iter (unmap_one t ~grantee) refs;
   if refs <> [] then
-    Hypervisor.hypercall t.hv grantee "grant_unmap"
+    Hypervisor.hypercall t.hv grantee Hypervisor.Grant_unmap
       ~extra:(List.length refs * (Hypervisor.costs t.hv).Costs.grant_unmap)
 
 let copy_cost t len =
@@ -152,34 +157,48 @@ let copy_cost t len =
 
 (* Validation shared by the single and batched copy entry points.  The
    per-reference checker hook fires here so a batched hypercall still
-   audits every reference it touches. *)
-let copy_entry t ~caller ~for_write r =
+   audits every reference it touches.  The singular forms look the
+   reference up here ([copy_entry]); the batched forms take the entries
+   their caller found when it validated the descriptors ([find]). *)
+let copy_hooks t r =
   (match t.check with
   | Some c -> Kite_check.Check.grant_copy c ~gref:r
   | None -> ());
-  (match t.race with
+  match t.race with
   | Some d ->
       Kite_race.Race.read_acc d ~loc:("grant:" ^ string_of_int r)
         ~site:"Grant_table.copy"
-  | None -> ());
-  let e = get t r in
+  | None -> ()
+
+let copy_check ~caller ~for_write e =
+  let r = e.gref in
   if e.grantee <> caller.Domain.id && e.granter <> caller.Domain.id then
     raise (Grant_error (Printf.sprintf "grant %d not visible to domain %d" r
                           caller.Domain.id));
   if for_write && not e.writable then
-    raise (Grant_error (Printf.sprintf "grant %d is read-only" r));
+    raise (Grant_error (Printf.sprintf "grant %d is read-only" r))
+
+let copy_entry t ~caller ~for_write r =
+  copy_hooks t r;
+  let e = get t r in
+  copy_check ~caller ~for_write e;
   e
+
+let check_found t ~caller ~for_write e =
+  copy_hooks t e.gref;
+  copy_check ~caller ~for_write e
 
 let copy_to_granted t ~caller r ~off data =
   let e = copy_entry t ~caller ~for_write:true r in
-  Hypervisor.hypercall t.hv caller "grant_copy"
+  Hypervisor.hypercall t.hv caller Hypervisor.Grant_copy
     ~extra:(copy_cost t (Bytes.length data));
   t.copies <- t.copies + 1;
   Page.write e.page ~off data
 
 let copy_from_granted t ~caller r ~off ~len =
   let e = copy_entry t ~caller ~for_write:false r in
-  Hypervisor.hypercall t.hv caller "grant_copy" ~extra:(copy_cost t len);
+  Hypervisor.hypercall t.hv caller Hypervisor.Grant_copy
+    ~extra:(copy_cost t len);
   t.copies <- t.copies + 1;
   Page.read e.page ~off ~len
 
@@ -191,43 +210,33 @@ let copy_to_granted_many t ~caller ops =
   match ops with
   | [] -> ()
   | ops ->
-      let entries =
-        List.map
-          (fun (r, off, data) ->
-            (copy_entry t ~caller ~for_write:true r, off, data))
-          ops
-      in
+      List.iter (fun (e, _, _) -> check_found t ~caller ~for_write:true e) ops;
       let extra =
         List.fold_left
           (fun acc (_, _, data) -> acc + copy_cost t (Bytes.length data))
-          0 entries
+          0 ops
       in
-      Hypervisor.hypercall t.hv caller "grant_copy" ~extra;
+      Hypervisor.hypercall t.hv caller Hypervisor.Grant_copy ~extra;
       List.iter
         (fun (e, off, data) ->
           t.copies <- t.copies + 1;
           Page.write e.page ~off data)
-        entries
+        ops
 
 let copy_from_granted_many t ~caller ops =
   match ops with
   | [] -> []
   | ops ->
-      let entries =
-        List.map
-          (fun (r, off, len) ->
-            (copy_entry t ~caller ~for_write:false r, off, len))
-          ops
-      in
+      List.iter (fun (e, _, _) -> check_found t ~caller ~for_write:false e) ops;
       let extra =
-        List.fold_left (fun acc (_, _, len) -> acc + copy_cost t len) 0 entries
+        List.fold_left (fun acc (_, _, len) -> acc + copy_cost t len) 0 ops
       in
-      Hypervisor.hypercall t.hv caller "grant_copy" ~extra;
+      Hypervisor.hypercall t.hv caller Hypervisor.Grant_copy ~extra;
       List.map
         (fun (e, off, len) ->
           t.copies <- t.copies + 1;
           Page.read e.page ~off ~len)
-        entries
+        ops
 
 let revoke_domain t ~domid =
   (* Domain destruction.  Two sweeps, in an order that keeps the
@@ -238,7 +247,7 @@ let revoke_domain t ~domid =
      - every entry the dead domain *granted* disappears with its grant
        table. *)
   let granted = ref [] in
-  Hashtbl.iter
+  Int_table.iter
     (fun r e ->
       if e.grantee = domid && e.mapped then begin
         (match t.check with
@@ -250,7 +259,7 @@ let revoke_domain t ~domid =
     t.entries;
   List.iter
     (fun r ->
-      (match Hashtbl.find_opt t.entries r with
+      (match Int_table.find_opt t.entries r with
       | Some e when e.mapped ->
           (* The peer's mapping dies with the granted frame. *)
           (match t.check with
@@ -261,18 +270,17 @@ let revoke_domain t ~domid =
       (match t.check with
       | Some c -> Kite_check.Check.grant_end c ~gref:r ~granter:domid
       | None -> ());
-      Hashtbl.remove t.entries r)
-    (List.sort compare !granted)
+      Int_table.remove t.entries r)
+    (List.sort Int.compare !granted)
 
 let owner t r =
-  match Hashtbl.find_opt t.entries r with
-  | Some e -> Some e.granter
-  | None -> None
+  match Int_table.find t.entries r with
+  | e -> Some e.granter
+  | exception Not_found -> None
 
-let inspect t r =
-  match Hashtbl.find_opt t.entries r with
-  | Some e -> Some (e.granter, e.writable)
-  | None -> None
+let find t r = Int_table.find_opt t.entries r
+let granter e = e.granter
+let writable e = e.writable
 
 (* Pooled allocation: a per-queue set of pre-granted pages.  Frontends
    that repost the same buffers forever (netfront Rx, blkfront
@@ -318,7 +326,7 @@ let pool_drain p =
     p.pool_free;
   p.pool_free <- []
 
-let active_grants t = Hashtbl.length t.entries
+let active_grants t = Int_table.length t.entries
 let map_count t = t.maps
 let unmap_count t = t.unmaps
 let copy_count t = t.copies

@@ -15,6 +15,9 @@
 type t
 type ref_ = int
 
+type entry
+(** A live grant entry, found once by {!find}. *)
+
 exception Grant_error of string
 
 val create : Hypervisor.t -> t
@@ -58,17 +61,19 @@ val copy_from_granted :
 (** GNTTABOP_copy out of the granted page. *)
 
 val copy_to_granted_many :
-  t -> caller:Domain.t -> (ref_ * int * Bytes.t) list -> unit
-(** Batched grant copy: every [(gref, off, data)] op rides a single
+  t -> caller:Domain.t -> (entry * int * Bytes.t) list -> unit
+(** Batched grant copy: every [(entry, off, data)] op rides a single
     hypercall trap (cf. gnttab_batch_copy), amortizing the trap cost
-    over a queue's pending requests.  Per-op validation and checker
-    hooks are identical to {!copy_to_granted}; a 1-op batch costs the
-    same as the singular form. *)
+    over a queue's pending requests.  The entries are the ones the
+    caller's {!find} returned while it validated the descriptors, so a
+    reference is looked up once per frame.  Per-op validation and
+    checker hooks are identical to {!copy_to_granted}; a 1-op batch
+    costs the same as the singular form. *)
 
 val copy_from_granted_many :
-  t -> caller:Domain.t -> (ref_ * int * int) list -> Bytes.t list
+  t -> caller:Domain.t -> (entry * int * int) list -> Bytes.t list
 (** Batched counterpart of {!copy_from_granted}: one hypercall for the
-    whole [(gref, off, len)] list, results in op order. *)
+    whole [(entry, off, len)] list, results in op order. *)
 
 val revoke_domain : t -> domid:int -> unit
 (** Domain destruction: forcibly unmap everything [domid] had mapped (so
@@ -108,10 +113,16 @@ val owner : t -> ref_ -> int option
     rejected at the trust boundary instead of surfacing as a hypervisor
     [Grant_error].  A pure table query — no checker hook, no cost. *)
 
-val inspect : t -> ref_ -> (int * bool) option
-(** [(granter domid, writable)] of a live reference; [None] when absent.
-    Like {!owner} but also exposes writability, for backends that must
-    write into the granted page (netback Rx). *)
+val find : t -> ref_ -> entry option
+(** The live entry of a reference; [None] for an unknown or revoked one.
+    Like {!owner}, but the entry also answers {!writable} and is what
+    the batched copies take, for backends that validate a descriptor and
+    then copy through it (netback Tx and Rx). *)
+
+val granter : entry -> int
+(** The granting domid. *)
+
+val writable : entry -> bool
 
 val active_grants : t -> int
 (** Number of grants currently in the table. *)

@@ -1,5 +1,26 @@
 open Kite_sim
 
+type hypercall =
+  | Grant_map
+  | Grant_unmap
+  | Grant_copy
+  | Evtchn_send
+  | Xenstore_op
+
+let hypercall_index = function
+  | Grant_map -> 0
+  | Grant_unmap -> 1
+  | Grant_copy -> 2
+  | Evtchn_send -> 3
+  | Xenstore_op -> 4
+
+let hypercall_name = function
+  | Grant_map -> "grant_map"
+  | Grant_unmap -> "grant_unmap"
+  | Grant_copy -> "grant_copy"
+  | Evtchn_send -> "evtchn_send"
+  | Xenstore_op -> "xenstore_op"
+
 type t = {
   engine : Engine.t;
   sched : Process.sched;
@@ -11,23 +32,22 @@ type t = {
   mutable trace : Kite_trace.Trace.t option;
   mutable mreg : Kite_metrics.Registry.t option;
   mutable path : Kite_path.Path.t option;
-  (* Per-domain per-vCPU occupancy cursors: concurrent work contends for
-     the domain's vCPUs. *)
-  cpu_free_at : (int, Time.t array) Hashtbl.t;
-  acct : (string, acct) Hashtbl.t;  (* by domain name *)
+  mutable accts : acct option array;  (* by domid, made on first charge *)
 }
 
-(* A domain's accounting cells, so that a charge builds no key string:
-   its vCPU busy time and, per operation, the global and per-domain
-   counts. *)
+(* A domain's accounting cells, so that a charge builds no key string
+   and hashes nothing: its vCPU busy time, its per-vCPU occupancy
+   cursors (concurrent work contends for the domain's vCPUs) and one
+   cell per hypercall kind, by [hypercall_index]. *)
 and acct = {
   busy : Metrics.counter;
-  ops : (string, op_acct) Hashtbl.t;
+  cpu_free_at : Time.t array;
+  calls : call_acct option array;
 }
 
-(* One operation's cells on one domain, with the tracer's handle for it
+(* One hypercall's cells on one domain, with the tracer's handle for it
    resolved against the tracer attached when it was last charged. *)
-and op_acct = {
+and call_acct = {
   total : Metrics.counter;
   per_domain : Metrics.counter;
   mutable traced : (Kite_trace.Trace.t * Kite_trace.Trace.op) option;
@@ -49,8 +69,7 @@ let create ?schedule_seed () =
     trace = None;
     mreg = None;
     path = None;
-    cpu_free_at = Hashtbl.create 8;
-    acct = Hashtbl.create 8;
+    accts = [||];
   }
 
 let engine t = t.engine
@@ -124,84 +143,91 @@ let spawn t dom ?daemon ~name body =
   Process.spawn t.sched ?daemon ~name:(dom.Domain.name ^ "/" ^ name) body
 
 let acct t dom =
-  match Hashtbl.find_opt t.acct dom.Domain.name with
+  let id = dom.Domain.id in
+  if id >= Array.length t.accts then begin
+    let accts = Array.make (max (id + 1) (2 * Array.length t.accts)) None in
+    Array.blit t.accts 0 accts 0 (Array.length t.accts);
+    t.accts <- accts
+  end;
+  match t.accts.(id) with
   | Some a -> a
   | None ->
       let a =
         {
           busy = Metrics.busy_counter t.metrics ("vcpu." ^ dom.Domain.name);
-          ops = Hashtbl.create 8;
+          cpu_free_at = Array.make (max 1 dom.Domain.vcpus) Time.zero;
+          calls = Array.make 5 None;  (* one per [hypercall] *)
         }
       in
-      Hashtbl.add t.acct dom.Domain.name a;
+      t.accts.(id) <- Some a;
       a
 
 (* Occupy the domain's vCPU for [span].  Domains with one vCPU contend:
    concurrent work queues behind the cursor.  Multi-vCPU domains are
    approximated as uncontended (the evaluation's DomU has 22 vCPUs and is
    never CPU-bound in these experiments). *)
-let occupy t dom span =
-  Metrics.bump (acct t dom).busy span;
+let occupy t a dom span =
+  Metrics.bump a.busy span;
   (match t.path with
   | Some p -> Kite_path.Path.cpu_sample p ~domain:dom.Domain.name ~cost:span
   | None -> ());
   if span > 0 then begin
-    let cursors =
-      match Hashtbl.find_opt t.cpu_free_at dom.Domain.id with
-      | Some a -> a
-      | None ->
-          let a = Array.make (max 1 dom.Domain.vcpus) Time.zero in
-          Hashtbl.add t.cpu_free_at dom.Domain.id a;
-          a
-    in
+    let cursors = a.cpu_free_at in
     (* Run on the earliest-free vCPU. *)
     let best = ref 0 in
-    Array.iteri (fun i at -> if at < cursors.(!best) then best := i) cursors;
+    for i = 1 to Array.length cursors - 1 do
+      if cursors.(i) < cursors.(!best) then best := i
+    done;
     let now = Engine.now t.engine in
-    let start = max now cursors.(!best) in
+    let free = cursors.(!best) in
+    let start = if free > now then free else now in
     let finish = start + span in
     cursors.(!best) <- finish;
     Process.sleep (finish - now)
   end
 
-let trace_op c tr dom what =
+let call_acct t a dom call =
+  let i = hypercall_index call in
+  match a.calls.(i) with
+  | Some c -> c
+  | None ->
+      (* Per-domain breakdown for xentrace-style profiles. *)
+      let name = hypercall_name call in
+      let c =
+        {
+          total = Metrics.counter t.metrics ("hypercall." ^ name);
+          per_domain =
+            Metrics.counter t.metrics
+              (Printf.sprintf "dom.%s.hypercall.%s" dom.Domain.name name);
+          traced = None;
+        }
+      in
+      a.calls.(i) <- Some c;
+      c
+
+let trace_op c tr dom call =
   match c.traced with
   | Some (tr', o) when tr' == tr -> o
   | _ ->
-      let o = Kite_trace.Trace.op tr ~domain:dom.Domain.name ~op:what in
+      let o =
+        Kite_trace.Trace.op tr ~domain:dom.Domain.name
+          ~op:("hypercall." ^ hypercall_name call)
+      in
       c.traced <- Some (tr, o);
       o
 
-let charge t dom what span =
+let hypercall t dom call ~extra =
+  let span = t.costs.Costs.hypercall_base + extra in
   let a = acct t dom in
-  let c =
-    match Hashtbl.find_opt a.ops what with
-    | Some c -> c
-    | None ->
-        (* Per-domain breakdown for xentrace-style profiles. *)
-        let c =
-          {
-            total = Metrics.counter t.metrics what;
-            per_domain =
-              Metrics.counter t.metrics
-                (Printf.sprintf "dom.%s.%s" dom.Domain.name what);
-            traced = None;
-          }
-        in
-        Hashtbl.add a.ops what c;
-        c
-  in
+  let c = call_acct t a dom call in
   Metrics.bump c.total 1;
   Metrics.bump c.per_domain 1;
   (match t.trace with
   | Some tr ->
       Kite_trace.Trace.charge tr ~at:(Engine.now t.engine)
-        (trace_op c tr dom what) ~cost:span
+        (trace_op c tr dom call) ~cost:span
   | None -> ());
-  occupy t dom span
-
-let hypercall t dom name ~extra =
-  charge t dom ("hypercall." ^ name) (t.costs.Costs.hypercall_base + extra)
+  occupy t a dom span
 
 let cpu_work t dom span =
   (match t.trace with
@@ -209,7 +235,7 @@ let cpu_work t dom span =
       Kite_trace.Trace.cpu_work tr ~at:(Engine.now t.engine)
         ~domain:dom.Domain.name ~cost:span
   | None -> ());
-  occupy t dom span
+  occupy t (acct t dom) dom span
 
 let run t = Engine.run t.engine
 let run_for t span = Engine.run_for t.engine span

@@ -3,9 +3,22 @@
     Owns the simulated machine — engine, scheduler, domains, the xenstore
     database, and the hypercall cost model.  All hypercall-shaped
     operations of the other modules go through {!hypercall} so that every
-    experiment accounts hypercall counts and time uniformly. *)
+    experiment accounts hypercall counts and time uniformly.
+
+    A domain's accounting cells (its vCPU busy time, its vCPU cursors and
+    one cell per hypercall kind) live in an array indexed by domid, made
+    on the domain's first charge: a charge builds, hashes and compares no
+    string. *)
 
 type t
+
+(** The hypercalls the model issues. *)
+type hypercall =
+  | Grant_map
+  | Grant_unmap
+  | Grant_copy
+  | Evtchn_send
+  | Xenstore_op
 
 val create : ?schedule_seed:int -> unit -> t
 (** A fresh machine with an empty event queue, a Dom0, an empty
@@ -68,9 +81,13 @@ val spawn :
     with the domain name for diagnostics.  [daemon] marks service loops
     the checker's quiescence report skips. *)
 
-val hypercall : t -> Domain.t -> string -> extra:Kite_sim.Time.span -> unit
-(** [hypercall hv dom name ~extra] charges [hypercall_base + extra] and
-    counts ["hypercall." ^ name]. *)
+val hypercall : t -> Domain.t -> hypercall -> extra:Kite_sim.Time.span -> unit
+(** [hypercall hv dom call ~extra] occupies [dom]'s earliest-free vCPU for
+    [hypercall_base + extra] and counts the call in the counters
+    ["hypercall.<op>"] and ["dom.<domain>.hypercall.<op>"], where [<op>]
+    is the call's name in lower case ([grant_map], [grant_unmap],
+    [grant_copy], [evtchn_send], [xenstore_op]); an attached tracer
+    charges the operation ["hypercall.<op>"]. *)
 
 val cpu_work : t -> Domain.t -> Kite_sim.Time.span -> unit
 (** Plain computation on the domain's vCPU (no hypercall counter). *)

@@ -59,7 +59,7 @@ let create hv = { hv; check = None }
 let set_check t c = t.check <- c
 
 let charge t dom =
-  Hypervisor.hypercall t.hv dom "xenstore_op"
+  Hypervisor.hypercall t.hv dom Hypervisor.Xenstore_op
     ~extra:(Hypervisor.costs t.hv).Costs.xenstore_op
 
 let write t dom ~path value =

@@ -343,7 +343,11 @@ let test_network_scenario_metered () =
         sides
   | rs -> Alcotest.failf "expected 1 registry, got %d" (List.length rs)
 
+(* A fixed 20 s window that never reaches a result, so no run tears the
+   machine down: the test ends with [teardown_all], after its
+   assertions. *)
 let test_backend_crash_alerts () =
+  Fun.protect ~finally:Scenario.teardown_all @@ fun () ->
   let sink =
     with_sink (fun () ->
         let s = Scenario.storage ~flavor:Scenario.Kite () in

@@ -533,7 +533,11 @@ let with_sink f =
   Kite.Obs.run { Kite.Obs.none with trace = Some sink } f;
   sink
 
+(* The two scenario tests below drive their machine through a fixed 5 s
+   window and never to a result, so no run tears it down: each ends with
+   [teardown_all], after its assertions read the trace. *)
 let test_network_scenario_traced () =
+  Fun.protect ~finally:Scenario.teardown_all @@ fun () ->
   let sink =
     with_sink (fun () ->
         let s = Scenario.network ~flavor:Scenario.Kite () in
@@ -572,6 +576,7 @@ let test_network_scenario_traced () =
   | ts -> Alcotest.failf "expected 1 traced machine, got %d" (List.length ts)
 
 let test_storage_scenario_traced () =
+  Fun.protect ~finally:Scenario.teardown_all @@ fun () ->
   let sink =
     with_sink (fun () ->
         let s = Scenario.storage ~flavor:Scenario.Kite () in
