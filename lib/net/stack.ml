@@ -43,7 +43,6 @@ type t = {
   rx_cost : Time.span;
   rxq : Bytes.t Mailbox.t;
   arp : arp_entry Ipv4addr.Table.t;
-  mutable arp_known : int;  (* entries with a learnt MAC *)
   udp_socks : udp_socket Int_table.t;
   mutable pings : ping_waiter list;
   mutable tcp_handler : (Ipv4.header -> Wire.slice -> unit) option;
@@ -60,7 +59,8 @@ let mac t = t.mac
 let ip t = t.ip
 let set_ip t ip = t.ip <- ip
 let dev t = t.dev
-let arp_cache_size t = t.arp_known
+let arp_cache_size t =
+  Ipv4addr.Table.fold (fun _ e n -> if e.known then n + 1 else n) t.arp 0
 let tx_packets t = t.tx_packets
 let set_tcp_handler t f = t.tcp_handler <- Some f
 
@@ -80,16 +80,12 @@ let arp_learn t ip mac =
   if not (Ipv4addr.equal ip Ipv4addr.any) then
     match Ipv4addr.Table.find t.arp ip with
     | e -> (
-        if not e.known then begin
-          e.known <- true;
-          t.arp_known <- t.arp_known + 1
-        end;
         e.arp_mac <- mac;
+        e.known <- true;
         match e.waiters with Some c -> Condition.broadcast c | None -> ())
     | exception Not_found ->
         Ipv4addr.Table.add t.arp ip
-          { arp_mac = mac; known = true; waiters = None };
-        t.arp_known <- t.arp_known + 1
+          { arp_mac = mac; known = true; waiters = None }
 
 let send_arp_request t target_ip =
   let pkt = Arp.request ~sender_mac:t.mac ~sender_ip:t.ip ~target_ip in
@@ -385,7 +381,6 @@ let create sched ~name ~dev ~mac ~ip ~netmask ?gateway ?(rx_cost = 0) () =
       rx_cost;
       rxq = Mailbox.create ();
       arp = Ipv4addr.Table.create 16;
-      arp_known = 0;
       udp_socks = Int_table.create 8;
       pings = [];
       tcp_handler = None;
