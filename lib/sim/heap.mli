@@ -1,4 +1,5 @@
-(** Indexed binary min-heap keyed by integer priority.
+(** Indexed 4-ary min-heap keyed by integer priority, with its minimum
+    held aside.
 
     Used as the event queue of the simulation engine.  Ordering is a
     total, explicitly deterministic (key, prio, seq) comparison: [key]
@@ -7,13 +8,19 @@
     (key, prio) entries therefore pop in insertion order, and any run
     making identical insertions replays byte-for-byte.
 
-    Every element lives in a {!node} that knows its slot, so {!remove}
-    takes it out from anywhere in O(log n): the heap holds only the
-    elements still wanted.  A node is one record — key, priority,
-    sequence number, value, heap and slot — and serves as the caller's
-    handle too.  Since the order is total, removals never change the
-    order in which the remaining elements pop.  Vacated slots are
-    cleared, so the heap keeps no popped or removed value alive. *)
+    An element that is the minimum when it is added is held in a slot
+    outside the array, and {!take} returns it without a sift; a smaller
+    arrival moves it into the array.  The array is 4-ary (children
+    [4i+1] to [4i+4]), so it is half as deep as a binary heap.
+
+    Every element lives in a {!node} that knows where it is, so {!remove}
+    takes it out from anywhere, in O(1) for the held minimum and
+    O(log n) from the array: the heap holds only the elements still
+    wanted.  A node is one record — key, priority, sequence number,
+    value, heap and slot — and serves as the caller's handle too.  Since
+    the order is total, removals never change the order in which the
+    remaining elements pop.  Vacated slots are cleared, so the heap keeps
+    no popped or removed value alive. *)
 
 type 'a t
 
@@ -25,7 +32,8 @@ val create : unit -> 'a t
 val is_empty : 'a t -> bool
 
 val size : 'a t -> int
-(** Number of elements queued (removed ones are not counted). *)
+(** Number of elements queued, the held minimum included (removed ones
+    are not counted). *)
 
 val add : 'a t -> key:int -> ?prio:int -> 'a -> 'a node
 (** [add h ~key ?prio v] inserts [v] with primary priority [key] and

@@ -44,6 +44,11 @@ type proc = {
   mutable creg : (Kite_check.Check.t * int) option;
   mutable rreg : (Kite_race.Race.t * int) option;
   mutable treg : (Kite_trace.Trace.t * Kite_trace.Trace.proc) option;
+  (* The continuation [wake] resumes: set when a wake is scheduled,
+     cleared when it fires.  A process blocks on one operation at a time,
+     so one cell and one thunk, built at spawn, serve every block. *)
+  mutable cont : (unit, unit) Effect.Deep.continuation option;
+  mutable wake : unit -> unit;
 }
 
 (* [@lint.guarded]: only reached through a Some-match on the sink. *)
@@ -71,23 +76,36 @@ let trace_proc p tr =
       p.treg <- Some (tr, h);
       h
 
-let blocked p kind =
+(* [eff] is the blocking operation; the sinks' [kind] argument is built
+   from it only when one of them is armed. *)
+let blocked p (eff : unit Effect.t) =
   let t = p.sched in
-  (match t.check with
-  | Some c ->
-      let ckind =
-        match kind with `Sleep _ -> `Sleep | (`Yield | `Suspend _) as k -> k
+  match (t.check, t.race, t.trace) with
+  | None, None, None -> ()
+  | check, race, trace -> (
+      let kind =
+        match eff with
+        | Sleep span -> `Sleep span
+        | Suspend (label, _) -> `Suspend label
+        | _ -> `Yield
       in
-      Kite_check.Check.proc_blocked c (check_pid p c) ~kind:ckind
-  | None -> ());
-  (match t.race with
-  | Some r -> Kite_race.Race.proc_blocked r (race_pid p r)
-  | None -> ());
-  match t.trace with
-  | Some tr ->
-      Kite_trace.Trace.proc_blocked tr ~at:(Engine.now t.engine)
-        (trace_proc p tr) ~kind
-  | None -> ()
+      (match check with
+      | Some c ->
+          let ckind =
+            match kind with
+            | `Sleep _ -> `Sleep
+            | (`Yield | `Suspend _) as k -> k
+          in
+          Kite_check.Check.proc_blocked c (check_pid p c) ~kind:ckind
+      | None -> ());
+      (match race with
+      | Some r -> Kite_race.Race.proc_blocked r (race_pid p r)
+      | None -> ());
+      match trace with
+      | Some tr ->
+          Kite_trace.Trace.proc_blocked tr ~at:(Engine.now t.engine)
+            (trace_proc p tr) ~kind
+      | None -> ())
 
 let leave check trace race path =
   (match path with Some pa -> Kite_path.Path.proc_leave pa | None -> ());
@@ -121,6 +139,18 @@ let step p f () =
           leave check trace race path;
           Printexc.raise_with_backtrace e bt)
 
+let resume_cont p () =
+  match p.cont with
+  | Some k ->
+      p.cont <- None;
+      Effect.Deep.continue k ()
+  | None -> assert false (* only [park] schedules [p.wake] *)
+
+(* Resume the blocked process with [k] after [span], through [p.wake]. *)
+let park p k span =
+  p.cont <- Some k;
+  ignore (Engine.schedule_after p.sched.engine span p.wake)
+
 let exited p =
   let t = p.sched in
   (match t.check with
@@ -137,7 +167,19 @@ let exited p =
 
 let spawn t ?(daemon = false) ~name body =
   t.live <- t.live + 1;
-  let p = { sched = t; name; daemon; creg = None; rreg = None; treg = None } in
+  let p =
+    {
+      sched = t;
+      name;
+      daemon;
+      creg = None;
+      rreg = None;
+      treg = None;
+      cont = None;
+      wake = ignore;
+    }
+  in
+  p.wake <- step p (resume_cont p);
   (* Register eagerly when sinks are already attached, so spawn order and
      the race detector's spawn edge are recorded at the true spawn
      instant (the spawner is still the current process here). *)
@@ -167,21 +209,17 @@ let spawn t ?(daemon = false) ~name body =
             | Sleep span ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    blocked p (`Sleep span);
-                    ignore
-                      (Engine.schedule_after t.engine span
-                         (step p (fun () -> continue k ()))))
+                    blocked p eff;
+                    park p k span)
             | Yield ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    blocked p `Yield;
-                    ignore
-                      (Engine.schedule_after t.engine 0
-                         (step p (fun () -> continue k ()))))
-            | Suspend (label, register) ->
+                    blocked p eff;
+                    park p k 0)
+            | Suspend (_, register) ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    blocked p (`Suspend label);
+                    blocked p eff;
                     (* [resume] re-enters through the event queue so that a
                        waker always finishes its step before the woken
                        process runs. *)
@@ -190,9 +228,7 @@ let spawn t ?(daemon = false) ~name body =
                       if !resumed then
                         invalid_arg "Process: double resume of a suspension";
                       resumed := true;
-                      ignore
-                        (Engine.schedule_after t.engine 0
-                           (step p (fun () -> continue k ())))
+                      park p k 0
                     in
                     register t.engine resume)
             | _ -> None);

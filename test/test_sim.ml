@@ -670,6 +670,48 @@ let test_spawn_alloc_budget () =
     true (words <= 117.0);
   check_int "all exited" 0 (Process.live s)
 
+(* An unarmed process's blocking points, measured inside the process over
+   many blocks: a sleep allocates at most 22 minor words and a yield at
+   most 18 (33 and 26 when every block built a fresh step closure, a
+   [continue] closure and a [`Sleep] argument for the sinks). *)
+let test_block_alloc_budget () =
+  let e = Engine.create () in
+  let s = Process.scheduler e in
+  let n = 10_000 in
+  let per_block block =
+    let words = ref nan in
+    Process.spawn s ~name:"p" (fun () ->
+        block ();
+        let before = Gc.minor_words () in
+        for _ = 1 to n do
+          block ()
+        done;
+        words := (Gc.minor_words () -. before) /. float_of_int n);
+    Engine.run e;
+    !words
+  in
+  let sleep = per_block (fun () -> Process.sleep 1) in
+  let yield = per_block Process.yield in
+  check_bool
+    (Printf.sprintf "%.1f minor words per sleep <= 22" sleep)
+    true (sleep <= 22.0);
+  check_bool
+    (Printf.sprintf "%.1f minor words per yield <= 18" yield)
+    true (yield <= 18.0)
+
+(* A suspension is resumed once: a second [resume], here from inside
+   [register] itself, raises out of the engine loop. *)
+let test_double_resume () =
+  let e = Engine.create () in
+  let s = Process.scheduler e in
+  Process.spawn s ~name:"p" (fun () ->
+      Process.suspend (fun _ resume ->
+          resume ();
+          resume ()));
+  Alcotest.check_raises "second resume"
+    (Invalid_argument "Process: double resume of a suspension") (fun () ->
+      Engine.run e)
+
 let suite =
   [
     ("heap ordering", `Quick, test_heap_order);
@@ -711,4 +753,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_engine_model;
     ("engine event budget", `Quick, test_engine_event_budget);
     ("spawn alloc budget", `Quick, test_spawn_alloc_budget);
+    ("process block alloc budget", `Quick, test_block_alloc_budget);
+    ("process double resume raises", `Quick, test_double_resume);
   ]
