@@ -37,10 +37,10 @@ val schedule_after : t -> Time.span -> (unit -> unit) -> handle
 
 val cancel : handle -> unit
 (** Cancel a pending event: it is removed from the queue at once and
-    never fires: in O(1) when it is the queue's held minimum (it was
-    due before every queued event when scheduled, and no earlier event
-    has been scheduled since), in O(log n) otherwise.  Cancelling a fired or already-cancelled event
-    is a no-op. *)
+    never fires.  That takes O(1) when it is the queue's held minimum
+    (it was due before every queued event when scheduled, and no earlier
+    event has been scheduled since) and O(log n) otherwise.  Cancelling
+    a fired or already-cancelled event is a no-op. *)
 
 val cancelled : handle -> bool
 (** Whether [cancel] has been called on the event (even after it fired). *)

@@ -672,8 +672,9 @@ let test_spawn_alloc_budget () =
 
 (* An unarmed process's blocking points, measured inside the process over
    many blocks: a sleep allocates at most 22 minor words and a yield at
-   most 18 (33 and 26 when every block built a fresh step closure, a
-   [continue] closure and a [`Sleep] argument for the sinks). *)
+   most 18 (the effect, the handler's closure, the continuation and its
+   cell, and the event).  The wake thunk is built once, at spawn, and the
+   sinks' block kind only when one is armed. *)
 let test_block_alloc_budget () =
   let e = Engine.create () in
   let s = Process.scheduler e in
