@@ -36,12 +36,25 @@ and t = {
   grants : (int, grant_entry) Hashtbl.t;
   procs : (int, proc) Hashtbl.t;
   mutable next_pid : int;
-  mutable cur : proc option;
+  mutable cur : proc;  (* [no_proc] outside any process *)
   mutable rings : ring list;
   watches : (int, string * string) Hashtbl.t;  (* id -> (path, token) *)
   txs : (int, unit) Hashtbl.t;
   mq_slots : (string * int, int) Hashtbl.t;  (* (device, slot) -> queue *)
 }
+
+(* The current process of setup code, timers and interrupt context: it
+   takes no accounting, and its name is the provenance of findings made
+   outside any process. *)
+let no_proc =
+  {
+    p_id = -1;
+    p_name = "-";
+    p_daemon = false;
+    p_blocked_on = None;
+    p_ops = 0;
+    p_hog_reported = false;
+  }
 
 let create ?(config = default_config) ?(name = "-") report =
   {
@@ -51,7 +64,7 @@ let create ?(config = default_config) ?(name = "-") report =
     grants = Hashtbl.create 64;
     procs = Hashtbl.create 32;
     next_pid = 0;
-    cur = None;
+    cur = no_proc;
     rings = [];
     watches = Hashtbl.create 8;
     txs = Hashtbl.create 4;
@@ -62,10 +75,8 @@ let default_ref : (config * Report.t) option ref = ref None
 let set_default v = default_ref := v
 let default () = !default_ref
 
-let cur_name t = match t.cur with Some p -> p.p_name | None -> "-"
-
 let emit t severity subsystem rule ?prov fmt =
-  let provenance = match prov with Some p -> p | None -> cur_name t in
+  let provenance = match prov with Some p -> p | None -> t.cur.p_name in
   Printf.ksprintf
     (fun message ->
       Report.add t.report
@@ -76,19 +87,19 @@ let emit t severity subsystem rule ?prov fmt =
    running process; a long run of them without a blocking point is the
    monopolization hazard Kite's pusher/soft_start threads avoid. *)
 let account t =
-  match t.cur with
-  | None -> ()
-  | Some p ->
-      p.p_ops <- p.p_ops + 1;
-      if (not p.p_hog_reported) && p.p_ops > t.config.max_ops_without_block
-      then begin
-        p.p_hog_reported <- true;
-        emit t Report.Warning "sched" "sched-hog" ~prov:p.p_name
-          "process performed %d instrumented operations without \
-           yield/sleep/block (limit %d): monopolizes the cooperative \
-           scheduler"
-          p.p_ops t.config.max_ops_without_block
-      end
+  let p = t.cur in
+  if p != no_proc then begin
+    p.p_ops <- p.p_ops + 1;
+    if (not p.p_hog_reported) && p.p_ops > t.config.max_ops_without_block
+    then begin
+      p.p_hog_reported <- true;
+      emit t Report.Warning "sched" "sched-hog" ~prov:p.p_name
+        "process performed %d instrumented operations without \
+         yield/sleep/block (limit %d): monopolizes the cooperative \
+         scheduler"
+        p.p_ops t.config.max_ops_without_block
+    end
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler                                                           *)
@@ -97,7 +108,7 @@ let account t =
 let proc_spawned t ~name ~daemon =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
-  Hashtbl.replace t.procs pid
+  let p =
     {
       p_id = pid;
       p_name = name;
@@ -105,17 +116,16 @@ let proc_spawned t ~name ~daemon =
       p_blocked_on = None;
       p_ops = 0;
       p_hog_reported = false;
-    };
-  pid
+    }
+  in
+  Hashtbl.replace t.procs pid p;
+  p
 
-let proc_enter t pid =
-  match Hashtbl.find_opt t.procs pid with
-  | Some p ->
-      p.p_blocked_on <- None;
-      t.cur <- Some p
-  | None -> t.cur <- None
+let proc_enter t p =
+  p.p_blocked_on <- None;
+  t.cur <- p
 
-let proc_leave t = t.cur <- None
+let proc_leave t = t.cur <- no_proc
 
 let check_lost_wakeup t (p : proc) =
   let side r = function `Req -> r.r_req | `Rsp -> r.r_rsp in
@@ -139,19 +149,16 @@ let check_lost_wakeup t (p : proc) =
         [ `Req; `Rsp ])
     t.rings
 
-let proc_blocked t pid ~kind =
-  match Hashtbl.find_opt t.procs pid with
-  | None -> ()
-  | Some p -> (
-      p.p_ops <- 0;
-      match kind with
-      | `Sleep | `Yield -> p.p_blocked_on <- None
-      | `Suspend label ->
-          p.p_blocked_on <-
-            Some (Option.value label ~default:"unlabelled suspension");
-          check_lost_wakeup t p)
+let proc_blocked t p ~kind =
+  p.p_ops <- 0;
+  match kind with
+  | `Sleep | `Yield -> p.p_blocked_on <- None
+  | `Suspend label ->
+      p.p_blocked_on <-
+        Some (Option.value label ~default:"unlabelled suspension");
+      check_lost_wakeup t p
 
-let proc_exited t pid = Hashtbl.remove t.procs pid
+let proc_exited t p = Hashtbl.remove t.procs p.p_id
 
 (* ------------------------------------------------------------------ *)
 (* Grant table                                                         *)
@@ -249,8 +256,7 @@ let ring_take r sd ~got =
   if got then begin
     let s = side r sd in
     s.needs_rearm <- true;
-    s.last_consumer <-
-      (match r.rc.cur with Some p -> p.p_id | None -> -1)
+    s.last_consumer <- r.rc.cur.p_id
   end
 
 let ring_final_check r sd =

@@ -9,7 +9,10 @@
     checking is disabled, so benchmarks are unaffected.
 
     This library sits below [kite_sim]/[kite_xen] in the dependency
-    graph, so every hook speaks in plain ints and strings.
+    graph, so every hook speaks in plain ints and strings, except the
+    scheduler hooks: [Process] holds the checker's own record of each
+    process ({!proc}), so a step, block or exit finds its process
+    without a lookup.
 
     Findings go to the {!Report} shared at {!create} time; several
     machines (scenarios) of one run report into the same report. *)
@@ -39,10 +42,15 @@ val default : unit -> (config * Report.t) option
 
 (** {1 Scheduler hooks (called by [Process])} *)
 
-val proc_spawned : t -> name:string -> daemon:bool -> int
-(** Returns the checker-side process id passed to the other hooks. *)
+type proc
+(** The checker's record of one process: its name, its operation count
+    since it last blocked, and what it waits on.  A record serves the
+    checker that made it. *)
 
-val proc_enter : t -> int -> unit
+val proc_spawned : t -> name:string -> daemon:bool -> proc
+(** Returns the record passed to the other scheduler hooks. *)
+
+val proc_enter : t -> proc -> unit
 (** The process starts (or resumes) a step; it becomes the attribution
     target for subsequent hook events. *)
 
@@ -50,12 +58,12 @@ val proc_leave : t -> unit
 (** The step ended (the process blocked or exited). *)
 
 val proc_blocked :
-  t -> int -> kind:[ `Sleep | `Yield | `Suspend of string option ] -> unit
+  t -> proc -> kind:[ `Sleep | `Yield | `Suspend of string option ] -> unit
 (** The process performed a blocking operation.  [`Suspend label] is an
     indefinite wait (condition/mailbox); this is where the lost-wakeup
     lint fires for ring consumers that block without re-arming. *)
 
-val proc_exited : t -> int -> unit
+val proc_exited : t -> proc -> unit
 
 (** {1 Grant-table hooks} *)
 

@@ -49,6 +49,32 @@ type dev_acc = {
   mutable da_total : int;
 }
 
+(* A process as the CPU profiler sees it: the thread part of its
+   "Domain/thread" name, and the cell it was last charged in, with that
+   charge's domain string (compared by identity: the hypervisor passes
+   each domain's one name string). *)
+type proc = {
+  pr_thread : string;
+  mutable pr_domain : string;  (* [unset] before the first charge *)
+  mutable pr_cell : int ref;
+}
+
+(* Never a domain's name, so a fresh handle's first charge finds its
+   cell in the table. *)
+let unset = "(unset)"
+let no_cell = ref 0
+
+(* "Dom1/netback.tx.q0" -> "netback.tx.q0"; the hypervisor supplies the
+   domain separately, so only the thread part is kept. *)
+let thread_of name =
+  match String.index_opt name '/' with
+  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+  | None -> name
+
+let proc_of_thread pr_thread =
+  { pr_thread; pr_domain = unset; pr_cell = no_cell }
+let proc ~name = proc_of_thread (thread_of name)
+
 type t = {
   pname : string;
   stages : (string * string, stage_acc) Hashtbl.t;
@@ -62,12 +88,17 @@ type t = {
      the polled counter closures once metrics are wired. *)
   cpu : (string * string, int ref) Hashtbl.t;
   mutable cpu_total : int;
-  (* Current-process stack, maintained by the scheduler wrappers. *)
-  mutable cur : string list;
+  (* The entered process ([irq] outside any), maintained by the scheduler
+     wrappers, and the entries it is nested in, innermost first: only a
+     nested [proc_enter] touches the list. *)
+  irq : proc;
+  mutable cur : proc;
+  mutable outer : proc list;
   mutable reg : Kite_metrics.Registry.t option;
 }
 
 let create ?(name = "path") () =
+  let irq = proc_of_thread "(interrupt)" in
   {
     pname = name;
     stages = Hashtbl.create 32;
@@ -79,7 +110,9 @@ let create ?(name = "path") () =
     nspans = 0;
     cpu = Hashtbl.create 32;
     cpu_total = 0;
-    cur = [];
+    irq;
+    cur = irq;
+    outer = [];
     reg = None;
   }
 
@@ -180,17 +213,16 @@ let record_span t (sp : Kite_trace.Trace.span) =
   da.da_total <- da.da_total + total;
   t.nspans <- t.nspans + 1
 
-let proc_enter t ~name = t.cur <- name :: t.cur
+let proc_enter t p =
+  if t.cur != t.irq then t.outer <- t.cur :: t.outer;
+  t.cur <- p
 
 let proc_leave t =
-  match t.cur with _ :: rest -> t.cur <- rest | [] -> ()
-
-(* "Dom1/netback.tx.q0" -> ("Dom1", "netback.tx.q0"); the hypervisor
-   supplies the domain separately, so only the thread part is kept. *)
-let thread_of name =
-  match String.index_opt name '/' with
-  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-  | None -> name
+  match t.outer with
+  | p :: rest ->
+      t.cur <- p;
+      t.outer <- rest
+  | [] -> t.cur <- t.irq
 
 let cpu_cell t ~domain ~process =
   let k = (domain, process) in
@@ -208,12 +240,20 @@ let cpu_cell t ~domain ~process =
       | None -> ());
       c
 
+(* The process's cell from its last charge when the domain is the same
+   string; otherwise the table's, which then becomes its last. *)
 let cpu_sample t ~domain ~cost =
   if cost > 0 then begin
-    let process =
-      match t.cur with name :: _ -> thread_of name | [] -> "(interrupt)"
+    let p = t.cur in
+    let c =
+      if p.pr_domain == domain then p.pr_cell
+      else begin
+        let c = cpu_cell t ~domain ~process:p.pr_thread in
+        p.pr_domain <- domain;
+        p.pr_cell <- c;
+        c
+      end
     in
-    let c = cpu_cell t ~domain ~process in
     c := !c + cost;
     t.cpu_total <- t.cpu_total + cost
   end

@@ -11,8 +11,8 @@
     says which stage dominates tail latency, per device kind and per
     device instance.
 
-    It also carries the continuous CPU profiler: the scheduler pushes the
-    running process's name ({!proc_enter}/{!proc_leave}) and the
+    It also carries the continuous CPU profiler: the scheduler enters the
+    running process's handle ({!proc_enter}/{!proc_leave}) and the
     hypervisor reports every simulated-CPU occupancy ({!cpu_sample}), so
     the engine attributes busy time per domain per process — the
     flat profile an incident snapshot wants next to the waterfall.
@@ -42,10 +42,21 @@ val name : t -> string
 val cpu_sample : t -> domain:string -> cost:int -> unit
 (** Attribute [cost] ns of simulated CPU to [domain] and the process
     currently entered via {!proc_enter} (["(interrupt)"] outside any
-    process).  The hypervisor's occupancy path calls this. *)
+    process).  The hypervisor's occupancy path calls this.  A charge in
+    the domain the process was last charged in, named by the same
+    string, adds to the cell that charge found, without a lookup. *)
 
-val proc_enter : t -> name:string -> unit
-(** Scheduler wrapper: [name] ("Domain/thread") runs until the matching
+type proc
+(** The profiler's handle on one process: the thread part of its name,
+    split off once, and the cell of its last charge.  The cell is one
+    engine's, so a handle serves one engine. *)
+
+val proc : name:string -> proc
+(** The handle for the process [name] ("Domain/thread"; a name without
+    a domain is its own thread part). *)
+
+val proc_enter : t -> proc -> unit
+(** Scheduler wrapper: the process runs until the matching
     {!proc_leave}.  Maintains the attribution stack for {!cpu_sample}. *)
 
 val proc_leave : t -> unit

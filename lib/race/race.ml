@@ -86,18 +86,19 @@ type proc = {
   p_name : string;
   p_clock : clock;
   mutable p_epoch : int;  (* bumped at every blocking point *)
+  mutable p_exited : bool;  (* its pid slot is free for reuse *)
 }
 
 type t = {
   config : config;
   report : Kite_check.Report.t;
   name : string;
-  procs : (int, proc) Hashtbl.t;
   main : proc;  (* pid -1: setup / timer / interrupt context *)
   chans : (string, clock) Hashtbl.t;
   locs : (string, loc_state) Hashtbl.t;
   pend : (int * string, pending) Hashtbl.t;
-  mutable cur : proc option;
+  mutable cur : proc;  (* [main] outside any process *)
+  mutable self : t option;  (* [Some t], what [scope] holds for [t] *)
   mutable next_pid : int;
   mutable free_pids : int list;
       (* pid slots of exited processes, available for reuse *)
@@ -121,28 +122,41 @@ let join dst src =
     src
 
 let mk_proc pid name =
-  let p = { p_id = pid; p_name = name; p_clock = Hashtbl.create 8; p_epoch = 0 } in
+  let p =
+    {
+      p_id = pid;
+      p_name = name;
+      p_clock = Hashtbl.create 8;
+      p_epoch = 0;
+      p_exited = false;
+    }
+  in
   tick p;  (* own component starts at 1 so a_own = 0 never occurs *)
   p
 
 let create ?(config = default_config) ?(name = "-") report =
-  {
-    config;
-    report;
-    name;
-    procs = Hashtbl.create 32;
-    main = mk_proc (-1) "@main";
-    chans = Hashtbl.create 64;
-    locs = Hashtbl.create 256;
-    pend = Hashtbl.create 64;
-    cur = None;
-    next_pid = 0;
-    free_pids = [];
-    hw = Hashtbl.create 32;
-    ring_gens = Hashtbl.create 8;
-    races = 0;
-    atomicity = 0;
-  }
+  let main = mk_proc (-1) "@main" in
+  let t =
+    {
+      config;
+      report;
+      name;
+      main;
+      chans = Hashtbl.create 64;
+      locs = Hashtbl.create 256;
+      pend = Hashtbl.create 64;
+      cur = main;
+      self = None;
+      next_pid = 0;
+      free_pids = [];
+      hw = Hashtbl.create 32;
+      ring_gens = Hashtbl.create 8;
+      races = 0;
+      atomicity = 0;
+    }
+  in
+  t.self <- Some t;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Ambient scope: which detector/process the instant belongs to.       *)
@@ -155,8 +169,6 @@ let create ?(config = default_config) ?(name = "-") report =
 let scope : t option ref = ref None
 
 let active () = !scope <> None
-
-let cur t = match t.cur with Some p -> p | None -> t.main
 
 (* ------------------------------------------------------------------ *)
 (* Process lifecycle                                                   *)
@@ -187,32 +199,28 @@ let proc_register t ~name =
     (max (own p) (clock_get t.hw pid + 1));
   (* Spawn edge: the child is ordered after everything its spawner did.
      Processes spawned from setup code inherit from [@main]. *)
-  let parent = cur t in
+  let parent = t.cur in
   join p.p_clock parent.p_clock;
   tick parent;
   tick p;
-  Hashtbl.replace t.procs pid p;
-  pid
+  p
 
-let proc_enter t pid =
-  (match Hashtbl.find_opt t.procs pid with
-  | Some p -> t.cur <- Some p
-  | None -> ());
-  scope := Some t
+(* An exited process's handle no longer speaks for its pid slot, which
+   a later process may hold. *)
+let proc_enter t p =
+  if not p.p_exited then t.cur <- p;
+  scope := t.self
 
 let proc_leave t =
-  t.cur <- None;
+  t.cur <- t.main;
   scope := None
 
-let proc_blocked t pid =
-  match Hashtbl.find_opt t.procs pid with
-  | Some p -> p.p_epoch <- p.p_epoch + 1
-  | None -> ()
+let proc_blocked _t p = if not p.p_exited then p.p_epoch <- p.p_epoch + 1
 
 (* Interrupt context: event-channel deliveries run engine callbacks, not
    processes.  They acquire the notify edge into [@main] so conditions
    signalled from the handler carry the sender's clock onward. *)
-let irq_enter t = scope := Some t
+let irq_enter t = scope := t.self
 let irq_leave _t = scope := None
 
 (* ------------------------------------------------------------------ *)
@@ -220,7 +228,7 @@ let irq_leave _t = scope := None
 (* ------------------------------------------------------------------ *)
 
 let hb_release t ~chan =
-  let p = cur t in
+  let p = t.cur in
   let c =
     match Hashtbl.find_opt t.chans chan with
     | Some c -> c
@@ -234,7 +242,7 @@ let hb_release t ~chan =
 
 let hb_acquire t ~chan =
   match Hashtbl.find_opt t.chans chan with
-  | Some c -> join (cur t).p_clock c
+  | Some c -> join t.cur.p_clock c
   | None -> ()
 
 (* Join-everything-that-exited: teardown paths that only synchronize by
@@ -244,28 +252,28 @@ let hb_acquire t ~chan =
    and an exited process can never run again. *)
 let quiesce t = hb_acquire t ~chan:"@exit"
 
-let proc_exited t pid =
-  match Hashtbl.find_opt t.procs pid with
-  | Some p ->
-      (* Exit edge: anything that observes the termination (teardown
-         barriers, live counts) may acquire "@exit". *)
-      join
-        (match Hashtbl.find_opt t.chans "@exit" with
-        | Some c -> c
-        | None ->
-            let c = Hashtbl.create 8 in
-            Hashtbl.add t.chans "@exit" c;
-            c)
-        p.p_clock;
-      Hashtbl.remove t.procs pid;
-      (* Free the slot for reuse; the next holder's own component starts
-         above this one's high-water mark (see [proc_register]). *)
-      Hashtbl.replace t.hw pid (max (clock_get t.hw pid) (own p));
-      t.free_pids <- pid :: t.free_pids;
-      Hashtbl.filter_map_inplace
-        (fun (qid, _) pn -> if qid = pid then None else Some pn)
-        t.pend
-  | None -> ()
+let proc_exited t p =
+  if not p.p_exited then begin
+    p.p_exited <- true;
+    (* Exit edge: anything that observes the termination (teardown
+       barriers, live counts) may acquire "@exit". *)
+    join
+      (match Hashtbl.find_opt t.chans "@exit" with
+      | Some c -> c
+      | None ->
+          let c = Hashtbl.create 8 in
+          Hashtbl.add t.chans "@exit" c;
+          c)
+      p.p_clock;
+    (* Free the slot for reuse; the next holder's own component starts
+       above this one's high-water mark (see [proc_register]). *)
+    let pid = p.p_id in
+    Hashtbl.replace t.hw pid (max (clock_get t.hw pid) (own p));
+    t.free_pids <- pid :: t.free_pids;
+    Hashtbl.filter_map_inplace
+      (fun (qid, _) pn -> if qid = pid then None else Some pn)
+      t.pend
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Findings                                                            *)
@@ -364,7 +372,7 @@ let ordered (a : access) (p : proc) =
   a.a_pid = p.p_id || a.a_own <= clock_get p.p_clock a.a_pid
 
 let read_acc ?(arm = true) t ~loc ~site =
-  let p = cur t in
+  let p = t.cur in
   let ls = find_loc t loc in
   let stack = capture t in
   let acc =
@@ -386,7 +394,7 @@ let read_acc ?(arm = true) t ~loc ~site =
         pn_stack = stack }
 
 let write_acc t ~loc ~site =
-  let p = cur t in
+  let p = t.cur in
   let ls = find_loc t loc in
   let stack = capture t in
   let acc =
@@ -444,7 +452,7 @@ let scoped_quiesce () =
 (* ------------------------------------------------------------------ *)
 
 let xs_read t ~path =
-  let p = cur t in
+  let p = t.cur in
   let loc = "xs:" ^ path in
   hb_acquire t ~chan:loc;
   if p.p_id >= 0 then begin
@@ -455,7 +463,7 @@ let xs_read t ~path =
   end
 
 let xs_write t ~path =
-  let p = cur t in
+  let p = t.cur in
   let loc = "xs:" ^ path in
   let ls = find_loc t loc in
   (match Hashtbl.find_opt t.pend (p.p_id, loc) with

@@ -44,21 +44,31 @@ val create : ?config:config -> ?name:string -> Kite_check.Report.t -> t
 
 (** {1 Process lifecycle} — called by [Process]'s instrumentation. *)
 
-val proc_register : t -> name:string -> int
-(** Register a process and return its pid.  The child's clock inherits
-    the spawner's (the spawn edge); registration from outside any
-    process inherits from the setup pseudo-process [@main]. *)
+type proc
+(** The detector's handle on one process: its pid slot, vector clock
+    and atomicity epoch, and whether it has exited.  [Process] keeps it,
+    so a step or block finds its process without a lookup.  A handle
+    serves the detector that made it. *)
 
-val proc_enter : t -> int -> unit
+val proc_register : t -> name:string -> proc
+(** Register a process and return its handle.  The child's clock
+    inherits the spawner's (the spawn edge); registration from outside
+    any process inherits from the setup pseudo-process [@main].  The
+    pid slot is one an exited process freed, if any, with its own clock
+    component started above that process's last. *)
+
+val proc_enter : t -> proc -> unit
 (** The process starts (or resumes) a step: subsequent accesses and
     edges are attributed to it. *)
 
 val proc_leave : t -> unit
 
-val proc_blocked : t -> int -> unit
+val proc_blocked : t -> proc -> unit
 (** The process hit a blocking point; bumps its atomicity epoch. *)
 
-val proc_exited : t -> int -> unit
+val proc_exited : t -> proc -> unit
+(** Releases the process's clock into the ["@exit"] channel and frees
+    its pid slot for reuse. *)
 
 val irq_enter : t -> unit
 (** Enter interrupt context (event-channel delivery): accesses attribute

@@ -30,20 +30,24 @@ let sleep span = Effect.perform (Sleep span)
 let yield () = Effect.perform Yield
 let suspend ?label register = Effect.perform (Suspend (label, register))
 
-(* One process's identity and its registration with each sink.  Sink
-   references are re-read from the scheduler at every engine-queue
-   (re-)entry, and each registration is made lazily against the instance
-   seen at that moment: attaching a checker, tracer or race detector
-   mid-run therefore instruments already-running processes from their
-   next step onward.  Events from before the attach are simply absent, as
-   for any late observer. *)
+(* One process's identity and its handle with each sink: the sink's own
+   record of the process, so a step, block or exit reaches it without a
+   lookup.  Sink references are re-read from the scheduler at every
+   engine-queue (re-)entry, and a handle serves the instance that made
+   it: when the scheduler's sink is another, the handle is remade
+   against the instance seen at that moment.  Attaching a checker,
+   tracer, race detector or path engine mid-run therefore instruments
+   already-running processes from their next step onward, and the sink
+   it replaced sees them no more.  Events from before the attach are
+   simply absent, as for any late observer. *)
 type proc = {
   sched : sched;
   name : string;
   daemon : bool;
-  mutable creg : (Kite_check.Check.t * int) option;
-  mutable rreg : (Kite_race.Race.t * int) option;
+  mutable creg : (Kite_check.Check.t * Kite_check.Check.proc) option;
+  mutable rreg : (Kite_race.Race.t * Kite_race.Race.proc) option;
   mutable treg : (Kite_trace.Trace.t * Kite_trace.Trace.proc) option;
+  mutable preg : (Kite_path.Path.t * Kite_path.Path.proc) option;
   (* The continuation [wake] resumes: set when a wake is scheduled,
      cleared when it fires.  A process blocks on one operation at a time,
      so one cell and one thunk, built at spawn, serve every block. *)
@@ -52,21 +56,21 @@ type proc = {
 }
 
 (* [@lint.guarded]: only reached through a Some-match on the sink. *)
-let[@lint.guarded] check_pid p c =
+let[@lint.guarded] check_proc p c =
   match p.creg with
-  | Some (c', pid) when c' == c -> pid
+  | Some (c', h) when c' == c -> h
   | _ ->
-      let pid = Kite_check.Check.proc_spawned c ~name:p.name ~daemon:p.daemon in
-      p.creg <- Some (c, pid);
-      pid
+      let h = Kite_check.Check.proc_spawned c ~name:p.name ~daemon:p.daemon in
+      p.creg <- Some (c, h);
+      h
 
-let[@lint.guarded] race_pid p r =
+let[@lint.guarded] race_proc p r =
   match p.rreg with
-  | Some (r', pid) when r' == r -> pid
+  | Some (r', h) when r' == r -> h
   | _ ->
-      let pid = Kite_race.Race.proc_register r ~name:p.name in
-      p.rreg <- Some (r, pid);
-      pid
+      let h = Kite_race.Race.proc_register r ~name:p.name in
+      p.rreg <- Some (r, h);
+      h
 
 let trace_proc p tr =
   match p.treg with
@@ -76,36 +80,41 @@ let trace_proc p tr =
       p.treg <- Some (tr, h);
       h
 
-(* [eff] is the blocking operation; the sinks' [kind] argument is built
-   from it only when one of them is armed. *)
+let path_proc p pa =
+  match p.preg with
+  | Some (pa', h) when pa' == pa -> h
+  | _ ->
+      let h = Kite_path.Path.proc ~name:p.name in
+      p.preg <- Some (pa, h);
+      h
+
+(* [eff] is the blocking operation.  Each armed sink's [kind] is built
+   from it: the checker's is immediate for a sleep or a yield, and the
+   tracer's [`Sleep span] is built only when a tracer is armed. *)
 let blocked p (eff : unit Effect.t) =
   let t = p.sched in
-  match (t.check, t.race, t.trace) with
-  | None, None, None -> ()
-  | check, race, trace -> (
-      let kind =
-        match eff with
-        | Sleep span -> `Sleep span
-        | Suspend (label, _) -> `Suspend label
-        | _ -> `Yield
-      in
-      (match check with
-      | Some c ->
-          let ckind =
-            match kind with
-            | `Sleep _ -> `Sleep
-            | (`Yield | `Suspend _) as k -> k
-          in
-          Kite_check.Check.proc_blocked c (check_pid p c) ~kind:ckind
-      | None -> ());
-      (match race with
-      | Some r -> Kite_race.Race.proc_blocked r (race_pid p r)
-      | None -> ());
-      match trace with
-      | Some tr ->
-          Kite_trace.Trace.proc_blocked tr ~at:(Engine.now t.engine)
-            (trace_proc p tr) ~kind
-      | None -> ())
+  (match t.check with
+  | Some c ->
+      Kite_check.Check.proc_blocked c (check_proc p c)
+        ~kind:
+          (match eff with
+          | Sleep _ -> `Sleep
+          | Suspend (label, _) -> `Suspend label
+          | _ -> `Yield)
+  | None -> ());
+  (match t.race with
+  | Some r -> Kite_race.Race.proc_blocked r (race_proc p r)
+  | None -> ());
+  match t.trace with
+  | Some tr ->
+      Kite_trace.Trace.proc_blocked tr ~at:(Engine.now t.engine)
+        (trace_proc p tr)
+        ~kind:
+          (match eff with
+          | Sleep span -> `Sleep span
+          | Suspend (label, _) -> `Suspend label
+          | _ -> `Yield)
+  | None -> ()
 
 let leave check trace race path =
   (match path with Some pa -> Kite_path.Path.proc_leave pa | None -> ());
@@ -121,16 +130,16 @@ let step p f () =
   | None, None, None, None -> f ()
   | check, trace, race, path -> (
       (match check with
-      | Some c -> Kite_check.Check.proc_enter c (check_pid p c)
+      | Some c -> Kite_check.Check.proc_enter c (check_proc p c)
       | None -> ());
       (match trace with
       | Some tr -> Kite_trace.Trace.proc_enter tr (trace_proc p tr)
       | None -> ());
       (match race with
-      | Some r -> Kite_race.Race.proc_enter r (race_pid p r)
+      | Some r -> Kite_race.Race.proc_enter r (race_proc p r)
       | None -> ());
       (match path with
-      | Some pa -> Kite_path.Path.proc_enter pa ~name:p.name
+      | Some pa -> Kite_path.Path.proc_enter pa (path_proc p pa)
       | None -> ());
       match f () with
       | () -> leave check trace race path
@@ -154,10 +163,10 @@ let park p k span =
 let exited p =
   let t = p.sched in
   (match t.check with
-  | Some c -> Kite_check.Check.proc_exited c (check_pid p c)
+  | Some c -> Kite_check.Check.proc_exited c (check_proc p c)
   | None -> ());
   (match t.race with
-  | Some r -> Kite_race.Race.proc_exited r (race_pid p r)
+  | Some r -> Kite_race.Race.proc_exited r (race_proc p r)
   | None -> ());
   match t.trace with
   | Some tr ->
@@ -175,6 +184,7 @@ let spawn t ?(daemon = false) ~name body =
       creg = None;
       rreg = None;
       treg = None;
+      preg = None;
       cont = None;
       wake = ignore;
     }
@@ -183,8 +193,8 @@ let spawn t ?(daemon = false) ~name body =
   (* Register eagerly when sinks are already attached, so spawn order and
      the race detector's spawn edge are recorded at the true spawn
      instant (the spawner is still the current process here). *)
-  (match t.check with Some c -> ignore (check_pid p c) | None -> ());
-  (match t.race with Some r -> ignore (race_pid p r) | None -> ());
+  (match t.check with Some c -> ignore (check_proc p c) | None -> ());
+  (match t.race with Some r -> ignore (race_proc p r) | None -> ());
   (match t.trace with
   | Some tr ->
       Kite_trace.Trace.proc_spawned tr ~at:(Engine.now t.engine)

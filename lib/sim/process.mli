@@ -41,7 +41,7 @@ val set_race : sched -> Kite_race.Race.t option -> unit
 
 val set_path : sched -> Kite_path.Path.t option -> unit
 (** Attach (or detach) a critical-path attribution engine.  Processes
-    push their name onto its current-process stack on every engine-queue
+    enter their {!Kite_path.Path.proc} handle on every engine-queue
     (re-)entry so the hypervisor's CPU occupancy charges are attributed
     per domain per process (the continuous profiler).  Same
     dynamic-attach semantics as {!set_check}. *)

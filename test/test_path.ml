@@ -86,10 +86,10 @@ let test_cpu_profiler () =
   let p = Path.create () in
   (* Outside any process: charged to the interrupt bucket. *)
   Path.cpu_sample p ~domain:"dom" ~cost:5;
-  Path.proc_enter p ~name:"dom/worker";
+  Path.proc_enter p (Path.proc ~name:"dom/worker");
   Path.cpu_sample p ~domain:"dom" ~cost:40;
   (* Nested entry wins until it leaves. *)
-  Path.proc_enter p ~name:"dom/helper";
+  Path.proc_enter p (Path.proc ~name:"dom/helper");
   Path.cpu_sample p ~domain:"dom" ~cost:10;
   Path.proc_leave p;
   Path.cpu_sample p ~domain:"dom" ~cost:20;
@@ -108,9 +108,28 @@ let test_cpu_profiler () =
   check_int "helper busy" 10 (busy "helper");
   check_int "interrupt busy" 5 (busy "(interrupt)");
   (* Busiest first. *)
-  match Path.profile p with
+  (match Path.profile p with
   | (_, first, _) :: _ -> check_bool "sorted" true (first = "worker")
-  | [] -> Alcotest.fail "empty profile"
+  | [] -> Alcotest.fail "empty profile");
+  (* One entered process charged alternately in two domains, one of them
+     named by a distinct but equal string: each domain keeps one row for
+     it, whichever string names the domain. *)
+  let dom = "dom" and peer = "peer" in
+  let dom' = String.concat "" [ "d"; "om" ] in
+  Path.proc_enter p (Path.proc ~name:"dom/mover");
+  List.iter
+    (fun (domain, cost) -> Path.cpu_sample p ~domain ~cost)
+    [ (dom, 1); (peer, 2); (dom', 4); (dom', 8); (peer, 16); (dom, 32) ];
+  Path.proc_leave p;
+  let busy_in domain proc =
+    List.fold_left
+      (fun acc (d, pr, b) -> if d = domain && pr = proc then acc + b else acc)
+      0 (Path.profile p)
+  in
+  check_int "mover in dom" 45 (busy_in "dom" "mover");
+  check_int "mover in peer" 18 (busy_in "peer" "mover");
+  check_int "one row per (domain, process)" 5 (List.length (Path.profile p));
+  check_int "total busy with the mover" 138 (Path.cpu_total_ns p)
 
 (* ------------------------------------------------------------------ *)
 (* Partition invariant under multi-queue and crash/restart, 10 seeds   *)

@@ -187,6 +187,55 @@ let test_quiesce_edge () =
   check_int "quiesce orders teardown after the dead worker" 0
     (Report.count report)
 
+(* Pid slots are reused (FastTrack style): a process spawned after
+   another has exited takes its slot, with its own clock component above
+   the old holder's high-water mark, so the old holder's accesses stay
+   ordered before the new holder's.  [A] ticks its component with a few
+   releases before it writes, past where a fresh component would start.
+   With [concurrent], a third process with no edge to either writes the
+   same location last. *)
+let reuse_findings ~concurrent =
+  let report =
+    run_fixture (fun e s ->
+        Process.spawn s ~name:"A" (fun () ->
+            for _ = 1 to 3 do
+              Race.scoped_release ~chan:"fixture:tick"
+            done;
+            Race.scoped_write ~loc:"fixture:reused" ~site:"A.put");
+        if concurrent then
+          Process.spawn s ~name:"C" (fun () ->
+              Process.sleep (Time.ms 10);
+              Race.scoped_write ~loc:"fixture:reused" ~site:"C.put");
+        ignore
+          (Engine.schedule_at e (Time.ms 5) (fun () ->
+               Process.spawn s ~name:"B" (fun () ->
+                   Race.scoped_write ~loc:"fixture:reused" ~site:"B.put"))))
+  in
+  (* Each finding's provenance and the first line of its message (the
+     stacks follow). *)
+  List.map
+    (fun (f : Report.finding) ->
+      ( f.Report.provenance,
+        List.hd (String.split_on_char '\n' f.Report.message) ))
+    (Report.by_rule report "race-unordered"),
+  Report.count report
+
+let test_pid_slot_reuse () =
+  let findings, count = reuse_findings ~concurrent:false in
+  Alcotest.(check (list (pair string string)))
+    "the later process is ordered after the exited one" [] findings;
+  check_int "no finding at all" 0 count;
+  let findings, count = reuse_findings ~concurrent:true in
+  Alcotest.(check (list (pair string string)))
+    "the concurrent writer races the slot's new holder, not the old"
+    [
+      ( "C",
+        "unordered accesses to fixture:reused: write by B at B.put is \
+         concurrent with write by C at C.put" );
+    ]
+    findings;
+  check_int "one finding" 1 count
+
 (* ------------------------------------------------------------------ *)
 (* Schedule explorer                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -443,4 +492,5 @@ let suite =
     ("race: ten-schedule stress sweep", `Slow, test_schedule_seed_sweep);
     ("lint: arming without teardown", `Quick, test_lint_teardown_missing);
     ("lint: context built by hand", `Quick, test_lint_testbed_unarmed);
+    ("race: pid slot reuse", `Quick, test_pid_slot_reuse);
   ]

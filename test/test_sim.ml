@@ -713,6 +713,149 @@ let test_double_resume () =
     (Invalid_argument "Process: double resume of a suspension") (fun () ->
       Engine.run e)
 
+module Check = Kite_check.Check
+module Report = Kite_check.Report
+module Path = Kite_path.Path
+module Race = Kite_race.Race
+module Trace = Kite_trace.Trace
+
+(* An armed process's sleep, with one CPU charge per step as
+   [Hypervisor.occupy] makes: with a checker and a path engine armed it
+   allocates no more than an unarmed sleep (22 minor words), and a
+   counting tracer adds only its [`Sleep span] kind (25).  Each sink
+   resolves the process once, through its per-process handle. *)
+let test_armed_block_alloc_budget () =
+  let per_sleep ~trace =
+    let e = Engine.create () in
+    let s = Process.scheduler e in
+    let pa = Path.create () in
+    Process.set_check s (Some (Check.create (Report.create ())));
+    Process.set_path s (Some pa);
+    if trace then
+      Process.set_trace s (Some (Trace.create_in (Trace.sink ()) ~name:"t"));
+    let domain = "Dom1" in
+    let n = 10_000 in
+    let words = ref nan in
+    Process.spawn s ~name:"Dom1/worker" (fun () ->
+        let block () =
+          Process.sleep 1;
+          Path.cpu_sample pa ~domain ~cost:1
+        in
+        block ();
+        let before = Gc.minor_words () in
+        for _ = 1 to n do
+          block ()
+        done;
+        words := (Gc.minor_words () -. before) /. float_of_int n);
+    Engine.run e;
+    check_int "every step charged" (n + 1) (Path.cpu_total_ns pa);
+    !words
+  in
+  let armed = per_sleep ~trace:false in
+  let traced = per_sleep ~trace:true in
+  check_bool
+    (Printf.sprintf "%.1f minor words per armed sleep <= 22" armed)
+    true (armed <= 22.0);
+  check_bool
+    (Printf.sprintf "%.1f minor words per traced armed sleep <= 25" traced)
+    true (traced <= 25.0)
+
+(* A process registers with each sink lazily, against the instance the
+   scheduler holds at its step: when the checker, race detector and path
+   engine are replaced mid-run, a running process's later steps are
+   attributed in the new sinks only, and the old ones see it as outside
+   any process. *)
+let test_handle_follows_sink () =
+  let e = Engine.create () in
+  let s = Process.scheduler e in
+  let limit = 5 in
+  let config = { Check.max_ops_without_block = limit } in
+  let report1 = Report.create () and report2 = Report.create () in
+  let c1 = Check.create ~config report1 and c2 = Check.create ~config report2 in
+  let race1 = Report.create () and race2 = Report.create () in
+  let r1 = Race.create race1 and r2 = Race.create race2 in
+  let pa1 = Path.create () and pa2 = Path.create () in
+  Process.set_check s (Some c1);
+  Process.set_race s (Some r1);
+  Process.set_path s (Some pa1);
+  let domain = "Dom1" in
+  let switched = ref false in
+  (* One step's work, on both checkers and both path engines: a finding
+     whose provenance is the current process, more operations than
+     [limit] (a hog in the checker the worker is entered in, once per
+     record), and a CPU charge; after the switch also a write through
+     the ambient race scope. *)
+  let work () =
+    List.iter
+      (fun c ->
+        Check.write_denied c ~domid:1 ~path:"/probe";
+        for id = 1 to limit do
+          Check.tx_opened c ~id;
+          Check.tx_closed c ~id
+        done)
+      [ c1; c2 ];
+    Path.cpu_sample pa1 ~domain ~cost:10;
+    Path.cpu_sample pa2 ~domain ~cost:10;
+    if !switched then Race.scoped_write ~loc:"shared" ~site:"worker.put"
+  in
+  Process.spawn s ~name:"Dom1/worker" (fun () ->
+      for _ = 1 to 10 do
+        work ();
+        Process.sleep (Time.ms 1)
+      done);
+  (* A second process with no edge to the worker, writing the same
+     location after the switch. *)
+  Process.spawn s ~name:"Dom1/other" (fun () ->
+      Process.sleep (Time.us 8_500);
+      Race.scoped_write ~loc:"shared" ~site:"other.put");
+  ignore
+    (Engine.schedule_at e (Time.ms 4 + 1) (fun () ->
+         switched := true;
+         Process.set_check s (Some c2);
+         Process.set_race s (Some r2);
+         Process.set_path s (Some pa2)));
+  Engine.run e;
+  let provenances r rule =
+    List.map
+      (fun (f : Report.finding) -> f.Report.provenance)
+      (Report.by_rule r rule)
+  in
+  (* Steps at 0-4 ms ran before the switch, 5-9 ms after. *)
+  let w = "Dom1/worker" and none = "-" in
+  Alcotest.(check (list string))
+    "old checker: the worker, then outside any process"
+    [ w; w; w; w; w; none; none; none; none; none ]
+    (provenances report1 "xs-write-denied");
+  Alcotest.(check (list string))
+    "new checker: outside any process, then the worker"
+    [ none; none; none; none; none; w; w; w; w; w ]
+    (provenances report2 "xs-write-denied");
+  Alcotest.(check (list string)) "old checker's hog" [ w ]
+    (provenances report1 "sched-hog");
+  Alcotest.(check (list string)) "new checker's hog, from its own record"
+    [ w ]
+    (provenances report2 "sched-hog");
+  let busy pa thread =
+    match
+      List.find_opt
+        (fun (d, t, _) -> d = domain && t = thread)
+        (Path.profile pa)
+    with
+    | Some (_, _, ns) -> ns
+    | None -> 0
+  in
+  (* Each path engine charges the worker for the steps it was entered
+     in, and the interrupt row for the others. *)
+  check_int "old path: worker before the switch" 50 (busy pa1 "worker");
+  check_int "old path: interrupt after the switch" 50 (busy pa1 "(interrupt)");
+  check_int "new path: worker after the switch" 50 (busy pa2 "worker");
+  check_int "new path: interrupt before the switch" 50
+    (busy pa2 "(interrupt)");
+  Alcotest.(check (list string)) "new detector attributes the writes"
+    [ "Dom1/other"; w ]
+    (List.sort compare (provenances race2 "race-unordered"));
+  check_int "old detector saw no access" 0 (Report.count race1)
+
 let suite =
   [
     ("heap ordering", `Quick, test_heap_order);
@@ -756,4 +899,6 @@ let suite =
     ("spawn alloc budget", `Quick, test_spawn_alloc_budget);
     ("process block alloc budget", `Quick, test_block_alloc_budget);
     ("process double resume raises", `Quick, test_double_resume);
+    ("process armed block alloc budget", `Quick, test_armed_block_alloc_budget);
+    ("process handle follows its sink", `Quick, test_handle_follows_sink);
   ]
