@@ -73,6 +73,7 @@ let thread_of name =
 
 let proc_of_thread pr_thread =
   { pr_thread; pr_domain = unset; pr_cell = no_cell }
+
 let proc ~name = proc_of_thread (thread_of name)
 
 type t = {

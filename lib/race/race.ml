@@ -123,13 +123,8 @@ let join dst src =
 
 let mk_proc pid name =
   let p =
-    {
-      p_id = pid;
-      p_name = name;
-      p_clock = Hashtbl.create 8;
-      p_epoch = 0;
-      p_exited = false;
-    }
+    { p_id = pid; p_name = name; p_clock = Hashtbl.create 8; p_epoch = 0;
+      p_exited = false }
   in
   tick p;  (* own component starts at 1 so a_own = 0 never occurs *)
   p

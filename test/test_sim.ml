@@ -803,17 +803,21 @@ let test_handle_follows_sink () =
         work ();
         Process.sleep (Time.ms 1)
       done);
-  (* A second process with no edge to the worker, writing the same
-     location after the switch. *)
-  Process.spawn s ~name:"Dom1/other" (fun () ->
-      Process.sleep (Time.us 8_500);
-      Race.scoped_write ~loc:"shared" ~site:"other.put");
   ignore
     (Engine.schedule_at e (Time.ms 4 + 1) (fun () ->
          switched := true;
          Process.set_check s (Some c2);
          Process.set_race s (Some r2);
          Process.set_path s (Some pa2)));
+  (* A process spawned after the switch, with no edge to the worker,
+     writing the same location.  It is the new detector's first
+     registration, so a worker still speaking through its old handle
+     would share its pid there, and the writes would look ordered. *)
+  ignore
+    (Engine.schedule_at e (Time.ms 6) (fun () ->
+         Process.spawn s ~name:"Dom1/other" (fun () ->
+             Process.sleep (Time.us 2_500);
+             Race.scoped_write ~loc:"shared" ~site:"other.put")));
   Engine.run e;
   let provenances r rule =
     List.map
