@@ -188,19 +188,13 @@ let test_quiesce_edge () =
     (Report.count report)
 
 (* Pid slots are reused (FastTrack style): a process spawned after
-   another has exited takes its slot, with its own clock component above
-   the old holder's high-water mark, so the old holder's accesses stay
-   ordered before the new holder's.  [A] ticks its component with a few
-   releases before it writes, past where a fresh component would start.
-   With [concurrent], a third process with no edge to either writes the
-   same location last. *)
+   another has exited takes its slot, so the old holder's accesses stay
+   ordered before the new holder's.  With [concurrent], a third process
+   with no edge to either writes the same location last. *)
 let reuse_findings ~concurrent =
   let report =
     run_fixture (fun e s ->
         Process.spawn s ~name:"A" (fun () ->
-            for _ = 1 to 3 do
-              Race.scoped_release ~chan:"fixture:tick"
-            done;
             Race.scoped_write ~loc:"fixture:reused" ~site:"A.put");
         if concurrent then
           Process.spawn s ~name:"C" (fun () ->
