@@ -629,9 +629,9 @@ let path_cmd =
           List.iter Kite_stats.Table.print
             (f ~quick:(not full)).Kite.Experiments.tables)
     else
-      (* The engine decomposes the tracer's spans, so arm both sinks:
-         every testbed machine gets a tracer and a path engine tapping
-         it (plus the CPU-profiler hooks). *)
+      (* The engine reads the tracer's spans and CPU charges, so arm
+         both sinks: every testbed machine gets a tracer and a path
+         engine tapping it. *)
       let psink = Kite_path.Path.sink () in
       let* () =
         run_armed

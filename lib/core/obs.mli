@@ -17,13 +17,14 @@ type t = {
   fault : Kite_fault.Fault.sink option;
   metrics : Kite_metrics.Registry.sink option;
   path : Kite_path.Path.sink option;
+      (** Each machine's engine taps the machine's tracer for its spans
+          and CPU charges, so without a [trace] sink it sees nothing. *)
   flight : Kite_flight.Flight.sink option;
   schedule_seed : int option;
       (** When set, every testbed engine randomizes the order of
           same-instant events from this seed (PCT-style), so sweeps
           rerun one workload under many interleavings.  [None] keeps the
-          deterministic FIFO order.  An explicit [?schedule_seed] to
-          {!Scenario.network}/{!Scenario.storage} overrides it. *)
+          deterministic FIFO order. *)
 }
 
 val none : t

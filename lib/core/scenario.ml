@@ -246,18 +246,13 @@ type net = {
   guest_ip : Ipv4addr.t;
 }
 
-(* An explicit [?schedule_seed] overrides the installed context's. *)
-let hypervisor sseed =
-  let sseed =
-    match sseed with
-    | Some _ -> sseed
-    | None -> (Obs.current ()).Obs.schedule_seed
-  in
-  Hypervisor.create ?schedule_seed:sseed ()
+(* The installed context's schedule seed arms the engine's explorer. *)
+let hypervisor () =
+  Hypervisor.create ?schedule_seed:(Obs.current ()).Obs.schedule_seed ()
 
-let network ?overheads_override ~flavor ?(seed = 2022) ?schedule_seed:sseed
-    ?num_queues ?impair () =
-  let hv = hypervisor sseed in
+let network ?overheads_override ~flavor ?(seed = 2022) ?num_queues ?impair
+    () =
+  let hv = hypervisor () in
   let ctx = arm hv ("net-" ^ flavor_name flavor ^ "-") in
   let sched = Hypervisor.sched hv in
   let metrics = Hypervisor.metrics hv in
@@ -372,10 +367,9 @@ type blk = {
   nvme : Kite_devices.Nvme.t;
 }
 
-let storage ~flavor ?schedule_seed:sseed
-    ?(feature_persistent = true) ?(feature_indirect = true)
+let storage ~flavor ?(feature_persistent = true) ?(feature_indirect = true)
     ?(batching = true) ?num_queues () =
-  let hv = hypervisor sseed in
+  let hv = hypervisor () in
   let ctx = arm hv ("blk-" ^ flavor_name flavor ^ "-") in
   let sched = Hypervisor.sched hv in
   let metrics = Hypervisor.metrics hv in

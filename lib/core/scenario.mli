@@ -77,7 +77,6 @@ val network :
   ?overheads_override:Kite_drivers.Overheads.t ->
   flavor:flavor ->
   ?seed:int ->
-  ?schedule_seed:int ->
   ?num_queues:int ->
   ?impair:Kite_net.Impair.spec ->
   unit ->
@@ -118,7 +117,6 @@ type blk = {
 
 val storage :
   flavor:flavor ->
-  ?schedule_seed:int ->
   ?feature_persistent:bool ->
   ?feature_indirect:bool ->
   ?batching:bool ->

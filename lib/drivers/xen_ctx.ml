@@ -80,7 +80,4 @@ let create ?check ?race ?trace ?fault ?metrics ?path ?flight hv =
         ~help:"Notifications lost to fault injection" [] (fun () ->
           Event_channel.notifications_dropped t.ec)
   | None -> ());
-  (* The continuous profiler's current-process stack and occupancy
-     attribution. *)
-  Hypervisor.set_path hv path;
   t

@@ -38,8 +38,8 @@ val create :
     - [metrics]: scheduler and per-domain busy gauges, grant-table and
       event-channel counters (polled closures evaluated at sampling
       time);
-    - [path]: the scheduler's current-process stack and the hypervisor's
-      per-domain per-process CPU attribution (the continuous profiler);
+    - [path]: carried only, for experiments that read their machine's
+      engine; it taps the tracer, whose spans and CPU charges it reads;
     - [flight]: carried only, so the toolstack's crash/restart paths can
       feed its triggers.
     Rings, per-queue driver state, drivers' instruments and devices see

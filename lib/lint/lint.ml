@@ -50,8 +50,6 @@ let policed_functions =
     "observe"; "sample";
     (* Kite_flight.Flight *)
     "record"; "mark"; "crash"; "restart";
-    (* Kite_path.Path — proc_enter/proc_leave are shared with Check above *)
-    "cpu_sample"; "record_span";
   ]
 
 let policed_fn_tbl = Hashtbl.create 64

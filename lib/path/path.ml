@@ -49,33 +49,6 @@ type dev_acc = {
   mutable da_total : int;
 }
 
-(* A process as the CPU profiler sees it: the thread part of its
-   "Domain/thread" name, and the cell it was last charged in, with that
-   charge's domain string (compared by identity: the hypervisor passes
-   each domain's one name string). *)
-type proc = {
-  pr_thread : string;
-  mutable pr_domain : string;  (* [unset] before the first charge *)
-  mutable pr_cell : int ref;
-}
-
-(* Never a domain's name, so a fresh handle's first charge finds its
-   cell in the table. *)
-let unset = "(unset)"
-let no_cell = ref 0
-
-(* "Dom1/netback.tx.q0" -> "netback.tx.q0"; the hypervisor supplies the
-   domain separately, so only the thread part is kept. *)
-let thread_of name =
-  match String.index_opt name '/' with
-  | Some i -> String.sub name (i + 1) (String.length name - i - 1)
-  | None -> name
-
-let proc_of_thread pr_thread =
-  { pr_thread; pr_domain = unset; pr_cell = no_cell }
-
-let proc ~name = proc_of_thread (thread_of name)
-
 type t = {
   pname : string;
   stages : (string * string, stage_acc) Hashtbl.t;
@@ -85,21 +58,14 @@ type t = {
   devs : (string * string, dev_acc) Hashtbl.t;
   mutable dev_order : (string * string) list;  (* reversed first-seen *)
   mutable nspans : int;
-  (* CPU profile: (domain, process) -> busy ns.  The ref cells double as
-     the polled counter closures once metrics are wired. *)
+  (* CPU profile: (domain, process) -> busy ns, added to by the tracer.
+     The ref cells double as the polled counter closures once metrics
+     are wired. *)
   cpu : (string * string, int ref) Hashtbl.t;
-  mutable cpu_total : int;
-  (* The entered process ([irq] outside any), maintained by the scheduler
-     wrappers, and the entries it is nested in, innermost first: only a
-     nested [proc_enter] touches the list. *)
-  irq : proc;
-  mutable cur : proc;
-  mutable outer : proc list;
   mutable reg : Kite_metrics.Registry.t option;
 }
 
 let create ?(name = "path") () =
-  let irq = proc_of_thread "(interrupt)" in
   {
     pname = name;
     stages = Hashtbl.create 32;
@@ -110,10 +76,6 @@ let create ?(name = "path") () =
     dev_order = [];
     nspans = 0;
     cpu = Hashtbl.create 32;
-    cpu_total = 0;
-    irq;
-    cur = irq;
-    outer = [];
     reg = None;
   }
 
@@ -184,7 +146,7 @@ let dev_acc t ~kind ~key =
       da
 
 (* ------------------------------------------------------------------ *)
-(* Hot hooks                                                           *)
+(* Tracer observers                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let record_span t (sp : Kite_trace.Trace.span) =
@@ -214,17 +176,8 @@ let record_span t (sp : Kite_trace.Trace.span) =
   da.da_total <- da.da_total + total;
   t.nspans <- t.nspans + 1
 
-let proc_enter t p =
-  if t.cur != t.irq then t.outer <- t.cur :: t.outer;
-  t.cur <- p
-
-let proc_leave t =
-  match t.outer with
-  | p :: rest ->
-      t.cur <- p;
-      t.outer <- rest
-  | [] -> t.cur <- t.irq
-
+(* The CPU observer: the tracer asks for a (domain, process) cell once
+   per process and domain, and adds each charge to it. *)
 let cpu_cell t ~domain ~process =
   let k = (domain, process) in
   match Hashtbl.find_opt t.cpu k with
@@ -241,75 +194,15 @@ let cpu_cell t ~domain ~process =
       | None -> ());
       c
 
-(* The process's cell from its last charge when the domain is the same
-   string; otherwise the table's, which then becomes its last. *)
-let cpu_sample t ~domain ~cost =
-  if cost > 0 then begin
-    let p = t.cur in
-    let c =
-      if p.pr_domain == domain then p.pr_cell
-      else begin
-        let c = cpu_cell t ~domain ~process:p.pr_thread in
-        p.pr_domain <- domain;
-        p.pr_cell <- c;
-        c
-      end
-    in
-    c := !c + cost;
-    t.cpu_total <- t.cpu_total + cost
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Wiring                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let tap_trace t tr = Kite_trace.Trace.add_span_observer tr (record_span t)
+let tap_trace t tr =
+  Kite_trace.Trace.add_span_observer tr (record_span t);
+  Kite_trace.Trace.observe_cpu tr (cpu_cell t)
 
-let wire_metrics t r =
-  t.reg <- Some r;
-  (* Instruments created before the wire-up get their mirrors now. *)
-  List.iter
-    (fun k ->
-      let sa = Hashtbl.find t.stages k in
-      if sa.sa_mirror = None then begin
-        let h =
-          Kite_metrics.Registry.histogram r
-            ~help:"Per-stage critical-path latency (simulated ns)" ~base:64.0
-            ~factor:2.0 "kite_path_stage_ns"
-            [
-              ("kind", sa.sa_kind); ("stage", sa.sa_stage);
-              ("class", class_name sa.sa_class);
-            ]
-        in
-        Histogram.buckets sa.sa_hist
-        |> List.iter (fun (lo, hi, n) ->
-               let mid = (lo +. hi) /. 2.0 in
-               for _ = 1 to n do
-                 Kite_metrics.Registry.observe h mid
-               done);
-        sa.sa_mirror <- Some h
-      end)
-    (List.rev t.stage_order);
-  List.iter
-    (fun kind ->
-      let ka = Hashtbl.find t.kinds kind in
-      if ka.ka_mirror = None then begin
-        let c =
-          Kite_metrics.Registry.counter r ~help:"Completed spans attributed"
-            "kite_path_spans_total"
-            [ ("kind", kind) ]
-        in
-        Kite_metrics.Registry.add c ka.ka_spans;
-        ka.ka_mirror <- Some c
-      end)
-    (List.rev t.kind_order);
-  Hashtbl.iter
-    (fun (domain, process) c ->
-      Kite_metrics.Registry.counter_fn r "kite_path_cpu_ns_total"
-        ~help:"Simulated CPU attributed per domain per process"
-        [ ("domain", domain); ("process", process) ]
-        (fun () -> !c))
-    t.cpu
+let wire_metrics t r = t.reg <- Some r
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -376,7 +269,7 @@ let profile t =
   Hashtbl.fold (fun (d, p) c acc -> (d, p, !c) :: acc) t.cpu []
   |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
 
-let cpu_total_ns t = t.cpu_total
+let cpu_total_ns t = Hashtbl.fold (fun _ c acc -> acc + !c) t.cpu 0
 
 let waterfall_lines t =
   let lines =
@@ -445,7 +338,8 @@ let one_to_json t =
   in
   Printf.sprintf
     {|{"name":"%s","spans":%d,"stages":[%s],"kinds":[%s],"devices":[%s],"cpu_total_ns":%d,"profile":[%s]}|}
-    (Export.json_escape t.pname) t.nspans stages kinds devs t.cpu_total prof
+    (Export.json_escape t.pname) t.nspans stages kinds devs (cpu_total_ns t)
+    prof
 
 let to_json ts = "[" ^ String.concat "," (List.map one_to_json ts) ^ "]"
 

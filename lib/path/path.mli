@@ -11,15 +11,14 @@
     says which stage dominates tail latency, per device kind and per
     device instance.
 
-    It also carries the continuous CPU profiler: the scheduler enters the
-    running process's handle ({!proc_enter}/{!proc_leave}) and the
-    hypervisor reports every simulated-CPU occupancy ({!cpu_sample}), so
-    the engine attributes busy time per domain per process — the
-    flat profile an incident snapshot wants next to the waterfall.
+    It also carries the continuous CPU profiler: the tracer adds every
+    simulated-CPU charge to the running process's (domain, process)
+    cell ({!Kite_trace.Trace.observe_cpu}), so the engine attributes
+    busy time per domain per process — the flat profile an incident
+    snapshot wants next to the waterfall.
 
-    House discipline as for every layer: substrate code holds a
-    [Path.t option] and guards each call, so a run without the engine
-    pays one [match None] per hook. *)
+    The engine is a pure consumer of the tracer: no substrate code calls
+    it, and an engine that taps no tracer sees nothing. *)
 
 type seg_class = Queueing | Service | Notify
 
@@ -37,30 +36,6 @@ type t
 val create : ?name:string -> unit -> t
 val name : t -> string
 
-(** {1 Hot hooks} *)
-
-val cpu_sample : t -> domain:string -> cost:int -> unit
-(** Attribute [cost] ns of simulated CPU to [domain] and the process
-    currently entered via {!proc_enter} (["(interrupt)"] outside any
-    process).  The hypervisor's occupancy path calls this.  A charge in
-    the domain the process was last charged in, named by the same
-    string, adds to the cell that charge found, without a lookup. *)
-
-type proc
-(** The profiler's handle on one process: the thread part of its name,
-    split off once, and the cell of its last charge.  The cell is one
-    engine's, so a handle serves one engine. *)
-
-val proc : name:string -> proc
-(** The handle for the process [name] ("Domain/thread"; a name without
-    a domain is its own thread part). *)
-
-val proc_enter : t -> proc -> unit
-(** Scheduler wrapper: the process runs until the matching
-    {!proc_leave}.  Maintains the attribution stack for {!cpu_sample}. *)
-
-val proc_leave : t -> unit
-
 (** {1 Wiring} *)
 
 val tap_trace : t -> Kite_trace.Trace.t -> unit
@@ -68,14 +43,18 @@ val tap_trace : t -> Kite_trace.Trace.t -> unit
     ({!Kite_trace.Trace.add_span_observer}): each stage duration is
     observed into its (kind, stage) histogram and the span total into the
     kind's end-to-end accounting.  Composes with the flight recorder's
-    tap. *)
+    tap.  Also become the tracer's one CPU observer
+    ({!Kite_trace.Trace.observe_cpu}): each positive charge adds to its
+    (domain, process) cell of the profile. *)
 
 val wire_metrics : t -> Kite_metrics.Registry.t -> unit
 (** Mirror the attribution into the registry so the series are browsable
     and ride incident metrics deltas: per-stage histograms
     [kite_path_stage_ns{kind,stage,class}], span counters
     [kite_path_spans_total{kind}], and polled per-(domain, process) CPU
-    counters [kite_path_cpu_ns_total{domain,process}]. *)
+    counters [kite_path_cpu_ns_total{domain,process}].  Wire an engine
+    before it sees its first span or charge: what it accumulated earlier
+    is not mirrored. *)
 
 (** {1 Queries} *)
 
@@ -115,6 +94,7 @@ val profile : t -> (string * string * int) list
 (** The CPU profile: (domain, process, busy ns), busiest first. *)
 
 val cpu_total_ns : t -> int
+(** The sum of the profile's busy ns. *)
 
 val waterfall_lines : t -> string list
 (** A compact rendering of the waterfall (one line per (kind, stage)

@@ -4,7 +4,6 @@ type sched = {
   mutable check : Kite_check.Check.t option;
   mutable trace : Kite_trace.Trace.t option;
   mutable race : Kite_race.Race.t option;
-  mutable path : Kite_path.Path.t option;
 }
 
 exception Process_failure of string * exn
@@ -17,14 +16,13 @@ type _ Effect.t +=
       -> unit Effect.t
 
 let scheduler engine =
-  { engine; live = 0; check = None; trace = None; race = None; path = None }
+  { engine; live = 0; check = None; trace = None; race = None }
 
 let engine t = t.engine
 let live t = t.live
 let set_check t c = t.check <- c
 let set_trace t tr = t.trace <- tr
 let set_race t r = t.race <- r
-let set_path t p = t.path <- p
 
 let sleep span = Effect.perform (Sleep span)
 let yield () = Effect.perform Yield
@@ -36,7 +34,7 @@ let suspend ?label register = Effect.perform (Suspend (label, register))
    engine-queue (re-)entry, and a handle serves the instance that made
    it: when the scheduler's sink is another, the handle is remade
    against the instance seen at that moment.  Attaching a checker,
-   tracer, race detector or path engine mid-run therefore instruments
+   tracer or race detector mid-run therefore instruments
    already-running processes from their next step onward, and the sink
    it replaced sees them no more.  Events from before the attach are
    simply absent, as for any late observer. *)
@@ -47,7 +45,6 @@ type proc = {
   mutable creg : (Kite_check.Check.t * Kite_check.Check.proc) option;
   mutable rreg : (Kite_race.Race.t * Kite_race.Race.proc) option;
   mutable treg : (Kite_trace.Trace.t * Kite_trace.Trace.proc) option;
-  mutable preg : (Kite_path.Path.t * Kite_path.Path.proc) option;
   (* The continuation [wake] resumes: set when a wake is scheduled,
      cleared when it fires.  A process blocks on one operation at a time,
      so one cell and one thunk, built at spawn, serve every block. *)
@@ -80,14 +77,6 @@ let trace_proc p tr =
       p.treg <- Some (tr, h);
       h
 
-let path_proc p pa =
-  match p.preg with
-  | Some (pa', h) when pa' == pa -> h
-  | _ ->
-      let h = Kite_path.Path.proc ~name:p.name in
-      p.preg <- Some (pa, h);
-      h
-
 (* [eff] is the blocking operation.  Each armed sink's [kind] is built
    from it: the checker's is immediate for a sleep or a yield, and the
    tracer's [`Sleep span] is built only when a tracer is armed. *)
@@ -116,8 +105,7 @@ let blocked p (eff : unit Effect.t) =
           | _ -> `Yield)
   | None -> ()
 
-let leave check trace race path =
-  (match path with Some pa -> Kite_path.Path.proc_leave pa | None -> ());
+let leave check trace race =
   (match race with Some r -> Kite_race.Race.proc_leave r | None -> ());
   (match trace with Some tr -> Kite_trace.Trace.proc_leave tr | None -> ());
   match check with Some c -> Kite_check.Check.proc_leave c | None -> ()
@@ -126,9 +114,9 @@ let leave check trace race path =
    know which process events are attributed to. *)
 let step p f () =
   let t = p.sched in
-  match (t.check, t.trace, t.race, t.path) with
-  | None, None, None, None -> f ()
-  | check, trace, race, path -> (
+  match (t.check, t.trace, t.race) with
+  | None, None, None -> f ()
+  | check, trace, race -> (
       (match check with
       | Some c -> Kite_check.Check.proc_enter c (check_proc p c)
       | None -> ());
@@ -138,14 +126,11 @@ let step p f () =
       (match race with
       | Some r -> Kite_race.Race.proc_enter r (race_proc p r)
       | None -> ());
-      (match path with
-      | Some pa -> Kite_path.Path.proc_enter pa (path_proc p pa)
-      | None -> ());
       match f () with
-      | () -> leave check trace race path
+      | () -> leave check trace race
       | exception e ->
           let bt = Printexc.get_raw_backtrace () in
-          leave check trace race path;
+          leave check trace race;
           Printexc.raise_with_backtrace e bt)
 
 let resume_cont p () =
@@ -184,7 +169,6 @@ let spawn t ?(daemon = false) ~name body =
       creg = None;
       rreg = None;
       treg = None;
-      preg = None;
       cont = None;
       wake = ignore;
     }

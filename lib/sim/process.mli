@@ -28,9 +28,10 @@ val set_check : sched -> Kite_check.Check.t option -> unit
 val set_trace : sched -> Kite_trace.Trace.t option -> unit
 (** Attach (or detach) an event tracer.  Same dynamic-attach semantics
     as {!set_check}: processes record spawn/block/exit events and
-    attribute in-process events (hypercalls, driver milestones) to their
-    track from the moment a tracer is present; with [None] the scheduler
-    runs exactly as before. *)
+    attribute in-process events (hypercalls, driver milestones, and the
+    CPU charges the tracer passes to a path engine) to their track from
+    the moment a tracer is present; with [None] the scheduler runs
+    exactly as before. *)
 
 val set_race : sched -> Kite_race.Race.t option -> unit
 (** Attach (or detach) a happens-before race detector.  Processes get a
@@ -38,13 +39,6 @@ val set_race : sched -> Kite_race.Race.t option -> unit
     atomicity epoch at every blocking point, and scope their accesses to
     the detector while running.  Same dynamic-attach semantics as
     {!set_check}. *)
-
-val set_path : sched -> Kite_path.Path.t option -> unit
-(** Attach (or detach) a critical-path attribution engine.  Processes
-    enter their {!Kite_path.Path.proc} handle on every engine-queue
-    (re-)entry so the hypervisor's CPU occupancy charges are attributed
-    per domain per process (the continuous profiler).  Same
-    dynamic-attach semantics as {!set_check}. *)
 
 val spawn : sched -> ?daemon:bool -> name:string -> (unit -> unit) -> unit
 (** [spawn sched ~name body] starts a process at the current instant.

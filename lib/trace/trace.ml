@@ -104,7 +104,9 @@ let no_chunk =
 
 (* A process as this tracer sees it: its ["Domain/thread"] name split
    once, its own track, the tid of its thread in each domain it has
-   emitted in, and the last label it waited on. *)
+   emitted in, the last label it waited on, and the CPU observer's cell
+   of its last charge with that charge's domain string (compared by
+   identity: the hypervisor passes each domain's one name string). *)
 type proc = {
   p_domain : string;
   p_thread : string;
@@ -112,6 +114,8 @@ type proc = {
   mutable p_tids : int array;  (* by pid; 0 until interned *)
   mutable p_on : string;
   mutable p_on_id : int;  (* -1 until the first labelled wait *)
+  mutable p_cpu_domain : string;  (* [unset] before the first charge *)
+  mutable p_cpu_cell : int ref;
 }
 
 (* A charged operation on one domain: its label, and its exact
@@ -174,10 +178,13 @@ type t = {
   tids : (int * string, int) Hashtbl.t;
   tid_pid : int Vec.t;  (* tid - 1 *)
   tid_names : string Vec.t;  (* tid - 1 *)
-  (* Attribution stack maintained by proc_enter/proc_leave; [irq] is the
-     thread outside any process. *)
+  (* Attribution stack maintained by proc_enter/proc_leave, in both
+     modes; [irq] is the thread outside any process. *)
   stack : proc Vec.t;
   irq : proc;
+  (* The CPU observer (the path engine's profile): the cell of a
+     (domain, thread) pair, to which each positive charge is added. *)
+  mutable cpu_cell : (domain:string -> process:string -> int ref) option;
   ops : (string * string, op) Hashtbl.t;
   (* Spans. *)
   classes : span_class Vec.t;
@@ -201,8 +208,22 @@ let split_name name =
       (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
   | None -> ("sim", name)
 
+(* Never a domain's name, so a fresh handle's first charge asks the
+   observer for its cell. *)
+let unset = "(unset)"
+let no_cell = ref 0
+
 let proc_of_parts p_domain p_thread =
-  { p_domain; p_thread; p_own = 0; p_tids = [||]; p_on = ""; p_on_id = -1 }
+  {
+    p_domain;
+    p_thread;
+    p_own = 0;
+    p_tids = [||];
+    p_on = "";
+    p_on_id = -1;
+    p_cpu_domain = unset;
+    p_cpu_cell = no_cell;
+  }
 
 let proc ~name =
   let domain, thread = split_name name in
@@ -233,6 +254,7 @@ let make ~record ?(limit = 1_000_000) ?(name = "trace") () =
     tid_names = Vec.create "";
     stack = Vec.create irq;
     irq;
+    cpu_cell = None;
     ops = Hashtbl.create 16;
     classes = Vec.create no_class;
     done_spans = [];
@@ -437,7 +459,7 @@ let cur_track t domain =
 (* Scheduler hooks                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let proc_enter t p = if t.record then Vec.push t.stack p
+let proc_enter t p = Vec.push t.stack p
 
 let proc_leave t = if t.stack.Vec.n > 0 then t.stack.Vec.n <- t.stack.Vec.n - 1
 
@@ -498,7 +520,27 @@ let op t ~domain ~op =
       Hashtbl.add t.ops key o;
       o
 
+(* Add a positive charge to the running process's cell: the cell of its
+   last charge when the domain is the same string, otherwise the
+   observer's, which then becomes its last. *)
+let feed_cpu t domain cost =
+  match t.cpu_cell with
+  | Some cell when cost > 0 ->
+      let p = current t in
+      if p.p_cpu_domain != domain then begin
+        p.p_cpu_cell <- cell ~domain ~process:p.p_thread;
+        p.p_cpu_domain <- domain
+      end;
+      p.p_cpu_cell := !(p.p_cpu_cell) + cost
+  | _ -> ()
+
+let observe_cpu t cell =
+  if Option.is_some t.cpu_cell then
+    invalid_arg ("Trace.observe_cpu: " ^ t.tname ^ " has a CPU observer");
+  t.cpu_cell <- Some cell
+
 let charge t ~at o ~cost =
+  feed_cpu t o.o_domain cost;
   if o.o_hypercall then begin
     o.o_count <- o.o_count + 1;
     o.o_total <- o.o_total + cost
@@ -510,6 +552,7 @@ let charge t ~at o ~cost =
   end
 
 let cpu_work t ~at ~domain ~cost =
+  feed_cpu t domain cost;
   if not t.record then count t
   else emit t at cost (cur_track t domain) l_cpu_work 0 0 0 0
 

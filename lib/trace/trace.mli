@@ -22,9 +22,10 @@
     event-channel or ring event allocates nothing at all.  It still
     reports what a recording tracer with the same limit would report
     through {!events}, {!dropped}, {!span_count}, {!open_spans},
-    {!orphan_hops}, {!orphan_ends} and {!hypercall_profile}, and it
-    still passes every completed span to its observers (the path engine,
-    the flight recorder).  Its exporters raise [Invalid_argument].  A
+    {!orphan_hops}, {!orphan_ends} and {!hypercall_profile}, it still
+    tracks the running process, and it still passes every completed
+    span and every CPU charge to its observers (the path engine, the
+    flight recorder).  Its exporters raise [Invalid_argument].  A
     tracer made by {!create} records; one made by {!create_in} follows
     its {!sink}, which counts unless made with [~record:true]
     ([kite_ctl trace] records only for [--out] or [--breakdown]).
@@ -102,15 +103,16 @@ val default : unit -> sink option
 
 type proc
 (** A tracer's handle on one process: its ["Domain/thread"] name split
-    into its track components once, and the thread's tids cached, its
-    own track among them.  The caches are one tracer's numbering, so a
-    handle serves one tracer. *)
+    into its track components once, the thread's tids cached, its own
+    track among them, and the CPU observer's cell of its last charge.
+    The caches are one tracer's, so a handle serves one tracer. *)
 
 val proc : name:string -> proc
 
 val proc_enter : t -> proc -> unit
 (** The process starts (or resumes) a step; it becomes the attribution
-    target (the Chrome thread) of subsequent events. *)
+    target (the Chrome thread, the CPU observer's process) of subsequent
+    events until the matching {!proc_leave}, in both modes. *)
 
 val proc_leave : t -> unit
 
@@ -143,6 +145,15 @@ val charge : t -> at:int -> op -> cost:int -> unit
 
 val cpu_work : t -> at:int -> domain:string -> cost:int -> unit
 (** Plain vCPU occupancy (no hypercall), e.g. per-packet driver CPU. *)
+
+val observe_cpu : t -> (domain:string -> process:string -> int ref) -> unit
+(** Subscribe the tracer's one CPU observer (the path engine's profile):
+    each {!charge} and {!cpu_work} of positive cost, in both modes, adds
+    its cost to [cell ~domain ~process], where [process] is the thread
+    part of the running process's name (["(interrupt)"] outside any
+    process).  A charge in the domain the process was last charged in,
+    named by the same string, adds to the cell that charge got, without
+    calling [cell].  A second observer raises [Invalid_argument]. *)
 
 (** {1 Event-channel hooks} *)
 

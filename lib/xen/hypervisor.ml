@@ -31,7 +31,6 @@ type t = {
   mutable next_domid : int;
   mutable trace : Kite_trace.Trace.t option;
   mutable mreg : Kite_metrics.Registry.t option;
-  mutable path : Kite_path.Path.t option;
   mutable accts : acct option array;  (* by domid, made on first charge *)
 }
 
@@ -68,7 +67,6 @@ let create ?schedule_seed () =
     next_domid = 1;
     trace = None;
     mreg = None;
-    path = None;
     accts = [||];
   }
 
@@ -83,13 +81,6 @@ let trace t = t.trace
 let set_trace t tr =
   t.trace <- tr;
   Process.set_trace t.sched tr
-
-(* The continuous profiler: every occupancy charge is attributed to the
-   domain and (through the scheduler's current-process stack) the
-   process that paid it. *)
-let set_path t p =
-  t.path <- p;
-  Process.set_path t.sched p
 
 (* A domain's vCPU busy time already accumulates in its
    [Metrics.busy_counter] cell (see [occupy]); the registry just reads it
@@ -166,11 +157,8 @@ let acct t dom =
    concurrent work queues behind the cursor.  Multi-vCPU domains are
    approximated as uncontended (the evaluation's DomU has 22 vCPUs and is
    never CPU-bound in these experiments). *)
-let occupy t a dom span =
+let occupy t a span =
   Metrics.bump a.busy span;
-  (match t.path with
-  | Some p -> Kite_path.Path.cpu_sample p ~domain:dom.Domain.name ~cost:span
-  | None -> ());
   if span > 0 then begin
     let cursors = a.cpu_free_at in
     (* Run on the earliest-free vCPU. *)
@@ -227,7 +215,7 @@ let hypercall t dom call ~extra =
       Kite_trace.Trace.charge tr ~at:(Engine.now t.engine)
         (trace_op c tr dom call) ~cost:span
   | None -> ());
-  occupy t a dom span
+  occupy t a span
 
 let cpu_work t dom span =
   (match t.trace with
@@ -235,7 +223,7 @@ let cpu_work t dom span =
       Kite_trace.Trace.cpu_work tr ~at:(Engine.now t.engine)
         ~domain:dom.Domain.name ~cost:span
   | None -> ());
-  occupy t (acct t dom) dom span
+  occupy t (acct t dom) span
 
 let run t = Engine.run t.engine
 let run_for t span = Engine.run_for t.engine span

@@ -37,22 +37,15 @@ val now : t -> Kite_sim.Time.t
 
 val set_trace : t -> Kite_trace.Trace.t option -> unit
 (** Attach (or detach) an event tracer for this machine: {!hypercall} /
-    {!cpu_work} emit cost events, and the scheduler's tracer is set so
-    that processes spawned afterwards are tracked (see
+    {!cpu_work} emit cost events (which the tracer also passes to its
+    CPU observer, the path engine's profile), and the scheduler's tracer
+    is set so that processes spawned afterwards are tracked (see
     {!Kite_sim.Process.set_trace}).  [None] (the default) restores the
     uninstrumented behaviour. *)
 
 val trace : t -> Kite_trace.Trace.t option
 (** The currently attached tracer, for layers that hook their own
     events (event channels, rings, drivers). *)
-
-val set_path : t -> Kite_path.Path.t option -> unit
-(** Attach (or detach) a critical-path attribution engine: every vCPU
-    occupancy charge is attributed per domain per process (the
-    continuous profiler), and the scheduler's engine reference is set so
-    processes maintain the current-process stack (see
-    {!Kite_sim.Process.set_path}).  [None] (the default) restores the
-    uninstrumented behaviour. *)
 
 val set_metrics : t -> Kite_metrics.Registry.t option -> unit
 (** Attach (or detach) a metric registry for this machine.  Registers

@@ -1,5 +1,5 @@
 (* kite_path: stage classification, span decomposition arithmetic, the
-   CPU profiler's attribution stack, and the partition invariant — the
+   CPU profile fed by the tracer, and the partition invariant — the
    per-stage totals of every kind must sum to its end-to-end span total
    — held under multi-queue dataplanes and driver-domain crash/restart,
    swept across ten seeds. *)
@@ -82,54 +82,69 @@ let test_span_decomposition () =
 (* CPU profiler attribution stack                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The tracer's running process and its CPU charges, read by the path
+   engine that taps it, alike on a recording and a counting tracer. *)
 let test_cpu_profiler () =
-  let p = Path.create () in
-  (* Outside any process: charged to the interrupt bucket. *)
-  Path.cpu_sample p ~domain:"dom" ~cost:5;
-  Path.proc_enter p (Path.proc ~name:"dom/worker");
-  Path.cpu_sample p ~domain:"dom" ~cost:40;
-  (* Nested entry wins until it leaves. *)
-  Path.proc_enter p (Path.proc ~name:"dom/helper");
-  Path.cpu_sample p ~domain:"dom" ~cost:10;
-  Path.proc_leave p;
-  Path.cpu_sample p ~domain:"dom" ~cost:20;
-  Path.proc_leave p;
-  check_int "total busy" 75 (Path.cpu_total_ns p);
-  let busy proc =
-    match
-      List.find_opt (fun (d, pr, _) -> d = "dom" && pr = proc) (Path.profile p)
-    with
-    | Some (_, _, b) -> b
-    | None -> 0
-  in
-  (* The "Domain/" prefix is stripped: the hypervisor supplies the
-     domain separately, so only the thread part is kept. *)
-  check_int "worker busy" 60 (busy "worker");
-  check_int "helper busy" 10 (busy "helper");
-  check_int "interrupt busy" 5 (busy "(interrupt)");
-  (* Busiest first. *)
-  (match Path.profile p with
-  | (_, first, _) :: _ -> check_bool "sorted" true (first = "worker")
-  | [] -> Alcotest.fail "empty profile");
-  (* One entered process charged alternately in two domains, one of them
-     named by a distinct but equal string: each domain keeps one row for
-     it, whichever string names the domain. *)
-  let dom = "dom" and peer = "peer" in
-  let dom' = String.concat "" [ "d"; "om" ] in
-  Path.proc_enter p (Path.proc ~name:"dom/mover");
   List.iter
-    (fun (domain, cost) -> Path.cpu_sample p ~domain ~cost)
-    [ (dom, 1); (peer, 2); (dom', 4); (dom', 8); (peer, 16); (dom, 32) ];
-  Path.proc_leave p;
-  let busy_in domain proc =
-    List.fold_left
-      (fun acc (d, pr, b) -> if d = domain && pr = proc then acc + b else acc)
-      0 (Path.profile p)
-  in
-  check_int "mover in dom" 45 (busy_in "dom" "mover");
-  check_int "mover in peer" 18 (busy_in "peer" "mover");
-  check_int "one row per (domain, process)" 5 (List.length (Path.profile p));
-  check_int "total busy with the mover" 138 (Path.cpu_total_ns p)
+    (fun (mode, tr) ->
+      let p = Path.create () in
+      Path.tap_trace p tr;
+      let work domain cost = Trace.cpu_work tr ~at:0 ~domain ~cost in
+      let check_int what = check_int (mode ^ ": " ^ what) in
+      (* Outside any process: charged to the interrupt bucket. *)
+      work "dom" 5;
+      Trace.proc_enter tr (Trace.proc ~name:"dom/worker");
+      work "dom" 40;
+      (* Nested entry wins until it leaves. *)
+      Trace.proc_enter tr (Trace.proc ~name:"dom/helper");
+      work "dom" 10;
+      Trace.proc_leave tr;
+      work "dom" 20;
+      Trace.proc_leave tr;
+      check_int "total busy" 75 (Path.cpu_total_ns p);
+      let busy proc =
+        match
+          List.find_opt
+            (fun (d, pr, _) -> d = "dom" && pr = proc)
+            (Path.profile p)
+        with
+        | Some (_, _, b) -> b
+        | None -> 0
+      in
+      (* The "Domain/" prefix is stripped: the hypervisor supplies the
+         domain separately, so only the thread part is kept. *)
+      check_int "worker busy" 60 (busy "worker");
+      check_int "helper busy" 10 (busy "helper");
+      check_int "interrupt busy" 5 (busy "(interrupt)");
+      (* Busiest first. *)
+      (match Path.profile p with
+      | (_, first, _) :: _ -> check_bool (mode ^ ": sorted") true (first = "worker")
+      | [] -> Alcotest.fail "empty profile");
+      (* One entered process charged alternately in two domains, one of
+         them named by a distinct but equal string: each domain keeps one
+         row for it, whichever string names the domain. *)
+      let dom = "dom" and peer = "peer" in
+      let dom' = String.concat "" [ "d"; "om" ] in
+      Trace.proc_enter tr (Trace.proc ~name:"dom/mover");
+      List.iter
+        (fun (domain, cost) -> work domain cost)
+        [ (dom, 1); (peer, 2); (dom', 4); (dom', 8); (peer, 16); (dom, 32) ];
+      Trace.proc_leave tr;
+      let busy_in domain proc =
+        List.fold_left
+          (fun acc (d, pr, b) ->
+            if d = domain && pr = proc then acc + b else acc)
+          0 (Path.profile p)
+      in
+      check_int "mover in dom" 45 (busy_in "dom" "mover");
+      check_int "mover in peer" 18 (busy_in "peer" "mover");
+      check_int "one row per (domain, process)" 5
+        (List.length (Path.profile p));
+      check_int "total busy with the mover" 138 (Path.cpu_total_ns p))
+    [
+      ("recording", Trace.create ());
+      ("counting", Trace.create_in (Trace.sink ()) ~name:"counting");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Partition invariant under multi-queue and crash/restart, 10 seeds   *)
@@ -255,7 +270,7 @@ let test_json_export () =
   Path.tap_trace p tr;
   Trace.span_begin tr ~at:0 ~kind:"k" ~key:"d" ~id:1 ~stage:"frontend";
   Trace.span_end tr ~at:10 ~kind:"k" ~key:"d" ~id:1;
-  Path.cpu_sample p ~domain:"dom" ~cost:3;
+  Trace.cpu_work tr ~at:10 ~domain:"dom" ~cost:3;
   let json = Path.to_json [ p ] in
   check_bool "json is an array" true
     (String.length json > 0 && json.[0] = '[');
@@ -267,6 +282,56 @@ let test_json_export () =
     json;
   check_int "balanced brackets" 0 !depth
 
+(* ------------------------------------------------------------------ *)
+(* The profile counts every vCPU occupancy once                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Every vCPU occupancy the hypervisor charges reaches the profile
+   exactly once: read at one instant inside the run, the engine's CPU
+   total equals the machine's busy time summed over its domains. *)
+let test_profile_counts_occupancy () =
+  let totals hv (xctx : Kite_drivers.Xen_ctx.t) =
+    let m = Kite_xen.Hypervisor.metrics hv in
+    ( List.fold_left
+        (fun acc k -> acc + Kite_sim.Metrics.busy m k)
+        0
+        (Kite_sim.Metrics.busy_names m),
+      Path.cpu_total_ns (Option.get xctx.Kite_drivers.Xen_ctx.path) )
+  in
+  let check_once ~ctx (busy, profiled) =
+    check_bool (ctx ^ ": vCPUs busy") true (busy > 0);
+    check_int (ctx ^ ": profile total = vCPU busy time") busy profiled
+  in
+  List.iter
+    (fun flavor ->
+      let ctx = "net " ^ Scenario.flavor_name flavor in
+      ignore
+        (with_sinks (fun () ->
+             let s = Scenario.network ~flavor () in
+             check_once ~ctx
+               (Scenario.run s.Scenario.hv ~what:ctx (fun finish ->
+                    Scenario.when_net_ready s (fun () ->
+                        for seq = 1 to 8 do
+                          ignore
+                            (Kite_net.Stack.ping s.Scenario.client_stack
+                               ~dst:s.Scenario.guest_ip ~seq ())
+                        done;
+                        finish (totals s.Scenario.hv s.Scenario.ctx)))))))
+    [ Scenario.Kite; Scenario.Linux ];
+  let ctx = "blk Kite" in
+  ignore
+    (with_sinks (fun () ->
+         let s = Scenario.storage ~flavor:Scenario.Kite () in
+         check_once ~ctx
+           (Scenario.run s.Scenario.bhv ~what:ctx (fun finish ->
+                Scenario.when_blk_ready s (fun () ->
+                    for k = 0 to 31 do
+                      Kite_drivers.Blkfront.write s.Scenario.blkfront
+                        ~sector:k
+                        (Bytes.make Kite_drivers.Blkfront.sector_size 'p')
+                    done;
+                    finish (totals s.Scenario.bhv s.Scenario.bctx))))))
+
 let suite =
   [
     ("stage classification", `Quick, test_classify);
@@ -274,4 +339,5 @@ let suite =
     ("cpu profiler stack", `Quick, test_cpu_profiler);
     ("partition invariant sweep", `Quick, test_partition_sweep);
     ("json export", `Quick, test_json_export);
+    ("profile counts every occupancy once", `Quick, test_profile_counts_occupancy);
   ]

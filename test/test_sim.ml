@@ -719,27 +719,34 @@ module Path = Kite_path.Path
 module Race = Kite_race.Race
 module Trace = Kite_trace.Trace
 
-(* An armed process's sleep, with one CPU charge per step as
-   [Hypervisor.occupy] makes: with a checker and a path engine armed it
-   allocates no more than an unarmed sleep (22 minor words), and a
-   counting tracer adds only its [`Sleep span] kind (25).  Each sink
-   resolves the process once, through its per-process handle. *)
+(* An armed process's sleep: with a checker armed it allocates no more
+   than an unarmed sleep (22 minor words), and a counting tracer tapped
+   by a path engine, with one CPU charge per step as [Hypervisor.cpu_work]
+   makes, adds only its [`Sleep span] kind (25).  Each sink resolves the
+   process once, through its per-process handle, and the profile reuses
+   the cell of the process's last charge. *)
 let test_armed_block_alloc_budget () =
-  let per_sleep ~trace =
+  let per_sleep ~traced =
     let e = Engine.create () in
     let s = Process.scheduler e in
     let pa = Path.create () in
     Process.set_check s (Some (Check.create (Report.create ())));
-    Process.set_path s (Some pa);
-    if trace then
-      Process.set_trace s (Some (Trace.create_in (Trace.sink ()) ~name:"t"));
+    let charge =
+      if not traced then ignore
+      else begin
+        let tr = Trace.create_in (Trace.sink ()) ~name:"t" in
+        Path.tap_trace pa tr;
+        Process.set_trace s (Some tr);
+        fun domain -> Trace.cpu_work tr ~at:(Engine.now e) ~domain ~cost:1
+      end
+    in
     let domain = "Dom1" in
     let n = 10_000 in
     let words = ref nan in
     Process.spawn s ~name:"Dom1/worker" (fun () ->
         let block () =
           Process.sleep 1;
-          Path.cpu_sample pa ~domain ~cost:1
+          charge domain
         in
         block ();
         let before = Gc.minor_words () in
@@ -748,11 +755,13 @@ let test_armed_block_alloc_budget () =
         done;
         words := (Gc.minor_words () -. before) /. float_of_int n);
     Engine.run e;
-    check_int "every step charged" (n + 1) (Path.cpu_total_ns pa);
+    check_int "every step charged"
+      (if traced then n + 1 else 0)
+      (Path.cpu_total_ns pa);
     !words
   in
-  let armed = per_sleep ~trace:false in
-  let traced = per_sleep ~trace:true in
+  let armed = per_sleep ~traced:false in
+  let traced = per_sleep ~traced:true in
   check_bool
     (Printf.sprintf "%.1f minor words per armed sleep <= 22" armed)
     true (armed <= 22.0);
@@ -761,10 +770,11 @@ let test_armed_block_alloc_budget () =
     true (traced <= 25.0)
 
 (* A process registers with each sink lazily, against the instance the
-   scheduler holds at its step: when the checker, race detector and path
-   engine are replaced mid-run, a running process's later steps are
+   scheduler holds at its step: when the checker, race detector and
+   tracer are replaced mid-run, a running process's later steps are
    attributed in the new sinks only, and the old ones see it as outside
-   any process. *)
+   any process.  Each tracer is tapped by its own path engine, whose
+   profile shows where the tracer put the process's CPU charges. *)
 let test_handle_follows_sink () =
   let e = Engine.create () in
   let s = Process.scheduler e in
@@ -774,17 +784,21 @@ let test_handle_follows_sink () =
   let c1 = Check.create ~config report1 and c2 = Check.create ~config report2 in
   let race1 = Report.create () and race2 = Report.create () in
   let r1 = Race.create race1 and r2 = Race.create race2 in
+  let tr1 = Trace.create_in (Trace.sink ()) ~name:"t1"
+  and tr2 = Trace.create_in (Trace.sink ()) ~name:"t2" in
   let pa1 = Path.create () and pa2 = Path.create () in
+  Path.tap_trace pa1 tr1;
+  Path.tap_trace pa2 tr2;
   Process.set_check s (Some c1);
   Process.set_race s (Some r1);
-  Process.set_path s (Some pa1);
+  Process.set_trace s (Some tr1);
   let domain = "Dom1" in
   let switched = ref false in
-  (* One step's work, on both checkers and both path engines: a finding
-     whose provenance is the current process, more operations than
-     [limit] (a hog in the checker the worker is entered in, once per
-     record), and a CPU charge; after the switch also a write through
-     the ambient race scope. *)
+  (* One step's work, on both checkers and both tracers: a finding whose
+     provenance is the current process, more operations than [limit] (a
+     hog in the checker the worker is entered in, once per record), and
+     a CPU charge; after the switch also a write through the ambient
+     race scope. *)
   let work () =
     List.iter
       (fun c ->
@@ -794,8 +808,9 @@ let test_handle_follows_sink () =
           Check.tx_closed c ~id
         done)
       [ c1; c2 ];
-    Path.cpu_sample pa1 ~domain ~cost:10;
-    Path.cpu_sample pa2 ~domain ~cost:10;
+    List.iter
+      (fun tr -> Trace.cpu_work tr ~at:(Engine.now e) ~domain ~cost:10)
+      [ tr1; tr2 ];
     if !switched then Race.scoped_write ~loc:"shared" ~site:"worker.put"
   in
   Process.spawn s ~name:"Dom1/worker" (fun () ->
@@ -808,7 +823,7 @@ let test_handle_follows_sink () =
          switched := true;
          Process.set_check s (Some c2);
          Process.set_race s (Some r2);
-         Process.set_path s (Some pa2)));
+         Process.set_trace s (Some tr2)));
   (* A process spawned after the switch, with no edge to the worker,
      writing the same location.  It is the new detector's first
      registration, so a worker still speaking through its old handle
@@ -849,7 +864,7 @@ let test_handle_follows_sink () =
     | None -> 0
   in
   (* Each path engine charges the worker for the steps it was entered
-     in, and the interrupt row for the others. *)
+     in through its tracer, and the interrupt row for the others. *)
   check_int "old path: worker before the switch" 50 (busy pa1 "worker");
   check_int "old path: interrupt after the switch" 50 (busy pa1 "(interrupt)");
   check_int "new path: worker after the switch" 50 (busy pa2 "worker");
