@@ -111,8 +111,9 @@ let arm hv tag =
                     (hops + ends) hops ends;
               })
   | _ -> ());
-  (* The path engine decomposes the tracer's spans and mirrors its
-     series into the registry. *)
+  (* The path engine reads the tracer's spans and CPU charges, and
+     mirrors its series into the registry; wired before either reaches
+     it. *)
   Option.iter
     (fun p ->
       Option.iter (Kite_path.Path.tap_trace p) trace;

@@ -34,10 +34,10 @@ let suspend ?label register = Effect.perform (Suspend (label, register))
    engine-queue (re-)entry, and a handle serves the instance that made
    it: when the scheduler's sink is another, the handle is remade
    against the instance seen at that moment.  Attaching a checker,
-   tracer or race detector mid-run therefore instruments
-   already-running processes from their next step onward, and the sink
-   it replaced sees them no more.  Events from before the attach are
-   simply absent, as for any late observer. *)
+   tracer or race detector mid-run therefore instruments already-running
+   processes from their next step onward, and the sink it replaced sees
+   them no more.  Events from before the attach are simply absent, as
+   for any late observer. *)
 type proc = {
   sched : sched;
   name : string;
