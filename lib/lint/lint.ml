@@ -13,13 +13,13 @@ type config = {
 let default_config =
   {
     policed_modules =
-      [ "Check"; "Trace"; "Fault"; "Race"; "Registry"; "Flight"; "Path" ];
+      [ "Check"; "Trace"; "Fault"; "Race"; "Registry"; "Flight" ];
     (* The detector implementations call their own internals freely;
        linting them for guards would be circular. *)
     skip_basenames =
       [
         "check.ml"; "report.ml"; "trace.ml"; "fault.ml"; "race.ml";
-        "registry.ml"; "flight.ml"; "slo.ml"; "path.ml"; "lint.ml";
+        "registry.ml"; "flight.ml"; "slo.ml"; "lint.ml";
       ];
   }
 

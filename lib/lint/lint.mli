@@ -22,7 +22,8 @@ type config = {
   policed_modules : string list;
       (** Last module component of hook call paths to police
           (default ["Check"; "Trace"; "Fault"; "Race"; "Registry";
-          "Flight"; "Path"]). *)
+          "Flight"]).  The path engine has no hook: it only observes
+          the tracer. *)
   skip_basenames : string list;
       (** Files excluded from the hook-guard rule — the detector
           implementations themselves. *)
