@@ -267,7 +267,11 @@ let devices t =
 
 let profile t =
   Hashtbl.fold (fun (d, p) c acc -> (d, p, !c) :: acc) t.cpu []
-  |> List.sort (fun (_, _, a) (_, _, b) -> compare b a)
+  |> List.sort (fun (d, p, a) (d', p', b) ->
+         match Int.compare b a with
+         | 0 -> (
+             match String.compare d d' with 0 -> String.compare p p' | c -> c)
+         | c -> c)
 
 let cpu_total_ns t = Hashtbl.fold (fun _ c acc -> acc + !c) t.cpu 0
 

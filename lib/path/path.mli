@@ -91,7 +91,8 @@ val devices : t -> (string * string * int * int) list
     order. *)
 
 val profile : t -> (string * string * int) list
-(** The CPU profile: (domain, process, busy ns), busiest first. *)
+(** The CPU profile: (domain, process, busy ns), busiest first, ties
+    by domain, then process. *)
 
 val cpu_total_ns : t -> int
 (** The sum of the profile's busy ns. *)
