@@ -26,9 +26,18 @@ let send_req conn buf ~slow =
 
 let close_quietly conn = try Tcp.close conn with _ -> ()
 
+(* A SET request in one buffer: [hdr], then [size] value bytes, then
+   [trailer]. *)
+let set_request hdr ~size ~trailer =
+  let h = String.length hdr and t = String.length trailer in
+  let b = Bytes.create (h + size + t) in
+  Bytes.blit_string hdr 0 b 0 h;
+  Bytes.fill b h size 'v';
+  Bytes.blit_string trailer 0 b (h + size) t;
+  b
+
 let httpd client_tcp ~dst ?(port = 80) () =
   let conn = Tcp.connect client_tcp ~dst ~port in
-  let rd = Line_reader.create conn in
   let request ~size ~slow =
     try
       let req =
@@ -39,11 +48,11 @@ let httpd client_tcp ~dst ?(port = 80) () =
       send_req conn req ~slow;
       let ok = ref false in
       let clen = ref 0 in
-      (match Line_reader.line rd with
+      (match Tcp.recv_line conn with
       | Some status -> ok := String.length status >= 12 && status.[9] = '2'
       | None -> ());
       let rec headers () =
-        match Line_reader.line rd with
+        match Tcp.recv_line conn with
         | Some "\r" | Some "" -> true
         | Some line ->
             (match String.index_opt line ':' with
@@ -59,7 +68,7 @@ let httpd client_tcp ~dst ?(port = 80) () =
         | None -> false
       in
       let hdrs_ok = headers () in
-      let body = if !clen > 0 then Line_reader.exactly rd !clen else Some Bytes.empty in
+      let body = Tcp.recv_exact conn ~len:!clen in
       !ok && hdrs_ok && body <> None
     with _ -> false
   in
@@ -67,17 +76,16 @@ let httpd client_tcp ~dst ?(port = 80) () =
 
 let kvstore client_tcp ~dst ?(port = 6379) ~key () =
   let conn = Tcp.connect client_tcp ~dst ~port in
-  let rd = Line_reader.create conn in
   let stored = ref false in
   let request ~size ~slow =
     try
       if not !stored then begin
         let size = max 1 size in
-        let req = Buffer.create (size + 32) in
-        Buffer.add_string req (Printf.sprintf "SET %s %d\n" key size);
-        Buffer.add_string req (String.make size 'v');
-        send_req conn (Buffer.to_bytes req) ~slow;
-        match Line_reader.line rd with
+        send_req conn
+          (set_request (Printf.sprintf "SET %s %d\n" key size) ~size
+             ~trailer:"")
+          ~slow;
+        match Tcp.recv_line conn with
         | Some "+OK" ->
             stored := true;
             true
@@ -87,11 +95,11 @@ let kvstore client_tcp ~dst ?(port = 6379) ~key () =
         send_req conn
           (Bytes.of_string (Printf.sprintf "GET %s\n" key))
           ~slow;
-        match Line_reader.line rd with
+        match Tcp.recv_line conn with
         | Some hdr when String.length hdr > 1 && hdr.[0] = '$' && hdr <> "$-1"
           ->
             let n = int_of_string (String.sub hdr 1 (String.length hdr - 1)) in
-            Line_reader.exactly rd n <> None
+            Tcp.recv_exact conn ~len:n <> None
         | _ -> false
       end
     with _ -> false
@@ -100,18 +108,16 @@ let kvstore client_tcp ~dst ?(port = 6379) ~key () =
 
 let memcache client_tcp ~dst ?(port = 11211) ~key () =
   let conn = Tcp.connect client_tcp ~dst ~port in
-  let rd = Line_reader.create conn in
   let stored = ref false in
   let request ~size ~slow =
     try
       if not !stored then begin
         let size = max 1 size in
-        let req = Buffer.create (size + 48) in
-        Buffer.add_string req (Printf.sprintf "set %s 0 0 %d\r\n" key size);
-        Buffer.add_string req (String.make size 'v');
-        Buffer.add_string req "\r\n";
-        send_req conn (Buffer.to_bytes req) ~slow;
-        match Line_reader.line rd with
+        send_req conn
+          (set_request (Printf.sprintf "set %s 0 0 %d\r\n" key size) ~size
+             ~trailer:"\r\n")
+          ~slow;
+        match Tcp.recv_line conn with
         | Some hdr when String.trim hdr = "STORED" ->
             stored := true;
             true
@@ -121,15 +127,15 @@ let memcache client_tcp ~dst ?(port = 11211) ~key () =
         send_req conn
           (Bytes.of_string (Printf.sprintf "get %s\r\n" key))
           ~slow;
-        match Line_reader.line rd with
+        match Tcp.recv_line conn with
         | Some hdr when String.length hdr >= 5 && String.sub hdr 0 5 = "VALUE"
           -> (
             match String.split_on_char ' ' (String.trim hdr) with
             | [ _; _; _; len ] ->
                 let n = int_of_string len in
                 (* data + CRLF, then the END line. *)
-                Line_reader.exactly rd (n + 2) <> None
-                && Line_reader.line rd <> None
+                Tcp.recv_exact conn ~len:(n + 2) <> None
+                && Tcp.recv_line conn <> None
             | _ -> false)
         | _ -> false
       end
@@ -139,7 +145,6 @@ let memcache client_tcp ~dst ?(port = 11211) ~key () =
 
 let sqldb client_tcp ~dst ?(port = 3306) ~table ~row () =
   let conn = Tcp.connect client_tcp ~dst ~port in
-  let rd = Line_reader.create conn in
   let next = ref row in
   let request ~size ~slow =
     try
@@ -153,12 +158,12 @@ let sqldb client_tcp ~dst ?(port = 3306) ~table ~row () =
         else Printf.sprintf "RANGE %d %d %d\n" table id n
       in
       send_req conn (Bytes.of_string cmd) ~slow;
-      match Line_reader.line rd with
+      match Tcp.recv_line conn with
       | Some hdr -> (
           match String.split_on_char ' ' (String.trim hdr) with
-          | [ "ROW"; len ] -> Line_reader.exactly rd (int_of_string len) <> None
+          | [ "ROW"; len ] -> Tcp.recv_exact conn ~len:(int_of_string len) <> None
           | [ "ROWS"; _; total ] ->
-              Line_reader.exactly rd (int_of_string total) <> None
+              Tcp.recv_exact conn ~len:(int_of_string total) <> None
           | _ -> false)
       | None -> false
     with _ -> false

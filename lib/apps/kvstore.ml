@@ -11,9 +11,8 @@ type t = {
 }
 
 let handle t conn () =
-  let r = Line_reader.create conn in
   let rec serve () =
-    match Line_reader.line r with
+    match Tcp.recv_line conn with
     | None -> Tcp.close conn
     | Some cmd -> (
         Process.sleep cpu_per_op;
@@ -21,7 +20,7 @@ let handle t conn () =
         | [ "SET"; key; len ] -> (
             match int_of_string_opt len with
             | Some n -> (
-                match Line_reader.exactly r n with
+                match Tcp.recv_exact conn ~len:n with
                 | Some payload ->
                     Hashtbl.replace t.store key payload;
                     t.sets <- t.sets + 1;

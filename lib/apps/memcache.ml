@@ -15,10 +15,9 @@ type t = {
 let crlf = "\r\n"
 
 let handle t conn () =
-  let r = Line_reader.create conn in
   let reply s = Tcp.send conn (Bytes.of_string s) in
   let rec serve () =
-    match Line_reader.line r with
+    match Tcp.recv_line conn with
     | None -> Tcp.close conn
     | Some cmd -> (
         Process.sleep cpu_per_op;
@@ -26,13 +25,13 @@ let handle t conn () =
         | [ "set"; key; flags; _exptime; bytes ] -> (
             match (int_of_string_opt flags, int_of_string_opt bytes) with
             | Some flags, Some n -> (
-                match Line_reader.exactly r (n + 2) (* data + CRLF *) with
-                | Some raw ->
-                    let data = Bytes.sub raw 0 n in
+                let data = Tcp.recv_exact conn ~len:n in
+                match (data, Tcp.recv_exact conn ~len:2 (* CRLF *)) with
+                | Some data, Some _ ->
                     Hashtbl.replace t.store key { flags; data };
                     reply ("STORED" ^ crlf);
                     serve ()
-                | None -> Tcp.close conn)
+                | _ -> Tcp.close conn)
             | _ ->
                 reply ("CLIENT_ERROR bad command line" ^ crlf);
                 serve ())

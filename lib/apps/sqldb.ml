@@ -88,14 +88,13 @@ let clamp t table id =
   (table, id)
 
 let handle t conn () =
-  let r = Line_reader.create conn in
   let reply s = Tcp.send conn (Bytes.of_string s) in
   let charge () =
     t.queries <- t.queries + 1;
     if t.cpu_per_query > 0 then t.charge t.cpu_per_query
   in
   let rec serve () =
-    match Line_reader.line r with
+    match Tcp.recv_line conn with
     | None -> Tcp.close conn
     | Some cmd -> (
         match String.split_on_char ' ' (String.trim cmd) with
@@ -136,7 +135,7 @@ let handle t conn () =
             serve ()
         | [ "UPDATE"; tb; id; len ] -> (
             charge ();
-            match Line_reader.exactly r (int_of_string len) with
+            match Tcp.recv_exact conn ~len:(int_of_string len) with
             | Some data ->
                 let tb, id = clamp t (int_of_string tb) (int_of_string id) in
                 let row = Bytes.make row_size '\000' in

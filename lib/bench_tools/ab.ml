@@ -26,14 +26,13 @@ let run ~sched ~client_tcp ~server_ip ?(port = 80) ?(requests = 10_000)
     Process.spawn sched ~name:(Printf.sprintf "ab-%d" w) (fun () ->
         Process.sleep (Time.us ((seed * 89 + w * 11) mod 80));
         let conn = Tcp.connect client_tcp ~dst:server_ip ~port in
-        let rd = Kite_apps.Line_reader.create conn in
         for _ = 1 to per_worker do
           let t0 = Engine.now engine in
           Tcp.send conn request_bytes;
           (* Headers end at the blank line; Content-Length gives the body. *)
           let clen = ref 0 in
           let rec headers () =
-            match Kite_apps.Line_reader.line rd with
+            match Tcp.recv_line conn with
             | Some "\r" | Some "" -> ()
             | Some line ->
                 (match String.index_opt line ':' with
@@ -49,7 +48,7 @@ let run ~sched ~client_tcp ~server_ip ?(port = 80) ?(requests = 10_000)
             | None -> ()
           in
           headers ();
-          ignore (Kite_apps.Line_reader.exactly rd !clen);
+          ignore (Tcp.recv_exact conn ~len:!clen);
           completed := !completed + 1;
           bytes := !bytes + !clen;
           total_lat := !total_lat +. Time.to_ms_f (Engine.now engine - t0)

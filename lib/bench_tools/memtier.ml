@@ -29,9 +29,6 @@ let run ~sched ~client_tcp ~server_ip ?(port = 11211) ?(ops = 100_000)
     Process.spawn sched ~name:(Printf.sprintf "memtier-%d" c) (fun () ->
         Process.sleep (Time.us ((seed * 97 + c * 13) mod 80));
         let conn = Tcp.connect client_tcp ~dst:server_ip ~port in
-        let rd = Kite_apps.Line_reader.create conn in
-        let read_line_conn _conn = Kite_apps.Line_reader.line rd in
-        let recv_exact_conn n = Kite_apps.Line_reader.exactly rd n in
         if !started_at = 0 then started_at := Engine.now engine;
         for i = 0 to per_client - 1 do
           let key = Printf.sprintf "memtier-%d-%d" c (i mod 50) in
@@ -43,20 +40,20 @@ let run ~sched ~client_tcp ~server_ip ?(port = 11211) ?(ops = 100_000)
                  (Printf.sprintf "set %s 0 0 %d\r\n" key value_size));
             Tcp.send conn value;
             Tcp.send conn crlf;
-            ignore (read_line_conn conn)
+            ignore (Tcp.recv_line conn)
           end
           else begin
             incr gets;
             Tcp.send conn (Bytes.of_string (Printf.sprintf "get %s\r\n" key));
-            match read_line_conn conn with
+            match Tcp.recv_line conn with
             | Some hdr when String.length hdr >= 5 && String.sub hdr 0 5 = "VALUE"
               -> (
                 (* consume data + CRLF + END *)
                 match String.split_on_char ' ' hdr with
                 | [ _; _; _; len ] ->
                     let n = int_of_string (String.trim len) in
-                    ignore (recv_exact_conn (n + 2));
-                    ignore (read_line_conn conn)
+                    ignore (Tcp.recv_exact conn ~len:(n + 2));
+                    ignore (Tcp.recv_line conn)
                 | _ -> ())
             | _ -> ()
           end;

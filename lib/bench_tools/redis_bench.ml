@@ -25,7 +25,6 @@ let run ~sched ~client_tcp ~server_ip ?(port = 6379) ?(pipeline = 1000)
         (fun () ->
           Process.sleep (Time.us ((seed * 131 + th * 17) mod 80));
           let conn = Tcp.connect client_tcp ~dst:server_ip ~port in
-          let rd = Kite_apps.Line_reader.create conn in
           let remaining = ref ops_per_thread in
           while !remaining > 0 do
             let batch = min pipeline !remaining in
@@ -41,11 +40,11 @@ let run ~sched ~client_tcp ~server_ip ?(port = 6379) ?(pipeline = 1000)
             Tcp.send conn (Buffer.to_bytes b);
             (* Drain the batch's replies. *)
             for _ = 1 to batch do
-              match Kite_apps.Line_reader.line rd with
+              match Tcp.recv_line conn with
               | Some hdr
                 when String.length hdr > 1 && hdr.[0] = '$' && hdr <> "$-1" ->
                   let n = int_of_string (String.sub hdr 1 (String.length hdr - 1)) in
-                  ignore (Kite_apps.Line_reader.exactly rd n)
+                  ignore (Tcp.recv_exact conn ~len:n)
               | Some _ -> ()
               | None -> remaining := 0
             done;

@@ -28,28 +28,27 @@ let run ~sched ~client_tcp ~server_ip ?(port = 3306) ?(tables = 10)
            interleavings, like real load generators. *)
         Process.sleep (Time.us (Rng.int rng 400));
         let conn = Tcp.connect client_tcp ~dst:server_ip ~port in
-        let rd = Kite_apps.Line_reader.create conn in
         let send s = Tcp.send conn (Bytes.of_string s) in
-        let expect_ok () = ignore (Kite_apps.Line_reader.line rd) in
+        let expect_ok () = ignore (Tcp.recv_line conn) in
         let expect_row () =
-          match Kite_apps.Line_reader.line rd with
+          match Tcp.recv_line conn with
           | Some hdr -> (
               match String.split_on_char ' ' hdr with
               | [ "ROW"; n ] ->
-                  ignore (Kite_apps.Line_reader.exactly rd (int_of_string n))
+                  ignore (Tcp.recv_exact conn ~len:(int_of_string n))
               | _ -> ())
           | None -> ()
         in
         let expect_rows () =
-          match Kite_apps.Line_reader.line rd with
+          match Tcp.recv_line conn with
           | Some hdr -> (
               match String.split_on_char ' ' hdr with
               | [ "ROWS"; _; total ] ->
-                  ignore (Kite_apps.Line_reader.exactly rd (int_of_string total))
+                  ignore (Tcp.recv_exact conn ~len:(int_of_string total))
               | _ -> ())
           | None -> ()
         in
-        let expect_val () = ignore (Kite_apps.Line_reader.line rd) in
+        let expect_val () = ignore (Tcp.recv_line conn) in
         for _ = 1 to transactions_per_thread do
           let tx_start = Engine.now engine in
           (* sysbench's own per-transaction bookkeeping on the client. *)

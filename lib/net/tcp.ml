@@ -61,6 +61,15 @@ module Bytebuf = struct
   let peek b n =
     if n > b.len then invalid_arg "Bytebuf.peek";
     Wire.gather (b.front @ List.rev b.back) ~off:0 ~len:n
+
+  (* Offset of the first [c] queued.  The search moves every chunk to
+     [front] first, so it reads the FIFO in order. *)
+  let index b c =
+    if b.back <> [] then begin
+      b.front <- b.front @ List.rev b.back;
+      b.back <- []
+    end;
+    Wire.index b.front c
 end
 
 (* Connections by (local port, remote address, remote port): a
@@ -550,7 +559,7 @@ let connect t ~dst ~port =
 let send c data =
   if c.fin_requested || not (is_open c) then
     raise (Connection_closed "Tcp.send on closed connection");
-  Bytebuf.append c.sndbuf (Wire.of_bytes (Bytes.copy data));
+  Bytebuf.append c.sndbuf (Wire.of_bytes data);
   Condition.broadcast c.tx_cond;
   (* Backpressure: block while the buffer is overfull. *)
   while Bytebuf.length c.sndbuf > sndbuf_max && is_open c do
@@ -568,18 +577,30 @@ let rec recv c ~max =
     recv c ~max
   end
 
-let recv_exact c ~len =
-  let out = Bytes.create len in
-  let rec fill off =
-    if off = len then Some out
-    else
-      match recv c ~max:(len - off) with
-      | None -> None
-      | Some chunk ->
-          Bytes.blit chunk 0 out off (Bytes.length chunk);
-          fill (off + Bytes.length chunk)
-  in
-  fill 0
+(* The readers below leave bytes queued until a whole line or body is:
+   the advertised window is the constant [rcv_window], so how long bytes
+   wait in [rcvbuf] changes no segment. *)
+let rec recv_line c =
+  match Bytebuf.index c.rcvbuf '\n' with
+  | Some i ->
+      let line = Bytebuf.take c.rcvbuf i in
+      Bytebuf.drop c.rcvbuf 1;
+      Some (Bytes.unsafe_to_string line)
+  | None ->
+      if c.rcv_fin || c.state = Closed then None
+      else begin
+        Condition.wait c.rx_cond;
+        recv_line c
+      end
+
+let rec recv_exact c ~len =
+  if len < 0 then invalid_arg "Tcp.recv_exact";
+  if Bytebuf.length c.rcvbuf >= len then Some (Bytebuf.take c.rcvbuf len)
+  else if c.rcv_fin || c.state = Closed then None
+  else begin
+    Condition.wait c.rx_cond;
+    recv_exact c ~len
+  end
 
 let close c =
   if (not c.fin_requested) && c.state <> Closed then begin

@@ -41,14 +41,26 @@ val connect : t -> dst:Ipv4addr.t -> port:int -> conn
 
 val send : conn -> Bytes.t -> unit
 (** Queue bytes for transmission; blocks while the send buffer is full
-    (backpressure).  Raises {!Connection_closed} after [close] or reset. *)
+    (backpressure).  Raises {!Connection_closed} after [close] or reset.
+
+    The buffer is queued by reference, not copied: the caller must not
+    modify [data] after the call.  Each segment copies its bytes out of
+    the queue when the sender transmits it. *)
 
 val recv : conn -> max:int -> Bytes.t option
 (** Block until data is available, then return at most [max] bytes.
     [None] once the peer has closed and the buffer is drained. *)
 
+(** The two readers below wait until what they return is queued whole,
+    then copy it out of the received segments once.  At end of stream
+    they return [None] and leave any partial line or body queued. *)
+
+val recv_line : conn -> string option
+(** The next ['\n']-terminated line, terminator stripped (a ['\r']
+    before it is kept). *)
+
 val recv_exact : conn -> len:int -> Bytes.t option
-(** Receive exactly [len] bytes, or [None] if the stream ends first. *)
+(** The next [len] bytes. *)
 
 val close : conn -> unit
 (** Graceful close: queued data is flushed, then FIN. *)

@@ -39,6 +39,19 @@ let gather iov ~off ~len =
   go iov off 0;
   b
 
+(* Position of the first [c] in [buf] within [\[i, stop)], or -1. *)
+let rec scan buf c i stop =
+  if i >= stop then -1 else if Bytes.get buf i = c then i else scan buf c (i + 1) stop
+
+let index iov c =
+  let rec go at = function
+    | [] -> None
+    | s :: rest ->
+        let i = scan s.buf c s.off (s.off + s.len) in
+        if i >= 0 then Some (at + i - s.off) else go (at + s.len) rest
+  in
+  go 0 iov
+
 let concat = function
   | [ s ] -> s
   | iov -> of_bytes (gather iov ~off:0 ~len:(length iov))

@@ -40,6 +40,11 @@ val gather : slice list -> off:int -> len:int -> Bytes.t
 val concat : slice list -> slice
 (** One slice: the only element itself, else a gathered copy. *)
 
+val index : slice list -> char -> int option
+(** Offset in the concatenation of the first occurrence of the byte.
+    Each slice is searched only inside its own range
+    [\[off, off + len)], never the rest of its buffer. *)
+
 (** {1 Internet checksum} *)
 
 val sum : Bytes.t -> off:int -> len:int -> int

@@ -549,15 +549,14 @@ let test_line_reader () =
   Process.spawn s ~name:"server" (fun () ->
       let l = Tcp.listen tcp_s ~port:1234 in
       let c = Tcp.accept l in
-      let r = Line_reader.create c in
       for _ = 1 to 3 do
-        match Line_reader.line r with
+        match Tcp.recv_line c with
         | Some line -> lines := line :: !lines
         | None -> ()
       done;
-      blob := Line_reader.exactly r 10;
+      blob := Tcp.recv_exact c ~len:10;
       (* EOF surfaces as None from both operations. *)
-      (match Line_reader.line r with
+      (match Tcp.recv_line c with
       | None -> lines := "<eof>" :: !lines
       | Some _ -> ()));
   Process.spawn s ~name:"client" (fun () ->
