@@ -574,6 +574,136 @@ let test_line_reader () =
   check_bool "exact body" true
     (!blob = Some (Bytes.of_string "0123456789"))
 
+(* [Wire.index] searches each slice only inside its own range: a '\n'
+   just before a slice's offset or just past its end belongs to no
+   slice. *)
+let test_wire_index () =
+  let buf = Bytes.of_string "a\nbcdef\ngh" in
+  let slice off len = { Wire.buf; off; len } in
+  let check_index msg want iov =
+    Alcotest.(check (option int)) msg want (Wire.index iov '\n')
+  in
+  check_index "inside [2, 7) only" None [ slice 2 5 ];
+  check_index "before [0, 1) ends" None [ slice 0 1; slice 2 5 ];
+  check_index "empty slice at the newline" None [ slice 1 0; slice 8 0 ];
+  check_index "first byte of the second slice" (Some 5)
+    [ slice 2 5; slice 7 3 ];
+  check_index "last byte of the first slice" (Some 5) [ slice 2 6; slice 8 2 ];
+  check_index "no slices" None []
+
+(* The stream readers against a parse of the bytes sent.  A script of
+   lines and bodies (bodies may hold '\n', and line lengths cluster near
+   multiples of the 1,460-byte MSS so a '\n' lands on segment edges) is
+   sent, possibly cut short, in writes of random sizes, some followed by
+   a pause so the sender flushes a short segment.  Reading the script
+   back item by item must give what a cursor over the sent bytes gives,
+   [None] for a line or body the cut leaves partial, and what is left
+   after the script must still be queued. *)
+type item = Line of string | Body of string
+
+let item_bytes = function Line l -> l ^ "\n" | Body b -> b
+
+(* Each item's result and the unread rest: a partial line or body
+   returns [None] and leaves the cursor where it was. *)
+let reference script data =
+  let n = String.length data in
+  let step (pos, acc) item =
+    match item with
+    | Line _ -> (
+        match String.index_from_opt data pos '\n' with
+        | Some i -> (i + 1, Some (String.sub data pos (i - pos)) :: acc)
+        | None -> (pos, None :: acc))
+    | Body b ->
+        let k = String.length b in
+        if pos + k <= n then (pos + k, Some (String.sub data pos k) :: acc)
+        else (pos, None :: acc)
+  in
+  let pos, acc = List.fold_left step (0, []) script in
+  (List.rev acc, String.sub data pos (n - pos))
+
+let stream_case =
+  let open QCheck.Gen in
+  let near_mss = map2 (fun k d -> max 0 ((k * 1460) + d)) (1 -- 3) (-2 -- 2) in
+  let text chars len = string_size ~gen:(oneofl chars) (return len) in
+  let line =
+    frequency [ (1, 0 -- 40); (1, near_mss) ]
+    >>= text [ 'a'; 'b'; ' '; '\r' ] >|= fun l -> Line l
+  in
+  let body =
+    frequency [ (1, 0 -- 4000); (1, near_mss) ]
+    >>= text [ 'x'; 'y'; '\n'; '\r' ] >|= fun b -> Body b
+  in
+  let writes = list_size (1 -- 12) (pair (1 -- 3000) bool) in
+  list_size (1 -- 10) (frequency [ (2, line); (1, body) ]) >>= fun script ->
+  let total = String.length (String.concat "" (List.map item_bytes script)) in
+  let cut = frequency [ (1, return total); (1, 0 -- total) ] in
+  triple (return script) cut writes
+
+let print_case (script, cut, writes) =
+  Printf.sprintf "script [%s] cut %d writes [%s]"
+    (String.concat "; "
+       (List.map
+          (function
+            | Line l -> Printf.sprintf "L%d" (String.length l)
+            | Body b -> Printf.sprintf "B%d" (String.length b))
+          script))
+    cut
+    (String.concat "; "
+       (List.map (fun (n, p) -> Printf.sprintf "%d%s" n (if p then "+" else ""))
+          writes))
+
+let read_script conn script =
+  let results =
+    List.map
+      (function
+        | Line _ -> Tcp.recv_line conn
+        | Body b ->
+            Option.map Bytes.to_string
+              (Tcp.recv_exact conn ~len:(String.length b)))
+      script
+  in
+  let rest = Buffer.create 64 in
+  let rec drain () =
+    match Tcp.recv conn ~max:65536 with
+    | Some b ->
+        Buffer.add_bytes rest b;
+        drain ()
+    | None -> ()
+  in
+  drain ();
+  (results, Buffer.contents rest)
+
+let prop_stream_reader =
+  QCheck.Test.make ~name:"stream reader matches a parse of the bytes"
+    ~count:150
+    (QCheck.make ~print:print_case stream_case)
+    (fun (script, cut, writes) ->
+      let data =
+        String.sub (String.concat "" (List.map item_bytes script)) 0 cut
+      in
+      let e, s, server, client = setup () in
+      let tcp_s = Tcp.attach server and tcp_c = Tcp.attach client in
+      let got = ref None in
+      Process.spawn s ~name:"reader" (fun () ->
+          let c = Tcp.accept (Tcp.listen tcp_s ~port:1235) in
+          got := Some (read_script c script));
+      Process.spawn s ~name:"writer" (fun () ->
+          let c = Tcp.connect tcp_c ~dst:server_ip ~port:1235 in
+          let writes = Array.of_list writes in
+          let rec send off k =
+            if off < cut then begin
+              let n, pause = writes.(k mod Array.length writes) in
+              let n = min n (cut - off) in
+              Tcp.send c (Bytes.of_string (String.sub data off n));
+              if pause then Process.sleep (Time.us 30);
+              send (off + n) (k + 1)
+            end
+          in
+          send 0 0;
+          Tcp.close c);
+      Engine.run_until e (Time.sec 5);
+      !got = Some (reference script data))
+
 let suite =
   [
     ("httpd basic GET", `Quick, test_httpd_basic);
@@ -591,4 +721,6 @@ let suite =
     ("dhcp pool exhaustion", `Quick, test_dhcp_pool_exhaustion);
     ("dhcp nak", `Quick, test_dhcp_nak_on_wrong_request);
     ("line reader buffering", `Quick, test_line_reader);
+    ("wire index stays inside each slice", `Quick, test_wire_index);
+    QCheck_alcotest.to_alcotest prop_stream_reader;
   ]
