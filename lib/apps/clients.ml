@@ -161,9 +161,8 @@ let sqldb client_tcp ~dst ?(port = 3306) ~table ~row () =
       match Tcp.recv_line conn with
       | Some hdr -> (
           match String.split_on_char ' ' (String.trim hdr) with
-          | [ "ROW"; len ] -> Tcp.recv_exact conn ~len:(int_of_string len) <> None
-          | [ "ROWS"; _; total ] ->
-              Tcp.recv_exact conn ~len:(int_of_string total) <> None
+          | [ "ROW"; len ] | [ "ROWS"; _; len ] ->
+              Tcp.recv_exact conn ~len:(int_of_string len) <> None
           | _ -> false)
       | None -> false
     with _ -> false

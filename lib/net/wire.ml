@@ -41,7 +41,9 @@ let gather iov ~off ~len =
 
 (* Position of the first [c] in [buf] within [\[i, stop)], or -1. *)
 let rec scan buf c i stop =
-  if i >= stop then -1 else if Bytes.get buf i = c then i else scan buf c (i + 1) stop
+  if i >= stop then -1
+  else if Bytes.get buf i = c then i
+  else scan buf c (i + 1) stop
 
 let index iov c =
   let rec go at = function

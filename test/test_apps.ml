@@ -653,15 +653,13 @@ let print_case (script, cut, writes) =
           writes))
 
 let read_script conn script =
-  let results =
-    List.map
-      (function
-        | Line _ -> Tcp.recv_line conn
-        | Body b ->
-            Option.map Bytes.to_string
-              (Tcp.recv_exact conn ~len:(String.length b)))
-      script
+  let read acc = function
+    | Line _ -> Tcp.recv_line conn :: acc
+    | Body b ->
+        Option.map Bytes.to_string (Tcp.recv_exact conn ~len:(String.length b))
+        :: acc
   in
+  let results = List.rev (List.fold_left read [] script) in
   let rest = Buffer.create 64 in
   let rec drain () =
     match Tcp.recv conn ~max:65536 with
