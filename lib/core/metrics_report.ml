@@ -2,7 +2,8 @@ open Kite_metrics
 open Kite_stats
 
 (* Rendering only reads the registries through the public polling API
-   ([read] to enumerate instances, [series]/[quantile] for history), so
+   ([read] to enumerate instances, [last_sample]/[rate]/[quantile] for
+   history), so
    [kite_ctl top] and [kite_ctl metrics] are guaranteed to agree with
    the /metrics exposition — same registry, same closures. *)
 

@@ -32,7 +32,9 @@ let on_teardown hv f = teardowns := (hv, f) :: !teardowns
 (* Run and drop the selected machines' closures in registration order.
    A teardown that raises must not skip the others (each machine's
    audit runs last in its own), nor vanish: the first failure is raised
-   once all have run. *)
+   once all have run.  Nothing runs or reads a machine after that, so
+   its registry then keeps its polled values instead of the closures,
+   which would keep the whole machine alive as long as the sink. *)
 let teardown mine =
   let fs, rest = List.partition (fun (hv, _) -> mine hv) !teardowns in
   teardowns := rest;
@@ -44,6 +46,9 @@ let teardown mine =
         let bt = Printexc.get_raw_backtrace () in
         if Option.is_none !failure then failure := Some (e, bt))
     (List.rev fs);
+  List.fold_left (fun hvs (hv, _) -> if List.memq hv hvs then hvs else hv :: hvs) [] fs
+  |> List.iter (fun hv ->
+         Option.iter Registry.freeze (Hypervisor.metrics_registry hv));
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure
 
 let teardown_all () = teardown (fun _ -> true)
@@ -119,9 +124,8 @@ let arm hv tag =
       Option.iter (Kite_path.Path.tap_trace p) trace;
       Option.iter (Kite_path.Path.wire_metrics p) metrics)
     path;
-  (* A Dom0 sampler daemon snapshots every instrument into its
-     ring-buffered series on the registry's interval; teardown stops it
-     so audited runs quiesce. *)
+  (* A Dom0 sampler daemon samples every instrument each
+     [Registry.interval]; teardown stops it so audited runs quiesce. *)
   (match metrics with
   | Some r ->
       let stop = ref false in
@@ -129,7 +133,7 @@ let arm hv tag =
       Hypervisor.spawn hv (Hypervisor.dom0 hv) ~daemon:true
         ~name:"metrics-sampler" (fun () ->
           while not !stop do
-            Process.sleep (Registry.interval r);
+            Process.sleep Registry.interval;
             if not !stop then Registry.sample r ~at:(Hypervisor.now hv)
           done)
   | None -> ());

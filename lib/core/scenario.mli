@@ -10,8 +10,9 @@ val flavor_name : flavor -> string
 val teardown_all : unit -> unit
 (** Tear down every testbed that no {!run} has: machines driven by a
     fixed [Hypervisor.run_for] window.  Each runs the teardown {!run}
-    would run; all of them run even when one raises, the registry is
-    then empty and the first exception is re-raised. *)
+    would run, freeze included; all of them run even when one raises,
+    the list of teardowns is then empty and the first exception is
+    re-raised. *)
 
 val arm : Kite_xen.Hypervisor.t -> string -> Kite_drivers.Xen_ctx.t
 (** The machine's context, armed from the installed {!Obs} context: one
@@ -45,7 +46,8 @@ val run :
     When a metrics registry is armed, its last sample is a
     {!Kite_metrics.Registry.snapshot} at that instant.  Then [hv]'s
     testbed is torn down: the closures {!arm} and {!register_teardown}
-    registered for it run in that order, and the first failure is
+    registered for it run in that order, its metrics registry is frozen
+    ({!Kite_metrics.Registry.freeze}), and the first failure is
     re-raised once all have run.  Read the machine in [body] and pass
     [finish] what the caller needs.  Later calls to [finish] are
     ignored.  Fails with ["<what>: experiment did not complete"], leaving

@@ -10,27 +10,26 @@ type kind = Counter | Gauge | Histogram
 type labels = (string * string) list
 
 (* One registered instance of a family: its labels, the instrument, and
-   a bounded ring buffer of (at, value) samples. *)
+   the three samples a reader uses: the first (where a rate's window
+   starts), the newest, and the instant the value last changed (where a
+   rate's window ends).  A polled instrument, counter or gauge (the
+   family says which), becomes [I_frozen] with its last reading when the
+   registry is frozen. *)
 type instr =
   | I_counter of int ref
-  | I_counter_fn of (unit -> int) ref
   | I_gauge of float ref
-  | I_gauge_fn of (unit -> float) ref
+  | I_polled of (unit -> float)
+  | I_frozen of float
   | I_hist of Kite_stats.Histogram.t
 
 type instance = {
   i_labels : labels;
-  i_instr : instr;
-  s_ats : int array;
-  s_vals : float array;
-  mutable s_len : int;
-  mutable s_head : int;  (* next write slot *)
-  (* First-ever sample, kept after the ring wraps so lifetime rates
-     survive long runs; [s_change_at] is the last sample time at which
-     the value moved, bounding the active window for rate reports. *)
-  mutable s_first_at : int;
-  mutable s_first_val : float;
-  mutable s_change_at : int;
+  mutable i_instr : instr;
+  mutable first_at : int;  (* [min_int] until the first sample *)
+  mutable first_val : float;
+  mutable last_at : int;
+  mutable last_val : float;
+  mutable change_at : int;  (* [min_int] until the value first moves *)
 }
 
 type family = {
@@ -58,8 +57,6 @@ type probe_rec = {
 
 type t = {
   rname : string;
-  rinterval : int;
-  capacity : int;
   fams : (string, family) Hashtbl.t;
   mutable fam_order : string list;  (* reversed *)
   probes : (string, probe_rec) Hashtbl.t;
@@ -73,7 +70,7 @@ type t = {
 }
 
 let name t = t.rname
-let interval t = t.rinterval
+let interval = 100_000_000 (* 100 ms of simulated time *)
 
 (* ------------------------------------------------------------------ *)
 (* Names and label canonicalization                                    *)
@@ -130,18 +127,16 @@ let family t ~kind ~help name =
       t.fam_order <- name :: t.fam_order;
       f
 
-let new_instance t labels instr =
+let new_instance labels instr =
   List.iter (fun (k, _) -> check_name "label" k) labels;
   {
     i_labels = canon labels;
     i_instr = instr;
-    s_ats = Array.make t.capacity 0;
-    s_vals = Array.make t.capacity 0.0;
-    s_len = 0;
-    s_head = 0;
-    s_first_at = min_int;
-    s_first_val = 0.0;
-    s_change_at = min_int;
+    first_at = min_int;
+    first_val = 0.0;
+    last_at = min_int;
+    last_val = 0.0;
+    change_at = min_int;
   }
 
 (* Find-or-create the instance; [fresh] builds the instrument the first
@@ -154,7 +149,7 @@ let instance t ~kind ~help name labels ~fresh ~reuse =
   match Hashtbl.find_opt f.f_instances key with
   | Some i -> reuse name i
   | None ->
-      let i = new_instance t labels (fresh ()) in
+      let i = new_instance labels (fresh ()) in
       Hashtbl.add f.f_instances key i;
       f.f_order <- key :: f.f_order;
       i
@@ -195,33 +190,24 @@ let histogram t ?(help = "") ?base ?factor name labels =
   in
   match i.i_instr with I_hist h -> h | _ -> assert false
 
-let counter_fn t ?(help = "") name labels fn =
+(* A polled closure of either kind.  Replacement keeps the samples:
+   drivers re-register the same vif/vbd after a crash/reconnect cycle. *)
+let polled t ~kind ~help name labels fn =
   let i =
-    instance t ~kind:Counter ~help name labels
-      ~fresh:(fun () -> I_counter_fn (ref fn))
+    instance t ~kind ~help name labels
+      ~fresh:(fun () -> I_polled fn)
       ~reuse:(fun n i ->
         match i.i_instr with
-        | I_counter_fn r ->
-            (* Replacement keeps the series: drivers re-register the
-               same vif/vbd after a crash/reconnect cycle. *)
-            r := fn;
-            i
+        | I_polled _ | I_frozen _ -> i
         | _ -> style_clash n)
   in
-  ignore i
+  i.i_instr <- I_polled fn
+
+let counter_fn t ?(help = "") name labels fn =
+  polled t ~kind:Counter ~help name labels (fun () -> float_of_int (fn ()))
 
 let gauge_fn t ?(help = "") name labels fn =
-  let i =
-    instance t ~kind:Gauge ~help name labels
-      ~fresh:(fun () -> I_gauge_fn (ref fn))
-      ~reuse:(fun n i ->
-        match i.i_instr with
-        | I_gauge_fn r ->
-            r := fn;
-            i
-        | _ -> style_clash n)
-  in
-  ignore i
+  polled t ~kind:Gauge ~help name labels fn
 
 let inc (c : counter) = incr c
 let add (c : counter) n = c := !c + n
@@ -235,9 +221,9 @@ let observe (h : histogram) v = Kite_stats.Histogram.add h v
 let scalar i =
   match i.i_instr with
   | I_counter r -> float_of_int !r
-  | I_counter_fn r -> ( try float_of_int (!r ()) with _ -> Float.nan)
   | I_gauge r -> !r
-  | I_gauge_fn r -> ( try !r () with _ -> Float.nan)
+  | I_polled f -> ( try f () with _ -> Float.nan)
+  | I_frozen v -> v
   | I_hist h -> float_of_int (Kite_stats.Histogram.count h)
 
 let fam_names t = List.sort String.compare (List.rev t.fam_order)
@@ -285,26 +271,20 @@ let hbuckets t name labels =
 (* Sampling                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let push_sample t i ~at v =
-  if i.s_first_at = min_int then begin
-    i.s_first_at <- at;
-    i.s_first_val <- v
+let push_sample i ~at v =
+  if i.first_at = min_int then begin
+    i.first_at <- at;
+    i.first_val <- v
   end
-  else begin
-    let cap = Array.length i.s_ats in
-    let j = (i.s_head - 1 + cap) mod cap in
-    if i.s_vals.(j) <> v then i.s_change_at <- at
-  end;
-  i.s_ats.(i.s_head) <- at;
-  i.s_vals.(i.s_head) <- v;
-  i.s_head <- (i.s_head + 1) mod t.capacity;
-  if i.s_len < t.capacity then i.s_len <- i.s_len + 1
+  else if i.last_val <> v then i.change_at <- at;
+  i.last_at <- at;
+  i.last_val <- v
+
+let iter_instances t f =
+  Hashtbl.iter (fun _ fam -> Hashtbl.iter (fun _ i -> f i) fam.f_instances) t.fams
 
 let snapshot t ~at =
-  Hashtbl.iter
-    (fun _ f ->
-      Hashtbl.iter (fun _ i -> push_sample t i ~at (scalar i)) f.f_instances)
-    t.fams;
+  iter_instances t (fun i -> push_sample i ~at (scalar i));
   t.nsamples <- t.nsamples + 1
 
 let sample t ~at =
@@ -333,38 +313,19 @@ let sample t ~at =
 
 let samples_taken t = t.nsamples
 
-let series t name labels =
-  match find_instance t name labels with
-  | None -> []
-  | Some i ->
-      let cap = Array.length i.s_ats in
-      let start = if i.s_len < cap then 0 else i.s_head in
-      List.init i.s_len (fun k ->
-          let j = (start + k) mod cap in
-          (i.s_ats.(j), i.s_vals.(j)))
-
 let last_sample t name labels =
   match find_instance t name labels with
-  | None -> None
-  | Some i ->
-      if i.s_len = 0 then None
-      else
-        let cap = Array.length i.s_ats in
-        let j = (i.s_head - 1 + cap) mod cap in
-        Some (i.s_ats.(j), i.s_vals.(j))
+  | Some i when i.first_at <> min_int -> Some (i.last_at, i.last_val)
+  | _ -> None
 
 let rate t name labels =
   match find_instance t name labels with
-  | None -> None
-  | Some i ->
-      if i.s_len = 0 || i.s_first_at = min_int || i.s_change_at = min_int
-      then None
-      else
-        let cap = Array.length i.s_ats in
-        let j = (i.s_head - 1 + cap) mod cap in
-        let dt = i.s_change_at - i.s_first_at in
-        if dt <= 0 then None
-        else Some ((i.s_vals.(j) -. i.s_first_val) /. float_of_int dt *. 1e9)
+  | Some i when i.change_at <> min_int && i.change_at > i.first_at ->
+      Some
+        ((i.last_val -. i.first_val)
+        /. float_of_int (i.change_at - i.first_at)
+        *. 1e9)
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Probes                                                              *)
@@ -409,15 +370,10 @@ let stalled_probe ?(ticks = 3) ~pending ~progress () =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let default_interval = 100_000_000 (* 100 ms of simulated time *)
-
-let create ?(name = "sim") ?(interval = default_interval) ?(capacity = 512) () =
-  if capacity <= 0 then invalid_arg "Registry.create: capacity must be > 0";
+let create ?(name = "sim") () =
   let t =
     {
       rname = name;
-      rinterval = interval;
-      capacity;
       fams = Hashtbl.create 64;
       fam_order = [];
       probes = Hashtbl.create 16;
@@ -431,6 +387,15 @@ let create ?(name = "sim") ?(interval = default_interval) ?(capacity = 512) () =
   counter_fn t "kite_alerts_total" [] ~help:"Health-probe alerts fired"
     (fun () -> t.nalerts);
   t
+
+let freeze t =
+  iter_instances t (fun i ->
+      match i.i_instr with
+      | I_polled _ -> i.i_instr <- I_frozen (scalar i)
+      | _ -> ());
+  Hashtbl.reset t.probes;
+  t.probe_order <- [];
+  t.alert_obs <- None
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus text exposition                                          *)
@@ -684,12 +649,12 @@ let to_json ts =
 (* Run-wide default sink                                               *)
 (* ------------------------------------------------------------------ *)
 
-type sink = { s_interval : int; mutable members : t list (* reversed *) }
+type sink = { mutable members : t list (* reversed *) }
 
-let sink ?(interval = default_interval) () = { s_interval = interval; members = [] }
+let sink () = { members = [] }
 
 let create_in s ~name =
-  let t = create ~name ~interval:s.s_interval () in
+  let t = create ~name () in
   s.members <- t :: s.members;
   t
 

@@ -15,8 +15,9 @@
       already keep their own mutable counters (ring occupancy, active
       grants, live processes, ...).
 
-    {!sample} snapshots every instance into a bounded ring-buffered time
-    series keyed by the simulated clock, and evaluates health {!probe}s,
+    {!sample} reads every instance at a simulated instant, keeping three
+    anchors per instance (its first sample, its newest sample and the
+    instant its value last changed), and evaluates health {!probe}s,
     turning [Ok -> Alert] edges into structured {!alert} records.
 
     Like the tracer, registries live in a run-wide {!sink} (one registry
@@ -24,15 +25,15 @@
 
 type t
 
-val create : ?name:string -> ?interval:int -> ?capacity:int -> unit -> t
+val create : ?name:string -> unit -> t
 (** [name] labels the machine in multi-registry exposition (default
-    "sim"); [interval] is the sampling period in simulated ns (default
-    100 ms) — advisory: the sampler process reads it back with
-    {!interval}; [capacity] bounds each instance's time series (default
-    512 samples, oldest dropped first). *)
+    "sim"). *)
 
 val name : t -> string
-val interval : t -> int
+
+val interval : int
+(** The sampling period of a machine's sampler process, in simulated ns:
+    100 ms. *)
 
 (** {1 Instruments} *)
 
@@ -67,7 +68,7 @@ val counter_fn :
   t -> ?help:string -> string -> (string * string) list -> (unit -> int) -> unit
 (** Polled counter: the closure is read at sampling/exposition time and
     must be monotone.  Re-registering the same (family, labels) instance
-    replaces the closure but keeps the recorded series — drivers
+    replaces the closure but keeps the recorded samples — drivers
     re-register after crash/reconnect. *)
 
 val gauge_fn :
@@ -112,33 +113,39 @@ val hbuckets : t -> string -> (string * string) list -> (float * float * int) li
     (diff two snapshots to isolate the observations in between).  [None]
     when the instance is missing or not a histogram. *)
 
-(** {1 Sampling and time series} *)
+(** {1 Sampling} *)
 
 val sample : t -> at:int -> unit
 (** {!snapshot}, then evaluate health probes. *)
 
 val snapshot : t -> at:int -> unit
-(** Record every instance into its ring-buffered series at simulated
-    time [at] (ns), without evaluating probes.  A probe may charge the
-    domain that samples (a xenstore read), which needs a process; the
-    snapshot needs none, so it can close a run outside one. *)
+(** Read every instance at simulated time [at] (ns), without evaluating
+    probes.  Each instance keeps its first sample, its newest sample and
+    the instant of the last sample whose value differed ([<>]) from the
+    one before.  A probe may charge the domain that samples (a xenstore
+    read), which needs a process; the snapshot needs none, so it can
+    close a run outside one. *)
 
 val samples_taken : t -> int
 
-val series : t -> string -> (string * string) list -> (int * float) list
-(** Recorded (at, value) samples of one instance, oldest first; at most
-    [capacity] entries; [] if never registered or never sampled. *)
-
 val last_sample : t -> string -> (string * string) list -> (int * float) option
-(** The most recent recorded sample — the steady-state value to report
-    when the live instrument has already been torn down. *)
+(** The newest sample as (at, value) — the steady-state value to report
+    when the live instrument has already been torn down; [None] if never
+    registered or never sampled. *)
 
 val rate : t -> string -> (string * string) list -> float option
 (** Per-second change over the instance's {e active window}: from its
-    first-ever sample to the last sample at which the value moved, so an
-    idle drain tail does not dilute the figure.  Both anchors live
-    outside the ring and survive runs much longer than [capacity] x
-    interval.  [None] until the value has been seen to change. *)
+    first sample to the last sample at which the value moved, so an
+    idle drain tail does not dilute the figure.  [None] until the value
+    has been seen to change. *)
+
+val freeze : t -> unit
+(** For a registry whose machine is torn down: read each polled counter
+    and gauge once and keep that value in place of its closure (a
+    closure that raises keeps [nan]), and drop the health probes and the
+    alert observer.  Every read and exposition then returns what it
+    returned before, and the registry holds no closure into the
+    machine.  Re-registering a polled instance polls again. *)
 
 (** {1 Health probes and alerts} *)
 
@@ -203,9 +210,7 @@ val parse_prometheus : string -> (string * (string * string) list * float) list
 
 type sink
 
-val sink : ?interval:int -> unit -> sink
-(** Fresh sink; [interval] (sim ns, default 100 ms) seeds registries
-    made by {!create_in}. *)
+val sink : unit -> sink
 
 val create_in : sink -> name:string -> t
 (** New registry registered in the sink, named after its machine. *)

@@ -89,7 +89,7 @@ let test_scenario_run_final_sample () =
   match Kite_metrics.Registry.registries sink with
   | [ r ] ->
       check_bool "stop off the sampling grid" true
-        (stop mod Kite_metrics.Registry.interval r <> 0);
+        (stop mod Kite_metrics.Registry.interval <> 0);
       let at =
         Option.map fst
           (Kite_metrics.Registry.last_sample r "kite_sched_processes_live" [])
@@ -111,6 +111,22 @@ let test_run_frees_testbed () =
   let weak = Weak.create 2 in
   run_weakly weak;
   Gc.full_major ();
+  check_bool "network testbed collected" false (Weak.check weak 0);
+  check_bool "storage testbed collected" false (Weak.check weak 1)
+
+(* The same with metrics armed: the sink keeps each machine's registry,
+   and once the machine is torn down the registry keeps the values of its
+   polled closures, not the closures into the machine. *)
+let[@inline never] run_metered_weakly weak sink =
+  Obs.run { Obs.none with metrics = Some sink } @@ fun () -> run_weakly weak
+
+let test_run_frees_metered_testbed () =
+  let sink = Kite_metrics.Registry.sink () in
+  let weak = Weak.create 2 in
+  run_metered_weakly weak sink;
+  Gc.full_major ();
+  Alcotest.(check int) "registries kept" 2
+    (List.length (Kite_metrics.Registry.registries sink));
   check_bool "network testbed collected" false (Weak.check weak 0);
   check_bool "storage testbed collected" false (Weak.check weak 1)
 
@@ -427,4 +443,5 @@ let suite =
     ("extension: restart recovery", `Quick, test_restart_claim);
     ("blk path copy budget", `Quick, test_blk_path_copy_budget);
     ("a run frees its testbed", `Quick, test_run_frees_testbed);
+    ("a run frees its metered testbed", `Quick, test_run_frees_metered_testbed);
   ]

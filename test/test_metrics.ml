@@ -62,35 +62,109 @@ let test_instruments () =
   check_bool "bad label name" true
     (raises_invalid (fun () -> R.counter r "ok_total" [ ("9bad", "v") ]))
 
+(* Each instance keeps three anchors: its first sample, its newest
+   sample and the instant its value last changed. *)
 let test_sampling_and_series () =
-  let r = R.create ~name:"m" ~capacity:4 () in
+  let r = R.create ~name:"m" () in
   let n = ref 0 in
   R.counter_fn r "c_total" [] (fun () -> !n);
-  for i = 0 to 5 do
+  check_bool "no sample yet" true (R.last_sample r "c_total" [] = None);
+  R.sample r ~at:0;
+  check_bool "no rate before a change" true (R.rate r "c_total" [] = None);
+  for i = 1 to 5 do
     n := i;
     R.sample r ~at:(i * 100)
   done;
   check_int "samples taken" 6 (R.samples_taken r);
-  (* Ring keeps the newest [capacity] samples, oldest first. *)
-  Alcotest.(check (list (pair int (float 1e-9))))
-    "ring truncates oldest"
-    [ (200, 2.); (300, 3.); (400, 4.); (500, 5.) ]
-    (R.series r "c_total" []);
   check_bool "last sample" true (R.last_sample r "c_total" [] = Some (500, 5.));
-  (* Rate anchors at the first-ever sample, outside the ring. *)
+  (* The rate runs from the first sample. *)
   (match R.rate r "c_total" [] with
   | Some per_s -> Alcotest.(check (float 1e-3)) "rate" 1e7 per_s
   | None -> Alcotest.fail "rate after sampling");
   (* An idle tail does not dilute the rate (active-window semantics). *)
   R.sample r ~at:10_000_000;
+  check_bool "last sample after idle tail" true
+    (R.last_sample r "c_total" [] = Some (10_000_000, 5.));
   (match R.rate r "c_total" [] with
   | Some per_s -> Alcotest.(check (float 1e-3)) "rate after idle tail" 1e7 per_s
   | None -> Alcotest.fail "rate after idle tail");
-  (* Replacing a polled closure keeps the recorded series. *)
+  (* Replacing a polled closure keeps the anchors. *)
   R.counter_fn r "c_total" [] (fun () -> 42);
-  check_bool "series survives re-registration" true
-    (List.length (R.series r "c_total" []) = 4);
-  check_bool "new closure polls" true (R.value r "c_total" [] = Some 42.)
+  check_bool "anchors survive re-registration" true
+    (R.last_sample r "c_total" [] = Some (10_000_000, 5.)
+    && R.rate r "c_total" [] = Some 1e7);
+  check_bool "new closure polls" true (R.value r "c_total" [] = Some 42.);
+  R.sample r ~at:10_000_100;
+  (match R.rate r "c_total" [] with
+  | Some per_s ->
+      Alcotest.(check (float 1e-3)) "rate from the first sample"
+        (42. /. 10_000_100. *. 1e9) per_s
+  | None -> Alcotest.fail "rate after re-registration");
+  (* A change is against the previous sample: a gauge back at its first
+     value has still moved. *)
+  let g = R.gauge r "g" [] in
+  List.iteri
+    (fun k v ->
+      R.set g v;
+      R.sample r ~at:(k * 100))
+    [ 1.; 2.; 2.; 1. ];
+  check_bool "return to the first value is a change" true
+    (R.rate r "g" [] = Some 0.)
+
+(* Freezing keeps every reading: polled values (a raising closure as
+   nan), pushed instruments, alerts; the closures and probes go. *)
+let test_freeze () =
+  let same what a b =
+    (* [compare], not [=]: a nan reading equals itself. *)
+    check_bool what true (compare a b = 0)
+  in
+  let reads r = (R.read r, R.to_json [ r ], R.to_prometheus [ r ]) in
+  let r = R.create ~name:"f" () in
+  let n = ref 3 in
+  R.counter_fn r "polled_total" [ ("dev", "a") ] (fun () -> !n);
+  R.gauge_fn r "polled" [] (fun () -> float_of_int !n /. 2.);
+  R.gauge_fn r "broken" [] (fun () -> failwith "gone");
+  R.add (R.counter r "pushed_total" []) 7;
+  R.set (R.gauge r "level" []) 1.5;
+  List.iter (R.observe (R.histogram r "lat_ns" [])) [ 10.; 200.; 3000. ];
+  let probed = ref 0 in
+  R.probe r ~name:"always" [] (fun () ->
+      incr probed;
+      R.Alert "down");
+  R.sample r ~at:100;
+  n := 4;
+  R.sample r ~at:200;
+  let before = reads r in
+  R.freeze r;
+  same "read, json and prometheus" before (reads r);
+  n := 5;
+  same "closures no longer polled" before (reads r);
+  check_bool "raising closure kept as nan" true
+    (match R.value r "broken" [] with Some v -> Float.is_nan v | None -> false);
+  R.sample r ~at:300;
+  check_int "probes dropped" 2 !probed;
+  check_int "alert kept" 1 (List.length (R.alerts r));
+  check_bool "anchors kept" true
+    (R.last_sample r "polled_total" [ ("dev", "a") ] = Some (300, 4.)
+    && R.rate r "polled_total" [ ("dev", "a") ] = Some 1e7);
+  R.counter_fn r "polled_total" [ ("dev", "a") ] (fun () -> !n);
+  check_bool "re-registration polls again" true
+    (R.value r "polled_total" [ ("dev", "a") ] = Some 5.);
+  (* A live metered machine: its registry reads the same frozen. *)
+  let sink = R.sink () in
+  Obs.run { Obs.none with metrics = Some sink } (fun () ->
+      Fun.protect ~finally:Scenario.teardown_all @@ fun () ->
+      let s = Scenario.storage ~flavor:Scenario.Kite () in
+      let dev = Scenario.blockdev s in
+      Scenario.when_blk_ready s (fun () ->
+          dev.Kite_vfs.Blockdev.write ~sector:0 (Bytes.make 4096 'f'));
+      Kite_xen.Hypervisor.run_for s.Scenario.bhv (Time.ms 500);
+      match R.registries sink with
+      | [ r ] ->
+          let before = reads r in
+          R.freeze r;
+          same "machine registry reads the same frozen" before (reads r)
+      | rs -> Alcotest.failf "expected 1 registry, got %d" (List.length rs))
 
 let test_prometheus_roundtrip () =
   let r = R.create ~name:"m1" () in
@@ -389,6 +463,7 @@ let suite =
   [
     ("instruments and misuse", `Quick, test_instruments);
     ("sampling, series, rate", `Quick, test_sampling_and_series);
+    ("freeze keeps every read", `Quick, test_freeze);
     ("prometheus round-trip", `Quick, test_prometheus_roundtrip);
     ("probes edge-triggered", `Quick, test_probes_edge_triggered);
     ("stalled probe", `Quick, test_stalled_probe);
