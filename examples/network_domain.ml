@@ -25,9 +25,8 @@ let () =
 
   (* 2. Physical NICs and PCI passthrough, as the artifact's
      `xl pci-assignable-add` / `xl pci-attach` would do. *)
-  let metrics = Hypervisor.metrics hv in
-  let server_nic = Kite_devices.Nic.create sched metrics ~name:"ixgbe0" () in
-  let client_nic = Kite_devices.Nic.create sched metrics ~name:"client0" () in
+  let server_nic = Kite_devices.Nic.create sched ~name:"ixgbe0" () in
+  let client_nic = Kite_devices.Nic.create sched ~name:"client0" () in
   Kite_devices.Nic.connect server_nic client_nic ~propagation:(Time.ns 500);
   let pci = Kite_devices.Pci.create () in
   Kite_devices.Pci.register pci ~bdf:"01:00.0" (Kite_devices.Pci.Nic server_nic);

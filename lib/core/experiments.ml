@@ -1227,7 +1227,6 @@ let scale ~quick =
     let hv = Kite_xen.Hypervisor.create () in
     let ctx = Scenario.arm hv "scale-" in
     let sched = Kite_xen.Hypervisor.sched hv in
-    let metrics = Kite_xen.Hypervisor.metrics hv in
     let dd =
       Kite_xen.Hypervisor.create_domain hv ~name:"netdd"
         ~kind:Kite_xen.Domain.Driver_domain ~vcpus:nnics ~mem_mb:1024
@@ -1235,11 +1234,11 @@ let scale ~quick =
     let links =
       List.init nnics (fun i ->
           let srv =
-            Kite_devices.Nic.create sched metrics
+            Kite_devices.Nic.create sched
               ~name:(Printf.sprintf "srv%d" i) ~queue_limit:8192 ()
           in
           let cli =
-            Kite_devices.Nic.create sched metrics
+            Kite_devices.Nic.create sched
               ~name:(Printf.sprintf "cli%d" i) ~queue_limit:8192 ()
           in
           Kite_devices.Nic.connect srv cli ~propagation:(Time.ns 500);
@@ -1442,7 +1441,6 @@ let mq_run_gbps ~duration ~mq nq =
      armed-vs-disarmed tests arm every sink on exactly this workload. *)
   let ctx = Scenario.arm hv "mq-" in
   let sched = Kite_xen.Hypervisor.sched hv in
-  let metrics = Kite_xen.Hypervisor.metrics hv in
   let dd =
     Kite_xen.Hypervisor.create_domain hv ~name:"netdd"
       ~kind:Kite_xen.Domain.Driver_domain ~vcpus:nq ~mem_mb:1024
@@ -1452,11 +1450,11 @@ let mq_run_gbps ~duration ~mq nq =
       ~kind:Kite_xen.Domain.Dom_u ~vcpus:(2 * nq) ~mem_mb:2048
   in
   let srv =
-    Kite_devices.Nic.create sched metrics ~name:"eth-srv"
+    Kite_devices.Nic.create sched ~name:"eth-srv"
       ~line_rate_gbps:100.0 ~queue_limit:65536 ()
   in
   let cli =
-    Kite_devices.Nic.create sched metrics ~name:"eth-cli"
+    Kite_devices.Nic.create sched ~name:"eth-cli"
       ~line_rate_gbps:100.0 ~queue_limit:65536 ()
   in
   Kite_devices.Nic.connect srv cli ~propagation:(Time.ns 500);

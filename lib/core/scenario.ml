@@ -260,7 +260,6 @@ let network ?overheads_override ~flavor ?(seed = 2022) ?num_queues ?impair
   let hv = hypervisor () in
   let ctx = arm hv ("net-" ^ flavor_name flavor ^ "-") in
   let sched = Hypervisor.sched hv in
-  let metrics = Hypervisor.metrics hv in
   let profile =
     Kite_profiles.Os_profile.get
       (match flavor with
@@ -280,10 +279,10 @@ let network ?overheads_override ~flavor ?(seed = 2022) ?num_queues ?impair
   in
   (* The testbed's two 82599ES NICs and the SFP+ cable (Table 2). *)
   let server_nic =
-    Kite_devices.Nic.create sched metrics ~name:"eth-srv" ~queue_limit:8192 ()
+    Kite_devices.Nic.create sched ~name:"eth-srv" ~queue_limit:8192 ()
   in
   let client_nic =
-    Kite_devices.Nic.create sched metrics ~name:"eth-cli" ~queue_limit:8192 ()
+    Kite_devices.Nic.create sched ~name:"eth-cli" ~queue_limit:8192 ()
   in
   Kite_devices.Nic.connect server_nic client_nic ~propagation:(Time.ns 500);
   (* Link impairments ride the cable, one independent seeded stream per
@@ -377,7 +376,6 @@ let storage ~flavor ?(feature_persistent = true) ?(feature_indirect = true)
   let hv = hypervisor () in
   let ctx = arm hv ("blk-" ^ flavor_name flavor ^ "-") in
   let sched = Hypervisor.sched hv in
-  let metrics = Hypervisor.metrics hv in
   let profile =
     Kite_profiles.Os_profile.get
       (match flavor with
@@ -397,7 +395,7 @@ let storage ~flavor ?(feature_persistent = true) ?(feature_indirect = true)
   in
   (* Samsung 970 EVO Plus-ish NVMe (Table 2). *)
   let nvme =
-    Kite_devices.Nvme.create sched metrics ~name:"nvme0"
+    Kite_devices.Nvme.create sched ~name:"nvme0"
       ~capacity_sectors:(1 lsl 26) (* 32 GiB addressed by the experiments *)
       ()
   in

@@ -20,9 +20,6 @@ type t = {
   mutable fault : Kite_fault.Fault.t option;
   mutable impair : Kite_net.Impair.t option;
   mutable held : Bytes.t option;
-  m_rx : Metrics.counter;
-  m_tx : Metrics.counter;
-  m_drop : Metrics.counter;
 }
 
 let name t = t.name
@@ -34,7 +31,6 @@ let serialization_delay t len =
 let receive t frame =
   t.rx_packets <- t.rx_packets + 1;
   t.rx_bytes <- t.rx_bytes + Bytes.length frame;
-  Metrics.bump t.m_rx 1;
   match t.rx_handler with Some f -> f frame | None -> ()
 
 let transmitter t () =
@@ -45,7 +41,6 @@ let transmitter t () =
     Process.sleep (serialization_delay t len + t.per_packet);
     t.tx_packets <- t.tx_packets + 1;
     t.tx_bytes <- t.tx_bytes + len;
-    Metrics.bump t.m_tx 1;
     (match t.peer with
     | Some peer -> (
         let deliver extra frame =
@@ -75,7 +70,7 @@ let transmitter t () =
   in
   loop ()
 
-let create sched metrics ~name ?(line_rate_gbps = 10.0)
+let create sched ~name ?(line_rate_gbps = 10.0)
     ?(per_packet = Time.ns 100) ?(queue_limit = 1024) () =
   let t =
     {
@@ -96,9 +91,6 @@ let create sched metrics ~name ?(line_rate_gbps = 10.0)
       fault = None;
       impair = None;
       held = None;
-      m_rx = Metrics.counter metrics ("nic." ^ name ^ ".rx");
-      m_tx = Metrics.counter metrics ("nic." ^ name ^ ".tx");
-      m_drop = Metrics.counter metrics ("nic." ^ name ^ ".drop");
     }
   in
   Process.spawn sched ~daemon:true ~name:("nic-" ^ name ^ "-tx")
@@ -131,10 +123,7 @@ let transmit t frame =
         (Transient_error
            (Printf.sprintf "nic %s: transient transmit failure" t.name))
   | _ -> ());
-  if Mailbox.length t.txq >= t.queue_limit then begin
-    t.dropped <- t.dropped + 1;
-    Metrics.bump t.m_drop 1
-  end
+  if Mailbox.length t.txq >= t.queue_limit then t.dropped <- t.dropped + 1
   else Mailbox.send t.txq frame
 
 let tx_packets t = t.tx_packets

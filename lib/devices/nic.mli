@@ -11,7 +11,6 @@ type t
 
 val create :
   Kite_sim.Process.sched ->
-  Kite_sim.Metrics.t ->
   name:string ->
   ?line_rate_gbps:float ->
   ?per_packet:Kite_sim.Time.span ->

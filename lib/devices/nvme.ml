@@ -45,9 +45,6 @@ type t = {
   mutable writes : int;
   mutable bytes_read : int;
   mutable bytes_written : int;
-  m_read : Metrics.counter;
-  m_write : Metrics.counter;
-  m_flush : Metrics.counter;
   mutable fault : Kite_fault.Fault.t option;
 }
 
@@ -116,24 +113,20 @@ let worker t () =
         serve_io t t.read_base cmd.len;
         dma t Read ~sector:cmd.sector cmd.sg;
         t.reads <- t.reads + 1;
-        t.bytes_read <- t.bytes_read + cmd.len;
-        Metrics.bump t.m_read 1
+        t.bytes_read <- t.bytes_read + cmd.len
     | Write ->
         serve_io t write_base cmd.len;
         dma t Write ~sector:cmd.sector cmd.sg;
         t.writes <- t.writes + 1;
-        t.bytes_written <- t.bytes_written + cmd.len;
-        Metrics.bump t.m_write 1
-    | Flush ->
-        Process.sleep write_base;
-        Metrics.bump t.m_flush 1);
+        t.bytes_written <- t.bytes_written + cmd.len
+    | Flush -> Process.sleep write_base);
     cmd.completed <- true;
     Condition.broadcast cmd.done_;
     loop ()
   in
   loop ()
 
-let create sched metrics ~name ?(capacity_sectors = 976_773_168)
+let create sched ~name ?(capacity_sectors = 976_773_168)
     ?(queue_depth = 32) ?(read_base = Time.us 25) ?(cmd_overhead = Time.us 4)
     ?(bandwidth_mbps = 1500.0) () =
   let t =
@@ -151,9 +144,6 @@ let create sched metrics ~name ?(capacity_sectors = 976_773_168)
       writes = 0;
       bytes_read = 0;
       bytes_written = 0;
-      m_read = Metrics.counter metrics ("nvme." ^ name ^ ".read");
-      m_write = Metrics.counter metrics ("nvme." ^ name ^ ".write");
-      m_flush = Metrics.counter metrics ("nvme." ^ name ^ ".flush");
       fault = None;
     }
   in

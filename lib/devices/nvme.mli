@@ -22,7 +22,6 @@ val sector_size : int
 
 val create :
   Kite_sim.Process.sched ->
-  Kite_sim.Metrics.t ->
   name:string ->
   ?capacity_sectors:int ->
   ?queue_depth:int ->

@@ -1,9 +1,9 @@
 (** Named counters and time accounting for a simulation run.
 
-    One [Metrics.t] per machine collects hypercall counts, frame and
-    operation counts, and per-resource busy time (used for the CPU
-    utilization figures).  Writers hold a handle on one named cell;
-    readers look cells up by name. *)
+    One [Metrics.t] per machine collects the hypercall counts
+    (["hypercall.<op>"]) and each domain's vCPU busy time
+    (["vcpu.<domain>"], used for the CPU utilization figures).  Writers
+    hold a handle on one named cell; readers look cells up by name. *)
 
 type t
 

@@ -44,11 +44,11 @@ and acct = {
   calls : call_acct option array;
 }
 
-(* One hypercall's cells on one domain, with the tracer's handle for it
-   resolved against the tracer attached when it was last charged. *)
+(* One hypercall's count cell, with the tracer's handle for it on one
+   domain, resolved against the tracer attached when it was last
+   charged. *)
 and call_acct = {
   total : Metrics.counter;
-  per_domain : Metrics.counter;
   mutable traced : (Kite_trace.Trace.t * Kite_trace.Trace.op) option;
 }
 
@@ -174,19 +174,14 @@ let occupy t a span =
     Process.sleep (finish - now)
   end
 
-let call_acct t a dom call =
+let call_acct t a call =
   let i = hypercall_index call in
   match a.calls.(i) with
   | Some c -> c
   | None ->
-      (* Per-domain breakdown for xentrace-style profiles. *)
-      let name = hypercall_name call in
       let c =
         {
-          total = Metrics.counter t.metrics ("hypercall." ^ name);
-          per_domain =
-            Metrics.counter t.metrics
-              (Printf.sprintf "dom.%s.hypercall.%s" dom.Domain.name name);
+          total = Metrics.counter t.metrics ("hypercall." ^ hypercall_name call);
           traced = None;
         }
       in
@@ -207,9 +202,8 @@ let trace_op c tr dom call =
 let hypercall t dom call ~extra =
   let span = t.costs.Costs.hypercall_base + extra in
   let a = acct t dom in
-  let c = call_acct t a dom call in
+  let c = call_acct t a call in
   Metrics.bump c.total 1;
-  Metrics.bump c.per_domain 1;
   (match t.trace with
   | Some tr ->
       Kite_trace.Trace.charge tr ~at:(Engine.now t.engine)

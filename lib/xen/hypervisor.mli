@@ -76,9 +76,8 @@ val spawn :
 
 val hypercall : t -> Domain.t -> hypercall -> extra:Kite_sim.Time.span -> unit
 (** [hypercall hv dom call ~extra] occupies [dom]'s earliest-free vCPU for
-    [hypercall_base + extra] and counts the call in the counters
-    ["hypercall.<op>"] and ["dom.<domain>.hypercall.<op>"], where [<op>]
-    is the call's name in lower case ([grant_map], [grant_unmap],
+    [hypercall_base + extra] and counts the call in the counter
+    ["hypercall.<op>"], where [<op>] is the call's name in lower case ([grant_map], [grant_unmap],
     [grant_copy], [evtchn_send], [xenstore_op]); an attached tracer
     charges the operation ["hypercall.<op>"]. *)
 

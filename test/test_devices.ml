@@ -7,17 +7,16 @@ let check_bool = Alcotest.(check bool)
 let setup () =
   let e = Engine.create () in
   let s = Process.scheduler e in
-  let m = Metrics.create () in
-  (e, s, m)
+  (e, s)
 
 (* ------------------------------------------------------------------ *)
 (* NIC                                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_nic_delivery () =
-  let e, s, m = setup () in
-  let a = Nic.create s m ~name:"a" () in
-  let b = Nic.create s m ~name:"b" () in
+  let e, s = setup () in
+  let a = Nic.create s ~name:"a" () in
+  let b = Nic.create s ~name:"b" () in
   Nic.connect a b ~propagation:(Time.ns 100);
   let got = ref [] in
   Nic.set_rx_handler b (fun frame -> got := Bytes.to_string frame :: !got);
@@ -33,9 +32,9 @@ let test_nic_delivery () =
 
 let test_nic_serialization_rate () =
   (* A 1250-byte frame at 10 Gbps takes 1 us on the wire. *)
-  let e, s, m = setup () in
-  let a = Nic.create s m ~name:"a" ~per_packet:0 () in
-  let b = Nic.create s m ~name:"b" () in
+  let e, s = setup () in
+  let a = Nic.create s ~name:"a" ~per_packet:0 () in
+  let b = Nic.create s ~name:"b" () in
   Nic.connect a b ~propagation:0;
   let arrival = ref 0 in
   Nic.set_rx_handler b (fun _ -> arrival := Engine.now e);
@@ -45,9 +44,9 @@ let test_nic_serialization_rate () =
   check_int "1us serialization" (Time.us 1) !arrival
 
 let test_nic_full_duplex () =
-  let e, s, m = setup () in
-  let a = Nic.create s m ~name:"a" () in
-  let b = Nic.create s m ~name:"b" () in
+  let e, s = setup () in
+  let a = Nic.create s ~name:"a" () in
+  let b = Nic.create s ~name:"b" () in
   Nic.connect a b ~propagation:0;
   let a_got = ref 0 and b_got = ref 0 in
   Nic.set_rx_handler a (fun _ -> incr a_got);
@@ -59,9 +58,9 @@ let test_nic_full_duplex () =
   check_int "b received" 1 !b_got
 
 let test_nic_drops_when_full () =
-  let e, s, m = setup () in
-  let a = Nic.create s m ~name:"a" ~queue_limit:4 () in
-  let b = Nic.create s m ~name:"b" () in
+  let e, s = setup () in
+  let a = Nic.create s ~name:"a" ~queue_limit:4 () in
+  let b = Nic.create s ~name:"b" () in
   Nic.connect a b ~propagation:0;
   Process.spawn s ~name:"burst" (fun () ->
       (* Burst far beyond the queue limit without yielding. *)
@@ -75,10 +74,10 @@ let test_nic_drops_when_full () =
     (Nic.rx_packets b)
 
 let test_nic_double_connect () =
-  let _, s, m = setup () in
-  let a = Nic.create s m ~name:"a" () in
-  let b = Nic.create s m ~name:"b" () in
-  let c = Nic.create s m ~name:"c" () in
+  let _, s = setup () in
+  let a = Nic.create s ~name:"a" () in
+  let b = Nic.create s ~name:"b" () in
+  let c = Nic.create s ~name:"c" () in
   Nic.connect a b ~propagation:0;
   Alcotest.check_raises "wired" (Invalid_argument "Nic.connect: NIC already wired")
     (fun () -> Nic.connect a c ~propagation:0)
@@ -86,9 +85,9 @@ let test_nic_double_connect () =
 let test_nic_throughput_cap () =
   (* Offered 2x line rate: delivered throughput within the run window must
      not exceed the line rate. *)
-  let e, s, m = setup () in
-  let a = Nic.create s m ~name:"a" ~line_rate_gbps:1.0 ~per_packet:0 ~queue_limit:1_000_000 () in
-  let b = Nic.create s m ~name:"b" () in
+  let e, s = setup () in
+  let a = Nic.create s ~name:"a" ~line_rate_gbps:1.0 ~per_packet:0 ~queue_limit:1_000_000 () in
+  let b = Nic.create s ~name:"b" () in
   Nic.connect a b ~propagation:0;
   Nic.set_rx_handler b (fun _ -> ());
   Process.spawn s ~name:"src" (fun () ->
@@ -130,8 +129,8 @@ let contents sg =
        sg)
 
 let test_nvme_rw_roundtrip () =
-  let e, s, m = setup () in
-  let d = Nvme.create s m ~name:"ssd" () in
+  let e, s = setup () in
+  let d = Nvme.create s ~name:"ssd" () in
   let ok = ref false in
   Process.spawn s ~name:"io" (fun () ->
       let data = Bytes.make 1024 'z' in
@@ -148,8 +147,8 @@ let test_nvme_rw_roundtrip () =
   check_int "bytes" 1024 (Nvme.bytes_written d)
 
 let test_nvme_unwritten_zero () =
-  let e, s, m = setup () in
-  let d = Nvme.create s m ~name:"ssd" () in
+  let e, s = setup () in
+  let d = Nvme.create s ~name:"ssd" () in
   let ok = ref false in
   Process.spawn s ~name:"io" (fun () ->
       let back = fresh ~len:512 in
@@ -159,8 +158,8 @@ let test_nvme_unwritten_zero () =
   check_bool "zeroes" true !ok
 
 let test_nvme_partial_overwrite () =
-  let e, s, m = setup () in
-  let d = Nvme.create s m ~name:"ssd" () in
+  let e, s = setup () in
+  let d = Nvme.create s ~name:"ssd" () in
   let result = ref "" in
   Process.spawn s ~name:"io" (fun () ->
       Nvme.write d ~sector:0 (pages_of (Bytes.make 1024 'a'));
@@ -173,9 +172,9 @@ let test_nvme_partial_overwrite () =
   Alcotest.(check string) "second sector overwritten" "ab" !result
 
 let test_nvme_latency () =
-  let e, s, m = setup () in
+  let e, s = setup () in
   let d =
-    Nvme.create s m ~name:"ssd" ~read_base:(Time.us 25) ~cmd_overhead:0
+    Nvme.create s ~name:"ssd" ~read_base:(Time.us 25) ~cmd_overhead:0
       ~bandwidth_mbps:1000.0 ()
   in
   let took = ref 0 in
@@ -190,9 +189,9 @@ let test_nvme_latency () =
 let test_nvme_queue_parallelism () =
   (* Two concurrent reads at queue depth 2 overlap; at depth 1 serialize. *)
   let run depth =
-    let e, s, m = setup () in
+    let e, s = setup () in
     let d =
-      Nvme.create s m ~name:"ssd" ~queue_depth:depth
+      Nvme.create s ~name:"ssd" ~queue_depth:depth
         ~read_base:(Time.us 100) ~bandwidth_mbps:1e9 ()
     in
     let finished = ref 0 in
@@ -207,8 +206,8 @@ let test_nvme_queue_parallelism () =
   check_bool "depth2 overlaps" true (run 2 < run 1)
 
 let test_nvme_out_of_range () =
-  let e, s, m = setup () in
-  let d = Nvme.create s m ~name:"ssd" ~capacity_sectors:100 () in
+  let e, s = setup () in
+  let d = Nvme.create s ~name:"ssd" ~capacity_sectors:100 () in
   let raised = ref false in
   Process.spawn s ~name:"io" (fun () ->
       try Nvme.read d ~sector:99 (fresh ~len:1024)
@@ -217,8 +216,8 @@ let test_nvme_out_of_range () =
   check_bool "rejected" true !raised
 
 let test_nvme_unaligned_write () =
-  let e, s, m = setup () in
-  let d = Nvme.create s m ~name:"ssd" () in
+  let e, s = setup () in
+  let d = Nvme.create s ~name:"ssd" () in
   let raised = ref false in
   Process.spawn s ~name:"io" (fun () ->
       try Nvme.write d ~sector:0 (fresh ~len:100)
@@ -228,8 +227,8 @@ let test_nvme_unaligned_write () =
   check_int "never reached the queue" 0 (Nvme.writes d)
 
 let test_nvme_flush () =
-  let e, s, m = setup () in
-  let d = Nvme.create s m ~name:"ssd" () in
+  let e, s = setup () in
+  let d = Nvme.create s ~name:"ssd" () in
   let done_ = ref false in
   Process.spawn s ~name:"io" (fun () ->
       Nvme.flush d;
@@ -240,8 +239,8 @@ let test_nvme_flush () =
 let test_nvme_chunk_boundary () =
   (* Sectors 7 and 8 straddle the media's first 4 KiB chunk boundary;
      their neighbours 6 and 9 were never written. *)
-  let e, s, m = setup () in
-  let d = Nvme.create s m ~name:"ssd" () in
+  let e, s = setup () in
+  let d = Nvme.create s ~name:"ssd" () in
   let got = ref "" in
   Process.spawn s ~name:"io" (fun () ->
       let data = Bytes.init 1024 (fun i -> Char.chr (33 + (i mod 90))) in
@@ -260,8 +259,8 @@ let test_nvme_chunk_boundary () =
 let test_nvme_no_alias () =
   (* The media keeps its own copy: scribbling the source page after the
      write completes changes nothing stored. *)
-  let e, s, m = setup () in
-  let d = Nvme.create s m ~name:"ssd" () in
+  let e, s = setup () in
+  let d = Nvme.create s ~name:"ssd" () in
   let got = ref "" in
   Process.spawn s ~name:"io" (fun () ->
       let sg = pages_of (Bytes.make 4096 'w') in
@@ -276,8 +275,8 @@ let test_nvme_no_alias () =
 let test_nvme_page_offsets () =
   (* Segments may start anywhere in their page, and one command may list
      several. *)
-  let e, s, m = setup () in
-  let d = Nvme.create s m ~name:"ssd" () in
+  let e, s = setup () in
+  let d = Nvme.create s ~name:"ssd" () in
   let src = Page.alloc () and dst = Page.alloc () in
   let got = ref "" and rejected = ref false in
   Process.spawn s ~name:"io" (fun () ->
@@ -304,9 +303,9 @@ let dom ~id ~name ~kind =
   { Kite_xen.Domain.id; name; kind; vcpus = 1; mem_mb = 512 }
 
 let test_pci_passthrough_flow () =
-  let _, s, m = setup () in
+  let _, s = setup () in
   let pci = Pci.create () in
-  let nic = Nic.create s m ~name:"eth0" () in
+  let nic = Nic.create s ~name:"eth0" () in
   Pci.register pci ~bdf:"01:00.0" (Pci.Nic nic);
   let dd = dom ~id:1 ~name:"netdd" ~kind:Kite_xen.Domain.Driver_domain in
   (* Attach before assignable-add fails. *)
@@ -329,9 +328,9 @@ let test_pci_passthrough_flow () =
   check_bool "released" true (Pci.owner pci ~bdf:"01:00.0" = None)
 
 let test_pci_iommu_required () =
-  let _, s, m = setup () in
+  let _, s = setup () in
   let pci = Pci.create ~iommu:false () in
-  let nvme = Nvme.create s m ~name:"ssd" () in
+  let nvme = Nvme.create s ~name:"ssd" () in
   Pci.register pci ~bdf:"02:00.0" (Pci.Nvme nvme);
   Pci.assignable_add pci ~bdf:"02:00.0";
   let dd = dom ~id:1 ~name:"stor" ~kind:Kite_xen.Domain.Driver_domain in
@@ -344,13 +343,13 @@ let test_pci_iommu_required () =
   ignore (Pci.attach pci ~bdf:"02:00.0" d0)
 
 let test_pci_unknown_and_duplicate () =
-  let _, s, m = setup () in
+  let _, s = setup () in
   let pci = Pci.create () in
   (try
      Pci.assignable_add pci ~bdf:"ff:00.0";
      Alcotest.fail "expected Pci_error (unknown)"
    with Pci.Pci_error _ -> ());
-  let nic = Nic.create s m ~name:"eth0" () in
+  let nic = Nic.create s ~name:"eth0" () in
   Pci.register pci ~bdf:"01:00.0" (Pci.Nic nic);
   (try
      Pci.register pci ~bdf:"01:00.0" (Pci.Nic nic);

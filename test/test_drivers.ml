@@ -71,7 +71,6 @@ let make_net_scenario ?(overheads = Overheads.kite) () =
   let hv = Hypervisor.create () in
   let ctx = Xen_ctx.create hv in
   let sched = Hypervisor.sched hv in
-  let metrics = Hypervisor.metrics hv in
   let dd =
     Hypervisor.create_domain hv ~name:"netdd" ~kind:Domain.Driver_domain
       ~vcpus:1 ~mem_mb:1024
@@ -81,8 +80,8 @@ let make_net_scenario ?(overheads = Overheads.kite) () =
       ~mem_mb:5120
   in
   (* Physical NICs and the cable. *)
-  let server_nic = Kite_devices.Nic.create sched metrics ~name:"eth-srv" () in
-  let client_nic = Kite_devices.Nic.create sched metrics ~name:"eth-cli" () in
+  let server_nic = Kite_devices.Nic.create sched ~name:"eth-srv" () in
+  let client_nic = Kite_devices.Nic.create sched ~name:"eth-cli" () in
   Kite_devices.Nic.connect server_nic client_nic ~propagation:(Time.ns 500);
   (* PCI passthrough of the server NIC to the driver domain. *)
   let pci = Kite_devices.Pci.create () in
@@ -211,7 +210,6 @@ let test_net_domain_two_guests () =
   let hv = Hypervisor.create () in
   let ctx = Xen_ctx.create hv in
   let sched = Hypervisor.sched hv in
-  let metrics = Hypervisor.metrics hv in
   let dd =
     Hypervisor.create_domain hv ~name:"netdd" ~kind:Domain.Driver_domain
       ~vcpus:1 ~mem_mb:1024
@@ -221,8 +219,8 @@ let test_net_domain_two_guests () =
       ~mem_mb:2048
   in
   let domu1 = mk_domu "domu1" and domu2 = mk_domu "domu2" in
-  let server_nic = Kite_devices.Nic.create sched metrics ~name:"eth-srv" () in
-  let client_nic = Kite_devices.Nic.create sched metrics ~name:"eth-cli" () in
+  let server_nic = Kite_devices.Nic.create sched ~name:"eth-srv" () in
+  let client_nic = Kite_devices.Nic.create sched ~name:"eth-cli" () in
   Kite_devices.Nic.connect server_nic client_nic ~propagation:(Time.ns 500);
   let net_app =
     Net_app.run ctx ~domain:dd ~nic:server_nic ~overheads:Overheads.kite ()
@@ -287,7 +285,6 @@ let make_blk_scenario ?(overheads = Overheads.kite) ?(feature_persistent = true)
   let hv = Hypervisor.create () in
   let ctx = Xen_ctx.create hv in
   let sched = Hypervisor.sched hv in
-  let metrics = Hypervisor.metrics hv in
   let dd =
     Hypervisor.create_domain hv ~name:"stordd" ~kind:Domain.Driver_domain
       ~vcpus:1 ~mem_mb:1024
@@ -297,7 +294,7 @@ let make_blk_scenario ?(overheads = Overheads.kite) ?(feature_persistent = true)
       ~mem_mb:5120
   in
   let nvme =
-    Kite_devices.Nvme.create sched metrics ~name:"nvme0"
+    Kite_devices.Nvme.create sched ~name:"nvme0"
       ~capacity_sectors:(1 lsl 22) ()
   in
   let pci = Kite_devices.Pci.create () in
@@ -502,7 +499,6 @@ let test_blk_two_guests_share_device () =
   let hv = Hypervisor.create () in
   let ctx = Xen_ctx.create hv in
   let sched = Hypervisor.sched hv in
-  let metrics = Hypervisor.metrics hv in
   let dd =
     Hypervisor.create_domain hv ~name:"stordd" ~kind:Domain.Driver_domain
       ~vcpus:1 ~mem_mb:1024
@@ -513,7 +509,7 @@ let test_blk_two_guests_share_device () =
   in
   let u1 = mk "u1" and u2 = mk "u2" in
   let nvme =
-    Kite_devices.Nvme.create sched metrics ~name:"nvme0"
+    Kite_devices.Nvme.create sched ~name:"nvme0"
       ~capacity_sectors:(1 lsl 20) ()
   in
   let app =
@@ -588,11 +584,11 @@ let test_hot_add_second_device () =
       ~mem_mb:1024
   in
   let nvme =
-    Kite_devices.Nvme.create (Hypervisor.sched hv) (Hypervisor.metrics hv)
+    Kite_devices.Nvme.create (Hypervisor.sched hv)
       ~name:"nvme0" ~capacity_sectors:(1 lsl 16) ()
   in
   let nic =
-    Kite_devices.Nic.create (Hypervisor.sched hv) (Hypervisor.metrics hv)
+    Kite_devices.Nic.create (Hypervisor.sched hv)
       ~name:"eth0" ()
   in
   let blk = Blk_app.run ctx ~domain:dd ~nvme ~overheads:Overheads.kite () in

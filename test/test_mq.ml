@@ -138,7 +138,7 @@ let test_net_backend_caps_ask () =
   let ctx = Kite_drivers.Xen_ctx.create hv in
   let dd, domu = mk_domains hv in
   let nic =
-    Kite_devices.Nic.create (Hypervisor.sched hv) (Hypervisor.metrics hv)
+    Kite_devices.Nic.create (Hypervisor.sched hv)
       ~name:"eth0" ()
   in
   let app =
@@ -179,7 +179,7 @@ let test_blk_backend_caps_ask () =
   let ctx = Kite_drivers.Xen_ctx.create hv in
   let dd, domu = mk_domains hv in
   let nvme =
-    Kite_devices.Nvme.create (Hypervisor.sched hv) (Hypervisor.metrics hv)
+    Kite_devices.Nvme.create (Hypervisor.sched hv)
       ~name:"nvme0" ~capacity_sectors:(1 lsl 16) ()
   in
   let app =
@@ -219,7 +219,7 @@ let test_blk_legacy_frontend_on_mq_backend () =
   let ctx = Kite_drivers.Xen_ctx.create hv in
   let dd, domu = mk_domains hv in
   let nvme =
-    Kite_devices.Nvme.create (Hypervisor.sched hv) (Hypervisor.metrics hv)
+    Kite_devices.Nvme.create (Hypervisor.sched hv)
       ~name:"nvme0" ~capacity_sectors:(1 lsl 16) ()
   in
   ignore
@@ -454,11 +454,11 @@ let test_cap_zero_means_legacy () =
   let ctx = Kite_drivers.Xen_ctx.create hv in
   let dd, domu = mk_domains hv in
   let nvme =
-    Kite_devices.Nvme.create (Hypervisor.sched hv) (Hypervisor.metrics hv)
+    Kite_devices.Nvme.create (Hypervisor.sched hv)
       ~name:"nvme0" ~capacity_sectors:(1 lsl 16) ()
   in
   let nic =
-    Kite_devices.Nic.create (Hypervisor.sched hv) (Hypervisor.metrics hv)
+    Kite_devices.Nic.create (Hypervisor.sched hv)
       ~name:"eth0" ()
   in
   let blk =
