@@ -5,23 +5,17 @@
    (a [Some]-pattern case or an [if ... active () then ...] branch), and
    per-file tallies of paired-resource calls for the pairing rules. *)
 
-type config = {
-  policed_modules : string list;
-  skip_basenames : string list;
-}
+(* Last module component of the hook call paths the guard rule polices.
+   The path engine has no hook: it only observes the tracer. *)
+let policed_modules = [ "Check"; "Trace"; "Fault"; "Race"; "Registry"; "Flight" ]
 
-let default_config =
-  {
-    policed_modules =
-      [ "Check"; "Trace"; "Fault"; "Race"; "Registry"; "Flight" ];
-    (* The detector implementations call their own internals freely;
-       linting them for guards would be circular. *)
-    skip_basenames =
-      [
-        "check.ml"; "report.ml"; "trace.ml"; "fault.ml"; "race.ml";
-        "registry.ml"; "flight.ml"; "slo.ml"; "lint.ml";
-      ];
-  }
+(* The detector implementations call their own internals freely;
+   linting them for guards would be circular. *)
+let skip_basenames =
+  [
+    "check.ml"; "report.ml"; "trace.ml"; "fault.ml"; "race.ml";
+    "registry.ml"; "flight.ml"; "slo.ml"; "lint.ml";
+  ]
 
 (* Hot hook functions: anything here, called through a policed module
    path, must be under a guard so it costs nothing when no sink is
@@ -156,7 +150,7 @@ let emit report ~rule ~file ~line msg =
    testbed arms through [Scenario.arm], so armed runs reach it. *)
 let ctx_builder = "scenario.ml"
 
-let lint_structure config report ~file ~check_guards str =
+let lint_structure report ~file ~check_guards str =
   let facts = fresh_facts () in
   let guarded = ref false in
   let with_guard f =
@@ -202,7 +196,7 @@ let lint_structure config report ~file ~check_guards str =
               (match split_path txt with
               | Some (m, f)
                 when check_guards && (not !guarded)
-                     && List.mem m config.policed_modules
+                     && List.mem m policed_modules
                      && Hashtbl.mem policed_fn_tbl f ->
                   emit report ~rule:"lint-hook-unguarded" ~file
                     ~line:loc.Location.loc_start.Lexing.pos_lnum
@@ -242,9 +236,8 @@ let lint_structure config report ~file ~check_guards str =
       "builds a hypervisor and arms it (Scenario.arm) but never calls \
        Scenario.register_teardown"
 
-let lint_file ?(config = default_config) report path =
-  let base = Filename.basename path in
-  let check_guards = not (List.mem base config.skip_basenames) in
+let lint_file report path =
+  let check_guards = not (List.mem (Filename.basename path) skip_basenames) in
   match
     let ic = open_in_bin path in
     Fun.protect
@@ -257,12 +250,12 @@ let lint_file ?(config = default_config) report path =
       let lexbuf = Lexing.from_string content in
       Lexing.set_filename lexbuf path;
       match Parse.implementation lexbuf with
-      | str -> lint_structure config report ~file:path ~check_guards str
+      | str -> lint_structure report ~file:path ~check_guards str
       | exception exn ->
           emit report ~rule:"lint-parse-error" ~file:path ~line:0
             (Printexc.to_string exn))
 
-let lint_paths ?(config = default_config) report paths =
+let lint_paths report paths =
   let linted = ref 0 in
   let rec walk path =
     if Sys.is_directory path then
@@ -270,7 +263,7 @@ let lint_paths ?(config = default_config) report paths =
         (fun entry -> walk (Filename.concat path entry))
         (Sys.readdir path)
     else if Filename.check_suffix path ".ml" then begin
-      lint_file ~config report path;
+      lint_file report path;
       incr linted
     end
   in

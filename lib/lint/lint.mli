@@ -18,23 +18,17 @@
     only ever reached through a guard the lint cannot see, e.g. the
     memoizing per-sink registration helpers in [Process.spawn]. *)
 
-type config = {
-  policed_modules : string list;
-      (** Last module component of hook call paths to police
-          (default ["Check"; "Trace"; "Fault"; "Race"; "Registry";
-          "Flight"]).  The path engine has no hook: it only observes
-          the tracer. *)
-  skip_basenames : string list;
-      (** Files excluded from the hook-guard rule — the detector
-          implementations themselves. *)
-}
-
-val lint_file : ?config:config -> Kite_check.Report.t -> string -> unit
+val lint_file : Kite_check.Report.t -> string -> unit
 (** Parse one [.ml] file and append any findings to the report.  A file
     that fails to parse yields a [lint-parse-error] finding rather than
-    an exception. *)
+    an exception.  The hook-guard rule polices calls through the modules
+    [Check], [Trace], [Fault], [Race], [Registry] and [Flight] (the path
+    engine has no hook: it only observes the tracer), and skips the
+    detector implementations themselves ([check.ml], [report.ml],
+    [trace.ml], [fault.ml], [race.ml], [registry.ml], [flight.ml],
+    [slo.ml], [lint.ml]). *)
 
-val lint_paths : ?config:config -> Kite_check.Report.t -> string list -> int
+val lint_paths : Kite_check.Report.t -> string list -> int
 (** Walk directories recursively (or take files as-is), lint every
     [.ml] file found, and return the number of files linted.  Findings
     accumulate in the report under subsystem ["lint"] with rules

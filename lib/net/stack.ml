@@ -214,13 +214,13 @@ let udp_recv_timeout sock span = Mailbox.recv_timeout sock.incoming span
 (* ICMP                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let ping t ~dst ?(payload_len = 56) ?(timeout = Time.sec 1) ~seq () =
+let ping t ~dst ?(timeout = Time.sec 1) ~seq () =
   let id = t.next_ping_id in
   t.next_ping_id <- t.next_ping_id + 1;
   let w = { id; seq; reply_at = None; cond = Condition.create () } in
   t.pings <- w :: t.pings;
   let start = Engine.now (Process.engine t.sched) in
-  let payload = Bytes.make payload_len 'p' in
+  let payload = Bytes.make 56 'p' in
   (* An unreachable host simply never answers. *)
   (try
      send_ip t ~dst ~protocol:Ipv4.Icmp

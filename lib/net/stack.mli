@@ -64,9 +64,10 @@ val set_tcp_handler : t -> (Ipv4.header -> Wire.slice -> unit) -> unit
 
 (** {1 ICMP} *)
 
-val ping : t -> dst:Ipv4addr.t -> ?payload_len:int -> ?timeout:Kite_sim.Time.span ->
+val ping : t -> dst:Ipv4addr.t -> ?timeout:Kite_sim.Time.span ->
   seq:int -> unit -> Kite_sim.Time.span option
-(** Send an echo request, return the RTT or [None] on timeout. *)
+(** Send an echo request with a 56-byte payload (ping's default), return
+    the RTT or [None] on timeout. *)
 
 (** {1 UDP} *)
 

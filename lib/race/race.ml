@@ -38,21 +38,11 @@
    per-detector pseudo-process [@main], which also seeds spawn edges for
    processes spawned from setup code. *)
 
-type config = {
-  capture_stacks : bool;  (* record both access backtraces per finding *)
-  stack_depth : int;
-  max_reports_per_loc : int;  (* cap duplicate findings per location *)
-  suppressions : (string * string) list;
-      (* (rule, location prefix): known benign races, see DESIGN.md §13 *)
-}
-
-let default_config =
-  {
-    capture_stacks = true;
-    stack_depth = 12;
-    max_reports_per_loc = 4;
-    suppressions = [];
-  }
+(* Each finding carries both accesses' backtraces, 12 frames deep, and
+   a location reports at most 4 findings, so a hot loop cannot flood the
+   report. *)
+let stack_depth = 12
+let max_reports_per_loc = 4
 
 (* Sparse vector clock: pid -> component.  Missing entries read as 0. *)
 type clock = (int, int) Hashtbl.t
@@ -90,7 +80,6 @@ type proc = {
 }
 
 type t = {
-  config : config;
   report : Kite_check.Report.t;
   name : string;
   main : proc;  (* pid -1: setup / timer / interrupt context *)
@@ -106,8 +95,6 @@ type t = {
       (* per-slot high-water mark of the own component at exit *)
   ring_gens : (string, int) Hashtbl.t;
       (* attach count per ring name: reconnects build fresh rings *)
-  mutable races : int;  (* error-severity findings *)
-  mutable atomicity : int;  (* warning-severity findings *)
 }
 
 let clock_get c pid =
@@ -129,11 +116,10 @@ let mk_proc pid name =
   tick p;  (* own component starts at 1 so a_own = 0 never occurs *)
   p
 
-let create ?(config = default_config) ?(name = "-") report =
+let create ?(name = "-") report =
   let main = mk_proc (-1) "@main" in
   let t =
     {
-      config;
       report;
       name;
       main;
@@ -146,8 +132,6 @@ let create ?(config = default_config) ?(name = "-") report =
       free_pids = [];
       hw = Hashtbl.create 32;
       ring_gens = Hashtbl.create 8;
-      races = 0;
-      atomicity = 0;
     }
   in
   t.self <- Some t;
@@ -274,15 +258,7 @@ let proc_exited t p =
 (* Findings                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let suppressed t rule loc =
-  List.exists
-    (fun (r, prefix) -> r = rule && String.starts_with ~prefix loc)
-    t.config.suppressions
-
-let capture t =
-  if t.config.capture_stacks then
-    Some (Printexc.get_callstack t.config.stack_depth)
-  else None
+let capture () = Some (Printexc.get_callstack stack_depth)
 
 let fmt_stack label = function
   | None -> ""
@@ -302,12 +278,8 @@ let kind_str = function `Read -> "read" | `Write -> "write"
 (* Two accesses with no happens-before path: under another schedule seed
    they can occur in either order. *)
 let report_race t ls ~loc ~(first : access) ~(second : access) =
-  if
-    ls.l_reports < t.config.max_reports_per_loc
-    && not (suppressed t "race-unordered" loc)
-  then begin
+  if ls.l_reports < max_reports_per_loc then begin
     ls.l_reports <- ls.l_reports + 1;
-    t.races <- t.races + 1;
     emit t Kite_check.Report.Error "race-unordered" ~prov:second.a_name
       (Printf.sprintf
          "unordered accesses to %s: %s by %s at %s is concurrent with %s by \
@@ -319,28 +291,23 @@ let report_race t ls ~loc ~(first : access) ~(second : access) =
   end
 
 let report_atomicity t ls ~loc ~(p : proc) ~(pn : pending) ~site ~stack =
-  if ls.l_reports < t.config.max_reports_per_loc then begin
+  if ls.l_reports < max_reports_per_loc then begin
+    ls.l_reports <- ls.l_reports + 1;
     if pn.pn_gen <> ls.l_gen then begin
-      if not (suppressed t "race-lost-update" loc) then begin
-        ls.l_reports <- ls.l_reports + 1;
-        t.races <- t.races + 1;
-        let interferer =
-          match ls.l_write with
-          | Some w -> Printf.sprintf "%s at %s" w.a_name w.a_site
-          | None -> "another writer"
-        in
-        emit t Kite_check.Report.Error "race-lost-update" ~prov:p.p_name
-          (Printf.sprintf
-             "lost update on %s: %s read it at %s, blocked, and wrote it \
-              back at %s after %s modified it in between%s%s"
-             loc p.p_name pn.pn_site site interferer
-             (fmt_stack "read" pn.pn_stack)
-             (fmt_stack "write-back" stack))
-      end
+      let interferer =
+        match ls.l_write with
+        | Some w -> Printf.sprintf "%s at %s" w.a_name w.a_site
+        | None -> "another writer"
+      in
+      emit t Kite_check.Report.Error "race-lost-update" ~prov:p.p_name
+        (Printf.sprintf
+           "lost update on %s: %s read it at %s, blocked, and wrote it back \
+            at %s after %s modified it in between%s%s"
+           loc p.p_name pn.pn_site site interferer
+           (fmt_stack "read" pn.pn_stack)
+           (fmt_stack "write-back" stack))
     end
-    else if not (suppressed t "race-atomicity" loc) then begin
-      ls.l_reports <- ls.l_reports + 1;
-      t.atomicity <- t.atomicity + 1;
+    else
       emit t Kite_check.Report.Warning "race-atomicity" ~prov:p.p_name
         (Printf.sprintf
            "read-modify-write of %s spans a blocking point: %s read it at \
@@ -348,7 +315,6 @@ let report_atomicity t ls ~loc ~(p : proc) ~(pn : pending) ~site ~stack =
            loc p.p_name pn.pn_site site
            (fmt_stack "read" pn.pn_stack)
            (fmt_stack "write" stack))
-    end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -369,7 +335,7 @@ let ordered (a : access) (p : proc) =
 let read_acc ?(arm = true) t ~loc ~site =
   let p = t.cur in
   let ls = find_loc t loc in
-  let stack = capture t in
+  let stack = capture () in
   let acc =
     { a_pid = p.p_id; a_name = p.p_name; a_site = site; a_kind = `Read;
       a_own = own p; a_stack = stack }
@@ -391,7 +357,7 @@ let read_acc ?(arm = true) t ~loc ~site =
 let write_acc t ~loc ~site =
   let p = t.cur in
   let ls = find_loc t loc in
-  let stack = capture t in
+  let stack = capture () in
   let acc =
     { a_pid = p.p_id; a_name = p.p_name; a_site = site; a_kind = `Write;
       a_own = own p; a_stack = stack }
@@ -454,7 +420,7 @@ let xs_read t ~path =
     let ls = find_loc t loc in
     Hashtbl.replace t.pend (p.p_id, loc)
       { pn_site = "Xenstore.read"; pn_epoch = p.p_epoch; pn_gen = ls.l_gen;
-        pn_stack = capture t }
+        pn_stack = capture () }
   end
 
 let xs_write t ~path =
@@ -466,7 +432,7 @@ let xs_write t ~path =
       (* Only the interfered case is an error for store nodes: a scalar
          node whose generation did not move cannot have changed value. *)
       report_atomicity t ls ~loc ~p ~pn ~site:"Xenstore.write"
-        ~stack:(capture t)
+        ~stack:(capture ())
   | _ -> ());
   Hashtbl.remove t.pend (p.p_id, loc);
   ls.l_gen <- ls.l_gen + 1;
@@ -561,15 +527,12 @@ let ring_take rr side ~got ~slot =
 (* Run-wide sink                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type sink = { s_config : config; s_report : Kite_check.Report.t }
+type sink = Kite_check.Report.t
 
-let sink ?(config = default_config) ?report () =
-  let s_report =
-    match report with Some r -> r | None -> Kite_check.Report.create ()
-  in
-  { s_config = config; s_report }
+let sink ?report () =
+  match report with Some r -> r | None -> Kite_check.Report.create ()
 
-let create_in s ~name = create ~config:s.s_config ~name s.s_report
+let create_in s ~name = create ~name s
 
 let default_ref : sink option ref = ref None
 let set_default s = default_ref := s

@@ -27,20 +27,13 @@
     and the ambient [scoped_*] hooks used by [Condition]/[Mailbox]/
     [Page] pay one global ref read. *)
 
-type config = {
-  capture_stacks : bool;  (** record both access backtraces per finding *)
-  stack_depth : int;
-  max_reports_per_loc : int;
-      (** cap findings per location so hot loops don't flood the report *)
-  suppressions : (string * string) list;
-      (** [(rule, location-prefix)] pairs for known benign races;
-          see DESIGN.md §13 *)
-}
-
 type t
-(** One detector instance, normally one per simulated machine. *)
+(** One detector instance, normally one per simulated machine.  Each
+    finding carries both accesses' backtraces (12 frames), and one
+    location reports at most 4 findings, so a hot loop cannot flood the
+    report. *)
 
-val create : ?config:config -> ?name:string -> Kite_check.Report.t -> t
+val create : ?name:string -> Kite_check.Report.t -> t
 
 (** {1 Process lifecycle} — called by [Process]'s instrumentation. *)
 
@@ -148,7 +141,7 @@ val ring_take : ring -> [ `Req | `Rsp ] -> got:bool -> slot:int -> unit
 
 type sink
 
-val sink : ?config:config -> ?report:Kite_check.Report.t -> unit -> sink
+val sink : ?report:Kite_check.Report.t -> unit -> sink
 val create_in : sink -> name:string -> t
 
 val set_default : sink option -> unit
