@@ -17,7 +17,8 @@ type t = {
   rows_per_table : int;
   cpu_per_query : Time.span;
   charge : Time.span -> unit;
-  mem_rows : (int * int, Bytes.t) Hashtbl.t;  (* memory backend *)
+  updated : Bytes.t Int_table.t;
+      (* memory backend: the rows an UPDATE wrote, by [row_key] *)
   pool : (int * int, Bytes.t) Hashtbl.t;  (* buffer pool for Raw *)
   mutable pool_fifo : (int * int) list;  (* eviction order, coarse *)
   mutable queries : int;
@@ -25,9 +26,13 @@ type t = {
   mutable disk_reads : int;
 }
 
-(* Deterministic row content: sysbench fills c/pad with digit runs. *)
-let synth_row table id =
-  Bytes.init row_size (fun i -> Char.chr (0x30 + ((table + id + i) mod 10)))
+(* Deterministic row content: sysbench fills c/pad with digit runs.
+   Byte [i] of row [id] of [table] is the digit [(table + id + i) mod
+   10], so every row is a window of one run of digits.  A fetch gets a
+   fresh copy: [Tcp.send] keeps the buffer it is given. *)
+let digits = Bytes.init (row_size + 10) (fun i -> Char.chr (0x30 + (i mod 10)))
+let synth_row table id = Bytes.sub digits ((table + id) mod 10) row_size
+let row_key t table id = (table * t.rows_per_table) + id
 
 let sector_of t table id =
   (* Each table is a contiguous region; two rows per sector. *)
@@ -35,16 +40,13 @@ let sector_of t table id =
   (table * rows_total / 2) + (id / 2)
 
 let fetch_row t table id =
-  let key = (table, id) in
   match t.backend with
   | Memory -> (
-      match Hashtbl.find_opt t.mem_rows key with
+      match Int_table.find_opt t.updated (row_key t table id) with
       | Some r -> r
-      | None ->
-          let r = synth_row table id in
-          Hashtbl.replace t.mem_rows key r;
-          r)
+      | None -> synth_row table id)
   | Raw { read; buffer_pool_rows; _ } -> (
+      let key = (table, id) in
       match Hashtbl.find_opt t.pool key with
       | Some r ->
           t.pool_hits <- t.pool_hits + 1;
@@ -71,16 +73,15 @@ let fetch_row t table id =
           r)
 
 let store_row t table id data =
-  let key = (table, id) in
   match t.backend with
-  | Memory -> Hashtbl.replace t.mem_rows key data
+  | Memory -> Int_table.replace t.updated (row_key t table id) data
   | Raw { read; write; _ } ->
       let sector = sector_of t table id in
       let raw = read ~sector ~count:1 in
       let off = id mod 2 * row_size in
       Bytes.blit data 0 raw off row_size;
       write ~sector raw;
-      Hashtbl.replace t.pool key data
+      Hashtbl.replace t.pool (table, id) data
 
 let clamp t table id =
   let table = ((table mod t.tables) + t.tables) mod t.tables in
@@ -161,7 +162,7 @@ let start tcp ?(port = 3306) ?(cpu_per_query = Time.us 8)
       rows_per_table;
       cpu_per_query;
       charge;
-      mem_rows = Hashtbl.create 4096;
+      updated = Int_table.create 64;
       pool = Hashtbl.create 4096;
       pool_fifo = [];
       queries = 0;
