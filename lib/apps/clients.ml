@@ -36,8 +36,8 @@ let set_request hdr ~size ~trailer =
   Bytes.blit_string trailer 0 b (h + size) t;
   b
 
-let httpd client_tcp ~dst ?(port = 80) () =
-  let conn = Tcp.connect client_tcp ~dst ~port in
+let httpd client_tcp ~dst () =
+  let conn = Tcp.connect client_tcp ~dst ~port:80 in
   let request ~size ~slow =
     try
       let req =
@@ -74,8 +74,8 @@ let httpd client_tcp ~dst ?(port = 80) () =
   in
   { request; close = (fun () -> close_quietly conn) }
 
-let kvstore client_tcp ~dst ?(port = 6379) ~key () =
-  let conn = Tcp.connect client_tcp ~dst ~port in
+let kvstore client_tcp ~dst ~key () =
+  let conn = Tcp.connect client_tcp ~dst ~port:6379 in
   let stored = ref false in
   let request ~size ~slow =
     try
@@ -106,8 +106,8 @@ let kvstore client_tcp ~dst ?(port = 6379) ~key () =
   in
   { request; close = (fun () -> close_quietly conn) }
 
-let memcache client_tcp ~dst ?(port = 11211) ~key () =
-  let conn = Tcp.connect client_tcp ~dst ~port in
+let memcache client_tcp ~dst ~key () =
+  let conn = Tcp.connect client_tcp ~dst ~port:11211 in
   let stored = ref false in
   let request ~size ~slow =
     try
@@ -143,8 +143,8 @@ let memcache client_tcp ~dst ?(port = 11211) ~key () =
   in
   { request; close = (fun () -> close_quietly conn) }
 
-let sqldb client_tcp ~dst ?(port = 3306) ~table ~row () =
-  let conn = Tcp.connect client_tcp ~dst ~port in
+let sqldb client_tcp ~dst ~table ~row () =
+  let conn = Tcp.connect client_tcp ~dst ~port:3306 in
   let next = ref row in
   let request ~size ~slow =
     try

@@ -20,39 +20,34 @@ type session = {
 val httpd :
   Kite_net.Tcp.t ->
   dst:Kite_net.Ipv4addr.t ->
-  ?port:int ->
   unit ->
   session
-(** [GET /data/<size>] over one keep-alive connection; checks the body
-    arrives in full.  Default port 80. *)
+(** [GET /data/<size>] over one keep-alive connection to port 80; checks
+    the body arrives in full. *)
 
 val kvstore :
   Kite_net.Tcp.t ->
   dst:Kite_net.Ipv4addr.t ->
-  ?port:int ->
   key:string ->
   unit ->
   session
 (** First request [SET key <size bytes>], subsequent ones [GET key];
-    checks replies parse and the value comes back.  Default port 6379. *)
+    checks replies parse and the value comes back.  Port 6379. *)
 
 val memcache :
   Kite_net.Tcp.t ->
   dst:Kite_net.Ipv4addr.t ->
-  ?port:int ->
   key:string ->
   unit ->
   session
-(** [set]/[get] text protocol, same shape as {!kvstore}.  Default port
-    11211. *)
+(** [set]/[get] text protocol, same shape as {!kvstore}.  Port 11211. *)
 
 val sqldb :
   Kite_net.Tcp.t ->
   dst:Kite_net.Ipv4addr.t ->
-  ?port:int ->
   table:int ->
   row:int ->
   unit ->
   session
 (** Point selects ([PSELECT]) walking rows from [row]; [size] scales up
-    into [RANGE] scans for large requests.  Default port 3306. *)
+    into [RANGE] scans for large requests.  Port 3306. *)

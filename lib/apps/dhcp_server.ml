@@ -5,7 +5,6 @@ type t = {
   server_ip : Ipv4addr.t;
   pool_start : int32;
   pool_size : int;
-  lease_time : int32;
   cpu_per_message : Time.span;
   leases : (string, int) Hashtbl.t;  (* client MAC -> pool offset *)
   mutable next_offset : int;
@@ -13,6 +12,9 @@ type t = {
   mutable acks : int;
   mutable naks : int;
 }
+
+(* Every lease lasts an hour. *)
+let lease_time = 3600l
 
 let ip_of_offset t off =
   Ipv4addr.of_int32 (Int32.add t.pool_start (Int32.of_int off))
@@ -57,7 +59,7 @@ let serve t stack sock () =
                      ~chaddr:msg.Dhcp_wire.chaddr
                      ~message_type:Dhcp_wire.Offer ~yiaddr:ip
                      ~siaddr:t.server_ip ~server_id:t.server_ip
-                     ~lease_time:t.lease_time ())
+                     ~lease_time ())
             | None -> ())
         | Dhcp_wire.Request -> (
             let requested =
@@ -75,7 +77,7 @@ let serve t stack sock () =
                   (Dhcp_wire.make ~op:`Boot_reply ~xid:msg.Dhcp_wire.xid
                      ~chaddr:msg.Dhcp_wire.chaddr ~message_type:Dhcp_wire.Ack
                      ~yiaddr:got ~siaddr:t.server_ip ~server_id:t.server_ip
-                     ~lease_time:t.lease_time ())
+                     ~lease_time ())
             | _ ->
                 t.naks <- t.naks + 1;
                 send
@@ -91,13 +93,12 @@ let serve t stack sock () =
   loop ()
 
 let start stack ~sched ~server_ip ~pool_start ~pool_size
-    ?(lease_time = 3600l) ?(cpu_per_message = Time.us 25) () =
+    ?(cpu_per_message = Time.us 25) () =
   let t =
     {
       server_ip;
       pool_start = Ipv4addr.to_int32 pool_start;
       pool_size;
-      lease_time;
       cpu_per_message;
       leases = Hashtbl.create 64;
       next_offset = 0;

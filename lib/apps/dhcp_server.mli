@@ -13,11 +13,11 @@ val start :
   server_ip:Kite_net.Ipv4addr.t ->
   pool_start:Kite_net.Ipv4addr.t ->
   pool_size:int ->
-  ?lease_time:int32 ->
   ?cpu_per_message:Kite_sim.Time.span ->
   unit ->
   t
-(** Binds UDP port 67.  Default lease 3600 s, 25 us per message. *)
+(** Binds UDP port 67.  Leases last 3600 s; 25 us per message by
+    default. *)
 
 val offers : t -> int
 val acks : t -> int

@@ -115,7 +115,8 @@ let handle_connection t conn () =
   in
   serve ()
 
-let start tcp ?(port = 80) ?metrics ~sched () =
+let start tcp ?metrics ~sched () =
+  let port = 80 in
   let t = { sched; requests_served = 0; bytes_served = 0; metrics } in
   (match metrics with
   | None -> ()

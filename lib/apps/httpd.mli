@@ -9,12 +9,11 @@ type t
 
 val start :
   Kite_net.Tcp.t ->
-  ?port:int ->
   ?metrics:Kite_metrics.Registry.sink ->
   sched:Kite_sim.Process.sched ->
   unit ->
   t
-(** Listen (default port 80).  Each request costs 40 us of server-side
+(** Listen on port 80.  Each request costs 40 us of server-side
     processing, an httpd-ish figure.  When [metrics] is
     given, [GET /metrics] answers with the Prometheus text exposition of
     every registry in the sink (and the server registers its own

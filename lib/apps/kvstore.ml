@@ -46,9 +46,9 @@ let handle t conn () =
   in
   serve ()
 
-let start tcp ?(port = 6379) ~sched () =
+let start tcp ~sched () =
   let t = { store = Hashtbl.create 1024; sets = 0; gets = 0 } in
-  let listener = Tcp.listen tcp ~port in
+  let listener = Tcp.listen tcp ~port:6379 in
   Process.spawn sched ~daemon:true ~name:"kvstore-acceptor" (fun () ->
       let rec loop () =
         let conn = Tcp.accept listener in

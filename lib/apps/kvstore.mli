@@ -12,11 +12,10 @@ type t
 
 val start :
   Kite_net.Tcp.t ->
-  ?port:int ->
   sched:Kite_sim.Process.sched ->
   unit ->
   t
-(** Default port 6379, 2 us per operation. *)
+(** Port 6379, 2 us per operation. *)
 
 val sets : t -> int
 val gets : t -> int

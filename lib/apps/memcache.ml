@@ -55,9 +55,9 @@ let handle t conn () =
   in
   serve ()
 
-let start tcp ?(port = 11211) ~sched () =
+let start tcp ~sched () =
   let t = { store = Hashtbl.create 1024; gets = 0; hits = 0 } in
-  let listener = Tcp.listen tcp ~port in
+  let listener = Tcp.listen tcp ~port:11211 in
   Process.spawn sched ~daemon:true ~name:"memcache-acceptor" (fun () ->
       let rec loop () =
         let conn = Tcp.accept listener in

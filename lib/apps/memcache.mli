@@ -9,11 +9,10 @@ type t
 
 val start :
   Kite_net.Tcp.t ->
-  ?port:int ->
   sched:Kite_sim.Process.sched ->
   unit ->
   t
-(** Default port 11211, 2 us per operation. *)
+(** Port 11211, 2 us per operation. *)
 
 val gets : t -> int
 val hits : t -> int

@@ -152,7 +152,7 @@ let handle t conn () =
   in
   serve ()
 
-let start tcp ?(port = 3306) ?(cpu_per_query = Time.us 8)
+let start tcp ?(cpu_per_query = Time.us 8)
     ?(charge = fun span -> Process.sleep span) ~backend ~tables
     ~rows_per_table ~sched () =
   let t =
@@ -170,7 +170,7 @@ let start tcp ?(port = 3306) ?(cpu_per_query = Time.us 8)
       disk_reads = 0;
     }
   in
-  let listener = Tcp.listen tcp ~port in
+  let listener = Tcp.listen tcp ~port:3306 in
   Process.spawn sched ~daemon:true ~name:"sqldb-acceptor" (fun () ->
       let rec loop () =
         let conn = Tcp.accept listener in

@@ -29,7 +29,6 @@ val row_size : int
 
 val start :
   Kite_net.Tcp.t ->
-  ?port:int ->
   ?cpu_per_query:Kite_sim.Time.span ->
   ?charge:(Kite_sim.Time.span -> unit) ->
   backend:backend ->
@@ -38,7 +37,7 @@ val start :
   sched:Kite_sim.Process.sched ->
   unit ->
   t
-(** Default port 3306, 8 us of CPU per query.  [charge] consumes the CPU
+(** Port 3306, by default 8 us of CPU per query.  [charge] consumes the CPU
     time (default [Process.sleep]); pass [Hypervisor.cpu_work] to contend
     for the hosting domain's vCPUs. *)
 

@@ -9,7 +9,7 @@ type result = {
   avg_latency_ms : float;
 }
 
-let run ~sched ~client_tcp ~server_ip ?(port = 80) ?(requests = 10_000)
+let run ~sched ~client_tcp ~server_ip ?(requests = 10_000)
     ?(concurrency = 40) ?(seed = 1) ~file_size ~on_done () =
   let engine = Process.engine sched in
   let path = Kite_apps.Httpd.path_for file_size in
@@ -25,7 +25,7 @@ let run ~sched ~client_tcp ~server_ip ?(port = 80) ?(requests = 10_000)
   for w = 1 to concurrency do
     Process.spawn sched ~name:(Printf.sprintf "ab-%d" w) (fun () ->
         Process.sleep (Time.us ((seed * 89 + w * 11) mod 80));
-        let conn = Tcp.connect client_tcp ~dst:server_ip ~port in
+        let conn = Tcp.connect client_tcp ~dst:server_ip ~port:80 in
         for _ = 1 to per_worker do
           let t0 = Engine.now engine in
           Tcp.send conn request_bytes;

@@ -13,7 +13,6 @@ val run :
   sched:Kite_sim.Process.sched ->
   client_tcp:Kite_net.Tcp.t ->
   server_ip:Kite_net.Ipv4addr.t ->
-  ?port:int ->
   ?requests:int ->
   ?concurrency:int ->
   ?seed:int ->
@@ -21,5 +20,5 @@ val run :
   on_done:(result -> unit) ->
   unit ->
   unit
-(** Defaults: port 80, 10 000 requests, 40 concurrent (the paper uses
+(** Port 80.  Defaults: 10 000 requests, 40 concurrent (the paper uses
     100 000; scale via [requests]). *)

@@ -10,7 +10,7 @@ type result = {
 }
 
 
-let run ~sched ~client_tcp ~server_ip ?(port = 11211) ?(ops = 100_000)
+let run ~sched ~client_tcp ~server_ip ?(ops = 100_000)
     ?(value_size = 8192) ?(clients = 4) ?(seed = 1) ~on_done () =
   let engine = Process.engine sched in
   (* memtier's default mix: 1 set to 10 gets. *)
@@ -28,7 +28,7 @@ let run ~sched ~client_tcp ~server_ip ?(port = 11211) ?(ops = 100_000)
   for c = 1 to clients do
     Process.spawn sched ~name:(Printf.sprintf "memtier-%d" c) (fun () ->
         Process.sleep (Time.us ((seed * 97 + c * 13) mod 80));
-        let conn = Tcp.connect client_tcp ~dst:server_ip ~port in
+        let conn = Tcp.connect client_tcp ~dst:server_ip ~port:11211 in
         if !started_at = 0 then started_at := Engine.now engine;
         for i = 0 to per_client - 1 do
           let key = Printf.sprintf "memtier-%d-%d" c (i mod 50) in

@@ -13,7 +13,6 @@ val run :
   sched:Kite_sim.Process.sched ->
   client_tcp:Kite_net.Tcp.t ->
   server_ip:Kite_net.Ipv4addr.t ->
-  ?port:int ->
   ?ops:int ->
   ?value_size:int ->
   ?clients:int ->
@@ -21,5 +20,5 @@ val run :
   on_done:(result -> unit) ->
   unit ->
   unit
-(** Sets and gets in the ratio 1:10.  Defaults: port 11211, 100 000 ops,
+(** Sets and gets in the ratio 1:10, to port 11211.  Defaults: 100 000 ops,
     8 KiB values, 4 connections. *)

@@ -8,8 +8,9 @@ type result = {
   avg_ms : float;
 }
 
-let run ~sched ~client ~server ~server_ip ?(port = 12865)
-    ?(rate_per_sec = 1000) ?(requests = 1000) ?(payload = 64) ~on_done () =
+let run ~sched ~client ~server ~server_ip ?(rate_per_sec = 1000)
+    ?(requests = 1000) ~on_done () =
+  let port = 12865 and payload = 64 in
   (* Echo server. *)
   let ssock = Stack.udp_bind server ~port in
   Process.spawn sched ~daemon:true ~name:"netperf-server" (fun () ->

@@ -14,11 +14,10 @@ val run :
   client:Kite_net.Stack.t ->
   server:Kite_net.Stack.t ->
   server_ip:Kite_net.Ipv4addr.t ->
-  ?port:int ->
   ?rate_per_sec:int ->
   ?requests:int ->
-  ?payload:int ->
   on_done:(result -> unit) ->
   unit ->
   unit
-(** Defaults: port 12865, 1000 req/s, 1000 requests, 64-byte payload. *)
+(** Port 12865, 64-byte payloads.  Defaults: 1000 req/s, 1000
+    requests. *)

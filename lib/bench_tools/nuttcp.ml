@@ -8,8 +8,9 @@ type result = {
   loss_pct : float;
 }
 
-let run ~sched ~client ~server ~server_ip ?(port = 5001) ?(payload = 8192)
+let run ~sched ~client ~server ~server_ip ?(port = 5001)
     ?(offered_gbps = 7.0) ~duration ~on_done () =
+  let payload = 8192 in
   let received = ref 0 in
   let sent = ref 0 in
   (* Receiver: drain datagrams, count them. *)

@@ -2,8 +2,9 @@ open Kite_sim
 
 type result = { offered : int; completed : int; elapsed : Time.span }
 
-let run ~sched ?(seed = 42) ?rng ?(burst = 0) ?burst_every ?gap ?stop_after
-    ~rate ~duration ~fire ~on_done () =
+let run ~sched ?rng ?(burst = 0) ?burst_every ?gap ?stop_after ~rate
+    ~duration ~fire ~on_done () =
+  let seed = 42 in
   let engine = Process.engine sched in
   let arrival_rng = match rng with Some r -> r | None -> Rng.create seed in
   (* Independent stream: bursts must not consume from (or be affected by)

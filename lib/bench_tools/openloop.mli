@@ -28,7 +28,6 @@ type result = {
 
 val run :
   sched:Kite_sim.Process.sched ->
-  ?seed:int ->
   ?rng:Kite_sim.Rng.t ->
   ?burst:int ->
   ?burst_every:Kite_sim.Time.span ->
@@ -49,8 +48,9 @@ val run :
     the request completed.  [on_done] runs once every spawned request
     has returned.  Bursts, when enabled, run as their own process on the
     lattice [t0 + k*burst_every] (phase-jittered up to 10% of the
-    period) and fire [burst] extra arrivals each.  Defaults: [seed] 42,
-    no bursts.
+    period) and fire [burst] extra arrivals each.  The burst stream, and
+    the arrival stream when no [rng] is given, are seeded from 42.
+    Default: no bursts.
 
     [gap], when given, replaces the exponential draw: it receives the
     arrival stream and the offset since the generator started, and

@@ -9,7 +9,7 @@ type result = {
 
 type phase = Set_phase | Get_phase
 
-let run ~sched ~client_tcp ~server_ip ?(port = 6379) ?(pipeline = 1000)
+let run ~sched ~client_tcp ~server_ip ?(pipeline = 1000)
     ?(ops_per_thread = 20_000) ?(seed = 1) ?(value_size = 64) ~threads ~on_done
     () =
   let engine = Process.engine sched in
@@ -24,7 +24,7 @@ let run ~sched ~client_tcp ~server_ip ?(port = 6379) ?(pipeline = 1000)
       Process.spawn sched ~name:(Printf.sprintf "redis-bench-%d" th)
         (fun () ->
           Process.sleep (Time.us ((seed * 131 + th * 17) mod 80));
-          let conn = Tcp.connect client_tcp ~dst:server_ip ~port in
+          let conn = Tcp.connect client_tcp ~dst:server_ip ~port:6379 in
           let remaining = ref ops_per_thread in
           while !remaining > 0 do
             let batch = min pipeline !remaining in

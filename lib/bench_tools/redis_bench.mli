@@ -12,7 +12,6 @@ val run :
   sched:Kite_sim.Process.sched ->
   client_tcp:Kite_net.Tcp.t ->
   server_ip:Kite_net.Ipv4addr.t ->
-  ?port:int ->
   ?pipeline:int ->
   ?ops_per_thread:int ->
   ?seed:int ->
@@ -21,5 +20,5 @@ val run :
   on_done:(result -> unit) ->
   unit ->
   unit
-(** Defaults: port 6379, pipeline 1000, 20 000 ops per thread, 64-byte
+(** Port 6379.  Defaults: pipeline 1000, 20 000 ops per thread, 64-byte
     values. *)

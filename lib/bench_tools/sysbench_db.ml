@@ -12,7 +12,7 @@ type result = {
 (* sysbench's own client-side work per query. *)
 let client_overhead = Time.us 500
 
-let run ~sched ~client_tcp ~server_ip ?(port = 3306) ?(tables = 10)
+let run ~sched ~client_tcp ~server_ip ?(tables = 10)
     ?(rows_per_table = 1_000_000) ?(transactions_per_thread = 50)
     ?(range_size = 100) ~threads ~seed ~on_done () =
   let engine = Process.engine sched in
@@ -27,7 +27,7 @@ let run ~sched ~client_tcp ~server_ip ?(port = 3306) ?(tables = 10)
         (* Stagger worker start so different seeds explore different
            interleavings, like real load generators. *)
         Process.sleep (Time.us (Rng.int rng 400));
-        let conn = Tcp.connect client_tcp ~dst:server_ip ~port in
+        let conn = Tcp.connect client_tcp ~dst:server_ip ~port:3306 in
         let send s = Tcp.send conn (Bytes.of_string s) in
         let expect_ok () = ignore (Tcp.recv_line conn) in
         let expect_row () =

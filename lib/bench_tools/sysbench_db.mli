@@ -16,7 +16,6 @@ val run :
   sched:Kite_sim.Process.sched ->
   client_tcp:Kite_net.Tcp.t ->
   server_ip:Kite_net.Ipv4addr.t ->
-  ?port:int ->
   ?tables:int ->
   ?rows_per_table:int ->
   ?transactions_per_thread:int ->
@@ -26,7 +25,7 @@ val run :
   on_done:(result -> unit) ->
   unit ->
   unit
-(** Defaults: port 3306, 10 tables of 1 M rows addressed, 50 transactions
+(** Port 3306.  Defaults: 10 tables of 1 M rows addressed, 50 transactions
     per thread, ranges of 100 rows.  sysbench's own per-query
     client-side work is 500 us, charged per transaction as 7x that;
     worker starts are staggered by [seed]. *)

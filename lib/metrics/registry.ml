@@ -172,9 +172,9 @@ let counter t ?(help = "") name labels =
   in
   match i.i_instr with I_counter r -> r | _ -> assert false
 
-let gauge t ?(help = "") name labels =
+let gauge t name labels =
   let i =
-    instance t ~kind:Gauge ~help name labels
+    instance t ~kind:Gauge ~help:"" name labels
       ~fresh:(fun () -> I_gauge (ref 0.0))
       ~reuse:(fun n i ->
         match i.i_instr with I_gauge _ -> i | _ -> style_clash n)

@@ -47,7 +47,8 @@ val counter : t -> ?help:string -> string -> (string * string) list -> counter
     [[a-zA-Z_:][a-zA-Z0-9_:]*]; registering the same family under a
     different metric kind raises [Invalid_argument]. *)
 
-val gauge : t -> ?help:string -> string -> (string * string) list -> gauge
+val gauge : t -> string -> (string * string) list -> gauge
+(** A pushed gauge, registered with no help text. *)
 
 val histogram :
   t ->
