@@ -46,9 +46,9 @@ let teardown mine =
         let bt = Printexc.get_raw_backtrace () in
         if Option.is_none !failure then failure := Some (e, bt))
     (List.rev fs);
-  List.fold_left (fun hvs (hv, _) -> if List.memq hv hvs then hvs else hv :: hvs) [] fs
-  |> List.iter (fun hv ->
-         Option.iter Registry.freeze (Hypervisor.metrics_registry hv));
+  List.iter
+    (fun (hv, _) -> Option.iter Registry.freeze (Hypervisor.metrics_registry hv))
+    fs;
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !failure
 
 let teardown_all () = teardown (fun _ -> true)
