@@ -2,8 +2,9 @@
 
     The receiver counts datagrams; the sender paces [offered_gbps] of
     8 KiB datagrams for [duration] — writes that IP fragments across the
-    1500-byte MTU, matching the paper's "8KB of buffer size".  Loss is whatever the path (NIC queues, Rx-ring
-    exhaustion, reassembly) drops. *)
+    1500-byte MTU, matching the paper's "8KB of buffer size".  Loss is
+    whatever the path (NIC queues, Rx-ring exhaustion, reassembly)
+    drops. *)
 
 type result = {
   sent : int;
