@@ -294,6 +294,46 @@ let attack_bad_segment (t : (Blkif.request, Blkif.response) t) =
   push t 0 (write (Blkif.Direct [ backwards ]));
   nudge t 0
 
+(* One grant reference named twice where blkback maps each use: in two
+   segments of one direct request, by two requests of one drain, or as
+   both descriptor pages of one indirect request (whose one descriptor
+   names a granted page).  Each use alone is an honest write. *)
+let attack_gref_twice (t : (Blkif.request, Blkif.response) t) how =
+  let write ~sector body =
+    { Blkif.req_id = fresh_id t; op = Blkif.Write; sector; body }
+  in
+  let seg gref = { Blkif.gref; first_sect = 0; last_sect = 7 } in
+  let g = grant_page t in
+  (match how with
+  | `Two_segments -> push t 0 (write ~sector:0 (Blkif.Direct [ seg g; seg g ]))
+  | `Two_requests ->
+      push t 0 (write ~sector:0 (Blkif.Direct [ seg g ]));
+      push t 0 (write ~sector:8 (Blkif.Direct [ seg g ]))
+  | `Two_descriptors ->
+      let bufs = Blkif.descriptor_buffers 1 in
+      Blkif.put_descriptor bufs 0 ~gref:g ~first_sect:0 ~last_sect:7;
+      let d =
+        Grant_table.grant_access t.ctx.Xen_ctx.gt ~granter:t.domain
+          ~grantee:t.backend ~page:(Page.of_bytes bufs.(0)) ~writable:false
+      in
+      t.grants <- d :: t.grants;
+      push t 0 (write ~sector:0 (Blkif.Indirect ([ d; d ], 1))));
+  nudge t 0
+
+(* An honest write beside a forged one in one drain, and the honest
+   write's grant ended while blkback answers the forged one: after its
+   checks, before its map. *)
+let attack_end_before_map (t : (Blkif.request, Blkif.response) t) =
+  let g = grant_page t in
+  push t 0 (request t ~id:(fresh_id t) ~gref:g ~len:Page.size ~sector:0);
+  push t 0 (request t ~id:(fresh_id t) ~gref:999940 ~len:Page.size ~sector:8);
+  nudge t 0;
+  while Ring.pending_requests t.rings.(0) > 0 do
+    Process.sleep 10
+  done;
+  Grant_table.end_access t.ctx.Xen_ctx.gt ~granter:t.domain g;
+  t.grants <- List.filter (fun r -> r <> g) t.grants
+
 (* The same request id replayed while still in flight, three pairs in
    one drain. *)
 let attack_replay t =

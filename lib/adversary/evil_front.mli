@@ -79,6 +79,22 @@ val attack_bad_segment :
 (** Oversized direct segment lists, an indirect count past the cap, and
     impossible segment geometry. *)
 
+val attack_gref_twice :
+  (Kite_drivers.Blkif.request, Kite_drivers.Blkif.response) t ->
+  [ `Two_segments | `Two_requests | `Two_descriptors ] ->
+  unit
+(** One granted page named twice where the backend maps each use: in two
+    segments of one direct request, by two requests in one drain, or as
+    both descriptor pages of one indirect request.  Not a {!Campaign}
+    class. *)
+
+val attack_end_before_map :
+  (Kite_drivers.Blkif.request, Kite_drivers.Blkif.response) t -> unit
+(** An honest write and a forged one in one drain; once the backend has
+    taken both, the honest write's grant is ended, while the backend
+    answers the forged one, before it maps the honest one.  Not a
+    {!Campaign} class. *)
+
 val attack_replay : (_, _) t -> unit
 (** Request ids replayed while still in flight on the same queue. *)
 

@@ -9,6 +9,15 @@ type grant_entry = {
   mutable g_revoked : bool;
 }
 
+(* The grant shadow is looked up on every map, unmap and copy: keyed by
+   the reference itself, with no polymorphic hash or compare. *)
+module Grants = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (x : int) = x
+end)
+
 type proc = {
   p_id : int;
   p_name : string;
@@ -33,7 +42,7 @@ and t = {
   config : config;
   report : Report.t;
   name : string;
-  grants : (int, grant_entry) Hashtbl.t;
+  grants : grant_entry Grants.t;
   procs : (int, proc) Hashtbl.t;
   mutable next_pid : int;
   mutable cur : proc;  (* [no_proc] outside any process *)
@@ -61,7 +70,7 @@ let create ?(config = default_config) ?(name = "-") report =
     config;
     report;
     name;
-    grants = Hashtbl.create 64;
+    grants = Grants.create 64;
     procs = Hashtbl.create 32;
     next_pid = 0;
     cur = no_proc;
@@ -166,7 +175,7 @@ let proc_exited t p = Hashtbl.remove t.procs p.p_id
 
 let grant_granted t ~gref ~granter ~grantee =
   account t;
-  Hashtbl.replace t.grants gref
+  Grants.replace t.grants gref
     { g_granter = granter; g_grantee = grantee; g_mapped = false;
       g_revoked = false }
 
@@ -181,7 +190,7 @@ let use_after_revoke t op gref e =
 
 let grant_map t ~gref ~grantee =
   account t;
-  match Hashtbl.find_opt t.grants gref with
+  match Grants.find_opt t.grants gref with
   | None -> bad_ref t "map" gref
   | Some e when e.g_revoked -> use_after_revoke t "map" gref e
   | Some e ->
@@ -192,7 +201,7 @@ let grant_map t ~gref ~grantee =
 
 let grant_unmap t ~gref ~grantee =
   account t;
-  match Hashtbl.find_opt t.grants gref with
+  match Grants.find_opt t.grants gref with
   | None -> bad_ref t "unmap" gref
   | Some e when e.g_revoked -> use_after_revoke t "unmap" gref e
   | Some e when e.g_grantee <> grantee -> ()
@@ -204,7 +213,7 @@ let grant_unmap t ~gref ~grantee =
 
 let grant_end t ~gref ~granter =
   account t;
-  match Hashtbl.find_opt t.grants gref with
+  match Grants.find_opt t.grants gref with
   | None -> bad_ref t "end_access" gref
   | Some e when e.g_revoked -> use_after_revoke t "end_access" gref e
   | Some e when e.g_granter <> granter -> ()
@@ -217,7 +226,7 @@ let grant_end t ~gref ~granter =
 
 let grant_copy t ~gref =
   account t;
-  match Hashtbl.find_opt t.grants gref with
+  match Grants.find_opt t.grants gref with
   | None -> bad_ref t "grant copy" gref
   | Some e when e.g_revoked -> use_after_revoke t "grant copy" gref e
   | Some _ -> ()
@@ -367,7 +376,7 @@ let finalize t ~pending =
   (* Group leaked grants by (granter, grantee) so a leaked pool reads as
      one finding with provenance, not hundreds. *)
   let groups = Hashtbl.create 8 in
-  Hashtbl.iter
+  Grants.iter
     (fun gref e ->
       if not e.g_revoked then begin
         let key = (e.g_granter, e.g_grantee) in

@@ -13,20 +13,23 @@ type command = {
   op : op;
   sector : int;
   len : int;  (* bytes *)
-  sg : segment list;  (* the pages the transfer reads or fills *)
+  sg : segment array;  (* the pages the transfer reads or fills *)
   done_ : Condition.t;
   mutable completed : bool;
 }
 
-(* The media is a sparse store of page-sized chunks: chunk [c] holds the
-   device's bytes [c * chunk_size, (c + 1) * chunk_size).  A chunk is
+(* The media is a sparse store of 64 KiB extents: extent [e] holds the
+   device's bytes [e * extent_size, (e + 1) * extent_size).  An extent is
    made, zeroed, on its first write and overwritten in place after that.
-   Chunks are plain buffers, not pages: they draw no machine frame
-   numbers. *)
-let chunk_size = Kite_xen.Page.size
+   Extents are plain buffers, not pages: they draw no machine frame
+   numbers.  Sixteen pages to an extent keep the table and the heap
+   objects the GC walks few (512 for a 32 MiB extent of writes, where
+   4 KiB chunks made 8,192), and a 64 KiB buffer is still small beside
+   the transfers that fill it. *)
+let extent_size = 65536
 
-(* What a never-written chunk reads as.  Only ever read. *)
-let zero_chunk = Bytes.make chunk_size '\000'
+(* What a never-written extent reads as.  Only ever read. *)
+let zero_extent = Bytes.make extent_size '\000'
 
 type t = {
   name : string;
@@ -35,7 +38,7 @@ type t = {
   read_base : Time.span;
   cmd_overhead : Time.span;
   bandwidth_bps : float;
-  chunks : (int, Bytes.t) Hashtbl.t;
+  extents : Bytes.t Int_table.t;
   queue : command Mailbox.t;
   (* Commands overlap their setup latency, but the flash media moves data
      at a fixed aggregate bandwidth: transfers are serialized on this
@@ -69,41 +72,50 @@ let serve_io t base len =
   t.media_free_at <- finish;
   Process.sleep (finish - now)
 
-let chunk_for_write t c =
-  match Hashtbl.find t.chunks c with
+let extent_for_write t e =
+  match Int_table.find t.extents e with
   | b -> b
   | exception Not_found ->
-      let b = Bytes.make chunk_size '\000' in
-      Hashtbl.add t.chunks c b;
+      let b = Bytes.make extent_size '\000' in
+      Int_table.add t.extents e b;
       b
 
+let extent_for_read t e =
+  match Int_table.find t.extents e with
+  | b -> b
+  | exception Not_found -> zero_extent
+
 (* The DMA, when the transfer completes: walk the page list and the media
-   in step, copying each piece once between a page and its chunk. *)
+   in step, copying each piece once between a page and its extent.  The
+   extent in hand is kept while the pieces stay inside it. *)
 let dma t op ~sector sg =
   let pos = ref (sector * sector_size) in
-  List.iter
-    (fun (page, off, len) ->
-      let moved = ref 0 in
-      while !moved < len do
-        let c = !pos / chunk_size and c_off = !pos mod chunk_size in
-        let n = min (len - !moved) (chunk_size - c_off) in
-        (match op with
-        | Read ->
-            let src =
-              match Hashtbl.find t.chunks c with
-              | b -> b
-              | exception Not_found -> zero_chunk
-            in
-            Kite_xen.Page.write_from page ~off:(off + !moved) src ~src_off:c_off
-              ~len:n
-        | Write ->
-            Kite_xen.Page.read_into page ~off:(off + !moved) ~len:n
-              (chunk_for_write t c) ~dst_off:c_off
-        | Flush -> ());
-        moved := !moved + n;
-        pos := !pos + n
-      done)
-    sg
+  let cur = ref (-1) and ext = ref zero_extent in
+  for k = 0 to Array.length sg - 1 do
+    let page, off, len = sg.(k) in
+    let moved = ref 0 in
+    while !moved < len do
+      let e = !pos / extent_size and e_off = !pos mod extent_size in
+      let n = min (len - !moved) (extent_size - e_off) in
+      if e <> !cur then begin
+        cur := e;
+        ext :=
+          match op with
+          | Write -> extent_for_write t e
+          | Read | Flush -> extent_for_read t e
+      end;
+      (match op with
+      | Read ->
+          Kite_xen.Page.write_from page ~off:(off + !moved) !ext
+            ~src_off:e_off ~len:n
+      | Write ->
+          Kite_xen.Page.read_into page ~off:(off + !moved) ~len:n !ext
+            ~dst_off:e_off
+      | Flush -> ());
+      moved := !moved + n;
+      pos := !pos + n
+    done
+  done
 
 let worker t () =
   let rec loop () =
@@ -137,7 +149,7 @@ let create sched ~name ?(capacity_sectors = 976_773_168)
       read_base;
       cmd_overhead;
       bandwidth_bps = bandwidth_mbps *. 1e6;
-      chunks = Hashtbl.create 512;
+      extents = Int_table.create 64;
       queue = Mailbox.create ();
       media_free_at = Time.zero;
       reads = 0;
@@ -182,15 +194,14 @@ let submit t cmd =
 (* Range and alignment are checked here, in the submitter's process,
    before the command reaches a worker. *)
 let command t op ~sector sg =
-  let len =
-    List.fold_left
-      (fun acc (_, off, len) ->
-        if off < 0 || len < 0 || off + len > Kite_xen.Page.size then
-          invalid_arg
-            (Printf.sprintf "Nvme: page range %d+%d out of bounds" off len);
-        acc + len)
-      0 sg
-  in
+  let len = ref 0 in
+  for k = 0 to Array.length sg - 1 do
+    let _, off, n = sg.(k) in
+    if off < 0 || n < 0 || off + n > Kite_xen.Page.size then
+      invalid_arg (Printf.sprintf "Nvme: page range %d+%d out of bounds" off n);
+    len := !len + n
+  done;
+  let len = !len in
   if len mod sector_size <> 0 then
     invalid_arg "Nvme: transfer length not sector-aligned";
   check t sector (len / sector_size);
@@ -198,7 +209,7 @@ let command t op ~sector sg =
 
 let read t ~sector sg = submit t (command t Read ~sector sg)
 let write t ~sector sg = submit t (command t Write ~sector sg)
-let flush t = submit t (command t Flush ~sector:0 [])
+let flush t = submit t (command t Flush ~sector:0 [||])
 
 let reads t = t.reads
 let writes t = t.writes

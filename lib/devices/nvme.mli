@@ -10,8 +10,8 @@
     between.  The device copies between those pages and its media when
     the transfer completes, which is when a real controller's DMA lands:
     a write stores what its pages hold at completion, and a read's pages
-    change only then.  The media is a sparse store of 4 KiB chunks,
-    created zeroed on a chunk's first write and overwritten in place
+    change only then.  The media is a sparse store of 64 KiB extents,
+    created zeroed on an extent's first write and overwritten in place
     after that, so sectors never written read as zeroes, like a fresh
     drive. *)
 
@@ -51,14 +51,14 @@ type segment = Kite_xen.Page.t * int * int
 (** [(page, off, len)]: [len] bytes of [page] starting at [off].  A
     command's segments are its transfer in device order. *)
 
-val read : t -> sector:int -> segment list -> unit
+val read : t -> sector:int -> segment array -> unit
 (** Blocking (process context): fills the segments, in order, from the
     sectors starting at [sector].  The total length must be a multiple of
     512; each segment must lie inside its page.  Both are checked at
     submission: [Invalid_argument] on a violation, {!Out_of_range} past
     the capacity. *)
 
-val write : t -> sector:int -> segment list -> unit
+val write : t -> sector:int -> segment array -> unit
 (** Blocking; stores the segments, in order, at the sectors starting at
     [sector], with {!read}'s checks.  The pages are read at completion;
     the caller must not change them before this returns. *)

@@ -24,7 +24,14 @@ type instance = {
   (* Grants held mapped across requests (the persistent-reference table of
      §3.3); shared by every ring (persistence is per-device), released in
      one sweep on disconnect. *)
-  pmap : unit Int_table.t;
+  pmap : Grant_table.entry Int_table.t;
+  (* What the device holds of each reference, one byte per reference
+     number: [in_flight] while a request in flight names it, from
+     validation until the request is released (a descriptor page until
+     its run is parsed), so that each map meets one unmap; [held] while
+     [pmap] has it.  The grant table numbers references with small
+     consecutive ints, and only one it knows is ever marked. *)
+  mutable marks : Bytes.t;
   mutable requests : int;
   mutable segments : int;
   mutable device_ops : int;
@@ -63,23 +70,18 @@ let trace i = i.dev.ctx.Xen_ctx.trace
 
 let storm_threshold = 64
 
-(* A resolved unit of work: one request, its segments, and the mapped
-   page range each segment names, in the device's page-list form. *)
+(* A request once validated: the backend's own copy of its segments,
+   parsed once from the request the frontend pushed (so a segment cannot
+   change after its check), the grant entry validation found for each,
+   and, once mapped, the page range each names in the device's
+   scatter-gather form. *)
 type work = {
   req : Blkif.request;
-  segs : Blkif.segment list;
-  sg : Kite_devices.Nvme.segment list;
+  segs : Blkif.segment array;
+  entries : Grant_table.entry array;
   total_bytes : int;
+  sg : Kite_devices.Nvme.segment array;
 }
-
-let rec split_at n l =
-  if n = 0 then ([], l)
-  else
-    match l with
-    | x :: rest ->
-        let a, b = split_at (n - 1) rest in
-        (x :: a, b)
-    | [] -> ([], [])
 
 (* After a crash ([stop] set abruptly) the ring is dead and the channel
    closed: late completions from workers already in the device must not
@@ -99,21 +101,76 @@ let respond i r work status =
   Int_table.remove i.req_ids work.req.Blkif.req_id;
   respond_id i r ~id:work.req.Blkif.req_id status
 
+let in_flight = 1
+let held = 2
+
+let marked i g m =
+  g < Bytes.length i.marks && Char.code (Bytes.get i.marks g) land m <> 0
+
+let mark i g m =
+  let n = Bytes.length i.marks in
+  if g >= n then begin
+    let grown = Bytes.make (max (g + 1) (2 * n)) '\000' in
+    Bytes.blit i.marks 0 grown 0 n;
+    i.marks <- grown
+  end;
+  Bytes.set i.marks g (Char.chr (Char.code (Bytes.get i.marks g) lor m))
+
+(* A detach or crash drops every mark at once, so a release after it
+   finds none. *)
+let unmark i g m =
+  if g < Bytes.length i.marks then
+    Bytes.set i.marks g
+      (Char.chr (Char.code (Bytes.get i.marks g) land lnot m))
+
+let unclaim i entries =
+  Array.iter (fun e -> unmark i (Grant_table.gref e) in_flight) entries
+
+(* A reference, descriptor or request the frontend may not use, and
+   why. *)
+exception Violation of Guest_fault.attack * string
+
+let violation attack fmt =
+  Printf.ksprintf (fun detail -> raise (Violation (attack, detail))) fmt
+
+(* One lookup per reference the frontend names: its live entry, or a
+   [Violation] — unknown or revoked, granted by another domain or to
+   another, or already named by a request in flight (in this request or
+   another one). *)
+let lookup i ~what g =
+  match Grant_table.find i.dev.ctx.Xen_ctx.gt g with
+  | None ->
+      violation Guest_fault.Bad_gref "%s gref %d unknown or revoked" what g
+  | Some e ->
+      let granter = Grant_table.granter e
+      and grantee = Grant_table.grantee e in
+      if granter <> i.dev.frontend.Domain.id then
+        violation Guest_fault.Foreign_gref "%s gref %d granted by domain %d"
+          what g granter
+      else if grantee <> i.dev.domain.Domain.id then
+        violation Guest_fault.Bad_gref "%s gref %d granted to domain %d" what
+          g grantee
+      else if marked i g in_flight then
+        violation Guest_fault.Bad_gref
+          "%s gref %d already named by a request in flight" what g
+      else e
+
 (* Stage-1 validation, before any grant is touched: request-id liveness
    (in-flight replay on the same ring, slot reuse across rings) and the
    shape of the descriptor chain — segment counts against the
-   advertised limits, and ownership of every indirect descriptor page.
-   Returns the violation, or None for an honest request. *)
+   advertised limits, and every indirect descriptor page, which is
+   claimed and whose entry is returned.  A descriptor page may not be a
+   grant held mapped as persistent either: its unmap would drop that
+   mapping. *)
 let validate_pre i r req =
-  let fid = i.dev.frontend.Domain.id in
   let id = req.Blkif.req_id in
   match Int_table.find_opt i.req_ids id with
   | Some rid when rid = r.rid ->
-      Some
+      Error
         ( Guest_fault.Replay,
           Printf.sprintf "request id %d replayed while in flight" id )
   | Some rid ->
-      Some
+      Error
         ( Guest_fault.Slot_reuse,
           Printf.sprintf "request id %d already live on ring %d" id rid )
   | None -> (
@@ -121,14 +178,14 @@ let validate_pre i r req =
       | Blkif.Direct segs ->
           let n = List.length segs in
           if n > Blkif.max_direct_segments then
-            Some
+            Error
               ( Guest_fault.Bad_segment,
                 Printf.sprintf "%d direct segments (max %d)" n
                   Blkif.max_direct_segments )
-          else None
+          else Ok [||]
       | Blkif.Indirect (grefs, count) ->
           if count < 0 || count > Blkif.max_indirect_segments then
-            Some
+            Error
               ( Guest_fault.Bad_segment,
                 Printf.sprintf "indirect segment count %d (max %d)" count
                   Blkif.max_indirect_segments )
@@ -138,83 +195,117 @@ let validate_pre i r req =
               / Blkif.segments_per_indirect_page
             in
             if List.length grefs < needed then
-              Some
+              Error
                 ( Guest_fault.Bad_segment,
                   Printf.sprintf
                     "%d descriptor pages published for %d segments"
                     (List.length grefs) count )
             else
-              let rec check = function
-                | [] -> None
+              let rec take acc = function
+                | [] -> Ok (Array.of_list (List.rev acc))
                 | g :: rest -> (
-                    match Grant_table.owner i.dev.ctx.Xen_ctx.gt g with
-                    | None ->
-                        Some
-                          ( Guest_fault.Bad_gref,
-                            Printf.sprintf
-                              "indirect descriptor gref %d unknown or revoked"
-                              g )
-                    | Some d when d <> fid ->
-                        Some
-                          ( Guest_fault.Foreign_gref,
-                            Printf.sprintf
-                              "indirect descriptor gref %d granted by domain \
-                               %d" g d )
-                    | Some _ -> check rest)
+                    match
+                      let e = lookup i ~what:"indirect descriptor" g in
+                      if marked i g held then
+                        violation Guest_fault.Bad_gref
+                          "indirect descriptor gref %d is held mapped as a \
+                           persistent grant"
+                          g;
+                      e
+                    with
+                    | e ->
+                        mark i g in_flight;
+                        take (e :: acc) rest
+                    | exception Violation (attack, detail) ->
+                        unclaim i (Array.of_list acc);
+                        Error (attack, detail))
               in
-              check grefs
+              take [] grefs
           end)
 
-(* Stage-2 validation, once the segment list is resolved (for indirect
-   requests that means after parsing the descriptor pages — themselves
-   attacker-controlled bytes): per-segment sector geometry, ownership
-   of every data gref, and the request's sector range against the
-   device capacity. *)
+(* Stage-2 validation, once the segments are parsed (for indirect
+   requests out of the descriptor pages — themselves attacker-controlled
+   bytes): per-segment sector geometry, one lookup and claim per data
+   gref, and the request's sector range against the device capacity.
+   Returns the entries and the request's byte count; a violation
+   releases the claims this request took. *)
 let validate_segs i req segs =
-  let fid = i.dev.frontend.Domain.id in
   let sect_per_page = Page.size / sector_size in
-  let rec check_seg = function
-    | [] -> None
-    | s :: rest ->
-        if
-          s.Blkif.first_sect < 0
-          || s.Blkif.last_sect < s.Blkif.first_sect
-          || s.Blkif.last_sect >= sect_per_page
-        then
-          Some
-            ( Guest_fault.Bad_segment,
-              Printf.sprintf "segment geometry first=%d last=%d (page holds %d)"
-                s.Blkif.first_sect s.Blkif.last_sect sect_per_page )
-        else (
-          match Grant_table.owner i.dev.ctx.Xen_ctx.gt s.Blkif.gref with
-          | None ->
-              Some
-                ( Guest_fault.Bad_gref,
-                  Printf.sprintf "data gref %d unknown or revoked"
-                    s.Blkif.gref )
-          | Some d when d <> fid ->
-              Some
-                ( Guest_fault.Foreign_gref,
-                  Printf.sprintf "data gref %d granted by domain %d"
-                    s.Blkif.gref d )
-          | Some _ -> check_seg rest)
+  let n = Array.length segs in
+  let fail k v =
+    for j = 0 to k - 1 do
+      unmark i segs.(j).Blkif.gref in_flight
+    done;
+    Error v
   in
-  match check_seg segs with
-  | Some v -> Some v
-  | None ->
-      let total =
-        List.fold_left (fun a s -> a + Blkif.segment_bytes s) 0 segs
-      in
+  let rec check k entries total =
+    if k = n then begin
       let sectors = total / sector_size in
       let cap = Kite_devices.Nvme.capacity_sectors i.device in
       if req.Blkif.sector < 0 || req.Blkif.sector + sectors > cap then
-        Some
+        fail n
           ( Guest_fault.Bad_length,
             Printf.sprintf "sector range [%d, %d) beyond capacity %d"
               req.Blkif.sector
               (req.Blkif.sector + sectors)
               cap )
-      else None
+      else Ok (entries, total)
+    end
+    else
+      let s = segs.(k) in
+      if
+        s.Blkif.first_sect < 0
+        || s.Blkif.last_sect < s.Blkif.first_sect
+        || s.Blkif.last_sect >= sect_per_page
+      then
+        fail k
+          ( Guest_fault.Bad_segment,
+            Printf.sprintf "segment geometry first=%d last=%d (page holds %d)"
+              s.Blkif.first_sect s.Blkif.last_sect sect_per_page )
+      else
+        match lookup i ~what:"data" s.Blkif.gref with
+        | exception Violation (attack, detail) -> fail k (attack, detail)
+        | e ->
+            let entries = if k = 0 then Array.make n e else entries in
+            entries.(k) <- e;
+            mark i s.Blkif.gref in_flight;
+            check (k + 1) entries (total + Blkif.segment_bytes s)
+  in
+  check 0 [||] 0
+
+(* A violator is answered with status_error and reported as a typed
+   Guest_fault (which may quarantine the whole device mid-run); the
+   references it claimed are released. *)
+let reject i r req entries (attack, detail) =
+  i.inflight <- i.inflight - 1;
+  unclaim i entries;
+  Int_table.remove i.req_ids req.Blkif.req_id;
+  respond_id i r ~id:req.Blkif.req_id Blkif.status_error;
+  Split.record_fault i.dev ~attack ~detail
+
+(* The thread keeps the entries validation found, and it may sleep
+   before it maps them (answering a violator is a hypercall), so the
+   frontend may have ended a grant meanwhile.  Just before a map, each
+   request whose entries are not all live is rejected; that answer
+   sleeps too, so look again until none is. *)
+let rec drop_revoked i r ~what ~entries ~req items =
+  let live x = Array.for_all Grant_table.live (entries x) in
+  if List.for_all live items then items
+  else begin
+    let items, dead = List.partition live items in
+    List.iter
+      (fun x ->
+        let es = entries x in
+        let e =
+          Option.get (Array.find_opt (fun e -> not (Grant_table.live e)) es)
+        in
+        reject i r (req x) es
+          ( Guest_fault.Bad_gref,
+            Printf.sprintf "%s gref %d revoked before it was mapped" what
+              (Grant_table.gref e) ))
+      dead;
+    drop_revoked i r ~what ~entries ~req items
+  end
 
 (* Prepare a whole drained run with coalesced grant-table hypercalls:
    every indirect descriptor page in the run is mapped (and unmapped)
@@ -224,166 +315,161 @@ let validate_segs i req segs =
    run costs exactly what the old per-request path did.
 
    Every request passes [validate_pre] before any of its grants are
-   touched and [validate_segs] once its segments are resolved; a
-   violator is answered with status_error and reported as a typed
-   Guest_fault (which may quarantine the whole device mid-run). *)
+   touched and [validate_segs] once its segments are parsed; each
+   reference is looked up once, and mapped from the entry found. *)
 let prepare_run i r reqs =
-  let reqs =
-    List.filter
+  let gt = i.dev.ctx.Xen_ctx.gt and grantee = i.dev.domain in
+  let pre =
+    List.filter_map
       (fun req ->
         match validate_pre i r req with
-        | Some (attack, detail) ->
+        | Error (attack, detail) ->
             respond_id i r ~id:req.Blkif.req_id Blkif.status_error;
             Split.record_fault i.dev ~attack ~detail;
-            false
-        | None ->
+            None
+        | Ok descs ->
             Int_table.replace i.req_ids req.Blkif.req_id r.rid;
-            true)
+            Some (req, descs))
       reqs
   in
-  match reqs with
+  match pre with
   | [] -> []
   | _ when i.dev.stop -> []  (* quarantine offlined the device mid-run *)
-  | reqs ->
+  | pre -> (
       List.iter
-        (fun req ->
+        (fun (req, _) ->
           (match req.Blkif.body with
           | Blkif.Indirect _ -> i.indirect_reqs <- i.indirect_reqs + 1
           | Blkif.Direct _ -> ());
           i.inflight <- i.inflight + 1)
-        reqs;
-      (* Segment resolution: one map/unmap pair covers every indirect
+        pre;
+      (* Segment parsing: one map/unmap pair covers every indirect
          descriptor page in the run (parsing the packed bytes, as the
          real driver does). *)
-      let ind_grefs =
-        List.concat_map
-          (fun req ->
-            match req.Blkif.body with
-            | Blkif.Indirect (grefs, _) -> grefs
-            | Blkif.Direct _ -> [])
-          reqs
+      let pre =
+        drop_revoked i r ~what:"indirect descriptor" ~entries:snd ~req:fst pre
       in
-      let ind_pages =
-        if ind_grefs = [] then []
-        else
-          Grant_table.map_many i.dev.ctx.Xen_ctx.gt ~grantee:i.dev.domain
-            ind_grefs
-      in
-      let rev_segs, _ =
-        List.fold_left
-          (fun (acc, pages) req ->
-            match req.Blkif.body with
-            | Blkif.Direct segs -> (segs :: acc, pages)
-            | Blkif.Indirect (grefs, count) ->
-                let mine, rest = split_at (List.length grefs) pages in
-                (Blkif.unpack_segments mine ~count :: acc, rest))
-          ([], ind_pages) reqs
-      in
-      let prepared = List.combine reqs (List.rev rev_segs) in
-      if ind_grefs <> [] then
-        Grant_table.unmap_many i.dev.ctx.Xen_ctx.gt ~grantee:i.dev.domain
-          ind_grefs;
-      (* Stage-2: the resolved segments (possibly parsed out of
-         attacker-controlled descriptor pages) are themselves validated
-         before the data grefs ride the pooled map hypercall. *)
-      let prepared =
-        List.filter
-          (fun (req, segs) ->
-            match validate_segs i req segs with
-            | Some (attack, detail) ->
-                i.inflight <- i.inflight - 1;
-                Int_table.remove i.req_ids req.Blkif.req_id;
-                respond_id i r ~id:req.Blkif.req_id Blkif.status_error;
-                Split.record_fault i.dev ~attack ~detail;
-                false
-            | None -> true)
-          prepared
-      in
-      if i.dev.stop then []  (* quarantine offlined the device mid-run *)
-      else begin
-      List.iter
-        (fun (req, segs) ->
-          let indirect =
-            match req.Blkif.body with
-            | Blkif.Indirect _ -> true
-            | Blkif.Direct _ -> false
+      if i.dev.stop then []
+      else
+        let descs = Array.concat (List.map snd pre) in
+        if Array.length descs > 0 then Grant_table.map_many gt ~grantee descs;
+        let parsed =
+          List.map
+            (fun (req, ds) ->
+              match req.Blkif.body with
+              | Blkif.Direct segs -> (req, Array.of_list segs)
+              | Blkif.Indirect (_, count) ->
+                  ( req,
+                    Blkif.unpack_segments (Array.map Grant_table.page ds)
+                      ~count ))
+            pre
+        in
+        if Array.length descs > 0 then begin
+          Grant_table.unmap_many gt ~grantee descs;
+          unclaim i descs
+        end;
+        (* Stage-2: the parsed segments (possibly out of
+           attacker-controlled descriptor pages) are themselves validated
+           before the data grefs ride the pooled map hypercall. *)
+        let prepared =
+          List.filter_map
+            (fun (req, segs) ->
+              match validate_segs i req segs with
+              | Error v ->
+                  reject i r req [||] v;
+                  None
+              | Ok (entries, total_bytes) ->
+                  Some { req; segs; entries; total_bytes; sg = [||] })
+            parsed
+        in
+        if i.dev.stop then []  (* quarantine offlined the device mid-run *)
+        else begin
+          List.iter
+            (fun w ->
+              match trace i with
+              | Some tr ->
+                  (* Persistent grants hit the map fast path (already
+                     mapped => free). *)
+                  let hits =
+                    if i.persistent then
+                      Array.fold_left
+                        (fun a s ->
+                          if marked i s.Blkif.gref held then a + 1
+                          else a)
+                        0 w.segs
+                    else 0
+                  in
+                  let indirect =
+                    match w.req.Blkif.body with
+                    | Blkif.Indirect _ -> true
+                    | Blkif.Direct _ -> false
+                  in
+                  Kite_trace.Trace.span_hop tr
+                    ~at:(Hypervisor.now (hv i))
+                    ~kind:"blk" ~key:i.dev.name ~id:w.req.Blkif.req_id
+                    ~stage:"map"
+                    ~args:
+                      [
+                        Int ("segs", Array.length w.segs);
+                        Int ("persistent_hits", hits);
+                        Int ("indirect", Bool.to_int indirect);
+                      ];
+                  Split.kernel_grant_ops i.dev
+                    i.dev.ov.Overheads.blk_kernel_grant_ops
+              | None -> ())
+            prepared;
+          let prepared =
+            drop_revoked i r ~what:"data"
+              ~entries:(fun w -> w.entries)
+              ~req:(fun w -> w.req)
+              prepared
           in
-          let grefs = List.map (fun s -> s.Blkif.gref) segs in
-          (* Persistent grants hit the map fast path (already mapped =>
-             free). *)
-          let persistent_hits =
-            if i.persistent then
-              List.length (List.filter (Int_table.mem i.pmap) grefs)
-            else 0
-          in
-          match trace i with
-          | Some tr ->
-              Kite_trace.Trace.span_hop tr
-                ~at:(Hypervisor.now (hv i))
-                ~kind:"blk" ~key:i.dev.name ~id:req.Blkif.req_id
-                ~stage:"map"
-                ~args:
-                  [
-                    Int ("segs", List.length segs);
-                    Int ("persistent_hits", persistent_hits);
-                    Int ("indirect", Bool.to_int indirect);
-                  ];
-              Split.kernel_grant_ops i.dev
-                i.dev.ov.Overheads.blk_kernel_grant_ops
-          | None -> ())
-        prepared;
-      (* Data pages: one pooled map hypercall for the whole run. *)
-      let all_grefs =
-        List.concat_map
-          (fun (_, segs) -> List.map (fun s -> s.Blkif.gref) segs)
-          prepared
-      in
-      let all_pages =
-        Grant_table.map_many i.dev.ctx.Xen_ctx.gt ~grantee:i.dev.domain
-          all_grefs
-      in
-      let rev_works, _ =
-        List.fold_left
-          (fun (acc, pages) (req, segs) ->
-            let mine, rest = split_at (List.length segs) pages in
-            if i.persistent then
-              List.iter
-                (fun s ->
-                  if Kite_race.Race.active () then
-                    Kite_race.Race.scoped_write
-                      ~loc:
-                        (Printf.sprintf "%s.pmap[%d]" i.dev.name
-                           s.Blkif.gref)
-                      ~site:"Blkback.persist";
-                  Int_table.replace i.pmap s.Blkif.gref ())
-                segs;
-            let total_bytes =
-              List.fold_left (fun a s -> a + Blkif.segment_bytes s) 0 segs
-            in
-            (* Per-request and per-segment CPU happens here in the request
-               thread, overlapping with device operations already in
-               flight. *)
-            Hypervisor.cpu_work (hv i) i.dev.domain
-              (i.dev.ov.Overheads.blk_per_request
-              + (i.dev.ov.Overheads.blk_per_segment * List.length segs));
-            let sg =
-              List.map2
-                (fun s page ->
-                  ( page,
-                    s.Blkif.first_sect * sector_size,
-                    Blkif.segment_bytes s ))
-                segs mine
-            in
-            ({ req; segs; sg; total_bytes } :: acc, rest))
-          ([], all_pages) prepared
-      in
-      List.rev rev_works
-      end
+          if i.dev.stop then []
+          else begin
+            (* Data pages: one pooled map hypercall for the whole run. *)
+            Grant_table.map_many gt ~grantee
+              (Array.concat (List.map (fun w -> w.entries) prepared));
+            List.map
+              (fun w ->
+                if i.persistent then
+                  Array.iteri
+                    (fun k s ->
+                      if Kite_race.Race.active () then
+                        Kite_race.Race.scoped_write
+                          ~loc:
+                            (Printf.sprintf "%s.pmap[%d]" i.dev.name
+                               s.Blkif.gref)
+                          ~site:"Blkback.persist";
+                      if not (marked i s.Blkif.gref held) then begin
+                        Int_table.add i.pmap s.Blkif.gref w.entries.(k);
+                        mark i s.Blkif.gref held
+                      end)
+                    w.segs;
+                (* Per-request and per-segment CPU happens here in the
+                   request thread, overlapping with device operations
+                   already in flight. *)
+                Hypervisor.cpu_work (hv i) i.dev.domain
+                  (i.dev.ov.Overheads.blk_per_request
+                  + i.dev.ov.Overheads.blk_per_segment * Array.length w.segs);
+                {
+                  w with
+                  sg =
+                    Array.mapi
+                      (fun k s ->
+                        ( Grant_table.page w.entries.(k),
+                          s.Blkif.first_sect * sector_size,
+                          Blkif.segment_bytes s ))
+                      w.segs;
+                })
+              prepared
+          end
+        end)
 
-let release i work =
+let release i w =
   if not i.persistent then
     Grant_table.unmap_many i.dev.ctx.Xen_ctx.gt ~grantee:i.dev.domain
-      (List.map (fun s -> s.Blkif.gref) work.segs)
+      w.entries;
+  unclaim i w.entries
 
 (* Execute one batch of works sharing an operation and contiguous on the
    device: a single physical operation. *)
@@ -403,7 +489,11 @@ let run_batch i r op sector works =
   Hypervisor.cpu_work (hv i) i.dev.domain i.dev.ov.Overheads.blk_per_request;
   (* The device moves the data straight between the mapped pages and its
      media. *)
-  let sg = List.concat_map (fun w -> w.sg) works in
+  let sg =
+    match works with
+    | [ w ] -> w.sg
+    | works -> Array.concat (List.map (fun w -> w.sg) works)
+  in
   (* Transient device errors (an injected NVMe hiccup) are retried with
      exponential backoff; only after [Split.retries] attempts is the batch
      failed back to the frontend.  A crash mid-batch ([stop] set abruptly)
@@ -436,7 +526,7 @@ let run_batch i r op sector works =
         (fun w ->
           i.requests <- i.requests + 1;
           r.r_requests <- r.r_requests + 1;
-          i.segments <- i.segments + List.length w.segs;
+          i.segments <- i.segments + Array.length w.segs;
           release i w;
           (match trace i with
           | Some tr ->
@@ -692,6 +782,7 @@ let make_instance ~device ~feature_persistent ~feature_indirect ~batching
       persistent = feature_persistent && front_persistent;
       batching;
       pmap;
+      marks = Bytes.empty;
       requests = 0;
       segments = 0;
       device_ops = 0;
@@ -714,12 +805,15 @@ let make_instance ~device ~feature_persistent ~feature_indirect ~batching
   Split.connect dev
     ~detach:(fun () ->
       Array.iter (fun r -> Condition.broadcast r.rwake) rings;
-      let grefs = Int_table.fold (fun g () acc -> g :: acc) pmap [] in
+      let kept = Int_table.fold (fun _ e acc -> e :: acc) pmap [] in
       Int_table.reset pmap;
-      Grant_table.unmap_many ctx.Xen_ctx.gt ~grantee:domain grefs;
+      i.marks <- Bytes.empty;
+      Grant_table.unmap_many ctx.Xen_ctx.gt ~grantee:domain
+        (Array.of_list kept);
       Array.iter (fun r -> Event_channel.close ctx.Xen_ctx.ec r.rport) rings)
     ~crash:(fun () ->
       Int_table.reset pmap;
+      i.marks <- Bytes.empty;
       Array.iter (fun r -> Condition.broadcast r.rwake) rings);
   attach_metrics i;
   Array.iter (fun r -> Split.spawn_worker dev "req" r.rid (request_thread i r))

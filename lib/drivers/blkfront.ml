@@ -13,18 +13,18 @@ let watchdog_timeout = Time.ms 500
 exception Io_error of string
 
 (* The in-flight journal entry.  It carries everything needed to re-push
-   the request verbatim — the built ring descriptor plus the granted
-   data/indirect pages — so the watchdog can re-issue a lost request and
-   crash recovery can replay unacknowledged ones into a fresh ring.  The
-   grants stay valid across a backend crash (the granter is this, living,
-   domain; the hypervisor force-unmaps the dead peer's mappings). *)
+   the request verbatim — the built ring descriptor (whose indirect body
+   names the granted descriptor pages) plus the granted data pages — so
+   the watchdog can re-issue a lost request and crash recovery can replay
+   unacknowledged ones into a fresh ring.  The grants stay valid across a
+   backend crash (the granter is this, living, domain; the hypervisor
+   force-unmaps the dead peer's mappings). *)
 type pending = {
   p_id : int;
   cond : Condition.t;
   mutable status : int option;  (* response status once completed *)
   p_req : Blkif.request;
-  p_pages : (Grant_table.ref_ * Page.t) list;
-  p_indirect : (Grant_table.ref_ * Page.t) list;
+  p_pages : (Grant_table.ref_ * Page.t) array;
 }
 
 (* One negotiated ring.  Legacy backends get exactly one, wired to the
@@ -57,7 +57,9 @@ type t = {
   conn_cond : Condition.t;
   slot_cond : Condition.t;
   pending : pending Int_table.t;
-  mutable pool : (Grant_table.ref_ * Page.t) list;  (* persistent pages *)
+  (* Persistent pages, a stack: [pool.(pool_n - 1)] is taken next. *)
+  mutable pool : (Grant_table.ref_ * Page.t) array;
+  mutable pool_n : int;
   mutable next_id : int;
   mutable requests : int;
   mutable reconnects : int;
@@ -125,40 +127,56 @@ let queue_for t p = t.queues.(p.p_id mod Array.length t.queues)
    against the next request's reuse.  put releases, get acquires. *)
 let pool_chan t = Printf.sprintf "%s.pool" t.name
 
-let get_page t =
-  if persistent_enabled t then
-    match t.pool with
-    | (gref, page) :: rest ->
-        if Kite_race.Race.active () then
-          Kite_race.Race.scoped_acquire ~chan:(pool_chan t);
-        t.pool <- rest;
-        (gref, page)
-    | [] ->
-        let page = Page.alloc () in
-        let gref =
-          Grant_table.grant_access t.ctx.Xen_ctx.gt ~granter:t.domain
-            ~grantee:t.backend ~page ~writable:true
-        in
-        (gref, page)
-  else
-    let page = Page.alloc () in
-    let gref =
-      Grant_table.grant_access t.ctx.Xen_ctx.gt ~granter:t.domain
-        ~grantee:t.backend ~page ~writable:true
-    in
-    (gref, page)
+let grant_page t =
+  let page = Page.alloc () in
+  let gref =
+    Grant_table.grant_access t.ctx.Xen_ctx.gt ~granter:t.domain
+      ~grantee:t.backend ~page ~writable:true
+  in
+  (gref, page)
 
+let get_page t =
+  if persistent_enabled t && t.pool_n > 0 then begin
+    if Kite_race.Race.active () then
+      Kite_race.Race.scoped_acquire ~chan:(pool_chan t);
+    t.pool_n <- t.pool_n - 1;
+    t.pool.(t.pool_n)
+  end
+  else grant_page t
+
+(* Back on the stack in reverse, so the next request takes them in the
+   order this one had them. *)
 let put_pages t pages =
   if persistent_enabled t then begin
     if Kite_race.Race.active () then
       Kite_race.Race.scoped_release ~chan:(pool_chan t);
-    t.pool <- pages @ t.pool
+    let n = Array.length pages in
+    if t.pool_n + n > Array.length t.pool then begin
+      let grown =
+        Array.make (max (2 * Array.length t.pool) (t.pool_n + n)) pages.(0)
+      in
+      Array.blit t.pool 0 grown 0 t.pool_n;
+      t.pool <- grown
+    end;
+    for k = n - 1 downto 0 do
+      t.pool.(t.pool_n) <- pages.(k);
+      t.pool_n <- t.pool_n + 1
+    done
   end
   else
-    List.iter
+    Array.iter
       (fun (gref, _) ->
         Grant_table.end_access t.ctx.Xen_ctx.gt ~granter:t.domain gref)
       pages
+
+(* Revoke every idle pooled grant, most recently pooled first. *)
+let drain_pool t =
+  for k = t.pool_n - 1 downto 0 do
+    Grant_table.end_access t.ctx.Xen_ctx.gt ~granter:t.domain
+      (fst t.pool.(k))
+  done;
+  t.pool <- [||];
+  t.pool_n <- 0
 
 (* The bytes page [pi] of a [count]-sector request carries: a whole page
    but for the last one. *)
@@ -166,50 +184,43 @@ let page_len ~count pi =
   min Page.size ((count * sector_size) - (pi * Page.size))
 
 (* Build the journal entry for one blkif request covering [count] sectors
-   starting at [sector]: grant the data pages, fill them for writes
-   straight from the caller's [buf] at [off], and pack indirect
-   descriptors if the segment list is long. *)
+   starting at [sector]: take the data pages, then in one pass fill them
+   for writes straight from the caller's [buf] at [off] and, when the
+   segments are too many for the ring slot, pack their indirect
+   descriptors. *)
 let prepare t op ~sector ~count buf ~off =
   let id = fresh_id t in
   let npages = (count + sectors_per_page - 1) / sectors_per_page in
-  let pages = List.init npages (fun _ -> get_page t) in
-  if op = Blkif.Write then
-    List.iteri
-      (fun pi (_, page) ->
+  let pages = Array.init npages (fun _ -> get_page t) in
+  let last_sect pi =
+    min (sectors_per_page - 1) (count - (pi * sectors_per_page) - 1)
+  in
+  let indirect = npages > Blkif.max_direct_segments in
+  let descs = if indirect then Blkif.descriptor_buffers npages else [||] in
+  Array.iteri
+    (fun pi (gref, page) ->
+      if op = Blkif.Write then
         Page.write_from page ~off:0 buf
           ~src_off:(off + (pi * Page.size))
-          ~len:(page_len ~count pi))
-      pages;
-  let segments =
-    List.mapi
-      (fun pi (gref, _) ->
-        let remaining = count - (pi * sectors_per_page) in
-        {
-          Blkif.gref;
-          first_sect = 0;
-          last_sect = min (sectors_per_page - 1) (remaining - 1);
-        })
-      pages
-  in
-  let body, indirect_grants =
-    if List.length segments <= Blkif.max_direct_segments then
-      (Blkif.Direct segments, [])
-    else begin
-      (* Pack descriptors into the pages we grant, exactly like the ABI. *)
-      let descriptor_pages =
-        List.map
-          (fun page ->
-            let gref =
+          ~len:(page_len ~count pi);
+      if indirect then
+        Blkif.put_descriptor descs pi ~gref ~first_sect:0
+          ~last_sect:(last_sect pi))
+    pages;
+  let body =
+    if indirect then
+      Blkif.Indirect
+        ( List.map
+            (fun b ->
               Grant_table.grant_access t.ctx.Xen_ctx.gt ~granter:t.domain
-                ~grantee:t.backend ~page ~writable:false
-            in
-            (gref, page))
-          (Blkif.pack_segments segments)
-      in
-      ( Blkif.Indirect
-          (List.map fst descriptor_pages, List.length segments),
-        descriptor_pages )
-    end
+                ~grantee:t.backend ~page:(Page.of_bytes b) ~writable:false)
+            (Array.to_list descs),
+          npages )
+    else
+      Blkif.Direct
+        (List.init npages (fun pi ->
+             { Blkif.gref = fst pages.(pi); first_sect = 0;
+               last_sect = last_sect pi }))
   in
   {
     p_id = id;
@@ -217,7 +228,6 @@ let prepare t op ~sector ~count buf ~off =
     status = None;
     p_req = { Blkif.req_id = id; op; sector; body };
     p_pages = pages;
-    p_indirect = indirect_grants;
   }
 
 let notify_backend t q =
@@ -358,10 +368,13 @@ let submit t op ~sector ~count buf ~off =
       ~site:"Blkfront.complete";
   Int_table.remove t.pending p.p_id;
   (* Indirect descriptor pages are single-use. *)
-  List.iter
-    (fun (gref, _) ->
-      Grant_table.end_access t.ctx.Xen_ctx.gt ~granter:t.domain gref)
-    p.p_indirect;
+  (match p.p_req.Blkif.body with
+  | Blkif.Indirect (grefs, _) ->
+      List.iter
+        (fun gref ->
+          Grant_table.end_access t.ctx.Xen_ctx.gt ~granter:t.domain gref)
+        grefs
+  | Blkif.Direct _ -> ());
   if p.status <> Some Blkif.status_ok then begin
     put_pages t p.p_pages;
     raise
@@ -371,7 +384,7 @@ let submit t op ~sector ~count buf ~off =
   end;
   (* Drain each page straight into its place in the result. *)
   if op = Blkif.Read then
-    List.iteri
+    Array.iteri
       (fun pi (_, page) ->
         Page.read_into page ~off:0 ~len:(page_len ~count pi) buf
           ~dst_off:(off + (pi * Page.size)))
@@ -399,7 +412,7 @@ let run_chunks t op ~sector ~count buf =
       let first = ci * chunk in
       let n = min chunk (count - first) in
       Hypervisor.spawn t.ctx.Xen_ctx.hv t.domain
-        ~name:(Printf.sprintf "blkfront-io-%d" ci)
+        ~name:("blkfront-io-" ^ string_of_int ci)
         (fun () ->
           (try
              submit t op ~sector:(sector + first) ~count:n buf
@@ -535,11 +548,7 @@ and reconnect t () =
     (fun q -> Event_channel.close t.ctx.Xen_ctx.ec q.q_port)
     t.queues;
   List.iter (fun p -> mq_release t ~slot:p.p_id) journal;
-  List.iter
-    (fun (gref, _) ->
-      Grant_table.end_access t.ctx.Xen_ctx.gt ~granter:t.domain gref)
-    t.pool;
-  t.pool <- [];
+  drain_pool t;
   (* Close first: Connected -> Closed -> Initialising is the legal
      reconnect path through the xenbus state machine. *)
   Xenbus.switch_state t.ctx.Xen_ctx.xb t.domain ~path:(fpath t) Xenbus.Closed;
@@ -600,7 +609,7 @@ let attach_metrics t =
       R.gauge_fn r "kite_blk_pool_size"
         ~help:"Idle pages in the persistent-grant pool"
         [ ("vbd", vbd) ]
-        (fun () -> float_of_int (List.length t.pool));
+        (fun () -> float_of_int t.pool_n);
       R.gauge_fn r "kite_blk_pending"
         ~help:"Journal entries awaiting a response"
         [ ("vbd", vbd) ]
@@ -622,7 +631,7 @@ let attach_metrics t =
             Array.fold_left (fun a q -> a + Ring.size q.q_ring) 0 t.queues
           in
           if
-            persistent_enabled t && t.pool = [] && slots > 0
+            persistent_enabled t && t.pool_n = 0 && slots > 0
             && Int_table.length t.pending >= slots
           then
             R.Alert
@@ -653,7 +662,8 @@ let create ctx ~domain ~backend ~devid ?(use_persistent = true)
       conn_cond = Condition.create ~label:"blkfront connect" ();
       slot_cond = Condition.create ~label:"blkfront ring slots" ();
       pending = Int_table.create 64;
-      pool = [];
+      pool = [||];
+      pool_n = 0;
       next_id = 0;
       requests = 0;
       reconnects = 0;
@@ -684,11 +694,7 @@ let shutdown t =
       t.monitor <- None
   | None -> ());
   Int_table.iter (fun id _ -> mq_release t ~slot:id) t.pending;
-  List.iter
-    (fun (gref, _) ->
-      Grant_table.end_access t.ctx.Xen_ctx.gt ~granter:t.domain gref)
-    t.pool;
-  t.pool <- [];
+  drain_pool t;
   Array.iter
     (fun q -> Event_channel.close t.ctx.Xen_ctx.ec q.q_port)
     t.queues

@@ -30,42 +30,39 @@ include Xenif.Mq
 type ring = (request, response) Kite_xen.Ring.t
 
 (* 8 bytes per descriptor: gref u32 | first u8 | last u8 | pad u16,
-   big-endian.  Each page is built as exactly the descriptors it holds
-   and granted in that buffer ([Page.of_bytes]): the rest of the page
-   reads as zeroes, as in a zeroed page. *)
-let pack_segments segs =
-  let n = List.length segs in
+   big-endian.  Each buffer is exactly the descriptors it holds and is
+   granted as it is ([Page.of_bytes]): the rest of the page reads as
+   zeroes, as in a zeroed page. *)
+let descriptor_buffers n =
   let per = segments_per_indirect_page in
-  let bufs =
-    Array.init
-      (max 1 ((n + per - 1) / per))
-      (fun k -> Bytes.make (8 * min per (n - (k * per))) '\000')
-  in
-  List.iteri
-    (fun i s ->
-      let b = bufs.(i / per) and off = i mod per * 8 in
-      Bytes.set_uint16_be b off ((s.gref lsr 16) land 0xffff);
-      Bytes.set_uint16_be b (off + 2) (s.gref land 0xffff);
-      Bytes.set b (off + 4) (Char.chr s.first_sect);
-      Bytes.set b (off + 5) (Char.chr s.last_sect))
-    segs;
-  Array.to_list (Array.map Kite_xen.Page.of_bytes bufs)
+  Array.init
+    (max 1 ((n + per - 1) / per))
+    (fun k -> Bytes.make (8 * min per (n - (k * per))) '\000')
+
+let put_descriptor bufs i ~gref ~first_sect ~last_sect =
+  let b = bufs.(i / segments_per_indirect_page)
+  and off = i mod segments_per_indirect_page * 8 in
+  Bytes.set_uint16_be b off ((gref lsr 16) land 0xffff);
+  Bytes.set_uint16_be b (off + 2) (gref land 0xffff);
+  Bytes.set b (off + 4) (Char.chr first_sect);
+  Bytes.set b (off + 5) (Char.chr last_sect)
 
 (* Reads only the [count * 8] bytes it parses, out of as many pages as
-   they span. *)
+   they span, into segments of the caller's own. *)
 let unpack_segments pages ~count =
   let buf = Bytes.create (count * 8) in
-  let rec read_pages first = function
-    | _ when first >= count -> ()
-    | [] -> invalid_arg "Blkif.unpack_segments: too few pages"
-    | page :: rest ->
-        let n = min segments_per_indirect_page (count - first) in
-        Kite_xen.Page.read_into page ~off:0 ~len:(n * 8) buf
-          ~dst_off:(first * 8);
-        read_pages (first + n) rest
-  in
-  read_pages 0 pages;
-  List.init count (fun i ->
+  let per = segments_per_indirect_page in
+  if Array.length pages < (count + per - 1) / per then
+    invalid_arg "Blkif.unpack_segments: too few pages";
+  let first = ref 0 and k = ref 0 in
+  while !first < count do
+    let n = min per (count - !first) in
+    Kite_xen.Page.read_into pages.(!k) ~off:0 ~len:(n * 8) buf
+      ~dst_off:(!first * 8);
+    first := !first + n;
+    incr k
+  done;
+  Array.init count (fun i ->
       let off = i * 8 in
       {
         gref =

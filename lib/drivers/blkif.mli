@@ -57,14 +57,27 @@ type ring = (request, response) Kite_xen.Ring.t
     Descriptors are packed 8 bytes each into granted pages, exactly like
     the C ABI — blkback genuinely parses bytes out of the shared page. *)
 
-val pack_segments : segment list -> Kite_xen.Page.t list
-(** Fresh pages holding the packed descriptors, 512 to a page, ready to
-    grant: each page holds its descriptors and zeroes after them. *)
+val descriptor_buffers : int -> Bytes.t array
+(** Zeroed buffers for [n] packed descriptors, 512 to a buffer, each
+    exactly as long as the descriptors it holds.  Fill them with
+    {!put_descriptor}, then grant each as a page with
+    [Kite_xen.Page.of_bytes]: the rest of the page reads as zeroes. *)
 
-val unpack_segments : Kite_xen.Page.t list -> count:int -> segment list
-(** Parses [count] descriptors out of the pages, reading only their
-    [count * 8] bytes.  Raises [Invalid_argument] if the pages are too
-    few to hold them (the backend checks the page count first). *)
+val put_descriptor :
+  Bytes.t array ->
+  int ->
+  gref:Kite_xen.Grant_table.ref_ ->
+  first_sect:int ->
+  last_sect:int ->
+  unit
+(** [put_descriptor bufs i ~gref ~first_sect ~last_sect] packs segment
+    [i] into its buffer. *)
+
+val unpack_segments : Kite_xen.Page.t array -> count:int -> segment array
+(** Parses [count] descriptors out of the pages into a fresh array,
+    reading only their [count * 8] bytes.  Raises [Invalid_argument] if
+    the pages are too few to hold them (the backend checks the page
+    count first). *)
 
 (** {1 Shared-ring registry} *)
 

@@ -10,6 +10,7 @@ type entry = {
   page : Page.t;
   writable : bool;
   mutable mapped : bool;
+  mutable live : bool;  (* false once ended or revoked *)
 }
 
 type ref_ = int
@@ -67,6 +68,7 @@ let grant_access t ~granter ~grantee ~page ~writable =
       page;
       writable;
       mapped = false;
+      live = true;
     };
   r
 
@@ -87,6 +89,7 @@ let end_access t ~granter r =
                           granter.Domain.id));
   if e.mapped then
     raise (Grant_error (Printf.sprintf "grant %d is still mapped" r));
+  e.live <- false;
   Int_table.remove t.entries r
 
 let check_grantee e r dom =
@@ -98,57 +101,80 @@ let check_grantee e r dom =
 (* Mapping a page that this domain already has mapped is free: this is the
    persistent-reference fast path.  Kite's blkback looks the reference up
    in its own table first; modelling it here keeps the accounting honest
-   even if a driver calls [map] twice. *)
-let map_one t ~grantee r =
+   even if a driver calls [map] twice.  The checker and race hooks fire
+   once per reference, before the reference is checked. *)
+let map_hooks t ~grantee r =
   (match t.check with
   | Some c -> Kite_check.Check.grant_map c ~gref:r ~grantee:grantee.Domain.id
   | None -> ());
-  race_entry t r "Grant_table.map";
-  let e = get t r in
-  check_grantee e r grantee;
-  let fresh = not e.mapped in
-  e.mapped <- true;
-  if fresh then t.maps <- t.maps + 1;
-  (fresh, e.page)
+  race_entry t r "Grant_table.map"
 
-let map t ~grantee r =
-  let fresh, page = map_one t ~grantee r in
-  if fresh then
-    Hypervisor.hypercall t.hv grantee Hypervisor.Grant_map
-      ~extra:(Hypervisor.costs t.hv).Costs.grant_map;
-  page
-
-let map_many t ~grantee refs =
-  let results = List.map (map_one t ~grantee) refs in
-  let fresh = List.length (List.filter fst results) in
-  if fresh > 0 then
-    Hypervisor.hypercall t.hv grantee Hypervisor.Grant_map
-      ~extra:(fresh * (Hypervisor.costs t.hv).Costs.grant_map);
-  List.map snd results
-
-let unmap_one t ~grantee r =
+let unmap_hooks t ~grantee r =
   (match t.check with
   | Some c ->
       Kite_check.Check.grant_unmap c ~gref:r ~grantee:grantee.Domain.id
   | None -> ());
-  race_entry t r "Grant_table.unmap";
-  let e = get t r in
-  check_grantee e r grantee;
+  race_entry t r "Grant_table.unmap"
+
+(* An entry its caller found earlier may have been ended or revoked
+   since: it then fails as its reference would. *)
+let check_live e =
+  if not e.live then
+    raise (Grant_error (Printf.sprintf "bad grant reference %d" e.gref))
+
+let map_checked ~grantee t e =
+  check_live e;
+  check_grantee e e.gref grantee;
+  let fresh = not e.mapped in
+  e.mapped <- true;
+  if fresh then t.maps <- t.maps + 1;
+  fresh
+
+let unmap_checked ~grantee t e =
+  check_live e;
+  check_grantee e e.gref grantee;
   if not e.mapped then
-    raise (Grant_error (Printf.sprintf "grant %d is not mapped" r));
+    raise (Grant_error (Printf.sprintf "grant %d is not mapped" e.gref));
   e.mapped <- false;
   t.unmaps <- t.unmaps + 1
 
-let unmap t ~grantee r =
-  unmap_one t ~grantee r;
-  Hypervisor.hypercall t.hv grantee Hypervisor.Grant_unmap
-    ~extra:(Hypervisor.costs t.hv).Costs.grant_unmap
+let charge_map t ~grantee fresh =
+  if fresh > 0 then
+    Hypervisor.hypercall t.hv grantee Hypervisor.Grant_map
+      ~extra:(fresh * (Hypervisor.costs t.hv).Costs.grant_map)
 
-let unmap_many t ~grantee refs =
-  List.iter (unmap_one t ~grantee) refs;
-  if refs <> [] then
+let charge_unmap t ~grantee n =
+  if n > 0 then
     Hypervisor.hypercall t.hv grantee Hypervisor.Grant_unmap
-      ~extra:(List.length refs * (Hypervisor.costs t.hv).Costs.grant_unmap)
+      ~extra:(n * (Hypervisor.costs t.hv).Costs.grant_unmap)
+
+let map t ~grantee r =
+  map_hooks t ~grantee r;
+  let e = get t r in
+  charge_map t ~grantee (Bool.to_int (map_checked ~grantee t e));
+  e.page
+
+let map_many t ~grantee entries =
+  let fresh = ref 0 in
+  for k = 0 to Array.length entries - 1 do
+    let e = entries.(k) in
+    map_hooks t ~grantee e.gref;
+    if map_checked ~grantee t e then incr fresh
+  done;
+  charge_map t ~grantee !fresh
+
+let unmap t ~grantee r =
+  unmap_hooks t ~grantee r;
+  unmap_checked ~grantee t (get t r);
+  charge_unmap t ~grantee 1
+
+let unmap_many t ~grantee entries =
+  for k = 0 to Array.length entries - 1 do
+    let e = entries.(k) in
+    unmap_hooks t ~grantee e.gref;
+    unmap_checked ~grantee t e
+  done;
+  charge_unmap t ~grantee (Array.length entries)
 
 let copy_cost t len =
   let costs = Hypervisor.costs t.hv in
@@ -260,13 +286,17 @@ let revoke_domain t ~domid =
   List.iter
     (fun r ->
       (match Int_table.find_opt t.entries r with
-      | Some e when e.mapped ->
-          (* The peer's mapping dies with the granted frame. *)
-          (match t.check with
-          | Some c -> Kite_check.Check.grant_unmap c ~gref:r ~grantee:e.grantee
-          | None -> ());
-          e.mapped <- false
-      | Some _ | None -> ());
+      | Some e ->
+          if e.mapped then begin
+            (* The peer's mapping dies with the granted frame. *)
+            (match t.check with
+            | Some c ->
+                Kite_check.Check.grant_unmap c ~gref:r ~grantee:e.grantee
+            | None -> ());
+            e.mapped <- false
+          end;
+          e.live <- false
+      | None -> ());
       (match t.check with
       | Some c -> Kite_check.Check.grant_end c ~gref:r ~granter:domid
       | None -> ());
@@ -279,8 +309,12 @@ let owner t r =
   | exception Not_found -> None
 
 let find t r = Int_table.find_opt t.entries r
+let gref e = e.gref
 let granter e = e.granter
+let grantee e = e.grantee
 let writable e = e.writable
+let page e = e.page
+let live e = e.live
 
 (* Pooled allocation: a per-queue set of pre-granted pages.  Frontends
    that repost the same buffers forever (netfront Rx, blkfront

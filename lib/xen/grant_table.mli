@@ -45,12 +45,19 @@ val map : t -> grantee:Domain.t -> ref_ -> Page.t
 (** Map a granted page; charges one map hypercall.  Raises {!Grant_error}
     on bad ref, wrong grantee, or revoked grant. *)
 
-val map_many : t -> grantee:Domain.t -> ref_ list -> Page.t list
-(** Batched map: one hypercall trap for the whole list (what blkback does
-    for a request's segments). *)
+val map_many : t -> grantee:Domain.t -> entry array -> unit
+(** Batched map of entries the caller's {!find} returned: one hypercall
+    trap for the whole array (what blkback does for a drained run's
+    segments), charged for the entries not already mapped.  The checker
+    and race hooks fire once per entry, in array order, as {!map}'s do.
+    Raises {!Grant_error} on an entry that has since been ended or
+    revoked (check {!live} first) or that names another grantee. *)
 
 val unmap : t -> grantee:Domain.t -> ref_ -> unit
-val unmap_many : t -> grantee:Domain.t -> ref_ list -> unit
+
+val unmap_many : t -> grantee:Domain.t -> entry array -> unit
+(** Batched unmap: one hypercall trap for the whole array.  Raises
+    {!Grant_error} on an entry that is not mapped. *)
 
 val copy_to_granted :
   t -> caller:Domain.t -> ref_ -> off:int -> Bytes.t -> unit
@@ -115,14 +122,28 @@ val owner : t -> ref_ -> int option
 
 val find : t -> ref_ -> entry option
 (** The live entry of a reference; [None] for an unknown or revoked one.
-    Like {!owner}, but the entry also answers {!writable} and is what
-    the batched copies take, for backends that validate a descriptor and
-    then copy through it (netback Tx and Rx). *)
+    Like {!owner}, but the entry also answers {!grantee} and {!writable}
+    and is what the batched copies and maps take, for backends that
+    validate a descriptor and then copy or map through it (netback Tx
+    and Rx, blkback). *)
+
+val gref : entry -> ref_
 
 val granter : entry -> int
 (** The granting domid. *)
 
+val grantee : entry -> int
+(** The domid the grant is for. *)
+
 val writable : entry -> bool
+
+val page : entry -> Page.t
+(** The granted page: what mapping the entry makes visible. *)
+
+val live : entry -> bool
+(** False once the grant has been ended or revoked with its domain.  A
+    backend that keeps an entry from validation to map re-checks it
+    here, after any point where it slept. *)
 
 val active_grants : t -> int
 (** Number of grants currently in the table. *)

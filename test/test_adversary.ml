@@ -181,8 +181,9 @@ let test_net_xenstore_abuse () =
 
 (* Same shape for a hostile vbd; the honest guest writes a pattern far
    from the attacker's scratch sectors and must read it back intact. *)
-let blk_attack ~cls ~mode ~volley () =
+let blk_attack ?(on_report = ignore) ~cls ~mode ~volley () =
   let report = Report.create () in
+  on_report report;
   Kite.Obs.run { Kite.Obs.none with check = Some report } (fun () ->
       let s = Scenario.storage ~flavor:Scenario.Kite ~num_queues:2 () in
       let hv = s.Scenario.bhv and ctx = s.Scenario.bctx in
@@ -275,6 +276,40 @@ let test_blk_replay () =
     ~volley:(fun ev ~victim:_ -> Evil_front.attack_replay ev)
     ()
   |> assert_outcome ~min_level:3 "blk replay"
+
+(* A reference named twice is refused at validation: before, blkback
+   mapped it twice, unmapped it twice and stopped the simulation with a
+   Grant_error. *)
+let test_blk_gref_twice how name () =
+  blk_attack ~cls:Guest_fault.Bad_gref ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_gref_twice ev how)
+    ()
+  |> assert_outcome ~min_level:1 name
+
+(* A grant ended after its request's checks but before its map is a
+   typed fault too, not a Grant_error at the map. *)
+let test_blk_end_before_map () =
+  let report = ref None in
+  blk_attack ~cls:Guest_fault.Bad_gref ~mode:Evil_front.Honest
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_end_before_map ev)
+    ~on_report:(fun r -> report := Some r)
+    ()
+  |> assert_outcome ~min_level:2 "blk end before map";
+  let needle = "revoked before it was mapped" in
+  let mentions m =
+    let n = String.length needle in
+    let rec from k =
+      k + n <= String.length m && (String.sub m k n = needle || from (k + 1))
+    in
+    from 0
+  in
+  let revoked =
+    List.filter
+      (fun f -> mentions f.Report.message)
+      (Report.by_rule (Option.get !report)
+         (Guest_fault.rule Guest_fault.Bad_gref))
+  in
+  check_int "the ended grant is found at the map" 1 (List.length revoked)
 
 let test_blk_slot_reuse () =
   blk_attack ~cls:Guest_fault.Slot_reuse ~mode:Evil_front.Honest
@@ -376,6 +411,13 @@ let suite =
     ("blk: bad length", `Quick, test_blk_bad_length);
     ("blk: bad segment", `Quick, test_blk_bad_segment);
     ("blk: replay", `Quick, test_blk_replay);
+    ("blk: gref twice in one request", `Quick,
+      test_blk_gref_twice `Two_segments "blk gref twice in one request");
+    ("blk: gref twice in one drain", `Quick,
+      test_blk_gref_twice `Two_requests "blk gref twice in one drain");
+    ("blk: descriptor gref twice", `Quick,
+      test_blk_gref_twice `Two_descriptors "blk descriptor gref twice");
+    ("blk: grant ended before its map", `Quick, test_blk_end_before_map);
     ("blk: slot reuse", `Quick, test_blk_slot_reuse);
     ("blk: xenbus jump", `Quick, test_blk_xenbus_jump);
     ("blk: evtchn storm", `Quick, test_blk_evtchn_storm);

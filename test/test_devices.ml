@@ -109,12 +109,12 @@ let test_nic_throughput_cap () =
 (* ------------------------------------------------------------------ *)
 
 (* Commands name page ranges, as an NVMe PRP list does.  [pages_of b]
-   grants [b] as whole pages; [contents sg] reads a list back out. *)
+   grants [b] as whole pages; [contents sg] reads them back out. *)
 module Page = Kite_xen.Page
 
 let pages_of b =
   let n = Bytes.length b in
-  List.init ((n + Page.size - 1) / Page.size) (fun i ->
+  Array.init ((n + Page.size - 1) / Page.size) (fun i ->
       let page = Page.alloc () in
       let len = min Page.size (n - (i * Page.size)) in
       Page.write_from page ~off:0 b ~src_off:(i * Page.size) ~len;
@@ -124,9 +124,10 @@ let fresh ~len = pages_of (Bytes.make len '?')
 
 let contents sg =
   String.concat ""
-    (List.map
-       (fun (page, off, len) -> Bytes.to_string (Page.read page ~off ~len))
-       sg)
+    (Array.to_list
+       (Array.map
+          (fun (page, off, len) -> Bytes.to_string (Page.read page ~off ~len))
+          sg))
 
 let test_nvme_rw_roundtrip () =
   let e, s = setup () in
@@ -237,7 +238,7 @@ let test_nvme_flush () =
   check_bool "flush completes" true !done_
 
 let test_nvme_chunk_boundary () =
-  (* Sectors 7 and 8 straddle the media's first 4 KiB chunk boundary;
+  (* Sectors 7 and 8 straddle the media's first 4 KiB page boundary;
      their neighbours 6 and 9 were never written. *)
   let e, s = setup () in
   let d = Nvme.create s ~name:"ssd" () in
@@ -256,6 +257,38 @@ let test_nvme_chunk_boundary () =
   in
   check_bool "written sectors back, neighbours zero" true (!got = expect)
 
+let test_nvme_extent_boundary () =
+  (* The media keeps 64 KiB extents (128 sectors).  Sectors 126-129, one
+     page range of the command, straddle the first extent boundary; a
+     read from the written extent into the never-written third one, and
+     a read of a never-written extent, return zeroes there. *)
+  let e, s = setup () in
+  let d = Nvme.create s ~name:"ssd" () in
+  let across = ref "" and into_fresh = ref "" and fresh_extent = ref "" in
+  Process.spawn s ~name:"io" (fun () ->
+      let data = Bytes.init 2048 (fun i -> Char.chr (33 + (i mod 90))) in
+      Nvme.write d ~sector:126 (pages_of data);
+      let back = fresh ~len:3072 in
+      Nvme.read d ~sector:125 back;
+      across := contents back;
+      Nvme.write d ~sector:252 (pages_of (Bytes.make 2048 'e'));
+      let back = fresh ~len:4096 in
+      Nvme.read d ~sector:252 back;
+      into_fresh := contents back;
+      let back = fresh ~len:8192 in
+      Nvme.read d ~sector:1024 back;
+      fresh_extent := contents back);
+  Engine.run e;
+  check_bool "written sectors back across the boundary" true
+    (!across
+    = String.make 512 '\000'
+      ^ String.init 2048 (fun i -> Char.chr (33 + (i mod 90)))
+      ^ String.make 512 '\000');
+  check_bool "into a never-written extent" true
+    (!into_fresh = String.make 2048 'e' ^ String.make 2048 '\000');
+  check_bool "never-written extent reads zeroes" true
+    (!fresh_extent = String.make 8192 '\000')
+
 let test_nvme_no_alias () =
   (* The media keeps its own copy: scribbling the source page after the
      write completes changes nothing stored. *)
@@ -265,7 +298,7 @@ let test_nvme_no_alias () =
   Process.spawn s ~name:"io" (fun () ->
       let sg = pages_of (Bytes.make 4096 'w') in
       Nvme.write d ~sector:8 sg;
-      List.iter (fun (page, _, _) -> Page.fill page 'X') sg;
+      Array.iter (fun (page, _, _) -> Page.fill page 'X') sg;
       let back = fresh ~len:4096 in
       Nvme.read d ~sector:8 back;
       got := contents back);
@@ -282,10 +315,10 @@ let test_nvme_page_offsets () =
   Process.spawn s ~name:"io" (fun () ->
       Page.write src ~off:1024 (Bytes.make 512 'p');
       Page.write src ~off:3584 (Bytes.make 512 'q');
-      Nvme.write d ~sector:3 [ (src, 1024, 512); (src, 3584, 512) ];
-      Nvme.read d ~sector:3 [ (dst, 2048, 1024) ];
+      Nvme.write d ~sector:3 [| (src, 1024, 512); (src, 3584, 512) |];
+      Nvme.read d ~sector:3 [| (dst, 2048, 1024) |];
       got := Bytes.to_string (Page.read dst ~off:2048 ~len:1024);
-      try Nvme.read d ~sector:0 [ (dst, 3584, 1024) ]
+      try Nvme.read d ~sector:0 [| (dst, 3584, 1024) |]
       with Invalid_argument _ -> rejected := true);
   Engine.run e;
   check_bool "offsets honoured" true
@@ -377,6 +410,7 @@ let suite =
     ("pci iommu required", `Quick, test_pci_iommu_required);
     ("pci unknown and duplicate", `Quick, test_pci_unknown_and_duplicate);
     ("nvme chunk boundary", `Quick, test_nvme_chunk_boundary);
+    ("nvme extent boundary", `Quick, test_nvme_extent_boundary);
     ("nvme no alias", `Quick, test_nvme_no_alias);
     ("nvme page offsets", `Quick, test_nvme_page_offsets);
   ]

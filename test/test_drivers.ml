@@ -10,22 +10,32 @@ let check_bool = Alcotest.(check bool)
 (* Protocol plumbing                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* The pages a frontend grants for [segs]' indirect descriptors. *)
+let pack segs =
+  let bufs = Blkif.descriptor_buffers (Array.length segs) in
+  Array.iteri
+    (fun i s ->
+      Blkif.put_descriptor bufs i ~gref:s.Blkif.gref
+        ~first_sect:s.Blkif.first_sect ~last_sect:s.Blkif.last_sect)
+    segs;
+  Array.map Page.of_bytes bufs
+
 let test_blkif_pack_unpack () =
   let segs =
-    List.init 40 (fun i ->
+    Array.init 40 (fun i ->
         { Blkif.gref = 1000 + i; first_sect = i mod 8; last_sect = 7 })
   in
-  let pages = Blkif.pack_segments segs in
-  check_int "one page for 40 segs" 1 (List.length pages);
+  let pages = pack segs in
+  check_int "one page for 40 segs" 1 (Array.length pages);
   let back = Blkif.unpack_segments pages ~count:40 in
   check_bool "roundtrip" true (back = segs)
 
 let test_blkif_pack_many_pages () =
   let segs =
-    List.init 600 (fun i -> { Blkif.gref = i; first_sect = 0; last_sect = 7 })
+    Array.init 600 (fun i -> { Blkif.gref = i; first_sect = 0; last_sect = 7 })
   in
-  let pages = Blkif.pack_segments segs in
-  check_int "two pages for 600" 2 (List.length pages);
+  let pages = pack segs in
+  check_int "two pages for 600" 2 (Array.length pages);
   check_bool "roundtrip" true (Blkif.unpack_segments pages ~count:600 = segs)
 
 let test_blkif_segment_bytes () =
@@ -484,13 +494,13 @@ let prop_blkif_pack_roundtrip =
               (triple (0 -- 0xffffff) (0 -- 7) (0 -- 7)))
     (fun raw ->
       let segs =
-        List.map
-          (fun (gref, a, b) ->
-            { Blkif.gref; first_sect = min a b; last_sect = max a b })
-          raw
+        Array.of_list
+          (List.map
+             (fun (gref, a, b) ->
+               { Blkif.gref; first_sect = min a b; last_sect = max a b })
+             raw)
       in
-      let pages = Blkif.pack_segments segs in
-      Blkif.unpack_segments pages ~count:(List.length segs) = segs)
+      Blkif.unpack_segments (pack segs) ~count:(Array.length segs) = segs)
 
 let test_blk_two_guests_share_device () =
   (* Two DomUs, each with its own blkfront, against one blkback domain:

@@ -290,6 +290,42 @@ let test_blk_path_copy_budget () =
   if not (read <= 1.5) then
     Alcotest.failf "%.2f payloads allocated per 1 MiB read (budget 1.5)" read
 
+(* Host allocation of the storage path per ring request: one 1 MiB
+   write and one verified read, 16 requests of 32 segments, after a
+   warm-up pair, counted over every process that serves them.  Each
+   request's segments are parsed, checked and mapped once, over arrays;
+   rebuilding its segment lists at each stage, as the path did before,
+   allocated 2,721 words a request here, and the arrays 1,172. *)
+let blk_words_budget = 1_300.
+
+let test_blk_path_alloc_budget () =
+  let s = Scenario.storage ~flavor:Scenario.Kite () in
+  let block = 1 lsl 20 in
+  let count = block / Kite_drivers.Blkfront.sector_size in
+  let data = Bytes.init block (fun i -> Char.chr (i * 13 land 0xff)) in
+  let verified = ref false in
+  let words =
+    Testbed.run s.Scenario.bhv ~what:"write and read" ~within:(Time.sec 2)
+      (fun finish ->
+        Scenario.when_blk_ready s (fun () ->
+            let front = s.Scenario.blkfront in
+            Kite_drivers.Blkfront.write front ~sector:2048 data;
+            ignore (Kite_drivers.Blkfront.read front ~sector:2048 ~count);
+            let r0 = Kite_drivers.Blkfront.requests_issued front in
+            let w0 = Gc.minor_words () in
+            Kite_drivers.Blkfront.write front ~sector:0 data;
+            let back = Kite_drivers.Blkfront.read front ~sector:0 ~count in
+            let w1 = Gc.minor_words () in
+            verified := Bytes.equal back data;
+            let reqs = Kite_drivers.Blkfront.requests_issued front - r0 in
+            finish ((w1 -. w0) /. float_of_int reqs)))
+  in
+  check_bool "read back verified" true !verified;
+  if not (words <= blk_words_budget) then
+    Alcotest.failf
+      "%.0f minor words per ring request on the storage path (budget %.0f)"
+      words blk_words_budget
+
 (* ------------------------------------------------------------------ *)
 (* Experiment registry                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -442,6 +478,7 @@ let suite =
     ("extension: multi-NIC scaling", `Slow, test_scale_claim);
     ("extension: restart recovery", `Quick, test_restart_claim);
     ("blk path copy budget", `Quick, test_blk_path_copy_budget);
+    ("blk path alloc budget", `Quick, test_blk_path_alloc_budget);
     ("a run frees its testbed", `Quick, test_run_frees_testbed);
     ("a run frees its metered testbed", `Quick, test_run_frees_metered_testbed);
   ]

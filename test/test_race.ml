@@ -306,6 +306,49 @@ let test_lint_accepts_guarded_source () =
   Sys.remove file;
   check_int "clean file lints clean" 0 (Report.count report)
 
+(* lint-grant-unpaired keeps blkback under the rule: the batched map and
+   unmap it calls are names the rule knows, so blkback lints clean as it
+   is and is flagged once its unmaps are gone. *)
+let test_lint_blkback_grants () =
+  let src =
+    (* From the test's build directory, or from the source root. *)
+    let path = "lib/drivers/blkback.ml" in
+    In_channel.with_open_bin
+      (if Sys.file_exists ("../" ^ path) then "../" ^ path else path)
+      In_channel.input_all
+  in
+  let lint text =
+    let file = Filename.temp_file "kite_lint_blkback" ".ml" in
+    Out_channel.with_open_bin file (fun oc -> output_string oc text);
+    let report = Report.create () in
+    Kite_lint.Lint.lint_file report file;
+    Sys.remove file;
+    List.length (Report.by_rule report "lint-grant-unpaired")
+  in
+  let without_unmaps =
+    String.split_on_char '\n' src
+    |> List.map (fun line ->
+           let key = "Grant_table.unmap_many" in
+           let n = String.length key in
+           let b = Buffer.create (String.length line) in
+           let rec go k =
+             if k >= String.length line then ()
+             else if k + n <= String.length line && String.sub line k n = key
+             then (
+               Buffer.add_string b "ignore";
+               go (k + n))
+             else (
+               Buffer.add_char b line.[k];
+               go (k + 1))
+           in
+           go 0;
+           Buffer.contents b)
+    |> String.concat "\n"
+  in
+  check_int "blkback lints clean" 0 (lint src);
+  check_bool "blkback maps grants" true (without_unmaps <> src);
+  check_int "blkback without its unmaps is flagged" 1 (lint without_unmaps)
+
 (* ------------------------------------------------------------------ *)
 (* Schedule-seed sweep of the driver stack                             *)
 (* ------------------------------------------------------------------ *)
@@ -483,6 +526,7 @@ let suite =
     ("race: explorer determinism", `Quick, test_explorer_determinism);
     ("lint: flags bad source", `Quick, test_lint_flags_bad_source);
     ("lint: accepts guarded source", `Quick, test_lint_accepts_guarded_source);
+    ("lint: blkback's grant maps are paired", `Quick, test_lint_blkback_grants);
     ("race: ten-schedule stress sweep", `Slow, test_schedule_seed_sweep);
     ("lint: arming without teardown", `Quick, test_lint_teardown_missing);
     ("lint: context built by hand", `Quick, test_lint_testbed_unarmed);

@@ -431,8 +431,13 @@ let test_grant_batched_map () =
           ~writable:false)
   in
   Hypervisor.spawn hv grantee ~name:"mapper" (fun () ->
-      let pages = Grant_table.map_many gt ~grantee refs in
-      check_int "all mapped" 8 (List.length pages));
+      let entries =
+        Array.of_list
+          (List.map (fun r -> Option.get (Grant_table.find gt r)) refs)
+      in
+      Grant_table.map_many gt ~grantee entries;
+      check_int "all mapped" 8
+        (Array.length (Array.map Grant_table.page entries)));
   Hypervisor.run hv;
   check_int "eight map ops" 8 (Grant_table.map_count gt);
   check_int "single batched hypercall" 1
