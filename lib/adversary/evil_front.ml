@@ -294,22 +294,34 @@ let attack_bad_segment (t : (Blkif.request, Blkif.response) t) =
   push t 0 (write (Blkif.Direct [ backwards ]));
   nudge t 0
 
-(* One grant reference named twice where blkback maps each use: in two
-   segments of one direct request, by two requests of one drain, or as
-   both descriptor pages of one indirect request (whose one descriptor
-   names a granted page).  Each use alone is an honest write. *)
-let attack_gref_twice (t : (Blkif.request, Blkif.response) t) how =
+(* A granted page blkback may not map: one reference named twice where
+   blkback maps each use — in two segments of one direct request, by two
+   requests of one drain, or as both descriptor pages of one indirect
+   request (whose one descriptor names a granted page) — or a page
+   granted to a third domain.  Each use alone is an honest write. *)
+let attack_unmappable_gref (t : (Blkif.request, Blkif.response) t) how =
   let write ~sector body =
     { Blkif.req_id = fresh_id t; op = Blkif.Write; sector; body }
   in
   let seg gref = { Blkif.gref; first_sect = 0; last_sect = 7 } in
-  let g = grant_page t in
   (match how with
-  | `Two_segments -> push t 0 (write ~sector:0 (Blkif.Direct [ seg g; seg g ]))
+  | `Other_grantee ->
+      let g =
+        Grant_table.grant_access t.ctx.Xen_ctx.gt ~granter:t.domain
+          ~grantee:(Hypervisor.dom0 t.ctx.Xen_ctx.hv) ~page:(Page.alloc ())
+          ~writable:true
+      in
+      t.grants <- g :: t.grants;
+      push t 0 (write ~sector:0 (Blkif.Direct [ seg g ]))
+  | `Two_segments ->
+      let g = grant_page t in
+      push t 0 (write ~sector:0 (Blkif.Direct [ seg g; seg g ]))
   | `Two_requests ->
+      let g = grant_page t in
       push t 0 (write ~sector:0 (Blkif.Direct [ seg g ]));
       push t 0 (write ~sector:8 (Blkif.Direct [ seg g ]))
   | `Two_descriptors ->
+      let g = grant_page t in
       let bufs = Blkif.descriptor_buffers 1 in
       Blkif.put_descriptor bufs 0 ~gref:g ~first_sect:0 ~last_sect:7;
       let d =

@@ -79,14 +79,15 @@ val attack_bad_segment :
 (** Oversized direct segment lists, an indirect count past the cap, and
     impossible segment geometry. *)
 
-val attack_gref_twice :
+val attack_unmappable_gref :
   (Kite_drivers.Blkif.request, Kite_drivers.Blkif.response) t ->
-  [ `Two_segments | `Two_requests | `Two_descriptors ] ->
+  [ `Two_segments | `Two_requests | `Two_descriptors | `Other_grantee ] ->
   unit
-(** One granted page named twice where the backend maps each use: in two
-    segments of one direct request, by two requests in one drain, or as
-    both descriptor pages of one indirect request.  Not a {!Campaign}
-    class. *)
+(** A granted page the backend may not map: one reference named twice
+    where the backend maps each use (in two segments of one direct
+    request, by two requests in one drain, or as both descriptor pages
+    of one indirect request), or a page granted to a third domain.  Not
+    a {!Campaign} class. *)
 
 val attack_end_before_map :
   (Kite_drivers.Blkif.request, Kite_drivers.Blkif.response) t -> unit

@@ -28,8 +28,9 @@ type command = {
    the transfers that fill it. *)
 let extent_size = 65536
 
-(* What a never-written extent reads as.  Only ever read. *)
-let zero_extent = Bytes.make extent_size '\000'
+(* What a never-written extent reads as: a piece is never longer than
+   its page.  Only ever read. *)
+let zeroes = Bytes.make Kite_xen.Page.size '\000'
 
 type t = {
   name : string;
@@ -80,17 +81,13 @@ let extent_for_write t e =
       Int_table.add t.extents e b;
       b
 
-let extent_for_read t e =
-  match Int_table.find t.extents e with
-  | b -> b
-  | exception Not_found -> zero_extent
-
 (* The DMA, when the transfer completes: walk the page list and the media
    in step, copying each piece once between a page and its extent.  The
-   extent in hand is kept while the pieces stay inside it. *)
+   extent in hand ([None] for a never-written one, on a read) is kept
+   while the pieces stay inside it. *)
 let dma t op ~sector sg =
   let pos = ref (sector * sector_size) in
-  let cur = ref (-1) and ext = ref zero_extent in
+  let cur = ref (-1) and ext = ref None in
   for k = 0 to Array.length sg - 1 do
     let page, off, len = sg.(k) in
     let moved = ref 0 in
@@ -101,17 +98,20 @@ let dma t op ~sector sg =
         cur := e;
         ext :=
           match op with
-          | Write -> extent_for_write t e
-          | Read | Flush -> extent_for_read t e
+          | Write -> Some (extent_for_write t e)
+          | Read | Flush -> Int_table.find_opt t.extents e
       end;
-      (match op with
-      | Read ->
-          Kite_xen.Page.write_from page ~off:(off + !moved) !ext
-            ~src_off:e_off ~len:n
-      | Write ->
-          Kite_xen.Page.read_into page ~off:(off + !moved) ~len:n !ext
+      (match (op, !ext) with
+      | Read, Some b ->
+          Kite_xen.Page.write_from page ~off:(off + !moved) b ~src_off:e_off
+            ~len:n
+      | Read, None ->
+          Kite_xen.Page.write_from page ~off:(off + !moved) zeroes ~src_off:0
+            ~len:n
+      | Write, Some b ->
+          Kite_xen.Page.read_into page ~off:(off + !moved) ~len:n b
             ~dst_off:e_off
-      | Flush -> ());
+      | Write, None | Flush, _ -> ());
       moved := !moved + n;
       pos := !pos + n
     done

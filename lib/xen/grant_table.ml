@@ -3,14 +3,17 @@ open Kite_sim
 
 exception Grant_error of string
 
+(* An entry is mapped by its grantee or not while it lives, and ended
+   once its granter ends it or dies; a mapped entry cannot be ended. *)
+type state = Granted | Mapped | Ended
+
 type entry = {
   gref : int;
   granter : int;
   grantee : int;
   page : Page.t;
   writable : bool;
-  mutable mapped : bool;
-  mutable live : bool;  (* false once ended or revoked *)
+  mutable state : state;
 }
 
 type ref_ = int
@@ -41,7 +44,7 @@ let create hv =
 let set_check t c = t.check <- c
 let set_race t r = t.race <- r
 
-(* Grant-entry state (mapped flag, liveness) as an instrumented location.
+(* Grant-entry state (mapped, ended) as an instrumented location.
    [revoke_domain] deliberately bypasses these hooks: domain destruction
    is an exogenous event outside the happens-before model, like pulling
    the power on real hardware. *)
@@ -67,8 +70,7 @@ let grant_access t ~granter ~grantee ~page ~writable =
       grantee = grantee.Domain.id;
       page;
       writable;
-      mapped = false;
-      live = true;
+      state = Granted;
     };
   r
 
@@ -87,9 +89,9 @@ let end_access t ~granter r =
   if e.granter <> granter.Domain.id then
     raise (Grant_error (Printf.sprintf "grant %d not owned by domain %d" r
                           granter.Domain.id));
-  if e.mapped then
+  if e.state = Mapped then
     raise (Grant_error (Printf.sprintf "grant %d is still mapped" r));
-  e.live <- false;
+  e.state <- Ended;
   Int_table.remove t.entries r
 
 let check_grantee e r dom =
@@ -119,23 +121,23 @@ let unmap_hooks t ~grantee r =
 (* An entry its caller found earlier may have been ended or revoked
    since: it then fails as its reference would. *)
 let check_live e =
-  if not e.live then
+  if e.state = Ended then
     raise (Grant_error (Printf.sprintf "bad grant reference %d" e.gref))
 
 let map_checked ~grantee t e =
   check_live e;
   check_grantee e e.gref grantee;
-  let fresh = not e.mapped in
-  e.mapped <- true;
+  let fresh = e.state = Granted in
+  e.state <- Mapped;
   if fresh then t.maps <- t.maps + 1;
   fresh
 
 let unmap_checked ~grantee t e =
   check_live e;
   check_grantee e e.gref grantee;
-  if not e.mapped then
+  if e.state <> Mapped then
     raise (Grant_error (Printf.sprintf "grant %d is not mapped" e.gref));
-  e.mapped <- false;
+  e.state <- Granted;
   t.unmaps <- t.unmaps + 1
 
 let charge_map t ~grantee fresh =
@@ -275,11 +277,11 @@ let revoke_domain t ~domid =
   let granted = ref [] in
   Int_table.iter
     (fun r e ->
-      if e.grantee = domid && e.mapped then begin
+      if e.grantee = domid && e.state = Mapped then begin
         (match t.check with
         | Some c -> Kite_check.Check.grant_unmap c ~gref:r ~grantee:domid
         | None -> ());
-        e.mapped <- false
+        e.state <- Granted
       end;
       if e.granter = domid then granted := r :: !granted)
     t.entries;
@@ -287,15 +289,15 @@ let revoke_domain t ~domid =
     (fun r ->
       (match Int_table.find_opt t.entries r with
       | Some e ->
-          if e.mapped then begin
+          if e.state = Mapped then begin
             (* The peer's mapping dies with the granted frame. *)
             (match t.check with
             | Some c ->
                 Kite_check.Check.grant_unmap c ~gref:r ~grantee:e.grantee
             | None -> ());
-            e.mapped <- false
+            e.state <- Granted
           end;
-          e.live <- false
+          e.state <- Ended
       | None -> ());
       (match t.check with
       | Some c -> Kite_check.Check.grant_end c ~gref:r ~granter:domid
@@ -314,7 +316,7 @@ let granter e = e.granter
 let grantee e = e.grantee
 let writable e = e.writable
 let page e = e.page
-let live e = e.live
+let live e = e.state <> Ended
 
 (* Pooled allocation: a per-queue set of pre-granted pages.  Frontends
    that repost the same buffers forever (netfront Rx, blkfront

@@ -277,12 +277,13 @@ let test_blk_replay () =
     ()
   |> assert_outcome ~min_level:3 "blk replay"
 
-(* A reference named twice is refused at validation: before, blkback
-   mapped it twice, unmapped it twice and stopped the simulation with a
-   Grant_error. *)
-let test_blk_gref_twice how name () =
+(* A reference named twice, or granted to a third domain, is refused at
+   validation: before, blkback mapped the first twice and unmapped it
+   twice, and failed to map the second, and either stopped the
+   simulation with a Grant_error. *)
+let test_blk_unmappable how name () =
   blk_attack ~cls:Guest_fault.Bad_gref ~mode:Evil_front.Honest
-    ~volley:(fun ev ~victim:_ -> Evil_front.attack_gref_twice ev how)
+    ~volley:(fun ev ~victim:_ -> Evil_front.attack_unmappable_gref ev how)
     ()
   |> assert_outcome ~min_level:1 name
 
@@ -412,11 +413,13 @@ let suite =
     ("blk: bad segment", `Quick, test_blk_bad_segment);
     ("blk: replay", `Quick, test_blk_replay);
     ("blk: gref twice in one request", `Quick,
-      test_blk_gref_twice `Two_segments "blk gref twice in one request");
+      test_blk_unmappable `Two_segments "blk gref twice in one request");
     ("blk: gref twice in one drain", `Quick,
-      test_blk_gref_twice `Two_requests "blk gref twice in one drain");
+      test_blk_unmappable `Two_requests "blk gref twice in one drain");
     ("blk: descriptor gref twice", `Quick,
-      test_blk_gref_twice `Two_descriptors "blk descriptor gref twice");
+      test_blk_unmappable `Two_descriptors "blk descriptor gref twice");
+    ("blk: gref granted to another domain", `Quick,
+      test_blk_unmappable `Other_grantee "blk gref granted to another domain");
     ("blk: grant ended before its map", `Quick, test_blk_end_before_map);
     ("blk: slot reuse", `Quick, test_blk_slot_reuse);
     ("blk: xenbus jump", `Quick, test_blk_xenbus_jump);
