@@ -23,9 +23,8 @@ type command = {
    made, zeroed, on its first write and overwritten in place after that.
    Extents are plain buffers, not pages: they draw no machine frame
    numbers.  Sixteen pages to an extent keep the table and the heap
-   objects the GC walks few (512 for a 32 MiB extent of writes, where
-   4 KiB chunks made 8,192), and a 64 KiB buffer is still small beside
-   the transfers that fill it. *)
+   objects the GC walks few (512 for 32 MiB of written sectors), and a
+   64 KiB buffer is still small beside the transfers that fill it. *)
 let extent_size = 65536
 
 (* What a never-written extent reads as: a piece is never longer than
@@ -194,14 +193,15 @@ let submit t cmd =
 (* Range and alignment are checked here, in the submitter's process,
    before the command reaches a worker. *)
 let command t op ~sector sg =
-  let len = ref 0 in
-  for k = 0 to Array.length sg - 1 do
-    let _, off, n = sg.(k) in
-    if off < 0 || n < 0 || off + n > Kite_xen.Page.size then
-      invalid_arg (Printf.sprintf "Nvme: page range %d+%d out of bounds" off n);
-    len := !len + n
-  done;
-  let len = !len in
+  let len =
+    Array.fold_left
+      (fun acc (_, off, len) ->
+        if off < 0 || len < 0 || off + len > Kite_xen.Page.size then
+          invalid_arg
+            (Printf.sprintf "Nvme: page range %d+%d out of bounds" off len);
+        acc + len)
+      0 sg
+  in
   if len mod sector_size <> 0 then
     invalid_arg "Nvme: transfer length not sector-aligned";
   check t sector (len / sector_size);

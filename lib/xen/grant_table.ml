@@ -289,14 +289,12 @@ let revoke_domain t ~domid =
     (fun r ->
       (match Int_table.find_opt t.entries r with
       | Some e ->
-          if e.state = Mapped then begin
-            (* The peer's mapping dies with the granted frame. *)
-            (match t.check with
-            | Some c ->
-                Kite_check.Check.grant_unmap c ~gref:r ~grantee:e.grantee
-            | None -> ());
-            e.state <- Granted
-          end;
+          (* The peer's mapping dies with the granted frame. *)
+          (if e.state = Mapped then
+             match t.check with
+             | Some c ->
+                 Kite_check.Check.grant_unmap c ~gref:r ~grantee:e.grantee
+             | None -> ());
           e.state <- Ended
       | None -> ());
       (match t.check with
