@@ -352,7 +352,7 @@ let prepare_run i r reqs =
       if i.dev.stop then []
       else
         let descs = Array.concat (List.map snd pre) in
-        if Array.length descs > 0 then Grant_table.map_many gt ~grantee descs;
+        Grant_table.map_many gt ~grantee descs;
         let parsed =
           List.map
             (fun (req, ds) ->
@@ -364,10 +364,8 @@ let prepare_run i r reqs =
                       ~count ))
             pre
         in
-        if Array.length descs > 0 then begin
-          Grant_table.unmap_many gt ~grantee descs;
-          unclaim i descs
-        end;
+        Grant_table.unmap_many gt ~grantee descs;
+        unclaim i descs;
         (* Stage-2: the parsed segments (possibly out of
            attacker-controlled descriptor pages) are themselves validated
            before the data grefs ride the pooled map hypercall. *)
